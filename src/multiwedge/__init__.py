@@ -9,6 +9,7 @@ arithmetic.
 
 from .errors import (
     InconsistentValues,
+    InternalInvariantError,
     InvalidInstance,
     MultiWedgeError,
     NoMultiSupremum,

@@ -60,3 +60,12 @@ class NotInSumWedge(MultiWedgeError):
     """The evaluation point lies outside the sum of the domain wedges."""
 
     code = "not_in_sum_wedge"
+
+
+class InternalInvariantError(MultiWedgeError):
+    """A result that the mathematics rules out was returned by an inner step.
+
+    Signals a defect in the package, not in the input.
+    """
+
+    code = "internal_invariant"

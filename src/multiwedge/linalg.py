@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -41,6 +42,13 @@ class QVector:
         self.entries = tuple(qparse(e) for e in entries)
 
     @classmethod
+    def _of(cls, entries: tuple[Fraction, ...]) -> "QVector":
+        """Wrap a tuple of ``Fraction``s as is, without parsing."""
+        v = object.__new__(cls)
+        v.entries = entries
+        return v
+
+    @classmethod
     def zero(cls, dim: int) -> "QVector":
         return cls([_ZERO] * dim)
 
@@ -61,17 +69,17 @@ class QVector:
         return all(e == 0 for e in self.entries)
 
     def __add__(self, other: "QVector") -> "QVector":
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
+        return QVector._of(tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "QVector") -> "QVector":
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
+        return QVector._of(tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
+        return QVector._of(tuple(map(neg, self.entries)))
 
     def __mul__(self, scalar: object) -> "QVector":
         s = qparse(scalar)
-        return QVector(s * a for a in self.entries)
+        return QVector._of(tuple([s * a for a in self.entries]))
 
     __rmul__ = __mul__
 

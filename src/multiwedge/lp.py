@@ -4,27 +4,27 @@ Variables are unrestricted in sign by default and split internally.
 Bland's pivot rule is used throughout, so every solve terminates and the
 result is deterministic for identical input. All outcomes (Optimal,
 Unbounded, Infeasible) are returned as values, never raised.
+
+The tableau is held in Python ints: each row, and the reduced-cost row,
+is a list of int numerators over one positive int denominator, divided by
+the gcd of all of them after every update. Rows are never rescaled, so
+the stored values are exactly those of a ``Fraction`` tableau: Bland's
+rule reads the same signs and, by cross-multiplication, the same ratios,
+and takes the same pivots. ``Fraction``s are built only for the point,
+the value, the duals and the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
+from .errors import InternalInvariantError
 from .linalg import QVector, qparse
 
-try:  # gmp-backed rationals make the tableau arithmetic ~10x faster
-    from gmpy2 import mpq as _tq
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    _tq = Fraction
-
-_ZERO = _tq(0)
-_ONE = _tq(1)
-
-
-def _to_fraction(e) -> Fraction:
-    # Keep plain-int internals so round trips through _tq stay valid.
-    return Fraction(int(e.numerator), int(e.denominator))
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)
@@ -93,191 +93,215 @@ def lp_solve(p: LinearProgram) -> LPResult:
     free; signs flip for 'max'). Unbounded carries a feasible recession
     direction that strictly improves the objective.
     """
-    c = [_tq(e) for e in p.objective.entries]
+    c = p.objective.entries
     if p.sense == "max":
         c = [-e for e in c]
-    rows = [[_tq(e) for e in con.row.entries] for con in p.constraints]
+    rows = [con.row.entries for con in p.constraints]
     rels = [con.rel for con in p.constraints]
-    rhs = [_tq(con.rhs) for con in p.constraints]
+    rhs = [con.rhs for con in p.constraints]
     status, point, duals = _simplex(p.n, c, rows, rels, rhs)
     if status == "infeasible":
         return Infeasible()
     if status == "unbounded":
-        return Unbounded(QVector(_to_fraction(e) for e in point))
-    x = QVector(_to_fraction(e) for e in point)
+        return Unbounded(QVector._of(point))
+    x = QVector._of(point)
     value = p.objective.dot(x)
     if p.sense == "max":
-        duals = [-y for y in duals]
-    return Optimal(value, x, tuple(_to_fraction(y) for y in duals))
+        duals = tuple(-y for y in duals)
+    return Optimal(value, x, duals)
+
+
+class _Row:
+    """Tableau row: the value of column j is ``num[j] / den``, ``den > 0``."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list[int], den: int):
+        self.num = num
+        self.den = den
+
+
+def _integer_row(entries) -> tuple[list[int], int]:
+    """Rationals as int numerators over their least common denominator."""
+    den = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
 
 
 def _simplex(n, c, rows, rels, rhs):
     """Minimize c.x subject to rows[i] . x (rels[i]) rhs[i], x free.
 
     Returns ("optimal", x, duals) | ("unbounded", ray, None) |
-    ("infeasible", None, None) with x/ray in the original n variables.
+    ("infeasible", None, None) with x/ray in the original n variables,
+    as tuples of Fractions.
     """
     m = len(rows)
-    # Normalize to nonnegative right-hand sides.
-    flipped = [False] * m
-    work_rows, work_rels, work_rhs = [], [], []
-    for i in range(m):
-        r, rel, b = rows[i], rels[i], rhs[i]
-        if b < 0:
-            r = [-e for e in r]
-            b = -b
-            rel = LE if rel == GE else (GE if rel == LE else EQ)
-            flipped[i] = True
-        work_rows.append(r)
-        work_rels.append(rel)
-        work_rhs.append(b)
-
     # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
     # one artificial per row (kept in the tableau as dual markers).
-    nslack = sum(1 for rel in work_rels if rel != EQ)
+    nslack = sum(1 for rel in rels if rel != EQ)
     ncols = 2 * n + nslack + m
     art0 = 2 * n + nslack
 
     tableau = []
     basis = []
+    flipped = []
     slack_idx = 2 * n
     for i in range(m):
-        row = [_ZERO] * (ncols + 1)
-        for j, e in enumerate(work_rows[i]):
-            if e:
-                row[j] = e
-                row[n + j] = -e
-        if work_rels[i] == LE:
-            row[slack_idx] = _ONE
+        a, den = _integer_row((*rows[i], rhs[i]))
+        rel = rels[i]
+        # Normalize to a nonnegative right-hand side.
+        flip = a[n] < 0
+        if flip:
+            a = [-e for e in a]
+            rel = LE if rel == GE else (GE if rel == LE else EQ)
+        num = [0] * (ncols + 1)
+        num[:n] = a[:n]
+        num[n : 2 * n] = [-e for e in a[:n]]
+        if rel == LE:
+            num[slack_idx] = den
             basic = slack_idx
             slack_idx += 1
-        elif work_rels[i] == GE:
-            row[slack_idx] = -_ONE
+        elif rel == GE:
+            num[slack_idx] = -den
             basic = art0 + i
             slack_idx += 1
         else:
             basic = art0 + i
-        row[art0 + i] = _ONE
-        row[ncols] = work_rhs[i]
-        tableau.append(row)
+        num[art0 + i] = den
+        num[ncols] = a[n]
+        tableau.append(_Row(num, den))
         basis.append(basic)
+        flipped.append(flip)
 
     # Phase 1: minimize the sum of artificial variables.
     if any(b >= art0 for b in basis):
-        cost1 = [_ZERO] * ncols
-        for j in range(art0, ncols):
-            cost1[j] = _ONE
-        status, _ = _run(tableau, basis, cost1, ncols, banned_from=None)
+        cost1 = _Row([0] * art0 + [1] * m + [0], 1)
+        status, reduced = _run(tableau, basis, cost1, ncols)
         if status != "optimal":
-            raise AssertionError("phase 1 cannot be unbounded")
-        if _objective_value(tableau, basis, cost1) != 0:
+            raise InternalInvariantError("phase 1 cannot be unbounded")
+        # The right-hand-side entry of the reduced row is minus the objective.
+        if reduced.num[ncols]:
             return "infeasible", None, None
         _drive_out_artificials(tableau, basis, art0)
 
     # Phase 2: original (split) objective; artificials may not re-enter.
-    cost2 = [_ZERO] * ncols
-    for j in range(n):
-        cost2[j] = c[j]
-        cost2[n + j] = -c[j]
-    status, info = _run(tableau, basis, cost2, ncols, banned_from=art0)
+    cnum, cden = _integer_row(c)
+    cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), cden)
+    status, info = _run(tableau, basis, cost2, art0)
     if status == "unbounded":
-        ray_cols = info
-        ray = [ray_cols[j] - ray_cols[n + j] for j in range(n)]
-        return "unbounded", ray, None
+        enter = info
+        ray = [_ZERO] * ncols
+        ray[enter] = _ONE
+        for row, b in zip(tableau, basis):
+            if b < 2 * n:
+                ray[b] = Fraction(-row.num[enter], row.den)
+        return "unbounded", tuple(ray[j] - ray[n + j] for j in range(n)), None
 
-    values = [_ZERO] * ncols
+    x = [_ZERO] * n
     for row, b in zip(tableau, basis):
-        values[b] = row[-1]
-    x = [values[j] - values[n + j] for j in range(n)]
+        if b < n:
+            x[b] = Fraction(row.num[ncols], row.den)
+        elif b < 2 * n:
+            x[b - n] = Fraction(-row.num[ncols], row.den)
 
     # Duals from the reduced costs of the artificial marker columns: the
     # marker block holds the accumulated row transform, so -reduced there is
     # c_B B^{-1} per original row. The split variables force A^T y = c for
     # every original column, and slack-column optimality gives the signs,
     # so the certificate stays valid even when redundant rows were dropped.
-    reduced = _reduced_costs(tableau, basis, cost2, ncols)
-    duals = [-reduced[art0 + i] for i in range(m)]
-    for i in range(m):
-        if flipped[i]:
-            duals[i] = -duals[i]
-    return "optimal", x, duals
+    rnum, rden = info.num, info.den
+    duals = tuple(
+        Fraction(rnum[art0 + i] if flipped[i] else -rnum[art0 + i], rden) for i in range(m)
+    )
+    return "optimal", tuple(x), duals
 
 
-def _objective_value(tableau, basis, cost):
-    return sum((cost[b] * row[-1] for row, b in zip(tableau, basis)), _ZERO)
+def _run(tableau, basis, cost, banned_from):
+    """Bland-rule simplex iterations for one phase; columns from
+    ``banned_from`` on may not enter.
 
-
-def _reduced_costs(tableau, basis, cost, ncols):
-    reduced = list(cost)
-    for row, b in zip(tableau, basis):
-        cb = cost[b]
-        if cb:
-            for j in range(ncols):
-                if row[j]:
-                    reduced[j] -= cb * row[j]
-    return reduced
-
-
-def _run(tableau, basis, cost, ncols, banned_from):
-    """Bland-rule simplex iterations for one phase.
-
-    Returns ("optimal", None) or ("unbounded", ray_in_column_space).
+    Returns ("optimal", reduced_cost_row) or ("unbounded", entering_column).
     """
-    reduced = _reduced_costs(tableau, basis, cost, ncols)
+    # Price out the basic columns; each basic row holds 1 in its column.
+    reduced = _Row(list(cost.num), cost.den)
+    for row, b in zip(tableau, basis):
+        if reduced.num[b]:
+            _eliminate(reduced, row, b, _nonzero(row))
     while True:
         enter = -1
-        for j in range(ncols):
-            if banned_from is not None and j >= banned_from:
-                break
-            if reduced[j] < 0:
+        num = reduced.num
+        for j in range(banned_from):
+            if num[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return "optimal", None
-        # Ratio test; ties broken by smallest basic variable index (Bland).
+            return "optimal", reduced
+        # Ratio test on rhs / a, compared by cross-multiplication (a > 0, the
+        # row denominators cancel); ties broken by smallest basic variable
+        # index (Bland).
         leave = -1
-        best = None
+        best_r = best_a = 0
         for i, row in enumerate(tableau):
-            a = row[enter]
+            a = row.num[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                r = row.num[-1]
+                if leave < 0:
+                    leave, best_r, best_a = i, r, a
+                    continue
+                lhs, rhs = r * best_a, best_r * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_r, best_a = i, r, a
         if leave < 0:
-            ray = [_ZERO] * ncols
-            ray[enter] = _ONE
-            for i, row in enumerate(tableau):
-                if basis[i] < ncols:
-                    ray[basis[i]] = -row[enter]
-            return "unbounded", ray
+            return "unbounded", enter
         _pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
 
 
+def _nonzero(row):
+    return [j for j, e in enumerate(row.num) if e]
+
+
+def _eliminate(row, prow, col, nz):
+    """row -= row[col] * prow, for a pivot row with prow[col] == 1.
+
+    ``nz`` lists the nonzero columns of prow; only those change beyond the
+    common rescaling of the numerators.
+    """
+    pnum, pden = prow.num, prow.den
+    # (R/D) - (R[col]/D) (P/pd) = (R (pd/g) - (R[col]/g) P) / (D pd/g)
+    f = row.num[col]
+    g = gcd(f, pden)
+    f //= g
+    scale = pden // g
+    num = row.num if scale == 1 else [e * scale for e in row.num]
+    for j in nz:
+        num[j] -= f * pnum[j]
+    den = row.den * scale
+    g = gcd(den, *num)
+    if g > 1:
+        num = [e // g for e in num]
+        den //= g
+    row.num = num
+    row.den = den
+
+
 def _pivot(tableau, reduced, leave, enter):
-    # In-place rational pivot; iterate only over the nonzero pivot-row
-    # columns, which dominates running time on these sparse tableaus.
+    # Exact pivot on integer rows; the elimination touches only the nonzero
+    # pivot-row columns, which dominate running time on these sparse
+    # tableaus. ``reduced`` may be None when no cost row is kept.
     prow = tableau[leave]
-    piv = prow[enter]
-    nz = [j for j, e in enumerate(prow) if e]
-    if piv != 1:
-        inv = 1 / piv
-        for j in nz:
-            prow[j] *= inv
+    piv = prow.num[enter]
+    if piv != prow.den:
+        # Divide the row by its pivot value piv/den: num / piv.
+        num = prow.num if piv > 0 else [-e for e in prow.num]
+        g = gcd(*num)
+        prow.num = num if g == 1 else [e // g for e in num]
+        prow.den = abs(piv) // g
+    nz = _nonzero(prow)
     for i, row in enumerate(tableau):
-        if i == leave:
-            continue
-        f = row[enter]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-    f = reduced[enter]
-    if f:
-        ncols = len(reduced)
-        for j in nz:
-            if j < ncols:
-                reduced[j] -= f * prow[j]
+        if i != leave and row.num[enter]:
+            _eliminate(row, prow, enter, nz)
+    if reduced is not None and reduced.num[enter]:
+        _eliminate(reduced, prow, enter, nz)
 
 
 def _drive_out_artificials(tableau, basis, art0):
@@ -285,15 +309,14 @@ def _drive_out_artificials(tableau, basis, art0):
     i = 0
     while i < len(tableau):
         if basis[i] >= art0:
-            row = tableau[i]
+            num = tableau[i].num
             pivot_col = -1
             for j in range(art0):
-                if row[j]:
+                if num[j]:
                     pivot_col = j
                     break
             if pivot_col >= 0:
-                dummy = [_ZERO] * len(row)
-                _pivot(tableau, dummy, i, pivot_col)
+                _pivot(tableau, None, i, pivot_col)
                 basis[i] = pivot_col
             else:
                 del tableau[i]

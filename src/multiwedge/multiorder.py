@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotMultiBoundedAbove, NotMultiBoundedBelow
+from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
 from .lp import EQ, GE, Constraint, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
 from .wedges import Wedge, intersect, lineality
@@ -107,7 +107,8 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(cons)))
     if isinstance(res, Infeasible):
         return None
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise InternalInvariantError("a zero objective cannot be unbounded")
     return res.point
 
 
@@ -144,7 +145,7 @@ def msup(
         if isinstance(res, Infeasible):
             raise NotMultiBoundedAbove("the family has no multi-upper bound")
         if isinstance(res, Unbounded):
-            raise AssertionError("normal of the recession cone cannot be unbounded below")
+            raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
         targets.append((a, res.value))
 
     eq_cons = list(cons) + [Constraint(a, EQ, m) for a, m in targets]

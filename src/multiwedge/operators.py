@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     InconsistentValues,
+    InternalInvariantError,
     InvalidInstance,
     NoMultiSupremum,
     NotInSumWedge,
@@ -304,7 +305,8 @@ def rdp_check(
     res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
     if isinstance(res, Infeasible):
         return None
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise InternalInvariantError("a zero objective cannot be unbounded")
     point = res.point
     return [
         [QVector(point[var(i, j, c)] for c in range(dim)) for j in range(n)]
@@ -363,10 +365,6 @@ def rdp_search(
         if rdp_check(inst, _sum_wedge=sw) is None:
             return inst
     return None
-
-
-def _coordinate_wedge(s_size: int, s: int) -> Wedge:
-    return Wedge(s_size, halfspaces=[QVector.unit(s_size, s)])
 
 
 def fs_decompose(
@@ -562,7 +560,8 @@ def rk_value(
         raise NoMultiSupremum(
             "the codomain wedge admits no multi-supremum for this value set"
         )
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise InternalInvariantError("a zero objective cannot be unbounded")
     return MultiSupSet(res.point, v_lin)
 
 

@@ -188,6 +188,4 @@ SCENARIOS = {
 def run_scenario(name: str, seed: int = 0, budget: int = 1000) -> dict:
     if name not in SCENARIOS:
         raise KeyError(name)
-    if name == "ex3.13":
-        return run_ex313(seed=seed, budget=budget)
     return SCENARIOS[name](seed=seed, budget=budget)

@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the library code paths they are used
 to check: linear systems are solved by a local Gaussian elimination, LP
-optima by basic-point enumeration, and polytope vertices by active-set
-enumeration.
+optima by basic-point enumeration, polytope vertices by active-set
+enumeration, and simplex results by the ``Fraction`` tableau the library's
+integer-row simplex replaced.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -215,6 +217,203 @@ class VertexEnumerator:
                 seen.add(point)
                 out.append(point)
         return out
+
+
+# Reference simplex: the two-phase Bland simplex on a ``Fraction`` tableau,
+# as the library ran it before its tableau moved to integer rows. The
+# library must reproduce its status, point, duals and ray exactly. The only
+# addition is ``events``, a Counter of the code paths taken, so tests can
+# require that their inputs reach each path.
+
+_FLE, _FGE, _FEQ = "<=", ">=", "=="
+
+
+def fraction_simplex(n, c, rows, rels, rhs, events=None):
+    """Minimize c.x subject to rows[i] . x (rels[i]) rhs[i], x free.
+
+    Returns ("optimal", x, duals) | ("unbounded", ray, None) |
+    ("infeasible", None, None) with x/ray in the original n variables.
+    """
+    if events is None:
+        events = Counter()
+    m = len(rows)
+    # Normalize to nonnegative right-hand sides.
+    flipped = [False] * m
+    work_rows, work_rels, work_rhs = [], [], []
+    for i in range(m):
+        r, rel, b = rows[i], rels[i], rhs[i]
+        if b < 0:
+            events["row_flip"] += 1
+            r = [-e for e in r]
+            b = -b
+            rel = _FLE if rel == _FGE else (_FGE if rel == _FLE else _FEQ)
+            flipped[i] = True
+        work_rows.append(r)
+        work_rels.append(rel)
+        work_rhs.append(b)
+
+    # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
+    # one artificial per row (kept in the tableau as dual markers).
+    nslack = sum(1 for rel in work_rels if rel != _FEQ)
+    ncols = 2 * n + nslack + m
+    art0 = 2 * n + nslack
+
+    tableau = []
+    basis = []
+    slack_idx = 2 * n
+    for i in range(m):
+        row = [F(0)] * (ncols + 1)
+        for j, e in enumerate(work_rows[i]):
+            if e:
+                row[j] = e
+                row[n + j] = -e
+        if work_rels[i] == _FLE:
+            row[slack_idx] = F(1)
+            basic = slack_idx
+            slack_idx += 1
+        elif work_rels[i] == _FGE:
+            row[slack_idx] = -F(1)
+            basic = art0 + i
+            slack_idx += 1
+        else:
+            basic = art0 + i
+        row[art0 + i] = F(1)
+        row[ncols] = work_rhs[i]
+        tableau.append(row)
+        basis.append(basic)
+
+    # Phase 1: minimize the sum of artificial variables.
+    if any(b >= art0 for b in basis):
+        cost1 = [F(0)] * ncols
+        for j in range(art0, ncols):
+            cost1[j] = F(1)
+        status, _ = _fs_run(tableau, basis, cost1, ncols, None, events)
+        if status != "optimal":
+            raise AssertionError("phase 1 cannot be unbounded")
+        if _fs_objective_value(tableau, basis, cost1) != 0:
+            events["infeasible"] += 1
+            return "infeasible", None, None
+        _fs_drive_out_artificials(tableau, basis, art0, events)
+
+    # Phase 2: original (split) objective; artificials may not re-enter.
+    cost2 = [F(0)] * ncols
+    for j in range(n):
+        cost2[j] = c[j]
+        cost2[n + j] = -c[j]
+    status, info = _fs_run(tableau, basis, cost2, ncols, art0, events)
+    if status == "unbounded":
+        events["unbounded"] += 1
+        ray_cols = info
+        ray = [ray_cols[j] - ray_cols[n + j] for j in range(n)]
+        return "unbounded", ray, None
+
+    events["optimal"] += 1
+    values = [F(0)] * ncols
+    for row, b in zip(tableau, basis):
+        values[b] = row[-1]
+    x = [values[j] - values[n + j] for j in range(n)]
+
+    reduced = _fs_reduced_costs(tableau, basis, cost2, ncols)
+    duals = [-reduced[art0 + i] for i in range(m)]
+    for i in range(m):
+        if flipped[i]:
+            duals[i] = -duals[i]
+    return "optimal", x, duals
+
+
+def _fs_objective_value(tableau, basis, cost):
+    return sum((cost[b] * row[-1] for row, b in zip(tableau, basis)), F(0))
+
+
+def _fs_reduced_costs(tableau, basis, cost, ncols):
+    reduced = list(cost)
+    for row, b in zip(tableau, basis):
+        cb = cost[b]
+        if cb:
+            for j in range(ncols):
+                if row[j]:
+                    reduced[j] -= cb * row[j]
+    return reduced
+
+
+def _fs_run(tableau, basis, cost, ncols, banned_from, events):
+    reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if banned_from is not None and j >= banned_from:
+                break
+            if reduced[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", None
+        # Ratio test; ties broken by smallest basic variable index (Bland).
+        leave = -1
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if ratio == best:
+                    events["ratio_tie"] += 1
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            ray = [F(0)] * ncols
+            ray[enter] = F(1)
+            for i, row in enumerate(tableau):
+                if basis[i] < ncols:
+                    ray[basis[i]] = -row[enter]
+            return "unbounded", ray
+        _fs_pivot(tableau, reduced, leave, enter)
+        basis[leave] = enter
+
+
+def _fs_pivot(tableau, reduced, leave, enter):
+    prow = tableau[leave]
+    piv = prow[enter]
+    nz = [j for j, e in enumerate(prow) if e]
+    if piv != 1:
+        inv = 1 / piv
+        for j in nz:
+            prow[j] *= inv
+    for i, row in enumerate(tableau):
+        if i == leave:
+            continue
+        f = row[enter]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+    f = reduced[enter]
+    if f:
+        ncols = len(reduced)
+        for j in nz:
+            if j < ncols:
+                reduced[j] -= f * prow[j]
+
+
+def _fs_drive_out_artificials(tableau, basis, art0, events):
+    i = 0
+    while i < len(tableau):
+        if basis[i] >= art0:
+            row = tableau[i]
+            pivot_col = -1
+            for j in range(art0):
+                if row[j]:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                dummy = [F(0)] * len(row)
+                _fs_pivot(tableau, dummy, i, pivot_col)
+                basis[i] = pivot_col
+            else:
+                events["row_deleted"] += 1
+                del tableau[i]
+                del basis[i]
+                continue
+        i += 1
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=3):

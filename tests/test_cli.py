@@ -1,7 +1,9 @@
+import importlib
 import json
 
 import pytest
 
+from multiwedge import InternalInvariantError, QVector, Unbounded
 from multiwedge.cli import main
 
 
@@ -344,3 +346,52 @@ def test_scenario_rerun_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")
     _, out2, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")
     assert out1 == out2
+
+
+_HALFPLANES = {
+    "family": [
+        {"apex": ["0", "0"], "wedge": {"dim": 2, "halfspaces": [["1", "0"]]}},
+        {"apex": ["1", "1"], "wedge": {"dim": 2, "halfspaces": [["0", "1"]]}},
+    ]
+}
+_RK = {
+    "operators": [{"rows": 1, "cols": 1, "entries": [["1"]]}],
+    "wedges": [{"dim": 1, "generators": [["1"]]}],
+    "codomain_wedge": {"dim": 1, "generators": [["1"]]},
+    "x": ["1"],
+}
+_RDP = {
+    "wedges": [{"dim": 1, "generators": [["1"]]}],
+    "xs": [["1"]],
+    "ys": [["1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "module, argv, data, zero_objective",
+    [
+        ("multiorder", ["bounded"], _HALFPLANES, True),
+        ("multiorder", ["msup"], _HALFPLANES, False),
+        ("operators", ["rdp", "check"], _RDP, True),
+        ("operators", ["rk", "value"], _RK, True),
+    ],
+)
+def test_impossible_lp_status_is_internal_invariant_exit_1(
+    capsys, tmp_path, monkeypatch, module, argv, data, zero_objective
+):
+    # An LP whose objective is bounded by construction reported Unbounded:
+    # the caller raises the named error (not an assert, which -O strips)
+    # and mw maps it to exit 1 like every domain error.
+    target = importlib.import_module(f"multiwedge.{module}")
+    real = target.lp_solve
+
+    def lp_solve(p):
+        if p.objective.is_zero() == zero_objective:
+            return Unbounded(QVector.zero(p.n))
+        return real(p)
+
+    monkeypatch.setattr(target, "lp_solve", lp_solve)
+    path = write_json(tmp_path, "input.json", data)
+    code, out, _ = run_cli(capsys, *argv, "-f", path)
+    assert code == 1
+    assert json.loads(out)["error"] == InternalInvariantError.code == "internal_invariant"

@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
+import multiwedge.lp as lp_module
 from multiwedge import (
     EQ,
     GE,
     LE,
     Infeasible,
+    InternalInvariantError,
     LinearProgram,
     Optimal,
     QVector,
@@ -14,7 +19,7 @@ from multiwedge import (
     lp_solve,
 )
 
-from conftest import enumerate_lp_minimum, point_feasible
+from conftest import enumerate_lp_minimum, fraction_simplex, point_feasible
 
 
 def _lp(n, objective, sense, cons):
@@ -164,3 +169,74 @@ def test_deterministic():
         assert type(r1) is type(r2)
         if isinstance(r1, Optimal):
             assert r1.point == r2.point and r1.value == r2.value
+
+
+def _random_exactness_lp(rng):
+    """A small LP that may be infeasible, unbounded or degenerate.
+
+    Coefficients are rationals with denominators up to 3, and about a
+    third of the right-hand sides are zero (degenerate vertices, ratio
+    ties) and a third negative (row flips). Some LPs get an equality row that is a
+    combination of two others (redundant rows); some get no box, so they
+    can be unbounded.
+    """
+    n = rng.randint(1, 4)
+    cons = []
+    for _ in range(rng.randint(1, 5)):
+        row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        b = F(0) if rng.random() < 0.3 else F(rng.randint(-4, 4), rng.randint(1, 2))
+        cons.append((row, rng.choice([LE, GE, GE, EQ]), b))
+    eqs = [c for c in cons if c[1] == EQ]
+    if eqs and rng.random() < 0.5:
+        (r1, _, b1), (r2, _, b2) = rng.choice(eqs), rng.choice(eqs)
+        s, t = F(rng.randint(1, 3), rng.randint(1, 2)), F(rng.randint(-2, 2))
+        cons.append(([s * a1 + t * a2 for a1, a2 in zip(r1, r2)], EQ, s * b1 + t * b2))
+    if rng.random() < 0.6:
+        for i in range(n):
+            unit = [F(int(j == i)) for j in range(n)]
+            cons.append((unit, GE, F(-5)))
+            cons.append((unit, LE, F(5)))
+    objective = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    return n, objective, rng.choice(["min", "max"]), cons
+
+
+def _all_fractions(entries):
+    return all(type(e) is F for e in entries)
+
+
+def test_integer_tableau_matches_fraction_simplex():
+    rng = random.Random(314)
+    events = Counter()
+    non_integer = 0
+    for _ in range(400):
+        n, objective, sense, cons = _random_exactness_lp(rng)
+        p = _lp(n, objective, sense, cons)
+        if any(e.denominator != 1 for c in p.constraints for e in c.row):
+            non_integer += 1
+        res = lp_solve(p)
+        c = [-e for e in objective] if sense == "max" else objective
+        status, vec, duals = fraction_simplex(
+            n, c, [list(r) for r, _, _ in cons], [rel for _, rel, _ in cons],
+            [b for _, _, b in cons], events,
+        )
+        if status == "infeasible":
+            assert isinstance(res, Infeasible)
+        elif status == "unbounded":
+            assert isinstance(res, Unbounded)
+            assert res.ray.entries == tuple(vec) and _all_fractions(res.ray)
+        else:
+            assert isinstance(res, Optimal)
+            assert res.point.entries == tuple(vec) and _all_fractions(res.point)
+            assert res.value == p.objective.dot(QVector(vec)) and type(res.value) is F
+            if sense == "max":
+                duals = [-y for y in duals]
+            assert res.dual == tuple(duals) and _all_fractions(res.dual)
+    assert non_integer >= 300
+    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie"):
+        assert events[event] >= 20, (event, events)
+
+
+def test_unbounded_phase_one_is_internal_invariant(monkeypatch):
+    monkeypatch.setattr(lp_module, "_run", lambda *args: ("unbounded", 0))
+    with pytest.raises(InternalInvariantError):
+        lp_solve(_lp(1, [1], "min", [([1], GE, 1)]))
