@@ -9,6 +9,7 @@ malformed input or usage problems (diagnostics on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -250,7 +251,9 @@ def _cmd_examples(args) -> dict:
     return run_scenario(args.name, seed=args.seed, budget=args.budget)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mw` argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mw",
         description="Exact polyhedral wedge-order computations on JSON inputs.",

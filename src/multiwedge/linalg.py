@@ -163,9 +163,11 @@ class QMatrix:
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         c = self.cols
-        return QVector(
-            sum((self.entries[i * c + j] * v.entries[j] for j in range(c)), _ZERO)
-            for i in range(self.rows)
+        return QVector._of(
+            tuple(
+                sum((self.entries[i * c + j] * v.entries[j] for j in range(c)), _ZERO)
+                for i in range(self.rows)
+            )
         )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":

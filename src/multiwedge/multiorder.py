@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
 from .lp import EQ, GE, Constraint, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
-from .wedges import Wedge, intersect, lineality
+from .wedges import Wedge, intersect
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,7 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
 
 
 def msup(
-    family: Sequence[TranslatedWedge],
-    *,
-    _combined: tuple[Sequence[QVector], Sequence[QVector]] | None = None,
+    family: Sequence[TranslatedWedge], *, _intersection: Wedge | None = None
 ) -> MultiSupSet | None:
     """Multi-suprema of the family, None when the set is empty.
 
@@ -123,24 +121,21 @@ def msup(
     at all (the translate intersection P is empty); that case is an error
     by definition, distinct from an empty multi-supremum set.
 
-    ``_combined`` optionally supplies (canonical normals, lineality basis)
-    of the intersection of the family's wedges, so searches can cache the
-    conversion per wedge combination.
+    ``_intersection`` optionally supplies C, the intersection of the
+    family's wedges, so searches can reuse its cached conversions per
+    wedge combination.
     """
     dim = _family_dim(family)
-    if _combined is None:
+    cw = _intersection
+    if cw is None:
         cw = intersect([tw.wedge for tw in family])
-        c_normals = cw.canonical_halfspaces
-        c_lin = tuple(lineality(cw))
-    else:
-        c_normals, c_lin = _combined
     cons = _upper_bound_constraints(family)
 
     # Each normal of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), so the only non-Optimal outcome here is
     # an empty P, which is the not-multi-bounded error case.
     targets = []
-    for a in c_normals:
+    for a in cw.canonical_halfspaces:
         res = lp_solve(LinearProgram(dim, a, "min", tuple(cons)))
         if isinstance(res, Infeasible):
             raise NotMultiBoundedAbove("the family has no multi-upper bound")
@@ -151,7 +146,7 @@ def msup(
     eq_cons = list(cons) + [Constraint(a, EQ, m) for a, m in targets]
     res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(eq_cons)))
     if isinstance(res, Optimal):
-        return MultiSupSet(res.point, tuple(c_lin))
+        return MultiSupSet(res.point, cw.lineality_basis)
     if not targets:
         # No normals means C is the whole space; infeasibility then means
         # P itself is empty.
@@ -206,17 +201,16 @@ def multilattice_search(
         raise ValueError("arity must be at least 1")
     dim = wedges[0].dim
     rng = random.Random(seed)
-    combo_cache: dict[tuple[int, ...], tuple[tuple[QVector, ...], tuple[QVector, ...]]] = {}
+    combo_cache: dict[tuple[int, ...], Wedge] = {}
     for _ in range(budget):
         indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
         apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
         key = tuple(sorted(set(indices)))
         if key not in combo_cache:
-            cw = intersect([wedges[i] for i in key])
-            combo_cache[key] = (cw.canonical_halfspaces, tuple(lineality(cw)))
+            combo_cache[key] = intersect([wedges[i] for i in key])
         family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
         try:
-            res = msup(family, _combined=combo_cache[key])
+            res = msup(family, _intersection=combo_cache[key])
         except NotMultiBoundedAbove:
             continue
         if res is None:

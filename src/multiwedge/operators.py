@@ -99,17 +99,7 @@ def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix
     else:
         annihilator = [QVector.unit(p, i) for i in range(p)]
     gens = wedge_sum(ws).canonical_generators
-    rows = []
-    for g in gens:
-        for r in annihilator:
-            row = [_ZERO] * (p * q)
-            for a in range(p):
-                ra = r[a]
-                if ra:
-                    for c in range(q):
-                        if g[c]:
-                            row[a * q + c] = ra * g[c]
-            rows.append(row)
+    rows = [_outer_row(r, g) for g in gens for r in annihilator]
     if not rows:
         flat_basis = [QVector.unit(p * q, i) for i in range(p * q)]
     else:
@@ -265,6 +255,52 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
     return True
 
 
+def _decomposition_constraints(
+    wedges: Sequence[Wedge], xs: Sequence[QVector], ys: Sequence[QVector]
+) -> list[Constraint]:
+    """Dense rows of z_ij in W_j, sum_j z_ij = x_i and sum_i z_ij = y_j.
+
+    Variable (i * n + j) * dim + c is coordinate c of z_ij, for n wedges.
+    With no ys the column sums are left out.
+    """
+    m, n, dim = len(xs), len(wedges), wedges[0].dim
+    nvars = m * n * dim
+    cons = []
+    for i in range(m):
+        for j, w in enumerate(wedges):
+            for a in w.halfspaces:
+                row = [_ZERO] * nvars
+                for c in range(dim):
+                    if a[c]:
+                        row[(i * n + j) * dim + c] = a[c]
+                cons.append(Constraint(QVector._of(tuple(row)), GE, _ZERO))
+    for i, x in enumerate(xs):
+        for c in range(dim):
+            row = [_ZERO] * nvars
+            for j in range(n):
+                row[(i * n + j) * dim + c] = _ONE
+            cons.append(Constraint(QVector._of(tuple(row)), EQ, x[c]))
+    for j, y in enumerate(ys):
+        for c in range(dim):
+            row = [_ZERO] * nvars
+            for i in range(m):
+                row[(i * n + j) * dim + c] = _ONE
+            cons.append(Constraint(QVector._of(tuple(row)), EQ, y[c]))
+    return cons
+
+
+def _outer_row(b: QVector, g: QVector) -> list[Fraction]:
+    """Coefficients of T -> b . T(g) over the row-major entries of a p x q matrix T."""
+    q = g.dim
+    row = [_ZERO] * (b.dim * q)
+    for a, ba in enumerate(b.entries):
+        if ba:
+            for c, gc in enumerate(g.entries):
+                if gc:
+                    row[a * q + c] = ba * gc
+    return row
+
+
 def rdp_check(
     inst: RDPInstance, *, _sum_wedge: Wedge | None = None
 ) -> list[list[QVector]] | None:
@@ -276,32 +312,7 @@ def rdp_check(
     inst.validate(_sum_wedge)
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
     nvars = m * n * dim
-
-    def var(i: int, j: int, c: int) -> int:
-        return (i * n + j) * dim + c
-
-    cons = []
-    for i in range(m):
-        for j, w in enumerate(inst.wedges):
-            for a in w.halfspaces:
-                row = [_ZERO] * nvars
-                for c in range(dim):
-                    if a[c]:
-                        row[var(i, j, c)] = a[c]
-                cons.append(Constraint(QVector(row), GE, _ZERO))
-    for i in range(m):
-        for c in range(dim):
-            row = [_ZERO] * nvars
-            for j in range(n):
-                row[var(i, j, c)] = _ONE
-            cons.append(Constraint(QVector(row), EQ, inst.xs[i][c]))
-    for j in range(n):
-        for c in range(dim):
-            row = [_ZERO] * nvars
-            for i in range(m):
-                row[var(i, j, c)] = _ONE
-            cons.append(Constraint(QVector(row), EQ, inst.ys[j][c]))
-
+    cons = _decomposition_constraints(inst.wedges, inst.xs, inst.ys)
     res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
     if isinstance(res, Infeasible):
         return None
@@ -309,7 +320,7 @@ def rdp_check(
         raise InternalInvariantError("a zero objective cannot be unbounded")
     point = res.point
     return [
-        [QVector(point[var(i, j, c)] for c in range(dim)) for j in range(n)]
+        [QVector(point[(i * n + j) * dim + c] for c in range(dim)) for j in range(n)]
         for i in range(m)
     ]
 
@@ -478,28 +489,6 @@ def _northwest(rows: list[Fraction], cols: list[Fraction]) -> list[list[Fraction
     return out
 
 
-def _value_constraints(
-    ops: Sequence[QMatrix], wedges: Sequence[Wedge], x: QVector
-) -> tuple[int, list[Constraint]]:
-    k = len(ops)
-    q = wedges[0].dim
-    nvars = k * q
-    cons = []
-    for i, w in enumerate(wedges):
-        for a in w.halfspaces:
-            row = [_ZERO] * nvars
-            for c in range(q):
-                if a[c]:
-                    row[i * q + c] = a[c]
-            cons.append(Constraint(QVector(row), GE, _ZERO))
-    for c in range(q):
-        row = [_ZERO] * nvars
-        for i in range(k):
-            row[i * q + c] = _ONE
-        cons.append(Constraint(QVector(row), EQ, x[c]))
-    return nvars, cons
-
-
 def _check_rk_shapes(
     ops: Sequence[QMatrix], wedges: Sequence[Wedge], v_wedge: Wedge
 ) -> tuple[int, int]:
@@ -530,9 +519,10 @@ def rk_value(
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
-    nvars, cons = _value_constraints(ops, wedges, x)
+    nvars = len(wedges) * q
+    cons = _decomposition_constraints(wedges, [x], [])
     normals = v_wedge.canonical_halfspaces
-    v_lin = tuple(lineality(v_wedge))
+    v_lin = v_wedge.lineality_basis
 
     if not normals:
         res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
@@ -575,14 +565,7 @@ def _assert_multi_bounded(
         for g in w.generators:
             tg = t.apply(g)
             for b in v_wedge.halfspaces:
-                row = [_ZERO] * nvars
-                for a in range(p):
-                    ba = b[a]
-                    if ba:
-                        for c in range(q):
-                            if g[c]:
-                                row[a * q + c] = ba * g[c]
-                cons.append(Constraint(QVector(row), GE, b.dot(tg)))
+                cons.append(Constraint(QVector._of(tuple(_outer_row(b, g))), GE, b.dot(tg)))
     res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
     if isinstance(res, Infeasible):
         raise NotMultiBoundedAbove("no operator dominates the whole family")

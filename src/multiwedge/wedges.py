@@ -4,7 +4,9 @@ A wedge is a set closed under addition and nonnegative scaling. It is
 stored either as a V-representation (conic hull of finitely many rays;
 lines appear as two opposite rays) or an H-representation (intersection
 of homogeneous halfspaces {x : a.x >= 0}), or both. Whichever side is
-missing is computed lazily, exactly, and cached.
+missing reads as the canonical form of that side, computed lazily and
+exactly from the other; each canonical side and the lineality basis are
+computed at most once per wedge.
 
 Conventions: an empty generator list denotes {0}; an empty halfspace list
 denotes all of Q^n. Canonical representations scale every ray/normal to
@@ -42,7 +44,7 @@ def _primitive(v: QVector) -> QVector:
     if num_gcd == 0:
         return v
     scale = Fraction(den_lcm, num_gcd)
-    return QVector(e * scale for e in v.entries)
+    return QVector._of(tuple([e * scale for e in v.entries]))
 
 
 def _canonical_set(vectors: Iterable[QVector]) -> tuple[QVector, ...]:
@@ -102,6 +104,14 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     return lin, sorted(rays, key=lambda v: v.entries)
 
 
+def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
+    """Primitive basis of {x : a.x = 0 for a in normals}."""
+    rows = [a.entries for a in normals if not a.is_zero()]
+    if not rows:
+        return [QVector.unit(dim, i) for i in range(dim)]
+    return [_primitive(v) for v in nullspace(QMatrix.from_rows(rows))]
+
+
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
     """Canonical generators of the wedge cut out by ``halfspaces``."""
     lin, rays = _solve_rays(list(halfspaces), dim)
@@ -120,15 +130,18 @@ def vrep_to_hrep(generators: Sequence[QVector], dim: int) -> list[QVector]:
 
 
 class Wedge:
-    """A polyhedral wedge; immutable apart from an internally locked cache."""
+    """A polyhedral wedge; immutable apart from an internally locked cache.
+
+    The cache holds the canonical generators, the canonical halfspaces and
+    a lineality basis, each computed at most once, on first use. A side
+    that was not given reads as its canonical form.
+    """
 
     __slots__ = (
         "dim",
         "_generators",
         "_halfspaces",
         "_lock",
-        "_computed_generators",
-        "_computed_halfspaces",
         "_canon_generators",
         "_canon_halfspaces",
         "_lineality",
@@ -158,53 +171,54 @@ class Wedge:
                             "inconsistent double description: generator violates halfspace"
                         )
         self._lock = threading.Lock()
-        self._computed_generators = None
-        self._computed_halfspaces = None
         self._canon_generators = None
         self._canon_halfspaces = None
         self._lineality = None
 
+    def _derived(self, slot: str, source: str, derive) -> tuple[QVector, ...]:
+        """The cached ``derive(self.<source>, dim)``, computed at most once.
+
+        ``source`` is read before the lock is taken: reading it may fill
+        another slot, and the lock is not reentrant.
+        """
+        value = getattr(self, slot)
+        if value is None:
+            side = getattr(self, source)
+            with self._lock:
+                value = getattr(self, slot)
+                if value is None:
+                    value = tuple(derive(side, self.dim))
+                    setattr(self, slot, value)
+        return value
+
     @property
     def generators(self) -> tuple[QVector, ...]:
-        """Generators as given, or the canonical set computed from halfspaces."""
+        """Generators as given, or else the canonical generators."""
         if self._generators is not None:
             return self._generators
-        with self._lock:
-            if self._computed_generators is None:
-                self._computed_generators = tuple(hrep_to_vrep(self._halfspaces, self.dim))
-                self._canon_generators = self._computed_generators
-            return self._computed_generators
+        return self.canonical_generators
 
     @property
     def halfspaces(self) -> tuple[QVector, ...]:
-        """Halfspace normals as given, or the canonical set from generators."""
+        """Halfspace normals as given, or else the canonical halfspaces."""
         if self._halfspaces is not None:
             return self._halfspaces
-        with self._lock:
-            if self._computed_halfspaces is None:
-                self._computed_halfspaces = tuple(vrep_to_hrep(self._generators, self.dim))
-                self._canon_halfspaces = self._computed_halfspaces
-            return self._computed_halfspaces
+        return self.canonical_halfspaces
 
     @property
     def canonical_halfspaces(self) -> tuple[QVector, ...]:
         """Irredundant canonical H-representation."""
-        if self._canon_halfspaces is None:
-            gens = self.generators
-            with self._lock:
-                if self._canon_halfspaces is None:
-                    self._canon_halfspaces = tuple(vrep_to_hrep(gens, self.dim))
-        return self._canon_halfspaces
+        return self._derived("_canon_halfspaces", "generators", vrep_to_hrep)
 
     @property
     def canonical_generators(self) -> tuple[QVector, ...]:
         """Irredundant canonical V-representation (lineality pairs + extreme rays)."""
-        if self._canon_generators is None:
-            hs = self.halfspaces
-            with self._lock:
-                if self._canon_generators is None:
-                    self._canon_generators = tuple(hrep_to_vrep(hs, self.dim))
-        return self._canon_generators
+        return self._derived("_canon_generators", "halfspaces", hrep_to_vrep)
+
+    @property
+    def lineality_basis(self) -> tuple[QVector, ...]:
+        """Primitive basis of D(W) = W n (-W), the common kernel of the normals."""
+        return self._derived("_lineality", "halfspaces", _kernel_basis)
 
     def member(self, x: QVector) -> bool:
         if x.dim != self.dim:
@@ -280,16 +294,7 @@ def intersect(ws: Sequence[Wedge]) -> Wedge:
 
 def lineality(w: Wedge) -> list[QVector]:
     """Basis of D(W) = W n (-W), the largest subspace contained in W."""
-    if w._lineality is None:
-        hs = [a for a in w.halfspaces if not a.is_zero()]
-        if not hs:
-            basis = [QVector.unit(w.dim, i) for i in range(w.dim)]
-        else:
-            basis = [_primitive(v) for v in nullspace(QMatrix.from_rows([a.entries for a in hs]))]
-        with w._lock:
-            if w._lineality is None:
-                w._lineality = tuple(basis)
-    return list(w._lineality)
+    return list(w.lineality_basis)
 
 
 def is_cone(w: Wedge) -> bool:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from multiwedge import InternalInvariantError, QVector, Unbounded
-from multiwedge.cli import main
+from multiwedge.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +179,31 @@ def test_byte_identical_reruns(capsys, tmp_path, quadrant_file):
     )
     assert s1 == s2
     assert json.loads(s1)["found"] is True
+
+
+def test_reused_parser_keeps_nothing_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    wedges = write_json(
+        tmp_path,
+        "wedges.json",
+        {
+            "wedges": [
+                {"dim": 2, "halfspaces": [["1", "0"]]},
+                {"dim": 2, "halfspaces": [["0", "1"]]},
+                {"dim": 2, "halfspaces": [["1", "1"]]},
+            ]
+        },
+    )
+    search = ["lattice-search", "-f", wedges, "--k", "3", "--budget", "50"]
+    assert run_cli(capsys, "lattice-search", "--k")[0] == 2
+    code_seeded, seeded, _ = run_cli(capsys, *search, "--seed", "5")
+    code_reused, reused, _ = run_cli(capsys, *search)
+    build_parser.cache_clear()
+    code_fresh, fresh, _ = run_cli(capsys, *search)
+    assert code_seeded == code_reused == code_fresh == 0
+    assert reused == fresh
+    # The seed reaches the output, so a --seed left over from the call before would show.
+    assert seeded != fresh
 
 
 def test_lattice_search_none(capsys, tmp_path):

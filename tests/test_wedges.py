@@ -202,6 +202,70 @@ def test_lineality_members_both_ways():
             assert w.member(v) and w.member(-v)
 
 
+@pytest.fixture
+def conversions(monkeypatch):
+    """List that gets one entry per call of ``wedges.hrep_to_vrep``."""
+    from multiwedge import wedges
+
+    calls = []
+    convert = wedges.hrep_to_vrep
+
+    def counted(halfspaces, dim):
+        calls.append(dim)
+        return convert(halfspaces, dim)
+
+    monkeypatch.setattr(wedges, "hrep_to_vrep", counted)
+    return calls
+
+
+def test_each_side_is_converted_once(conversions):
+    # H-given: one H->V scan for the generators, one V->H scan back.
+    given = (V([1, 0, 0]), V([0, 1, 0]), V([1, 1, 1]))
+    w = Wedge(3, halfspaces=given)
+    gens = w.canonical_generators
+    assert w.generators == gens
+    assert w.canonical_halfspaces == tuple(sorted(given, key=lambda v: v.entries))
+    assert w.halfspaces == given
+    assert lineality(w) == []
+    assert len(conversions) == 2
+
+    # V-given: one V->H scan serves the halfspaces and the lineality.
+    conversions.clear()
+    w = Wedge(3, generators=[V([1, 0, 0]), V([0, 1, 0]), V([0, 0, 1]), V([0, 0, -1])])
+    hs = w.canonical_halfspaces
+    assert w.halfspaces == hs
+    assert lineality(w) == [V([0, 0, 1])]
+    assert len(conversions) == 1
+
+
+def test_each_side_is_converted_once_across_threads(conversions):
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            conversions.clear()
+            w = Wedge(4, halfspaces=[V([1, 0, 0, 0]), V([0, 1, 0, 0]), V([1, 1, 1, 0])])
+            results = []
+
+            def worker():
+                gens = w.canonical_generators
+                results.append((gens, w.generators, w.canonical_halfspaces, lineality(w)))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 8 and all(r == results[0] for r in results)
+            assert len(conversions) == 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_lazy_representation_is_thread_safe():
     import threading
 
