@@ -58,17 +58,31 @@ def _wedge(data) -> Wedge:
         raise InputError(f"bad wedge object: {exc}") from exc
 
 
+def _wedge_list(entries) -> list[Wedge]:
+    """One Wedge per distinct JSON object, so a repeated entry is converted once."""
+    built: dict[str, Wedge] = {}
+    out = []
+    for data in entries:
+        key = json.dumps(data, sort_keys=True)
+        if key not in built:
+            built[key] = _wedge(data)
+        out.append(built[key])
+    return out
+
+
 def _wedges(data) -> list[Wedge]:
     if not isinstance(data, dict) or "wedges" not in data:
         raise InputError("expected an object with a 'wedges' array")
-    return [_wedge(w) for w in data["wedges"]]
+    return _wedge_list(data["wedges"])
 
 
 def _family(data) -> list[TranslatedWedge]:
     if not isinstance(data, dict) or "family" not in data:
         raise InputError("expected an object with a 'family' array")
     try:
-        return [TranslatedWedge.from_json(p) for p in data["family"]]
+        entries = data["family"]
+        wedges = _wedge_list([p["wedge"] for p in entries])
+        return [TranslatedWedge(QVector.from_json(p["apex"]), w) for p, w in zip(entries, wedges)]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad family entry: {exc}") from exc
 
@@ -175,7 +189,11 @@ def _cmd_rdp(args) -> dict:
     data = _load(args.file)
     if args.rdp_op == "check":
         try:
-            inst = RDPInstance.from_json(data)
+            inst = RDPInstance(
+                tuple(_wedge_list(data["wedges"])),
+                tuple(QVector.from_json(x) for x in data["xs"]),
+                tuple(QVector.from_json(y) for y in data["ys"]),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad decomposition instance: {exc}") from exc
         z = rdp_check(inst)
@@ -210,7 +228,7 @@ def _cmd_rdp(args) -> dict:
 def _rk_inputs(data) -> tuple[list[QMatrix], list[Wedge], Wedge]:
     try:
         ops = [_operator(t) for t in data["operators"]]
-        wedges = [_wedge(w) for w in data["wedges"]]
+        wedges = _wedge_list(data["wedges"])
         v_wedge = _wedge(data["codomain_wedge"])
     except KeyError as exc:
         raise InputError(f"missing field {exc} in operator input") from exc
@@ -228,7 +246,7 @@ def _cmd_rk(args) -> dict:
     if args.rk_op == "functional-msup":
         try:
             phis = [_vector(p) for p in data["functionals"]]
-            wedges = [_wedge(w) for w in data["wedges"]]
+            wedges = _wedge_list(data["wedges"])
         except KeyError as exc:
             raise InputError(f"missing field {exc} in functional input") from exc
         res = functional_msup(phis, wedges)

@@ -302,7 +302,7 @@ def _nullspace_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: i
         v[free] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][free]
-        basis.append(QVector(v))
+        basis.append(QVector._of(tuple(v)))
     return basis
 
 
@@ -332,64 +332,28 @@ def solve_linear(a: QMatrix, b: QVector) -> Solution | None:
     return Solution(QVector(particular), tuple(null))
 
 
-class _Echelon:
-    """Incremental row-echelon accumulator for independence testing."""
+def _pivot_columns(columns: Sequence[QVector], dim: int) -> list[int]:
+    """Pivot columns of the RREF of the dim x len(columns) matrix of ``columns``.
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[Fraction]] = []
-        self.leads: list[int] = []
-
-    def residual(self, v: QVector) -> list[Fraction]:
-        w = list(v.entries)
-        for lead, row in zip(self.leads, self.rows):
-            f = w[lead]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
-    def add(self, v: QVector) -> bool:
-        """Insert v if independent of what was added so far; report success."""
-        w = self.residual(v)
-        for lead, e in enumerate(w):
-            if e != 0:
-                inv = 1 / e
-                self.rows.append([x * inv for x in w])
-                self.leads.append(lead)
-                return True
-        return False
-
-    def contains(self, v: QVector) -> bool:
-        return all(e == 0 for e in self.residual(v))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    A column is a pivot exactly when it is independent of the columns
+    before it, so the pivots are the greedy independent subset in list order.
+    """
+    rows = [[v.entries[i] for v in columns] for i in range(dim)]
+    return _rref_rows(rows)
 
 
 def independent_indices(vectors: Sequence[QVector], dim: int) -> list[int]:
     """Greedy maximal linearly independent subset, scanning in list order."""
-    ech = _Echelon(dim)
-    kept = []
-    for i, v in enumerate(vectors):
-        if ech.add(v):
-            kept.append(i)
-    return kept
+    return _pivot_columns(vectors, dim)
 
 
 def span_rank(vectors: Sequence[QVector], dim: int) -> int:
-    ech = _Echelon(dim)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
+    return len(_pivot_columns(vectors, dim))
 
 
 def span_contains(vectors: Sequence[QVector], x: QVector, dim: int) -> bool:
     """Whether x lies in the linear span of ``vectors``."""
-    ech = _Echelon(dim)
-    for v in vectors:
-        ech.add(v)
-    return ech.contains(x)
+    return len(vectors) not in _pivot_columns([*vectors, x], dim)
 
 
 def complement_basis(
@@ -401,16 +365,9 @@ def complement_basis(
     each standard vector that is independent of everything kept so far. The
     fixed scan order makes every projection built on top reproducible.
     """
-    ech = _Echelon(ambient_dim)
-    for v in subspace_basis:
-        ech.add(v)
     order = range(ambient_dim - 1, -1, -1) if reverse else range(ambient_dim)
-    kept = []
-    for k in order:
-        e = QVector.unit(ambient_dim, k)
-        if ech.add(e):
-            kept.append(e)
-    return kept
+    cols = [*subspace_basis, *(QVector.unit(ambient_dim, k) for k in order)]
+    return [cols[p] for p in _pivot_columns(cols, ambient_dim) if p >= len(subspace_basis)]
 
 
 def matrix_inverse(m: QMatrix) -> QMatrix:

@@ -147,6 +147,8 @@ def msup(
     res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(eq_cons)))
     if isinstance(res, Optimal):
         return MultiSupSet(res.point, cw.lineality_basis)
+    if not isinstance(res, Infeasible):
+        raise InternalInvariantError("a zero objective cannot be unbounded")
     if not targets:
         # No normals means C is the whole space; infeasibility then means
         # P itself is empty.

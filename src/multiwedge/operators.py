@@ -30,14 +30,7 @@ from .errors import (
     RDPViolated,
     ZeroSpace,
 )
-from .linalg import (
-    QMatrix,
-    QVector,
-    complement_basis,
-    independent_indices,
-    matrix_inverse,
-    nullspace,
-)
+from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
 from .lp import EQ, GE, Constraint, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
 from .multiorder import MultiSupSet
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
@@ -98,7 +91,10 @@ def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix
         annihilator = nullspace(QMatrix.from_rows([d.entries for d in d_basis]))
     else:
         annihilator = [QVector.unit(p, i) for i in range(p)]
-    gens = wedge_sum(ws).canonical_generators
+    # Any generating set of the sum wedge spans the same rows, and the
+    # nullspace is read off their unique RREF, so the union of the given
+    # generators serves without converting the sum wedge.
+    gens = wedge_sum(ws).generators
     rows = [_outer_row(r, g) for g in gens for r in annihilator]
     if not rows:
         flat_basis = [QVector.unit(p * q, i) for i in range(p * q)]
@@ -138,12 +134,12 @@ def extend_additive(
     for g in gens:
         if g not in values:
             raise ValueError("a value is required for every generator of the wedge")
-    kept = independent_indices(gens, dim)
-    basis = [gens[i] for i in kept]
-    comp = complement_basis(basis, dim, reverse=(complement_order == "backward"))
-    cols = list(basis) + list(comp)
-    m = QMatrix.from_cols(cols, nrows=dim)
-    value_cols = [values[g] for g in basis] + [QVector.zero(codomain_dim)] * len(comp)
+    order = range(dim - 1, -1, -1) if complement_order == "backward" else range(dim)
+    candidates = [*gens, *(QVector.unit(dim, k) for k in order)]
+    pivots = _pivot_columns(candidates, dim)
+    m = QMatrix.from_cols([candidates[p] for p in pivots], nrows=dim)
+    zero = QVector.zero(codomain_dim)
+    value_cols = [values[gens[p]] if p < len(gens) else zero for p in pivots]
     v = QMatrix.from_cols(value_cols, nrows=codomain_dim)
     t = v @ matrix_inverse(m)
     for g in gens:
@@ -202,13 +198,7 @@ class RDPInstance:
         for w, y in zip(self.wedges, self.ys):
             if not w.member(y):
                 raise InvalidInstance("some y_j is not a member of its wedge")
-        total_x = QVector.zero(dim)
-        for x in self.xs:
-            total_x = total_x + x
-        total_y = QVector.zero(dim)
-        for y in self.ys:
-            total_y = total_y + y
-        if total_x != total_y:
+        if sum(self.xs, QVector.zero(dim)) != sum(self.ys, QVector.zero(dim)):
             raise InvalidInstance("sum of xs does not equal sum of ys")
         sw = _sum_wedge if _sum_wedge is not None else wedge_sum(self.wedges)
         for x in self.xs:
@@ -241,16 +231,10 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
             if not w.member(zij):
                 return False
     for i in range(m):
-        total = QVector.zero(dim)
-        for j in range(n):
-            total = total + z[i][j]
-        if total != inst.xs[i]:
+        if sum(z[i], QVector.zero(dim)) != inst.xs[i]:
             return False
     for j in range(n):
-        total = QVector.zero(dim)
-        for i in range(m):
-            total = total + z[i][j]
-        if total != inst.ys[j]:
+        if sum((z[i][j] for i in range(m)), QVector.zero(dim)) != inst.ys[j]:
             return False
     return True
 
@@ -362,11 +346,8 @@ def rdp_search(
             sum_cache[key] = wedge_sum([wedges[i] for i in key])
         sw = sum_cache[key]
         ys = [_random_member(rng, wedges[j]) for j in js]
-        total = QVector.zero(sw.dim)
-        for y in ys:
-            total = total + y
         xs = [_random_member(rng, sw) for _ in range(m - 1)]
-        last = total
+        last = sum(ys, QVector.zero(sw.dim))
         for x in xs:
             last = last - x
         if not sw.member(last):
@@ -403,13 +384,7 @@ def fs_decompose(
     for j, y in zip(js, ys):
         if y[j] < 0:
             raise InvalidInstance("some y_j is not a member of its wedge")
-    total_x = QVector.zero(s_size)
-    for x in xs:
-        total_x = total_x + x
-    total_y = QVector.zero(s_size)
-    for y in ys:
-        total_y = total_y + y
-    if total_x != total_y:
+    if sum(xs, QVector.zero(s_size)) != sum(ys, QVector.zero(s_size)):
         raise InvalidInstance("sum of xs does not equal sum of ys")
 
     if nx == 1:
@@ -528,6 +503,8 @@ def rk_value(
         res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
         if isinstance(res, Infeasible):
             raise NotInSumWedge("x is not in the sum of the domain wedges")
+        if not isinstance(res, Optimal):
+            raise InternalInvariantError("a zero objective cannot be unbounded")
         return MultiSupSet(QVector.zero(p), v_lin)
 
     sups = []
@@ -569,6 +546,8 @@ def _assert_multi_bounded(
     res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
     if isinstance(res, Infeasible):
         raise NotMultiBoundedAbove("no operator dominates the whole family")
+    if not isinstance(res, Optimal):
+        raise InternalInvariantError("a zero objective cannot be unbounded")
 
 
 def op_msup(

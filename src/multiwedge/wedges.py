@@ -21,17 +21,9 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import (
-    QMatrix,
-    QVector,
-    complement_basis,
-    nullspace,
-    span_rank,
-    _rref_rows,
-)
+from .linalg import QMatrix, QVector, _nullspace_from_rref, _rref_rows, nullspace, span_rank
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _primitive(v: QVector) -> QVector:
@@ -54,53 +46,49 @@ def _canonical_set(vectors: Iterable[QVector]) -> tuple[QVector, ...]:
 def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], list[QVector]]:
     """Lineality basis and extreme rays of {x : a.x >= 0 for a in normals}.
 
-    The lineality space is the common kernel of the normals. The pointed
-    part lives in a greedy standard complement of it; each of its extreme
-    rays is cut out by some (d-1)-subset of independent active constraints,
-    so enumerating those subsets finds exactly the extreme rays.
+    The lineality space is the common kernel of the normals N. The pointed
+    part lives in the greedy standard complement of it, spanned by e_p for
+    the pivot columns p of N (unit vectors e_S complement ker N exactly when
+    N's S-columns are independent), so each normal restricts to its pivot
+    coordinates. Each extreme ray is cut out by some (d-1)-subset of
+    independent active constraints, so enumerating those subsets finds
+    exactly the extreme rays.
     """
     normals = [n for n in normals if not n.is_zero()]
     if not normals:
         basis = [QVector.unit(dim, i) for i in range(dim)]
         return basis, []
-    lin = nullspace(QMatrix.from_rows([n.entries for n in normals]))
-    comp = complement_basis(lin, dim)
-    d = len(comp)
-    if d == 0:
-        return lin, []
+    rows = [list(n.entries) for n in normals]
+    pivots = _rref_rows(rows)
+    lin = _nullspace_from_rref(rows, pivots, dim)
+    d = len(pivots)
     restricted = []
     seen_rows = set()
     for a in normals:
-        row = tuple(a.dot(u) for u in comp)
-        key = _primitive(QVector(row)).entries
+        row = QVector._of(tuple([a.entries[p] for p in pivots]))
+        key = _primitive(row).entries
         if key in seen_rows:
             continue
         seen_rows.add(key)
         restricted.append(row)
     rays: set[QVector] = set()
-    for subset in combinations(range(len(restricted)), d - 1):
-        rows = [list(restricted[i]) for i in subset]
-        pivots = _rref_rows(rows)
-        if len(pivots) != d - 1:
+    for subset in combinations(restricted, d - 1):
+        sub_rows = [list(row.entries) for row in subset]
+        sub_pivots = _rref_rows(sub_rows)
+        if len(sub_pivots) != d - 1:
             continue
-        direction = [_ZERO] * d
-        pivot_set = set(pivots)
-        free = next(j for j in range(d) if j not in pivot_set)
-        direction[free] = _ONE
-        for r, pc in enumerate(pivots):
-            direction[pc] = -rows[r][free]
-        signs = [sum(row[j] * direction[j] for j in range(d)) for row in restricted]
+        direction = _nullspace_from_rref(sub_rows, sub_pivots, d)[0]
+        signs = [row.dot(direction) for row in restricted]
         if all(s >= 0 for s in signs):
             pass
         elif all(s <= 0 for s in signs):
-            direction = [-e for e in direction]
+            direction = -direction
         else:
             continue
-        ray = QVector.zero(dim)
-        for coef, u in zip(direction, comp):
-            if coef:
-                ray = ray + coef * u
-        rays.add(_primitive(ray))
+        ray = [_ZERO] * dim
+        for p, coef in zip(pivots, direction.entries):
+            ray[p] = coef
+        rays.add(_primitive(QVector._of(tuple(ray))))
     return lin, sorted(rays, key=lambda v: v.entries)
 
 

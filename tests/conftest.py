@@ -416,6 +416,67 @@ def _fs_drive_out_artificials(tableau, basis, art0, events):
         i += 1
 
 
+class GreedyEchelon:
+    """Incremental row echelon form: the independence oracle for ``linalg``.
+
+    Vectors are added one at a time; each is reduced against the rows kept
+    so far and kept, scaled to a leading 1, when a nonzero entry remains.
+    So the kept vectors are the greedy independent subset in insertion order.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.leads = []
+
+    def residual(self, v):
+        w = [F(e) for e in v]
+        for lead, row in zip(self.leads, self.rows):
+            f = w[lead]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        return w
+
+    def add(self, v):
+        """Keep v if it is independent of the rows so far; report whether it was kept."""
+        w = self.residual(v)
+        for lead, e in enumerate(w):
+            if e != 0:
+                self.rows.append([x / e for x in w])
+                self.leads.append(lead)
+                return True
+        return False
+
+    def contains(self, v):
+        return all(e == 0 for e in self.residual(v))
+
+
+def greedy_complement(basis, dim, reverse=False):
+    """Unit vectors e_k, scanned in index order (reversed when ``reverse``),
+    kept when independent of ``basis`` and of the units kept before."""
+    ech = GreedyEchelon()
+    for v in basis:
+        ech.add(v)
+    order = range(dim - 1, -1, -1) if reverse else range(dim)
+    units = ([F(int(i == k)) for i in range(dim)] for k in order)
+    return [u for u in units if ech.add(u)]
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """List that gets one entry per call of ``wedges.hrep_to_vrep``."""
+    from multiwedge import wedges
+
+    calls = []
+    convert = wedges.hrep_to_vrep
+
+    def counted(halfspaces, dim):
+        calls.append(dim)
+        return convert(halfspaces, dim)
+
+    monkeypatch.setattr(wedges, "hrep_to_vrep", counted)
+    return calls
+
+
 def rand_fraction(rng, lo=-4, hi=4, max_den=3):
     return F(rng.randint(lo, hi), rng.randint(1, max_den))
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,9 @@ def test_examples_run_match(capsys, name):
     assert code == 0
     payload = json.loads(out)
     assert payload["matches_expected"] is True
+    # Byte for byte the recorded output (tests/golden, also diffed by CI
+    # against the installed `mw`).
+    assert out.encode() == (Path(__file__).parent / "golden" / f"{name}.json").read_bytes()
 
 
 def test_examples_unknown_exit_2(capsys):
@@ -385,6 +389,8 @@ _RK = {
     "codomain_wedge": {"dim": 1, "generators": [["1"]]},
     "x": ["1"],
 }
+_RK_NO_NORMALS = {**_RK, "codomain_wedge": {"dim": 1, "halfspaces": []}}
+_RK_ZERO_DOMAIN = {**_RK, "wedges": [{"dim": 1, "generators": []}]}
 _RDP = {
     "wedges": [{"dim": 1, "generators": [["1"]]}],
     "xs": [["1"]],
@@ -399,6 +405,9 @@ _RDP = {
         ("multiorder", ["msup"], _HALFPLANES, False),
         ("operators", ["rdp", "check"], _RDP, True),
         ("operators", ["rk", "value"], _RK, True),
+        ("multiorder", ["msup"], _HALFPLANES, True),
+        ("operators", ["rk", "value"], _RK_NO_NORMALS, True),
+        ("operators", ["rk", "op-msup"], _RK_ZERO_DOMAIN, True),
     ],
 )
 def test_impossible_lp_status_is_internal_invariant_exit_1(
@@ -420,3 +429,37 @@ def test_impossible_lp_status_is_internal_invariant_exit_1(
     code, out, _ = run_cli(capsys, *argv, "-f", path)
     assert code == 1
     assert json.loads(out)["error"] == InternalInvariantError.code == "internal_invariant"
+
+
+_G = {"dim": 2, "generators": [["1", "0"], ["1", "1"]]}
+_H = {"dim": 2, "halfspaces": [["0", "1"], ["1", "-1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, make",
+    [
+        (["wedge", "sum"], lambda k: {"wedges": [_H] * k}),
+        (["msup"], lambda k: {"family": [{"apex": [str(i), "0"], "wedge": _G} for i in range(k)]}),
+        (["rdp", "check"], lambda k: {"wedges": [_G] * k, "xs": [[str(k), "0"]], "ys": [["1", "0"]] * k}),
+        (
+            ["rk", "value"],
+            lambda k: {
+                "operators": [{"rows": 1, "cols": 2, "entries": [["1", "0"]]}] * k,
+                "wedges": [_G] * k,
+                "codomain_wedge": {"dim": 1, "generators": [["1"]]},
+                "x": ["1", "0"],
+            },
+        ),
+        (["rk", "functional-msup"], lambda k: {"functionals": [["1", "0"]] * k, "wedges": [_G] * k}),
+    ],
+)
+def test_repeated_wedge_entry_is_converted_once(capsys, tmp_path, conversions, argv, make):
+    # Equal JSON entries become one Wedge, so listing a wedge twice
+    # converts it no more often than listing it once.
+    counts = []
+    for k in (1, 2):
+        code, _, _ = run_cli(capsys, *argv, "-f", write_json(tmp_path, f"in{k}.json", make(k)))
+        assert code == 0
+        counts.append(len(conversions))
+        conversions.clear()
+    assert counts[0] > 0 and counts[1] == counts[0]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -14,9 +15,11 @@ from multiwedge import (
     qparse,
     rref,
     solve_linear,
+    span_contains,
 )
+from multiwedge.linalg import independent_indices, span_rank
 
-from conftest import gauss_solve
+from conftest import GreedyEchelon, gauss_solve, greedy_complement
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 
@@ -181,6 +184,48 @@ def test_complement_spans_and_independent():
         # random span are accounted for
         base_rank = len(rref(QMatrix.from_rows([v.entries for v in vecs]))[1]) if vecs else 0
         assert base_rank + len(comp) == dim
+
+
+def test_pivot_reads_match_greedy_echelon():
+    # independent_indices, span_rank, span_contains and complement_basis
+    # read pivots off one RREF; the incremental echelon is the oracle.
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(800):
+        dim = rng.choice([0, 1, 1, 2, 3, 4, 5])
+        vecs = []
+        for _ in range(rng.randint(0, dim + 3)):
+            roll = rng.random()
+            if vecs and roll < 0.2:
+                vecs.append(rng.choice(vecs))
+                seen["duplicate"] += 1
+            elif vecs and roll < 0.35:
+                vecs.append(F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice(vecs))
+            elif roll < 0.45:
+                vecs.append(QVector.zero(dim))
+                seen["zero"] += 1
+            else:
+                vecs.append(QVector([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]))
+        if vecs and rng.random() < 0.5:
+            x = sum((rng.randint(-2, 2) * v for v in vecs), QVector.zero(dim))
+        else:
+            x = QVector([rng.randint(-2, 2) for _ in range(dim)])
+        ech = GreedyEchelon()
+        kept = [i for i, v in enumerate(vecs) if ech.add(v.entries)]
+        assert independent_indices(vecs, dim) == kept
+        assert span_rank(vecs, dim) == len(kept)
+        contains = ech.contains(x.entries)
+        assert span_contains(vecs, x, dim) == contains
+        for reverse in (False, True):
+            comp = complement_basis(vecs, dim, reverse=reverse)
+            assert [list(v.entries) for v in comp] == greedy_complement(
+                [v.entries for v in vecs], dim, reverse
+            )
+        seen[f"dim{dim}"] += 1
+        seen[f"contains={contains}"] += 1
+        seen["dependent"] += len(kept) < len(vecs)
+    for key in ("duplicate", "zero", "dim0", "dim1", "contains=True", "contains=False", "dependent"):
+        assert seen[key] >= 20, (key, seen)
 
 
 def test_nullspace_and_inverse():

@@ -620,3 +620,16 @@ def test_op_minf_not_bounded_below():
     line = Wedge(1, halfspaces=[])
     with pytest.raises(NotMultiBoundedBelow):
         op_minf([M([[1]]), M([[-1]])], [line, line], positive_ray())
+
+
+def test_op_msup_converts_the_sum_wedge_once(conversions):
+    # One V->H and one H->V scan of the sum wedge, and one V->H scan each
+    # for the halfspaces of the two domain wedges and of V.
+    ws = [
+        Wedge(2, generators=[QVector([1, 0]), QVector([1, 1])]),
+        Wedge(2, generators=[QVector([0, 1]), QVector([1, 1])]),
+    ]
+    v = Wedge(1, generators=[QVector([1])], halfspaces=[QVector([1])])
+    ops = [QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[0, 1]])]
+    op_msup(ops, ws, v)
+    assert len(conversions) == 5

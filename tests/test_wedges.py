@@ -202,22 +202,6 @@ def test_lineality_members_both_ways():
             assert w.member(v) and w.member(-v)
 
 
-@pytest.fixture
-def conversions(monkeypatch):
-    """List that gets one entry per call of ``wedges.hrep_to_vrep``."""
-    from multiwedge import wedges
-
-    calls = []
-    convert = wedges.hrep_to_vrep
-
-    def counted(halfspaces, dim):
-        calls.append(dim)
-        return convert(halfspaces, dim)
-
-    monkeypatch.setattr(wedges, "hrep_to_vrep", counted)
-    return calls
-
-
 def test_each_side_is_converted_once(conversions):
     # H-given: one H->V scan for the generators, one V->H scan back.
     given = (V([1, 0, 0]), V([0, 1, 0]), V([1, 1, 1]))
