@@ -58,6 +58,13 @@ def _wedge(data) -> Wedge:
         raise InputError(f"bad wedge object: {exc}") from exc
 
 
+def _array(data, field: str) -> list:
+    """``data[field]``, which must be an array in a JSON object."""
+    if not isinstance(data, dict) or not isinstance(data.get(field), list):
+        raise InputError(f"expected an object with a '{field}' array")
+    return data[field]
+
+
 def _wedge_list(entries) -> list[Wedge]:
     """One Wedge per distinct JSON object, so a repeated entry is converted once."""
     built: dict[str, Wedge] = {}
@@ -71,9 +78,7 @@ def _wedge_list(entries) -> list[Wedge]:
 
 
 def _wedges(data) -> list[Wedge]:
-    if not isinstance(data, dict) or "wedges" not in data:
-        raise InputError("expected an object with a 'wedges' array")
-    return _wedge_list(data["wedges"])
+    return _wedge_list(_array(data, "wedges"))
 
 
 def _family(data) -> list[TranslatedWedge]:
@@ -190,7 +195,7 @@ def _cmd_rdp(args) -> dict:
     if args.rdp_op == "check":
         try:
             inst = RDPInstance(
-                tuple(_wedge_list(data["wedges"])),
+                tuple(_wedges(data)),
                 tuple(QVector.from_json(x) for x in data["xs"]),
                 tuple(QVector.from_json(y) for y in data["ys"]),
             )
@@ -226,13 +231,11 @@ def _cmd_rdp(args) -> dict:
 
 
 def _rk_inputs(data) -> tuple[list[QMatrix], list[Wedge], Wedge]:
-    try:
-        ops = [_operator(t) for t in data["operators"]]
-        wedges = _wedge_list(data["wedges"])
-        v_wedge = _wedge(data["codomain_wedge"])
-    except KeyError as exc:
-        raise InputError(f"missing field {exc} in operator input") from exc
-    return ops, wedges, v_wedge
+    ops = [_operator(t) for t in _array(data, "operators")]
+    wedges = _wedges(data)
+    if "codomain_wedge" not in data:
+        raise InputError("missing field 'codomain_wedge' in operator input")
+    return ops, wedges, _wedge(data["codomain_wedge"])
 
 
 def _cmd_rk(args) -> dict:
@@ -244,12 +247,8 @@ def _cmd_rk(args) -> dict:
         res = rk_value(ops, wedges, v_wedge, _vector(data["x"]))
         return _msup_payload(res)
     if args.rk_op == "functional-msup":
-        try:
-            phis = [_vector(p) for p in data["functionals"]]
-            wedges = _wedge_list(data["wedges"])
-        except KeyError as exc:
-            raise InputError(f"missing field {exc} in functional input") from exc
-        res = functional_msup(phis, wedges)
+        phis = [_vector(p) for p in _array(data, "functionals")]
+        res = functional_msup(phis, _wedges(data))
     else:
         ops, wedges, v_wedge = _rk_inputs(data)
         fn = op_msup if args.rk_op == "op-msup" else op_minf

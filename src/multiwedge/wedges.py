@@ -17,30 +17,84 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, QVector, _nullspace_from_rref, _rref_rows, nullspace, span_rank
+from .linalg import QVector, _nullspace_from_rref, _rref_rows, span_rank
 
 _ZERO = Fraction(0)
 
 
+def _primitive_ints(entries: Sequence[Fraction]) -> tuple[int, ...]:
+    """Coprime integers, a positive multiple of ``entries`` (zero stays zero)."""
+    den = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (den // e.denominator) for e in entries]
+    g = gcd(*ints) or 1
+    return tuple([x // g for x in ints])
+
+
 def _primitive(v: QVector) -> QVector:
     """Scale by a positive rational so entries are coprime integers."""
-    num_gcd = 0
-    den_lcm = 1
-    for e in v.entries:
-        num_gcd = gcd(num_gcd, e.numerator)
-        den_lcm = den_lcm * e.denominator // gcd(den_lcm, e.denominator)
-    if num_gcd == 0:
-        return v
-    scale = Fraction(den_lcm, num_gcd)
-    return QVector._of(tuple([e * scale for e in v.entries]))
+    return QVector._of(tuple(map(Fraction, _primitive_ints(v.entries))))
 
 
 def _canonical_set(vectors: Iterable[QVector]) -> tuple[QVector, ...]:
     return tuple(sorted({_primitive(v) for v in vectors}, key=lambda v: v.entries))
+
+
+def _kernel(normals: Sequence[QVector], dim: int) -> tuple[list[int], list[QVector]]:
+    """Pivot columns of the RREF of the normals and the kernel basis read off it."""
+    rows = [list(a.entries) for a in normals]
+    pivots = _rref_rows(rows)
+    return pivots, _nullspace_from_rref(rows, pivots, dim)
+
+
+def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {y : a.y >= 0 for a in rows} in Z^d.
+
+    ``rows`` are distinct primitive integer rows of rank d. This is the
+    double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    Its first cone is cut out by the greedily independent rows a_1..a_d in
+    list order: one RREF of [a_1..a_m | I] (the a's as columns) leaves
+    B^-T in the identity block, for B the matrix of those rows, so the
+    i-th row of that block is the ray y_i with a_j.y_i = [i == j]. The
+    other rows are then added in list order. Rays with a.r >= 0 stay; a
+    ray r+ with a.r+ > 0 and a ray r- with a.r- < 0 give the new ray
+    (a.r+)r- - (a.r-)r+ on a.y = 0 exactly when they are adjacent. Each
+    ray keeps its zero set, the bitmask of the rows added so far that are
+    tight at it. Two extreme rays of a pointed cone are adjacent exactly
+    when no third one is tight on every row tight at both; at least d-2
+    rows must be tight at both, which settles most pairs at once.
+    """
+    m = len(rows)
+    block = [
+        [Fraction(a[i]) for a in rows] + [Fraction(int(i == k)) for k in range(d)] for i in range(d)
+    ]
+    first = _rref_rows(block)
+    rays = [_primitive_ints(r[m:]) for r in block]
+    everything = sum(1 << j for j in first)
+    zeros = [everything & ~(1 << j) for j in first]
+    for i in sorted(set(range(m)) - set(first)):
+        a, bit = rows[i], 1 << i
+        values = [sum(map(mul, a, r)) for r in rays]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        kept_rays = [r for r, v in zip(rays, values) if v >= 0]
+        kept_zeros = [z if v else z | bit for z, v in zip(zeros, values) if v >= 0]
+        for p in pos:
+            for n in neg:
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < d - 2:
+                    continue
+                if any(z & common == common for k, z in enumerate(zeros) if k != p and k != n):
+                    continue
+                new = [values[p] * y - values[n] * x for x, y in zip(rays[p], rays[n])]
+                g = gcd(*new)
+                kept_rays.append(tuple([x // g for x in new]))
+                kept_zeros.append(common | bit)
+        rays, zeros = kept_rays, kept_zeros
+    return rays
 
 
 def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], list[QVector]]:
@@ -50,54 +104,27 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     part lives in the greedy standard complement of it, spanned by e_p for
     the pivot columns p of N (unit vectors e_S complement ker N exactly when
     N's S-columns are independent), so each normal restricts to its pivot
-    coordinates. Each extreme ray is cut out by some (d-1)-subset of
-    independent active constraints, so enumerating those subsets finds
-    exactly the extreme rays.
+    coordinates. The restricted rows, scaled to primitive integers and
+    deduplicated, have full rank d and cut out a pointed cone, whose
+    extreme rays the double-description method (`_dd_rays`) enumerates in
+    integers; each is written back into the pivot coordinates.
     """
-    normals = [n for n in normals if not n.is_zero()]
-    if not normals:
-        basis = [QVector.unit(dim, i) for i in range(dim)]
-        return basis, []
-    rows = [list(n.entries) for n in normals]
-    pivots = _rref_rows(rows)
-    lin = _nullspace_from_rref(rows, pivots, dim)
-    d = len(pivots)
-    restricted = []
-    seen_rows = set()
-    for a in normals:
-        row = QVector._of(tuple([a.entries[p] for p in pivots]))
-        key = _primitive(row).entries
-        if key in seen_rows:
-            continue
-        seen_rows.add(key)
-        restricted.append(row)
-    rays: set[QVector] = set()
-    for subset in combinations(restricted, d - 1):
-        sub_rows = [list(row.entries) for row in subset]
-        sub_pivots = _rref_rows(sub_rows)
-        if len(sub_pivots) != d - 1:
-            continue
-        direction = _nullspace_from_rref(sub_rows, sub_pivots, d)[0]
-        signs = [row.dot(direction) for row in restricted]
-        if all(s >= 0 for s in signs):
-            pass
-        elif all(s <= 0 for s in signs):
-            direction = -direction
-        else:
-            continue
+    pivots, lin = _kernel(normals, dim)
+    if not pivots:
+        return lin, []
+    unique = dict.fromkeys(_primitive_ints([a.entries[p] for p in pivots]) for a in normals)
+    rays = []
+    for y in _dd_rays([a for a in unique if any(a)], len(pivots)):
         ray = [_ZERO] * dim
-        for p, coef in zip(pivots, direction.entries):
-            ray[p] = coef
-        rays.add(_primitive(QVector._of(tuple(ray))))
-    return lin, sorted(rays, key=lambda v: v.entries)
+        for p, coef in zip(pivots, y):
+            ray[p] = Fraction(coef)
+        rays.append(QVector._of(tuple(ray)))
+    return lin, rays
 
 
 def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
     """Primitive basis of {x : a.x = 0 for a in normals}."""
-    rows = [a.entries for a in normals if not a.is_zero()]
-    if not rows:
-        return [QVector.unit(dim, i) for i in range(dim)]
-    return [_primitive(v) for v in nullspace(QMatrix.from_rows(rows))]
+    return [_primitive(v) for v in _kernel(normals, dim)[1]]
 
 
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library code paths they are used
 to check: linear systems are solved by a local Gaussian elimination, LP
 optima by basic-point enumeration, polytope vertices by active-set
-enumeration, and simplex results by the ``Fraction`` tableau the library's
-integer-row simplex replaced.
+enumeration, simplex results by the ``Fraction`` tableau the library's
+integer-row simplex replaced, and extreme rays by the subset scan the
+double-description method replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from math import lcm
 import pytest
 
 from multiwedge import QVector, Wedge
+from multiwedge.linalg import _nullspace_from_rref, _rref_rows
+from multiwedge.wedges import _primitive
 
 F = Fraction
 
@@ -459,6 +462,55 @@ def greedy_complement(basis, dim, reverse=False):
     order = range(dim - 1, -1, -1) if reverse else range(dim)
     units = ([F(int(i == k)) for i in range(dim)] for k in order)
     return [u for u in units if ech.add(u)]
+
+
+def subset_scan_rays(normals, dim):
+    """Lineality basis and extreme rays of {x : a.x >= 0 for a in normals}.
+
+    The subset scan that ``wedges._solve_rays`` used before the
+    double-description method, kept unchanged as its oracle. The lineality
+    space is the common kernel of the normals N. The pointed part lives in
+    the greedy standard complement of it, spanned by e_p for the pivot
+    columns p of N, so each normal restricts to its pivot coordinates. Each
+    extreme ray is cut out by some (d-1)-subset of independent active
+    constraints, so enumerating those subsets finds exactly the extreme rays.
+    """
+    normals = [n for n in normals if not n.is_zero()]
+    if not normals:
+        basis = [QVector.unit(dim, i) for i in range(dim)]
+        return basis, []
+    rows = [list(n.entries) for n in normals]
+    pivots = _rref_rows(rows)
+    lin = _nullspace_from_rref(rows, pivots, dim)
+    d = len(pivots)
+    restricted = []
+    seen_rows = set()
+    for a in normals:
+        row = QVector._of(tuple([a.entries[p] for p in pivots]))
+        key = _primitive(row).entries
+        if key in seen_rows:
+            continue
+        seen_rows.add(key)
+        restricted.append(row)
+    rays = set()
+    for subset in combinations(restricted, d - 1):
+        sub_rows = [list(row.entries) for row in subset]
+        sub_pivots = _rref_rows(sub_rows)
+        if len(sub_pivots) != d - 1:
+            continue
+        direction = _nullspace_from_rref(sub_rows, sub_pivots, d)[0]
+        signs = [row.dot(direction) for row in restricted]
+        if all(s >= 0 for s in signs):
+            pass
+        elif all(s <= 0 for s in signs):
+            direction = -direction
+        else:
+            continue
+        ray = [F(0)] * dim
+        for p, coef in zip(pivots, direction.entries):
+            ray[p] = coef
+        rays.add(_primitive(QVector._of(tuple(ray))))
+    return lin, sorted(rays, key=lambda v: v.entries)
 
 
 @pytest.fixture

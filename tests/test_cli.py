@@ -152,6 +152,52 @@ def test_missing_file_exit_2(capsys):
     assert err
 
 
+_OP = {"rows": 1, "cols": 1, "entries": [["1"]]}
+_LINE = {"dim": 1, "generators": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["wedge", "sum"], {"wedges": 5}),
+        (["wedge", "intersect"], [_LINE]),
+        (["lattice-search", "--k", "2"], {"wedges": 5}),
+        (["rdp", "check"], {"wedges": 5, "xs": [], "ys": []}),
+        (["rdp", "search"], {"wedges": {"dim": 1}}),
+        (["rk", "value"], {"operators": 5, "wedges": [_LINE], "codomain_wedge": _LINE}),
+        (["rk", "value"], [_OP]),
+        (["rk", "op-msup"], {"operators": [_OP], "wedges": 5, "codomain_wedge": _LINE}),
+        (["rk", "op-minf"], {"operators": [_OP], "wedges": [_LINE]}),
+        (["rk", "functional-msup"], {"functionals": 5, "wedges": [_LINE]}),
+        (["rk", "functional-msup"], {"functionals": [["1"]], "wedges": "x"}),
+        (["rk", "functional-msup"], 5),
+    ],
+    ids=[
+        "sum-wedges-int",
+        "intersect-top-level-array",
+        "lattice-search-wedges-int",
+        "rdp-check-wedges-int",
+        "rdp-search-wedges-object",
+        "rk-value-operators-int",
+        "rk-value-top-level-array",
+        "op-msup-wedges-int",
+        "op-minf-no-codomain",
+        "functional-msup-functionals-int",
+        "functional-msup-wedges-string",
+        "functional-msup-top-level-int",
+    ],
+)
+def test_wrongly_typed_array_is_input_error_exit_2(capsys, tmp_path, argv, payload):
+    # A top level that is not an object, a wedges/operators/functionals
+    # field that is not an array, or a missing field is malformed input,
+    # not a crash.
+    path = write_json(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, *argv, "-f", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exit_2(capsys):
     code = main(["wedge", "frobnicate", "-f", "x.json"])
     assert code == 2
@@ -342,6 +388,16 @@ def test_examples_run_match(capsys, name):
     # Byte for byte the recorded output (tests/golden, also diffed by CI
     # against the installed `mw`).
     assert out.encode() == (Path(__file__).parent / "golden" / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("op", ["dual", "sum", "intersect", "lineality"])
+def test_wedge_ops_match_golden(capsys, op):
+    # wedge-dual.input.json is a cone in dim 6 with 14 generators and 7
+    # facets, each holding at least 8 of them: its rays are degenerate.
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run_cli(capsys, "wedge", op, "-f", str(golden / f"wedge-{op}.input.json"))
+    assert code == 0
+    assert out.encode() == (golden / f"wedge-{op}.json").read_bytes()
 
 
 def test_examples_unknown_exit_2(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,8 +18,9 @@ from multiwedge import (
     wedge_equal,
     wedge_sum,
 )
+from multiwedge.wedges import _primitive
 
-from conftest import rand_vector, rand_wedge
+from conftest import rand_vector, rand_wedge, subset_scan_rays
 
 V = QVector
 
@@ -56,6 +58,53 @@ def test_conversion_zero_wedge():
         (F(0), F(1)),
         (F(1), F(0)),
     ]
+
+
+def test_double_description_matches_subset_scan():
+    # The canonical generators must equal those built from the subset
+    # scan's lineality basis and extreme rays on every input.
+    rng = random.Random(61)
+    seen = Counter()
+    for trial in range(500):
+        dim = rng.randint(1, 5)
+        kind = trial % 5
+        zero = QVector.zero(dim)
+        if kind == 0:  # rows of a random subspace: lineality, and d = 1 often
+            span = [rand_vector(rng, dim, -2, 2, 1) for _ in range(rng.randint(1, dim))]
+            coefs = [[rng.randint(-2, 2) for _ in span] for _ in range(rng.randint(0, 6))]
+            rows = [sum((c * b for c, b in zip(cs, span)), zero) for cs in coefs]
+        elif kind == 1:  # rows and minus their sum: {0} once they span
+            rows = [rand_vector(rng, dim, -2, 2, 1) for _ in range(rng.randint(1, 6))]
+            rows.append(-sum(rows, zero))
+        elif kind == 4:  # a cone containing e_1, cut by a.x = 0 with a_1 = 0
+            a = V([0, *(rng.randint(-2, 2) for _ in range(dim - 1))])
+            rows = [V([1, *(rng.randint(-2, 2) for _ in range(dim - 1))]) for _ in range(dim + 3)]
+            rows += [a, -a]
+        else:
+            rows = [rand_vector(rng, dim, -2, 2, 2) for _ in range(rng.randint(0, 7))]
+        if rows and kind == 2:  # duplicated and parallel rows
+            for _ in range(2):
+                rows.append(F(rng.choice([1, 2, -1, -3]), rng.randint(1, 3)) * rng.choice(rows))
+        if len(rows) > 1 and kind == 3:  # sums of rows: tight where both are
+            rows += [rng.choice(rows) + rng.choice(rows) for _ in range(3)]
+        rng.shuffle(rows)
+
+        lin, rays = subset_scan_rays(rows, dim)
+        gens = [v for b in lin for v in (b, -b)] + rays
+        expected = sorted({_primitive(v) for v in gens}, key=lambda v: v.entries)
+        assert hrep_to_vrep(rows, dim) == expected
+
+        d = dim - len(lin)
+        distinct = {_primitive(a) for a in rows if not a.is_zero()}
+        seen["lineality"] += 0 < len(lin) < dim
+        seen["zero"] += not gens
+        seen["whole space"] += d == 0
+        seen["d=1"] += d == 1
+        seen["parallel rows"] += len(distinct) + sum(a.is_zero() for a in rows) < len(rows)
+        tight = [sum(a.dot(r) == 0 for a in distinct) for r in rays]
+        seen["degenerate ray"] += any(t > d - 1 for t in tight)
+    for key in ("lineality", "zero", "whole space", "d=1", "parallel rows", "degenerate ray"):
+        assert seen[key] >= 20, (key, seen)
 
 
 def test_member_examples():
