@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import MultiWedgeError
-from .linalg import QMatrix, QVector
+from .linalg import QMatrix, QVector, _json_size
 from .multiorder import (
     TranslatedWedge,
     is_proper,
@@ -216,8 +216,8 @@ def _cmd_rdp(args) -> dict:
         return {"found": True, "instance": found.to_json()}
     if args.rdp_op == "decompose-fs":
         try:
-            s_size = int(data["s_size"])
-            js = [int(j) for j in data["indices"]]
+            s_size = _json_size(data["s_size"], "s_size")
+            js = [_json_size(j, "index") for j in data["indices"]]
             xs = [_vector(x) for x in data["xs"]]
             ys = [_vector(y) for y in data["ys"]]
         except (KeyError, TypeError, ValueError) as exc:

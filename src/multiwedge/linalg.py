@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Sequence
 
@@ -23,14 +24,24 @@ _ONE = Fraction(1)
 
 
 def qparse(value: object) -> Fraction:
-    """Parse a rational from ``"p/q"`` / ``"p"`` strings, ints or Fractions."""
+    """Parse a rational from ``"p/q"`` / ``"p"`` strings, ints (not bools) or Fractions."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot parse a rational from {value!r}")
+
+
+def _json_size(value: object, name: str) -> int:
+    """A size read from JSON: it must be an integer, and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 class QVector:
@@ -237,43 +248,101 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "QMatrix":
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = _json_size(data["rows"], "rows"), _json_size(data["cols"], "cols")
         entries = data["entries"]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("matrix entries do not match declared shape")
         return cls(rows, cols, [e for r in entries for e in r])
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` in place to reduced row echelon form; return pivot columns."""
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
+class _Row:
+    """Tableau row: the value of column j is ``num[j] / den``, ``den > 0``."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list[int], den: int):
+        self.num = num
+        self.den = den
+
+
+def _integer_row(entries) -> tuple[list[int], int]:
+    """Rationals as int numerators over their least common denominator."""
+    den = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
+
+
+def _nonzero(row):
+    return [j for j, e in enumerate(row.num) if e]
+
+
+def _eliminate(row, prow, col, nz):
+    """row -= row[col] * prow, for a pivot row with prow[col] == 1.
+
+    ``nz`` lists the nonzero columns of prow; only those change beyond the
+    common rescaling of the numerators.
+    """
+    pnum, pden = prow.num, prow.den
+    # (R/D) - (R[col]/D) (P/pd) = (R (pd/g) - (R[col]/g) P) / (D pd/g)
+    f = row.num[col]
+    g = gcd(f, pden)
+    f //= g
+    scale = pden // g
+    num = row.num if scale == 1 else [e * scale for e in row.num]
+    for j in nz:
+        num[j] -= f * pnum[j]
+    den = row.den * scale
+    g = gcd(den, *num)
+    if g > 1:
+        num = [e // g for e in num]
+        den //= g
+    row.num = num
+    row.den = den
+
+
+def _pivot(tableau, reduced, leave, enter):
+    # Exact pivot on integer rows; the elimination touches only the nonzero
+    # pivot-row columns, which dominate running time on these sparse
+    # tableaus. ``reduced`` may be None when no cost row is kept.
+    prow = tableau[leave]
+    piv = prow.num[enter]
+    if piv != prow.den:
+        # Divide the row by its pivot value piv/den: num / piv.
+        num = prow.num if piv > 0 else [-e for e in prow.num]
+        g = gcd(*num)
+        prow.num = num if g == 1 else [e // g for e in num]
+        prow.den = abs(piv) // g
+    nz = _nonzero(prow)
+    for i, row in enumerate(tableau):
+        if i != leave and row.num[enter]:
+            _eliminate(row, prow, enter, nz)
+    if reduced is not None and reduced.num[enter]:
+        _eliminate(reduced, prow, enter, nz)
+
+
+def _rref_ints(rows: list[_Row]) -> list[int]:
+    """Reduce integer ``rows`` in place to reduced row echelon form; return pivot columns.
+
+    This is the package's one elimination loop. Each column pivots on the
+    first row at or below the current one that is nonzero there.
+    """
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
+    for col in range(len(rows[0].num) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
-        if inv != 1:
-            rows[r] = [e * inv for e in rows[r]]
-        rr = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][col]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
-        pivots.append(col)
-        r += 1
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i].num[col]), None)
+        if pivot_row is not None:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            _pivot(rows, None, r, col)
+            pivots.append(col)
+    return pivots
+
+
+def _rref_rows(rows: list[list[Fraction]]) -> list[int]:
+    """`_rref_ints` on ``Fraction`` rows: reduce them in place and return pivot columns."""
+    reduced = [_Row(*_integer_row(row)) for row in rows]
+    pivots = _rref_ints(reduced)
+    rows[:] = [[Fraction(e, row.den) for e in row.num] for row in reduced]
     return pivots
 
 
@@ -338,8 +407,7 @@ def _pivot_columns(columns: Sequence[QVector], dim: int) -> list[int]:
     A column is a pivot exactly when it is independent of the columns
     before it, so the pivots are the greedy independent subset in list order.
     """
-    rows = [[v.entries[i] for v in columns] for i in range(dim)]
-    return _rref_rows(rows)
+    return _rref_ints([_Row(*_integer_row([v.entries[i] for v in columns])) for i in range(dim)])
 
 
 def independent_indices(vectors: Sequence[QVector], dim: int) -> list[int]:

@@ -5,23 +5,24 @@ Bland's pivot rule is used throughout, so every solve terminates and the
 result is deterministic for identical input. All outcomes (Optimal,
 Unbounded, Infeasible) are returned as values, never raised.
 
-The tableau is held in Python ints: each row, and the reduced-cost row,
-is a list of int numerators over one positive int denominator, divided by
-the gcd of all of them after every update. Rows are never rescaled, so
-the stored values are exactly those of a ``Fraction`` tableau: Bland's
-rule reads the same signs and, by cross-multiplication, the same ratios,
-and takes the same pivots. ``Fraction``s are built only for the point,
-the value, the duals and the ray.
+The tableau is held in the integer rows of ``linalg`` (``_Row``, pivoted
+by ``_pivot``, the package's one elimination): each row, and the
+reduced-cost row, is a list of int numerators over one positive int
+denominator, divided by the gcd of all of them after every update. Rows
+are never rescaled, so the stored values are exactly those of a
+``Fraction`` tableau: Bland's rule reads the same signs and, by
+cross-multiplication, the same ratios, and takes the same pivots.
+``Fraction``s are built only for the point, the value, the duals and the
+ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import InternalInvariantError
-from .linalg import QVector, qparse
+from .linalg import QVector, _eliminate, _integer_row, _nonzero, _pivot, _Row, qparse
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,22 +110,6 @@ def lp_solve(p: LinearProgram) -> LPResult:
     if p.sense == "max":
         duals = tuple(-y for y in duals)
     return Optimal(value, x, duals)
-
-
-class _Row:
-    """Tableau row: the value of column j is ``num[j] / den``, ``den > 0``."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: list[int], den: int):
-        self.num = num
-        self.den = den
-
-
-def _integer_row(entries) -> tuple[list[int], int]:
-    """Rationals as int numerators over their least common denominator."""
-    den = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (den // e.denominator) for e in entries], den
 
 
 def _simplex(n, c, rows, rels, rhs):
@@ -254,54 +239,6 @@ def _run(tableau, basis, cost, banned_from):
             return "unbounded", enter
         _pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
-
-
-def _nonzero(row):
-    return [j for j, e in enumerate(row.num) if e]
-
-
-def _eliminate(row, prow, col, nz):
-    """row -= row[col] * prow, for a pivot row with prow[col] == 1.
-
-    ``nz`` lists the nonzero columns of prow; only those change beyond the
-    common rescaling of the numerators.
-    """
-    pnum, pden = prow.num, prow.den
-    # (R/D) - (R[col]/D) (P/pd) = (R (pd/g) - (R[col]/g) P) / (D pd/g)
-    f = row.num[col]
-    g = gcd(f, pden)
-    f //= g
-    scale = pden // g
-    num = row.num if scale == 1 else [e * scale for e in row.num]
-    for j in nz:
-        num[j] -= f * pnum[j]
-    den = row.den * scale
-    g = gcd(den, *num)
-    if g > 1:
-        num = [e // g for e in num]
-        den //= g
-    row.num = num
-    row.den = den
-
-
-def _pivot(tableau, reduced, leave, enter):
-    # Exact pivot on integer rows; the elimination touches only the nonzero
-    # pivot-row columns, which dominate running time on these sparse
-    # tableaus. ``reduced`` may be None when no cost row is kept.
-    prow = tableau[leave]
-    piv = prow.num[enter]
-    if piv != prow.den:
-        # Divide the row by its pivot value piv/den: num / piv.
-        num = prow.num if piv > 0 else [-e for e in prow.num]
-        g = gcd(*num)
-        prow.num = num if g == 1 else [e // g for e in num]
-        prow.den = abs(piv) // g
-    nz = _nonzero(prow)
-    for i, row in enumerate(tableau):
-        if i != leave and row.num[enter]:
-            _eliminate(row, prow, enter, nz)
-    if reduced is not None and reduced.num[enter]:
-        _eliminate(reduced, prow, enter, nz)
 
 
 def _drive_out_artificials(tableau, basis, art0):

@@ -17,21 +17,26 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import QVector, _nullspace_from_rref, _rref_rows, span_rank
+from .linalg import (
+    QVector, _integer_row, _json_size, _nullspace_from_rref, _Row, _rref_ints, span_rank
+)
 
 _ZERO = Fraction(0)
 
 
-def _primitive_ints(entries: Sequence[Fraction]) -> tuple[int, ...]:
-    """Coprime integers, a positive multiple of ``entries`` (zero stays zero)."""
-    den = lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (den // e.denominator) for e in entries]
+def _coprime(ints: Sequence[int]) -> tuple[int, ...]:
+    """``ints`` divided by their gcd (zero stays zero)."""
     g = gcd(*ints) or 1
     return tuple([x // g for x in ints])
+
+
+def _primitive_ints(entries: Sequence[Fraction]) -> tuple[int, ...]:
+    """Coprime integers, a positive multiple of ``entries`` (zero stays zero)."""
+    return _coprime(_integer_row(entries)[0])
 
 
 def _primitive(v: QVector) -> QVector:
@@ -43,17 +48,18 @@ def _canonical_set(vectors: Iterable[QVector]) -> tuple[QVector, ...]:
     return tuple(sorted({_primitive(v) for v in vectors}, key=lambda v: v.entries))
 
 
-def _kernel(normals: Sequence[QVector], dim: int) -> tuple[list[int], list[QVector]]:
-    """Pivot columns of the RREF of the normals and the kernel basis read off it."""
-    rows = [list(a.entries) for a in normals]
-    pivots = _rref_rows(rows)
-    return pivots, _nullspace_from_rref(rows, pivots, dim)
+def _kernel(rows: Sequence[tuple[int, ...]], dim: int) -> tuple[list[int], list[QVector]]:
+    """Pivot columns of the RREF of integer ``rows`` and a primitive basis of their kernel."""
+    reduced = [_Row(list(a), 1) for a in rows]
+    pivots = _rref_ints(reduced)
+    rref = [[Fraction(e, row.den) for e in row.num] for row in reduced[: len(pivots)]]
+    return pivots, [_primitive(v) for v in _nullspace_from_rref(rref, pivots, dim)]
 
 
 def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : a.y >= 0 for a in rows} in Z^d.
 
-    ``rows`` are distinct primitive integer rows of rank d. This is the
+    ``rows`` are integer rows of rank d, no two positively parallel. This is the
     double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996).
     Its first cone is cut out by the greedily independent rows a_1..a_d in
     list order: one RREF of [a_1..a_m | I] (the a's as columns) leaves
@@ -68,11 +74,9 @@ def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
     rows must be tight at both, which settles most pairs at once.
     """
     m = len(rows)
-    block = [
-        [Fraction(a[i]) for a in rows] + [Fraction(int(i == k)) for k in range(d)] for i in range(d)
-    ]
-    first = _rref_rows(block)
-    rays = [_primitive_ints(r[m:]) for r in block]
+    block = [_Row([a[i] for a in rows] + [int(i == k) for k in range(d)], 1) for i in range(d)]
+    first = _rref_ints(block)
+    rays = [_coprime(row.num[m:]) for row in block]
     everything = sum(1 << j for j in first)
     zeros = [everything & ~(1 << j) for j in first]
     for i in sorted(set(range(m)) - set(first)):
@@ -89,9 +93,9 @@ def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
                     continue
                 if any(z & common == common for k, z in enumerate(zeros) if k != p and k != n):
                     continue
-                new = [values[p] * y - values[n] * x for x, y in zip(rays[p], rays[n])]
-                g = gcd(*new)
-                kept_rays.append(tuple([x // g for x in new]))
+                kept_rays.append(
+                    _coprime([values[p] * y - values[n] * x for x, y in zip(rays[p], rays[n])])
+                )
                 kept_zeros.append(common | bit)
         rays, zeros = kept_rays, kept_zeros
     return rays
@@ -104,15 +108,18 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     part lives in the greedy standard complement of it, spanned by e_p for
     the pivot columns p of N (unit vectors e_S complement ker N exactly when
     N's S-columns are independent), so each normal restricts to its pivot
-    coordinates. The restricted rows, scaled to primitive integers and
-    deduplicated, have full rank d and cut out a pointed cone, whose
-    extreme rays the double-description method (`_dd_rays`) enumerates in
-    integers; each is written back into the pivot coordinates.
+    coordinates. The normals are scaled to primitive integers once, and the
+    restriction is one-to-one on their span, so no two distinct restricted
+    rows are positively parallel. They have full rank d and cut out a
+    pointed cone, whose extreme rays the double-description method
+    (`_dd_rays`) enumerates in integers; each is written back into the
+    pivot coordinates.
     """
-    pivots, lin = _kernel(normals, dim)
+    rows = [_primitive_ints(a.entries) for a in normals]
+    pivots, lin = _kernel(rows, dim)
     if not pivots:
         return lin, []
-    unique = dict.fromkeys(_primitive_ints([a.entries[p] for p in pivots]) for a in normals)
+    unique = dict.fromkeys(tuple([a[p] for p in pivots]) for a in rows)
     rays = []
     for y in _dd_rays([a for a in unique if any(a)], len(pivots)):
         ray = [_ZERO] * dim
@@ -124,7 +131,7 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
 
 def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
     """Primitive basis of {x : a.x = 0 for a in normals}."""
-    return [_primitive(v) for v in _kernel(normals, dim)[1]]
+    return _kernel([_primitive_ints(a.entries) for a in normals], dim)[1]
 
 
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
@@ -264,7 +271,7 @@ class Wedge:
     def from_json(cls, data: dict) -> "Wedge":
         if "dim" not in data:
             raise ValueError("wedge JSON needs a 'dim' field")
-        dim = int(data["dim"])
+        dim = _json_size(data["dim"], "dim")
         gens = data.get("generators")
         hs = data.get("halfspaces")
         return cls(
@@ -282,29 +289,15 @@ def member(w: Wedge, x: QVector) -> bool:
 def wedge_sum(ws: Sequence[Wedge]) -> Wedge:
     """Smallest wedge containing every wedge in ``ws`` (union of generators)."""
     dim = _common_dim(ws)
-    gens = []
-    seen = set()
-    for w in ws:
-        for g in w.generators:
-            p = _primitive(g)
-            if p.entries not in seen:
-                seen.add(p.entries)
-                gens.append(p)
-    return Wedge(dim, generators=gens)
+    gens = dict.fromkeys(_primitive(g) for w in ws for g in w.generators)
+    return Wedge(dim, generators=list(gens))
 
 
 def intersect(ws: Sequence[Wedge]) -> Wedge:
     """Intersection of wedges (union of halfspace systems)."""
     dim = _common_dim(ws)
-    hs = []
-    seen = set()
-    for w in ws:
-        for a in w.halfspaces:
-            p = _primitive(a)
-            if p.entries not in seen:
-                seen.add(p.entries)
-                hs.append(p)
-    return Wedge(dim, halfspaces=hs)
+    hs = dict.fromkeys(_primitive(a) for w in ws for a in w.halfspaces)
+    return Wedge(dim, halfspaces=list(hs))
 
 
 def lineality(w: Wedge) -> list[QVector]:

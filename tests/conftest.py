@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library code paths they are used
 to check: linear systems are solved by a local Gaussian elimination, LP
 optima by basic-point enumeration, polytope vertices by active-set
 enumeration, simplex results by the ``Fraction`` tableau the library's
-integer-row simplex replaced, and extreme rays by the subset scan the
+integer-row simplex replaced, row reductions by the ``Fraction`` loop the
+integer-row elimination replaced, and extreme rays by the subset scan the
 double-description method replaced.
 """
 
@@ -19,7 +20,7 @@ from math import lcm
 import pytest
 
 from multiwedge import QVector, Wedge
-from multiwedge.linalg import _nullspace_from_rref, _rref_rows
+from multiwedge.linalg import _nullspace_from_rref
 from multiwedge.wedges import _primitive
 
 F = Fraction
@@ -419,6 +420,44 @@ def _fs_drive_out_artificials(tableau, basis, art0, events):
         i += 1
 
 
+# Reference row reduction: the ``Fraction`` Gauss-Jordan loop that
+# ``linalg._rref_rows`` ran before it became a converter around the
+# integer-row elimination. The library must reproduce its pivots and rows.
+
+
+def fraction_rref(rows):
+    """Reduce ``rows`` in place to reduced row echelon form; return pivot columns."""
+    if not rows:
+        return []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        if inv != 1:
+            rows[r] = [e * inv for e in rows[r]]
+        rr = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
 class GreedyEchelon:
     """Incremental row echelon form: the independence oracle for ``linalg``.
 
@@ -468,7 +507,8 @@ def subset_scan_rays(normals, dim):
     """Lineality basis and extreme rays of {x : a.x >= 0 for a in normals}.
 
     The subset scan that ``wedges._solve_rays`` used before the
-    double-description method, kept unchanged as its oracle. The lineality
+    double-description method, kept as its oracle; its row reductions run
+    on ``fraction_rref``, not on the library's elimination. The lineality
     space is the common kernel of the normals N. The pointed part lives in
     the greedy standard complement of it, spanned by e_p for the pivot
     columns p of N, so each normal restricts to its pivot coordinates. Each
@@ -480,7 +520,7 @@ def subset_scan_rays(normals, dim):
         basis = [QVector.unit(dim, i) for i in range(dim)]
         return basis, []
     rows = [list(n.entries) for n in normals]
-    pivots = _rref_rows(rows)
+    pivots = fraction_rref(rows)
     lin = _nullspace_from_rref(rows, pivots, dim)
     d = len(pivots)
     restricted = []
@@ -495,7 +535,7 @@ def subset_scan_rays(normals, dim):
     rays = set()
     for subset in combinations(restricted, d - 1):
         sub_rows = [list(row.entries) for row in subset]
-        sub_pivots = _rref_rows(sub_rows)
+        sub_pivots = fraction_rref(sub_rows)
         if len(sub_pivots) != d - 1:
             continue
         direction = _nullspace_from_rref(sub_rows, sub_pivots, d)[0]

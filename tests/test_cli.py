@@ -198,6 +198,60 @@ def test_wrongly_typed_array_is_input_error_exit_2(capsys, tmp_path, argv, paylo
     assert err.startswith("error: ")
 
 
+_FS = {
+    "s_size": 2,
+    "indices": [0, 1],
+    "xs": [["1", "0"], ["0", "1"]],
+    "ys": [["1", "0"], ["0", "1"]],
+}
+
+
+def _rk_payload(op):
+    return {"operators": [op], "wedges": [_LINE], "codomain_wedge": _LINE, "x": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["wedge", "dual"], {"dim": 2, "generators": [["1/0", "1"]]}),
+        (["wedge", "dual"], {"dim": 2, "generators": [[True, "1"]]}),
+        (["msup"], {"family": [{"apex": ["1/0"], "wedge": _LINE}]}),
+        (["rk", "value"], _rk_payload({"rows": 1, "cols": 1, "entries": [["0/0"]]})),
+        (["rk", "value"], _rk_payload({"rows": 1, "cols": 1, "entries": [[False]]})),
+        (["wedge", "dual"], {"dim": 2.7, "generators": [["1", "0"]]}),
+        (["wedge", "dual"], {"dim": True, "generators": [["1"]]}),
+        (["wedge", "dual"], {"dim": "1", "generators": [["1"]]}),
+        (["rk", "value"], _rk_payload({"rows": 1.5, "cols": 1, "entries": [["1"]]})),
+        (["rk", "value"], _rk_payload({"rows": 1, "cols": True, "entries": [["1"]]})),
+        (["rdp", "decompose-fs"], dict(_FS, s_size=2.7)),
+        (["rdp", "decompose-fs"], dict(_FS, indices=[True, 1])),
+    ],
+    ids=[
+        "generator-zero-denominator",
+        "generator-true",
+        "apex-zero-denominator",
+        "operator-entry-zero-over-zero",
+        "operator-entry-false",
+        "dim-float",
+        "dim-true",
+        "dim-string",
+        "rows-float",
+        "cols-true",
+        "s-size-float",
+        "index-true",
+    ],
+)
+def test_bad_number_is_input_error_exit_2(capsys, tmp_path, argv, payload):
+    # A zero denominator, a JSON boolean where a rational belongs, or a
+    # size that is not a JSON integer is malformed input: no traceback,
+    # and no answer computed for a truncated or coerced value.
+    path = write_json(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, *argv, "-f", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exit_2(capsys):
     code = main(["wedge", "frobnicate", "-f", "x.json"])
     assert code == 2

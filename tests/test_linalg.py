@@ -17,9 +17,9 @@ from multiwedge import (
     solve_linear,
     span_contains,
 )
-from multiwedge.linalg import independent_indices, span_rank
+from multiwedge.linalg import _rref_rows, independent_indices, span_rank
 
-from conftest import GreedyEchelon, gauss_solve, greedy_complement
+from conftest import GreedyEchelon, fraction_rref, gauss_solve, greedy_complement
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 
@@ -30,8 +30,9 @@ def test_qparse_formats():
     assert qparse(5) == F(5)
     assert str(F(-3, 4)) == "-3/4"
     assert str(F(6, 3)) == "2"
-    with pytest.raises(ValueError):
-        qparse(object())
+    for bad in (object(), "1/0", "-3/0", "0/0", True, False, 0.5):
+        with pytest.raises(ValueError):
+            qparse(bad)
 
 
 @given(rationals, rationals)
@@ -120,6 +121,69 @@ def test_rref_random_invertible_is_identity():
         for j, col in enumerate(inv_cols):
             image = m.apply(QVector(col))
             assert image == QVector.unit(4, j)
+
+
+def _rand_q(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _rref_cases():
+    """Hand-picked and seeded Fraction matrices for the row-reduction check."""
+    yield []
+    yield [[]]
+    yield [[], [], []]
+    yield [[F(0)] * 4 for _ in range(3)]
+    yield [[F(-3), F(1), F(2)], [F(0), F(0), F(0)], [F(6), F(-2), F(5)]]
+    yield [[F(0), F(2, 3), F(-1)], [F(0), F(-5, 7), F(4, 9)]]
+    rng = random.Random(9191)
+    for nrows, ncols in [(1, 1), (2, 6), (3, 7), (4, 4), (6, 2), (7, 3), (5, 5), (8, 4)]:
+        for _ in range(12):
+            rows = []
+            for _ in range(nrows):
+                pick = rng.random()
+                if pick < 0.15:
+                    rows.append([F(0)] * ncols)
+                elif pick < 0.3 and rows:
+                    # a rational combination of earlier rows lowers the rank
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    c, d = _rand_q(rng), _rand_q(rng)
+                    rows.append([c * x + d * y for x, y in zip(a, b)])
+                else:
+                    row = [_rand_q(rng) if rng.random() < 0.7 else F(0) for _ in range(ncols)]
+                    rows.append(row)
+            yield rows
+
+
+def _first_pivot(rows):
+    """The entry the reduction pivots on first, or None for a zero matrix."""
+    for col in range(len(rows[0]) if rows else 0):
+        for row in rows:
+            if row[col]:
+                return row[col]
+    return None
+
+
+def test_rref_rows_matches_fraction_rref():
+    # _rref_rows converts to integer rows, runs the package's elimination
+    # and converts back; the result must be the Fraction loop's, entry for
+    # entry, on every shape the callers hand it.
+    seen = Counter()
+    for rows in _rref_cases():
+        got = [list(r) for r in rows]
+        want = [list(r) for r in rows]
+        assert _rref_rows(got) == fraction_rref(want)
+        assert got == want
+        assert all(type(e) is F for row in got for e in row)
+        ncols = len(rows[0]) if rows else 0
+        seen["empty_row"] += ncols == 0 and bool(rows)
+        seen["zero_row"] += any(not any(r) for r in rows) and ncols > 0
+        seen["wide"] += len(rows) < ncols
+        seen["tall"] += len(rows) > ncols > 0
+        pivot = _first_pivot(rows)
+        seen["negative_pivot"] += pivot is not None and pivot < 0
+        seen["fractional_pivot"] += pivot is not None and pivot.denominator > 1
+    for case in ("empty_row", "zero_row", "wide", "tall", "negative_pivot", "fractional_pivot"):
+        assert seen[case] > 0, case
 
 
 def test_solve_single_equation():
