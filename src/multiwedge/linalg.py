@@ -11,6 +11,7 @@ so everything here can be shared freely between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,6 +24,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# "p" or "p/q" with q > 0; no decimals or exponents ("1e10000000" would
+# take unbounded time to expand).
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def qparse(value: object) -> Fraction:
     """Parse a rational from ``"p/q"`` / ``"p"`` strings, ints (not bools) or Fractions."""
     if isinstance(value, Fraction):
@@ -30,11 +36,17 @@ def qparse(value: object) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        if _RATIONAL.fullmatch(value) is None:
+            raise ValueError(f'not a rational "p" or "p/q" with q > 0: {value!r}')
+        return Fraction(value)
     raise ValueError(f"cannot parse a rational from {value!r}")
+
+
+def _json_array(value: object, name: str) -> list:
+    """An array read from JSON: it must be a list, not a string or an object."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
 
 
 def _json_size(value: object, name: str) -> int:
@@ -116,8 +128,8 @@ class QVector:
         return [str(e) for e in self.entries]
 
     @classmethod
-    def from_json(cls, data: Sequence[object]) -> "QVector":
-        return cls(data)
+    def from_json(cls, data: list) -> "QVector":
+        return cls(_json_array(data, "a vector"))
 
 
 class QMatrix:
@@ -249,7 +261,7 @@ class QMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "QMatrix":
         rows, cols = _json_size(data["rows"], "rows"), _json_size(data["cols"], "cols")
-        entries = data["entries"]
+        entries = [_json_array(r, "a matrix row") for r in _json_array(data["entries"], "entries")]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("matrix entries do not match declared shape")
         return cls(rows, cols, [e for r in entries for e in r])

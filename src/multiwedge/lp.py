@@ -14,12 +14,17 @@ are never rescaled, so the stored values are exactly those of a
 cross-multiplication, the same ratios, and takes the same pivots.
 ``Fraction``s are built only for the point, the value, the duals and the
 ray.
+
+A ``Session`` holds one constraint system after phase 1, so callers that
+optimize several objectives over the same system (or only need a feasible
+point) pay for phase 1 once; ``lp_solve`` is a session with one objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InternalInvariantError
 from .linalg import QVector, _eliminate, _integer_row, _nonzero, _pivot, _Row, qparse
@@ -64,7 +69,7 @@ class Optimal:
     value: Fraction
     point: QVector
     # Constraint multipliers y with A^T y = objective and y . rhs = value;
-    # populated on direct solves, see lp_solve.
+    # see Session.minimize and lp_solve.
     dual: tuple[Fraction, ...] | None = field(default=None, compare=False)
 
 
@@ -94,110 +99,118 @@ def lp_solve(p: LinearProgram) -> LPResult:
     free; signs flip for 'max'). Unbounded carries a feasible recession
     direction that strictly improves the objective.
     """
-    c = p.objective.entries
-    if p.sense == "max":
-        c = [-e for e in c]
-    rows = [con.row.entries for con in p.constraints]
-    rels = [con.rel for con in p.constraints]
-    rhs = [con.rhs for con in p.constraints]
-    status, point, duals = _simplex(p.n, c, rows, rels, rhs)
-    if status == "infeasible":
-        return Infeasible()
-    if status == "unbounded":
-        return Unbounded(QVector._of(point))
-    x = QVector._of(point)
-    value = p.objective.dot(x)
-    if p.sense == "max":
-        duals = tuple(-y for y in duals)
-    return Optimal(value, x, duals)
+    session = Session(p.n, p.constraints)
+    if p.sense == "min":
+        return session.minimize(p.objective)
+    res = session.minimize(-p.objective)
+    if isinstance(res, Optimal):
+        return Optimal(-res.value, res.point, tuple(-y for y in res.dual))
+    return res
 
 
-def _simplex(n, c, rows, rels, rhs):
-    """Minimize c.x subject to rows[i] . x (rels[i]) rhs[i], x free.
+class Session:
+    """One constraint system, x free: the tableau is built and phase 1 run once.
 
-    Returns ("optimal", x, duals) | ("unbounded", ray, None) |
-    ("infeasible", None, None) with x/ray in the original n variables,
-    as tuples of Fractions.
+    ``rows[i] . x (rel) rhs`` for each ``Constraint``. Every ``minimize``
+    runs phase 2 on a copy of the phase-1 tableau and basis, never from an
+    earlier optimum, so each result is exactly that of a separate
+    ``lp_solve``: phase 1 does not read the objective, and Bland's rule is
+    deterministic.
     """
-    m = len(rows)
-    # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
-    # one artificial per row (kept in the tableau as dual markers).
-    nslack = sum(1 for rel in rels if rel != EQ)
-    ncols = 2 * n + nslack + m
-    art0 = 2 * n + nslack
 
-    tableau = []
-    basis = []
-    flipped = []
-    slack_idx = 2 * n
-    for i in range(m):
-        a, den = _integer_row((*rows[i], rhs[i]))
-        rel = rels[i]
-        # Normalize to a nonnegative right-hand side.
-        flip = a[n] < 0
-        if flip:
-            a = [-e for e in a]
-            rel = LE if rel == GE else (GE if rel == LE else EQ)
-        num = [0] * (ncols + 1)
-        num[:n] = a[:n]
-        num[n : 2 * n] = [-e for e in a[:n]]
-        if rel == LE:
-            num[slack_idx] = den
-            basic = slack_idx
-            slack_idx += 1
-        elif rel == GE:
-            num[slack_idx] = -den
-            basic = art0 + i
-            slack_idx += 1
-        else:
-            basic = art0 + i
-        num[art0 + i] = den
-        num[ncols] = a[n]
-        tableau.append(_Row(num, den))
-        basis.append(basic)
-        flipped.append(flip)
+    def __init__(self, n: int, constraints: Iterable[Constraint]):
+        constraints = tuple(constraints)
+        if any(c.row.dim != n for c in constraints):
+            raise ValueError("constraint row length must equal the variable count")
+        m = len(constraints)
+        # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
+        # one artificial per row (kept in the tableau as dual markers).
+        nslack = sum(1 for c in constraints if c.rel != EQ)
+        ncols = 2 * n + nslack + m
+        art0 = 2 * n + nslack
+        self.n, self._ncols, self._art0 = n, ncols, art0
 
-    # Phase 1: minimize the sum of artificial variables.
-    if any(b >= art0 for b in basis):
-        cost1 = _Row([0] * art0 + [1] * m + [0], 1)
-        status, reduced = _run(tableau, basis, cost1, ncols)
-        if status != "optimal":
-            raise InternalInvariantError("phase 1 cannot be unbounded")
-        # The right-hand-side entry of the reduced row is minus the objective.
-        if reduced.num[ncols]:
-            return "infeasible", None, None
-        _drive_out_artificials(tableau, basis, art0)
+        tableau, basis, flipped = [], [], []
+        slack_idx = 2 * n
+        for i, con in enumerate(constraints):
+            a, den = _integer_row((*con.row.entries, con.rhs))
+            rel = con.rel
+            # Normalize to a nonnegative right-hand side.
+            flip = a[n] < 0
+            if flip:
+                a = [-e for e in a]
+                rel = LE if rel == GE else (GE if rel == LE else EQ)
+            num = [0] * (ncols + 1)
+            num[:n] = a[:n]
+            num[n : 2 * n] = [-e for e in a[:n]]
+            if rel != EQ:
+                num[slack_idx] = den if rel == LE else -den
+                slack_idx += 1
+            num[art0 + i] = den
+            num[ncols] = a[n]
+            tableau.append(_Row(num, den))
+            basis.append(slack_idx - 1 if rel == LE else art0 + i)
+            flipped.append(flip)
+        self._tableau, self._basis, self._flipped = tableau, basis, flipped
 
-    # Phase 2: original (split) objective; artificials may not re-enter.
-    cnum, cden = _integer_row(c)
-    cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), cden)
-    status, info = _run(tableau, basis, cost2, art0)
-    if status == "unbounded":
-        enter = info
-        ray = [_ZERO] * ncols
-        ray[enter] = _ONE
+        # Phase 1: minimize the sum of artificial variables.
+        self.feasible = True
+        if any(b >= art0 for b in basis):
+            status, reduced = _run(tableau, basis, _Row([0] * art0 + [1] * m + [0], 1), ncols)
+            if status != "optimal":
+                raise InternalInvariantError("phase 1 cannot be unbounded")
+            # The right-hand-side entry of the reduced row is minus the objective.
+            self.feasible = not reduced.num[ncols]
+            if self.feasible:
+                _drive_out_artificials(tableau, basis, art0)
+
+    def feasible_point(self) -> QVector | None:
+        """The point phase 1 left, or None when the system is infeasible."""
+        return self._point(self._tableau, self._basis) if self.feasible else None
+
+    def _point(self, tableau, basis) -> QVector:
+        n, ncols = self.n, self._ncols
+        x = [_ZERO] * n
         for row, b in zip(tableau, basis):
-            if b < 2 * n:
-                ray[b] = Fraction(-row.num[enter], row.den)
-        return "unbounded", tuple(ray[j] - ray[n + j] for j in range(n)), None
+            if b < n:
+                x[b] = Fraction(row.num[ncols], row.den)
+            elif b < 2 * n:
+                x[b - n] = Fraction(-row.num[ncols], row.den)
+        return QVector._of(tuple(x))
 
-    x = [_ZERO] * n
-    for row, b in zip(tableau, basis):
-        if b < n:
-            x[b] = Fraction(row.num[ncols], row.den)
-        elif b < 2 * n:
-            x[b - n] = Fraction(-row.num[ncols], row.den)
+    def minimize(self, objective: QVector) -> LPResult:
+        """Minimize objective . x by phase 2 from the phase-1 basis."""
+        n, ncols, art0 = self.n, self._ncols, self._art0
+        if objective.dim != n:
+            raise ValueError("objective length must equal the variable count")
+        if not self.feasible:
+            return Infeasible()
+        tableau = [_Row(list(row.num), row.den) for row in self._tableau]
+        basis = list(self._basis)
+        # Phase 2: original (split) objective; artificials may not re-enter.
+        cnum, cden = _integer_row(objective.entries)
+        cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), cden)
+        status, info = _run(tableau, basis, cost2, art0)
+        if status == "unbounded":
+            ray = [_ZERO] * ncols
+            ray[info] = _ONE
+            for row, b in zip(tableau, basis):
+                if b < 2 * n:
+                    ray[b] = Fraction(-row.num[info], row.den)
+            return Unbounded(QVector._of(tuple(ray[j] - ray[n + j] for j in range(n))))
 
-    # Duals from the reduced costs of the artificial marker columns: the
-    # marker block holds the accumulated row transform, so -reduced there is
-    # c_B B^{-1} per original row. The split variables force A^T y = c for
-    # every original column, and slack-column optimality gives the signs,
-    # so the certificate stays valid even when redundant rows were dropped.
-    rnum, rden = info.num, info.den
-    duals = tuple(
-        Fraction(rnum[art0 + i] if flipped[i] else -rnum[art0 + i], rden) for i in range(m)
-    )
-    return "optimal", tuple(x), duals
+        x = self._point(tableau, basis)
+        # Duals from the reduced costs of the artificial marker columns: the
+        # marker block holds the accumulated row transform, so -reduced there is
+        # c_B B^{-1} per original row. The split variables force A^T y = c for
+        # every original column, and slack-column optimality gives the signs,
+        # so the certificate stays valid even when redundant rows were dropped.
+        rnum, rden = info.num, info.den
+        duals = tuple(
+            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], rden)
+            for i, flip in enumerate(self._flipped)
+        )
+        return Optimal(objective.dot(x), x, duals)
 
 
 def _run(tableau, basis, cost, banned_from):

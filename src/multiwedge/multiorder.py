@@ -4,8 +4,9 @@ A family is a list of (apex, wedge) pairs. Its multi-upper bounds form
 the polyhedron P = intersection of apex_i + W_i. A point z is a
 multi-supremum exactly when P = z + C with C = intersection of the W_i,
 so the whole multi-supremum set is z + D(C); we find z by minimizing each
-canonical normal of C over P and intersecting the resulting equalities
-with P. Everything is exact LP over the rationals.
+canonical normal a of C over P, to m_a, and then their sum: z exists
+exactly when that sum attains the sum of the m_a, at z. All of these are
+exact LPs over one constraint system, P, solved in one ``lp.Session``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from typing import Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
-from .lp import EQ, GE, Constraint, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+from .lp import GE, Constraint, Optimal, Session
 from .wedges import Wedge, intersect
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,7 @@ def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
 
 def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
-    dim = _family_dim(family)
-    cons = _upper_bound_constraints(family)
-    res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(cons)))
-    if isinstance(res, Infeasible):
-        return None
-    if not isinstance(res, Optimal):
-        raise InternalInvariantError("a zero objective cannot be unbounded")
-    return res.point
+    return Session(_family_dim(family), _upper_bound_constraints(family)).feasible_point()
 
 
 def msup(
@@ -129,31 +125,26 @@ def msup(
     cw = _intersection
     if cw is None:
         cw = intersect([tw.wedge for tw in family])
-    cons = _upper_bound_constraints(family)
-
-    # Each normal of C is bounded below on P (the recession cone of a
-    # nonempty P is exactly C), so the only non-Optimal outcome here is
-    # an empty P, which is the not-multi-bounded error case.
-    targets = []
-    for a in cw.canonical_halfspaces:
-        res = lp_solve(LinearProgram(dim, a, "min", tuple(cons)))
-        if isinstance(res, Infeasible):
-            raise NotMultiBoundedAbove("the family has no multi-upper bound")
-        if isinstance(res, Unbounded):
-            raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
-        targets.append((a, res.value))
-
-    eq_cons = list(cons) + [Constraint(a, EQ, m) for a, m in targets]
-    res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(eq_cons)))
-    if isinstance(res, Optimal):
-        return MultiSupSet(res.point, cw.lineality_basis)
-    if not isinstance(res, Infeasible):
-        raise InternalInvariantError("a zero objective cannot be unbounded")
-    if not targets:
-        # No normals means C is the whole space; infeasibility then means
-        # P itself is empty.
+    normals = cw.canonical_halfspaces
+    session = Session(dim, _upper_bound_constraints(family))
+    if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    return None
+
+    # Each normal a of C is bounded below on P (the recession cone of a
+    # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
+    # attains every m_a exactly when the sum of the normals has its minimum
+    # sum(m_a) there, and any minimizer is then a multi-supremum.
+    def minimum(objective: QVector) -> Optimal:
+        res = session.minimize(objective)
+        if not isinstance(res, Optimal):
+            raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
+        return res
+
+    floor = sum((minimum(a).value for a in normals), _ZERO)
+    res = minimum(sum(normals, QVector.zero(dim)))
+    if res.value != floor:
+        return None
+    return MultiSupSet(res.point, cw.lineality_basis)
 
 
 def minf(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:

@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 
 from .errors import (
     InconsistentValues,
-    InternalInvariantError,
     InvalidInstance,
     NoMultiSupremum,
     NotInSumWedge,
@@ -31,7 +30,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
-from .lp import EQ, GE, Constraint, Infeasible, LinearProgram, Optimal, Unbounded, lp_solve
+from .lp import EQ, GE, Constraint, Session, Unbounded
 from .multiorder import MultiSupSet
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -297,12 +296,9 @@ def rdp_check(
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
     nvars = m * n * dim
     cons = _decomposition_constraints(inst.wedges, inst.xs, inst.ys)
-    res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
-    if isinstance(res, Infeasible):
+    point = Session(nvars, cons).feasible_point()
+    if point is None:
         return None
-    if not isinstance(res, Optimal):
-        raise InternalInvariantError("a zero objective cannot be unbounded")
-    point = res.point
     return [
         [QVector(point[(i * n + j) * dim + c] for c in range(dim)) for j in range(n)]
         for i in range(m)
@@ -494,42 +490,27 @@ def rk_value(
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
-    nvars = len(wedges) * q
-    cons = _decomposition_constraints(wedges, [x], [])
     normals = v_wedge.canonical_halfspaces
     v_lin = v_wedge.lineality_basis
+    session = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
+    if not session.feasible:
+        raise NotInSumWedge("x is not in the sum of the domain wedges")
 
-    if not normals:
-        res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
-        if isinstance(res, Infeasible):
-            raise NotInSumWedge("x is not in the sum of the domain wedges")
-        if not isinstance(res, Optimal):
-            raise InternalInvariantError("a zero objective cannot be unbounded")
-        return MultiSupSet(QVector.zero(p), v_lin)
-
+    # s_b = max b . sum_i T_i(y_i) = -min sum_i (-T_i^T b) . y_i
     sups = []
     for b in normals:
-        objective = [_ZERO] * nvars
-        for i, t in enumerate(ops):
-            bt = t.transpose().apply(b)
-            for c in range(q):
-                objective[i * q + c] = bt[c]
-        res = lp_solve(LinearProgram(nvars, QVector(objective), "max", tuple(cons)))
-        if isinstance(res, Infeasible):
-            raise NotInSumWedge("x is not in the sum of the domain wedges")
+        objective = (e for t in ops for e in t.transpose().apply(-b).entries)
+        res = session.minimize(QVector._of(tuple(objective)))
         if isinstance(res, Unbounded):
             raise NotMultiBoundedAbove("the value set is unbounded in the V order")
-        sups.append((b, res.value))
+        sups.append(Constraint(b, EQ, -res.value))
 
-    eq_cons = tuple(Constraint(b, EQ, s) for b, s in sups)
-    res = lp_solve(LinearProgram(p, QVector.zero(p), "min", eq_cons))
-    if isinstance(res, Infeasible):
+    z = Session(p, sups).feasible_point()
+    if z is None:
         raise NoMultiSupremum(
             "the codomain wedge admits no multi-supremum for this value set"
         )
-    if not isinstance(res, Optimal):
-        raise InternalInvariantError("a zero objective cannot be unbounded")
-    return MultiSupSet(res.point, v_lin)
+    return MultiSupSet(z, v_lin)
 
 
 def _assert_multi_bounded(
@@ -543,11 +524,8 @@ def _assert_multi_bounded(
             tg = t.apply(g)
             for b in v_wedge.halfspaces:
                 cons.append(Constraint(QVector._of(tuple(_outer_row(b, g))), GE, b.dot(tg)))
-    res = lp_solve(LinearProgram(nvars, QVector.zero(nvars), "min", tuple(cons)))
-    if isinstance(res, Infeasible):
+    if not Session(nvars, cons).feasible:
         raise NotMultiBoundedAbove("no operator dominates the whole family")
-    if not isinstance(res, Optimal):
-        raise InternalInvariantError("a zero objective cannot be unbounded")
 
 
 def op_msup(

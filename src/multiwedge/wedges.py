@@ -19,10 +19,11 @@ import threading
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import (
-    QVector, _integer_row, _json_size, _nullspace_from_rref, _Row, _rref_ints, span_rank
+    QVector, _integer_row, _json_array, _json_size, _nullspace_from_rref, _Row, _rref_ints,
+    span_rank,
 )
 
 _ZERO = Fraction(0)
@@ -42,10 +43,6 @@ def _primitive_ints(entries: Sequence[Fraction]) -> tuple[int, ...]:
 def _primitive(v: QVector) -> QVector:
     """Scale by a positive rational so entries are coprime integers."""
     return QVector._of(tuple(map(Fraction, _primitive_ints(v.entries))))
-
-
-def _canonical_set(vectors: Iterable[QVector]) -> tuple[QVector, ...]:
-    return tuple(sorted({_primitive(v) for v in vectors}, key=lambda v: v.entries))
 
 
 def _kernel(rows: Sequence[tuple[int, ...]], dim: int) -> tuple[list[int], list[QVector]]:
@@ -137,8 +134,9 @@ def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
     """Canonical generators of the wedge cut out by ``halfspaces``."""
     lin, rays = _solve_rays(list(halfspaces), dim)
+    # Both come back primitive, so the canonical form only sorts them.
     gens = [v for b in lin for v in (b, -b)] + rays
-    return list(_canonical_set(gens))
+    return sorted(set(gens), key=lambda v: v.entries)
 
 
 def vrep_to_hrep(generators: Sequence[QVector], dim: int) -> list[QVector]:
@@ -272,13 +270,11 @@ class Wedge:
         if "dim" not in data:
             raise ValueError("wedge JSON needs a 'dim' field")
         dim = _json_size(data["dim"], "dim")
-        gens = data.get("generators")
-        hs = data.get("halfspaces")
-        return cls(
-            dim,
-            generators=None if gens is None else [QVector.from_json(v) for v in gens],
-            halfspaces=None if hs is None else [QVector.from_json(v) for v in hs],
-        )
+        sides = {}
+        for side in ("generators", "halfspaces"):
+            if data.get(side) is not None:
+                sides[side] = [QVector.from_json(v) for v in _json_array(data[side], side)]
+        return cls(dim, **sides)
 
 
 def member(w: Wedge, x: QVector) -> bool:

@@ -5,8 +5,9 @@ to check: linear systems are solved by a local Gaussian elimination, LP
 optima by basic-point enumeration, polytope vertices by active-set
 enumeration, simplex results by the ``Fraction`` tableau the library's
 integer-row simplex replaced, row reductions by the ``Fraction`` loop the
-integer-row elimination replaced, and extreme rays by the subset scan the
-double-description method replaced.
+integer-row elimination replaced, extreme rays by the subset scan the
+double-description method replaced, and multi-suprema by the equality
+system that ``msup``'s sum-of-normals LP replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,20 @@ from math import lcm
 
 import pytest
 
-from multiwedge import QVector, Wedge
+from multiwedge import (
+    EQ,
+    GE,
+    Constraint,
+    Infeasible,
+    LinearProgram,
+    MultiSupSet,
+    NotMultiBoundedAbove,
+    Optimal,
+    QVector,
+    Wedge,
+    intersect,
+    lp_solve,
+)
 from multiwedge.linalg import _nullspace_from_rref
 from multiwedge.wedges import _primitive
 
@@ -551,6 +565,34 @@ def subset_scan_rays(normals, dim):
             ray[p] = coef
         rays.add(_primitive(QVector._of(tuple(ray))))
     return lin, sorted(rays, key=lambda v: v.entries)
+
+
+def equality_system_msup(family):
+    """Multi-suprema by the equality-system LP that ``msup`` used before.
+
+    Kept as its oracle: it minimizes each canonical normal a of C over P to
+    m_a, one ``lp_solve`` each, then solves P with every a.x = m_a added as
+    an equality; the set is empty when that system is. Raises
+    NotMultiBoundedAbove when P is empty.
+    """
+    dim = family[0].apex.dim
+    cw = intersect([tw.wedge for tw in family])
+    cons = [
+        Constraint(a, GE, a.dot(tw.apex)) for tw in family for a in tw.wedge.halfspaces
+    ]
+    targets = []
+    for a in cw.canonical_halfspaces:
+        res = lp_solve(LinearProgram(dim, a, "min", tuple(cons)))
+        if isinstance(res, Infeasible):
+            raise NotMultiBoundedAbove("the family has no multi-upper bound")
+        assert isinstance(res, Optimal)
+        targets.append(Constraint(a, EQ, res.value))
+    res = lp_solve(LinearProgram(dim, QVector.zero(dim), "min", tuple(cons + targets)))
+    if isinstance(res, Optimal):
+        return MultiSupSet(res.point, cw.lineality_basis)
+    if not targets:
+        raise NotMultiBoundedAbove("the family has no multi-upper bound")
+    return None
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
-import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from multiwedge import InternalInvariantError, QVector, Unbounded
+import multiwedge.lp as lp_module
+from multiwedge import InternalInvariantError, Unbounded
 from multiwedge.cli import build_parser, main
 
 
@@ -154,6 +154,8 @@ def test_missing_file_exit_2(capsys):
 
 _OP = {"rows": 1, "cols": 1, "entries": [["1"]]}
 _LINE = {"dim": 1, "generators": [["1"]]}
+_QUADRANT = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+_STRING_GENERATORS = {"dim": 2, "generators": ["10", "01"]}
 
 
 @pytest.mark.parametrize(
@@ -225,6 +227,16 @@ def _rk_payload(op):
         (["rk", "value"], _rk_payload({"rows": 1, "cols": True, "entries": [["1"]]})),
         (["rdp", "decompose-fs"], dict(_FS, s_size=2.7)),
         (["rdp", "decompose-fs"], dict(_FS, indices=[True, 1])),
+        (["msup"], {"family": [{"apex": ["1e10000000"], "wedge": _LINE}]}),
+        (["msup"], {"family": [{"apex": ["1.5"], "wedge": _LINE}]}),
+        (["msup"], {"family": [{"apex": "12", "wedge": _QUADRANT}]}),
+        (["msup"], {"family": [{"apex": ["1", "2"], "wedge": _STRING_GENERATORS}]}),
+        (["wedge", "dual"], {"dim": 2, "generators": "10"}),
+        (["wedge", "dual"], {"dim": 2, "halfspaces": ["10", "01"]}),
+        (["rk", "value"], _rk_payload({"rows": 1, "cols": 1, "entries": ["1"]})),
+        (["rk", "value"], _rk_payload({"rows": 1, "cols": 1, "entries": "1"})),
+        (["rk", "value"], dict(_rk_payload({"rows": 1, "cols": 1, "entries": [["1"]]}), x="1")),
+        (["rdp", "check"], {"wedges": [_LINE], "xs": ["1"], "ys": [["1"]]}),
     ],
     ids=[
         "generator-zero-denominator",
@@ -239,12 +251,23 @@ def _rk_payload(op):
         "cols-true",
         "s-size-float",
         "index-true",
+        "apex-exponent",
+        "apex-decimal",
+        "apex-string",
+        "generator-strings",
+        "generators-string",
+        "halfspace-strings",
+        "operator-row-string",
+        "operator-entries-string",
+        "x-string",
+        "xs-entry-string",
     ],
 )
 def test_bad_number_is_input_error_exit_2(capsys, tmp_path, argv, payload):
-    # A zero denominator, a JSON boolean where a rational belongs, or a
-    # size that is not a JSON integer is malformed input: no traceback,
-    # and no answer computed for a truncated or coerced value.
+    # A zero denominator, a JSON boolean or a decimal or exponent string
+    # where a rational belongs, a string where an array belongs, or a size
+    # that is not a JSON integer is malformed input: no traceback, and no
+    # answer computed for a truncated or coerced value.
     path = write_json(tmp_path, "bad.json", payload)
     code, out, err = run_cli(capsys, *argv, "-f", path)
     assert code == 2
@@ -454,6 +477,27 @@ def test_wedge_ops_match_golden(capsys, op):
     assert out.encode() == (golden / f"wedge-{op}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("msup", ["msup"]),
+        ("msup-lineality", ["msup"]),
+        ("minf", ["minf"]),
+        ("bounded", ["bounded"]),
+        ("rk-value", ["rk", "value"]),
+        ("rk-op-msup", ["rk", "op-msup"]),
+        ("rdp-check", ["rdp", "check"]),
+    ],
+)
+def test_lp_commands_match_golden(capsys, name, argv):
+    # The commands that solve LPs, byte for byte; msup-lineality is a
+    # non-proper set, whose witness is any point of witness + lineality.
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
+    assert code == 0
+    assert out.encode() == (golden / f"{name}.json").read_bytes()
+
+
 def test_examples_unknown_exit_2(capsys):
     code, _, err = run_cli(capsys, "examples", "run", "nope")
     assert code == 2
@@ -493,50 +537,16 @@ _HALFPLANES = {
         {"apex": ["1", "1"], "wedge": {"dim": 2, "halfspaces": [["0", "1"]]}},
     ]
 }
-_RK = {
-    "operators": [{"rows": 1, "cols": 1, "entries": [["1"]]}],
-    "wedges": [{"dim": 1, "generators": [["1"]]}],
-    "codomain_wedge": {"dim": 1, "generators": [["1"]]},
-    "x": ["1"],
-}
-_RK_NO_NORMALS = {**_RK, "codomain_wedge": {"dim": 1, "halfspaces": []}}
-_RK_ZERO_DOMAIN = {**_RK, "wedges": [{"dim": 1, "generators": []}]}
-_RDP = {
-    "wedges": [{"dim": 1, "generators": [["1"]]}],
-    "xs": [["1"]],
-    "ys": [["1"]],
-}
 
 
-@pytest.mark.parametrize(
-    "module, argv, data, zero_objective",
-    [
-        ("multiorder", ["bounded"], _HALFPLANES, True),
-        ("multiorder", ["msup"], _HALFPLANES, False),
-        ("operators", ["rdp", "check"], _RDP, True),
-        ("operators", ["rk", "value"], _RK, True),
-        ("multiorder", ["msup"], _HALFPLANES, True),
-        ("operators", ["rk", "value"], _RK_NO_NORMALS, True),
-        ("operators", ["rk", "op-msup"], _RK_ZERO_DOMAIN, True),
-    ],
-)
-def test_impossible_lp_status_is_internal_invariant_exit_1(
-    capsys, tmp_path, monkeypatch, module, argv, data, zero_objective
-):
-    # An LP whose objective is bounded by construction reported Unbounded:
-    # the caller raises the named error (not an assert, which -O strips)
-    # and mw maps it to exit 1 like every domain error.
-    target = importlib.import_module(f"multiwedge.{module}")
-    real = target.lp_solve
-
-    def lp_solve(p):
-        if p.objective.is_zero() == zero_objective:
-            return Unbounded(QVector.zero(p.n))
-        return real(p)
-
-    monkeypatch.setattr(target, "lp_solve", lp_solve)
-    path = write_json(tmp_path, "input.json", data)
-    code, out, _ = run_cli(capsys, *argv, "-f", path)
+def test_impossible_lp_status_is_internal_invariant_exit_1(capsys, tmp_path, monkeypatch):
+    # An LP whose objective is bounded by construction (a normal of C over
+    # P in msup) reported Unbounded: the caller raises the named error (not
+    # an assert, which -O strips) and mw maps it to exit 1 like every
+    # domain error.
+    monkeypatch.setattr(lp_module.Session, "minimize", lambda self, c: Unbounded(c))
+    path = write_json(tmp_path, "input.json", _HALFPLANES)
+    code, out, _ = run_cli(capsys, "msup", "-f", path)
     assert code == 1
     assert json.loads(out)["error"] == InternalInvariantError.code == "internal_invariant"
 

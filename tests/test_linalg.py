@@ -30,7 +30,9 @@ def test_qparse_formats():
     assert qparse(5) == F(5)
     assert str(F(-3, 4)) == "-3/4"
     assert str(F(6, 3)) == "2"
-    for bad in (object(), "1/0", "-3/0", "0/0", True, False, 0.5):
+    assert qparse("+3") == F(3) and qparse("-6/4") == F(-3, 2)
+    for bad in (object(), "1/0", "-3/0", "0/0", True, False, 0.5, "1e3", "1.5", "1e10000000",
+                "3/-4", " 1", "1_000", "", "/2"):
         with pytest.raises(ValueError):
             qparse(bad)
 

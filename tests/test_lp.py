@@ -18,6 +18,7 @@ from multiwedge import (
     constraint,
     lp_solve,
 )
+from multiwedge.lp import Session
 
 from conftest import enumerate_lp_minimum, fraction_simplex, point_feasible
 
@@ -234,6 +235,42 @@ def test_integer_tableau_matches_fraction_simplex():
     assert non_integer >= 300
     for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie"):
         assert events[event] >= 20, (event, events)
+
+
+def test_session_matches_lp_solve():
+    # Several objectives on one Session, in varied order, with the zero
+    # objective and repeats: each result equals a fresh lp_solve, so no
+    # phase 2 leaves anything behind for the next one.
+    systems = random.Random(314)
+    pick = random.Random(271)
+    outcomes = Counter()
+    for _ in range(400):
+        n, objective, _, cons = _random_exactness_lp(systems)
+        constraints = tuple(constraint(*c) for c in cons)
+        session = Session(n, constraints)
+        objectives = [QVector(objective), QVector.zero(n)] + [
+            QVector([F(pick.randint(-4, 4), pick.randint(1, 3)) for _ in range(n)])
+            for _ in range(2)
+        ]
+        objectives += pick.sample(objectives, 2)
+        pick.shuffle(objectives)
+        for c in objectives:
+            got = session.minimize(c)
+            want = lp_solve(LinearProgram(n, c, "min", constraints))
+            assert type(got) is type(want)
+            outcomes[type(got).__name__] += 1
+            if isinstance(want, Optimal):
+                assert got.point.entries == want.point.entries and got.value == want.value
+                assert got.dual == want.dual
+            elif isinstance(want, Unbounded):
+                assert got.ray.entries == want.ray.entries
+        zero = lp_solve(LinearProgram(n, QVector.zero(n), "min", constraints))
+        point = session.feasible_point()
+        assert session.feasible == (point is not None) == isinstance(zero, Optimal)
+        if point is not None:
+            assert point.entries == zero.point.entries
+    for outcome in ("Optimal", "Infeasible", "Unbounded"):
+        assert outcomes[outcome] >= 100, outcomes
 
 
 def test_unbounded_phase_one_is_internal_invariant(monkeypatch):

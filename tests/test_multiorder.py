@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from multiwedge import (
     span_contains,
 )
 
-from conftest import rand_vector, rand_wedge
+from conftest import equality_system_msup, rand_vector, rand_wedge
 
 V = QVector
 
@@ -284,6 +285,39 @@ def test_msup_witness_soundness_sampled():
             assert is_multi_upper_bound(u, fam)
             for tw in fam:
                 assert tw.wedge.member(u - z)
+
+
+def test_msup_matches_equality_system_oracle():
+    # Same verdict and lineality as the equality-system LP; the witness of
+    # a non-proper set may differ, but it lies in the oracle's set.
+    rng = random.Random(64)
+    verdicts = Counter()
+    for _ in range(600):
+        dim = rng.randint(1, 3)
+        size = rng.randint(1, 3)
+        fam = [
+            TranslatedWedge(rand_vector(rng, dim, -3, 3, 2), rand_wedge(rng, dim))
+            for _ in range(size)
+        ]
+        try:
+            want = equality_system_msup(fam)
+        except NotMultiBoundedAbove:
+            with pytest.raises(NotMultiBoundedAbove):
+                msup(fam)
+            verdicts["not bounded"] += 1
+            continue
+        got = msup(fam)
+        if want is None:
+            assert got is None
+            verdicts["empty"] += 1
+            continue
+        assert [v.entries for v in got.lineality_basis] == [
+            v.entries for v in want.lineality_basis
+        ]
+        assert want.contains(got.witness)
+        verdicts["proper" if want.is_proper else "non-proper"] += 1
+    for verdict in ("not bounded", "empty", "proper", "non-proper"):
+        assert verdicts[verdict] >= 40, verdicts
 
 
 def test_intersection_closed_family_stays_lattice():
