@@ -362,7 +362,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form of ``m`` and the list of pivot columns."""
     rows = m.row_list()
     pivots = _rref_rows(rows)
-    return QMatrix.from_rows(rows), pivots
+    return QMatrix(m.rows, m.cols, [e for row in rows for e in row]), pivots
 
 
 @dataclass(frozen=True)
@@ -459,4 +459,4 @@ def matrix_inverse(m: QMatrix) -> QMatrix:
     pivots = _rref_rows(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix.from_rows([row[n:] for row in rows])
+    return QMatrix(n, n, [e for row in rows for e in row[n:]])

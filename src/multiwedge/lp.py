@@ -210,7 +210,8 @@ class Session:
             Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], rden)
             for i, flip in enumerate(self._flipped)
         )
-        return Optimal(objective.dot(x), x, duals)
+        # The right-hand-side entry of the reduced row is minus the objective.
+        return Optimal(Fraction(-rnum[ncols], rden), x, duals)
 
 
 def _run(tableau, basis, cost, banned_from):

@@ -122,13 +122,13 @@ def msup(
     wedge combination.
     """
     dim = _family_dim(family)
+    session = Session(dim, _upper_bound_constraints(family))
+    if not session.feasible:
+        raise NotMultiBoundedAbove("the family has no multi-upper bound")
     cw = _intersection
     if cw is None:
         cw = intersect([tw.wedge for tw in family])
     normals = cw.canonical_halfspaces
-    session = Session(dim, _upper_bound_constraints(family))
-    if not session.feasible:
-        raise NotMultiBoundedAbove("the family has no multi-upper bound")
 
     # Each normal a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P

@@ -84,21 +84,13 @@ def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix
     q = ws[0].dim
     p = vs[0].dim
     d_basis = lineality(intersect(vs))
-    if len(d_basis) == p:
-        annihilator: list[QVector] = []
-    elif d_basis:
-        annihilator = nullspace(QMatrix.from_rows([d.entries for d in d_basis]))
-    else:
-        annihilator = [QVector.unit(p, i) for i in range(p)]
+    annihilator = nullspace(QMatrix(len(d_basis), p, [e for d in d_basis for e in d]))
     # Any generating set of the sum wedge spans the same rows, and the
     # nullspace is read off their unique RREF, so the union of the given
     # generators serves without converting the sum wedge.
     gens = wedge_sum(ws).generators
     rows = [_outer_row(r, g) for g in gens for r in annihilator]
-    if not rows:
-        flat_basis = [QVector.unit(p * q, i) for i in range(p * q)]
-    else:
-        flat_basis = nullspace(QMatrix.from_rows(rows))
+    flat_basis = nullspace(QMatrix(len(rows), p * q, [e for row in rows for e in row]))
     return [QMatrix(p, q, v.entries) for v in flat_basis]
 
 
@@ -154,17 +146,10 @@ def projections(v_wedge: Wedge) -> ProjectionPair:
     p = v_wedge.dim
     d_basis = lineality(v_wedge)
     comp = complement_basis(d_basis, p)
-    m = QMatrix.from_cols(list(d_basis) + list(comp), nrows=p)
-    selector = QMatrix(
-        p,
-        p,
-        [
-            _ONE if (i == j and i < len(d_basis)) else _ZERO
-            for i in range(p)
-            for j in range(p)
-        ],
-    )
-    p_d = m @ selector @ matrix_inverse(m)
+    m = QMatrix.from_cols([*d_basis, *comp], nrows=p)
+    # p_d m = [D | 0], the lineality basis D and then zero on the complement.
+    d_zero = QMatrix.from_cols([*d_basis, *(QVector.zero(p) for _ in comp)], nrows=p)
+    p_d = d_zero @ matrix_inverse(m)
     return ProjectionPair(p_d, QMatrix.identity(p) - p_d)
 
 
@@ -247,28 +232,25 @@ def _decomposition_constraints(
     With no ys the column sums are left out.
     """
     m, n, dim = len(xs), len(wedges), wedges[0].dim
-    nvars = m * n * dim
-    cons = []
-    for i in range(m):
-        for j, w in enumerate(wedges):
-            for a in w.halfspaces:
-                row = [_ZERO] * nvars
-                for c in range(dim):
-                    if a[c]:
-                        row[(i * n + j) * dim + c] = a[c]
-                cons.append(Constraint(QVector._of(tuple(row)), GE, _ZERO))
+
+    def row(coefs: dict[int, Fraction]) -> QVector:
+        dense = [_ZERO] * (m * n * dim)
+        for col, coef in coefs.items():
+            dense[col] = coef
+        return QVector._of(tuple(dense))
+
+    cons = [
+        Constraint(row({(i * n + j) * dim + c: a[c] for c in range(dim) if a[c]}), GE, _ZERO)
+        for i in range(m)
+        for j, w in enumerate(wedges)
+        for a in w.halfspaces
+    ]
     for i, x in enumerate(xs):
         for c in range(dim):
-            row = [_ZERO] * nvars
-            for j in range(n):
-                row[(i * n + j) * dim + c] = _ONE
-            cons.append(Constraint(QVector._of(tuple(row)), EQ, x[c]))
+            cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for j in range(n)}), EQ, x[c]))
     for j, y in enumerate(ys):
         for c in range(dim):
-            row = [_ZERO] * nvars
-            for i in range(m):
-                row[(i * n + j) * dim + c] = _ONE
-            cons.append(Constraint(QVector._of(tuple(row)), EQ, y[c]))
+            cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for i in range(m)}), EQ, y[c]))
     return cons
 
 
@@ -382,13 +364,6 @@ def fs_decompose(
             raise InvalidInstance("some y_j is not a member of its wedge")
     if sum(xs, QVector.zero(s_size)) != sum(ys, QVector.zero(s_size)):
         raise InvalidInstance("sum of xs does not equal sum of ys")
-
-    if nx == 1:
-        return [list(ys)]
-    if my == 1:
-        if any(x[js[0]] < 0 for x in xs):
-            raise InvalidInstance("some x_i is outside the sum of the wedges")
-        return [[x] for x in xs]
 
     if all(j == js[0] for j in js):
         s = js[0]

@@ -114,8 +114,6 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     """
     rows = [_primitive_ints(a.entries) for a in normals]
     pivots, lin = _kernel(rows, dim)
-    if not pivots:
-        return lin, []
     unique = dict.fromkeys(tuple([a[p] for p in pivots]) for a in rows)
     rays = []
     for y in _dd_rays([a for a in unique if any(a)], len(pivots)):

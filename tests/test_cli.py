@@ -487,15 +487,61 @@ def test_wedge_ops_match_golden(capsys, op):
         ("rk-value", ["rk", "value"]),
         ("rk-op-msup", ["rk", "op-msup"]),
         ("rdp-check", ["rdp", "check"]),
+        ("rk-op-minf", ["rk", "op-minf", "-f", "rk-op-msup.input.json"]),
+        ("rk-op-minf-line", ["rk", "op-minf"]),
+        ("rk-functional-msup", ["rk", "functional-msup"]),
+        ("decompose-fs-one-x", ["rdp", "decompose-fs"]),
+        ("decompose-fs-one-y", ["rdp", "decompose-fs"]),
+        ("lattice-search", ["lattice-search", "--k", "3", "--seed", "1", "--budget", "50",
+                            "-f", "wedge-sum.input.json"]),
+        ("rdp-search", ["rdp", "search", "--seed", "1", "--budget", "50",
+                        "-f", "wedge-sum.input.json"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
     # The commands that solve LPs, byte for byte; msup-lineality is a
     # non-proper set, whose witness is any point of witness + lineality.
+    # rk-op-minf-line has a codomain that contains a line. A command
+    # without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
-    code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
+    if "-f" not in argv:
+        argv = [*argv, "-f", f"{name}.input.json"]
+    code, out, _ = run_cli(capsys, *argv[:-1], str(golden / argv[-1]))
     assert code == 0
     assert out.encode() == (golden / f"{name}.json").read_bytes()
+
+
+_NO_COLS = '{"lineality_ops": [], "proper": true, "representative": {"cols": 0, "entries": [[]], "rows": 1}}'
+_NO_ROWS = '{"lineality_ops": [], "proper": true, "representative": {"cols": 1, "entries": [], "rows": 0}}'
+_ZERO_DOMAIN = {
+    "operators": [{"rows": 1, "cols": 0, "entries": [[]]}],
+    "wedges": [{"dim": 0, "generators": []}],
+    "codomain_wedge": {"dim": 1, "generators": [["1"]]},
+}
+_ZERO_CODOMAIN = {
+    "operators": [{"rows": 0, "cols": 1, "entries": []}],
+    "wedges": [{"dim": 1, "generators": [["1"]]}],
+    "codomain_wedge": {"dim": 0, "generators": []},
+}
+
+
+@pytest.mark.parametrize(
+    "op, payload, expected",
+    [
+        ("op-msup", _ZERO_DOMAIN, _NO_COLS),
+        ("op-minf", _ZERO_DOMAIN, _NO_COLS),
+        ("functional-msup", {"functionals": [[]], "wedges": _ZERO_DOMAIN["wedges"]}, _NO_COLS),
+        ("op-msup", _ZERO_CODOMAIN, _NO_ROWS),
+        ("op-minf", _ZERO_CODOMAIN, _NO_ROWS),
+    ],
+    ids=["op-msup-domain", "op-minf-domain", "functional-msup", "op-msup-codomain", "op-minf-codomain"],
+)
+def test_rk_zero_dimensional_spaces(capsys, tmp_path, op, payload, expected):
+    # A dim-0 wedge is valid input; the operators then have no columns or
+    # no rows, and the answer is the only operator there is.
+    code, out, _ = run_cli(capsys, "rk", op, "-f", write_json(tmp_path, "in.json", payload))
+    assert code == 0
+    assert out == expected + "\n"
 
 
 def test_examples_unknown_exit_2(capsys):

@@ -304,3 +304,16 @@ def test_nullspace_and_inverse():
     assert inv == QMatrix.from_rows([[1, -1], [-1, 2]])
     with pytest.raises(ValueError):
         matrix_inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_zero_row_matrices_keep_their_shape():
+    # Echelon forms and inverses are built with the input's shape, so a
+    # matrix without rows passes through; from_rows still cannot tell the
+    # column count of no rows.
+    for cols in range(4):
+        assert rref(QMatrix(0, cols, [])) == (QMatrix(0, cols, []), [])
+        assert nullspace(QMatrix(0, cols, [])) == [QVector.unit(cols, i) for i in range(cols)]
+    assert rref(QMatrix(2, 0, [])) == (QMatrix(2, 0, []), [])
+    assert matrix_inverse(QMatrix(0, 0, [])) == QMatrix(0, 0, [])
+    with pytest.raises(ValueError, match="at least one row"):
+        QMatrix.from_rows([])

@@ -109,12 +109,15 @@ def test_msup_single_pair():
     ]
 
 
-def test_msup_not_bounded_raises():
+def test_msup_not_bounded_raises(conversions):
     ray_pos = Wedge(1, halfspaces=[V([1])])
     ray_neg = Wedge(1, halfspaces=[V([-1])])
     fam = [TranslatedWedge(V([1]), ray_pos), TranslatedWedge(V([-1]), ray_neg)]
     with pytest.raises(NotMultiBoundedAbove):
         msup(fam)
+    # P is empty, so the intersection of the wedges is never converted; the
+    # halfspace-given members need no conversion for P's system either.
+    assert conversions == []
 
 
 def test_minf_mirrors_msup():

@@ -622,6 +622,30 @@ def test_op_minf_not_bounded_below():
         op_minf([M([[1]]), M([[-1]])], [line, line], positive_ray())
 
 
+def test_zero_dimensional_spaces():
+    # Wedge accepts dim 0; a zero-dimensional domain or codomain leaves
+    # matrices with no rows or no columns, which the general path takes.
+    point = Wedge(0, generators=[])
+    assert projections(point).p_d == QMatrix(0, 0, [])
+
+    no_cols = QMatrix(1, 0, [])
+    for res in (
+        op_msup([no_cols], [point], positive_ray()),
+        op_minf([no_cols], [point], positive_ray()),
+        functional_msup([QVector([])], [point]),
+    ):
+        assert res.representative == no_cols
+        assert res.lineality_ops == ()
+
+    no_rows = QMatrix(0, 1, [])
+    for fn in (op_msup, op_minf):
+        res = fn([no_rows], [positive_ray()], point)
+        assert res.representative == no_rows
+        assert res.lineality_ops == ()
+    assert op_wedge_lineality([positive_ray()], [point]) == []
+    assert op_wedge_lineality([point], [positive_ray()]) == []
+
+
 def test_op_msup_converts_the_sum_wedge_once(conversions):
     # One V->H and one H->V scan of the sum wedge, and one V->H scan each
     # for the halfspaces of the two domain wedges and of V.
