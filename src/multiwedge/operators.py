@@ -10,6 +10,11 @@ projected along the lineality of the codomain wedge, and assembled into a
 linear representative. When the domain family lacks the decomposition
 property this assembly is impossible or produces a non-dominating map,
 and the failure is reported instead of silently returning a wrong answer.
+
+The values go through the dual LP of each normal of the codomain wedge,
+whose constraints do not depend on x (see rk_value): rk_value and op_msup
+share one q-variable session per normal for every x. The primal
+decomposition system is left to rdp_check and to a membership test.
 """
 
 from __future__ import annotations
@@ -457,35 +462,70 @@ def rk_value(
 ) -> MultiSupSet:
     """Multi-supremum over V of { sum_i T_i(y_i) : y_i in W_i, sum y_i = x }.
 
-    For each canonical normal b of V the exact LP supremum s_b of
-    b . sum T_i(y_i) is computed over the decompositions of x; a point z
-    with b . z = s_b for every b, together with the lineality of V,
-    describes the full multi-supremum set.
+    For each canonical normal b of V the supremum s_b(x) of
+    b . sum T_i(y_i) over the decompositions of x is, by LP duality,
+
+        s_b(x) = min { u . x : u . g >= b . T_i(g) for g in gens(W_i), every i },
+
+    one q-variable session per normal whose constraints do not depend on x.
+    A point z with b . z = s_b for every b, together with the lineality of
+    V, describes the full multi-supremum set.
     """
-    p, q = _check_rk_shapes(ops, wedges, v_wedge)
+    _, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
+    return MultiSupSet(_rk_sups(ops, wedges, v_wedge, [x])[0], v_wedge.lineality_basis)
+
+
+def _rk_sups(
+    ops: Sequence[QMatrix], wedges: Sequence[Wedge], v_wedge: Wedge, xs: Sequence[QVector]
+) -> list[QVector]:
+    """A witness z with b . z = s_b(x) for every canonical normal b of V, per x.
+
+    The dual session of each normal b has one row u . g >= (T_i^T b) . g per
+    generator g of each W_i and is minimized at every x. The values s_b(x)
+    are unique, so z is the point phase 1 leaves on the equations b . z =
+    s_b(x). Errors are those of the first x that has one: a dual that is
+    unbounded at x means x is outside the sum wedge. An infeasible dual,
+    which does not depend on x, and a V with no normals fall back on the
+    primal decomposition system as a membership test only.
+    """
+    q = wedges[0].dim
     normals = v_wedge.canonical_halfspaces
-    v_lin = v_wedge.lineality_basis
-    session = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
-    if not session.feasible:
-        raise NotInSumWedge("x is not in the sum of the domain wedges")
-
-    # s_b = max b . sum_i T_i(y_i) = -min sum_i (-T_i^T b) . y_i
-    sups = []
+    transposes = [t.transpose() for t in ops]
+    sessions = []
     for b in normals:
-        objective = (e for t in ops for e in t.transpose().apply(-b).entries)
-        res = session.minimize(QVector._of(tuple(objective)))
-        if isinstance(res, Unbounded):
-            raise NotMultiBoundedAbove("the value set is unbounded in the V order")
-        sups.append(Constraint(b, EQ, -res.value))
+        rows = []
+        for tt, w in zip(transposes, wedges):
+            tb = tt.apply(b)
+            rows.extend(Constraint(g, GE, tb.dot(g)) for g in w.generators)
+        session = Session(q, rows)
+        if not session.feasible:
+            break
+        sessions.append(session)
+    bounded = len(sessions) == len(normals)
 
-    z = Session(p, sups).feasible_point()
-    if z is None:
-        raise NoMultiSupremum(
-            "the codomain wedge admits no multi-supremum for this value set"
-        )
-    return MultiSupSet(z, v_lin)
+    witnesses = []
+    for x in xs:
+        if not bounded or not normals:
+            member = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
+            if not member.feasible:
+                raise NotInSumWedge("x is not in the sum of the domain wedges")
+            if not bounded:
+                raise NotMultiBoundedAbove("the value set is unbounded in the V order")
+        sups = []
+        for b, session in zip(normals, sessions):
+            res = session.minimize(x)
+            if isinstance(res, Unbounded):
+                raise NotInSumWedge("x is not in the sum of the domain wedges")
+            sups.append(Constraint(b, EQ, res.value))
+        z = Session(v_wedge.dim, sups).feasible_point()
+        if z is None:
+            raise NoMultiSupremum(
+                "the codomain wedge admits no multi-supremum for this value set"
+            )
+        witnesses.append(z)
+    return witnesses
 
 
 def _assert_multi_bounded(
@@ -520,10 +560,9 @@ def op_msup(
     proj = projections(v_wedge)
     sum_gens = wedge_sum(wedges).canonical_generators
     sw = Wedge(q, generators=list(sum_gens))
-    values = {}
-    for g in sum_gens:
-        ms = rk_value(ops, wedges, v_wedge, g)
-        values[g] = proj.p_u.apply(ms.witness)
+    values = {
+        g: proj.p_u.apply(z) for g, z in zip(sum_gens, _rk_sups(ops, wedges, v_wedge, sum_gens))
+    }
     try:
         rep = extend_additive(sw, values, p)
     except InconsistentValues as exc:

@@ -6,8 +6,10 @@ optima by basic-point enumeration, polytope vertices by active-set
 enumeration, simplex results by the ``Fraction`` tableau the library's
 integer-row simplex replaced, row reductions by the ``Fraction`` loop the
 integer-row elimination replaced, extreme rays by the subset scan the
-double-description method replaced, and multi-suprema by the equality
-system that ``msup``'s sum-of-normals LP replaced.
+double-description method replaced, multi-suprema by the equality
+system that ``msup``'s sum-of-normals LP replaced, and Riesz-Kantorovich
+values by the primal decomposition LP that ``rk_value``'s dual sessions
+replaced.
 """
 
 from __future__ import annotations
@@ -27,14 +29,19 @@ from multiwedge import (
     Infeasible,
     LinearProgram,
     MultiSupSet,
+    NoMultiSupremum,
+    NotInSumWedge,
     NotMultiBoundedAbove,
     Optimal,
     QVector,
+    Unbounded,
     Wedge,
     intersect,
     lp_solve,
 )
 from multiwedge.linalg import _nullspace_from_rref
+from multiwedge.lp import Session
+from multiwedge.operators import _check_rk_shapes, _decomposition_constraints
 from multiwedge.wedges import _primitive
 
 F = Fraction
@@ -593,6 +600,40 @@ def equality_system_msup(family):
     if not targets:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     return None
+
+
+def primal_rk_value(ops, wedges, v_wedge, x):
+    """Riesz-Kantorovich value by the primal decomposition LP ``rk_value`` used before.
+
+    Kept as its oracle: one session on the decomposition polytope of x
+    (NotInSumWedge when it is empty) maximizes b . sum_i T_i(y_i) for each
+    canonical normal b of V; an unbounded normal raises
+    NotMultiBoundedAbove, and the witness solves b . z = s_b for every b.
+    """
+    p, q = _check_rk_shapes(ops, wedges, v_wedge)
+    if x.dim != q:
+        raise ValueError("x dimension does not match the domain")
+    normals = v_wedge.canonical_halfspaces
+    v_lin = v_wedge.lineality_basis
+    session = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
+    if not session.feasible:
+        raise NotInSumWedge("x is not in the sum of the domain wedges")
+
+    # s_b = max b . sum_i T_i(y_i) = -min sum_i (-T_i^T b) . y_i
+    sups = []
+    for b in normals:
+        objective = (e for t in ops for e in t.transpose().apply(-b).entries)
+        res = session.minimize(QVector._of(tuple(objective)))
+        if isinstance(res, Unbounded):
+            raise NotMultiBoundedAbove("the value set is unbounded in the V order")
+        sups.append(Constraint(b, EQ, -res.value))
+
+    z = Session(p, sups).feasible_point()
+    if z is None:
+        raise NoMultiSupremum(
+            "the codomain wedge admits no multi-supremum for this value set"
+        )
+    return MultiSupSet(z, v_lin)
 
 
 @pytest.fixture

@@ -511,6 +511,25 @@ def test_lp_commands_match_golden(capsys, name, argv):
     assert out.encode() == (golden / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("rk-value-outside", ["rk", "value"]),
+        ("rk-value-unbounded", ["rk", "value"]),
+        ("rk-value-outside-unbounded", ["rk", "value"]),
+        ("rk-op-msup-refused", ["rk", "op-msup"]),
+    ],
+)
+def test_rk_error_verdicts_match_golden(capsys, name, argv):
+    # Verdicts that are errors: exit 1 and the recorded JSON byte for byte.
+    # rk-value-outside-unbounded has x outside the sum of a family whose
+    # values are unbounded, and not_in_sum_wedge takes precedence.
+    golden = Path(__file__).parent / "golden"
+    code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
+    assert code == 1
+    assert out.encode() == (golden / f"{name}.json").read_bytes()
+
+
 _NO_COLS = '{"lineality_ops": [], "proper": true, "representative": {"cols": 0, "entries": [[]], "rows": 1}}'
 _NO_ROWS = '{"lineality_ops": [], "proper": true, "representative": {"cols": 1, "entries": [], "rows": 0}}'
 _ZERO_DOMAIN = {

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -43,8 +44,10 @@ from conftest import (
     VertexEnumerator,
     decomposition_rows,
     polytope_vertices,
+    primal_rk_value,
     rand_acute_cone,
     rand_member,
+    rand_wedge,
 )
 
 V = QVector
@@ -401,6 +404,64 @@ def test_rk_value_matches_vertex_oracle():
         assert res.witness == oracle.witness
 
 
+def _rk_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotInSumWedge, NotMultiBoundedAbove, NoMultiSupremum) as exc:
+        return type(exc)
+
+
+def test_rk_value_matches_primal_oracle():
+    # The dual sessions against the primal decomposition LP they replaced:
+    # the same MultiSupSet or the same exception class. The domain wedges
+    # are given by generators or by halfspaces (lines and the whole space
+    # included), or all lie in one hyperplane, so that a random x misses
+    # their sum while opposite operators leave the values unbounded. V may
+    # contain a line, be all of Q^p (no normals), or be {0}, whose opposite
+    # normals leave no multi-supremum unless the value set is one point.
+    rng = random.Random(1010)
+    seen = Counter()
+    for _ in range(480):
+        q, k, p = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.2:
+            a = QVector.unit(q, 0)
+            wedges = [
+                Wedge(q, halfspaces=[a, -a, QVector([rng.randint(-2, 2) for _ in range(q)])])
+                for _ in range(k)
+            ]
+        else:
+            wedges = [
+                rand_acute_cone(rng, q) if rng.random() < 0.4 else rand_wedge(rng, q)
+                for _ in range(k)
+            ]
+        kind = rng.choice(["wedge", "wedge", "whole", "line", "zero"])
+        if kind == "whole":
+            v_wedge = Wedge(p, halfspaces=[])
+        elif kind == "line":
+            v_wedge = Wedge(p, halfspaces=[QVector.unit(p, 0)] if p > 1 else [])
+        elif kind == "zero":
+            v_wedge = Wedge(p, generators=[])
+        else:
+            v_wedge = rand_wedge(rng, p)
+        ops = [QMatrix(p, q, [rng.randint(-3, 3) for _ in range(p * q)]) for _ in range(k)]
+        if rng.random() < 0.6:
+            x = sum((rand_member(rng, w, scale=2) for w in wedges), QVector.zero(q))
+        else:
+            x = QVector([rng.randint(-3, 3) for _ in range(q)])
+        expected = _rk_outcome(primal_rk_value, ops, wedges, v_wedge, x)
+        assert _rk_outcome(rk_value, ops, wedges, v_wedge, x) == expected
+        seen[expected if isinstance(expected, type) else "ok"] += 1
+        seen[kind] += 1
+        if expected is NotInSumWedge:
+            # 0 is in every sum wedge, so the family's boundedness reads there.
+            at_zero = _rk_outcome(primal_rk_value, ops, wedges, v_wedge, QVector.zero(q))
+            if at_zero is NotMultiBoundedAbove:
+                seen["outside and unbounded"] += 1
+    for outcome in ("ok", NotInSumWedge, NotMultiBoundedAbove, NoMultiSupremum,
+                    "outside and unbounded", "whole", "line", "zero"):
+        assert seen[outcome] >= 10, seen
+
+
 def test_vertex_enumerator_matches_polytope_vertices():
     # the integer active-set enumerator behind AC4 against the independent
     # Fraction enumerator, on decomposition polytopes with k, q <= 3
@@ -646,9 +707,21 @@ def test_zero_dimensional_spaces():
     assert op_wedge_lineality([point], [positive_ray()]) == []
 
 
-def test_op_msup_converts_the_sum_wedge_once(conversions):
-    # One V->H and one H->V scan of the sum wedge, and one V->H scan each
-    # for the halfspaces of the two domain wedges and of V.
+def test_op_msup_converts_the_sum_wedge_once(conversions, monkeypatch):
+    # One V->H and one H->V conversion of the sum wedge, and one V->H
+    # conversion for the canonical halfspaces of V. The dual sessions read
+    # the generators of the domain wedges, which are given, so neither
+    # domain wedge is converted.
+    from multiwedge import wedges
+
+    inputs = []
+    convert = wedges.hrep_to_vrep
+
+    def recorded(vectors, dim):
+        inputs.append(set(vectors))
+        return convert(vectors, dim)
+
+    monkeypatch.setattr(wedges, "hrep_to_vrep", recorded)
     ws = [
         Wedge(2, generators=[QVector([1, 0]), QVector([1, 1])]),
         Wedge(2, generators=[QVector([0, 1]), QVector([1, 1])]),
@@ -656,4 +729,5 @@ def test_op_msup_converts_the_sum_wedge_once(conversions):
     v = Wedge(1, generators=[QVector([1])], halfspaces=[QVector([1])])
     ops = [QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[0, 1]])]
     op_msup(ops, ws, v)
-    assert len(conversions) == 5
+    assert len(conversions) == 3
+    assert not any(set(w.generators) in inputs for w in ws)
