@@ -86,7 +86,7 @@ class QVector:
     def dot(self, other: "QVector") -> Fraction:
         if len(self.entries) != len(other.entries):
             raise ValueError("dimension mismatch in dot product")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
+        return sum((a * b for a, b in zip(self.entries, other.entries) if a), _ZERO)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)

@@ -13,8 +13,9 @@ and the failure is reported instead of silently returning a wrong answer.
 
 The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
-share one q-variable session per normal for every x. The primal
-decomposition system is left to rdp_check and to a membership test.
+share one q-variable session per normal for every x. Multi-bounds of the
+operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
+layer. The primal decomposition system remains only in rdp_check.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
 from .lp import EQ, GE, Constraint, Session, Unbounded
-from .multiorder import MultiSupSet
+from .multiorder import MultiSupSet, TranslatedWedge, is_multi_upper_bound, multi_bounded_above
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 _ZERO = Fraction(0)
@@ -78,24 +79,30 @@ def op_is_positive(t: QMatrix, w: Wedge, v: Wedge) -> bool:
     return all(v.member(t.apply(g)) for g in w.generators)
 
 
+def _positivity_normals(w: Wedge, v: Wedge) -> list[QVector]:
+    """Normals of L(W, V) on the row-major entries of T: T -> b . T(g).
+
+    g runs over the generators of W (outer loop), b over the halfspaces of V.
+    """
+    return [
+        QVector._of(tuple([ba * gc if ba and gc else _ZERO for ba in b for gc in g]))
+        for g in w.generators
+        for b in v.halfspaces
+    ]
+
+
 def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix]:
     """Basis of the operator subspace {T : T(sum of W_i) in D(intersection of V_j)}.
 
-    This is the lineality space of the intersection of the positivity
-    wedges, expressed as a homogeneous linear system on matrix entries.
+    This is the nullspace of the positivity normals of the sum wedge and V,
+    read off their unique RREF, so the given sides of both serve as they are.
     """
     if not ws or not vs:
         raise ValueError("need at least one domain wedge and one codomain wedge")
     q = ws[0].dim
     p = vs[0].dim
-    d_basis = lineality(intersect(vs))
-    annihilator = nullspace(QMatrix(len(d_basis), p, [e for d in d_basis for e in d]))
-    # Any generating set of the sum wedge spans the same rows, and the
-    # nullspace is read off their unique RREF, so the union of the given
-    # generators serves without converting the sum wedge.
-    gens = wedge_sum(ws).generators
-    rows = [_outer_row(r, g) for g in gens for r in annihilator]
-    flat_basis = nullspace(QMatrix(len(rows), p * q, [e for row in rows for e in row]))
+    rows = _positivity_normals(wedge_sum(ws), intersect(vs))
+    flat_basis = nullspace(QMatrix(len(rows), p * q, [e for row in rows for e in row.entries]))
     return [QMatrix(p, q, v.entries) for v in flat_basis]
 
 
@@ -228,15 +235,17 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
     return True
 
 
-def _decomposition_constraints(
-    wedges: Sequence[Wedge], xs: Sequence[QVector], ys: Sequence[QVector]
-) -> list[Constraint]:
-    """Dense rows of z_ij in W_j, sum_j z_ij = x_i and sum_i z_ij = y_j.
+def rdp_check(
+    inst: RDPInstance, *, _sum_wedge: Wedge | None = None
+) -> list[list[QVector]] | None:
+    """Find z_ij in W_j with row sums x_i and column sums y_j, or None.
 
-    Variable (i * n + j) * dim + c is coordinate c of z_ij, for n wedges.
-    With no ys the column sums are left out.
+    Exact LP feasibility in the stacked z variables, coordinate c of z_ij
+    being variable (i * n + j) * dim + c; None means no decomposition
+    exists (the instance witnesses a decomposition failure).
     """
-    m, n, dim = len(xs), len(wedges), wedges[0].dim
+    inst.validate(_sum_wedge)
+    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
 
     def row(coefs: dict[int, Fraction]) -> QVector:
         dense = [_ZERO] * (m * n * dim)
@@ -247,43 +256,16 @@ def _decomposition_constraints(
     cons = [
         Constraint(row({(i * n + j) * dim + c: a[c] for c in range(dim) if a[c]}), GE, _ZERO)
         for i in range(m)
-        for j, w in enumerate(wedges)
+        for j, w in enumerate(inst.wedges)
         for a in w.halfspaces
     ]
-    for i, x in enumerate(xs):
+    for i, x in enumerate(inst.xs):
         for c in range(dim):
             cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for j in range(n)}), EQ, x[c]))
-    for j, y in enumerate(ys):
+    for j, y in enumerate(inst.ys):
         for c in range(dim):
             cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for i in range(m)}), EQ, y[c]))
-    return cons
-
-
-def _outer_row(b: QVector, g: QVector) -> list[Fraction]:
-    """Coefficients of T -> b . T(g) over the row-major entries of a p x q matrix T."""
-    q = g.dim
-    row = [_ZERO] * (b.dim * q)
-    for a, ba in enumerate(b.entries):
-        if ba:
-            for c, gc in enumerate(g.entries):
-                if gc:
-                    row[a * q + c] = ba * gc
-    return row
-
-
-def rdp_check(
-    inst: RDPInstance, *, _sum_wedge: Wedge | None = None
-) -> list[list[QVector]] | None:
-    """Find z_ij in W_j with row sums x_i and column sums y_j, or None.
-
-    Exact LP feasibility in the stacked z variables; None means no
-    decomposition exists (the instance witnesses a decomposition failure).
-    """
-    inst.validate(_sum_wedge)
-    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
-    nvars = m * n * dim
-    cons = _decomposition_constraints(inst.wedges, inst.xs, inst.ys)
-    point = Session(nvars, cons).feasible_point()
+    point = Session(m * n * dim, cons).feasible_point()
     if point is None:
         return None
     return [
@@ -469,12 +451,38 @@ def rk_value(
 
     one q-variable session per normal whose constraints do not depend on x.
     A point z with b . z = s_b for every b, together with the lineality of
-    V, describes the full multi-supremum set.
+    V, describes the full multi-supremum set. When a dual is infeasible or
+    V has no normals, x is tested on the dual of b = 0, so NotInSumWedge
+    takes precedence over NotMultiBoundedAbove.
     """
     _, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
-    return MultiSupSet(_rk_sups(ops, wedges, v_wedge, [x])[0], v_wedge.lineality_basis)
+    try:
+        witness = _rk_sups(ops, wedges, v_wedge, [x])[0]
+    except NotMultiBoundedAbove:
+        _require_in_sum(ops, wedges, x)
+        raise
+    if not v_wedge.canonical_halfspaces:
+        _require_in_sum(ops, wedges, x)
+    return MultiSupSet(witness, v_wedge.lineality_basis)
+
+
+def _dual_session(ops: Sequence[QMatrix], wedges: Sequence[Wedge], b: QVector) -> Session:
+    """Rows u . g >= (T_i^T b) . g for g in gens(W_i): min u . x is s_b(x).
+
+    At b = 0 it is unbounded at x exactly when x lies outside the sum wedge.
+    """
+    rows = []
+    for t, w in zip(ops, wedges):
+        tb = t.transpose().apply(b)
+        rows.extend(Constraint(g, GE, tb.dot(g)) for g in w.generators)
+    return Session(wedges[0].dim, rows)
+
+
+def _require_in_sum(ops: Sequence[QMatrix], wedges: Sequence[Wedge], x: QVector) -> None:
+    if isinstance(_dual_session(ops, wedges, QVector.zero(ops[0].rows)).minimize(x), Unbounded):
+        raise NotInSumWedge("x is not in the sum of the domain wedges")
 
 
 def _rk_sups(
@@ -482,37 +490,22 @@ def _rk_sups(
 ) -> list[QVector]:
     """A witness z with b . z = s_b(x) for every canonical normal b of V, per x.
 
-    The dual session of each normal b has one row u . g >= (T_i^T b) . g per
-    generator g of each W_i and is minimized at every x. The values s_b(x)
-    are unique, so z is the point phase 1 leaves on the equations b . z =
-    s_b(x). Errors are those of the first x that has one: a dual that is
-    unbounded at x means x is outside the sum wedge. An infeasible dual,
-    which does not depend on x, and a V with no normals fall back on the
-    primal decomposition system as a membership test only.
+    The dual session of each normal b is minimized at every x. The values
+    s_b(x) are unique, so z is the point phase 1 leaves on the equations
+    b . z = s_b(x). An infeasible dual, which does not depend on x, raises
+    NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
+    wedge. With no normals no x is read, and every witness is 0.
     """
-    q = wedges[0].dim
     normals = v_wedge.canonical_halfspaces
-    transposes = [t.transpose() for t in ops]
     sessions = []
     for b in normals:
-        rows = []
-        for tt, w in zip(transposes, wedges):
-            tb = tt.apply(b)
-            rows.extend(Constraint(g, GE, tb.dot(g)) for g in w.generators)
-        session = Session(q, rows)
+        session = _dual_session(ops, wedges, b)
         if not session.feasible:
-            break
+            raise NotMultiBoundedAbove("the value set is unbounded in the V order")
         sessions.append(session)
-    bounded = len(sessions) == len(normals)
 
     witnesses = []
     for x in xs:
-        if not bounded or not normals:
-            member = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
-            if not member.feasible:
-                raise NotInSumWedge("x is not in the sum of the domain wedges")
-            if not bounded:
-                raise NotMultiBoundedAbove("the value set is unbounded in the V order")
         sups = []
         for b, session in zip(normals, sessions):
             res = session.minimize(x)
@@ -528,35 +521,29 @@ def _rk_sups(
     return witnesses
 
 
-def _assert_multi_bounded(
-    ops: Sequence[QMatrix], wedges: Sequence[Wedge], v_wedge: Wedge, p: int, q: int
-) -> None:
-    """LP feasibility of an operator S with S - T_i positive for every i."""
-    nvars = p * q
-    cons = []
-    for t, w in zip(ops, wedges):
-        for g in w.generators:
-            tg = t.apply(g)
-            for b in v_wedge.halfspaces:
-                cons.append(Constraint(QVector._of(tuple(_outer_row(b, g))), GE, b.dot(tg)))
-    if not Session(nvars, cons).feasible:
-        raise NotMultiBoundedAbove("no operator dominates the whole family")
-
-
 def op_msup(
     ops: Sequence[QMatrix], wedges: Sequence[Wedge], v_wedge: Wedge
 ) -> OperatorMSupResult:
     """Multi-supremum of (T_i, L_{W_i,V}) as representative + operator lineality.
 
-    The representative is zero on the complement of the span of the sum
-    wedge; the full multi-supremum set is recovered by adding the span of
-    ``lineality_ops``. Raises RDPViolated when the supremum values fail to
-    extend additively or the assembled map does not dominate every T_i:
-    both certify that the domain family lacks the required decomposition
-    property.
+    The family (vec T_i, L(W_i, V)) on matrix entries decides in the
+    multiorder layer whether any operator dominates every T_i
+    (NotMultiBoundedAbove otherwise). The representative is zero on the
+    complement of the span of the sum wedge; the full multi-supremum set
+    is recovered by adding the span of ``lineality_ops``. Raises
+    RDPViolated when the supremum values fail to extend additively or the
+    assembled map is not a multi-upper bound of the family: both certify
+    that the domain family lacks the required decomposition property.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
-    _assert_multi_bounded(ops, wedges, v_wedge, p, q)
+    family = [
+        TranslatedWedge(
+            QVector._of(t.entries), Wedge(p * q, halfspaces=_positivity_normals(w, v_wedge))
+        )
+        for t, w in zip(ops, wedges)
+    ]
+    if multi_bounded_above(family) is None:
+        raise NotMultiBoundedAbove("no operator dominates the whole family")
     proj = projections(v_wedge)
     sum_gens = wedge_sum(wedges).canonical_generators
     sw = Wedge(q, generators=list(sum_gens))
@@ -569,12 +556,11 @@ def op_msup(
         raise RDPViolated(
             "supremum values are not additive on the generators of the sum wedge"
         ) from exc
-    for t, w in zip(ops, wedges):
-        if not op_is_positive(rep - t, w, v_wedge):
-            raise RDPViolated(
-                "assembled representative does not dominate the family; "
-                "the decomposition hypothesis fails for these wedges"
-            )
+    if not is_multi_upper_bound(QVector._of(rep.entries), family):
+        raise RDPViolated(
+            "assembled representative does not dominate the family; "
+            "the decomposition hypothesis fails for these wedges"
+        )
     return OperatorMSupResult(rep, tuple(op_wedge_lineality(wedges, [v_wedge])))
 
 

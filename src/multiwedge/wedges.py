@@ -265,6 +265,11 @@ class Wedge:
 
     @classmethod
     def from_json(cls, data: dict) -> "Wedge":
+        """A wedge from ``{"dim", "generators"?, "halfspaces"?}``; two sides must be equal.
+
+        The constructor checks that the generators satisfy the halfspaces,
+        this the converse on the canonical forms; ValueError otherwise.
+        """
         if "dim" not in data:
             raise ValueError("wedge JSON needs a 'dim' field")
         dim = _json_size(data["dim"], "dim")
@@ -272,7 +277,11 @@ class Wedge:
         for side in ("generators", "halfspaces"):
             if data.get(side) is not None:
                 sides[side] = [QVector.from_json(v) for v in _json_array(data[side], side)]
-        return cls(dim, **sides)
+        w = cls(dim, **sides)
+        normals = w.canonical_halfspaces if len(sides) == 2 else ()
+        if any(a.dot(g) < 0 for a in normals for g in w.canonical_generators):
+            raise ValueError("inconsistent double description: the sides differ")
+        return w
 
 
 def member(w: Wedge, x: QVector) -> bool:

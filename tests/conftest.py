@@ -7,9 +7,11 @@ enumeration, simplex results by the ``Fraction`` tableau the library's
 integer-row simplex replaced, row reductions by the ``Fraction`` loop the
 integer-row elimination replaced, extreme rays by the subset scan the
 double-description method replaced, multi-suprema by the equality
-system that ``msup``'s sum-of-normals LP replaced, and Riesz-Kantorovich
+system that ``msup``'s sum-of-normals LP replaced, Riesz-Kantorovich
 values by the primal decomposition LP that ``rk_value``'s dual sessions
-replaced.
+replaced, operator linealities by the annihilator construction that
+``op_wedge_lineality`` replaced, and operator multi-suprema by the
+multi-supremum of the translated-wedge family that defines them.
 """
 
 from __future__ import annotations
@@ -33,15 +35,20 @@ from multiwedge import (
     NotInSumWedge,
     NotMultiBoundedAbove,
     Optimal,
+    QMatrix,
     QVector,
+    TranslatedWedge,
     Unbounded,
     Wedge,
     intersect,
+    lineality,
     lp_solve,
+    nullspace,
+    wedge_sum,
 )
 from multiwedge.linalg import _nullspace_from_rref
 from multiwedge.lp import Session
-from multiwedge.operators import _check_rk_shapes, _decomposition_constraints
+from multiwedge.operators import _check_rk_shapes
 from multiwedge.wedges import _primitive
 
 F = Fraction
@@ -606,16 +613,20 @@ def primal_rk_value(ops, wedges, v_wedge, x):
     """Riesz-Kantorovich value by the primal decomposition LP ``rk_value`` used before.
 
     Kept as its oracle: one session on the decomposition polytope of x
-    (NotInSumWedge when it is empty) maximizes b . sum_i T_i(y_i) for each
-    canonical normal b of V; an unbounded normal raises
-    NotMultiBoundedAbove, and the witness solves b . z = s_b for every b.
+    (``decomposition_rows``; NotInSumWedge when it is empty) maximizes
+    b . sum_i T_i(y_i) for each canonical normal b of V; an unbounded
+    normal raises NotMultiBoundedAbove, and the witness solves b . z = s_b
+    for every b.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
     normals = v_wedge.canonical_halfspaces
     v_lin = v_wedge.lineality_basis
-    session = Session(len(wedges) * q, _decomposition_constraints(wedges, [x], []))
+    eq_rows, ineq_rows = decomposition_rows(wedges)
+    cons = [Constraint(QVector(r), EQ, xc) for r, xc in zip(eq_rows, x)]
+    cons += [Constraint(QVector(r), GE, F(0)) for r in ineq_rows]
+    session = Session(len(wedges) * q, cons)
     if not session.feasible:
         raise NotInSumWedge("x is not in the sum of the domain wedges")
 
@@ -634,6 +645,44 @@ def primal_rk_value(ops, wedges, v_wedge, x):
             "the codomain wedge admits no multi-supremum for this value set"
         )
     return MultiSupSet(z, v_lin)
+
+
+def annihilator_op_lineality(ws, vs):
+    """Operator lineality by the annihilator construction ``op_wedge_lineality`` used before.
+
+    Kept as its oracle: a basis of the annihilator of D, the lineality of
+    the intersection of the V_j, and the nullspace of the rows
+    T -> r . T(g) over the row-major entries of T, for g a generator of the
+    sum of the W_i (outer loop) and r an annihilator row (inner loop).
+    """
+    q = ws[0].dim
+    p = vs[0].dim
+    d_basis = lineality(intersect(vs))
+    annihilator = nullspace(QMatrix(len(d_basis), p, [e for d in d_basis for e in d]))
+    gens = wedge_sum(ws).generators
+    rows = [[r[a] * g[c] for a in range(p) for c in range(q)] for g in gens for r in annihilator]
+    flat_basis = nullspace(QMatrix(len(rows), p * q, [e for row in rows for e in row]))
+    return [QMatrix(p, q, v.entries) for v in flat_basis]
+
+
+def operator_family(ops, wedges, v_wedge):
+    """The translated-wedge family (vec T_i, L(W_i, V)) that defines the operator multi-supremum.
+
+    Operators are points of Q^(p*q), by their row-major entries. L(W, V),
+    the operators that map W into V, is cut out there by the normals
+    vec(b g^T), since b . T(g) = vec(b g^T) . vec(T), for the canonical
+    generators g of W and the canonical normals b of V.
+    """
+    pq = v_wedge.dim * wedges[0].dim
+    family = []
+    for t, w in zip(ops, wedges):
+        normals = [
+            QVector((QMatrix.from_cols([b]) @ QMatrix.from_rows([g])).entries)
+            for b in v_wedge.canonical_halfspaces
+            for g in w.canonical_generators
+        ]
+        family.append(TranslatedWedge(QVector(t.entries), Wedge(pq, halfspaces=normals)))
+    return family
 
 
 @pytest.fixture

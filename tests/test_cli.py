@@ -200,6 +200,19 @@ def test_wrongly_typed_array_is_input_error_exit_2(capsys, tmp_path, argv, paylo
     assert err.startswith("error: ")
 
 
+def test_sides_that_describe_different_wedges_exit_2(capsys, tmp_path):
+    # The generators give {0}, the halfspaces the ray x >= 0: `wedge dual`
+    # would answer from one side and membership follow the other.
+    path = write_json(tmp_path, "bad.json", {"dim": 1, "generators": [], "halfspaces": [["1"]]})
+    code, out, err = run_cli(capsys, "wedge", "dual", "-f", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad wedge object: inconsistent double description")
+    same = {"dim": 1, "generators": [["2"]], "halfspaces": [["1"]]}
+    code, _, _ = run_cli(capsys, "wedge", "dual", "-f", write_json(tmp_path, "ok.json", same))
+    assert code == 0
+
+
 _FS = {
     "s_size": 2,
     "indices": [0, 1],
@@ -496,12 +509,14 @@ def test_wedge_ops_match_golden(capsys, op):
                             "-f", "wedge-sum.input.json"]),
         ("rdp-search", ["rdp", "search", "--seed", "1", "--budget", "50",
                         "-f", "wedge-sum.input.json"]),
+        ("rk-op-msup-whole", ["rk", "op-msup"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
     # The commands that solve LPs, byte for byte; msup-lineality is a
     # non-proper set, whose witness is any point of witness + lineality.
-    # rk-op-minf-line has a codomain that contains a line. A command
+    # rk-op-minf-line has a codomain that contains a line, and
+    # rk-op-msup-whole the whole space, Q^2, as codomain. A command
     # without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:
@@ -518,12 +533,16 @@ def test_lp_commands_match_golden(capsys, name, argv):
         ("rk-value-unbounded", ["rk", "value"]),
         ("rk-value-outside-unbounded", ["rk", "value"]),
         ("rk-op-msup-refused", ["rk", "op-msup"]),
+        ("rk-op-msup-unbounded", ["rk", "op-msup"]),
+        ("rk-value-whole-outside", ["rk", "value"]),
     ],
 )
 def test_rk_error_verdicts_match_golden(capsys, name, argv):
     # Verdicts that are errors: exit 1 and the recorded JSON byte for byte.
     # rk-value-outside-unbounded has x outside the sum of a family whose
     # values are unbounded, and not_in_sum_wedge takes precedence.
+    # rk-value-whole-outside has x outside the sum and a codomain, Q^2,
+    # with no normals.
     golden = Path(__file__).parent / "golden"
     code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
     assert code == 1

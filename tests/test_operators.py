@@ -38,11 +38,13 @@ from multiwedge import (
     span_contains,
     wedge_sum,
 )
-from multiwedge.multiorder import TranslatedWedge, msup
+from multiwedge.multiorder import TranslatedWedge, minf, msup
 
 from conftest import (
     VertexEnumerator,
+    annihilator_op_lineality,
     decomposition_rows,
+    operator_family,
     polytope_vertices,
     primal_rk_value,
     rand_acute_cone,
@@ -731,3 +733,138 @@ def test_op_msup_converts_the_sum_wedge_once(conversions, monkeypatch):
     op_msup(ops, ws, v)
     assert len(conversions) == 3
     assert not any(set(w.generators) in inputs for w in ws)
+
+
+def test_op_msup_runs_no_membership_session(monkeypatch):
+    # The canonical generators of the sum wedge lie in it by construction,
+    # so op_msup tests none of them for membership, also when V = Q^2 has
+    # no normals. A membership LP on the decomposition system would have
+    # k * q = 6 variables and rows; the family of operators also has
+    # p * q = 6 entries, but V = Q^2 gives its wedges no rows.
+    from multiwedge import lp
+
+    built = []
+    init = lp.Session.__init__
+
+    def recorded(self, n, constraints):
+        constraints = list(constraints)
+        built.append((n, len(constraints)))
+        init(self, n, constraints)
+
+    monkeypatch.setattr(lp.Session, "__init__", recorded)
+    ws = [
+        Wedge(3, generators=[V([1, 0, 0]), V([1, 1, 0])]),
+        Wedge(3, generators=[V([1, 0, 1]), V([0, 1, 1])]),
+    ]
+    ops = [M([[1, 0, 2], [0, -1, 1]]), M([[0, 1, -1], [2, 0, 1]])]
+    res = op_msup(ops, ws, Wedge(2, halfspaces=[]))
+    assert res.representative == QMatrix.zeros(2, 3)
+    assert len(res.lineality_ops) == 6
+    assert built
+    assert [size for size in built if size[0] == 6 and size[1]] == []
+
+
+def test_op_wedge_lineality_matches_annihilator_oracle():
+    # Equal bases, not only equal spans: both are read off the unique RREF
+    # of the same row space.
+    rng = random.Random(1111)
+    seen = Counter()
+    for _ in range(320):
+        q, p = rng.randint(0, 3), rng.randint(0, 3)
+        ws = [
+            rand_wedge(rng, q) if q else Wedge(0, generators=[]) for _ in range(rng.randint(1, 3))
+        ]
+        vs = []
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(["wedge", "wedge", "whole", "line", "zero"]) if p else "zero"
+            if kind == "whole":
+                vs.append(Wedge(p, halfspaces=[]))
+            elif kind == "line":
+                vs.append(Wedge(p, halfspaces=[QVector.unit(p, 0)] if p > 1 else []))
+            elif kind == "zero":
+                vs.append(Wedge(p, generators=[]))
+            else:
+                vs.append(rand_wedge(rng, p))
+            seen[kind] += 1
+        seen[f"{len(vs)} vs"] += 1
+        seen["dim 0"] += p * q == 0
+        assert op_wedge_lineality(ws, vs) == annihilator_op_lineality(ws, vs)
+    for kind in ("wedge", "whole", "line", "zero", "1 vs", "2 vs", "dim 0"):
+        assert seen[kind] >= 10, seen
+
+
+def _definition(fn, family):
+    try:
+        return fn(family)
+    except (NotMultiBoundedAbove, NotMultiBoundedBelow) as exc:
+        return type(exc)
+
+
+def _functional_msup(ops, wedges, v_wedge):
+    # functional_msup fixes the codomain: Q with the positive ray.
+    return functional_msup([QVector(t.entries) for t in ops], wedges)
+
+
+def test_op_msup_and_op_minf_agree_with_the_definition():
+    # The operator multi-supremum (multi-infimum) is that of the family
+    # (vec T_i, L(W_i, V)) in the multi-order of matrix entries. When
+    # op_msup answers, the definition's set holds its representative and
+    # has its lineality; op_msup is refused as not multi-bounded exactly
+    # when the definition is. The same holds for op_minf, and for
+    # functional_msup when V is the positive ray of Q. Its other refusals (RDPViolated and
+    # NoMultiSupremum) are counted, and how many of them have an empty
+    # definition set is printed, not asserted.
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(220):
+        q, p, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        shape = rng.random()
+        if shape < 0.3:
+            wedges = [rand_acute_cone(rng, q)] * k
+        elif shape < 0.7:
+            wedges = [rand_acute_cone(rng, q) for _ in range(k)]
+        else:
+            wedges = [rand_wedge(rng, q) for _ in range(k)]
+        kind = rng.choice(["wedge", "ray", "ray", "whole", "line", "zero"])
+        if kind == "ray":
+            v_wedge = positive_ray() if p == 1 else standard_cone(p)
+        elif kind == "whole":
+            v_wedge = Wedge(p, halfspaces=[])
+        elif kind == "line":
+            v_wedge = Wedge(p, halfspaces=[QVector.unit(p, 0)] if p > 1 else [])
+        elif kind == "zero":
+            v_wedge = Wedge(p, generators=[])
+        else:
+            v_wedge = rand_wedge(rng, p)
+        ops = [QMatrix(p, q, [rng.randint(-3, 3) for _ in range(p * q)]) for _ in range(k)]
+        family = operator_family(ops, wedges, v_wedge)
+        seen[f"p={p}"] += 1
+        checks = [(op_msup, msup, NotMultiBoundedAbove), (op_minf, minf, NotMultiBoundedBelow)]
+        if kind == "ray" and p == 1:
+            checks.append((_functional_msup, msup, NotMultiBoundedAbove))
+            seen["functional"] += 1
+        for fn, definition, unbounded in checks:
+            expected = _definition(definition, family)
+            try:
+                res = fn(ops, wedges, v_wedge)
+            except unbounded:
+                assert expected is unbounded
+                seen["not bounded"] += 1
+                continue
+            except (RDPViolated, NoMultiSupremum):
+                assert expected is not unbounded
+                seen["refused"] += 1
+                seen["refused, empty definition set"] += expected is None
+                continue
+            assert expected is not None and expected is not unbounded
+            assert expected.contains(QVector(res.representative.entries))
+            ops_lin = [QVector(t.entries) for t in res.lineality_ops]
+            assert len(ops_lin) == len(expected.lineality_basis)
+            assert all(span_contains(expected.lineality_basis, t, p * q) for t in ops_lin)
+            seen["answered"] += 1
+    print(
+        f"{seen['refused, empty definition set']} of {seen['refused']} refusals "
+        "have an empty definition set"
+    )
+    for outcome in ("answered", "not bounded", "refused", "p=1", "functional"):
+        assert seen[outcome] >= 10, seen

@@ -197,6 +197,31 @@ def test_double_description_consistency_enforced():
     Wedge(2, generators=[V([1, 0]), V([0, 1])], halfspaces=[V([1, 0]), V([0, 1])])
 
 
+def test_from_json_requires_both_sides_to_describe_one_wedge():
+    # Generators {0} against the ray the halfspace gives: the constructor's
+    # check (generators satisfy halfspaces) passes, from_json's converse fails.
+    data = {"dim": 1, "generators": [], "halfspaces": [["1"]]}
+    Wedge(1, generators=[], halfspaces=[V([1])])
+    with pytest.raises(ValueError, match="inconsistent double description"):
+        Wedge.from_json(data)
+    # A ray against the half-plane it bounds.
+    with pytest.raises(ValueError, match="inconsistent double description"):
+        Wedge.from_json({"dim": 2, "generators": [["1", "0"]], "halfspaces": [["1", "0"]]})
+    # Equal wedges with redundant, unscaled or reordered sides are accepted,
+    # and so is each side alone.
+    for gens, hs in [
+        ([["1", "0"], ["0", "2"], ["1", "1"]], [["0", "1"], ["3", "0"]]),
+        ([["1", "0"], ["-1", "0"], ["0", "1"]], [["0", "1"], ["0", "1/2"]]),
+        ([], [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]),
+        ([["1"], ["-1"]], []),
+    ]:
+        w = Wedge.from_json({"dim": len((gens or hs)[0]), "generators": gens, "halfspaces": hs})
+        assert wedge_equal(w, Wedge(w.dim, generators=w.generators))
+        assert wedge_equal(w, Wedge(w.dim, halfspaces=w.halfspaces))
+    assert Wedge.from_json({"dim": 1, "halfspaces": [["1"]]}).canonical_generators == (V([1]),)
+    assert Wedge.from_json({"dim": 1, "generators": []}).canonical_generators == ()
+
+
 def test_wedge_needs_some_representation():
     with pytest.raises(ValueError):
         Wedge(2)
