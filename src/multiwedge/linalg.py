@@ -1,7 +1,9 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Vectors and matrices hold ``fractions.Fraction`` entries, so every
-computation in this package is exact: equality means equality, no
+A vector is int numerators over one positive int denominator, reduced by
+their gcd: the invariant of the integer rows (``_Row``) that every
+elimination here runs on. Matrices hold ``fractions.Fraction`` entries.
+Every computation in this package is exact: equality means equality, no
 tolerances anywhere. Scalars serialize as ``"p/q"`` (or ``"p"`` when the
 denominator is 1) with the sign carried by the numerator.
 
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -57,52 +59,73 @@ def _json_size(value: object, name: str) -> int:
 
 
 class QVector:
-    """Immutable vector with rational entries."""
+    """Immutable vector with rational entries: int numerators ``num`` over one ``den``.
 
-    __slots__ = ("entries",)
+    ``den > 0`` and ``gcd(den, *num) == 1``, so every vector has exactly one
+    representation; the ``Fraction`` tuple ``entries`` is built on first use.
+    """
+
+    __slots__ = ("num", "den", "_entries")
 
     def __init__(self, entries: Iterable[object]):
-        self.entries = tuple(qparse(e) for e in entries)
+        # Reduced fractions over their least common denominator share no factor with it.
+        num, den = _integer_row([qparse(e) for e in entries])
+        self.num, self.den, self._entries = tuple(num), den, None
 
     @classmethod
-    def _of(cls, entries: tuple[Fraction, ...]) -> "QVector":
-        """Wrap a tuple of ``Fraction``s as is, without parsing."""
+    def _of(cls, num: Sequence[int], den: int = 1) -> "QVector":
+        """The vector ``num / den`` for ints and ``den > 0``, reduced by the gcd, unparsed."""
+        g = gcd(den, *num)
         v = object.__new__(cls)
-        v.entries = entries
+        v.num = tuple(num) if g == 1 else tuple([e // g for e in num])
+        v.den, v._entries = den // g, None
         return v
 
     @classmethod
     def zero(cls, dim: int) -> "QVector":
-        return cls([_ZERO] * dim)
+        return cls._of((0,) * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "QVector":
-        return cls([_ONE if i == index else _ZERO for i in range(dim)])
+        return cls._of([int(i == index) for i in range(dim)])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        if self._entries is None:
+            self._entries = tuple([Fraction(e, self.den) for e in self.num])
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def dot(self, other: "QVector") -> Fraction:
-        if len(self.entries) != len(other.entries):
+        if len(self.num) != len(other.num):
             raise ValueError("dimension mismatch in dot product")
-        return sum((a * b for a, b in zip(self.entries, other.entries) if a), _ZERO)
+        return Fraction(sum(map(mul, self.num, other.num)), self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.num)
+
+    def _combine(self, other: "QVector", op, what: str) -> "QVector":
+        if len(self.num) != len(other.num):
+            raise ValueError(f"dimension mismatch in {what}")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return QVector._of([op(a * x, b * y) for x, y in zip(self.num, other.num)], den)
 
     def __add__(self, other: "QVector") -> "QVector":
-        return QVector._of(tuple(map(add, self.entries, other.entries)))
+        return self._combine(other, add, "vector sum")
 
     def __sub__(self, other: "QVector") -> "QVector":
-        return QVector._of(tuple(map(sub, self.entries, other.entries)))
+        return self._combine(other, sub, "vector difference")
 
     def __neg__(self) -> "QVector":
-        return QVector._of(tuple(map(neg, self.entries)))
+        return QVector._of(tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, scalar: object) -> "QVector":
         s = qparse(scalar)
-        return QVector._of(tuple([s * a for a in self.entries]))
+        return QVector._of([s.numerator * e for e in self.num], s.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -113,13 +136,13 @@ class QVector:
         return self.entries[i]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QVector) and self.entries == other.entries
+        return isinstance(other, QVector) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"QVector([{', '.join(str(e) for e in self.entries)}])"
@@ -186,12 +209,9 @@ class QMatrix:
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         c = self.cols
-        return QVector._of(
-            tuple(
-                sum((self.entries[i * c + j] * v.entries[j] for j in range(c)), _ZERO)
-                for i in range(self.rows)
-            )
-        )
+        rows = [_integer_row(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        den = lcm(*(d for _, d in rows))
+        return QVector._of([sum(map(mul, r, v.num)) * (den // d) for r, d in rows], den * v.den)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -350,19 +370,11 @@ def _rref_ints(rows: list[_Row]) -> list[int]:
     return pivots
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> list[int]:
-    """`_rref_ints` on ``Fraction`` rows: reduce them in place and return pivot columns."""
-    reduced = [_Row(*_integer_row(row)) for row in rows]
-    pivots = _rref_ints(reduced)
-    rows[:] = [[Fraction(e, row.den) for e in row.num] for row in reduced]
-    return pivots
-
-
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form of ``m`` and the list of pivot columns."""
-    rows = m.row_list()
-    pivots = _rref_rows(rows)
-    return QMatrix(m.rows, m.cols, [e for row in rows for e in row]), pivots
+    rows = [_Row(*_integer_row(r)) for r in m.row_list()]
+    pivots = _rref_ints(rows)
+    return QMatrix(m.rows, m.cols, [Fraction(e, r.den) for r in rows for e in r.num]), pivots
 
 
 @dataclass(frozen=True)
@@ -373,25 +385,26 @@ class Solution:
     nullspace: tuple[QVector, ...]
 
 
-def _nullspace_from_rref(rows: list[list[Fraction]], pivots: list[int], ncols: int) -> list[QVector]:
+def _nullspace_from_rref(rows: list[_Row], pivots: list[int], ncols: int) -> list[QVector]:
+    """Canonical nullspace basis from reduced rows; columns from ``ncols`` on are not read."""
     pivot_set = set(pivots)
+    den = lcm(*(rows[r].den for r in range(len(pivots))))
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        basis.append(QVector._of(tuple(v)))
+        v = [0] * ncols
+        v[free] = den
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row.num[free] * (den // row.den)
+        basis.append(QVector._of(v, den))
     return basis
 
 
 def nullspace(m: QMatrix) -> list[QVector]:
     """Canonical basis of {x : m x = 0} (from the reduced echelon form)."""
-    rows = m.row_list()
-    pivots = _rref_rows(rows)
-    return _nullspace_from_rref(rows, pivots, m.cols)
+    rows = [_Row(*_integer_row(r)) for r in m.row_list()]
+    return _nullspace_from_rref(rows, _rref_ints(rows), m.cols)
 
 
 def solve_linear(a: QMatrix, b: QVector) -> Solution | None:
@@ -402,24 +415,24 @@ def solve_linear(a: QMatrix, b: QVector) -> Solution | None:
     """
     if a.rows != b.dim:
         raise ValueError("rows(A) must equal dim(b)")
-    rows = [list(r) + [be] for r, be in zip(a.row_list(), b.entries)]
-    pivots = _rref_rows(rows)
+    rows = [_Row(*_integer_row([*r, be])) for r, be in zip(a.row_list(), b.entries)]
+    pivots = _rref_ints(rows)
     if pivots and pivots[-1] == a.cols:
         return None
     particular = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rows[r][a.cols]
-    null = _nullspace_from_rref([row[: a.cols] for row in rows], pivots, a.cols)
-    return Solution(QVector(particular), tuple(null))
+    for row, pc in zip(rows, pivots):
+        particular[pc] = Fraction(row.num[a.cols], row.den)
+    return Solution(QVector(particular), tuple(_nullspace_from_rref(rows, pivots, a.cols)))
 
 
 def _pivot_columns(columns: Sequence[QVector], dim: int) -> list[int]:
     """Pivot columns of the RREF of the dim x len(columns) matrix of ``columns``.
 
     A column is a pivot exactly when it is independent of the columns
-    before it, so the pivots are the greedy independent subset in list order.
+    before it, so the pivots are the greedy independent subset in list
+    order. Scaling a column by its positive ``den`` keeps the pivots.
     """
-    return _rref_ints([_Row(*_integer_row([v.entries[i] for v in columns])) for i in range(dim)])
+    return _rref_ints([_Row([v.num[i] for v in columns], 1) for i in range(dim)])
 
 
 def independent_indices(vectors: Sequence[QVector], dim: int) -> list[int]:
@@ -455,8 +468,8 @@ def matrix_inverse(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    rows = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(m.row_list())]
-    pivots = _rref_rows(rows)
-    if pivots != list(range(n)):
+    eye = QMatrix.identity(n).row_list()
+    rows = [_Row(*_integer_row(r + e)) for r, e in zip(m.row_list(), eye)]
+    if _rref_ints(rows) != list(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix(n, n, [e for row in rows for e in row[n:]])
+    return QMatrix(n, n, [Fraction(e, row.den) for row in rows for e in row.num[n:]])

@@ -8,12 +8,12 @@ Unbounded, Infeasible) are returned as values, never raised.
 The tableau is held in the integer rows of ``linalg`` (``_Row``, pivoted
 by ``_pivot``, the package's one elimination): each row, and the
 reduced-cost row, is a list of int numerators over one positive int
-denominator, divided by the gcd of all of them after every update. Rows
-are never rescaled, so the stored values are exactly those of a
-``Fraction`` tableau: Bland's rule reads the same signs and, by
-cross-multiplication, the same ratios, and takes the same pivots.
-``Fraction``s are built only for the point, the value, the duals and the
-ray.
+denominator, divided by the gcd of all of them after every update; rows
+and costs are read from the vectors' ``num``/``den``. Rows are never
+rescaled, so the stored values are exactly those of a ``Fraction``
+tableau: Bland's rule reads the same signs and, by cross-multiplication,
+the same ratios, and takes the same pivots. ``Fraction``s are built only
+for the value and the duals.
 
 A ``Session`` holds one constraint system after phase 1, so callers that
 optimize several objectives over the same system (or only need a feasible
@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import InternalInvariantError
-from .linalg import QVector, _eliminate, _integer_row, _nonzero, _pivot, _Row, qparse
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)
@@ -133,7 +131,9 @@ class Session:
         tableau, basis, flipped = [], [], []
         slack_idx = 2 * n
         for i, con in enumerate(constraints):
-            a, den = _integer_row((*con.row.entries, con.rhs))
+            den = lcm(con.row.den, con.rhs.denominator)
+            a = [e * (den // con.row.den) for e in con.row.num]
+            a.append(con.rhs.numerator * (den // con.rhs.denominator))
             rel = con.rel
             # Normalize to a nonnegative right-hand side.
             flip = a[n] < 0
@@ -166,17 +166,9 @@ class Session:
 
     def feasible_point(self) -> QVector | None:
         """The point phase 1 left, or None when the system is infeasible."""
-        return self._point(self._tableau, self._basis) if self.feasible else None
-
-    def _point(self, tableau, basis) -> QVector:
-        n, ncols = self.n, self._ncols
-        x = [_ZERO] * n
-        for row, b in zip(tableau, basis):
-            if b < n:
-                x[b] = Fraction(row.num[ncols], row.den)
-            elif b < 2 * n:
-                x[b - n] = Fraction(-row.num[ncols], row.den)
-        return QVector._of(tuple(x))
+        if not self.feasible:
+            return None
+        return _split_vector(self._tableau, self._basis, self.n, self._ncols, 1)
 
     def minimize(self, objective: QVector) -> LPResult:
         """Minimize objective . x by phase 2 from the phase-1 basis."""
@@ -188,18 +180,14 @@ class Session:
         tableau = [_Row(list(row.num), row.den) for row in self._tableau]
         basis = list(self._basis)
         # Phase 2: original (split) objective; artificials may not re-enter.
-        cnum, cden = _integer_row(objective.entries)
-        cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), cden)
+        cnum = list(objective.num)
+        cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), objective.den)
         status, info = _run(tableau, basis, cost2, art0)
         if status == "unbounded":
-            ray = [_ZERO] * ncols
-            ray[info] = _ONE
-            for row, b in zip(tableau, basis):
-                if b < 2 * n:
-                    ray[b] = Fraction(-row.num[info], row.den)
-            return Unbounded(QVector._of(tuple(ray[j] - ray[n + j] for j in range(n))))
+            # The entering variable rises by 1, each basic one by minus its entry there.
+            return Unbounded(_split_vector(tableau, basis, n, info, -1, info))
 
-        x = self._point(tableau, basis)
+        x = _split_vector(tableau, basis, n, ncols, 1)
         # Duals from the reduced costs of the artificial marker columns: the
         # marker block holds the accumulated row transform, so -reduced there is
         # c_B B^{-1} per original row. The split variables force A^T y = c for
@@ -212,6 +200,16 @@ class Session:
         )
         # The right-hand-side entry of the reduced row is minus the objective.
         return Optimal(Fraction(-rnum[ncols], rden), x, duals)
+
+
+def _split_vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
+    """x+ - x-: basic split variables at ``sign`` times their rows' ``col``, ``enter`` at 1."""
+    rows = [(row, b) for row, b in zip(tableau, basis) if b < 2 * n]
+    den = lcm(*(row.den for row, _ in rows))
+    split = [den * (j == enter) for j in range(2 * n)]
+    for row, b in rows:
+        split[b] = sign * row.num[col] * (den // row.den)
+    return QVector._of([split[j] - split[n + j] for j in range(n)], den)
 
 
 def _run(tableau, basis, cost, banned_from):

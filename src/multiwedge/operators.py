@@ -85,7 +85,7 @@ def _positivity_normals(w: Wedge, v: Wedge) -> list[QVector]:
     g runs over the generators of W (outer loop), b over the halfspaces of V.
     """
     return [
-        QVector._of(tuple([ba * gc if ba and gc else _ZERO for ba in b for gc in g]))
+        QVector._of([ba * gc for ba in b.num for gc in g.num], b.den * g.den)
         for g in w.generators
         for b in v.halfspaces
     ]
@@ -247,29 +247,30 @@ def rdp_check(
     inst.validate(_sum_wedge)
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
 
-    def row(coefs: dict[int, Fraction]) -> QVector:
-        dense = [_ZERO] * (m * n * dim)
+    # Each halfspace row keeps its den: the simplex must see the values as given.
+    def row(coefs: dict[int, int], den: int = 1) -> QVector:
+        num = [0] * (m * n * dim)
         for col, coef in coefs.items():
-            dense[col] = coef
-        return QVector._of(tuple(dense))
+            num[col] = coef
+        return QVector._of(num, den)
 
     cons = [
-        Constraint(row({(i * n + j) * dim + c: a[c] for c in range(dim) if a[c]}), GE, _ZERO)
+        Constraint(row(dict(enumerate(a.num, (i * n + j) * dim)), a.den), GE, _ZERO)
         for i in range(m)
         for j, w in enumerate(inst.wedges)
         for a in w.halfspaces
     ]
     for i, x in enumerate(inst.xs):
         for c in range(dim):
-            cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for j in range(n)}), EQ, x[c]))
+            cons.append(Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]))
     for j, y in enumerate(inst.ys):
         for c in range(dim):
-            cons.append(Constraint(row({(i * n + j) * dim + c: _ONE for i in range(m)}), EQ, y[c]))
+            cons.append(Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]))
     point = Session(m * n * dim, cons).feasible_point()
     if point is None:
         return None
     return [
-        [QVector(point[(i * n + j) * dim + c] for c in range(dim)) for j in range(n)]
+        [QVector._of(point.num[(i * n + j) * dim : (i * n + j + 1) * dim], point.den) for j in range(n)]
         for i in range(m)
     ]
 
@@ -455,38 +456,40 @@ def rk_value(
     V has no normals, x is tested on the dual of b = 0, so NotInSumWedge
     takes precedence over NotMultiBoundedAbove.
     """
-    _, q = _check_rk_shapes(ops, wedges, v_wedge)
+    p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
         raise ValueError("x dimension does not match the domain")
+    images = _images(ops, wedges)
     try:
-        witness = _rk_sups(ops, wedges, v_wedge, [x])[0]
+        witness = _rk_sups(images, q, v_wedge, [x])[0]
     except NotMultiBoundedAbove:
-        _require_in_sum(ops, wedges, x)
+        _require_in_sum(images, q, p, x)
         raise
     if not v_wedge.canonical_halfspaces:
-        _require_in_sum(ops, wedges, x)
+        _require_in_sum(images, q, p, x)
     return MultiSupSet(witness, v_wedge.lineality_basis)
 
 
-def _dual_session(ops: Sequence[QMatrix], wedges: Sequence[Wedge], b: QVector) -> Session:
-    """Rows u . g >= (T_i^T b) . g for g in gens(W_i): min u . x is s_b(x).
+def _images(ops: Sequence[QMatrix], wedges: Sequence[Wedge]) -> list[tuple[QVector, QVector]]:
+    """(g, T_i g) for g in gens(W_i), every i: each image is computed once per call."""
+    return [(g, t.apply(g)) for t, w in zip(ops, wedges) for g in w.generators]
+
+
+def _dual_session(images: list[tuple[QVector, QVector]], q: int, b: QVector) -> Session:
+    """Rows u . g >= b . T_i(g) = (T_i^T b) . g over ``images``: min u . x is s_b(x).
 
     At b = 0 it is unbounded at x exactly when x lies outside the sum wedge.
     """
-    rows = []
-    for t, w in zip(ops, wedges):
-        tb = t.transpose().apply(b)
-        rows.extend(Constraint(g, GE, tb.dot(g)) for g in w.generators)
-    return Session(wedges[0].dim, rows)
+    return Session(q, [Constraint(g, GE, b.dot(tg)) for g, tg in images])
 
 
-def _require_in_sum(ops: Sequence[QMatrix], wedges: Sequence[Wedge], x: QVector) -> None:
-    if isinstance(_dual_session(ops, wedges, QVector.zero(ops[0].rows)).minimize(x), Unbounded):
+def _require_in_sum(images: list[tuple[QVector, QVector]], q: int, p: int, x: QVector) -> None:
+    if isinstance(_dual_session(images, q, QVector.zero(p)).minimize(x), Unbounded):
         raise NotInSumWedge("x is not in the sum of the domain wedges")
 
 
 def _rk_sups(
-    ops: Sequence[QMatrix], wedges: Sequence[Wedge], v_wedge: Wedge, xs: Sequence[QVector]
+    images: list[tuple[QVector, QVector]], q: int, v_wedge: Wedge, xs: Sequence[QVector]
 ) -> list[QVector]:
     """A witness z with b . z = s_b(x) for every canonical normal b of V, per x.
 
@@ -499,7 +502,7 @@ def _rk_sups(
     normals = v_wedge.canonical_halfspaces
     sessions = []
     for b in normals:
-        session = _dual_session(ops, wedges, b)
+        session = _dual_session(images, q, b)
         if not session.feasible:
             raise NotMultiBoundedAbove("the value set is unbounded in the V order")
         sessions.append(session)
@@ -538,7 +541,7 @@ def op_msup(
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     family = [
         TranslatedWedge(
-            QVector._of(t.entries), Wedge(p * q, halfspaces=_positivity_normals(w, v_wedge))
+            QVector(t.entries), Wedge(p * q, halfspaces=_positivity_normals(w, v_wedge))
         )
         for t, w in zip(ops, wedges)
     ]
@@ -547,16 +550,15 @@ def op_msup(
     proj = projections(v_wedge)
     sum_gens = wedge_sum(wedges).canonical_generators
     sw = Wedge(q, generators=list(sum_gens))
-    values = {
-        g: proj.p_u.apply(z) for g, z in zip(sum_gens, _rk_sups(ops, wedges, v_wedge, sum_gens))
-    }
+    sups = _rk_sups(_images(ops, wedges), q, v_wedge, sum_gens)
+    values = {g: proj.p_u.apply(z) for g, z in zip(sum_gens, sups)}
     try:
         rep = extend_additive(sw, values, p)
     except InconsistentValues as exc:
         raise RDPViolated(
             "supremum values are not additive on the generators of the sum wedge"
         ) from exc
-    if not is_multi_upper_bound(QVector._of(rep.entries), family):
+    if not is_multi_upper_bound(QVector(rep.entries), family):
         raise RDPViolated(
             "assembled representative does not dominate the family; "
             "the decomposition hypothesis fails for these wedges"

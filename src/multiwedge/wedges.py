@@ -10,23 +10,20 @@ computed at most once per wedge.
 
 Conventions: an empty generator list denotes {0}; an empty halfspace list
 denotes all of Q^n. Canonical representations scale every ray/normal to
-coprime integer entries and sort lexicographically.
+coprime integer entries (``den == 1``) and sort lexicographically. The
+conversion reads the vectors' int numerators and builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .linalg import (
-    QVector, _integer_row, _json_array, _json_size, _nullspace_from_rref, _Row, _rref_ints,
-    span_rank,
+    QVector, _json_array, _json_size, _nullspace_from_rref, _Row, _rref_ints, span_rank,
 )
-
-_ZERO = Fraction(0)
 
 
 def _coprime(ints: Sequence[int]) -> tuple[int, ...]:
@@ -35,22 +32,16 @@ def _coprime(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in ints])
 
 
-def _primitive_ints(entries: Sequence[Fraction]) -> tuple[int, ...]:
-    """Coprime integers, a positive multiple of ``entries`` (zero stays zero)."""
-    return _coprime(_integer_row(entries)[0])
-
-
 def _primitive(v: QVector) -> QVector:
     """Scale by a positive rational so entries are coprime integers."""
-    return QVector._of(tuple(map(Fraction, _primitive_ints(v.entries))))
+    return QVector._of(_coprime(v.num))
 
 
-def _kernel(rows: Sequence[tuple[int, ...]], dim: int) -> tuple[list[int], list[QVector]]:
+def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[int], list[QVector]]:
     """Pivot columns of the RREF of integer ``rows`` and a primitive basis of their kernel."""
     reduced = [_Row(list(a), 1) for a in rows]
     pivots = _rref_ints(reduced)
-    rref = [[Fraction(e, row.den) for e in row.num] for row in reduced[: len(pivots)]]
-    return pivots, [_primitive(v) for v in _nullspace_from_rref(rref, pivots, dim)]
+    return pivots, [_primitive(v) for v in _nullspace_from_rref(reduced, pivots, dim)]
 
 
 def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
@@ -112,29 +103,24 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     (`_dd_rays`) enumerates in integers; each is written back into the
     pivot coordinates.
     """
-    rows = [_primitive_ints(a.entries) for a in normals]
+    rows = [_coprime(a.num) for a in normals]
     pivots, lin = _kernel(rows, dim)
     unique = dict.fromkeys(tuple([a[p] for p in pivots]) for a in rows)
-    rays = []
-    for y in _dd_rays([a for a in unique if any(a)], len(pivots)):
-        ray = [_ZERO] * dim
-        for p, coef in zip(pivots, y):
-            ray[p] = Fraction(coef)
-        rays.append(QVector._of(tuple(ray)))
-    return lin, rays
+    rays = [dict(zip(pivots, y)) for y in _dd_rays([a for a in unique if any(a)], len(pivots))]
+    return lin, [QVector._of([ray.get(c, 0) for c in range(dim)]) for ray in rays]
 
 
 def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
     """Primitive basis of {x : a.x = 0 for a in normals}."""
-    return _kernel([_primitive_ints(a.entries) for a in normals], dim)[1]
+    return _kernel([a.num for a in normals], dim)[1]
 
 
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
     """Canonical generators of the wedge cut out by ``halfspaces``."""
     lin, rays = _solve_rays(list(halfspaces), dim)
-    # Both come back primitive, so the canonical form only sorts them.
+    # Both come back primitive (den == 1), so the canonical form only sorts them.
     gens = [v for b in lin for v in (b, -b)] + rays
-    return sorted(set(gens), key=lambda v: v.entries)
+    return sorted(set(gens), key=lambda v: v.num)
 
 
 def vrep_to_hrep(generators: Sequence[QVector], dim: int) -> list[QVector]:

@@ -46,7 +46,6 @@ from multiwedge import (
     nullspace,
     wedge_sum,
 )
-from multiwedge.linalg import _nullspace_from_rref
 from multiwedge.lp import Session
 from multiwedge.operators import _check_rk_shapes
 from multiwedge.wedges import _primitive
@@ -449,8 +448,8 @@ def _fs_drive_out_artificials(tableau, basis, art0, events):
 
 
 # Reference row reduction: the ``Fraction`` Gauss-Jordan loop that
-# ``linalg._rref_rows`` ran before it became a converter around the
-# integer-row elimination. The library must reproduce its pivots and rows.
+# ``linalg.rref`` ran before it ran on the integer-row elimination. The
+# library must reproduce its pivots and rows.
 
 
 def fraction_rref(rows):
@@ -531,12 +530,31 @@ def greedy_complement(basis, dim, reverse=False):
     return [u for u in units if ech.add(u)]
 
 
+def fraction_nullspace(rows, pivots, ncols):
+    """Canonical nullspace basis of ``Fraction`` rows reduced by ``fraction_rref``.
+
+    One vector per free column f: 1 at f, minus the pivot rows' entries in
+    column f at their pivots, 0 elsewhere.
+    """
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[free] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][free]
+        basis.append(QVector(v))
+    return basis
+
+
 def subset_scan_rays(normals, dim):
     """Lineality basis and extreme rays of {x : a.x >= 0 for a in normals}.
 
     The subset scan that ``wedges._solve_rays`` used before the
-    double-description method, kept as its oracle; its row reductions run
-    on ``fraction_rref``, not on the library's elimination. The lineality
+    double-description method, kept as its oracle; its row reductions and
+    kernels run on ``fraction_rref`` and ``fraction_nullspace``, not on the
+    library's elimination. The lineality
     space is the common kernel of the normals N. The pointed part lives in
     the greedy standard complement of it, spanned by e_p for the pivot
     columns p of N, so each normal restricts to its pivot coordinates. Each
@@ -549,12 +567,12 @@ def subset_scan_rays(normals, dim):
         return basis, []
     rows = [list(n.entries) for n in normals]
     pivots = fraction_rref(rows)
-    lin = _nullspace_from_rref(rows, pivots, dim)
+    lin = fraction_nullspace(rows, pivots, dim)
     d = len(pivots)
     restricted = []
     seen_rows = set()
     for a in normals:
-        row = QVector._of(tuple([a.entries[p] for p in pivots]))
+        row = QVector([a.entries[p] for p in pivots])
         key = _primitive(row).entries
         if key in seen_rows:
             continue
@@ -566,7 +584,7 @@ def subset_scan_rays(normals, dim):
         sub_pivots = fraction_rref(sub_rows)
         if len(sub_pivots) != d - 1:
             continue
-        direction = _nullspace_from_rref(sub_rows, sub_pivots, d)[0]
+        direction = fraction_nullspace(sub_rows, sub_pivots, d)[0]
         signs = [row.dot(direction) for row in restricted]
         if all(s >= 0 for s in signs):
             pass
@@ -577,7 +595,7 @@ def subset_scan_rays(normals, dim):
         ray = [F(0)] * dim
         for p, coef in zip(pivots, direction.entries):
             ray[p] = coef
-        rays.add(_primitive(QVector._of(tuple(ray))))
+        rays.add(_primitive(QVector(ray)))
     return lin, sorted(rays, key=lambda v: v.entries)
 
 
@@ -634,7 +652,7 @@ def primal_rk_value(ops, wedges, v_wedge, x):
     sups = []
     for b in normals:
         objective = (e for t in ops for e in t.transpose().apply(-b).entries)
-        res = session.minimize(QVector._of(tuple(objective)))
+        res = session.minimize(QVector(objective))
         if isinstance(res, Unbounded):
             raise NotMultiBoundedAbove("the value set is unbounded in the V order")
         sups.append(Constraint(b, EQ, -res.value))

@@ -510,11 +510,14 @@ def test_wedge_ops_match_golden(capsys, op):
         ("rdp-search", ["rdp", "search", "--seed", "1", "--budget", "50",
                         "-f", "wedge-sum.input.json"]),
         ("rk-op-msup-whole", ["rk", "op-msup"]),
+        ("rdp-check-rational", ["rdp", "check"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
     # The commands that solve LPs, byte for byte; msup-lineality is a
     # non-proper set, whose witness is any point of witness + lineality.
+    # rdp-check-rational has wedges given by rational halfspaces: its z
+    # changes if the simplex sees those rows scaled to other values.
     # rk-op-minf-line has a codomain that contains a line, and
     # rk-op-msup-whole the whole space, Q^2, as codomain. A command
     # without its own -f reads <name>.input.json.

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from multiwedge import (
     solve_linear,
     span_contains,
 )
-from multiwedge.linalg import _rref_rows, independent_indices, span_rank
+from multiwedge.linalg import independent_indices, span_rank
 
 from conftest import GreedyEchelon, fraction_rref, gauss_solve, greedy_complement
 
@@ -58,6 +59,89 @@ def test_vector_arithmetic():
     assert (-v).entries == (F(-1, 2), F(1))
     assert QVector.unit(3, 1) == QVector([0, 1, 0])
     assert QVector.from_json(v.to_json()) == v
+
+
+def test_vector_sum_and_difference_require_equal_dimensions():
+    # Like dot and the matrix operations, + and - refuse vectors of
+    # different dimensions instead of truncating to the shorter one.
+    for v, w in [(QVector([1, 2]), QVector([1])), (QVector([1, 2]), QVector([5])),
+                 (QVector([]), QVector([F(1, 2)])), (QVector([1]), QVector([0, 0, 0]))]:
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(v, w)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(w, v)
+
+
+def _spellings(rng, dim, seen):
+    """One vector's entries written twice: as given, and with a common factor
+    multiplied into numerator and denominator ("1/2" and "2/4")."""
+    given, rewritten = [], []
+    for _ in range(dim):
+        pick = rng.random()
+        if pick < 0.2:
+            e = F(0)
+        elif pick < 0.5:
+            e = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        else:
+            e = F(rng.randint(-9, 9), rng.randint(1, 6))
+        k = rng.randint(2, 9)
+        given.append(str(e) if rng.random() < 0.5 else e)
+        rewritten.append(f"{e.numerator * k}/{e.denominator * k}")
+        seen["negative"] += e < 0
+        seen["large_den"] += e.denominator > 10**5
+    seen["dim_0"] += dim == 0
+    seen["zero_vector"] += all(F(e) == 0 for e in given)
+    return given, rewritten
+
+
+def _assert_invariant(v):
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+    assert all(type(e) is int for e in v.num) and len(v.num) == len(v) == v.dim
+    assert v.entries == tuple(F(e, v.den) for e in v.num)
+
+
+def test_vector_invariant_and_arithmetic_match_fractions():
+    rng = random.Random(4242)
+    seen = Counter()
+    vectors = []
+    for case in range(600):
+        dim = 0 if case % 50 == 0 else rng.randint(1, 5)
+        pair = []
+        for _ in range(2):
+            given, rewritten = _spellings(rng, dim, seen)
+            v = QVector(given)
+            _assert_invariant(v)
+            assert v.entries == tuple(F(e) for e in given)
+            # One value has one representation, whatever its spelling.
+            again = QVector(rewritten)
+            assert again == v and hash(again) == hash(v) and (again.num, again.den) == (v.num, v.den)
+            assert QVector(v.entries) == v
+            assert v.is_zero() == all(e == 0 for e in v.entries)
+            pair.append(v)
+        v, w = pair
+        a, b = v.entries, w.entries
+        assert (v == w) == (a == b)
+        for got, want in [(v + w, [x + y for x, y in zip(a, b)]),
+                          (v - w, [x - y for x, y in zip(a, b)]),
+                          (-v, [-x for x in a])]:
+            _assert_invariant(got)
+            assert got.entries == tuple(want)
+        scalar = rng.choice([0, -1, 3, F(-7, 4), "5/6", F(rng.randint(-10**6, 10**6), 999983)])
+        got = scalar * v
+        _assert_invariant(got)
+        assert got.entries == tuple(qparse(scalar) * x for x in a) and v * scalar == got
+        assert v.dot(w) == sum((x * y for x, y in zip(a, b)), F(0))
+        seen["equal_pair"] += v == w
+        vectors.append(v)
+    # == and hash read (num, den): they agree with the entries across vectors too.
+    for v in vectors[:200]:
+        for w in vectors[:200]:
+            assert (v == w) == (v.entries == w.entries)
+            if v == w:
+                assert hash(v) == hash(w)
+    for case in ("negative", "large_den", "dim_0", "zero_vector", "equal_pair"):
+        assert seen[case] > 0, case
 
 
 def test_matrix_basics():
@@ -165,18 +249,19 @@ def _first_pivot(rows):
     return None
 
 
-def test_rref_rows_matches_fraction_rref():
-    # _rref_rows converts to integer rows, runs the package's elimination
-    # and converts back; the result must be the Fraction loop's, entry for
-    # entry, on every shape the callers hand it.
+def test_rref_matches_fraction_rref():
+    # rref runs the package's elimination on integer rows and converts
+    # back; the result must be the Fraction loop's, entry for entry, on
+    # every shape, empty and zero-column matrices included.
     seen = Counter()
     for rows in _rref_cases():
-        got = [list(r) for r in rows]
-        want = [list(r) for r in rows]
-        assert _rref_rows(got) == fraction_rref(want)
-        assert got == want
-        assert all(type(e) is F for row in got for e in row)
         ncols = len(rows[0]) if rows else 0
+        reduced, pivots = rref(QMatrix(len(rows), ncols, [e for row in rows for e in row]))
+        want = [list(r) for r in rows]
+        assert pivots == fraction_rref(want)
+        assert (reduced.rows, reduced.cols) == (len(rows), ncols)
+        assert reduced.row_list() == want
+        assert all(type(e) is F for e in reduced.entries)
         seen["empty_row"] += ncols == 0 and bool(rows)
         seen["zero_row"] += any(not any(r) for r in rows) and ncols > 0
         seen["wide"] += len(rows) < ncols

@@ -707,6 +707,10 @@ def test_zero_dimensional_spaces():
         assert res.lineality_ops == ()
     assert op_wedge_lineality([positive_ray()], [point]) == []
     assert op_wedge_lineality([point], [positive_ray()]) == []
+    # Every z_ij of a dim-0 instance is the empty vector.
+    empty = QVector([])
+    inst = RDPInstance((point, Wedge(0, halfspaces=[])), (empty, empty), (empty, empty))
+    assert rdp_check(inst) == [[empty, empty], [empty, empty]]
 
 
 def test_op_msup_converts_the_sum_wedge_once(conversions, monkeypatch):
