@@ -13,7 +13,7 @@ and costs are read from the vectors' ``num``/``den``. Rows are never
 rescaled, so the stored values are exactly those of a ``Fraction``
 tableau: Bland's rule reads the same signs and, by cross-multiplication,
 the same ratios, and takes the same pivots. ``Fraction``s are built only
-for the value and the duals.
+for the value and the duals, and the duals only when they are read.
 
 A ``Session`` holds one constraint system after phase 1, so callers that
 optimize several objectives over the same system (or only need a feasible
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable
 
@@ -66,9 +67,25 @@ class LinearProgram:
 class Optimal:
     value: Fraction
     point: QVector
-    # Constraint multipliers y with A^T y = objective and y . rhs = value;
-    # see Session.minimize and lp_solve.
-    dual: tuple[Fraction, ...] | None = field(default=None, compare=False)
+    # (session, final tableau, final basis, reduced-cost row) of the solve;
+    # see Session.minimize, Session.price and lp_solve.
+    _final: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def dual(self) -> tuple[Fraction, ...]:
+        """Constraint multipliers y with A^T y = objective and y . rhs = value.
+
+        The artificial marker columns hold the row transform, so -reduced
+        there is c_B B^{-1} per original row. The split variables force
+        A^T y = c, and slack-column optimality gives the signs, also when
+        redundant rows were dropped.
+        """
+        session, _, _, reduced = self._final
+        rnum, art0 = reduced.num, session._art0
+        return tuple(
+            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], reduced.den)
+            for i, flip in enumerate(session._flipped)
+        )
 
 
 @dataclass(frozen=True)
@@ -102,7 +119,9 @@ def lp_solve(p: LinearProgram) -> LPResult:
         return session.minimize(p.objective)
     res = session.minimize(-p.objective)
     if isinstance(res, Optimal):
-        return Optimal(-res.value, res.point, tuple(-y for y in res.dual))
+        # The negated reduced row is that of the objective as given: duals flip sign.
+        *kept, reduced = res._final
+        return Optimal(-res.value, res.point, (*kept, _Row([-e for e in reduced.num], reduced.den)))
     return res
 
 
@@ -113,7 +132,8 @@ class Session:
     runs phase 2 on a copy of the phase-1 tableau and basis, never from an
     earlier optimum, so each result is exactly that of a separate
     ``lp_solve``: phase 1 does not read the objective, and Bland's rule is
-    deterministic.
+    deterministic. The session keeps no per-call state: each ``Optimal``
+    carries its final tableau and basis, where ``price`` reads other minima.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
@@ -180,26 +200,32 @@ class Session:
         tableau = [_Row(list(row.num), row.den) for row in self._tableau]
         basis = list(self._basis)
         # Phase 2: original (split) objective; artificials may not re-enter.
-        cnum = list(objective.num)
-        cost2 = _Row(cnum + [-e for e in cnum] + [0] * (ncols - 2 * n + 1), objective.den)
-        status, info = _run(tableau, basis, cost2, art0)
+        status, info = _run(tableau, basis, self._cost(objective), art0)
         if status == "unbounded":
             # The entering variable rises by 1, each basic one by minus its entry there.
             return Unbounded(_split_vector(tableau, basis, n, info, -1, info))
-
         x = _split_vector(tableau, basis, n, ncols, 1)
-        # Duals from the reduced costs of the artificial marker columns: the
-        # marker block holds the accumulated row transform, so -reduced there is
-        # c_B B^{-1} per original row. The split variables force A^T y = c for
-        # every original column, and slack-column optimality gives the signs,
-        # so the certificate stays valid even when redundant rows were dropped.
-        rnum, rden = info.num, info.den
-        duals = tuple(
-            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], rden)
-            for i, flip in enumerate(self._flipped)
-        )
         # The right-hand-side entry of the reduced row is minus the objective.
-        return Optimal(Fraction(-rnum[ncols], rden), x, duals)
+        return Optimal(Fraction(-info.num[ncols], info.den), x, (self, tableau, basis, info))
+
+    def price(self, res: Optimal, objective: QVector) -> Fraction | None:
+        """``minimize(objective).value`` when ``res``'s final basis is optimal for it, else None.
+
+        Re-pricing at an optimal basis (Chvatal 1983, Linear Programming, ch. 10):
+        no reduced cost below the artificial columns may be negative.
+        """
+        session, tableau, basis, _ = res._final
+        if session is not self or objective.dim != self.n:
+            raise ValueError("price needs this session's optimum and an objective of length n")
+        reduced = _priced(tableau, basis, self._cost(objective))
+        if any(e < 0 for e in reduced.num[: self._art0]):
+            return None
+        return Fraction(-reduced.num[-1], reduced.den)
+
+    def _cost(self, objective: QVector) -> _Row:
+        """The objective on the split columns x+ and x-, zero elsewhere."""
+        cnum = list(objective.num)
+        return _Row(cnum + [-e for e in cnum] + [0] * (self._ncols - 2 * self.n + 1), objective.den)
 
 
 def _split_vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
@@ -218,11 +244,7 @@ def _run(tableau, basis, cost, banned_from):
 
     Returns ("optimal", reduced_cost_row) or ("unbounded", entering_column).
     """
-    # Price out the basic columns; each basic row holds 1 in its column.
-    reduced = _Row(list(cost.num), cost.den)
-    for row, b in zip(tableau, basis):
-        if reduced.num[b]:
-            _eliminate(reduced, row, b, _nonzero(row))
+    reduced = _priced(tableau, basis, cost)
     while True:
         enter = -1
         num = reduced.num
@@ -251,6 +273,15 @@ def _run(tableau, basis, cost, banned_from):
             return "unbounded", enter
         _pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
+
+
+def _priced(tableau, basis, cost) -> _Row:
+    """The reduced-cost row of ``cost``: the basic columns priced out (each holds 1 in its row)."""
+    reduced = _Row(list(cost.num), cost.den)
+    for row, b in zip(tableau, basis):
+        if reduced.num[b]:
+            _eliminate(reduced, row, b, _nonzero(row))
+    return reduced
 
 
 def _drive_out_artificials(tableau, basis, art0):

@@ -3,25 +3,25 @@
 A family is a list of (apex, wedge) pairs. Its multi-upper bounds form
 the polyhedron P = intersection of apex_i + W_i. A point z is a
 multi-supremum exactly when P = z + C with C = intersection of the W_i,
-so the whole multi-supremum set is z + D(C); we find z by minimizing each
-canonical normal a of C over P, to m_a, and then their sum: z exists
+so the whole multi-supremum set is z + D(C); we find z by minimizing the
+sum of the canonical normals a of C over P, and each a to m_a: z exists
 exactly when that sum attains the sum of the m_a, at z. All of these are
-exact LPs over one constraint system, P, solved in one ``lp.Session``.
+exact LPs over one constraint system, P, solved in one ``lp.Session``;
+each a is priced at the sum's optimal basis first, and its own LP runs
+only when that basis is not optimal for it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
 from .lp import GE, Constraint, Optimal, Session
 from .wedges import Wedge, intersect
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,9 @@ def msup(
             raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
         return res
 
-    floor = sum((minimum(a).value for a in normals), _ZERO)
     res = minimum(sum(normals, QVector.zero(dim)))
+    priced = (session.price(res, a) for a in normals)
+    floor = sum((minimum(a).value if m is None else m for a, m in zip(normals, priced)))
     if res.value != floor:
         return None
     return MultiSupSet(res.point, cw.lineality_basis)
@@ -165,12 +166,11 @@ def is_proper(result: MultiSupSet) -> bool:
 
 
 def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
-    """Integer point in [-bound, bound]^dim plus a denominator <= 4 perturbation."""
-    entries = []
-    for _ in range(dim):
-        base = rng.randint(-bound, bound)
-        entries.append(base + Fraction(rng.randint(-2, 2), rng.randint(1, 4)))
-    return QVector(entries)
+    """Integer point in [-bound, bound]^dim plus a perturbation p/q, q <= 4, drawn in that order."""
+    r = rng.randint
+    draws = [(r(-bound, bound), r(-2, 2), r(1, 4)) for _ in range(dim)]
+    den = lcm(*(q for _, _, q in draws))
+    return QVector._of([base * den + p * (den // q) for base, p, q in draws], den)
 
 
 def multilattice_search(
@@ -192,6 +192,8 @@ def multilattice_search(
         raise ValueError("need at least one wedge")
     if k < 1:
         raise ValueError("arity must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     dim = wedges[0].dim
     rng = random.Random(seed)
     combo_cache: dict[tuple[int, ...], Wedge] = {}

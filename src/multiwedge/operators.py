@@ -276,13 +276,13 @@ def rdp_check(
 
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:
-    """Random nonnegative rational combination of the canonical generators."""
-    out = QVector.zero(w.dim)
+    """Random nonnegative combination p/q (p in 0..3, then q in 1..2) of the
+    canonical generators; they have ``den == 1``, so it is built in halves."""
+    halves = [0] * w.dim
     for g in w.canonical_generators:
-        coef = Fraction(rng.randint(0, 3), rng.randint(1, 2))
-        if coef:
-            out = out + coef * g
-    return out
+        c = rng.randint(0, 3) * (2 // rng.randint(1, 2))
+        halves = [h + c * e for h, e in zip(halves, g.num)]
+    return QVector._of(halves, 2)
 
 
 def rdp_search(
@@ -303,6 +303,8 @@ def rdp_search(
         raise ValueError("need at least one wedge")
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     rng = random.Random(seed)
     sum_cache: dict[tuple[int, ...], Wedge] = {}
     for _ in range(budget):

@@ -11,7 +11,9 @@ computed at most once per wedge.
 Conventions: an empty generator list denotes {0}; an empty halfspace list
 denotes all of Q^n. Canonical representations scale every ray/normal to
 coprime integer entries (``den == 1``) and sort lexicographically. The
-conversion reads the vectors' int numerators and builds no ``Fraction``.
+conversion reads the vectors' int numerators, and membership the signs of
+their int dot products (denominators are positive); neither builds a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ class Wedge:
         if self._generators is not None and self._halfspaces is not None:
             for a in self._halfspaces:
                 for g in self._generators:
-                    if a.dot(g) < 0:
+                    if sum(map(mul, a.num, g.num)) < 0:
                         raise ValueError(
                             "inconsistent double description: generator violates halfspace"
                         )
@@ -227,7 +229,7 @@ class Wedge:
     def member(self, x: QVector) -> bool:
         if x.dim != self.dim:
             raise ValueError("dimension mismatch in membership test")
-        return all(a.dot(x) >= 0 for a in self.halfspaces)
+        return all(sum(map(mul, a.num, x.num)) >= 0 for a in self.halfspaces)
 
     def __repr__(self) -> str:
         parts = [f"dim={self.dim}"]
@@ -265,7 +267,7 @@ class Wedge:
                 sides[side] = [QVector.from_json(v) for v in _json_array(data[side], side)]
         w = cls(dim, **sides)
         normals = w.canonical_halfspaces if len(sides) == 2 else ()
-        if any(a.dot(g) < 0 for a in normals for g in w.canonical_generators):
+        if any(sum(map(mul, a.num, g.num)) < 0 for a in normals for g in w.canonical_generators):
             raise ValueError("inconsistent double description: the sides differ")
         return w
 

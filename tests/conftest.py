@@ -10,8 +10,10 @@ double-description method replaced, multi-suprema by the equality
 system that ``msup``'s sum-of-normals LP replaced, Riesz-Kantorovich
 values by the primal decomposition LP that ``rk_value``'s dual sessions
 replaced, operator linealities by the annihilator construction that
-``op_wedge_lineality`` replaced, and operator multi-suprema by the
-multi-supremum of the translated-wedge family that defines them.
+``op_wedge_lineality`` replaced, operator multi-suprema by the
+multi-supremum of the translated-wedge family that defines them, and the
+seeded searches' draws by the ``Fraction`` formulas that their integer
+draws replaced.
 """
 
 from __future__ import annotations
@@ -701,6 +703,25 @@ def operator_family(ops, wedges, v_wedge):
         ]
         family.append(TranslatedWedge(QVector(t.entries), Wedge(pq, halfspaces=normals)))
     return family
+
+
+def fraction_sample_apex(rng, dim, bound):
+    """``multiorder.sample_apex`` as it was: ``Fraction`` sums, then the parsing constructor."""
+    entries = []
+    for _ in range(dim):
+        base = rng.randint(-bound, bound)
+        entries.append(base + Fraction(rng.randint(-2, 2), rng.randint(1, 4)))
+    return QVector(entries)
+
+
+def fraction_random_member(rng, w):
+    """``operators._random_member`` as it was: ``Fraction`` coefficients times the generators."""
+    out = QVector.zero(w.dim)
+    for g in w.canonical_generators:
+        coef = Fraction(rng.randint(0, 3), rng.randint(1, 2))
+        if coef:
+            out = out + coef * g
+    return out
 
 
 @pytest.fixture

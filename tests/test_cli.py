@@ -361,6 +361,24 @@ def test_lattice_search_none(capsys, tmp_path):
     assert json.loads(out) == {"found": False, "apexes": []}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice-search", "--k", "3", "--budget", "-5"],
+        ["rdp", "search", "--budget", "-1"],
+        ["examples", "run", "ex2.7", "--budget", "-1"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    # A negative budget used to run zero trials and report "found": false.
+    if argv[0] != "examples":
+        argv = [*argv, "-f", str(Path(__file__).parent / "golden" / "wedge-sum.input.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "budget" in err
+    zero = [e if e not in ("-5", "-1") else "0" for e in argv]
+    assert run_cli(capsys, *zero)[0] == 0
+
+
 def test_rdp_search_cli(capsys, tmp_path):
     wedges = write_json(
         tmp_path,
@@ -511,6 +529,7 @@ def test_wedge_ops_match_golden(capsys, op):
                         "-f", "wedge-sum.input.json"]),
         ("rk-op-msup-whole", ["rk", "op-msup"]),
         ("rdp-check-rational", ["rdp", "check"]),
+        ("lattice-search-ex27", ["lattice-search", "--k", "3", "--seed", "1", "--budget", "400"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -519,8 +538,9 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # rdp-check-rational has wedges given by rational halfspaces: its z
     # changes if the simplex sees those rows scaled to other values.
     # rk-op-minf-line has a codomain that contains a line, and
-    # rk-op-msup-whole the whole space, Q^2, as codomain. A command
-    # without its own -f reads <name>.input.json.
+    # rk-op-msup-whole the whole space, Q^2, as codomain.
+    # lattice-search-ex27 finds ex2.7's triple, so it pins the seeded apex
+    # draws. A command without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:
         argv = [*argv, "-f", f"{name}.input.json"]

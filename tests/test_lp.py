@@ -34,6 +34,24 @@ def test_min_half():
     assert res.point == QVector([F(1, 2)])
 
 
+def test_duals_are_built_when_read_and_ignored_by_equality():
+    # An Optimal keeps its final reduced row and builds the duals from it on
+    # first read; equality compares only the value and the point.
+    cons = [([1, 0], GE, 1), ([0, 1], GE, 2)]
+    res = lp_solve(_lp(2, [1, 1], "min", cons))
+    assert "dual" not in vars(res)
+    assert res.dual == (1, 1) and "dual" in vars(res)
+    more = lp_solve(_lp(2, [1, 1], "min", cons + [([1, 1], GE, 3)]))
+    assert more == res and len(more.dual) == 3
+    top = lp_solve(_lp(2, [-1, -1], "max", cons))
+    assert top.value == -3 and top.dual == (-1, -1)
+    # Pricing reads an optimum of the session that found it.
+    session = Session(2, [constraint(*c) for c in cons])
+    with pytest.raises(ValueError):
+        session.price(res, QVector([1, 0]))
+    assert session.price(session.minimize(QVector([1, 1])), QVector([1, 0])) == 1
+
+
 def test_unbounded_with_ray():
     p = _lp(2, [1, 1], "max", [([1, 0], GE, 0), ([0, 1], GE, 0)])
     res = lp_solve(p)

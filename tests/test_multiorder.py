@@ -21,7 +21,10 @@ from multiwedge import (
     span_contains,
 )
 
-from conftest import equality_system_msup, rand_vector, rand_wedge
+from multiwedge.lp import Session
+from multiwedge.multiorder import _upper_bound_constraints, sample_apex
+
+from conftest import equality_system_msup, fraction_sample_apex, rand_vector, rand_wedge
 
 V = QVector
 
@@ -174,6 +177,64 @@ def test_search_deterministic():
     assert (a is None) == (b is None)
     if a is not None:
         assert a.apexes == b.apexes and a.wedge_indices == b.wedge_indices
+
+
+def test_search_budget_must_be_nonnegative():
+    w1, w2, w3 = w123()
+    with pytest.raises(ValueError, match="budget"):
+        multilattice_search([w1, w2, w3], 3, budget=-1)
+    assert multilattice_search([w1, w2, w3], 3, budget=0) is None
+
+
+def test_integer_apex_draws_match_the_fraction_formula():
+    # The same rng calls in the same order: equal vectors, equal generator states.
+    pick = random.Random(4099)
+    shapes = Counter()
+    for _ in range(2400):
+        dim, bound = pick.randint(0, 4), pick.randint(0, 6)
+        seed = pick.randrange(1 << 30)
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(pick.randint(1, 3)):
+            assert sample_apex(new, dim, bound) == fraction_sample_apex(old, dim, bound)
+        assert new.getstate() == old.getstate()
+        shapes["dim 0" if dim == 0 else "bound 0" if bound == 0 else "other"] += 1
+    assert min(shapes[k] for k in ("dim 0", "bound 0", "other")) >= 100, shapes
+
+
+def test_priced_normals_equal_their_own_minima():
+    # msup prices each normal of C at the optimal basis of the sum of the
+    # normals. The price is either no certificate or exactly the normal's
+    # own minimum. Shared wedges and integer or repeated apexes make
+    # degenerate optima, where the basis may not certify a normal.
+    rng = random.Random(1307)
+    outcomes = Counter()
+    for _ in range(500):
+        dim = rng.randint(1, 3)
+        pool = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 2))]
+        shared = rand_vector(rng, dim, -3, 3, 2)
+        family = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                apex = shared
+            elif kind == 1:
+                apex = QVector([rng.randint(-2, 2) for _ in range(dim)])
+            else:
+                apex = rand_vector(rng, dim, -3, 3, 2)
+            family.append(TranslatedWedge(apex, rng.choice(pool)))
+        session = Session(dim, _upper_bound_constraints(family))
+        if not session.feasible:
+            continue
+        normals = intersect([tw.wedge for tw in family]).canonical_halfspaces
+        res = session.minimize(sum(normals, QVector.zero(dim)))
+        for a in normals:
+            priced = session.price(res, a)
+            if priced is None:
+                outcomes["not certified"] += 1
+            else:
+                assert priced == session.minimize(a).value
+                outcomes["certified"] += 1
+    assert min(outcomes["certified"], outcomes["not certified"]) >= 20, outcomes
 
 
 def _same_msup_set(a, b, dim):

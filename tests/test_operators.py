@@ -39,11 +39,13 @@ from multiwedge import (
     wedge_sum,
 )
 from multiwedge.multiorder import TranslatedWedge, minf, msup
+from multiwedge.operators import _random_member
 
 from conftest import (
     VertexEnumerator,
     annihilator_op_lineality,
     decomposition_rows,
+    fraction_random_member,
     operator_family,
     polytope_vertices,
     primal_rk_value,
@@ -270,6 +272,36 @@ def test_rdp_search_coordinate_wedges_none():
 
 def test_rdp_search_single_wedge_trivial():
     assert rdp_search([quadrant()], 1, 1, seed=0, budget=50) is None
+
+
+def test_rdp_search_budget_must_be_nonnegative():
+    with pytest.raises(ValueError, match="budget"):
+        rdp_search([quadrant(), diagonal_ray()], 2, 2, budget=-1)
+    assert rdp_search([quadrant(), diagonal_ray()], 2, 2, budget=0) is None
+
+
+def test_integer_member_draws_match_the_fraction_formula():
+    # The same rng calls in the same order: equal vectors, equal generator
+    # states; on the zero wedge (dim 0 too), on wedges with lines, and on
+    # random wedges from either side.
+    fixed = [
+        Wedge(0, generators=[]),
+        Wedge(3, generators=[]),
+        Wedge(2, halfspaces=[]),
+        Wedge(2, halfspaces=[V([1, 1])]),
+        Wedge(3, generators=[V([1, 0, 0]), V([-1, 0, 0]), V([0, 1, 2])]),
+    ]
+    pick = random.Random(8191)
+    kinds = Counter()
+    for i in range(2400):
+        w = fixed[i % len(fixed)] if i % 3 == 0 else rand_wedge(pick, pick.randint(1, 3))
+        seed = pick.randrange(1 << 30)
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _random_member(new, w) == fraction_random_member(old, w)
+        assert new.getstate() == old.getstate()
+        kinds["zero" if not w.canonical_generators else "pointed" if is_cone(w) else "lines"] += 1
+    assert min(kinds[k] for k in ("zero", "lines", "pointed")) >= 100, kinds
 
 
 # --- coordinate-wedge constructive decomposition ---------------------------
