@@ -8,7 +8,9 @@ sum of the canonical normals a of C over P, and each a to m_a: z exists
 exactly when that sum attains the sum of the m_a, at z. All of these are
 exact LPs over one constraint system, P, solved in one ``lp.Session``;
 each a is priced at the sum's optimal basis first, and its own LP runs
-only when that basis is not optimal for it.
+from that basis only when it is not optimal for it. P's rows depend
+only on the ordered wedges, so ``multilattice_search`` re-solves them at
+each trial's apexes (``lp.Warm``) instead of running phase 1 again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
-from .lp import GE, Constraint, Optimal, Session
+from .lp import GE, Constraint, Optimal, Session, Warm
 from .wedges import Wedge, intersect
 
 
@@ -109,7 +111,10 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
 
 
 def msup(
-    family: Sequence[TranslatedWedge], *, _intersection: Wedge | None = None
+    family: Sequence[TranslatedWedge],
+    *,
+    _intersection: Wedge | None = None,
+    _warm: Warm | None = None,
 ) -> MultiSupSet | None:
     """Multi-suprema of the family, None when the set is empty.
 
@@ -119,30 +124,42 @@ def msup(
 
     ``_intersection`` optionally supplies C, the intersection of the
     family's wedges, so searches can reuse its cached conversions per
-    wedge combination.
+    wedge combination. ``_warm`` optionally holds the latest states of P's
+    rows, which depend only on the ordered wedges: P is then re-solved at
+    the new apexes (``Warm``), and when the dual simplex keeps a basis at
+    which every normal was priced optimal, no LP runs at all. The verdict
+    is the same; a witness of a non-proper set may differ.
     """
     dim = _family_dim(family)
-    session = Session(dim, _upper_bound_constraints(family))
+    warm = _warm or Warm()
+    session = warm.session(dim, _upper_bound_constraints(family))
     if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     cw = _intersection
     if cw is None:
         cw = intersect([tw.wedge for tw in family])
+    if warm.certified and session.dual_pivots == 0:
+        # The start basis is still primal feasible and optimal for every
+        # normal (reduced costs do not read the right-hand side), so its
+        # point attains every m_a.
+        return MultiSupSet(session.feasible_point(), cw.lineality_basis)
     normals = cw.canonical_halfspaces
 
     # Each normal a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
     # attains every m_a exactly when the sum of the normals has its minimum
-    # sum(m_a) there, and any minimizer is then a multi-supremum.
-    def minimum(objective: QVector) -> Optimal:
-        res = session.minimize(objective)
+    # sum(m_a) there, and any minimizer is then a multi-supremum. A normal
+    # that the sum's optimal basis does not price runs phase 2 from there.
+    def minimum(objective: QVector, *start: Optimal) -> Optimal:
+        res = session.minimize(objective, *start)
         if not isinstance(res, Optimal):
             raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
         return res
 
     res = minimum(sum(normals, QVector.zero(dim)))
-    priced = (session.price(res, a) for a in normals)
-    floor = sum((minimum(a).value if m is None else m for a, m in zip(normals, priced)))
+    priced = [session.price(res, a) for a in normals]
+    warm.start, warm.certified = res, None not in priced
+    floor = sum((minimum(a, res).value if m is None else m for a, m in zip(normals, priced)))
     if res.value != floor:
         return None
     return MultiSupSet(res.point, cw.lineality_basis)
@@ -186,7 +203,9 @@ def multilattice_search(
     apexes) and returns the first multi-bounded-above family whose
     multi-supremum set is empty; None when the budget is exhausted.
     Deterministic for a fixed seed. Trials that are not multi-bounded
-    above count against the budget.
+    above count against the budget. Trials on the same ordered wedges
+    share one ``Warm``, kept for this call only: each verdict is exact, so
+    the first counterexample is that of cold sessions.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -197,6 +216,8 @@ def multilattice_search(
     dim = wedges[0].dim
     rng = random.Random(seed)
     combo_cache: dict[tuple[int, ...], Wedge] = {}
+    # P's rows depend only on the ordered indices; the apexes move its right-hand side.
+    warm: dict[tuple[int, ...], Warm] = {}
     for _ in range(budget):
         indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
         apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
@@ -204,8 +225,10 @@ def multilattice_search(
         if key not in combo_cache:
             combo_cache[key] = intersect([wedges[i] for i in key])
         family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
+        if indices not in warm:
+            warm[indices] = Warm()
         try:
-            res = msup(family, _intersection=combo_cache[key])
+            res = msup(family, _intersection=combo_cache[key], _warm=warm[indices])
         except NotMultiBoundedAbove:
             continue
         if res is None:

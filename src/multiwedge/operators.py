@@ -15,7 +15,9 @@ The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
-layer. The primal decomposition system remains only in rdp_check.
+layer. The primal decomposition system remains only in rdp_check; its
+rows depend only on the ordered wedges, so rdp_search re-solves them at
+each trial's xs and ys (``lp.Warm``) instead of running phase 1 again.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
-from .lp import EQ, GE, Constraint, Session, Unbounded
+from .lp import EQ, GE, Constraint, Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, is_multi_upper_bound, multi_bounded_above
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -236,13 +238,16 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
 
 
 def rdp_check(
-    inst: RDPInstance, *, _sum_wedge: Wedge | None = None
+    inst: RDPInstance, *, _sum_wedge: Wedge | None = None, _warm: Warm | None = None
 ) -> list[list[QVector]] | None:
     """Find z_ij in W_j with row sums x_i and column sums y_j, or None.
 
     Exact LP feasibility in the stacked z variables, coordinate c of z_ij
     being variable (i * n + j) * dim + c; None means no decomposition
-    exists (the instance witnesses a decomposition failure).
+    exists (the instance witnesses a decomposition failure). ``_warm``
+    optionally holds the latest states of the rows, which depend only on
+    the ordered wedges and m: the system is then re-solved at the new xs
+    and ys (``Warm``). The verdict is the same; z may differ.
     """
     inst.validate(_sum_wedge)
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
@@ -266,7 +271,11 @@ def rdp_check(
     for j, y in enumerate(inst.ys):
         for c in range(dim):
             cons.append(Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]))
-    point = Session(m * n * dim, cons).feasible_point()
+    warm = _warm or Warm()
+    session = warm.session(m * n * dim, cons)
+    if session.feasible:
+        warm.start = session
+    point = session.feasible_point()
     if point is None:
         return None
     return [
@@ -297,7 +306,9 @@ def rdp_search(
     Samples y_j from n wedges (drawn with repetition), splits their sum
     into m pieces inside the sum wedge, and returns the first instance
     rdp_check reports infeasible; None when the budget runs out.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Checks on the same ordered wedges
+    share one ``Warm``, kept for this call only: each verdict is exact, so
+    the first counterexample is that of cold sessions.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -307,6 +318,8 @@ def rdp_search(
         raise ValueError("budget must be nonnegative")
     rng = random.Random(seed)
     sum_cache: dict[tuple[int, ...], Wedge] = {}
+    # The rows of rdp_check depend only on the ordered js; xs and ys move its right-hand side.
+    warm: dict[tuple[int, ...], Warm] = {}
     for _ in range(budget):
         js = tuple(rng.randrange(len(wedges)) for _ in range(n))
         key = tuple(sorted(set(js)))
@@ -322,7 +335,9 @@ def rdp_search(
             continue
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        if rdp_check(inst, _sum_wedge=sw) is None:
+        if js not in warm:
+            warm[js] = Warm()
+        if rdp_check(inst, _sum_wedge=sw, _warm=warm[js]) is None:
             return inst
     return None
 

@@ -11,9 +11,11 @@ system that ``msup``'s sum-of-normals LP replaced, Riesz-Kantorovich
 values by the primal decomposition LP that ``rk_value``'s dual sessions
 replaced, operator linealities by the annihilator construction that
 ``op_wedge_lineality`` replaced, operator multi-suprema by the
-multi-supremum of the translated-wedge family that defines them, and the
+multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
-draws replaced.
+draws replaced, the searches themselves by their loops with a cold
+session per trial, and ``Session.resolve`` by the ``Fraction`` dual
+simplex (``fraction_resolve``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from multiwedge import (
     wedge_sum,
 )
 from multiwedge.lp import Session
-from multiwedge.operators import _check_rk_shapes
+from multiwedge.multiorder import Counterexample, msup, sample_apex
+from multiwedge.operators import RDPInstance, _check_rk_shapes, _random_member, rdp_check
 from multiwedge.wedges import _primitive
 
 F = Fraction
@@ -269,6 +272,89 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     """
     if events is None:
         events = Counter()
+    start = _fs_phase_one(n, rows, rels, rhs, events)
+    if start is None:
+        return "infeasible", None, None
+    tableau, basis, flipped, art0, ncols = start
+    m = len(rows)
+
+    # Phase 2: original (split) objective; artificials may not re-enter.
+    cost2 = _fs_cost(n, c, ncols)
+    status, info = _fs_run(tableau, basis, cost2, ncols, art0, events)
+    if status == "unbounded":
+        events["unbounded"] += 1
+        ray_cols = info
+        ray = [ray_cols[j] - ray_cols[n + j] for j in range(n)]
+        return "unbounded", ray, None
+
+    events["optimal"] += 1
+    x = _fs_point(tableau, basis, n, ncols)
+    reduced = _fs_reduced_costs(tableau, basis, cost2, ncols)
+    duals = [-reduced[art0 + i] for i in range(m)]
+    for i in range(m):
+        if flipped[i]:
+            duals[i] = -duals[i]
+    return "optimal", x, duals
+
+
+def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
+    """The textbook re-solve at ``new_rhs``, in ``Fraction`` rows.
+
+    Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
+    fraction_simplex; then B^-1 of the flipped rows, read off the
+    artificial columns, gives the new right-hand side column, and a
+    Bland-rule dual simplex (leaving: the negative row of smallest basic
+    index; entering: the smallest ratio reduced / -entry, ties to the
+    smallest column) runs with c's reduced costs (zero without c). Returns
+    ("infeasible", None) or ("feasible", x) with x the final basic point;
+    None when the base system is infeasible or c unbounded on it.
+    """
+    start = _fs_phase_one(n, rows, rels, rhs, Counter())
+    if start is None:
+        return None
+    tableau, basis, flipped, art0, ncols = start
+    cost = _fs_cost(n, c if c is not None else [F(0)] * n, ncols)
+    if c is not None and _fs_run(tableau, basis, cost, ncols, art0, Counter())[0] != "optimal":
+        return None
+    b = [-v if flip else v for v, flip in zip(new_rhs, flipped)]
+    for row in tableau:
+        row[-1] = sum((row[art0 + i] * v for i, v in enumerate(b)), F(0))
+    reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
+    while True:
+        rows_out = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        if not rows_out:
+            return "feasible", _fs_point(tableau, basis, n, ncols)
+        leave = min(rows_out, key=lambda i: basis[i])
+        row = tableau[leave]
+        candidates = [j for j in range(art0) if row[j] < 0]
+        if not candidates:
+            return "infeasible", None
+        enter = min(candidates, key=lambda j: (reduced[j] / -row[j], j))
+        _fs_pivot(tableau, reduced, leave, enter)
+        basis[leave] = enter
+
+
+def _fs_cost(n, c, ncols):
+    cost = [F(0)] * ncols
+    for j in range(n):
+        cost[j] = c[j]
+        cost[n + j] = -c[j]
+    return cost
+
+
+def _fs_point(tableau, basis, n, ncols):
+    values = [F(0)] * ncols
+    for row, b in zip(tableau, basis):
+        values[b] = row[-1]
+    return [values[j] - values[n + j] for j in range(n)]
+
+
+def _fs_phase_one(n, rows, rels, rhs, events):
+    """Flipped rows, slacks and artificials after phase 1, or None when infeasible.
+
+    Returns (tableau, basis, flipped, art0, ncols) with the artificials
+    driven out and redundant rows deleted.
+    """
     m = len(rows)
     # Normalize to nonnegative right-hand sides.
     flipped = [False] * m
@@ -325,33 +411,9 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
             raise AssertionError("phase 1 cannot be unbounded")
         if _fs_objective_value(tableau, basis, cost1) != 0:
             events["infeasible"] += 1
-            return "infeasible", None, None
+            return None
         _fs_drive_out_artificials(tableau, basis, art0, events)
-
-    # Phase 2: original (split) objective; artificials may not re-enter.
-    cost2 = [F(0)] * ncols
-    for j in range(n):
-        cost2[j] = c[j]
-        cost2[n + j] = -c[j]
-    status, info = _fs_run(tableau, basis, cost2, ncols, art0, events)
-    if status == "unbounded":
-        events["unbounded"] += 1
-        ray_cols = info
-        ray = [ray_cols[j] - ray_cols[n + j] for j in range(n)]
-        return "unbounded", ray, None
-
-    events["optimal"] += 1
-    values = [F(0)] * ncols
-    for row, b in zip(tableau, basis):
-        values[b] = row[-1]
-    x = [values[j] - values[n + j] for j in range(n)]
-
-    reduced = _fs_reduced_costs(tableau, basis, cost2, ncols)
-    duals = [-reduced[art0 + i] for i in range(m)]
-    for i in range(m):
-        if flipped[i]:
-            duals[i] = -duals[i]
-    return "optimal", x, duals
+    return tableau, basis, flipped, art0, ncols
 
 
 def _fs_objective_value(tableau, basis, cost):
@@ -722,6 +784,54 @@ def fraction_random_member(rng, w):
         if coef:
             out = out + coef * g
     return out
+
+
+def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
+    """``multiorder.multilattice_search`` as it was: a cold ``msup`` session per trial.
+
+    The same draws, trial for trial; only the intersections are cached.
+    """
+    dim = wedges[0].dim
+    rng = random.Random(seed)
+    combo_cache = {}
+    for _ in range(budget):
+        indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
+        apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
+        key = tuple(sorted(set(indices)))
+        if key not in combo_cache:
+            combo_cache[key] = intersect([wedges[i] for i in key])
+        family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
+        try:
+            res = msup(family, _intersection=combo_cache[key])
+        except NotMultiBoundedAbove:
+            continue
+        if res is None:
+            return Counterexample(apexes, indices)
+    return None
+
+
+def cold_rdp_search(wedges, m, n, seed=0, budget=500):
+    """``operators.rdp_search`` as it was: a cold ``rdp_check`` session per trial."""
+    rng = random.Random(seed)
+    sum_cache = {}
+    for _ in range(budget):
+        js = tuple(rng.randrange(len(wedges)) for _ in range(n))
+        key = tuple(sorted(set(js)))
+        if key not in sum_cache:
+            sum_cache[key] = wedge_sum([wedges[i] for i in key])
+        sw = sum_cache[key]
+        ys = [_random_member(rng, wedges[j]) for j in js]
+        xs = [_random_member(rng, sw) for _ in range(m - 1)]
+        last = sum(ys, QVector.zero(sw.dim))
+        for x in xs:
+            last = last - x
+        if not sw.member(last):
+            continue
+        xs.append(last)
+        inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
+        if rdp_check(inst, _sum_wedge=sw) is None:
+            return inst
+    return None
 
 
 @pytest.fixture

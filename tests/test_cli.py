@@ -530,6 +530,9 @@ def test_wedge_ops_match_golden(capsys, op):
         ("rk-op-msup-whole", ["rk", "op-msup"]),
         ("rdp-check-rational", ["rdp", "check"]),
         ("lattice-search-ex27", ["lattice-search", "--k", "3", "--seed", "1", "--budget", "400"]),
+        ("lattice-search-ex27-late", ["lattice-search", "--k", "3", "--seed", "14", "--budget", "400",
+                                     "-f", "lattice-search-ex27.input.json"]),
+        ("rdp-search-ex37", ["rdp", "search", "--seed", "2", "--budget", "400"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -540,7 +543,9 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # rk-op-minf-line has a codomain that contains a line, and
     # rk-op-msup-whole the whole space, Q^2, as codomain.
     # lattice-search-ex27 finds ex2.7's triple, so it pins the seeded apex
-    # draws. A command without its own -f reads <name>.input.json.
+    # draws. lattice-search-ex27-late and rdp-search-ex37 find theirs only
+    # at trials 27 and 38, after many re-solved trials on the same wedges.
+    # A command without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:
         argv = [*argv, "-f", f"{name}.input.json"]

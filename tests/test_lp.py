@@ -20,7 +20,13 @@ from multiwedge import (
 )
 from multiwedge.lp import Session
 
-from conftest import enumerate_lp_minimum, fraction_simplex, point_feasible
+from conftest import (
+    enumerate_lp_minimum,
+    fraction_resolve,
+    fraction_rref,
+    fraction_simplex,
+    point_feasible,
+)
 
 
 def _lp(n, objective, sense, cons):
@@ -240,6 +246,11 @@ def test_integer_tableau_matches_fraction_simplex():
         )
         if status == "infeasible":
             assert isinstance(res, Infeasible)
+            events["farkas"] += 1
+            rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
+            assert "farkas" not in vars(res) and _all_fractions(res.farkas)
+            assert _farkas_proves(res.farkas, rows, rels, rhs)
+            assert not _farkas_proves([-y for y in res.farkas], rows, rels, rhs)
         elif status == "unbounded":
             assert isinstance(res, Unbounded)
             assert res.ray.entries == tuple(vec) and _all_fractions(res.ray)
@@ -251,8 +262,24 @@ def test_integer_tableau_matches_fraction_simplex():
                 duals = [-y for y in duals]
             assert res.dual == tuple(duals) and _all_fractions(res.dual)
     assert non_integer >= 300
-    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie"):
+    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "farkas"):
         assert events[event] >= 20, (event, events)
+
+
+def _farkas_proves(y, rows, rels, rhs):
+    """y^T A = 0, y >= 0 on >= rows and <= 0 on <= rows, y . rhs > 0: no x is feasible."""
+    n = len(rows[0]) if rows else 0
+    if any(sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(n)):
+        return False
+    if any((rel == GE and yi < 0) or (rel == LE and yi > 0) for yi, rel in zip(y, rels)):
+        return False
+    return sum(yi * b for yi, b in zip(y, rhs)) > 0
+
+
+def test_infeasible_compares_without_its_farkas_vector():
+    res = lp_solve(_lp(1, [0], "max", [([1], GE, 1), ([1], LE, 0)]))
+    assert res == Infeasible() and "farkas" not in vars(res)
+    assert res.farkas == (1, -1)
 
 
 def test_session_matches_lp_solve():
@@ -295,3 +322,123 @@ def test_unbounded_phase_one_is_internal_invariant(monkeypatch):
     monkeypatch.setattr(lp_module, "_run", lambda *args: ("unbounded", 0))
     with pytest.raises(InternalInvariantError):
         lp_solve(_lp(1, [1], "min", [([1], GE, 1)]))
+
+
+def _equalities_inconsistent(rows, rels, rhs):
+    """Whether the == rows alone have no solution: b is outside the span of their rows."""
+    n = len(rows[0]) if rows else 0
+    augmented = [list(r) + [b] for r, rel, b in zip(rows, rels, rhs) if rel == EQ]
+    return n in fraction_rref(augmented)
+
+
+def _transport_system(rng):
+    """Row and column sums of a p x q block z >= 0 (or z_11 free): one sum row is redundant."""
+    p, q = rng.randint(1, 3), rng.randint(1, 3)
+    cell = lambda i, j: [int(k == i * q + j) for k in range(p * q)]
+    cons = [(cell(i, j), GE, F(0)) for i in range(p) for j in range(q) if i or j or rng.random() < 0.5]
+    rs = [F(rng.randint(0, 4)) for _ in range(p)]
+    cs = [F(rng.randint(0, 4)) for _ in range(q - 1)]
+    cs.append(sum(rs) - sum(cs))
+    cons += [([sum(cell(i, j)[k] for j in range(q)) for k in range(p * q)], EQ, r) for i, r in enumerate(rs)]
+    cons += [([sum(cell(i, j)[k] for i in range(p)) for k in range(p * q)], EQ, c) for j, c in enumerate(cs)]
+    return p * q, cons
+
+
+def _zero_variable_system(rng):
+    return 0, [([], rng.choice([LE, GE, EQ]), F(rng.randint(-2, 2))) for _ in range(rng.randint(1, 4))]
+
+
+def _new_rhs(rng, cons):
+    """Base values, some negated or zeroed, some redrawn; and sometimes every one moved."""
+    out = []
+    for _, _, b in cons:
+        r = rng.random()
+        if r < 0.3:
+            out.append(b)
+        elif r < 0.45:
+            out.append(-b)
+        elif r < 0.55:
+            out.append(F(0))
+        else:
+            out.append(F(rng.randint(-4, 4), rng.randint(1, 2)))
+    return out
+
+
+def test_resolve_matches_cold_session():
+    # base.resolve(b') against Session(n, rows with b'): verdicts, minimize
+    # values and Farkas vectors; its phase-1 point against the Fraction
+    # dual simplex, which reads the same start and pivots by Bland's rule.
+    # From an optimum, the re-solved basis stays optimal for its objective.
+    systems = random.Random(2718)
+    outcomes = Counter()
+    for trial in range(500):
+        kind = trial % 5
+        if kind == 3:
+            n, cons = _transport_system(systems)
+        elif kind == 4 and trial % 10 == 4:
+            n, cons = _zero_variable_system(systems)
+        else:
+            n, _, _, cons = _random_exactness_lp(systems)
+        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
+        base = Session(n, [constraint(*c) for c in cons])
+        objective = QVector([F(systems.randint(-3, 3)) for _ in range(n)])
+        start = base.minimize(objective)
+        for _ in range(4):
+            new_rhs = _new_rhs(systems, cons)
+            new_cons = [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)]
+            cold = Session(n, new_cons)
+            if not base.feasible:
+                # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
+                if base.refutes(new_rhs):
+                    assert not cold.feasible
+                    outcomes["farkas_refuted"] += 1
+                continue
+            got = base.resolve(new_rhs)
+            assert got.feasible == cold.feasible
+            if got.feasible:
+                outcomes["dual_pivots" if got.dual_pivots else "no_pivot"] += 1
+                point = got.feasible_point()
+                assert point_feasible(point.entries, rows, rels, new_rhs)
+                assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("feasible", list(point.entries))
+                for c in (objective, QVector.zero(n), -objective):
+                    a, b = got.minimize(c), cold.minimize(c)
+                    assert type(a) is type(b)
+                    if isinstance(a, Optimal):
+                        assert a.value == b.value
+            elif _equalities_inconsistent(rows, rels, new_rhs):
+                outcomes["dropped_row"] += 1
+            else:
+                outcomes["dual_infeasible"] += 1
+                assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("infeasible", None)
+            if not cold.feasible:
+                farkas = got.minimize(QVector.zero(n)).farkas
+                assert _farkas_proves(farkas, rows, rels, new_rhs)
+                assert got.refutes(new_rhs) and not got.refutes(rhs)
+            if isinstance(start, Optimal):
+                warm = base.resolve(new_rhs, start)
+                assert warm.feasible == cold.feasible
+                if warm.feasible:
+                    best = cold.minimize(objective)
+                    assert objective.dot(warm.feasible_point()) == best.value
+                    want = fraction_resolve(n, rows, rels, rhs, new_rhs, list(objective.entries))
+                    assert want == ("feasible", list(warm.feasible_point().entries))
+                    # A chain: the re-solved session re-solves in turn.
+                    back = warm.resolve(rhs)
+                    assert back.feasible and point_feasible(back.feasible_point().entries, rows, rels, rhs)
+    for outcome in ("no_pivot", "dual_pivots", "dual_infeasible", "dropped_row", "farkas_refuted"):
+        assert outcomes[outcome] >= 20, outcomes
+
+
+def test_resolve_checks_its_arguments():
+    session = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
+    other = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
+    res = other.minimize(QVector([1, 1]))
+    with pytest.raises(ValueError):
+        session.resolve([F(1)])
+    with pytest.raises(ValueError):
+        session.resolve([F(1), F(2)], res)
+    with pytest.raises(ValueError):
+        session.minimize(QVector([1, 1]), res)
+    with pytest.raises(ValueError):
+        Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)]).resolve([F(0), F(1)])
+    assert other.resolve([F(-2), F(3)], res).feasible_point() == QVector([-2, 3])

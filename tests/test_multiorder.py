@@ -21,10 +21,17 @@ from multiwedge import (
     span_contains,
 )
 
-from multiwedge.lp import Session
+import multiwedge.lp as lp_module
+from multiwedge.lp import Session, Warm
 from multiwedge.multiorder import _upper_bound_constraints, sample_apex
 
-from conftest import equality_system_msup, fraction_sample_apex, rand_vector, rand_wedge
+from conftest import (
+    cold_multilattice_search,
+    equality_system_msup,
+    fraction_sample_apex,
+    rand_vector,
+    rand_wedge,
+)
 
 V = QVector
 
@@ -177,6 +184,81 @@ def test_search_deterministic():
     assert (a is None) == (b is None)
     if a is not None:
         assert a.apexes == b.apexes and a.wedge_indices == b.wedge_indices
+
+
+def test_warm_search_matches_cold_search():
+    # Re-solved trials give each verdict exactly, so the first counterexample
+    # (or none) is that of a cold session per trial, on every seed: ex2.7's
+    # halfplanes, ex3.7's quadrant and ray, coordinate wedges and random
+    # wedges with lines, for k = 1..3.
+    rng = random.Random(1729)
+    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
+    diag = Wedge(2, generators=[V([1, 1])])
+    coordinate = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
+    found = Counter()
+    for run in range(400):
+        kind = run % 4
+        if kind == 0:
+            wedges = list(w123())
+        elif kind == 1:
+            wedges = [quadrant, diag]
+        elif kind == 2:
+            wedges = coordinate
+        else:
+            dim = rng.randint(1, 3)
+            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        k, seed, budget = 1 + run % 3, rng.randrange(1 << 20), rng.randint(10, 40)
+        got = multilattice_search(wedges, k, seed=seed, budget=budget)
+        assert got == cold_multilattice_search(wedges, k, seed=seed, budget=budget)
+        found[got is not None] += 1
+    assert found[True] >= 40 and found[False] >= 100, found
+
+
+def test_msup_with_warm_matches_cold():
+    # Families drawn on the same ordered wedges share one Warm, as in the
+    # search, but every verdict is read: empty sets, no upper bound, and
+    # nonempty sets, whose witness may be any point of the cold set.
+    rng = random.Random(4242)
+    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
+    diag = Wedge(2, generators=[V([1, 1])])
+    outcomes = Counter()
+    for run in range(60):
+        if run % 3 == 0:
+            wedges = list(w123())
+        elif run % 3 == 1:
+            wedges = [quadrant, diag]
+        else:
+            dim = rng.randint(1, 3)
+            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        k, warm = 1 + run % 3 + (run % 3 == 0), {}
+        for _ in range(30):
+            indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
+            family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
+            results = []
+            for kw in ({}, {"_warm": warm.setdefault(indices, Warm())}):
+                try:
+                    results.append(msup(family, **kw))
+                except NotMultiBoundedAbove:
+                    results.append("not bounded")
+            cold, got = results
+            if cold is None or cold == "not bounded":
+                assert got == cold
+                outcomes[str(cold)] += 1
+            else:
+                assert got.lineality_basis == cold.lineality_basis and cold.contains(got.witness)
+                outcomes["proper" if cold.is_proper else "lines"] += 1
+    for outcome in ("None", "not bounded", "proper", "lines"):
+        assert outcomes[outcome] >= 20, outcomes
+
+
+def test_search_builds_one_cold_session_per_wedge_order(monkeypatch):
+    # ex2.7's pairs always have an upper bound, so after the first trial on
+    # each of the 9 ordered pairs every trial is re-solved.
+    built = []
+    init = lp_module.Session.__init__
+    monkeypatch.setattr(lp_module.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
+    assert len(built) <= 9
 
 
 def test_search_budget_must_be_nonnegative():

@@ -38,12 +38,15 @@ from multiwedge import (
     span_contains,
     wedge_sum,
 )
+import multiwedge.lp as lp_module
+from multiwedge.lp import Warm
 from multiwedge.multiorder import TranslatedWedge, minf, msup
 from multiwedge.operators import _random_member
 
 from conftest import (
     VertexEnumerator,
     annihilator_op_lineality,
+    cold_rdp_search,
     decomposition_rows,
     fraction_random_member,
     operator_family,
@@ -272,6 +275,72 @@ def test_rdp_search_coordinate_wedges_none():
 
 def test_rdp_search_single_wedge_trivial():
     assert rdp_search([quadrant()], 1, 1, seed=0, budget=50) is None
+
+
+def test_warm_rdp_search_matches_cold_search():
+    # Re-solved checks give each verdict exactly, so the first failing
+    # instance (or none) is that of a cold session per check, on every seed:
+    # ex3.7's quadrant and ray, coordinate wedges and random wedges with
+    # lines, for m, n = 1..3.
+    rng = random.Random(1729)
+    coordinate = [coordinate_wedge(3, s) for s in range(3)]
+    found = Counter()
+    for run in range(400):
+        kind = run % 3
+        if kind == 0:
+            wedges = [quadrant(), diagonal_ray()]
+        elif kind == 1:
+            wedges = coordinate
+        else:
+            dim = rng.randint(1, 3)
+            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        m, n = 1 + run % 3, 1 + (run // 3) % 3
+        seed, budget = rng.randrange(1 << 20), rng.randint(4, 16)
+        got = rdp_search(wedges, m, n, seed=seed, budget=budget)
+        assert got == cold_rdp_search(wedges, m, n, seed=seed, budget=budget)
+        found[got is not None] += 1
+    assert found[True] >= 25 and found[False] >= 100, found
+
+
+def test_rdp_check_with_warm_matches_cold():
+    # Instances on the same ordered wedges share one Warm, as in the search,
+    # but every verdict is read; z may be any decomposition.
+    rng = random.Random(4242)
+    outcomes = Counter()
+    for run in range(40):
+        if run % 2 == 0:
+            wedges = [quadrant(), diagonal_ray()]
+        else:
+            dim = rng.randint(1, 3)
+            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        m, n, warm = 1 + run % 3, 2 + run % 2, {}
+        for _ in range(20):
+            js = tuple(rng.randrange(len(wedges)) for _ in range(n))
+            ws = tuple(wedges[j] for j in js)
+            ys = [_random_member(rng, w) for w in ws]
+            xs = [_random_member(rng, wedge_sum(ws)) for _ in range(m - 1)]
+            xs.append(sum(ys, V.zero(ws[0].dim)) - sum(xs, V.zero(ws[0].dim)))
+            inst = RDPInstance(ws, tuple(xs), tuple(ys))
+            try:
+                cold = rdp_check(inst)
+            except InvalidInstance:
+                continue
+            got = rdp_check(inst, _warm=warm.setdefault(js, Warm()))
+            assert (got is None) == (cold is None)
+            if got is not None:
+                assert decomposition_ok(inst, got)
+            outcomes[got is None] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
+
+
+def test_rdp_search_builds_one_cold_session_per_wedge_order(monkeypatch):
+    # Coordinate wedges always decompose, so after the first check on each
+    # of the 9 ordered pairs every check is re-solved.
+    built = []
+    init = lp_module.Session.__init__
+    monkeypatch.setattr(lp_module.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 2, seed=3, budget=100) is None
+    assert len(built) <= 9
 
 
 def test_rdp_search_budget_must_be_nonnegative():
