@@ -2,7 +2,7 @@
 
 A vector is int numerators over one positive int denominator, reduced by
 their gcd: the invariant of the integer rows (``_Row``) that every
-elimination here runs on. Matrices hold ``fractions.Fraction`` entries.
+elimination here runs on. A matrix is a tuple of such vectors, its rows.
 Every computation in this package is exact: equality means equality, no
 tolerances anywhere. Scalars serialize as ``"p/q"`` (or ``"p"`` when the
 denominator is 1) with the sign carried by the numerator.
@@ -21,10 +21,6 @@ from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Q = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # "p" or "p/q" with q > 0; no decimals or exponents ("1e10000000" would
 # take unbounded time to expand).
@@ -69,8 +65,9 @@ class QVector:
 
     def __init__(self, entries: Iterable[object]):
         # Reduced fractions over their least common denominator share no factor with it.
-        num, den = _integer_row([qparse(e) for e in entries])
-        self.num, self.den, self._entries = tuple(num), den, None
+        fs = [qparse(e) for e in entries]
+        self.den = den = lcm(*(e.denominator for e in fs))
+        self.num, self._entries = tuple([e.numerator * (den // e.denominator) for e in fs]), None
 
     @classmethod
     def _of(cls, num: Sequence[int], den: int = 1) -> "QVector":
@@ -156,96 +153,105 @@ class QVector:
 
 
 class QMatrix:
-    """Immutable matrix with rational entries, stored row-major."""
+    """Immutable matrix with rational entries: a tuple of ``QVector`` rows.
 
-    __slots__ = ("rows", "cols", "entries")
+    Every row holds the vector invariant, so every matrix has exactly one
+    representation; the row-major ``Fraction`` tuple ``entries`` is built
+    on first use.
+    """
+
+    __slots__ = ("rows", "cols", "_rows", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[object]):
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(qparse(e) for e in entries)
-        if len(self.entries) != rows * cols:
+        entries = list(entries)
+        if min(rows, cols) < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match matrix shape")
+        self.rows, self.cols, self._entries = rows, cols, None
+        self._rows = tuple([QVector(entries[i * cols : (i + 1) * cols]) for i in range(rows)])
+
+    @classmethod
+    def _of(cls, rows: Sequence[QVector], cols: int) -> "QMatrix":
+        """The matrix of ``rows``, QVectors of dimension ``cols``, unparsed."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._rows, m._entries = len(rows), cols, tuple(rows), None
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[object]]) -> "QMatrix":
-        rows = [list(r) for r in rows]
+        rows = [QVector(r) for r in rows]
         if not rows:
             raise ValueError("from_rows requires at least one row")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if any(r.dim != rows[0].dim for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [e for r in rows for e in r])
+        return cls._of(rows, rows[0].dim)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Iterable[object]], nrows: int | None = None) -> "QMatrix":
-        cols = [list(c) for c in cols]
+        cols = [QVector(c) for c in cols]
         if not cols:
             if nrows is None:
                 raise ValueError("from_cols with no columns needs nrows")
             return cls(nrows, 0, [])
-        nrows = len(cols[0])
-        return cls(nrows, len(cols), [cols[j][i] for i in range(nrows) for j in range(len(cols))])
+        if any(c.dim != (cols[0].dim if nrows is None else nrows) for c in cols):
+            raise ValueError("ragged columns, or columns of other than nrows entries")
+        return cls._of(cols, cols[0].dim).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
+        return cls._of([QVector.unit(n, i) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls._of([QVector.zero(cols)] * rows, cols)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        if self._entries is None:
+            self._entries = tuple([e for r in self._rows for e in r.entries])
+        return self._entries
 
     def row(self, i: int) -> QVector:
-        return QVector(self.entries[i * self.cols : (i + 1) * self.cols])
+        return self._rows[i]
 
     def col(self, j: int) -> QVector:
-        return QVector(self.entries[j :: self.cols])
+        den = lcm(*(r.den for r in self._rows))
+        return QVector._of([r.num[j] * (den // r.den) for r in self._rows], den)
 
     def row_list(self) -> list[list[Fraction]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        return [list(r.entries) for r in self._rows]
 
     def apply(self, v: QVector) -> QVector:
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        c = self.cols
-        rows = [_integer_row(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-        den = lcm(*(d for _, d in rows))
-        return QVector._of([sum(map(mul, r, v.num)) * (den // d) for r, d in rows], den * v.den)
+        den = lcm(*(r.den for r in self._rows))
+        return QVector._of(
+            [sum(map(mul, r.num, v.num)) * (den // r.den) for r in self._rows], den * v.den
+        )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                out.append(
-                    sum((ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)), _ZERO)
-                )
-        return QMatrix(self.rows, other.cols, out)
+        # Row i of the product is other^T applied to row i.
+        t = other.transpose()
+        return QMatrix._of([t.apply(r) for r in self._rows], other.cols)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return QMatrix._of([self.col(j) for j in range(self.cols)], self.rows)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._same_shape(other)
-        return QMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return QMatrix._of([a + b for a, b in zip(self._rows, other._rows)], self.cols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._same_shape(other)
-        return QMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return QMatrix._of([a - b for a, b in zip(self._rows, other._rows)], self.cols)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return QMatrix._of([-r for r in self._rows], self.cols)
 
     def __mul__(self, scalar: object) -> "QMatrix":
         s = qparse(scalar)
-        return QMatrix(self.rows, self.cols, [s * a for a in self.entries])
+        return QMatrix._of([r * s for r in self._rows], self.cols)
 
     __rmul__ = __mul__
 
@@ -254,29 +260,18 @@ class QMatrix:
             raise ValueError("matrix shape mismatch")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        # Equal row tuples have equal lengths; cols tells 0 x m from 0 x n.
+        return isinstance(other, QMatrix) and self.cols == other.cols and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.cols, self._rows))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(str(e) for e in self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        )
+        body = "; ".join(", ".join(str(e) for e in r.entries) for r in self._rows)
         return f"QMatrix({self.rows}x{self.cols}: [{body}])"
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(e) for e in row] for row in self.row_list()],
-        }
+        return {"rows": self.rows, "cols": self.cols, "entries": [r.to_json() for r in self._rows]}
 
     @classmethod
     def from_json(cls, data: dict) -> "QMatrix":
@@ -295,12 +290,6 @@ class _Row:
     def __init__(self, num: list[int], den: int):
         self.num = num
         self.den = den
-
-
-def _integer_row(entries) -> tuple[list[int], int]:
-    """Rationals as int numerators over their least common denominator."""
-    den = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (den // e.denominator) for e in entries], den
 
 
 def _nonzero(row):
@@ -372,9 +361,9 @@ def _rref_ints(rows: list[_Row]) -> list[int]:
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form of ``m`` and the list of pivot columns."""
-    rows = [_Row(*_integer_row(r)) for r in m.row_list()]
+    rows = [_Row(list(r.num), r.den) for r in m._rows]
     pivots = _rref_ints(rows)
-    return QMatrix(m.rows, m.cols, [Fraction(e, r.den) for r in rows for e in r.num]), pivots
+    return QMatrix._of([QVector._of(r.num, r.den) for r in rows], m.cols), pivots
 
 
 @dataclass(frozen=True)
@@ -403,7 +392,7 @@ def _nullspace_from_rref(rows: list[_Row], pivots: list[int], ncols: int) -> lis
 
 def nullspace(m: QMatrix) -> list[QVector]:
     """Canonical basis of {x : m x = 0} (from the reduced echelon form)."""
-    rows = [_Row(*_integer_row(r)) for r in m.row_list()]
+    rows = [_Row(list(r.num), r.den) for r in m._rows]
     return _nullspace_from_rref(rows, _rref_ints(rows), m.cols)
 
 
@@ -415,14 +404,19 @@ def solve_linear(a: QMatrix, b: QVector) -> Solution | None:
     """
     if a.rows != b.dim:
         raise ValueError("rows(A) must equal dim(b)")
-    rows = [_Row(*_integer_row([*r, be])) for r, be in zip(a.row_list(), b.entries)]
+    # Row i of [A | b] over the denominator of A's row i times that of b.
+    rows = [
+        _Row([*(e * b.den for e in r.num), be * r.den], r.den * b.den)
+        for r, be in zip(a._rows, b.num)
+    ]
     pivots = _rref_ints(rows)
     if pivots and pivots[-1] == a.cols:
         return None
-    particular = [_ZERO] * a.cols
+    den = lcm(*(row.den for row in rows[: len(pivots)]))
+    particular = [0] * a.cols
     for row, pc in zip(rows, pivots):
-        particular[pc] = Fraction(row.num[a.cols], row.den)
-    return Solution(QVector(particular), tuple(_nullspace_from_rref(rows, pivots, a.cols)))
+        particular[pc] = row.num[a.cols] * (den // row.den)
+    return Solution(QVector._of(particular, den), tuple(_nullspace_from_rref(rows, pivots, a.cols)))
 
 
 def _pivot_columns(columns: Sequence[QVector], dim: int) -> list[int]:
@@ -468,8 +462,8 @@ def matrix_inverse(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    eye = QMatrix.identity(n).row_list()
-    rows = [_Row(*_integer_row(r + e)) for r, e in zip(m.row_list(), eye)]
+    # Row i of [m | I] over the denominator of m's row i.
+    rows = [_Row([*r.num, *(r.den * (i == j) for j in range(n))], r.den) for i, r in enumerate(m._rows)]
     if _rref_ints(rows) != list(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix(n, n, [Fraction(e, row.den) for row in rows for e in row.num[n:]])
+    return QMatrix._of([QVector._of(row.num[n:], row.den) for row in rows], n)

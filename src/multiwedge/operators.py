@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -43,7 +44,6 @@ from .multiorder import MultiSupSet, TranslatedWedge, is_multi_upper_bound, mult
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 LinearOperator = QMatrix
 
@@ -103,9 +103,18 @@ def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix
         raise ValueError("need at least one domain wedge and one codomain wedge")
     q = ws[0].dim
     p = vs[0].dim
-    rows = _positivity_normals(wedge_sum(ws), intersect(vs))
-    flat_basis = nullspace(QMatrix(len(rows), p * q, [e for row in rows for e in row.entries]))
-    return [QMatrix(p, q, v.entries) for v in flat_basis]
+    flat_basis = nullspace(QMatrix._of(_positivity_normals(wedge_sum(ws), intersect(vs)), p * q))
+    return [
+        QMatrix._of([QVector._of(v.num[i * q : (i + 1) * q], v.den) for i in range(p)], q)
+        for v in flat_basis
+    ]
+
+
+def _vec(t: QMatrix) -> QVector:
+    """The row-major entries of ``t`` as one vector, the coordinates of L(W, V)."""
+    rows = [t.row(i) for i in range(t.rows)]
+    den = lcm(*(r.den for r in rows))
+    return QVector._of([e * (den // r.den) for r in rows for e in r.num], den)
 
 
 def op_wedge_is_cone(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> bool:
@@ -142,7 +151,7 @@ def extend_additive(
     order = range(dim - 1, -1, -1) if complement_order == "backward" else range(dim)
     candidates = [*gens, *(QVector.unit(dim, k) for k in order)]
     pivots = _pivot_columns(candidates, dim)
-    m = QMatrix.from_cols([candidates[p] for p in pivots], nrows=dim)
+    m = QMatrix._of([candidates[p] for p in pivots], dim).transpose()
     zero = QVector.zero(codomain_dim)
     value_cols = [values[gens[p]] if p < len(gens) else zero for p in pivots]
     v = QMatrix.from_cols(value_cols, nrows=codomain_dim)
@@ -160,9 +169,9 @@ def projections(v_wedge: Wedge) -> ProjectionPair:
     p = v_wedge.dim
     d_basis = lineality(v_wedge)
     comp = complement_basis(d_basis, p)
-    m = QMatrix.from_cols([*d_basis, *comp], nrows=p)
+    m = QMatrix._of([*d_basis, *comp], p).transpose()
     # p_d m = [D | 0], the lineality basis D and then zero on the complement.
-    d_zero = QMatrix.from_cols([*d_basis, *(QVector.zero(p) for _ in comp)], nrows=p)
+    d_zero = QMatrix._of([*d_basis, *(QVector.zero(p) for _ in comp)], p).transpose()
     p_d = d_zero @ matrix_inverse(m)
     return ProjectionPair(p_d, QMatrix.identity(p) - p_d)
 
@@ -557,9 +566,7 @@ def op_msup(
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     family = [
-        TranslatedWedge(
-            QVector(t.entries), Wedge(p * q, halfspaces=_positivity_normals(w, v_wedge))
-        )
+        TranslatedWedge(_vec(t), Wedge(p * q, halfspaces=_positivity_normals(w, v_wedge)))
         for t, w in zip(ops, wedges)
     ]
     if multi_bounded_above(family) is None:
@@ -575,7 +582,7 @@ def op_msup(
         raise RDPViolated(
             "supremum values are not additive on the generators of the sum wedge"
         ) from exc
-    if not is_multi_upper_bound(QVector(rep.entries), family):
+    if not is_multi_upper_bound(_vec(rep), family):
         raise RDPViolated(
             "assembled representative does not dominate the family; "
             "the decomposition hypothesis fails for these wedges"
@@ -589,12 +596,10 @@ def functional_msup(
     """Specialization of op_msup to functionals (codomain Q with wedge Q+)."""
     if not phis:
         raise ValueError("need at least one functional")
-    q = phis[0].dim
-    ops = [QMatrix(1, q, phi.entries) for phi in phis]
-    positive_ray = Wedge(
-        1, generators=[QVector([_ONE])], halfspaces=[QVector([_ONE])]
-    )
-    return op_msup(ops, wedges, positive_ray)
+    # Each 1 x q operator takes its width from its functional: op_msup checks the shapes.
+    ops = [QMatrix._of([phi], phi.dim) for phi in phis]
+    ray = QVector.unit(1, 0)
+    return op_msup(ops, wedges, Wedge(1, generators=[ray], halfspaces=[ray]))
 
 
 def op_minf(

@@ -481,6 +481,16 @@ def test_functional_msup_cli(capsys, tmp_path):
     assert payload["representative"]["entries"] == [["1", "1"]]
 
 
+def test_functional_msup_ragged_functionals_exit_2(capsys, tmp_path):
+    # Each functional is a 1 x q operator: functionals of two lengths are
+    # malformed input, in either order, and nothing reaches stdout.
+    wedge = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+    for phis in ([["1", "-1"], ["0", "2", "1"]], [["0", "2", "1"], ["1", "-1"]]):
+        data = write_json(tmp_path, "funcs.json", {"functionals": phis, "wedges": [wedge, wedge]})
+        code, out, _ = run_cli(capsys, "rk", "functional-msup", "-f", data)
+        assert code == 2 and out == ""
+
+
 def test_examples_list(capsys):
     code, out, _ = run_cli(capsys, "examples", "list")
     assert code == 0
@@ -533,6 +543,7 @@ def test_wedge_ops_match_golden(capsys, op):
         ("lattice-search-ex27-late", ["lattice-search", "--k", "3", "--seed", "14", "--budget", "400",
                                      "-f", "lattice-search-ex27.input.json"]),
         ("rdp-search-ex37", ["rdp", "search", "--seed", "2", "--budget", "400"]),
+        ("rk-op-msup-rational", ["rk", "op-msup"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -542,6 +553,8 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # changes if the simplex sees those rows scaled to other values.
     # rk-op-minf-line has a codomain that contains a line, and
     # rk-op-msup-whole the whole space, Q^2, as codomain.
+    # rk-op-msup-rational has operators whose rows have different
+    # denominators, and prints a representative with entries 5/2 and 8/3.
     # lattice-search-ex27 finds ex2.7's triple, so it pins the seeded apex
     # draws. lattice-search-ex27-late and rdp-search-ex37 find theirs only
     # at trials 27 and 38, after many re-solved trials on the same wedges.

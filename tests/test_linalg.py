@@ -144,6 +144,77 @@ def test_vector_invariant_and_arithmetic_match_fractions():
         assert seen[case] > 0, case
 
 
+def _fraction_rows(m):
+    """The entries of ``m`` as a list of Fraction rows, after checking every row's invariant."""
+    for i in range(m.rows):
+        _assert_invariant(m.row(i))
+        assert m.row(i).dim == m.cols
+    assert all(type(e) is F for e in m.entries) and len(m.entries) == m.rows * m.cols
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def _matrix_spellings(rng, rows, cols, seen):
+    pairs = [_spellings(rng, cols, seen) for _ in range(rows)]
+    return [g for g, _ in pairs], [r for _, r in pairs]
+
+
+def test_matrix_invariant_and_arithmetic_match_fractions():
+    rng = random.Random(4343)
+    seen = Counter()
+    scalars = [0, -1, 3, F(-7, 4), "5/6", F(rng.randint(-10**6, 10**6), 999983)]
+    for _ in range(300):
+        r, c, k = (rng.randint(0, 4) for _ in range(3))
+        given, rewritten = _matrix_spellings(rng, r, c, seen)
+        m = QMatrix(r, c, [e for row in given for e in row])
+        a = _fraction_rows(m)
+        assert a == [[F(e) for e in row] for row in given]
+        assert [m.row(i).entries for i in range(r)] == [tuple(row) for row in a]
+        assert [list(m.col(j).entries) for j in range(c)] == [[row[j] for row in a] for j in range(c)]
+        # One value is == and hash-equal to itself, whatever its spelling and constructor.
+        spelled = [
+            QMatrix(r, c, [e for row in rewritten for e in row]),
+            QMatrix.from_cols([[row[j] for row in rewritten] for j in range(c)], nrows=r),
+            QMatrix.from_json({"rows": r, "cols": c, "entries": rewritten}),
+            QMatrix.from_json(m.to_json()),
+        ]
+        if r:
+            spelled.append(QMatrix.from_rows(rewritten))
+        for s in spelled:
+            assert (s.rows, s.cols) == (r, c) and s == m and hash(s) == hash(m)
+            assert s.to_json() == m.to_json()
+        # Arithmetic against list-of-Fraction formulas.
+        other = QMatrix(r, c, [e for row in _matrix_spellings(rng, r, c, seen)[0] for e in row])
+        b = _fraction_rows(other)
+        assert (m == other) == (a == b)
+        assert _fraction_rows(m + other) == [[x + y for x, y in zip(u, w)] for u, w in zip(a, b)]
+        assert _fraction_rows(m - other) == [[x - y for x, y in zip(u, w)] for u, w in zip(a, b)]
+        assert _fraction_rows(-m) == [[-x for x in u] for u in a]
+        scalar = rng.choice(scalars)
+        assert _fraction_rows(scalar * m) == [[qparse(scalar) * x for x in u] for u in a]
+        assert m * scalar == scalar * m
+        right = QMatrix(c, k, [e for row in _matrix_spellings(rng, c, k, seen)[0] for e in row])
+        rb = _fraction_rows(right)
+        prod = m @ right
+        assert (prod.rows, prod.cols) == (r, k)
+        assert _fraction_rows(prod) == [
+            [sum((a[i][t] * rb[t][j] for t in range(c)), F(0)) for j in range(k)] for i in range(r)
+        ]
+        v = QVector(_spellings(rng, c, seen)[0])
+        assert m.apply(v).entries == tuple(sum((x * y for x, y in zip(u, v)), F(0)) for u in a)
+        t = m.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert _fraction_rows(t) == [[a[i][j] for i in range(r)] for j in range(c)]
+        seen["rows_0"] += r == 0 < c
+        seen["cols_0"] += c == 0 < r
+        seen["inner_0"] += c == 0 < r * k
+        seen["mixed_dens"] += len({m.row(i).den for i in range(r)}) > 1
+    assert QMatrix(2, 0, []) @ QMatrix(0, 3, []) == QMatrix.zeros(2, 3)
+    assert QMatrix(0, 2, []) != QMatrix(0, 3, []) and QMatrix(2, 0, []) != QMatrix(3, 0, [])
+    assert QMatrix.from_rows([["1/2", 1]]) == QMatrix(1, 2, ["2/4", "3/3"])
+    for case in ("rows_0", "cols_0", "inner_0", "mixed_dens", "large_den", "negative"):
+        assert seen[case] > 0, case
+
+
 def test_matrix_basics():
     m = QMatrix.from_rows([[1, 2], [3, 4]])
     assert m.row(1) == QVector([3, 4])
@@ -153,6 +224,23 @@ def test_matrix_basics():
     assert (m @ QMatrix.identity(2)) == m
     assert QMatrix.from_json(m.to_json()) == m
     assert QMatrix.from_cols([[1, 3], [2, 4]]) == m
+
+
+def test_from_cols_rejects_ragged_columns_and_a_wrong_nrows():
+    for cols, nrows in [([[1], [2, 3]], None), ([[1, 2], [3]], None), ([[1, 2]], 5),
+                        ([[1, 2], [3, 4]], 1)]:
+        with pytest.raises(ValueError, match="ragged columns"):
+            QMatrix.from_cols(cols, nrows=nrows)
+    assert QMatrix.from_cols([[1, 2]], nrows=2) == QMatrix.from_rows([[1], [2]])
+    assert QMatrix.from_cols([], nrows=3) == QMatrix(3, 0, [])
+
+
+def test_matrix_sizes_must_not_be_negative():
+    for rows, cols, entries in [(-2, -3, [1] * 6), (0, -3, []), (-1, 0, [])]:
+        with pytest.raises(ValueError, match="matrix shape"):
+            QMatrix(rows, cols, entries)
+    with pytest.raises(ValueError, match="matrix shape"):
+        QMatrix.from_json({"rows": 0, "cols": -3, "entries": []})
 
 
 def test_rref_identity():
