@@ -66,7 +66,7 @@ class QVector:
     def __init__(self, entries: Iterable[object]):
         # Reduced fractions over their least common denominator share no factor with it.
         fs = [qparse(e) for e in entries]
-        self.den = den = lcm(*(e.denominator for e in fs))
+        self.den = den = lcm(*[e.denominator for e in fs])
         self.num, self._entries = tuple([e.numerator * (den // e.denominator) for e in fs]), None
 
     @classmethod
@@ -214,7 +214,10 @@ class QMatrix:
         return self._rows[i]
 
     def col(self, j: int) -> QVector:
-        den = lcm(*(r.den for r in self._rows))
+        # Star-args from a list, not a generator: a tuple built from a
+        # generator is resized, which moves freed tuples between CPython's
+        # per-size free lists and grows the heap over many calls.
+        den = lcm(*[r.den for r in self._rows])
         return QVector._of([r.num[j] * (den // r.den) for r in self._rows], den)
 
     def row_list(self) -> list[list[Fraction]]:
@@ -223,7 +226,7 @@ class QMatrix:
     def apply(self, v: QVector) -> QVector:
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        den = lcm(*(r.den for r in self._rows))
+        den = lcm(*[r.den for r in self._rows])  # a list: see col
         return QVector._of(
             [sum(map(mul, r.num, v.num)) * (den // r.den) for r in self._rows], den * v.den
         )
@@ -377,7 +380,7 @@ class Solution:
 def _nullspace_from_rref(rows: list[_Row], pivots: list[int], ncols: int) -> list[QVector]:
     """Canonical nullspace basis from reduced rows; columns from ``ncols`` on are not read."""
     pivot_set = set(pivots)
-    den = lcm(*(rows[r].den for r in range(len(pivots))))
+    den = lcm(*[rows[r].den for r in range(len(pivots))])  # a list: see QMatrix.col
     basis = []
     for free in range(ncols):
         if free in pivot_set:
@@ -412,7 +415,7 @@ def solve_linear(a: QMatrix, b: QVector) -> Solution | None:
     pivots = _rref_ints(rows)
     if pivots and pivots[-1] == a.cols:
         return None
-    den = lcm(*(row.den for row in rows[: len(pivots)]))
+    den = lcm(*[row.den for row in rows[: len(pivots)]])  # a list: see QMatrix.col
     particular = [0] * a.cols
     for row, pc in zip(rows, pivots):
         particular[pc] = row.num[a.cols] * (den // row.den)

@@ -13,7 +13,9 @@ and costs are read from the vectors' ``num``/``den``. Rows are never
 rescaled, so the stored values are exactly those of a ``Fraction``
 tableau: Bland's rule reads the same signs and, by cross-multiplication,
 the same ratios, and takes the same pivots. ``Fraction``s are built only
-for the value, and for the duals and Farkas vectors when they are read.
+for the value, for the duals and Farkas vectors when they are read, and,
+with ``==`` rows, for the right-hand sides over t and the Farkas vector
+of an infeasible system.
 
 A ``Session`` holds one constraint system after phase 1, so callers that
 optimize several objectives over the same system (or only need a feasible
@@ -26,6 +28,15 @@ stays dual feasible. An infeasible session keeps a Farkas vector, which
 refutes a later right-hand side with one dot product; ``Warm`` keeps the
 latest basis and Farkas vector for a caller that solves one system at
 many right-hand sides.
+
+Equality rows never reach the tableau. A session with ``==`` rows E x = e
+first reduces [E | I] (``_Equalities``), the presolve step of Andersen &
+Andersen 1995 (Presolving in linear programming, Math. Programming 71):
+every solution is x = x0 + N t, x0 the particular solution and N the
+canonical nullspace basis, and the simplex runs on t over the other rows,
+G N t (rel) g - G x0. Points, rays, values, duals and Farkas vectors are
+mapped back to the rows as given; a new e only moves x0, so ``resolve``
+stays a change of right-hand side.
 """
 
 from __future__ import annotations
@@ -38,7 +49,17 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
-from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
+from .linalg import (
+    QMatrix,
+    QVector,
+    _eliminate,
+    _nonzero,
+    _nullspace_from_rref,
+    _pivot,
+    _Row,
+    _rref_ints,
+    qparse,
+)
 
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)
@@ -76,25 +97,15 @@ class LinearProgram:
 class Optimal:
     value: Fraction
     point: QVector
-    # (session, final tableau, final basis, reduced-cost row) of the solve;
-    # see Session.minimize, Session.price and lp_solve.
+    # The state of the solve, read by Session.minimize, price, resolve and
+    # the duals: (session, final tableau, final basis, reduced-cost row), or
+    # (session, optimum over t, objective) for a session with == rows.
     _final: tuple = field(compare=False, repr=False)
 
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
-        """Constraint multipliers y with A^T y = objective and y . rhs = value.
-
-        The artificial marker columns hold the row transform, so -reduced
-        there is c_B B^{-1} per original row. The split variables force
-        A^T y = c, and slack-column optimality gives the signs, also when
-        redundant rows were dropped.
-        """
-        session, _, _, reduced = self._final
-        rnum, art0 = reduced.num, session._art0
-        return tuple(
-            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], reduced.den)
-            for i, flip in enumerate(session._flipped)
-        )
+        """Constraint multipliers y with A^T y = objective and y . rhs = value."""
+        return self._final[0]._dual(self._final)
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,106 @@ def lp_solve(p: LinearProgram) -> LPResult:
     if p.sense == "min":
         return session.minimize(p.objective)
     res = session.minimize(-p.objective)
-    if isinstance(res, Optimal):
-        # The negated reduced row is that of the objective as given: duals flip sign.
-        *kept, reduced = res._final
-        return Optimal(-res.value, res.point, (*kept, _Row([-e for e in reduced.num], reduced.den)))
-    return res
+    return session._negated(res) if isinstance(res, Optimal) else res
+
+
+class _Equalities:
+    """The ``==`` rows E x = e of a constraint system, reduced once: x = x0 + N t.
+
+    [E | I] is brought to reduced row echelon form by ``_rref_ints``, so
+    the identity block holds the row transform T. The rows that pivot in
+    E give x0 = T e on their pivot columns, zero on the free ones, and the
+    canonical nullspace basis N (``_nullspace_from_rref``). The rows left
+    over have T E = 0: each is a Farkas vector of every e with T e != 0.
+    The other rows G x (rel) g become G N t (rel) g - G x0 over t.
+    """
+
+    __slots__ = (
+        "n", "eq", "ineq", "equations", "rows", "unflipped", "pivots", "transform", "redundant", "basis", "lift"
+    )
+
+    def __init__(self, n: int, constraints: tuple[Constraint, ...]):
+        self.n = n
+        self.eq = [i for i, c in enumerate(constraints) if c.rel == EQ]
+        self.ineq = [i for i, c in enumerate(constraints) if c.rel != EQ]
+        self.equations = [constraints[i].row for i in self.eq]
+        self.rows = [constraints[i].row for i in self.ineq]
+        self.unflipped = [False] * len(constraints)
+        k = len(self.eq)
+        reduced = [
+            _Row([*row.num, *[row.den * (j == r) for j in range(k)]], row.den)
+            for r, row in enumerate(self.equations)
+        ]
+        self.pivots = [p for p in _rref_ints(reduced) if p < n]
+        r = len(self.pivots)
+        self.transform = [_Row(row.num[n:], row.den) for row in reduced[:r]]
+        self.redundant = [_Row(row.num[n:], row.den) for row in reduced[r:]]
+        # basis.apply(v) is N^T v, and lift.apply(t) is N t.
+        self.basis = QMatrix._of(_nullspace_from_rref(reduced, self.pivots, n), n)
+        self.lift = self.basis.transpose()
+
+    def particular(self, rhs: Sequence[Fraction]) -> tuple[QVector | None, _Row | None]:
+        """(x0, None) for the right-hand sides ``rhs`` of all rows, or (None, y).
+
+        y is a redundant row's transform w, signed so that w . e > 0, on the
+        ``==`` rows and 0 on the others: a Farkas vector of the system.
+        """
+        e = [rhs[i] for i in self.eq]
+        den = lcm(*[v.denominator for v in e])  # a list: see Session._flipped_rhs
+        b = [v.numerator * (den // v.denominator) for v in e]
+        for w in self.redundant:
+            s = sum(map(mul, w.num, b))
+            if s:
+                y = [0] * len(self.unflipped)
+                for i, wi in zip(self.eq, w.num):
+                    y[i] = wi if s > 0 else -wi
+                return None, _Row(y, w.den)
+        tden = lcm(*[w.den for w in self.transform])
+        x = [0] * self.n
+        for w, p in zip(self.transform, self.pivots):
+            x[p] = sum(map(mul, w.num, b)) * (tden // w.den)
+        return QVector._of(x, tden * den), None
+
+    def lifted(self, x0: QVector, t: QVector) -> QVector:
+        """x0 + N t."""
+        return x0 + self.lift.apply(t)
+
+    def inner_rhs(self, rhs: Sequence[Fraction], x0: QVector) -> list[Fraction]:
+        """g - G x0: the right-hand sides of the rows over t."""
+        return [rhs[i] - a.dot(x0) for i, a in zip(self.ineq, self.rows)]
+
+    def multipliers(self, c: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+        """Multipliers of the rows as given: ``y`` on the others, y_E on the ``==`` rows.
+
+        y_E solves E^T y_E = v = c - G^T y. N^T v = 0 for the duals and the
+        Farkas vectors over t, so v lies in the row space of E, where it is
+        determined by its pivot entries: y_E = T^T v on the pivot columns.
+        T's pivot rows are 0 on the identity columns where the rows left
+        over pivot, so y_E is 0 on those redundant ``==`` rows.
+        """
+        v = _minus(list(c), y, self.rows)
+        ye = [Fraction(0)] * len(self.eq)
+        for w, p in zip(self.transform, self.pivots):
+            if v[p]:
+                for r, e in enumerate(w.num):
+                    ye[r] += Fraction(e, w.den) * v[p]
+        if any(_minus(v, ye, self.equations)):
+            raise InternalInvariantError("multipliers over t do not lift to the == rows")
+        full = [Fraction(0)] * len(self.unflipped)
+        for i, yi in zip(self.ineq, y):
+            full[i] = yi
+        for i, yi in zip(self.eq, ye):
+            full[i] = yi
+        return full
+
+
+def _minus(v: list[Fraction], coefs: Sequence[Fraction], rows: Sequence[QVector]) -> list[Fraction]:
+    """v minus the combination of ``rows`` with ``coefs``, in place."""
+    for yi, row in zip(coefs, rows):
+        if yi:
+            for j, e in enumerate(row.entries):
+                v[j] -= yi * e
+    return v
 
 
 class Session:
@@ -157,49 +263,71 @@ class Session:
     per-call state: each ``Optimal`` carries its final tableau and basis,
     where ``price`` reads other minima and ``resolve`` starts.
 
-    A feasible session keeps the rows that phase 1 dropped as redundant
-    (their artificial columns hold w with w^T A = 0, so a new right-hand
-    side b' needs w . b' = 0); an infeasible one keeps a Farkas vector.
-    ``dual_pivots`` counts the pivots ``resolve`` made to reach it.
+    The tableau holds only ``>=`` and ``<=`` rows, each with its own slack
+    column, so phase 1 never finds a row redundant. A system with ``==``
+    rows runs as x = x0 + N t (``_Equalities``): the tableau and phase 1
+    are those of a session over t on the other rows, and every result is
+    mapped back to x and to the rows as given. With no other row left, no
+    simplex runs and the point is x0. A system with no ``==`` row keeps
+    its tableau as it is.
+
+    An infeasible session keeps a Farkas vector. ``dual_pivots`` counts
+    the pivots ``resolve`` made to reach it.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
         constraints = tuple(constraints)
         if any(c.row.dim != n for c in constraints):
             raise ValueError("constraint row length must equal the variable count")
+        self.n = n
+        if all(c.rel != EQ for c in constraints):
+            self._phase_one(constraints)
+            return
+        eq = _Equalities(n, constraints)
+        rhs = [c.rhs for c in constraints]
+        x0, farkas = eq.particular(rhs)
+        inner = None
+        if farkas is None:
+            # Built without __init__: callers count one session per system.
+            inner = object.__new__(Session)
+            inner.n = eq.basis.rows
+            inner._phase_one(
+                [Constraint(eq.basis.apply(a), constraints[i].rel, b)
+                 for i, a, b in zip(eq.ineq, eq.rows, eq.inner_rhs(rhs, x0))]
+            )
+        self._adopt(eq, x0, inner, farkas)
+
+    def _phase_one(self, constraints: tuple[Constraint, ...]) -> None:
+        """Build the tableau of ``>=``/``<=`` rows and run phase 1."""
+        n = self.n
         m = len(constraints)
-        # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
-        # one artificial per row (kept in the tableau as dual markers).
-        nslack = sum(1 for c in constraints if c.rel != EQ)
-        ncols = 2 * n + nslack + m
-        art0 = 2 * n + nslack
-        self.n, self._ncols, self._art0 = n, ncols, art0
+        # Columns: x+ (n), x- (n), one slack/surplus per row, then one
+        # artificial per row (kept in the tableau as dual markers).
+        art0 = 2 * n + m
+        ncols = art0 + m
+        self._eq, self._ncols, self._art0 = None, ncols, art0
 
         tableau, basis, flipped = [], [], []
-        slack_idx = 2 * n
         for i, con in enumerate(constraints):
             den = lcm(con.row.den, con.rhs.denominator)
             a = [e * (den // con.row.den) for e in con.row.num]
             a.append(con.rhs.numerator * (den // con.rhs.denominator))
-            rel = con.rel
             # Normalize to a nonnegative right-hand side.
             flip = a[n] < 0
             if flip:
                 a = [-e for e in a]
-                rel = LE if rel == GE else (GE if rel == LE else EQ)
+            le = (con.rel == LE) != flip
             num = [0] * (ncols + 1)
             num[:n] = a[:n]
             num[n : 2 * n] = [-e for e in a[:n]]
-            if rel != EQ:
-                num[slack_idx] = den if rel == LE else -den
-                slack_idx += 1
+            num[2 * n + i] = den if le else -den
             num[art0 + i] = den
             num[ncols] = a[n]
             tableau.append(_Row(num, den))
-            basis.append(slack_idx - 1 if rel == LE else art0 + i)
+            basis.append(2 * n + i if le else art0 + i)
             flipped.append(flip)
         self._tableau, self._basis, self._flipped = tableau, basis, flipped
-        self._dropped, self._farkas, self.dual_pivots = [], None, 0
+        self._farkas, self.dual_pivots = None, 0
 
         # Phase 1: minimize the sum of artificial variables.
         self.feasible = True
@@ -210,7 +338,7 @@ class Session:
             # The right-hand-side entry of the reduced row is minus the objective.
             self.feasible = not reduced.num[ncols]
             if self.feasible:
-                self._dropped = _drive_out_artificials(tableau, basis, art0)
+                _drive_out_artificials(tableau, basis, art0)
             else:
                 # The artificial columns cost 1, so their reduced costs are
                 # 1 - w with w = c_B B^-1, the phase-1 duals: w^T A <= 0 on the
@@ -219,10 +347,22 @@ class Session:
                 self._farkas = _Row([rden - e for e in rnum[art0:ncols]], rden)
                 self._tableau = self._basis = None
 
+    def _adopt(self, eq: _Equalities, x0: QVector | None, inner: Session | None, farkas=None) -> None:
+        """Become ``eq``'s system at x0 + N t over ``inner``, or infeasible by ``farkas``."""
+        self._eq, self._x0, self._inner, self._flipped = eq, x0, inner, eq.unflipped
+        self.dual_pivots = 0 if inner is None else inner.dual_pivots
+        if farkas is None and not inner.feasible:
+            y = eq.multipliers([Fraction(0)] * self.n, Infeasible((inner._flipped, inner._farkas)).farkas)
+            den = lcm(*[v.denominator for v in y])
+            farkas = _Row([v.numerator * (den // v.denominator) for v in y], den)
+        self._farkas, self.feasible = farkas, farkas is None
+
     def feasible_point(self) -> QVector | None:
         """The point phase 1 (or ``resolve``) left, or None when the system is infeasible."""
         if not self.feasible:
             return None
+        if self._eq is not None:
+            return self._eq.lifted(self._x0, self._inner.feasible_point())
         return _split_vector(self._tableau, self._basis, self.n, self._ncols, 1)
 
     def minimize(self, objective: QVector, start: Optimal | None = None) -> LPResult:
@@ -232,11 +372,21 @@ class Session:
         feasible, so phase 2 may start there. The value is the same from
         either basis; the point may differ where the minimum is not unique.
         """
-        n, ncols, art0 = self.n, self._ncols, self._art0
+        n = self.n
         if objective.dim != n:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
             return Infeasible((self._flipped, self._farkas))
+        eq = self._eq
+        if eq is not None:
+            # Over t the objective is N^T c, plus the constant c . x0.
+            inner = None if start is None else self._own(start)[1]
+            res = self._inner.minimize(eq.basis.apply(objective), inner)
+            if isinstance(res, Unbounded):
+                return Unbounded(eq.lift.apply(res.ray))
+            point = eq.lifted(self._x0, res.point)
+            return Optimal(res.value + objective.dot(self._x0), point, (self, res, objective))
+        ncols, art0 = self._ncols, self._art0
         source, basis, _ = self._start(start)
         tableau = [_Row(list(row.num), row.den) for row in source]
         basis = list(basis)
@@ -255,9 +405,13 @@ class Session:
         Re-pricing at an optimal basis (Chvatal 1983, Linear Programming, ch. 10):
         no reduced cost below the artificial columns may be negative.
         """
-        tableau, basis, _ = self._start(res)
+        final = self._own(res)
         if objective.dim != self.n:
             raise ValueError("objective length must equal the variable count")
+        if self._eq is not None:
+            value = self._inner.price(final[1], self._eq.basis.apply(objective))
+            return None if value is None else value + objective.dot(self._x0)
+        _, tableau, basis, _ = final
         reduced = _priced(tableau, basis, self._cost(objective))
         if any(e < 0 for e in reduced.num[: self._art0]):
             return None
@@ -278,22 +432,30 @@ class Session:
         Verdicts and optimal values equal those of a cold
         ``Session(n, rows with rhs)``; points may differ where they are not
         unique. The new right-hand side column is B^-1 b', read off the
-        artificial columns with this session's flips, and b' is checked
-        against the dropped rows. Then a Bland-rule dual simplex runs from
-        ``start``'s basis (an optimum of this session, kept optimal for its
-        objective) or from this session's (with zero costs). An infeasible
-        result carries the Farkas vector of the row the dual simplex cannot
-        pivot on, or of the violated dropped row.
+        artificial columns with this session's flips. Then a Bland-rule
+        dual simplex runs from ``start``'s basis (an optimum of this
+        session, kept optimal for its objective) or from this session's
+        (with zero costs). An infeasible result carries the Farkas vector
+        of the row the dual simplex cannot pivot on.
+
+        With ``==`` rows, the new e is checked against the redundant ones
+        (an infeasible result carries the violated one) and moves x0 to
+        x0'; the session over t is re-solved at g - G x0'.
         """
         rhs = tuple(rhs)
         if not self.feasible or len(rhs) != len(self._flipped):
             raise ValueError("resolve needs a feasible session and one right-hand side per constraint")
+        eq = self._eq
+        if eq is not None:
+            start = None if start is None else self._own(start)[1]
+            new = object.__new__(Session)
+            new.n = self.n
+            x0, farkas = eq.particular(rhs)
+            inner = None if farkas is not None else self._inner.resolve(eq.inner_rhs(rhs, x0), start)
+            new._adopt(eq, x0, inner, farkas)
+            return new
         b, den = self._flipped_rhs(rhs)
         art0, ncols = self._art0, self._ncols
-        for row in self._dropped:
-            s = sum(map(mul, row.num[art0:ncols], b))
-            if s:
-                return self._derived(farkas=_Row([e if s > 0 else -e for e in row.num[art0:ncols]], row.den))
         source, basis, reduced = self._start(start)
         tableau = []
         for row in source:
@@ -313,20 +475,50 @@ class Session:
             return self._derived(farkas=_Row([-e for e in row.num[art0:ncols]], row.den), pivots=pivots)
         return self._derived(tableau, basis, pivots=pivots)
 
+    def _own(self, res: Optimal) -> tuple:
+        """The final state of ``res``, which must be an optimum of this session."""
+        if res._final[0] is not self:
+            raise ValueError("the start must be an optimum of this session")
+        return res._final
+
     def _start(self, start: Optimal | None) -> tuple:
         """(tableau, basis, reduced row) of ``start``, an optimum of this session, or (this session's, None)."""
         if start is None:
             return self._tableau, self._basis, None
-        session, tableau, basis, reduced = start._final
-        if session is not self:
-            raise ValueError("the start must be an optimum of this session")
-        return tableau, basis, reduced
+        return self._own(start)[1:]
+
+    def _dual(self, final: tuple) -> tuple[Fraction, ...]:
+        """The duals of the optimum with state ``final``.
+
+        The artificial marker columns hold the row transform, so -reduced
+        there is c_B B^{-1} per original row. The split variables force
+        A^T y = c, and slack-column optimality gives the signs. With ``==``
+        rows, the duals over t are lifted to them (``_Equalities.multipliers``).
+        """
+        if self._eq is not None:
+            _, res, objective = final
+            return tuple(self._eq.multipliers(objective.entries, res.dual))
+        rnum, art0, den = final[3].num, self._art0, final[3].den
+        return tuple(
+            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], den)
+            for i, flip in enumerate(self._flipped)
+        )
+
+    def _negated(self, res: Optimal) -> Optimal:
+        """``res`` read as the maximum of the negated objective: its value and duals negate."""
+        if self._eq is not None:
+            session, inner, objective = res._final
+            final = (session, self._inner._negated(inner), -objective)
+        else:
+            *kept, reduced = res._final
+            final = (*kept, _Row([-e for e in reduced.num], reduced.den))
+        return Optimal(-res.value, res.point, final)
 
     def _derived(self, tableau=None, basis=None, farkas=None, pivots=0) -> Session:
         """A session on this one's rows and flips: at ``tableau`` and ``basis``, or infeasible by ``farkas``."""
         new = object.__new__(Session)
-        new.n, new._ncols, new._art0 = self.n, self._ncols, self._art0
-        new._flipped, new._dropped = self._flipped, self._dropped
+        new.n, new._eq, new._ncols, new._art0 = self.n, None, self._ncols, self._art0
+        new._flipped = self._flipped
         new._tableau, new._basis, new._farkas = tableau, basis, farkas
         new.feasible, new.dual_pivots = farkas is None, pivots
         return new
@@ -470,24 +662,17 @@ def _priced(tableau, basis, cost) -> _Row:
     return reduced
 
 
-def _drive_out_artificials(tableau, basis, art0) -> list[_Row]:
-    """Pivot basic artificials out after phase 1; drop redundant rows and return them."""
-    dropped = []
-    i = 0
-    while i < len(tableau):
-        if basis[i] >= art0:
+def _drive_out_artificials(tableau, basis, art0) -> None:
+    """Pivot the artificials still basic (at zero) after phase 1 out of the basis.
+
+    Each row has its own slack column, so the columns before ``art0`` have
+    full row rank in every basis, and each such row has a nonzero there.
+    """
+    for i, b in enumerate(basis):
+        if b >= art0:
             num = tableau[i].num
-            pivot_col = -1
-            for j in range(art0):
-                if num[j]:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, None, i, pivot_col)
-                basis[i] = pivot_col
-            else:
-                dropped.append(tableau.pop(i))
-                del basis[i]
-                continue
-        i += 1
-    return dropped
+            col = next((j for j in range(art0) if num[j]), -1)
+            if col < 0:
+                raise InternalInvariantError("a row with a slack column vanished before the artificials")
+            _pivot(tableau, None, i, col)
+            basis[i] = col

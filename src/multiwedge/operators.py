@@ -15,9 +15,14 @@ The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
-layer. The primal decomposition system remains only in rdp_check; its
-rows depend only on the ordered wedges, so rdp_search re-solves them at
-each trial's xs and ys (``lp.Warm``) instead of running phase 1 again.
+layer. The primal decomposition system remains only in rdp_check. Its
+row and column sums are == rows, which ``lp.Session`` eliminates before
+the simplex, so the tableau runs on the z left free by them. Its rows
+depend only on the ordered wedges, so rdp_search re-solves them at each
+trial's xs and ys (``lp.Warm``), which moves only right-hand sides,
+instead of running phase 1 again. The witness system of the values,
+b . z = s_b for every normal b of V, has == rows only: its point is the
+particular solution of the reduction, and no simplex runs.
 """
 
 from __future__ import annotations
@@ -148,14 +153,16 @@ def extend_additive(
     for g in gens:
         if g not in values:
             raise ValueError("a value is required for every generator of the wedge")
+        if values[g].dim != codomain_dim:
+            raise ValueError("every value must have codomain_dim entries")
     order = range(dim - 1, -1, -1) if complement_order == "backward" else range(dim)
     candidates = [*gens, *(QVector.unit(dim, k) for k in order)]
     pivots = _pivot_columns(candidates, dim)
     m = QMatrix._of([candidates[p] for p in pivots], dim).transpose()
     zero = QVector.zero(codomain_dim)
-    value_cols = [values[gens[p]] if p < len(gens) else zero for p in pivots]
-    v = QMatrix.from_cols(value_cols, nrows=codomain_dim)
-    t = v @ matrix_inverse(m)
+    # The values are V's columns: its transpose takes them as rows, unparsed.
+    v = QMatrix._of([values[gens[p]] if p < len(gens) else zero for p in pivots], codomain_dim)
+    t = v.transpose() @ matrix_inverse(m)
     for g in gens:
         if t.apply(g) != values[g]:
             raise InconsistentValues(
@@ -253,7 +260,10 @@ def rdp_check(
 
     Exact LP feasibility in the stacked z variables, coordinate c of z_ij
     being variable (i * n + j) * dim + c; None means no decomposition
-    exists (the instance witnesses a decomposition failure). ``_warm``
+    exists (the instance witnesses a decomposition failure). The (m + n)
+    * dim sum rows are == rows, which the session eliminates: the simplex
+    runs on the z = z0 + N t that meet them, over the m * n halfspace
+    blocks. z is a free witness; it is the phase-1 point in t. ``_warm``
     optionally holds the latest states of the rows, which depend only on
     the ordered wedges and m: the system is then re-solved at the new xs
     and ys (``Warm``). The verdict is the same; z may differ.
@@ -520,8 +530,9 @@ def _rk_sups(
     """A witness z with b . z = s_b(x) for every canonical normal b of V, per x.
 
     The dual session of each normal b is minimized at every x. The values
-    s_b(x) are unique, so z is the point phase 1 leaves on the equations
-    b . z = s_b(x). An infeasible dual, which does not depend on x, raises
+    s_b(x) are unique, so z is the particular solution of the equations
+    b . z = s_b(x) (the session eliminates them, and no simplex runs).
+    An infeasible dual, which does not depend on x, raises
     NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
     wedge. With no normals no x is read, and every witness is 0.
     """
@@ -596,7 +607,13 @@ def functional_msup(
     """Specialization of op_msup to functionals (codomain Q with wedge Q+)."""
     if not phis:
         raise ValueError("need at least one functional")
-    # Each 1 x q operator takes its width from its functional: op_msup checks the shapes.
+    if len(phis) != len(wedges):
+        raise ValueError("need one functional per domain wedge")
+    if any(phi.dim != w.dim for phi, w in zip(phis, wedges)):
+        raise ValueError(
+            f"functional lengths {[phi.dim for phi in phis]} do not match "
+            f"the wedge dimensions {[w.dim for w in wedges]}"
+        )
     ops = [QMatrix._of([phi], phi.dim) for phi in phis]
     ray = QVector.unit(1, 0)
     return op_msup(ops, wedges, Wedge(1, generators=[ray], halfspaces=[ray]))

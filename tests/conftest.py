@@ -15,7 +15,8 @@ multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
 draws replaced, the searches themselves by their loops with a cold
 session per trial, and ``Session.resolve`` by the ``Fraction`` dual
-simplex (``fraction_resolve``).
+simplex (``fraction_resolve``). Both simplex oracles first eliminate the
+== rows in ``Fraction`` rows, as ``Session`` does before its tableau.
 """
 
 from __future__ import annotations
@@ -256,10 +257,11 @@ class VertexEnumerator:
 
 
 # Reference simplex: the two-phase Bland simplex on a ``Fraction`` tableau,
-# as the library ran it before its tableau moved to integer rows. The
-# library must reproduce its status, point, duals and ray exactly. The only
-# addition is ``events``, a Counter of the code paths taken, so tests can
-# require that their inputs reach each path.
+# as the library ran it before its tableau moved to integer rows, behind
+# the elimination of == rows that the library runs before its tableau
+# (``_FsEqualities``). The library must reproduce its status, point, duals
+# and ray exactly. The only addition is ``events``, a Counter of the code
+# paths taken, so tests can require that their inputs reach each path.
 
 _FLE, _FGE, _FEQ = "<=", ">=", "=="
 
@@ -272,6 +274,20 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     """
     if events is None:
         events = Counter()
+    if _FEQ in rels:
+        eqs = _FsEqualities(n, rows, rels)
+        # Redundant == rows are deleted by the reduction, not by phase 1.
+        events["row_deleted"] += len(eqs.redundant)
+        x0 = eqs.particular(rhs)
+        if x0 is None:
+            events["infeasible"] += 1
+            return "infeasible", None, None
+        status, t, duals = fraction_simplex(len(eqs.basis), eqs.reduce(c), *eqs.over_t(rhs, x0), events)
+        if status == "infeasible":
+            return status, None, None
+        if status == "unbounded":
+            return status, eqs.lift([F(0)] * n, t), None
+        return status, eqs.lift(x0, t), eqs.multipliers(c, duals)
     start = _fs_phase_one(n, rows, rels, rhs, events)
     if start is None:
         return "infeasible", None, None
@@ -309,6 +325,19 @@ def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
     ("infeasible", None) or ("feasible", x) with x the final basic point;
     None when the base system is infeasible or c unbounded on it.
     """
+    if _FEQ in rels:
+        # A new e moves x0; the rows over t are re-solved at g' - G x0'.
+        eqs = _FsEqualities(n, rows, rels)
+        x0, x1 = eqs.particular(rhs), eqs.particular(new_rhs)
+        if x0 is None:
+            return None
+        if x1 is None:
+            return "infeasible", None
+        got = fraction_resolve(
+            len(eqs.basis), *eqs.over_t(rhs, x0), eqs.over_t(new_rhs, x1)[2],
+            None if c is None else eqs.reduce(c),
+        )
+        return got if got is None or got[1] is None else ("feasible", eqs.lift(x1, got[1]))
     start = _fs_phase_one(n, rows, rels, rhs, Counter())
     if start is None:
         return None
@@ -332,6 +361,68 @@ def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
         enter = min(candidates, key=lambda j: (reduced[j] / -row[j], j))
         _fs_pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
+
+
+class _FsEqualities:
+    """The == rows E x = e reduced as ``lp.Session`` reduces them: x = x0 + N t.
+
+    [E | I] by ``fraction_rref``: the rows pivoting in E hold the row
+    transform T of x0 = T e (zero on the free columns) and the canonical
+    nullspace basis N; the rows left over have T E = 0 and must annihilate
+    e. The other rows G x (rel) g become G N t (rel) g - G x0.
+    """
+
+    def __init__(self, n, rows, rels):
+        self.n = n
+        self.eq = [i for i, rel in enumerate(rels) if rel == _FEQ]
+        self.ineq = [i for i, rel in enumerate(rels) if rel != _FEQ]
+        self.rows, self.rels = [[F(e) for e in row] for row in rows], rels
+        k = len(self.eq)
+        red = [self.rows[i] + [F(int(j == r)) for j in range(k)] for r, i in enumerate(self.eq)]
+        self.pivots = [p for p in fraction_rref(red) if p < n]
+        r = len(self.pivots)
+        self.transform = [row[n:] for row in red[:r]]
+        self.redundant = [row[n:] for row in red[r:]]
+        self.basis = [list(v.entries) for v in fraction_nullspace(red, self.pivots, n)]
+
+    def particular(self, rhs):
+        """x0 for the right-hand sides of all rows, or None when the == rows are inconsistent."""
+        e = [F(rhs[i]) for i in self.eq]
+        if any(sum(a * b for a, b in zip(w, e)) for w in self.redundant):
+            return None
+        x = [F(0)] * self.n
+        for w, p in zip(self.transform, self.pivots):
+            x[p] = sum((a * b for a, b in zip(w, e)), F(0))
+        return x
+
+    def reduce(self, c):
+        """N^T c."""
+        return [sum((a * F(b) for a, b in zip(v, c)), F(0)) for v in self.basis]
+
+    def over_t(self, rhs, x0):
+        """(rows, rels, rhs) of G N t (rel) g - G x0."""
+        g_rows = [self.reduce(self.rows[i]) for i in self.ineq]
+        g_rhs = [F(rhs[i]) - sum((a * b for a, b in zip(self.rows[i], x0)), F(0)) for i in self.ineq]
+        return g_rows, [self.rels[i] for i in self.ineq], g_rhs
+
+    def lift(self, x0, t):
+        """x0 + N t."""
+        x = list(x0)
+        for tl, v in zip(t, self.basis):
+            x = [a + tl * b for a, b in zip(x, v)]
+        return x
+
+    def multipliers(self, c, y):
+        """``y`` on the rows G, and y_E = T^T (c - G^T y) on the pivot columns on the == rows."""
+        v = [F(e) for e in c]
+        for yi, i in zip(y, self.ineq):
+            v = [a - yi * b for a, b in zip(v, self.rows[i])]
+        out = [F(0)] * len(self.rels)
+        for i, yi in zip(self.ineq, y):
+            out[i] = yi
+        for r, i in enumerate(self.eq):
+            out[i] = sum((w[r] * v[p] for w, p in zip(self.transform, self.pivots)), F(0))
+        return out
 
 
 def _fs_cost(n, c, ncols):

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 import multiwedge.lp as lp_module
-from multiwedge import InternalInvariantError, Unbounded
+from multiwedge import InternalInvariantError, QVector, Unbounded
 from multiwedge.cli import build_parser, main
+from multiwedge.operators import RDPInstance, decomposition_ok
 
 
 def run_cli(capsys, *argv):
@@ -483,12 +484,17 @@ def test_functional_msup_cli(capsys, tmp_path):
 
 def test_functional_msup_ragged_functionals_exit_2(capsys, tmp_path):
     # Each functional is a 1 x q operator: functionals of two lengths are
-    # malformed input, in either order, and nothing reaches stdout.
+    # malformed input, in either order, and nothing reaches stdout. The
+    # diagnostic names the functionals' lengths and the wedges' dimensions.
     wedge = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
-    for phis in ([["1", "-1"], ["0", "2", "1"]], [["0", "2", "1"], ["1", "-1"]]):
+    for phis, lengths in (
+        ([["1", "-1"], ["0", "2", "1"]], "[2, 3]"),
+        ([["0", "2", "1"], ["1", "-1"]], "[3, 2]"),
+    ):
         data = write_json(tmp_path, "funcs.json", {"functionals": phis, "wedges": [wedge, wedge]})
-        code, out, _ = run_cli(capsys, "rk", "functional-msup", "-f", data)
+        code, out, err = run_cli(capsys, "rk", "functional-msup", "-f", data)
         assert code == 2 and out == ""
+        assert err == f"error: functional lengths {lengths} do not match the wedge dimensions [2, 2]\n"
 
 
 def test_examples_list(capsys):
@@ -516,6 +522,17 @@ def test_wedge_ops_match_golden(capsys, op):
     code, out, _ = run_cli(capsys, "wedge", op, "-f", str(golden / f"wedge-{op}.input.json"))
     assert code == 0
     assert out.encode() == (golden / f"wedge-{op}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["rdp-check", "rdp-check-rational"])
+def test_rdp_check_golden_z_decomposes_its_input(name):
+    # z is a free witness: a change to the LP may pin another one, but each
+    # pinned z must be a decomposition of the instance it answers.
+    golden = Path(__file__).parent / "golden"
+    inst = RDPInstance.from_json(json.loads((golden / f"{name}.input.json").read_text()))
+    payload = json.loads((golden / f"{name}.json").read_text())
+    z = [[QVector.from_json(v) for v in row] for row in payload["z"]]
+    assert payload["result"] == "decomposition" and decomposition_ok(inst, z)
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,113 @@ def test_duality_certificates():
     assert checked >= 50
 
 
+def _equality_lp(rng, kind):
+    """An LP with == rows of one ``kind``, its == right-hand sides read at a point x*.
+
+    "redundant": a combination of two == rows is appended; "inconsistent":
+    the same, with its right-hand side moved off; "full": n independent ==
+    rows, so no t is left; "only": == rows and nothing else, the objective
+    in their row space three times in four. The others get a box.
+    """
+    n = rng.randint(1, 4)
+    k = n if kind == "full" else rng.randint(1, n)
+    while True:
+        eq = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(k)]
+        if kind != "full" or len(fraction_rref([list(r) for r in eq])) == n:
+            break
+    xstar = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    cons = [(r, EQ, sum(a * x for a, x in zip(r, xstar))) for r in eq]
+    if kind in ("redundant", "inconsistent"):
+        (r1, _, b1), (r2, _, b2) = rng.choice(cons), rng.choice(cons)
+        s, t = F(rng.randint(1, 3)), F(rng.randint(-2, 2))
+        b = s * b1 + t * b2 + (rng.choice([-1, 1]) * F(rng.randint(1, 3)) if kind == "inconsistent" else 0)
+        cons.insert(rng.randint(0, len(cons)), ([s * a1 + t * a2 for a1, a2 in zip(r1, r2)], EQ, b))
+    if kind == "only":
+        if rng.random() < 0.75:
+            lam = [F(rng.randint(-3, 3)) for _ in eq]
+            objective = [sum(l * r[j] for l, r in zip(lam, eq)) for j in range(n)]
+        else:
+            objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        return n, objective, cons
+    # A box around x*, or anywhere (which may miss the == rows' solutions).
+    around = rng.random() < 0.7
+    for i in range(n):
+        unit = [F(int(j == i)) for j in range(n)]
+        lo, hi = (xstar[i], xstar[i]) if around else (F(0), F(0))
+        cons.append((unit, GE, lo - rng.randint(0, 3)))
+        cons.append((unit, LE, hi + rng.randint(0, 3)))
+    rng.shuffle(cons)
+    return n, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)], cons
+
+
+def test_duality_certificates_with_equality_rows():
+    # Duals, rays and Farkas vectors over the rows as given, checked by
+    # their definitions, for systems whose == rows the session eliminates.
+    rng = random.Random(1995)
+    outcomes = Counter()
+    for trial in range(400):
+        kind = ("redundant", "inconsistent", "full", "only")[trial % 4]
+        n, objective, cons = _equality_lp(rng, kind)
+        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
+        p = _lp(n, objective, "min", cons)
+        res = lp_solve(p)
+        outcomes[kind, type(res).__name__] += 1
+        if isinstance(res, Infeasible):
+            assert _farkas_proves(res.farkas, rows, rels, rhs)
+            continue
+        if isinstance(res, Unbounded):
+            ray = res.ray.entries
+            assert any(ray) and sum(c * r for c, r in zip(objective, ray)) < 0
+            assert point_feasible(ray, rows, rels, [F(0)] * len(rows))
+            continue
+        assert point_feasible(res.point.entries, rows, rels, rhs)
+        assert p.objective.dot(res.point) == res.value
+        y = res.dual
+        assert len(y) == len(cons)
+        for j in range(n):
+            assert sum(yi * row[j] for yi, row in zip(y, rows)) == objective[j]
+        for yi, rel in zip(y, rels):
+            assert not (rel == GE and yi < 0) and not (rel == LE and yi > 0)
+        assert sum(yi * b for yi, b in zip(y, rhs)) == res.value
+    for kind in ("redundant", "full", "only"):
+        assert outcomes[kind, "Optimal"] >= 40, outcomes
+    assert outcomes["inconsistent", "Infeasible"] == 100, outcomes
+    assert outcomes["full", "Infeasible"] >= 10 and outcomes["only", "Unbounded"] >= 10, outcomes
+
+
+def test_resolve_moves_only_the_equality_rhs():
+    # Transport systems: z >= 0 with fixed row and column sums. Only the
+    # sums move, so each re-solve moves x0 and the rows over t follow;
+    # one sum moved off breaks the redundant sum row.
+    rng = random.Random(71)
+    outcomes = Counter()
+    for _ in range(150):
+        n, cons = _transport_system(rng)
+        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
+        base = Session(n, [constraint(*c) for c in cons])
+        if not base.feasible:
+            continue
+        # The sums of a new block z', which may have negative cells, and
+        # sometimes one sum moved off.
+        z = [F(rng.randint(-1, 3)) for _ in range(n)]
+        new_rhs = [b if rel != EQ else sum(a * e for a, e in zip(r, z)) for r, rel, b in cons]
+        if rng.random() < 0.3:
+            i = rng.choice([i for i, rel in enumerate(rels) if rel == EQ])
+            new_rhs[i] += rng.choice([-1, 1])
+        got = base.resolve(new_rhs)
+        cold = Session(n, [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)])
+        assert got.feasible == cold.feasible
+        if got.feasible:
+            outcomes["feasible"] += 1
+            assert point_feasible(got.feasible_point().entries, rows, rels, new_rhs)
+            assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("feasible", list(got.feasible_point().entries))
+        else:
+            farkas = got.minimize(QVector.zero(n)).farkas
+            assert _farkas_proves(farkas, rows, rels, new_rhs)
+            outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "negative"] += 1
+    assert outcomes["feasible"] >= 40 and outcomes["inconsistent"] >= 20 and outcomes["negative"] >= 10, outcomes
+
+
 def test_deterministic():
     rng = random.Random(1)
     for _ in range(20):

@@ -160,6 +160,17 @@ def test_extend_inconsistent_values():
         )
 
 
+def test_extend_value_of_wrong_length_raises():
+    # Each value must have codomain_dim entries, whether its generator is
+    # one the extension solves for (the first two) or one it checks (the third).
+    w = Wedge(2, generators=[V([1, 0]), V([0, 1]), V([1, 1])])
+    good = {V([1, 0]): V([1]), V([0, 1]): V([2]), V([1, 1]): V([3])}
+    assert extend_additive(w, good, 1) == M([[1, 2]])
+    for g in good:
+        with pytest.raises(ValueError, match="codomain_dim"):
+            extend_additive(w, {**good, g: V([1, 0])}, 1)
+
+
 def test_extend_complement_independent_when_generating():
     rng = random.Random(31)
     for _ in range(60):
