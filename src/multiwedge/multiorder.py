@@ -9,8 +9,8 @@ exactly when that sum attains the sum of the m_a, at z. All of these are
 exact LPs over one constraint system, P, solved in one ``lp.Session``;
 each a is priced at the sum's optimal basis first, and its own LP runs
 from that basis only when it is not optimal for it. P's rows depend
-only on the ordered wedges, so ``multilattice_search`` re-solves them at
-each trial's apexes (``lp.Warm``) instead of running phase 1 again.
+only on the sorted wedge multiset, so ``multilattice_search`` re-solves
+them at each trial's apexes (``lp.Warm``) instead of running phase 1 again.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
@@ -125,10 +125,10 @@ def msup(
     ``_intersection`` optionally supplies C, the intersection of the
     family's wedges, so searches can reuse its cached conversions per
     wedge combination. ``_warm`` optionally holds the latest states of P's
-    rows, which depend only on the ordered wedges: P is then re-solved at
-    the new apexes (``Warm``), and when the dual simplex keeps a basis at
-    which every normal was priced optimal, no LP runs at all. The verdict
-    is the same; a witness of a non-proper set may differ.
+    rows, which depend only on the sorted wedge multiset in a search: P is
+    re-solved at the new apexes (``Warm``), and when the dual simplex
+    keeps a basis at which every normal was priced optimal, no LP runs at
+    all. The verdict is the same; a witness of a non-proper set may differ.
     """
     dim = _family_dim(family)
     warm = _warm or Warm()
@@ -190,12 +190,38 @@ def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
     return QVector._of([base * den + p * (den // q) for base, p, q in draws], den)
 
 
+def _trials(
+    wedges: Sequence[Wedge], arity: int, seed: int, budget: int, combine: Callable[[list[Wedge]], Wedge]
+) -> Iterator[tuple[random.Random, tuple[int, ...], list[int], Wedge, Warm]]:
+    """The seeded trials of both searches: ``budget`` draws of ``arity`` wedge indices.
+
+    Yields the rng, for the trial's own draws; the indices as drawn; their
+    positions in sorted order; ``combine`` of the distinct wedges, cached
+    per index set; and one ``Warm`` per sorted wedge multiset, for this
+    call only. Posed in sorted order, a trial is the drawn one with its
+    rows permuted, and every verdict is exact: the first counterexample is
+    that of cold sessions, reported in the drawn order.
+    """
+    if not wedges:
+        raise ValueError("need at least one wedge")
+    if any(w.dim != wedges[0].dim for w in wedges):
+        raise ValueError("wedges have mismatched dimensions")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    rng = random.Random(seed)
+    combined: dict[tuple[int, ...], Wedge] = {}
+    warm: dict[tuple[int, ...], Warm] = {}
+    for _ in range(budget):
+        drawn = tuple(rng.randrange(len(wedges)) for _ in range(arity))
+        order = sorted(range(arity), key=drawn.__getitem__)
+        key = tuple(sorted(set(drawn)))
+        if key not in combined:
+            combined[key] = combine([wedges[i] for i in key])
+        yield rng, drawn, order, combined[key], warm.setdefault(tuple(drawn[p] for p in order), Warm())
+
+
 def multilattice_search(
-    wedges: Sequence[Wedge],
-    k: int,
-    seed: int = 0,
-    budget: int = 1000,
-    bound: int = 5,
+    wedges: Sequence[Wedge], k: int, seed: int = 0, budget: int = 1000, bound: int = 5
 ) -> Counterexample | None:
     """Randomized refutation of the k-multi-lattice property.
 
@@ -203,32 +229,16 @@ def multilattice_search(
     apexes) and returns the first multi-bounded-above family whose
     multi-supremum set is empty; None when the budget is exhausted.
     Deterministic for a fixed seed. Trials that are not multi-bounded
-    above count against the budget. Trials on the same ordered wedges
-    share one ``Warm``, kept for this call only: each verdict is exact, so
-    the first counterexample is that of cold sessions.
+    above count against the budget. msup sees each family in sorted
+    wedge order (see ``_trials``).
     """
-    if not wedges:
-        raise ValueError("need at least one wedge")
     if k < 1:
         raise ValueError("arity must be at least 1")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    dim = wedges[0].dim
-    rng = random.Random(seed)
-    combo_cache: dict[tuple[int, ...], Wedge] = {}
-    # P's rows depend only on the ordered indices; the apexes move its right-hand side.
-    warm: dict[tuple[int, ...], Warm] = {}
-    for _ in range(budget):
-        indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
-        apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
-        key = tuple(sorted(set(indices)))
-        if key not in combo_cache:
-            combo_cache[key] = intersect([wedges[i] for i in key])
-        family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
-        if indices not in warm:
-            warm[indices] = Warm()
+    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, intersect):
+        apexes = tuple(sample_apex(rng, cw.dim, bound) for _ in range(k))
+        family = [TranslatedWedge(apexes[p], wedges[indices[p]]) for p in order]
         try:
-            res = msup(family, _intersection=combo_cache[key], _warm=warm[indices])
+            res = msup(family, _intersection=cw, _warm=warm)
         except NotMultiBoundedAbove:
             continue
         if res is None:

@@ -18,8 +18,8 @@ operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
 layer. The primal decomposition system remains only in rdp_check. Its
 row and column sums are == rows, which ``lp.Session`` eliminates before
 the simplex, so the tableau runs on the z left free by them. Its rows
-depend only on the ordered wedges, so rdp_search re-solves them at each
-trial's xs and ys (``lp.Warm``), which moves only right-hand sides,
+depend only on the sorted wedge multiset, so rdp_search re-solves them at
+each trial's xs and ys (``lp.Warm``), which moves only right-hand sides,
 instead of running phase 1 again. The witness system of the values,
 b . z = s_b for every normal b of V, has == rows only: its point is the
 particular solution of the reduction, and no simplex runs.
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
 from .lp import EQ, GE, Constraint, Session, Unbounded, Warm
-from .multiorder import MultiSupSet, TranslatedWedge, is_multi_upper_bound, multi_bounded_above
+from .multiorder import MultiSupSet, TranslatedWedge, _trials, is_multi_upper_bound, multi_bounded_above
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 _ZERO = Fraction(0)
@@ -265,8 +265,9 @@ def rdp_check(
     runs on the z = z0 + N t that meet them, over the m * n halfspace
     blocks. z is a free witness; it is the phase-1 point in t. ``_warm``
     optionally holds the latest states of the rows, which depend only on
-    the ordered wedges and m: the system is then re-solved at the new xs
-    and ys (``Warm``). The verdict is the same; z may differ.
+    m and the sorted wedge multiset in a search: the system is then
+    re-solved at the new xs and ys (``Warm``). The verdict is the same; z
+    may differ.
     """
     inst.validate(_sum_wedge)
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
@@ -314,37 +315,19 @@ def _random_member(rng: random.Random, w: Wedge) -> QVector:
 
 
 def rdp_search(
-    wedges: Sequence[Wedge],
-    m: int,
-    n: int,
-    seed: int = 0,
-    budget: int = 500,
+    wedges: Sequence[Wedge], m: int, n: int, seed: int = 0, budget: int = 500
 ) -> RDPInstance | None:
     """Randomized refutation of the (m, n) decomposition property.
 
     Samples y_j from n wedges (drawn with repetition), splits their sum
     into m pieces inside the sum wedge, and returns the first instance
     rdp_check reports infeasible; None when the budget runs out.
-    Deterministic for a fixed seed. Checks on the same ordered wedges
-    share one ``Warm``, kept for this call only: each verdict is exact, so
-    the first counterexample is that of cold sessions.
+    Deterministic for a fixed seed. rdp_check sees each instance in
+    sorted wedge order (see ``multiorder._trials``).
     """
-    if not wedges:
-        raise ValueError("need at least one wedge")
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    rng = random.Random(seed)
-    sum_cache: dict[tuple[int, ...], Wedge] = {}
-    # The rows of rdp_check depend only on the ordered js; xs and ys move its right-hand side.
-    warm: dict[tuple[int, ...], Warm] = {}
-    for _ in range(budget):
-        js = tuple(rng.randrange(len(wedges)) for _ in range(n))
-        key = tuple(sorted(set(js)))
-        if key not in sum_cache:
-            sum_cache[key] = wedge_sum([wedges[i] for i in key])
-        sw = sum_cache[key]
+    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum):
         ys = [_random_member(rng, wedges[j]) for j in js]
         xs = [_random_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, QVector.zero(sw.dim))
@@ -354,9 +337,8 @@ def rdp_search(
             continue
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        if js not in warm:
-            warm[js] = Warm()
-        if rdp_check(inst, _sum_wedge=sw, _warm=warm[js]) is None:
+        posed = RDPInstance(tuple(inst.wedges[p] for p in order), inst.xs, tuple(ys[p] for p in order))
+        if rdp_check(posed, _sum_wedge=sw, _warm=warm) is None:
             return inst
     return None
 

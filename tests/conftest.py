@@ -926,6 +926,17 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
 
 
 @pytest.fixture
+def sessions(monkeypatch):
+    """List that gets one entry per cold ``lp.Session`` built."""
+    from multiwedge import lp
+
+    built = []
+    init = lp.Session.__init__
+    monkeypatch.setattr(lp.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    return built
+
+
+@pytest.fixture
 def conversions(monkeypatch):
     """List that gets one entry per call of ``wedges.hrep_to_vrep``."""
     from multiwedge import wedges

@@ -380,6 +380,20 @@ def test_negative_budget_is_a_usage_error(capsys, argv):
     assert run_cli(capsys, *zero)[0] == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "3"])
+@pytest.mark.parametrize("argv", [["lattice-search", "--k", "1"], ["rdp", "search", "--m", "1", "--n", "1"]])
+def test_mixed_dimension_wedges_are_a_usage_error(capsys, tmp_path, argv, budget):
+    # Rejected before the first draw; the verdict used to depend on the
+    # draws ("found": false, or an apex that did not match its wedge).
+    wedges = write_json(
+        tmp_path,
+        "wedges.json",
+        {"wedges": [{"dim": 2, "generators": [["1", "0"]]}, {"dim": 3, "generators": [["1", "0", "0"]]}]},
+    )
+    code, out, err = run_cli(capsys, *argv, "-f", wedges, "--budget", budget)
+    assert code == 2 and out == "" and "mismatched dimensions" in err
+
+
 def test_rdp_search_cli(capsys, tmp_path):
     wedges = write_json(
         tmp_path,
@@ -561,6 +575,8 @@ def test_rdp_check_golden_z_decomposes_its_input(name):
                                      "-f", "lattice-search-ex27.input.json"]),
         ("rdp-search-ex37", ["rdp", "search", "--seed", "2", "--budget", "400"]),
         ("rk-op-msup-rational", ["rk", "op-msup"]),
+        ("rdp-search-ex37-drawn", ["rdp", "search", "--seed", "0", "--budget", "400",
+                                  "-f", "rdp-search-ex37.input.json"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -575,6 +591,9 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # lattice-search-ex27 finds ex2.7's triple, so it pins the seeded apex
     # draws. lattice-search-ex27-late and rdp-search-ex37 find theirs only
     # at trials 27 and 38, after many re-solved trials on the same wedges.
+    # rdp-search-ex37-drawn's instance has the ray before the quadrant: a
+    # search reports its counterexample in the drawn order, not the sorted
+    # one in which it checks it.
     # A command without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:

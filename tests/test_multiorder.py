@@ -21,7 +21,6 @@ from multiwedge import (
     span_contains,
 )
 
-import multiwedge.lp as lp_module
 from multiwedge.lp import Session, Warm
 from multiwedge.multiorder import _upper_bound_constraints, sample_apex
 
@@ -215,9 +214,10 @@ def test_warm_search_matches_cold_search():
 
 
 def test_msup_with_warm_matches_cold():
-    # Families drawn on the same ordered wedges share one Warm, as in the
-    # search, but every verdict is read: empty sets, no upper bound, and
-    # nonempty sets, whose witness may be any point of the cold set.
+    # Families on the same wedges in the same order share one Warm, as the
+    # search's sorted families do, but every verdict is read: empty sets,
+    # no upper bound, and nonempty sets, whose witness may be any point of
+    # the cold set.
     rng = random.Random(4242)
     quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
     diag = Wedge(2, generators=[V([1, 1])])
@@ -251,14 +251,20 @@ def test_msup_with_warm_matches_cold():
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_search_builds_one_cold_session_per_wedge_order(monkeypatch):
+def test_search_builds_one_cold_session_per_wedge_multiset(sessions):
     # ex2.7's pairs always have an upper bound, so after the first trial on
-    # each of the 9 ordered pairs every trial is re-solved.
-    built = []
-    init = lp_module.Session.__init__
-    monkeypatch.setattr(lp_module.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    # each of the 6 sorted pairs every trial is re-solved.
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
-    assert len(built) <= 9
+    assert len(sessions) <= 6
+
+
+def test_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
+    # Coordinate wedges of Q^3 meet in the orthant, so every triple has an
+    # upper bound and a multi-supremum: one cold session for each of the
+    # C(5, 3) = 10 multisets of 3 out of 3 wedges, not one per ordered triple.
+    coord = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
+    assert multilattice_search(coord, 3, seed=3, budget=200) is None
+    assert len(sessions) <= 10
 
 
 def test_search_budget_must_be_nonnegative():

@@ -38,7 +38,6 @@ from multiwedge import (
     span_contains,
     wedge_sum,
 )
-import multiwedge.lp as lp_module
 from multiwedge.lp import Warm
 from multiwedge.multiorder import TranslatedWedge, minf, msup
 from multiwedge.operators import _random_member
@@ -314,8 +313,9 @@ def test_warm_rdp_search_matches_cold_search():
 
 
 def test_rdp_check_with_warm_matches_cold():
-    # Instances on the same ordered wedges share one Warm, as in the search,
-    # but every verdict is read; z may be any decomposition.
+    # Instances on the same wedges in the same order share one Warm, as the
+    # search's sorted instances do, but every verdict is read; z may be any
+    # decomposition.
     rng = random.Random(4242)
     outcomes = Counter()
     for run in range(40):
@@ -344,14 +344,17 @@ def test_rdp_check_with_warm_matches_cold():
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
 
 
-def test_rdp_search_builds_one_cold_session_per_wedge_order(monkeypatch):
+def test_rdp_search_builds_one_cold_session_per_wedge_multiset(sessions):
     # Coordinate wedges always decompose, so after the first check on each
-    # of the 9 ordered pairs every check is re-solved.
-    built = []
-    init = lp_module.Session.__init__
-    monkeypatch.setattr(lp_module.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    # of the 6 sorted pairs every check is re-solved.
     assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 2, seed=3, budget=100) is None
-    assert len(built) <= 9
+    assert len(sessions) <= 6
+
+
+def test_rdp_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
+    # At n = 3 the 27 ordered triples of 3 wedges are C(5, 3) = 10 multisets.
+    assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 3, seed=3, budget=100) is None
+    assert len(sessions) <= 10
 
 
 def test_rdp_search_budget_must_be_nonnegative():
