@@ -1,4 +1,4 @@
-"""Exact rational linear programming: two-phase primal simplex, dual simplex re-solves.
+"""Exact rational linear programming: Bland-rule dual simplex phase 1, primal phase 2.
 
 Variables are unrestricted in sign by default and split internally.
 Bland's pivot rule is used throughout, so every solve terminates and the
@@ -17,17 +17,21 @@ for the value, for the duals and Farkas vectors when they are read, and,
 with ``==`` rows, for the right-hand sides over t and the Farkas vector
 of an infeasible system.
 
-A ``Session`` holds one constraint system after phase 1, so callers that
-optimize several objectives over the same system (or only need a feasible
-point) pay for phase 1 once; ``lp_solve`` is a session with one objective.
-``Session.resolve`` answers the same rows at new right-hand sides without
-phase 1: the artificial marker columns hold B^-1, so the new right-hand
-side column is B^-1 b', and a Bland-rule dual simplex (Chvatal 1983,
-Linear Programming, ch. 10) restores primal feasibility while the basis
-stays dual feasible. An infeasible session keeps a Farkas vector, which
-refutes a later right-hand side with one dot product; ``Warm`` keeps the
-latest basis and Farkas vector for a caller that solves one system at
-many right-hand sides.
+Each ``>=`` row is negated, so every row reads a . x + s = b with its own
+slack s >= 0 at coefficient +1. The slack columns then hold B^-1, and the
+all-slack basis is dual feasible for the zero objective, so phase 1 is a
+Bland-rule dual simplex (Chvatal 1983, Linear Programming, ch. 10; finite
+by Bland 1977, New finite pivoting rules for the simplex method) from
+that basis; no artificial column is needed. A ``Session`` holds one
+constraint system after phase 1, so callers that optimize several
+objectives over the same system (or only need a feasible point) pay for
+phase 1 once; ``lp_solve`` is a session with one objective.
+``Session.resolve`` answers the same rows at new right-hand sides by the
+same dual simplex: the new right-hand side column is B^-1 b', and the
+kept basis stays dual feasible. An infeasible session keeps a Farkas
+vector, which refutes a later right-hand side with one dot product;
+``Warm`` keeps the latest basis and Farkas vector for a caller that
+solves one system at many right-hand sides.
 
 Equality rows never reach the tableau. A session with ``==`` rows E x = e
 first reduces [E | I] (``_Equalities``), the presolve step of Andersen &
@@ -272,7 +276,8 @@ class Session:
     its tableau as it is.
 
     An infeasible session keeps a Farkas vector. ``dual_pivots`` counts
-    the pivots ``resolve`` made to reach it.
+    the pivots the dual simplex made to reach it: phase 1's in a cold
+    session, ``resolve``'s in a re-solved one.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
@@ -297,55 +302,47 @@ class Session:
             )
         self._adopt(eq, x0, inner, farkas)
 
-    def _phase_one(self, constraints: tuple[Constraint, ...]) -> None:
-        """Build the tableau of ``>=``/``<=`` rows and run phase 1."""
-        n = self.n
-        m = len(constraints)
-        # Columns: x+ (n), x- (n), one slack/surplus per row, then one
-        # artificial per row (kept in the tableau as dual markers).
-        art0 = 2 * n + m
-        ncols = art0 + m
-        self._eq, self._ncols, self._art0 = None, ncols, art0
+    def _phase_one(self, constraints: Sequence[Constraint]) -> None:
+        """Build the tableau of ``>=``/``<=`` rows at the slack basis and run phase 1.
 
-        tableau, basis, flipped = [], [], []
-        for i, con in enumerate(constraints):
+        Columns: x+ (n), x- (n), one slack per row, then the right-hand
+        side. A ``>=`` row is negated (``_flipped``), so each slack has
+        coefficient +1 and the slacks are the start basis.
+        """
+        n, m = self.n, len(constraints)
+        ncols = 2 * n + m
+        self._eq, self._ncols = None, ncols
+        self._flipped = [c.rel == GE for c in constraints]
+        tableau = []
+        for i, (con, flip) in enumerate(zip(constraints, self._flipped)):
             den = lcm(con.row.den, con.rhs.denominator)
-            a = [e * (den // con.row.den) for e in con.row.num]
-            a.append(con.rhs.numerator * (den // con.rhs.denominator))
-            # Normalize to a nonnegative right-hand side.
-            flip = a[n] < 0
-            if flip:
-                a = [-e for e in a]
-            le = (con.rel == LE) != flip
-            num = [0] * (ncols + 1)
-            num[:n] = a[:n]
-            num[n : 2 * n] = [-e for e in a[:n]]
-            num[2 * n + i] = den if le else -den
-            num[art0 + i] = den
-            num[ncols] = a[n]
+            sign = -1 if flip else 1
+            a = [sign * e * (den // con.row.den) for e in con.row.num]
+            num = [*a, *[-e for e in a], *[0] * m, sign * con.rhs.numerator * (den // con.rhs.denominator)]
+            num[2 * n + i] = den
             tableau.append(_Row(num, den))
-            basis.append(2 * n + i if le else art0 + i)
-            flipped.append(flip)
-        self._tableau, self._basis, self._flipped = tableau, basis, flipped
-        self._farkas, self.dual_pivots = None, 0
+        rhs = [c.rhs for c in constraints]
+        self._settle(tableau, list(range(2 * n, ncols)), _Row([0] * (ncols + 1), 1), rhs)
 
-        # Phase 1: minimize the sum of artificial variables.
-        self.feasible = True
-        if any(b >= art0 for b in basis):
-            status, reduced = _run(tableau, basis, _Row([0] * art0 + [1] * m + [0], 1), ncols)
-            if status != "optimal":
-                raise InternalInvariantError("phase 1 cannot be unbounded")
-            # The right-hand-side entry of the reduced row is minus the objective.
-            self.feasible = not reduced.num[ncols]
-            if self.feasible:
-                _drive_out_artificials(tableau, basis, art0)
-            else:
-                # The artificial columns cost 1, so their reduced costs are
-                # 1 - w with w = c_B B^-1, the phase-1 duals: w^T A <= 0 on the
-                # structural columns, and w . b is the positive optimum.
-                rnum, rden = reduced.num, reduced.den
-                self._farkas = _Row([rden - e for e in rnum[art0:ncols]], rden)
-                self._tableau = self._basis = None
+    def _settle(self, tableau, basis, reduced, rhs) -> Session:
+        """Run the dual simplex from ``basis``, dual feasible for ``reduced``, and keep its outcome.
+
+        Phase 1 starts at the slack basis with zero costs, ``resolve`` at a
+        kept one. A row the dual simplex cannot pivot on reads
+        u^T A' x + u^T s = u . b' < 0 with no negative entry, u >= 0 its slack
+        part: u^T A' = 0, so w = -u is a Farkas vector of the rows A' x <= b'
+        as stored, checked here against ``rhs``.
+        """
+        leave, self.dual_pivots = _dual_run(tableau, basis, reduced)
+        self.feasible = leave < 0
+        self._tableau, self._basis, self._farkas = tableau, basis, None
+        if not self.feasible:
+            row = tableau[leave]
+            self._tableau = self._basis = None
+            self._farkas = _Row([-e for e in row.num[2 * self.n : self._ncols]], row.den)
+            if not self.refutes(rhs):
+                raise InternalInvariantError("a Farkas vector w of the dual simplex has w . b <= 0")
+        return self
 
     def _adopt(self, eq: _Equalities, x0: QVector | None, inner: Session | None, farkas=None) -> None:
         """Become ``eq``'s system at x0 + N t over ``inner``, or infeasible by ``farkas``."""
@@ -386,12 +383,11 @@ class Session:
                 return Unbounded(eq.lift.apply(res.ray))
             point = eq.lifted(self._x0, res.point)
             return Optimal(res.value + objective.dot(self._x0), point, (self, res, objective))
-        ncols, art0 = self._ncols, self._art0
+        ncols = self._ncols
         source, basis, _ = self._start(start)
         tableau = [_Row(list(row.num), row.den) for row in source]
         basis = list(basis)
-        # Phase 2: original (split) objective; artificials may not re-enter.
-        status, info = _run(tableau, basis, self._cost(objective), art0)
+        status, info = _run(tableau, basis, self._cost(objective))
         if status == "unbounded":
             # The entering variable rises by 1, each basic one by minus its entry there.
             return Unbounded(_split_vector(tableau, basis, n, info, -1, info))
@@ -403,7 +399,7 @@ class Session:
         """``minimize(objective).value`` when ``res``'s final basis is optimal for it, else None.
 
         Re-pricing at an optimal basis (Chvatal 1983, Linear Programming, ch. 10):
-        no reduced cost below the artificial columns may be negative.
+        no reduced cost may be negative.
         """
         final = self._own(res)
         if objective.dim != self.n:
@@ -413,30 +409,30 @@ class Session:
             return None if value is None else value + objective.dot(self._x0)
         _, tableau, basis, _ = final
         reduced = _priced(tableau, basis, self._cost(objective))
-        if any(e < 0 for e in reduced.num[: self._art0]):
+        if any(e < 0 for e in reduced.num[: self._ncols]):
             return None
         return Fraction(-reduced.num[-1], reduced.den)
 
     def refutes(self, rhs) -> bool:
         """Whether this session's Farkas vector w proves the rows infeasible at ``rhs`` too.
 
-        w^T A <= 0 does not read the right-hand side, so w . rhs > 0 is enough.
+        w^T A = 0 and the signs of w do not read the right-hand side, so
+        w . rhs > 0 is enough.
         """
         if self.feasible:
             return False
         return sum(map(mul, self._farkas.num, self._flipped_rhs(rhs)[0])) > 0
 
     def resolve(self, rhs, start: Optimal | None = None) -> Session:
-        """This feasible system's rows at the right-hand sides ``rhs``, without phase 1.
+        """This feasible system's rows at the right-hand sides ``rhs``, from a kept basis.
 
         Verdicts and optimal values equal those of a cold
         ``Session(n, rows with rhs)``; points may differ where they are not
         unique. The new right-hand side column is B^-1 b', read off the
-        artificial columns with this session's flips. Then a Bland-rule
-        dual simplex runs from ``start``'s basis (an optimum of this
-        session, kept optimal for its objective) or from this session's
-        (with zero costs). An infeasible result carries the Farkas vector
-        of the row the dual simplex cannot pivot on.
+        slack columns with this session's flips. Then phase 1's dual
+        simplex (``_settle``) runs from ``start``'s basis (an optimum of
+        this session, kept optimal for its objective) or from this
+        session's (with zero costs).
 
         With ``==`` rows, the new e is checked against the redundant ones
         (an infeasible result carries the violated one) and moves x0 to
@@ -455,25 +451,21 @@ class Session:
             new._adopt(eq, x0, inner, farkas)
             return new
         b, den = self._flipped_rhs(rhs)
-        art0, ncols = self._art0, self._ncols
+        s0, ncols = 2 * self.n, self._ncols
         source, basis, reduced = self._start(start)
         tableau = []
         for row in source:
             num, rden = row.num, row.den
-            v = sum(map(mul, num[art0:ncols], b))
+            v = sum(map(mul, num[s0:ncols], b))
             num = num[:ncols] if den == 1 else [e * den for e in num[:ncols]]
             num.append(v)
             rden *= den
             g = gcd(rden, *num)
             tableau.append(_Row(num if g == 1 else [e // g for e in num], rden // g))
-        basis = list(basis)
         reduced = _Row([0] * (ncols + 1), 1) if reduced is None else _Row(list(reduced.num), reduced.den)
-        leave, pivots = _dual_run(tableau, basis, reduced, art0)
-        if leave >= 0:
-            # Row leave reads -w^T A >= 0 on the structural columns and -w . b < 0.
-            row = tableau[leave]
-            return self._derived(farkas=_Row([-e for e in row.num[art0:ncols]], row.den), pivots=pivots)
-        return self._derived(tableau, basis, pivots=pivots)
+        new = object.__new__(Session)
+        new.n, new._eq, new._ncols, new._flipped = self.n, None, ncols, self._flipped
+        return new._settle(tableau, list(basis), reduced, rhs)
 
     def _own(self, res: Optimal) -> tuple:
         """The final state of ``res``, which must be an optimum of this session."""
@@ -490,17 +482,17 @@ class Session:
     def _dual(self, final: tuple) -> tuple[Fraction, ...]:
         """The duals of the optimum with state ``final``.
 
-        The artificial marker columns hold the row transform, so -reduced
-        there is c_B B^{-1} per original row. The split variables force
+        The slack columns hold B^-1 and cost 0, so -reduced there is
+        c_B B^-1 per stored row. The split variables force
         A^T y = c, and slack-column optimality gives the signs. With ``==``
         rows, the duals over t are lifted to them (``_Equalities.multipliers``).
         """
         if self._eq is not None:
             _, res, objective = final
             return tuple(self._eq.multipliers(objective.entries, res.dual))
-        rnum, art0, den = final[3].num, self._art0, final[3].den
+        rnum, s0, den = final[3].num, 2 * self.n, final[3].den
         return tuple(
-            Fraction(rnum[art0 + i] if flip else -rnum[art0 + i], den)
+            Fraction(rnum[s0 + i] if flip else -rnum[s0 + i], den)
             for i, flip in enumerate(self._flipped)
         )
 
@@ -513,15 +505,6 @@ class Session:
             *kept, reduced = res._final
             final = (*kept, _Row([-e for e in reduced.num], reduced.den))
         return Optimal(-res.value, res.point, final)
-
-    def _derived(self, tableau=None, basis=None, farkas=None, pivots=0) -> Session:
-        """A session on this one's rows and flips: at ``tableau`` and ``basis``, or infeasible by ``farkas``."""
-        new = object.__new__(Session)
-        new.n, new._eq, new._ncols, new._art0 = self.n, None, self._ncols, self._art0
-        new._flipped = self._flipped
-        new._tableau, new._basis, new._farkas = tableau, basis, farkas
-        new.feasible, new.dual_pivots = farkas is None, pivots
-        return new
 
     def _flipped_rhs(self, rhs) -> tuple[list[int], int]:
         """``rhs`` as int numerators over their least common denominator, with this session's flips."""
@@ -585,17 +568,17 @@ def _split_vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
     return QVector._of([split[j] - split[n + j] for j in range(n)], den)
 
 
-def _run(tableau, basis, cost, banned_from):
-    """Bland-rule simplex iterations for one phase; columns from
-    ``banned_from`` on may not enter.
+def _run(tableau, basis, cost):
+    """Bland-rule primal simplex iterations from a primal feasible basis.
 
     Returns ("optimal", reduced_cost_row) or ("unbounded", entering_column).
     """
     reduced = _priced(tableau, basis, cost)
+    ncols = len(reduced.num) - 1
     while True:
         enter = -1
         num = reduced.num
-        for j in range(banned_from):
+        for j in range(ncols):
             if num[j] < 0:
                 enter = j
                 break
@@ -622,15 +605,16 @@ def _run(tableau, basis, cost, banned_from):
         basis[leave] = enter
 
 
-def _dual_run(tableau, basis, reduced, banned_from) -> tuple[int, int]:
+def _dual_run(tableau, basis, reduced) -> tuple[int, int]:
     """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
 
-    Leaving: the negative row with the smallest basic variable. Entering,
-    before ``banned_from``: the least reduced / -entry over the row's
-    negative entries, ties to the smallest column. Returns (-1, pivots)
-    once primal feasible, or (row, pivots) for a negative row with no
-    negative entry, which proves infeasibility.
+    Leaving: the negative row with the smallest basic variable. Entering:
+    the least reduced / -entry over the row's negative entries, ties to
+    the smallest column. Returns (-1, pivots) once primal feasible, or
+    (row, pivots) for a negative row with no negative entry, which proves
+    infeasibility.
     """
+    ncols = len(reduced.num) - 1
     pivots = 0
     while True:
         leave = -1
@@ -642,7 +626,7 @@ def _dual_run(tableau, basis, reduced, banned_from) -> tuple[int, int]:
         num, rnum = tableau[leave].num, reduced.num
         enter = -1
         best_r = best_a = 0
-        for j in range(banned_from):
+        for j in range(ncols):
             a = num[j]
             if a < 0 and (enter < 0 or rnum[j] * best_a < best_r * -a):
                 enter, best_r, best_a = j, rnum[j], -a
@@ -660,19 +644,3 @@ def _priced(tableau, basis, cost) -> _Row:
         if reduced.num[b]:
             _eliminate(reduced, row, b, _nonzero(row))
     return reduced
-
-
-def _drive_out_artificials(tableau, basis, art0) -> None:
-    """Pivot the artificials still basic (at zero) after phase 1 out of the basis.
-
-    Each row has its own slack column, so the columns before ``art0`` have
-    full row rank in every basis, and each such row has a nonzero there.
-    """
-    for i, b in enumerate(basis):
-        if b >= art0:
-            num = tableau[i].num
-            col = next((j for j in range(art0) if num[j]), -1)
-            if col < 0:
-                raise InternalInvariantError("a row with a slack column vanished before the artificials")
-            _pivot(tableau, None, i, col)
-            basis[i] = col

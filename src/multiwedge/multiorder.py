@@ -10,7 +10,8 @@ exact LPs over one constraint system, P, solved in one ``lp.Session``;
 each a is priced at the sum's optimal basis first, and its own LP runs
 from that basis only when it is not optimal for it. P's rows depend
 only on the sorted wedge multiset, so ``multilattice_search`` re-solves
-them at each trial's apexes (``lp.Warm``) instead of running phase 1 again.
+them at each trial's apexes (``lp.Warm``): the dual simplex starts from
+the latest trial's basis, not from the slack basis of a cold session.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ layer. The primal decomposition system remains only in rdp_check. Its
 row and column sums are == rows, which ``lp.Session`` eliminates before
 the simplex, so the tableau runs on the z left free by them. Its rows
 depend only on the sorted wedge multiset, so rdp_search re-solves them at
-each trial's xs and ys (``lp.Warm``), which moves only right-hand sides,
-instead of running phase 1 again. The witness system of the values,
+each trial's xs and ys (``lp.Warm``), which moves only right-hand sides:
+the dual simplex starts from the latest trial's basis, not from the
+slack basis of a cold session. The witness system of the values,
 b . z = s_b for every normal b of V, has == rows only: its point is the
 particular solution of the reduction, and no simplex runs.
 """
@@ -263,7 +264,8 @@ def rdp_check(
     exists (the instance witnesses a decomposition failure). The (m + n)
     * dim sum rows are == rows, which the session eliminates: the simplex
     runs on the z = z0 + N t that meet them, over the m * n halfspace
-    blocks. z is a free witness; it is the phase-1 point in t. ``_warm``
+    blocks. z is a free witness: the point in t where the dual simplex
+    stops, from the slack basis or from a kept one. ``_warm``
     optionally holds the latest states of the rows, which depend only on
     m and the sorted wedge multiset in a search: the system is then
     re-solved at the new xs and ys (``Warm``). The verdict is the same; z

@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the library code paths they are used
 to check: linear systems are solved by a local Gaussian elimination, LP
 optima by basic-point enumeration, polytope vertices by active-set
-enumeration, simplex results by the ``Fraction`` tableau the library's
-integer-row simplex replaced, row reductions by the ``Fraction`` loop the
-integer-row elimination replaced, extreme rays by the subset scan the
+enumeration, simplex results by a ``Fraction`` tableau that pivots by
+the integer-row simplex's rules, row reductions by the ``Fraction`` loop
+the integer-row elimination replaced, extreme rays by the subset scan the
 double-description method replaced, multi-suprema by the equality
 system that ``msup``'s sum-of-normals LP replaced, Riesz-Kantorovich
 values by the primal decomposition LP that ``rk_value``'s dual sessions
@@ -256,8 +256,8 @@ class VertexEnumerator:
         return out
 
 
-# Reference simplex: the two-phase Bland simplex on a ``Fraction`` tableau,
-# as the library ran it before its tableau moved to integer rows, behind
+# Reference simplex: the Bland simplex on a ``Fraction`` tableau, phase 1
+# by the dual simplex from the slack basis and phase 2 by the primal, behind
 # the elimination of == rows that the library runs before its tableau
 # (``_FsEqualities``). The library must reproduce its status, point, duals
 # and ray exactly. The only addition is ``events``, a Counter of the code
@@ -291,12 +291,11 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     start = _fs_phase_one(n, rows, rels, rhs, events)
     if start is None:
         return "infeasible", None, None
-    tableau, basis, flipped, art0, ncols = start
-    m = len(rows)
+    tableau, basis, flipped, ncols = start
 
-    # Phase 2: original (split) objective; artificials may not re-enter.
+    # Phase 2: original (split) objective from the phase-1 basis.
     cost2 = _fs_cost(n, c, ncols)
-    status, info = _fs_run(tableau, basis, cost2, ncols, art0, events)
+    status, info = _fs_run(tableau, basis, cost2, ncols, events)
     if status == "unbounded":
         events["unbounded"] += 1
         ray_cols = info
@@ -306,9 +305,10 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     events["optimal"] += 1
     x = _fs_point(tableau, basis, n, ncols)
     reduced = _fs_reduced_costs(tableau, basis, cost2, ncols)
-    duals = [-reduced[art0 + i] for i in range(m)]
-    for i in range(m):
-        if flipped[i]:
+    # The slack columns hold B^-1 and cost 0: -reduced there is c_B B^-1.
+    duals = [-reduced[2 * n + i] for i in range(len(rows))]
+    for i, flip in enumerate(flipped):
+        if flip:
             duals[i] = -duals[i]
     return "optimal", x, duals
 
@@ -317,13 +317,11 @@ def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
     """The textbook re-solve at ``new_rhs``, in ``Fraction`` rows.
 
     Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
-    fraction_simplex; then B^-1 of the flipped rows, read off the
-    artificial columns, gives the new right-hand side column, and a
-    Bland-rule dual simplex (leaving: the negative row of smallest basic
-    index; entering: the smallest ratio reduced / -entry, ties to the
-    smallest column) runs with c's reduced costs (zero without c). Returns
-    ("infeasible", None) or ("feasible", x) with x the final basic point;
-    None when the base system is infeasible or c unbounded on it.
+    fraction_simplex; then B^-1 of the stored rows, read off the slack
+    columns, gives the new right-hand side column, and the Bland-rule dual
+    simplex of phase 1 runs with c's reduced costs (zero without c).
+    Returns ("infeasible", None) or ("feasible", x) with x the final basic
+    point; None when the base system is infeasible or c unbounded on it.
     """
     if _FEQ in rels:
         # A new e moves x0; the rows over t are re-solved at g' - G x0'.
@@ -341,26 +339,17 @@ def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
     start = _fs_phase_one(n, rows, rels, rhs, Counter())
     if start is None:
         return None
-    tableau, basis, flipped, art0, ncols = start
+    tableau, basis, flipped, ncols = start
     cost = _fs_cost(n, c if c is not None else [F(0)] * n, ncols)
-    if c is not None and _fs_run(tableau, basis, cost, ncols, art0, Counter())[0] != "optimal":
+    if c is not None and _fs_run(tableau, basis, cost, ncols, Counter())[0] != "optimal":
         return None
     b = [-v if flip else v for v, flip in zip(new_rhs, flipped)]
     for row in tableau:
-        row[-1] = sum((row[art0 + i] * v for i, v in enumerate(b)), F(0))
+        row[-1] = sum((row[2 * n + i] * v for i, v in enumerate(b)), F(0))
     reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
-    while True:
-        rows_out = [i for i, row in enumerate(tableau) if row[-1] < 0]
-        if not rows_out:
-            return "feasible", _fs_point(tableau, basis, n, ncols)
-        leave = min(rows_out, key=lambda i: basis[i])
-        row = tableau[leave]
-        candidates = [j for j in range(art0) if row[j] < 0]
-        if not candidates:
-            return "infeasible", None
-        enter = min(candidates, key=lambda j: (reduced[j] / -row[j], j))
-        _fs_pivot(tableau, reduced, leave, enter)
-        basis[leave] = enter
+    if not _fs_dual_run(tableau, basis, reduced, Counter()):
+        return "infeasible", None
+    return "feasible", _fs_point(tableau, basis, n, ncols)
 
 
 class _FsEqualities:
@@ -441,74 +430,57 @@ def _fs_point(tableau, basis, n, ncols):
 
 
 def _fs_phase_one(n, rows, rels, rhs, events):
-    """Flipped rows, slacks and artificials after phase 1, or None when infeasible.
+    """The tableau after phase 1 from the slack basis, or None when infeasible.
 
-    Returns (tableau, basis, flipped, art0, ncols) with the artificials
-    driven out and redundant rows deleted.
+    Each >= row is negated, so every row has its own slack at +1: the
+    slacks are the start basis, their columns hold B^-1, and zero costs
+    are dual feasible there. Returns (tableau, basis, flipped, ncols),
+    ``flipped[i]`` meaning that row i is a negated >= row.
     """
     m = len(rows)
-    # Normalize to nonnegative right-hand sides.
-    flipped = [False] * m
-    work_rows, work_rels, work_rhs = [], [], []
-    for i in range(m):
-        r, rel, b = rows[i], rels[i], rhs[i]
-        if b < 0:
-            events["row_flip"] += 1
-            r = [-e for e in r]
-            b = -b
-            rel = _FLE if rel == _FGE else (_FGE if rel == _FLE else _FEQ)
-            flipped[i] = True
-        work_rows.append(r)
-        work_rels.append(rel)
-        work_rhs.append(b)
-
-    # Columns: x+ (n), x- (n), one slack/surplus per inequality row, then
-    # one artificial per row (kept in the tableau as dual markers).
-    nslack = sum(1 for rel in work_rels if rel != _FEQ)
-    ncols = 2 * n + nslack + m
-    art0 = 2 * n + nslack
-
+    ncols = 2 * n + m
+    flipped = [rel == _FGE for rel in rels]
     tableau = []
-    basis = []
-    slack_idx = 2 * n
     for i in range(m):
+        sign = -1 if flipped[i] else 1
+        if flipped[i]:
+            events["row_flip"] += 1
         row = [F(0)] * (ncols + 1)
-        for j, e in enumerate(work_rows[i]):
+        for j, e in enumerate(rows[i]):
             if e:
-                row[j] = e
-                row[n + j] = -e
-        if work_rels[i] == _FLE:
-            row[slack_idx] = F(1)
-            basic = slack_idx
-            slack_idx += 1
-        elif work_rels[i] == _FGE:
-            row[slack_idx] = -F(1)
-            basic = art0 + i
-            slack_idx += 1
-        else:
-            basic = art0 + i
-        row[art0 + i] = F(1)
-        row[ncols] = work_rhs[i]
+                row[j] = sign * e
+                row[n + j] = -sign * e
+        row[2 * n + i] = F(1)
+        row[ncols] = sign * F(rhs[i])
         tableau.append(row)
-        basis.append(basic)
-
-    # Phase 1: minimize the sum of artificial variables.
-    if any(b >= art0 for b in basis):
-        cost1 = [F(0)] * ncols
-        for j in range(art0, ncols):
-            cost1[j] = F(1)
-        status, _ = _fs_run(tableau, basis, cost1, ncols, None, events)
-        if status != "optimal":
-            raise AssertionError("phase 1 cannot be unbounded")
-        if _fs_objective_value(tableau, basis, cost1) != 0:
-            events["infeasible"] += 1
-            return None
-        _fs_drive_out_artificials(tableau, basis, art0, events)
-    return tableau, basis, flipped, art0, ncols
+    basis = list(range(2 * n, ncols))
+    if not _fs_dual_run(tableau, basis, [F(0)] * ncols, events):
+        events["infeasible"] += 1
+        return None
+    return tableau, basis, flipped, ncols
 
 
-def _fs_objective_value(tableau, basis, cost):
-    return sum((cost[b] * row[-1] for row, b in zip(tableau, basis)), F(0))
+def _fs_dual_run(tableau, basis, reduced, events):
+    """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
+
+    Leaving: the negative row of smallest basic index; entering: the
+    smallest ratio reduced / -entry over the row's negative entries, ties
+    to the smallest column. True once primal feasible; False at a negative
+    row with no negative entry.
+    """
+    while True:
+        rows_out = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        if not rows_out:
+            return True
+        leave = min(rows_out, key=lambda i: basis[i])
+        row = tableau[leave]
+        candidates = [j for j in range(len(reduced)) if row[j] < 0]
+        if not candidates:
+            return False
+        events["dual_pivot"] += 1
+        enter = min(candidates, key=lambda j: (reduced[j] / -row[j], j))
+        _fs_pivot(tableau, reduced, leave, enter)
+        basis[leave] = enter
 
 
 def _fs_reduced_costs(tableau, basis, cost, ncols):
@@ -522,16 +494,10 @@ def _fs_reduced_costs(tableau, basis, cost, ncols):
     return reduced
 
 
-def _fs_run(tableau, basis, cost, ncols, banned_from, events):
+def _fs_run(tableau, basis, cost, ncols, events):
     reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
     while True:
-        enter = -1
-        for j in range(ncols):
-            if banned_from is not None and j >= banned_from:
-                break
-            if reduced[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if reduced[j] < 0), -1)
         if enter < 0:
             return "optimal", None
         # Ratio test; ties broken by smallest basic variable index (Bland).
@@ -550,8 +516,7 @@ def _fs_run(tableau, basis, cost, ncols, banned_from, events):
             ray = [F(0)] * ncols
             ray[enter] = F(1)
             for i, row in enumerate(tableau):
-                if basis[i] < ncols:
-                    ray[basis[i]] = -row[enter]
+                ray[basis[i]] = -row[enter]
             return "unbounded", ray
         _fs_pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
@@ -578,28 +543,6 @@ def _fs_pivot(tableau, reduced, leave, enter):
         for j in nz:
             if j < ncols:
                 reduced[j] -= f * prow[j]
-
-
-def _fs_drive_out_artificials(tableau, basis, art0, events):
-    i = 0
-    while i < len(tableau):
-        if basis[i] >= art0:
-            row = tableau[i]
-            pivot_col = -1
-            for j in range(art0):
-                if row[j]:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                dummy = [F(0)] * len(row)
-                _fs_pivot(tableau, dummy, i, pivot_col)
-                basis[i] = pivot_col
-            else:
-                events["row_deleted"] += 1
-                del tableau[i]
-                del basis[i]
-                continue
-        i += 1
 
 
 # Reference row reduction: the ``Fraction`` Gauss-Jordan loop that

@@ -369,7 +369,7 @@ def test_integer_tableau_matches_fraction_simplex():
                 duals = [-y for y in duals]
             assert res.dual == tuple(duals) and _all_fractions(res.dual)
     assert non_integer >= 300
-    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "farkas"):
+    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "dual_pivot", "farkas"):
         assert events[event] >= 20, (event, events)
 
 
@@ -425,10 +425,47 @@ def test_session_matches_lp_solve():
         assert outcomes[outcome] >= 100, outcomes
 
 
-def test_unbounded_phase_one_is_internal_invariant(monkeypatch):
-    monkeypatch.setattr(lp_module, "_run", lambda *args: ("unbounded", 0))
+def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
+    # A dual simplex that stops at a row proving nothing must not give a verdict.
+    base = Session(1, [constraint([1], GE, -1)])
+    # Feasible: row 0 reads -x + s = 1 at the slack basis, so its w . b is -1.
+    monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (0, 0))
     with pytest.raises(InternalInvariantError):
-        lp_solve(_lp(1, [1], "min", [([1], GE, 1)]))
+        lp_solve(_lp(1, [1], "min", [([1], GE, -1)]))
+    with pytest.raises(InternalInvariantError):
+        base.resolve([F(-1)])
+    # Infeasible, but row 1 reads x + s = 0 at the slack basis: its w . b is 0.
+    monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (1, 0))
+    with pytest.raises(InternalInvariantError):
+        lp_solve(_lp(1, [1], "min", [([1], GE, 1), ([1], LE, 0)]))
+
+
+def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
+    # <= rows with b >= 0 and >= rows with b <= 0 are feasible at the slack
+    # basis (x = 0), so phase 1 pivots nowhere and a re-solve at the same
+    # right-hand side pivots nowhere either.
+    pivots = Counter()
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        pivots["pivot"] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    rng = random.Random(4242)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            b = F(rng.randint(0, 4), rng.randint(1, 2))
+            cons.append((row, LE, b) if rng.random() < 0.5 else (row, GE, -b))
+        session = Session(n, [constraint(*c) for c in cons])
+        assert session.feasible and session.dual_pivots == 0
+        assert session.feasible_point() == QVector.zero(n)
+        again = session.resolve([b for _, _, b in cons])
+        assert again.feasible and again.dual_pivots == 0
+    assert pivots["pivot"] == 0
 
 
 def _equalities_inconsistent(rows, rels, rhs):
