@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 Q = Fraction
 
-# "p" or "p/q" with q > 0; no decimals or exponents ("1e10000000" would
-# take unbounded time to expand).
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+# "p" or "p/q" with q > 0, captured as p and q; no decimals or exponents
+# ("1e10000000" would take unbounded time to expand).
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def qparse(value: object) -> Fraction:
@@ -34,9 +34,11 @@ def qparse(value: object) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if _RATIONAL.fullmatch(value) is None:
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
             raise ValueError(f'not a rational "p" or "p/q" with q > 0: {value!r}')
-        return Fraction(value)
+        p, q = match.groups()
+        return Fraction(int(p), int(q or 1))
     raise ValueError(f"cannot parse a rational from {value!r}")
 
 

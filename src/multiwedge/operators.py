@@ -16,14 +16,14 @@ whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
 layer. The primal decomposition system remains only in rdp_check. Its
-row and column sums are == rows, which ``lp.Session`` eliminates before
-the simplex, so the tableau runs on the z left free by them. Its rows
-depend only on the sorted wedge multiset, so rdp_search re-solves them at
-each trial's xs and ys (``lp.Warm``), which moves only right-hand sides:
-the dual simplex starts from the latest trial's basis, not from the
-slack basis of a cold session. The witness system of the values,
-b . z = s_b for every normal b of V, has == rows only: its point is the
-particular solution of the reduction, and no simplex runs.
+row and column sums are == rows, each of which ``lp.Session`` pivots on
+a free column of z before the simplex. Its rows depend only on the
+sorted wedge multiset, so rdp_search re-solves them at each trial's xs
+and ys (``lp.Warm``), which moves only right-hand sides: the dual
+simplex starts from the latest trial's basis, not from the basis of a
+cold session. The witness system of the values, b . z = s_b for every
+normal b of V, has == rows only: its point is the particular solution
+of their reduced echelon form, and no simplex runs.
 """
 
 from __future__ import annotations
@@ -262,10 +262,10 @@ def rdp_check(
     Exact LP feasibility in the stacked z variables, coordinate c of z_ij
     being variable (i * n + j) * dim + c; None means no decomposition
     exists (the instance witnesses a decomposition failure). The (m + n)
-    * dim sum rows are == rows, which the session eliminates: the simplex
-    runs on the z = z0 + N t that meet them, over the m * n halfspace
-    blocks. z is a free witness: the point in t where the dual simplex
-    stops, from the slack basis or from a kept one. ``_warm``
+    * dim sum rows are == rows, each pivoted on a free column of z before
+    the dual simplex runs over the m * n halfspace blocks. z is a free
+    witness: the point where the dual simplex stops, from the basis of
+    the == rows or from a kept one. ``_warm``
     optionally holds the latest states of the rows, which depend only on
     m and the sorted wedge multiset in a search: the system is then
     re-solved at the new xs and ys (``Warm``). The verdict is the same; z
@@ -515,7 +515,8 @@ def _rk_sups(
 
     The dual session of each normal b is minimized at every x. The values
     s_b(x) are unique, so z is the particular solution of the equations
-    b . z = s_b(x) (the session eliminates them, and no simplex runs).
+    b . z = s_b(x) (the session pivots them on free columns of z, and no
+    simplex runs).
     An infeasible dual, which does not depend on x, raises
     NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
     wedge. With no normals no x is read, and every witness is 0.

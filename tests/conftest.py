@@ -15,8 +15,8 @@ multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
 draws replaced, the searches themselves by their loops with a cold
 session per trial, and ``Session.resolve`` by the ``Fraction`` dual
-simplex (``fraction_resolve``). Both simplex oracles first eliminate the
-== rows in ``Fraction`` rows, as ``Session`` does before its tableau.
+simplex (``fraction_resolve``). Both simplex oracles hold one free column
+per variable and pivot it in at the == rows, as ``Session`` does.
 """
 
 from __future__ import annotations
@@ -256,14 +256,14 @@ class VertexEnumerator:
         return out
 
 
-# Reference simplex: the Bland simplex on a ``Fraction`` tableau, phase 1
-# by the dual simplex from the slack basis and phase 2 by the primal, behind
-# the elimination of == rows that the library runs before its tableau
-# (``_FsEqualities``). The library must reproduce its status, point, duals
-# and ray exactly. The only addition is ``events``, a Counter of the code
-# paths taken, so tests can require that their inputs reach each path.
+# Reference simplex: the Bland simplex on a ``Fraction`` tableau with one
+# free column per variable, phase 1 by the dual simplex from the basis in
+# which the == rows hold their free columns, phase 2 by the primal. The
+# library must reproduce its status, point, duals and ray exactly. The only
+# addition is ``events``, a Counter of the code paths taken, so tests can
+# require that their inputs reach each path.
 
-_FLE, _FGE, _FEQ = "<=", ">=", "=="
+_FGE, _FEQ = ">=", "=="
 
 
 def fraction_simplex(n, c, rows, rels, rhs, events=None):
@@ -274,238 +274,165 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     """
     if events is None:
         events = Counter()
-    if _FEQ in rels:
-        eqs = _FsEqualities(n, rows, rels)
-        # Redundant == rows are deleted by the reduction, not by phase 1.
-        events["row_deleted"] += len(eqs.redundant)
-        x0 = eqs.particular(rhs)
-        if x0 is None:
-            events["infeasible"] += 1
-            return "infeasible", None, None
-        status, t, duals = fraction_simplex(len(eqs.basis), eqs.reduce(c), *eqs.over_t(rhs, x0), events)
-        if status == "infeasible":
-            return status, None, None
-        if status == "unbounded":
-            return status, eqs.lift([F(0)] * n, t), None
-        return status, eqs.lift(x0, t), eqs.multipliers(c, duals)
     start = _fs_phase_one(n, rows, rels, rhs, events)
     if start is None:
         return "infeasible", None, None
-    tableau, basis, flipped, ncols = start
+    tableau, basis, flipped, slacks, _ = start
 
-    # Phase 2: original (split) objective from the phase-1 basis.
-    cost2 = _fs_cost(n, c, ncols)
-    status, info = _fs_run(tableau, basis, cost2, ncols, events)
+    # Phase 2: the objective on the free columns, from the phase-1 basis.
+    cost = list(c) + [F(0)] * len(rows)
+    status, ray = _fs_run(tableau, basis, cost, n, slacks, events)
     if status == "unbounded":
         events["unbounded"] += 1
-        ray_cols = info
-        ray = [ray_cols[j] - ray_cols[n + j] for j in range(n)]
-        return "unbounded", ray, None
+        return "unbounded", ray[:n], None
 
     events["optimal"] += 1
-    x = _fs_point(tableau, basis, n, ncols)
-    reduced = _fs_reduced_costs(tableau, basis, cost2, ncols)
-    # The slack columns hold B^-1 and cost 0: -reduced there is c_B B^-1.
-    duals = [-reduced[2 * n + i] for i in range(len(rows))]
+    reduced = _fs_reduced_costs(tableau, basis, cost)
+    # The unit columns hold B^-1 and cost 0: -reduced there is c_B B^-1.
+    duals = [-reduced[n + i] for i in range(len(rows))]
     for i, flip in enumerate(flipped):
         if flip:
             duals[i] = -duals[i]
-    return "optimal", x, duals
+    return "optimal", _fs_point(tableau, basis, n), duals
 
 
 def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
     """The textbook re-solve at ``new_rhs``, in ``Fraction`` rows.
 
     Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
-    fraction_simplex; then B^-1 of the stored rows, read off the slack
-    columns, gives the new right-hand side column, and the Bland-rule dual
+    fraction_simplex; then B^-1 of the stored rows, read off the unit
+    columns, gives the new right-hand side column of the tableau and of
+    the == rows kept aside, which must read 0; then the Bland-rule dual
     simplex of phase 1 runs with c's reduced costs (zero without c).
     Returns ("infeasible", None) or ("feasible", x) with x the final basic
     point; None when the base system is infeasible or c unbounded on it.
     """
-    if _FEQ in rels:
-        # A new e moves x0; the rows over t are re-solved at g' - G x0'.
-        eqs = _FsEqualities(n, rows, rels)
-        x0, x1 = eqs.particular(rhs), eqs.particular(new_rhs)
-        if x0 is None:
-            return None
-        if x1 is None:
-            return "infeasible", None
-        got = fraction_resolve(
-            len(eqs.basis), *eqs.over_t(rhs, x0), eqs.over_t(new_rhs, x1)[2],
-            None if c is None else eqs.reduce(c),
-        )
-        return got if got is None or got[1] is None else ("feasible", eqs.lift(x1, got[1]))
     start = _fs_phase_one(n, rows, rels, rhs, Counter())
     if start is None:
         return None
-    tableau, basis, flipped, ncols = start
-    cost = _fs_cost(n, c if c is not None else [F(0)] * n, ncols)
-    if c is not None and _fs_run(tableau, basis, cost, ncols, Counter())[0] != "optimal":
+    tableau, basis, flipped, slacks, aside = start
+    cost = list(c if c is not None else [F(0)] * n) + [F(0)] * len(rows)
+    if c is not None and _fs_run(tableau, basis, cost, n, slacks, Counter())[0] != "optimal":
         return None
     b = [-v if flip else v for v, flip in zip(new_rhs, flipped)]
-    for row in tableau:
-        row[-1] = sum((row[2 * n + i] * v for i, v in enumerate(b)), F(0))
-    reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
-    if not _fs_dual_run(tableau, basis, reduced, Counter()):
+    for row in tableau + aside:
+        row[-1] = sum((row[n + i] * v for i, v in enumerate(b)), F(0))
+    if any(row[-1] for row in aside):
         return "infeasible", None
-    return "feasible", _fs_point(tableau, basis, n, ncols)
+    reduced = _fs_reduced_costs(tableau, basis, cost)
+    if not _fs_dual_run(tableau, basis, reduced, n, slacks, Counter()):
+        return "infeasible", None
+    return "feasible", _fs_point(tableau, basis, n)
 
 
-class _FsEqualities:
-    """The == rows E x = e reduced as ``lp.Session`` reduces them: x = x0 + N t.
-
-    [E | I] by ``fraction_rref``: the rows pivoting in E hold the row
-    transform T of x0 = T e (zero on the free columns) and the canonical
-    nullspace basis N; the rows left over have T E = 0 and must annihilate
-    e. The other rows G x (rel) g become G N t (rel) g - G x0.
-    """
-
-    def __init__(self, n, rows, rels):
-        self.n = n
-        self.eq = [i for i, rel in enumerate(rels) if rel == _FEQ]
-        self.ineq = [i for i, rel in enumerate(rels) if rel != _FEQ]
-        self.rows, self.rels = [[F(e) for e in row] for row in rows], rels
-        k = len(self.eq)
-        red = [self.rows[i] + [F(int(j == r)) for j in range(k)] for r, i in enumerate(self.eq)]
-        self.pivots = [p for p in fraction_rref(red) if p < n]
-        r = len(self.pivots)
-        self.transform = [row[n:] for row in red[:r]]
-        self.redundant = [row[n:] for row in red[r:]]
-        self.basis = [list(v.entries) for v in fraction_nullspace(red, self.pivots, n)]
-
-    def particular(self, rhs):
-        """x0 for the right-hand sides of all rows, or None when the == rows are inconsistent."""
-        e = [F(rhs[i]) for i in self.eq]
-        if any(sum(a * b for a, b in zip(w, e)) for w in self.redundant):
-            return None
-        x = [F(0)] * self.n
-        for w, p in zip(self.transform, self.pivots):
-            x[p] = sum((a * b for a, b in zip(w, e)), F(0))
-        return x
-
-    def reduce(self, c):
-        """N^T c."""
-        return [sum((a * F(b) for a, b in zip(v, c)), F(0)) for v in self.basis]
-
-    def over_t(self, rhs, x0):
-        """(rows, rels, rhs) of G N t (rel) g - G x0."""
-        g_rows = [self.reduce(self.rows[i]) for i in self.ineq]
-        g_rhs = [F(rhs[i]) - sum((a * b for a, b in zip(self.rows[i], x0)), F(0)) for i in self.ineq]
-        return g_rows, [self.rels[i] for i in self.ineq], g_rhs
-
-    def lift(self, x0, t):
-        """x0 + N t."""
-        x = list(x0)
-        for tl, v in zip(t, self.basis):
-            x = [a + tl * b for a, b in zip(x, v)]
-        return x
-
-    def multipliers(self, c, y):
-        """``y`` on the rows G, and y_E = T^T (c - G^T y) on the pivot columns on the == rows."""
-        v = [F(e) for e in c]
-        for yi, i in zip(y, self.ineq):
-            v = [a - yi * b for a, b in zip(v, self.rows[i])]
-        out = [F(0)] * len(self.rels)
-        for i, yi in zip(self.ineq, y):
-            out[i] = yi
-        for r, i in enumerate(self.eq):
-            out[i] = sum((w[r] * v[p] for w, p in zip(self.transform, self.pivots)), F(0))
-        return out
-
-
-def _fs_cost(n, c, ncols):
-    cost = [F(0)] * ncols
-    for j in range(n):
-        cost[j] = c[j]
-        cost[n + j] = -c[j]
-    return cost
-
-
-def _fs_point(tableau, basis, n, ncols):
-    values = [F(0)] * ncols
+def _fs_point(tableau, basis, n):
+    x = [F(0)] * n
     for row, b in zip(tableau, basis):
-        values[b] = row[-1]
-    return [values[j] - values[n + j] for j in range(n)]
+        if b < n:
+            x[b] = row[-1]
+    return x
 
 
 def _fs_phase_one(n, rows, rels, rhs, events):
-    """The tableau after phase 1 from the slack basis, or None when infeasible.
+    """The tableau after phase 1, or None when infeasible.
 
-    Each >= row is negated, so every row has its own slack at +1: the
-    slacks are the start basis, their columns hold B^-1, and zero costs
-    are dual feasible there. Returns (tableau, basis, flipped, ncols),
-    ``flipped[i]`` meaning that row i is a negated >= row.
+    Columns: x (n), one unit column per row, the right-hand side. Each >=
+    row is negated, so every row has its own unit column at +1 (a slack,
+    or a marker for a == row), and these hold B^-1. Each == row pivots in
+    its first free column with a nonzero entry; one with none is set aside
+    and must read 0 = u . e. Then zero costs are dual feasible. Returns
+    (tableau, basis, flipped, slacks, aside), ``flipped[i]`` meaning that
+    row i is a negated >= row and ``slacks`` listing the slack columns.
     """
     m = len(rows)
-    ncols = 2 * n + m
+    ncols = n + m
     flipped = [rel == _FGE for rel in rels]
     tableau = []
     for i in range(m):
         sign = -1 if flipped[i] else 1
         if flipped[i]:
             events["row_flip"] += 1
-        row = [F(0)] * (ncols + 1)
-        for j, e in enumerate(rows[i]):
-            if e:
-                row[j] = sign * e
-                row[n + j] = -sign * e
-        row[2 * n + i] = F(1)
-        row[ncols] = sign * F(rhs[i])
+        row = [sign * F(e) for e in rows[i]] + [F(0)] * m + [sign * F(rhs[i])]
+        row[n + i] = F(1)
         tableau.append(row)
-    basis = list(range(2 * n, ncols))
-    if not _fs_dual_run(tableau, basis, [F(0)] * ncols, events):
+    basis = list(range(n, ncols))
+    reduced = [F(0)] * ncols
+    for i, rel in enumerate(rels):
+        if rel == _FEQ:
+            basis[i] = next((j for j in range(n) if tableau[i][j]), -1)
+            if basis[i] >= 0:
+                _fs_pivot(tableau, reduced, i, basis[i])
+    aside = [row for row, b in zip(tableau, basis) if b < 0]
+    events["row_deleted"] += len(aside)
+    tableau = [row for row, b in zip(tableau, basis) if b >= 0]
+    basis = [b for b in basis if b >= 0]
+    slacks = [n + i for i, rel in enumerate(rels) if rel != _FEQ]
+    if any(row[-1] for row in aside) or not _fs_dual_run(tableau, basis, reduced, n, slacks, events):
         events["infeasible"] += 1
         return None
-    return tableau, basis, flipped, ncols
+    return tableau, basis, flipped, slacks, aside
 
 
-def _fs_dual_run(tableau, basis, reduced, events):
+def _fs_dual_run(tableau, basis, reduced, n, slacks, events):
     """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
 
-    Leaving: the negative row of smallest basic index; entering: the
-    smallest ratio reduced / -entry over the row's negative entries, ties
-    to the smallest column. True once primal feasible; False at a negative
-    row with no negative entry.
+    Leaving: the negative row of smallest basic index among the rows whose
+    basic variable is a slack; entering: the smallest ratio, |reduced /
+    entry| over the free columns' nonzero entries and reduced / -entry over
+    the slacks' negative entries, ties to the smallest column. True once
+    primal feasible; False at a negative row with no such entry.
     """
     while True:
-        rows_out = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        rows_out = [i for i, row in enumerate(tableau) if row[-1] < 0 and basis[i] >= n]
         if not rows_out:
             return True
         leave = min(rows_out, key=lambda i: basis[i])
         row = tableau[leave]
-        candidates = [j for j in range(len(reduced)) if row[j] < 0]
+        candidates = [j for j in range(n) if row[j]] + [j for j in slacks if row[j] < 0]
         if not candidates:
             return False
         events["dual_pivot"] += 1
-        enter = min(candidates, key=lambda j: (reduced[j] / -row[j], j))
+        enter = min(candidates, key=lambda j: (abs(reduced[j] / row[j]), j))
+        if enter < n:
+            events["free_dual_entry"] += 1
         _fs_pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
 
 
-def _fs_reduced_costs(tableau, basis, cost, ncols):
+def _fs_reduced_costs(tableau, basis, cost):
     reduced = list(cost)
     for row, b in zip(tableau, basis):
         cb = cost[b]
         if cb:
-            for j in range(ncols):
+            for j in range(len(cost)):
                 if row[j]:
                     reduced[j] -= cb * row[j]
     return reduced
 
 
-def _fs_run(tableau, basis, cost, ncols, events):
-    reduced = _fs_reduced_costs(tableau, basis, cost, ncols)
+def _fs_run(tableau, basis, cost, n, slacks, events):
+    """Bland-rule primal simplex: ("optimal", None) or ("unbounded", ray over all columns).
+
+    Entering: the smallest improving column, a free one with a nonzero
+    reduced cost (moving against its sign) or a slack with a negative one.
+    Leaving: the least ratio over the rows whose basic variable is a slack.
+    """
+    reduced = _fs_reduced_costs(tableau, basis, cost)
     while True:
-        enter = next((j for j in range(ncols) if reduced[j] < 0), -1)
+        enter = next((j for j in [*range(n), *slacks] if reduced[j] < 0 or (j < n and reduced[j])), -1)
         if enter < 0:
             return "optimal", None
+        sign = 1 if reduced[enter] < 0 else -1
+        if enter < n:
+            events["free_entry"] += 1
+            if sign < 0:
+                events["free_entry_decreasing"] += 1
         # Ratio test; ties broken by smallest basic variable index (Bland).
         leave = -1
         best = None
         for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
+            a = sign * row[enter]
+            if a > 0 and basis[i] >= n:
                 ratio = row[-1] / a
                 if ratio == best:
                     events["ratio_tie"] += 1
@@ -513,10 +440,10 @@ def _fs_run(tableau, basis, cost, ncols, events):
                     best = ratio
                     leave = i
         if leave < 0:
-            ray = [F(0)] * ncols
-            ray[enter] = F(1)
+            ray = [F(0)] * len(cost)
+            ray[enter] = F(sign)
             for i, row in enumerate(tableau):
-                ray[basis[i]] = -row[enter]
+                ray[basis[i]] = -sign * row[enter]
             return "unbounded", ray
         _fs_pivot(tableau, reduced, leave, enter)
         basis[leave] = enter

@@ -32,6 +32,7 @@ def test_qparse_formats():
     assert str(F(-3, 4)) == "-3/4"
     assert str(F(6, 3)) == "2"
     assert qparse("+3") == F(3) and qparse("-6/4") == F(-3, 2)
+    assert qparse("007/010") == F(7, 10) and qparse("-0/5") == 0 and qparse("+0") == 0
     for bad in (object(), "1/0", "-3/0", "0/0", True, False, 0.5, "1e3", "1.5", "1e10000000",
                 "3/-4", " 1", "1_000", "", "/2"):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,11 @@ from multiwedge import (
     LinearProgram,
     Optimal,
     QVector,
+    TranslatedWedge,
     Unbounded,
+    Wedge,
     constraint,
+    intersect,
     lp_solve,
 )
 from multiwedge.lp import Session
@@ -190,8 +194,9 @@ def _equality_lp(rng, kind):
 
     "redundant": a combination of two == rows is appended; "inconsistent":
     the same, with its right-hand side moved off; "full": n independent ==
-    rows, so no t is left; "only": == rows and nothing else, the objective
-    in their row space three times in four. The others get a box.
+    rows, so every free column is pivoted in; "only": == rows and nothing
+    else, the objective in their row space three times in four. The
+    others get a box.
     """
     n = rng.randint(1, 4)
     k = n if kind == "full" else rng.randint(1, n)
@@ -226,7 +231,7 @@ def _equality_lp(rng, kind):
 
 def test_duality_certificates_with_equality_rows():
     # Duals, rays and Farkas vectors over the rows as given, checked by
-    # their definitions, for systems whose == rows the session eliminates.
+    # their definitions, for systems whose == rows pivot in free columns.
     rng = random.Random(1995)
     outcomes = Counter()
     for trial in range(400):
@@ -261,8 +266,9 @@ def test_duality_certificates_with_equality_rows():
 
 def test_resolve_moves_only_the_equality_rhs():
     # Transport systems: z >= 0 with fixed row and column sums. Only the
-    # sums move, so each re-solve moves x0 and the rows over t follow;
-    # one sum moved off breaks the redundant sum row.
+    # sums move, so each re-solve moves the values of the free columns
+    # that the sum rows pivoted in; one sum moved off breaks the redundant
+    # sum row, which the session keeps aside.
     rng = random.Random(71)
     outcomes = Counter()
     for _ in range(150):
@@ -369,7 +375,10 @@ def test_integer_tableau_matches_fraction_simplex():
                 duals = [-y for y in duals]
             assert res.dual == tuple(duals) and _all_fractions(res.dual)
     assert non_integer >= 300
-    for event in ("optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "dual_pivot", "farkas"):
+    for event in (
+        "optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "dual_pivot", "farkas",
+        "free_entry", "free_entry_decreasing", "free_dual_entry",
+    ):
         assert events[event] >= 20, (event, events)
 
 
@@ -573,6 +582,79 @@ def test_resolve_matches_cold_session():
         assert outcomes[outcome] >= 20, outcomes
 
 
+def _free_column_system(rng):
+    """A system with a free column that no row pivots in, and objectives for it.
+
+    Either an LP of ``_random_exactness_lp`` with a variable inserted that
+    no row reads, or msup's P for translated wedges whose normals are all
+    orthogonal to one direction d, so that C has lineality: the objectives
+    are then C's normals, their sum, and a random one.
+    """
+    if rng.random() < 0.5:
+        n, objective, _, cons = _random_exactness_lp(rng)
+        j = rng.randint(0, n)
+        cons = [([*r[:j], F(0), *r[j:]], rel, b) for r, rel, b in cons]
+        objective = [*objective[:j], F(rng.randint(-1, 1)), *objective[j:]]
+        return n + 1, cons, [QVector(objective)]
+    dim = 3
+    d = [rng.randint(-2, 2) for _ in range(dim)]
+    if not any(d):
+        d[0] = 1
+    dd = sum(e * e for e in d)
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        normals = []
+        for _ in range(rng.randint(1, 3)):
+            a = [rng.randint(-3, 3) for _ in range(dim)]
+            ad = sum(x * y for x, y in zip(a, d))
+            a = QVector([dd * x - ad * y for x, y in zip(a, d)])
+            if not a.is_zero():
+                normals.append(a)
+        if normals:
+            apex = QVector([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
+            family.append(TranslatedWedge(apex, Wedge(dim, halfspaces=normals)))
+    if not family:
+        return _free_column_system(rng)
+    cons = [(a.entries, GE, a.dot(tw.apex)) for tw in family for a in tw.wedge.halfspaces]
+    normals = list(intersect([tw.wedge for tw in family]).canonical_halfspaces)
+    random_objective = QVector([rng.randint(-2, 2) for _ in range(dim)])
+    return dim, cons, [*normals, sum(normals, QVector.zero(dim)), random_objective]
+
+
+def test_price_and_warm_minimize_match_cold_minima():
+    # price(res, c) is None or minimize(c).value, and minimize(c, start=res)
+    # reaches the cold value, at optima of systems with == rows and of
+    # systems with a free column that no row pivots in.
+    rng = random.Random(2003)
+    outcomes = Counter()
+    for trial in range(300):
+        if trial % 2:
+            n, cons = _transport_system(rng)
+            objectives = [QVector([rng.randint(-3, 3) for _ in range(n)]) for _ in range(3)]
+            kind = "equality"
+        else:
+            n, cons, objectives = _free_column_system(rng)
+            kind = "free"
+        session = Session(n, [constraint(*c) for c in cons])
+        objectives += [QVector.zero(n), QVector([rng.randint(-3, 3) for _ in range(n)])]
+        for a in objectives:
+            res = session.minimize(a)
+            if not isinstance(res, Optimal):
+                continue
+            for c in objectives:
+                cold, warm, priced = session.minimize(c), session.minimize(c, res), session.price(res, c)
+                assert type(warm) is type(cold)
+                if isinstance(cold, Optimal):
+                    assert warm.value == cold.value and priced in (None, cold.value)
+                    outcomes[kind, "not priced" if priced is None else "priced"] += 1
+                else:
+                    assert priced is None
+                    outcomes[kind, "unbounded"] += 1
+    # The sums of a transport system bound every cell, so no minimum there is unbounded.
+    for kind, outcome in [*product(("equality", "free"), ("priced", "not priced")), ("free", "unbounded")]:
+        assert outcomes[kind, outcome] >= 20, outcomes
+
+
 def test_resolve_checks_its_arguments():
     session = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
     other = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
@@ -585,4 +667,9 @@ def test_resolve_checks_its_arguments():
         session.minimize(QVector([1, 1]), res)
     with pytest.raises(ValueError):
         Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)]).resolve([F(0), F(1)])
+    infeasible = Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)])
+    assert infeasible.refutes([F(1), F(0)]) and not infeasible.refutes([F(0), F(1)])
+    for rhs in ([F(5)], [F(1), F(0), F(7)]):
+        with pytest.raises(ValueError):
+            infeasible.refutes(rhs)
     assert other.resolve([F(-2), F(3)], res).feasible_point() == QVector([-2, 3])
