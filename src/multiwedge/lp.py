@@ -32,11 +32,14 @@ needed. A ``Session`` holds one constraint system after phase 1, so
 callers that optimize several objectives over the same system (or only
 need a feasible point) pay for phase 1 once; ``lp_solve`` is a session
 with one objective. ``Session.resolve`` answers the same rows at new
-right-hand sides by the same dual simplex: the new right-hand side column
-is B^-1 b', and the kept basis stays dual feasible. An infeasible session
-keeps a Farkas vector, which refutes a later right-hand side with one
-dot product; ``Warm`` keeps the latest basis and Farkas vector for a
-caller that solves one system at many right-hand sides.
+right-hand sides, given as one ``QVector``, by the same dual simplex: the
+new right-hand side column is B^-1 b', and with zero costs every basis
+is dual feasible, so it starts from the basis of any session, an
+infeasible one included. An infeasible session keeps its tableau, its
+basis and a Farkas vector, which refutes a later right-hand side with
+one dot product. ``Warm`` keeps the latest states for a caller that
+solves one system at many right-hand sides: a trial passes only its
+right-hand sides, and the rows are built once, for the one cold session.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import InternalInvariantError
 from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
@@ -104,19 +107,17 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class Infeasible:
-    # (the session's row flips, multipliers w of its rows as flipped).
-    _proof: tuple = field(default=(), compare=False, repr=False)
+    # The session's Farkas vector y, a QVector over the rows as given.
+    _proof: QVector | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def farkas(self) -> tuple[Fraction, ...]:
         """Constraint multipliers y of the rows as given that prove infeasibility.
 
         y^T A = 0, y >= 0 on >= rows, y <= 0 on <= rows (== rows free) and
-        y . rhs > 0: any x would give 0 = y^T A x >= y . rhs > 0. Undoing a
-        row's flip negates its multiplier.
+        y . rhs > 0: any x would give 0 = y^T A x >= y . rhs > 0.
         """
-        flipped, w = self._proof
-        return tuple(Fraction(-e if flip else e, w.den) for e, flip in zip(w.num, flipped))
+        return self._proof.entries
 
 
 LPResult = Optimal | Unbounded | Infeasible
@@ -161,9 +162,11 @@ class Session:
     no free column is kept aside (``_aside``): its unit part u has
     u^T E = 0, so the system is infeasible by u exactly when u . e != 0.
 
-    An infeasible session keeps a Farkas vector. ``dual_pivots`` counts
-    the pivots the dual simplex made to reach its verdict: phase 1's in a
-    cold session, ``resolve``'s in a re-solved one.
+    An infeasible session keeps its tableau and basis, where ``resolve``
+    starts as from a feasible one, and a Farkas vector of the rows as
+    given. ``dual_pivots`` counts the pivots the dual simplex made to
+    reach its verdict: phase 1's in a cold session, ``resolve``'s in a
+    re-solved one.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
@@ -196,9 +199,10 @@ class Session:
         kept = [row for row, b in zip(tableau, basis) if b >= 0]
         aside = [row for row, b in zip(tableau, basis) if b < 0]
         zero = _Row([0] * (ncols + 1), 1)
-        self._settle(kept, [b for b in basis if b >= 0], zero, aside, [c.rhs for c in constraints])
+        basis = [b for b in basis if b >= 0]
+        self._settle(kept, basis, zero, aside, lambda: QVector([c.rhs for c in constraints]))
 
-    def _settle(self, tableau, basis, reduced, aside, rhs) -> Session:
+    def _settle(self, tableau, basis, reduced, aside, rhs: Callable[[], QVector]) -> Session:
         """Check the rows kept ``aside``, run the dual simplex from ``basis`` and keep the outcome.
 
         ``basis`` is dual feasible for ``reduced``: phase 1 starts with
@@ -208,7 +212,9 @@ class Session:
         dual simplex cannot pivot on reads u^T A' x + u^T s = u . b' < 0
         with no free entry and no negative slack entry: u^T A' = 0, so
         w = -u is a Farkas vector of the rows A' x (rel) b' as stored. Both
-        are checked here against ``rhs``.
+        are checked here against ``rhs()``, the right-hand sides as given,
+        which is built only for that check. The tableau and basis are kept
+        either way.
         """
         self._aside, self.dual_pivots = aside, 0
         row = next((row for row in aside if row.num[-1]), None)
@@ -220,9 +226,11 @@ class Session:
         self.feasible = row is None
         self._tableau, self._basis, self._farkas = tableau, basis, None
         if not self.feasible:
-            self._tableau = self._basis = None
-            self._farkas = _Row([sign * e for e in row.num[self.n : self._ncols]], row.den)
-            if not self.refutes(rhs):
+            # y over the rows as given: undoing a row's flip negates its multiplier.
+            u = row.num[self.n : self._ncols]
+            y = [-sign * e if flip else sign * e for e, flip in zip(u, self._flipped)]
+            self._farkas = QVector._of(y, row.den)
+            if not self.refutes(rhs()):
                 raise InternalInvariantError("a Farkas vector w of the rows has w . b <= 0")
         return self
 
@@ -243,7 +251,7 @@ class Session:
         if objective.dim != n:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
-            return Infeasible((self._flipped, self._farkas))
+            return Infeasible(self._farkas)
         ncols = self._ncols
         source, basis, _ = self._start(start)
         tableau = [_Row(list(row.num), row.den) for row in source]
@@ -272,35 +280,38 @@ class Session:
             return None
         return Fraction(-num[-1], reduced.den)
 
-    def refutes(self, rhs) -> bool:
-        """Whether this session's Farkas vector w proves the rows infeasible at ``rhs`` too.
+    def refutes(self, rhs: QVector) -> bool:
+        """Whether this session's Farkas vector y proves the rows infeasible at ``rhs`` too.
 
-        w^T A = 0 and the signs of w do not read the right-hand side, so
-        w . rhs > 0 is enough.
+        ``rhs`` holds one right-hand side per constraint, in the order
+        given. y^T A = 0 and the signs of y do not read the right-hand
+        side, so y . rhs > 0 is enough: one dot product of int numerators
+        (both denominators are positive).
         """
-        if len(rhs) != len(self._flipped):
+        if rhs.dim != len(self._flipped):
             raise ValueError("refutes needs one right-hand side per constraint")
         if self.feasible:
             return False
-        return sum(map(mul, self._farkas.num, self._flipped_rhs(rhs)[0])) > 0
+        return sum(map(mul, self._farkas.num, rhs.num)) > 0
 
-    def resolve(self, rhs, start: Optimal | None = None) -> Session:
-        """This feasible system's rows at the right-hand sides ``rhs``, from a kept basis.
+    def resolve(self, rhs: QVector, start: Optimal | None = None) -> Session:
+        """This system's rows at the right-hand sides ``rhs``, from a kept basis.
 
-        Verdicts and optimal values equal those of a cold
+        ``rhs`` holds one right-hand side per constraint, in the order
+        given. Verdicts and optimal values equal those of a cold
         ``Session(n, rows with rhs)``; points may differ where they are not
         unique. The new right-hand side column is B^-1 b', read off the
         unit columns with this session's flips, in the tableau and in the
         rows kept aside. Then phase 1's check and dual simplex
         (``_settle``) run from ``start``'s basis (an optimum of this
         session, kept optimal for its objective) or from this session's
-        (with zero costs).
+        with zero costs, at which every basis is dual feasible: this
+        session may be infeasible.
         """
-        rhs = tuple(rhs)
-        if not self.feasible or len(rhs) != len(self._flipped):
-            raise ValueError("resolve needs a feasible session and one right-hand side per constraint")
-        b, den = self._flipped_rhs(rhs)
-        s0, ncols = self.n, self._ncols
+        if rhs.dim != len(self._flipped):
+            raise ValueError("resolve needs one right-hand side per constraint")
+        b = [-e if flip else e for e, flip in zip(rhs.num, self._flipped)]
+        den, s0, ncols = rhs.den, self.n, self._ncols
 
         def moved(row: _Row) -> _Row:
             num, rden = row.num, row.den
@@ -316,7 +327,7 @@ class Session:
         new = object.__new__(Session)
         new.n, new._ncols, new._flipped, new._slacks = self.n, ncols, self._flipped, self._slacks
         tableau, aside = [moved(row) for row in source], [moved(row) for row in self._aside]
-        return new._settle(tableau, list(basis), reduced, aside, rhs)
+        return new._settle(tableau, list(basis), reduced, aside, lambda: rhs)
 
     def _own(self, res: Optimal) -> tuple:
         """The final state of ``res``, which must be an optimum of this session."""
@@ -348,17 +359,6 @@ class Session:
         *kept, reduced = res._final
         return Optimal(-res.value, res.point, (*kept, _Row([-e for e in reduced.num], reduced.den)))
 
-    def _flipped_rhs(self, rhs) -> tuple[list[int], int]:
-        """``rhs`` as int numerators over their least common denominator, with this session's flips."""
-        # A list, not a generator: a tuple built from a generator is resized,
-        # which moves freed tuples between CPython's per-size free lists and
-        # grows the heap over many calls.
-        den = lcm(*[v.denominator for v in rhs])
-        return [
-            (-v.numerator if flip else v.numerator) * (den // v.denominator)
-            for v, flip in zip(rhs, self._flipped)
-        ], den
-
     def _cost(self, objective: QVector) -> _Row:
         """The objective on the free columns, zero elsewhere."""
         return _Row(list(objective.num) + [0] * (self._ncols - self.n + 1), objective.den)
@@ -367,13 +367,15 @@ class Session:
 class Warm:
     """The latest states of one constraint matrix across right-hand sides.
 
-    ``session`` takes the cheapest exact route: the latest Farkas vector
-    when it refutes the new right-hand sides, else ``resolve`` from
-    ``start``, else a cold ``Session``; a fresh ``Warm`` builds exactly the
-    cold session. The caller sets ``start``: a feasible session, or an
-    optimum of one (kept dual feasible for its objective), and
-    ``certified`` when that basis is optimal for every objective it reads
-    there.
+    ``session`` takes a trial's right-hand sides only, and the cheapest
+    exact route: the latest Farkas vector when it refutes them, else
+    ``resolve`` from ``start``, else from the latest infeasible session
+    (``refuter``, whose basis is as good a start with zero costs), else a
+    cold ``Session`` of the rows that ``constraints()`` builds; a fresh
+    ``Warm`` builds exactly the cold session, and later trials build
+    none. The caller sets ``start``: a feasible session, or an optimum of
+    one (kept dual feasible for its objective), and ``certified`` when
+    that basis is optimal for every objective it reads there.
     """
 
     __slots__ = ("start", "certified", "refuter")
@@ -383,13 +385,14 @@ class Warm:
         self.certified = False
         self.refuter: Session | None = None
 
-    def session(self, n: int, constraints: Sequence[Constraint]) -> Session:
-        rhs = [c.rhs for c in constraints]
-        if self.refuter is not None and self.refuter.refutes(rhs):
-            return self.refuter
-        start = self.start
+    def session(self, n: int, rhs: QVector, constraints: Callable[[], Iterable[Constraint]]) -> Session:
+        """The system at ``rhs``; ``constraints()`` gives its rows with ``rhs``, for a cold session."""
+        refuter = self.refuter
+        if refuter is not None and refuter.refutes(rhs):
+            return refuter
+        start = self.start if self.start is not None else refuter
         if start is None:
-            session = Session(n, constraints)
+            session = Session(n, constraints())
         elif isinstance(start, Optimal):
             session = start._final[0].resolve(rhs, start)
         else:
@@ -402,7 +405,10 @@ class Warm:
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
     """x: basic free variables at ``sign`` times their rows' ``col``, ``enter`` at -``sign``."""
     rows = [(row, b) for row, b in zip(tableau, basis) if b < n]
-    den = lcm(*[row.den for row, _ in rows])  # a list: see Session._flipped_rhs
+    # A list, not a generator: a tuple built from a generator is resized,
+    # which moves freed tuples between CPython's per-size free lists and
+    # grows the heap over many calls.
+    den = lcm(*[row.den for row, _ in rows])
     x = [-sign * den * (j == enter) for j in range(n)]
     for row, b in rows:
         x[b] = sign * row.num[col] * (den // row.den)

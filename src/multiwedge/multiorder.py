@@ -9,9 +9,11 @@ exactly when that sum attains the sum of the m_a, at z. All of these are
 exact LPs over one constraint system, P, solved in one ``lp.Session``;
 each a is priced at the sum's optimal basis first, and its own LP runs
 from that basis only when it is not optimal for it. P's rows depend
-only on the sorted wedge multiset, so ``multilattice_search`` re-solves
-them at each trial's apexes (``lp.Warm``): the dual simplex starts from
-the latest trial's basis, not from the slack basis of a cold session.
+only on the sorted wedge multiset, and its right-hand sides a . apex
+only on the apexes, so ``multilattice_search`` re-solves the rows at
+each trial's right-hand sides (``lp.Warm``), computed in ints: the dual
+simplex starts from the latest trial's basis, feasible or not, and the
+rows are built once per multiset, for its one cold session.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
@@ -91,11 +94,21 @@ def _family_dim(family: Sequence[TranslatedWedge]) -> int:
 
 
 def _upper_bound_constraints(family: Sequence[TranslatedWedge]) -> list[Constraint]:
-    cons = []
+    """P's rows a . x >= a . apex, for each halfspace a of each pair's wedge."""
+    rows = [a for tw in family for a in tw.wedge.halfspaces]
+    return [Constraint(a, GE, b) for a, b in zip(rows, _upper_bound_rhs(family))]
+
+
+def _upper_bound_rhs(family: Sequence[TranslatedWedge]) -> QVector:
+    """The right-hand sides a . apex of ``_upper_bound_constraints``, in ints."""
+    nums, dens = [], []
     for tw in family:
+        apex, den = tw.apex.num, tw.apex.den
         for a in tw.wedge.halfspaces:
-            cons.append(Constraint(a, GE, a.dot(tw.apex)))
-    return cons
+            nums.append(sum(map(mul, a.num, apex)))
+            dens.append(a.den * den)
+    den = lcm(*dens)
+    return QVector._of([p * (den // q) for p, q in zip(nums, dens)], den)
 
 
 def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
@@ -127,13 +140,14 @@ def msup(
     family's wedges, so searches can reuse its cached conversions per
     wedge combination. ``_warm`` optionally holds the latest states of P's
     rows, which depend only on the sorted wedge multiset in a search: P is
-    re-solved at the new apexes (``Warm``), and when the dual simplex
+    re-solved at the new apexes' right-hand sides a . apex (``Warm``),
+    and its rows are built only for a cold session. When the dual simplex
     keeps a basis at which every normal was priced optimal, no LP runs at
     all. The verdict is the same; a witness of a non-proper set may differ.
     """
     dim = _family_dim(family)
     warm = _warm or Warm()
-    session = warm.session(dim, _upper_bound_constraints(family))
+    session = warm.session(dim, _upper_bound_rhs(family), lambda: _upper_bound_constraints(family))
     if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     cw = _intersection

@@ -15,15 +15,17 @@ The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
-layer. The primal decomposition system remains only in rdp_check. Its
-row and column sums are == rows, each of which ``lp.Session`` pivots on
-a free column of z before the simplex. Its rows depend only on the
-sorted wedge multiset, so rdp_search re-solves them at each trial's xs
-and ys (``lp.Warm``), which moves only right-hand sides: the dual
-simplex starts from the latest trial's basis, not from the basis of a
-cold session. The witness system of the values, b . z = s_b for every
-normal b of V, has == rows only: its point is the particular solution
-of their reduced echelon form, and no simplex runs.
+layer. The primal decomposition system remains only in rdp_check and
+rdp_search. Its row and column sums are == rows, each of which
+``lp.Session`` pivots on a free column of z before the simplex. Its
+rows depend only on the sorted wedge multiset, and its right-hand sides
+are 0 and the xs and ys, so rdp_search re-solves the rows at each
+trial's right-hand sides (``lp.Warm``): the dual simplex starts from the
+latest trial's basis, feasible or not, the rows are built once per
+multiset, for its one cold session, and a search reads only the
+verdict, never z. The witness system of the values, b . z = s_b for
+every normal b of V, has == rows only: its point is the particular
+solution of their reduced echelon form, and no simplex runs.
 """
 
 from __future__ import annotations
@@ -265,13 +267,26 @@ def rdp_check(
     * dim sum rows are == rows, each pivoted on a free column of z before
     the dual simplex runs over the m * n halfspace blocks. z is a free
     witness: the point where the dual simplex stops, from the basis of
-    the == rows or from a kept one. ``_warm``
-    optionally holds the latest states of the rows, which depend only on
-    m and the sorted wedge multiset in a search: the system is then
-    re-solved at the new xs and ys (``Warm``). The verdict is the same; z
-    may differ.
+    the == rows or from a kept one. ``_warm`` optionally holds the latest
+    states of the rows, which depend only on m and the sorted wedge
+    multiset in a search: the system is then re-solved at the new right-
+    hand sides, 0 for the halfspace rows and the xs and ys for the sum
+    rows (``Warm``), and the rows are built only for a cold session. The
+    verdict is the same; z may differ.
     """
-    inst.validate(_sum_wedge)
+    point = _rdp_session(inst, _sum_wedge, _warm).feasible_point()
+    if point is None:
+        return None
+    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
+    return [
+        [QVector._of(point.num[(i * n + j) * dim : (i * n + j + 1) * dim], point.den) for j in range(n)]
+        for i in range(m)
+    ]
+
+
+def _rdp_session(inst: RDPInstance, sum_wedge: Wedge | None, warm: Warm | None) -> Session:
+    """The validated instance's decomposition system, solved through ``warm`` (see ``rdp_check``)."""
+    inst.validate(sum_wedge)
     m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
 
     # Each halfspace row keeps its den: the simplex must see the values as given.
@@ -281,29 +296,30 @@ def rdp_check(
             num[col] = coef
         return QVector._of(num, den)
 
-    cons = [
-        Constraint(row(dict(enumerate(a.num, (i * n + j) * dim)), a.den), GE, _ZERO)
-        for i in range(m)
-        for j, w in enumerate(inst.wedges)
-        for a in w.halfspaces
-    ]
-    for i, x in enumerate(inst.xs):
-        for c in range(dim):
-            cons.append(Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]))
-    for j, y in enumerate(inst.ys):
-        for c in range(dim):
-            cons.append(Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]))
-    warm = _warm or Warm()
-    session = warm.session(m * n * dim, cons)
+    def constraints() -> list[Constraint]:
+        cons = [
+            Constraint(row(dict(enumerate(a.num, (i * n + j) * dim)), a.den), GE, _ZERO)
+            for i in range(m)
+            for j, w in enumerate(inst.wedges)
+            for a in w.halfspaces
+        ]
+        for i, x in enumerate(inst.xs):
+            for c in range(dim):
+                cons.append(Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]))
+        for j, y in enumerate(inst.ys):
+            for c in range(dim):
+                cons.append(Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]))
+        return cons
+
+    sums = inst.xs + inst.ys
+    den = lcm(*[v.den for v in sums])
+    zeros = [0] * (m * sum(len(w.halfspaces) for w in inst.wedges))
+    rhs = QVector._of(zeros + [e * (den // v.den) for v in sums for e in v.num], den)
+    warm = warm or Warm()
+    session = warm.session(m * n * dim, rhs, constraints)
     if session.feasible:
         warm.start = session
-    point = session.feasible_point()
-    if point is None:
-        return None
-    return [
-        [QVector._of(point.num[(i * n + j) * dim : (i * n + j + 1) * dim], point.den) for j in range(n)]
-        for i in range(m)
-    ]
+    return session
 
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:
@@ -323,9 +339,10 @@ def rdp_search(
 
     Samples y_j from n wedges (drawn with repetition), splits their sum
     into m pieces inside the sum wedge, and returns the first instance
-    rdp_check reports infeasible; None when the budget runs out.
-    Deterministic for a fixed seed. rdp_check sees each instance in
-    sorted wedge order (see ``multiorder._trials``).
+    whose rdp_check system is infeasible; None when the budget runs out.
+    Only the verdict is read: no trial assembles a z. Deterministic for a
+    fixed seed. Each instance is checked in sorted wedge order (see
+    ``multiorder._trials``).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -340,7 +357,7 @@ def rdp_search(
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
         posed = RDPInstance(tuple(inst.wedges[p] for p in order), inst.xs, tuple(ys[p] for p in order))
-        if rdp_check(posed, _sum_wedge=sw, _warm=warm) is None:
+        if not _rdp_session(posed, sw, warm).feasible:
             return inst
     return None
 

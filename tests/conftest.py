@@ -274,10 +274,9 @@ def fraction_simplex(n, c, rows, rels, rhs, events=None):
     """
     if events is None:
         events = Counter()
-    start = _fs_phase_one(n, rows, rels, rhs, events)
-    if start is None:
+    tableau, basis, flipped, slacks, _, feasible = _fs_phase_one(n, rows, rels, rhs, events)
+    if not feasible:
         return "infeasible", None, None
-    tableau, basis, flipped, slacks, _ = start
 
     # Phase 2: the objective on the free columns, from the phase-1 basis.
     cost = list(c) + [F(0)] * len(rows)
@@ -300,19 +299,18 @@ def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
     """The textbook re-solve at ``new_rhs``, in ``Fraction`` rows.
 
     Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
-    fraction_simplex; then B^-1 of the stored rows, read off the unit
-    columns, gives the new right-hand side column of the tableau and of
-    the == rows kept aside, which must read 0; then the Bland-rule dual
-    simplex of phase 1 runs with c's reduced costs (zero without c).
-    Returns ("infeasible", None) or ("feasible", x) with x the final basic
-    point; None when the base system is infeasible or c unbounded on it.
+    fraction_simplex, from where it stopped, feasible or not; then B^-1
+    of the stored rows, read off the unit columns, gives the new
+    right-hand side column of the tableau and of the == rows kept aside,
+    which must read 0; then the Bland-rule dual simplex of phase 1 runs
+    with c's reduced costs (zero without c), at which every basis is dual
+    feasible. Returns ("infeasible", None) or ("feasible", x) with x the
+    final basic point; None when c is given and the base system is
+    infeasible or c unbounded on it.
     """
-    start = _fs_phase_one(n, rows, rels, rhs, Counter())
-    if start is None:
-        return None
-    tableau, basis, flipped, slacks, aside = start
+    tableau, basis, flipped, slacks, aside, feasible = _fs_phase_one(n, rows, rels, rhs, Counter())
     cost = list(c if c is not None else [F(0)] * n) + [F(0)] * len(rows)
-    if c is not None and _fs_run(tableau, basis, cost, n, slacks, Counter())[0] != "optimal":
+    if c is not None and (not feasible or _fs_run(tableau, basis, cost, n, slacks, Counter())[0] != "optimal"):
         return None
     b = [-v if flip else v for v, flip in zip(new_rhs, flipped)]
     for row in tableau + aside:
@@ -334,15 +332,17 @@ def _fs_point(tableau, basis, n):
 
 
 def _fs_phase_one(n, rows, rels, rhs, events):
-    """The tableau after phase 1, or None when infeasible.
+    """The tableau where phase 1 stopped, and whether the system is feasible.
 
     Columns: x (n), one unit column per row, the right-hand side. Each >=
     row is negated, so every row has its own unit column at +1 (a slack,
     or a marker for a == row), and these hold B^-1. Each == row pivots in
     its first free column with a nonzero entry; one with none is set aside
     and must read 0 = u . e. Then zero costs are dual feasible. Returns
-    (tableau, basis, flipped, slacks, aside), ``flipped[i]`` meaning that
-    row i is a negated >= row and ``slacks`` listing the slack columns.
+    (tableau, basis, flipped, slacks, aside, feasible), ``flipped[i]``
+    meaning that row i is a negated >= row and ``slacks`` listing the
+    slack columns. An infeasible system stops at the == rows' basis when
+    a row kept aside reads nonzero, else at the dual simplex's last basis.
     """
     m = len(rows)
     ncols = n + m
@@ -367,10 +367,10 @@ def _fs_phase_one(n, rows, rels, rhs, events):
     tableau = [row for row, b in zip(tableau, basis) if b >= 0]
     basis = [b for b in basis if b >= 0]
     slacks = [n + i for i, rel in enumerate(rels) if rel != _FEQ]
-    if any(row[-1] for row in aside) or not _fs_dual_run(tableau, basis, reduced, n, slacks, events):
+    feasible = not any(row[-1] for row in aside) and _fs_dual_run(tableau, basis, reduced, n, slacks, events)
+    if not feasible:
         events["infeasible"] += 1
-        return None
-    return tableau, basis, flipped, slacks, aside
+    return tableau, basis, flipped, slacks, aside, feasible
 
 
 def _fs_dual_run(tableau, basis, reduced, n, slacks, events):

@@ -577,6 +577,8 @@ def test_rdp_check_golden_z_decomposes_its_input(name):
         ("rk-op-msup-rational", ["rk", "op-msup"]),
         ("rdp-search-ex37-drawn", ["rdp", "search", "--seed", "0", "--budget", "400",
                                   "-f", "rdp-search-ex37.input.json"]),
+        ("lattice-search-ex37-k3", ["lattice-search", "--k", "3", "--seed", "3", "--budget", "200",
+                                   "-f", "rdp-search-ex37.input.json"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -593,7 +595,9 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # at trials 27 and 38, after many re-solved trials on the same wedges.
     # rdp-search-ex37-drawn's instance has the ray before the quadrant: a
     # search reports its counterexample in the drawn order, not the sorted
-    # one in which it checks it.
+    # one in which it checks it. lattice-search-ex37-k3 re-solves many
+    # trials from the bases of infeasible ones: the ray twice has no upper
+    # bound at most apexes.
     # A command without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:

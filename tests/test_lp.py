@@ -284,7 +284,7 @@ def test_resolve_moves_only_the_equality_rhs():
         if rng.random() < 0.3:
             i = rng.choice([i for i, rel in enumerate(rels) if rel == EQ])
             new_rhs[i] += rng.choice([-1, 1])
-        got = base.resolve(new_rhs)
+        got = base.resolve(QVector(new_rhs))
         cold = Session(n, [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)])
         assert got.feasible == cold.feasible
         if got.feasible:
@@ -442,7 +442,7 @@ def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
     with pytest.raises(InternalInvariantError):
         lp_solve(_lp(1, [1], "min", [([1], GE, -1)]))
     with pytest.raises(InternalInvariantError):
-        base.resolve([F(-1)])
+        base.resolve(QVector([-1]))
     # Infeasible, but row 1 reads x + s = 0 at the slack basis: its w . b is 0.
     monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (1, 0))
     with pytest.raises(InternalInvariantError):
@@ -472,7 +472,7 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
         session = Session(n, [constraint(*c) for c in cons])
         assert session.feasible and session.dual_pivots == 0
         assert session.feasible_point() == QVector.zero(n)
-        again = session.resolve([b for _, _, b in cons])
+        again = session.resolve(QVector([b for _, _, b in cons]))
         assert again.feasible and again.dual_pivots == 0
     assert pivots["pivot"] == 0
 
@@ -521,7 +521,9 @@ def test_resolve_matches_cold_session():
     # base.resolve(b') against Session(n, rows with b'): verdicts, minimize
     # values and Farkas vectors; its phase-1 point against the Fraction
     # dual simplex, which reads the same start and pivots by Bland's rule.
-    # From an optimum, the re-solved basis stays optimal for its objective.
+    # An infeasible base re-solves from where its phase 1 stopped, with the
+    # same checks. From an optimum, the re-solved basis stays optimal for
+    # its objective.
     systems = random.Random(2718)
     outcomes = Counter()
     for trial in range(500):
@@ -540,14 +542,14 @@ def test_resolve_matches_cold_session():
             new_rhs = _new_rhs(systems, cons)
             new_cons = [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)]
             cold = Session(n, new_cons)
-            if not base.feasible:
+            if not base.feasible and base.refutes(QVector(new_rhs)):
                 # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
-                if base.refutes(new_rhs):
-                    assert not cold.feasible
-                    outcomes["farkas_refuted"] += 1
-                continue
-            got = base.resolve(new_rhs)
+                assert not cold.feasible
+                outcomes["farkas_refuted"] += 1
+            got = base.resolve(QVector(new_rhs))
             assert got.feasible == cold.feasible
+            if not base.feasible:
+                outcomes["from_infeasible", got.feasible] += 1
             if got.feasible:
                 outcomes["dual_pivots" if got.dual_pivots else "no_pivot"] += 1
                 point = got.feasible_point()
@@ -566,9 +568,10 @@ def test_resolve_matches_cold_session():
             if not cold.feasible:
                 farkas = got.minimize(QVector.zero(n)).farkas
                 assert _farkas_proves(farkas, rows, rels, new_rhs)
-                assert got.refutes(new_rhs) and not got.refutes(rhs)
+                assert got.refutes(QVector(new_rhs))
+                assert not (base.feasible and got.refutes(QVector(rhs)))
             if isinstance(start, Optimal):
-                warm = base.resolve(new_rhs, start)
+                warm = base.resolve(QVector(new_rhs), start)
                 assert warm.feasible == cold.feasible
                 if warm.feasible:
                     best = cold.minimize(objective)
@@ -576,9 +579,12 @@ def test_resolve_matches_cold_session():
                     want = fraction_resolve(n, rows, rels, rhs, new_rhs, list(objective.entries))
                     assert want == ("feasible", list(warm.feasible_point().entries))
                     # A chain: the re-solved session re-solves in turn.
-                    back = warm.resolve(rhs)
+                    back = warm.resolve(QVector(rhs))
                     assert back.feasible and point_feasible(back.feasible_point().entries, rows, rels, rhs)
-    for outcome in ("no_pivot", "dual_pivots", "dual_infeasible", "dropped_row", "farkas_refuted"):
+    for outcome in (
+        "no_pivot", "dual_pivots", "dual_infeasible", "dropped_row", "farkas_refuted",
+        ("from_infeasible", True), ("from_infeasible", False),
+    ):
         assert outcomes[outcome] >= 20, outcomes
 
 
@@ -660,16 +666,24 @@ def test_resolve_checks_its_arguments():
     other = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
     res = other.minimize(QVector([1, 1]))
     with pytest.raises(ValueError):
-        session.resolve([F(1)])
+        session.resolve(QVector([1]))
     with pytest.raises(ValueError):
-        session.resolve([F(1), F(2)], res)
+        session.resolve(QVector([1, 2]), res)
     with pytest.raises(ValueError):
         session.minimize(QVector([1, 1]), res)
-    with pytest.raises(ValueError):
-        Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)]).resolve([F(0), F(1)])
     infeasible = Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)])
-    assert infeasible.refutes([F(1), F(0)]) and not infeasible.refutes([F(0), F(1)])
-    for rhs in ([F(5)], [F(1), F(0), F(7)]):
+    assert infeasible.refutes(QVector([1, 0])) and not infeasible.refutes(QVector([0, 1]))
+    for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
             infeasible.refutes(rhs)
-    assert other.resolve([F(-2), F(3)], res).feasible_point() == QVector([-2, 3])
+        with pytest.raises(ValueError):
+            infeasible.resolve(rhs)
+    # An infeasible session re-solves from its kept basis, exactly.
+    again = infeasible.resolve(QVector([0, F(1, 2)]))
+    assert again.feasible and again.dual_pivots == 0
+    rows, rels = [[1], [1]], [GE, LE]
+    want = fraction_resolve(1, rows, rels, [1, 0], [0, F(1, 2)])
+    assert want == ("feasible", list(again.feasible_point().entries))
+    assert again.minimize(QVector([1])).value == 0 and again.minimize(QVector([-1])).value == F(-1, 2)
+    assert not infeasible.resolve(QVector([2, 1])).feasible
+    assert other.resolve(QVector([-2, 3]), res).feasible_point() == QVector([-2, 3])

@@ -267,6 +267,19 @@ def test_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
     assert len(sessions) <= 10
 
 
+@pytest.mark.parametrize("k, most", [(2, 3), (3, 4)])
+def test_search_without_upper_bounds_builds_one_cold_session_per_wedge_multiset(sessions, k, most):
+    # ex3.7's quadrant and ray: a trial with the ray twice has no upper
+    # bound unless its apexes differ by a multiple of (1, 1), so those
+    # multisets see infeasible trials only. A trial that the latest Farkas
+    # vector does not refute re-solves from the latest basis, feasible or
+    # not: one cold session for each of the k + 1 sorted multisets.
+    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
+    ray = Wedge(2, generators=[V([1, 1])])
+    assert multilattice_search([quadrant, ray], k, seed=3, budget=200) is None
+    assert len(sessions) <= most
+
+
 def test_search_budget_must_be_nonnegative():
     w1, w2, w3 = w123()
     with pytest.raises(ValueError, match="budget"):
