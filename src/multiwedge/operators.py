@@ -16,16 +16,15 @@ whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
 layer. The primal decomposition system remains only in rdp_check and
-rdp_search. Its row and column sums are == rows, each of which
-``lp.Session`` pivots on a free column of z before the simplex. Its
-rows depend only on the sorted wedge multiset, and its right-hand sides
-are 0 and the xs and ys, so rdp_search re-solves the rows at each
-trial's right-hand sides (``lp.Warm``): the dual simplex starts from the
-latest trial's basis, feasible or not, the rows are built once per
-multiset, for its one cold session, and a search reads only the
-verdict, never z. The witness system of the values, b . z = s_b for
-every normal b of V, has == rows only: its point is the particular
-solution of their reduced echelon form, and no simplex runs.
+rdp_search, in transportation form: the sums fix the last row and
+column of z, so it has >= rows only. The rows depend only on m and the
+sorted wedge multiset, and the right-hand sides only on the xs and ys,
+so rdp_search re-solves the rows at each trial's right-hand sides
+(``lp.Warm``): the dual simplex starts from the latest trial's basis,
+the rows are built once per multiset, and a search reads only the
+verdict, never z. The witness of the values, b . z = s_b for every
+normal b of V, is the particular solution of a linear system
+(``linalg.solve_linear``); no simplex runs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     InconsistentValues,
@@ -46,8 +46,8 @@ from .errors import (
     RDPViolated,
     ZeroSpace,
 )
-from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace
-from .lp import EQ, GE, Constraint, Session, Unbounded, Warm
+from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
+from .lp import GE, Constraint, Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _trials, is_multi_upper_bound, multi_bounded_above
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -202,7 +202,7 @@ class RDPInstance:
     def dim(self) -> int:
         return self.wedges[0].dim
 
-    def validate(self, _sum_wedge: Wedge | None = None) -> None:
+    def validate(self) -> None:
         if not self.wedges or not self.xs:
             raise InvalidInstance("need at least one wedge and one x")
         if len(self.wedges) != len(self.ys):
@@ -217,10 +217,8 @@ class RDPInstance:
                 raise InvalidInstance("some y_j is not a member of its wedge")
         if sum(self.xs, QVector.zero(dim)) != sum(self.ys, QVector.zero(dim)):
             raise InvalidInstance("sum of xs does not equal sum of ys")
-        sw = _sum_wedge if _sum_wedge is not None else wedge_sum(self.wedges)
-        for x in self.xs:
-            if not sw.member(x):
-                raise InvalidInstance("some x_i is outside the sum of the wedges")
+        if not all(map(wedge_sum(self.wedges).member, self.xs)):
+            raise InvalidInstance("some x_i is outside the sum of the wedges")
 
     def to_json(self) -> dict:
         return {
@@ -256,67 +254,70 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
     return True
 
 
-def rdp_check(
-    inst: RDPInstance, *, _sum_wedge: Wedge | None = None, _warm: Warm | None = None
-) -> list[list[QVector]] | None:
+def rdp_check(inst: RDPInstance, *, _warm: Warm | None = None) -> list[list[QVector]] | None:
     """Find z_ij in W_j with row sums x_i and column sums y_j, or None.
 
-    Exact LP feasibility in the stacked z variables, coordinate c of z_ij
-    being variable (i * n + j) * dim + c; None means no decomposition
-    exists (the instance witnesses a decomposition failure). The (m + n)
-    * dim sum rows are == rows, each pivoted on a free column of z before
-    the dual simplex runs over the m * n halfspace blocks. z is a free
-    witness: the point where the dual simplex stops, from the basis of
-    the == rows or from a kept one. ``_warm`` optionally holds the latest
+    The instance is validated, and its sums solved in closed form as a
+    transportation system (Hitchcock 1941, The distribution of a product
+    from several sources to numerous localities; see ``_blocks``). Each
+    halfspace of W_j on each z_ij is then a >= row in t, and exact LP
+    feasibility decides; None means no decomposition exists. With m = 1
+    or n = 1 there is no variable and z is fixed; else z is a free witness,
+    where the dual simplex stops. ``_warm`` optionally holds the latest
     states of the rows, which depend only on m and the sorted wedge
-    multiset in a search: the system is then re-solved at the new right-
-    hand sides, 0 for the halfspace rows and the xs and ys for the sum
-    rows (``Warm``), and the rows are built only for a cold session. The
-    verdict is the same; z may differ.
+    multiset in a search, to re-solve them at the new right-hand sides
+    -a . c_ij (``Warm``): the verdict is the same, but z may differ.
     """
-    point = _rdp_session(inst, _sum_wedge, _warm).feasible_point()
+    inst.validate()
+    point = _rdp_session(inst, _warm).feasible_point()
     if point is None:
         return None
-    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
-    return [
-        [QVector._of(point.num[(i * n + j) * dim : (i * n + j + 1) * dim], point.den) for j in range(n)]
-        for i in range(m)
-    ]
+    m, n, dim = len(inst.xs), len(inst.ys), inst.dim
+    t = [QVector._of(point.num[k * dim : (k + 1) * dim], point.den) for k in range((m - 1) * (n - 1))]
+    z = [sum((t[k] if s > 0 else -t[k] for s, k in ts), c) for _, c, ts in _blocks(inst)]
+    return [z[i : i + n] for i in range(0, len(z), n)]
 
 
-def _rdp_session(inst: RDPInstance, sum_wedge: Wedge | None, warm: Warm | None) -> Session:
-    """The validated instance's decomposition system, solved through ``warm`` (see ``rdp_check``)."""
-    inst.validate(sum_wedge)
-    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
+def _blocks(inst: RDPInstance) -> Iterator[tuple[int, QVector, list[tuple[int, int]]]]:
+    """(j, c_ij, [(sign, k)]) per block, row-major: z_ij = c_ij + sum of sign * t_k.
 
-    # Each halfspace row keeps its den: the simplex must see the values as given.
-    def row(coefs: dict[int, int], den: int = 1) -> QVector:
-        num = [0] * (m * n * dim)
-        for col, coef in coefs.items():
-            num[col] = coef
-        return QVector._of(num, den)
+    t_k = z_ij, k = i * (n - 1) + j, for i < m - 1 and j < n - 1; the sums fix
+    z_in = x_i - sum_j t_ij, z_mj = y_j - sum_i t_ij, z_mn = y_n - sum_{i<m} x_i + sum t.
+    """
+    xs, ys = inst.xs, inst.ys
+    m, n = len(xs), len(ys)
+    zero = QVector.zero(inst.dim)
+    for i in range(m):
+        for j in range(n):
+            if i < m - 1 and j < n - 1:
+                yield j, zero, [(1, i * (n - 1) + j)]
+            elif i < m - 1:
+                yield j, xs[i], [(-1, i * (n - 1) + k) for k in range(n - 1)]
+            elif j < n - 1:
+                yield j, ys[j], [(-1, k * (n - 1) + j) for k in range(m - 1)]
+            else:
+                yield j, ys[j] - sum(xs[:-1], zero), [(1, k) for k in range((m - 1) * (n - 1))]
 
+
+def _rdp_session(inst: RDPInstance, warm: Warm | None) -> Session:
+    """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm`` (see ``rdp_check``)."""
+    dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
+    cells = [(a, c, ts) for j, c, ts in _blocks(inst) for a in inst.wedges[j].halfspaces]
+    den = lcm(*[a.den * c.den for a, c, _ in cells])
+    rhs = QVector._of([-sum(map(mul, a.num, c.num)) * (den // (a.den * c.den)) for a, c, _ in cells], den)
+
+    # Each row keeps its halfspace's den: the simplex must see the values as given.
     def constraints() -> list[Constraint]:
-        cons = [
-            Constraint(row(dict(enumerate(a.num, (i * n + j) * dim)), a.den), GE, _ZERO)
-            for i in range(m)
-            for j, w in enumerate(inst.wedges)
-            for a in w.halfspaces
-        ]
-        for i, x in enumerate(inst.xs):
-            for c in range(dim):
-                cons.append(Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]))
-        for j, y in enumerate(inst.ys):
-            for c in range(dim):
-                cons.append(Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]))
+        cons = []
+        for (a, _, ts), b in zip(cells, rhs.entries):
+            num = [0] * nt
+            for s, k in ts:
+                num[k * dim : (k + 1) * dim] = [s * e for e in a.num]
+            cons.append(Constraint(QVector._of(num, a.den), GE, b))
         return cons
 
-    sums = inst.xs + inst.ys
-    den = lcm(*[v.den for v in sums])
-    zeros = [0] * (m * sum(len(w.halfspaces) for w in inst.wedges))
-    rhs = QVector._of(zeros + [e * (den // v.den) for v in sums for e in v.num], den)
     warm = warm or Warm()
-    session = warm.session(m * n * dim, rhs, constraints)
+    session = warm.session(nt, rhs, constraints)
     if session.feasible:
         warm.start = session
     return session
@@ -357,7 +358,7 @@ def rdp_search(
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
         posed = RDPInstance(tuple(inst.wedges[p] for p in order), inst.xs, tuple(ys[p] for p in order))
-        if not _rdp_session(posed, sw, warm).feasible:
+        if not _rdp_session(posed, warm).feasible:
             return inst
     return None
 
@@ -532,8 +533,7 @@ def _rk_sups(
 
     The dual session of each normal b is minimized at every x. The values
     s_b(x) are unique, so z is the particular solution of the equations
-    b . z = s_b(x) (the session pivots them on free columns of z, and no
-    simplex runs).
+    b . z = s_b(x) (``solve_linear``, on their unique reduced echelon form).
     An infeasible dual, which does not depend on x, raises
     NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
     wedge. With no normals no x is read, and every witness is 0.
@@ -549,17 +549,17 @@ def _rk_sups(
     witnesses = []
     for x in xs:
         sups = []
-        for b, session in zip(normals, sessions):
+        for session in sessions:
             res = session.minimize(x)
             if isinstance(res, Unbounded):
                 raise NotInSumWedge("x is not in the sum of the domain wedges")
-            sups.append(Constraint(b, EQ, res.value))
-        z = Session(v_wedge.dim, sups).feasible_point()
-        if z is None:
+            sups.append(res.value)
+        solution = solve_linear(QMatrix._of(normals, v_wedge.dim), QVector(sups))
+        if solution is None:
             raise NoMultiSupremum(
                 "the codomain wedge admits no multi-supremum for this value set"
             )
-        witnesses.append(z)
+        witnesses.append(solution.particular)
     return witnesses
 
 

@@ -9,8 +9,9 @@ the integer-row elimination replaced, extreme rays by the subset scan the
 double-description method replaced, multi-suprema by the equality
 system that ``msup``'s sum-of-normals LP replaced, Riesz-Kantorovich
 values by the primal decomposition LP that ``rk_value``'s dual sessions
-replaced, operator linealities by the annihilator construction that
-``op_wedge_lineality`` replaced, operator multi-suprema by the
+replaced, decompositions by the system of ``==`` sum rows that
+``rdp_check``'s transportation form replaced, operator linealities by
+the annihilator construction that ``op_wedge_lineality`` replaced, operator multi-suprema by the
 multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
 draws replaced, the searches themselves by their loops with a cold
@@ -690,6 +691,40 @@ def primal_rk_value(ops, wedges, v_wedge, x):
     return MultiSupSet(z, v_lin)
 
 
+def primal_rdp_check(inst):
+    """A decomposition z of ``inst`` by the system ``rdp_check`` solved before, or None.
+
+    Kept as its oracle: one ``Session`` in the m * n * dim stacked
+    coordinates of z, coordinate c of z_ij being variable
+    (i * n + j) * dim + c, with a >= 0 row per halfspace a of W_j on each
+    z_ij and a ``==`` row per coordinate of each row sum x_i and column
+    sum y_j.
+    """
+    m, n, dim = len(inst.xs), len(inst.wedges), inst.dim
+
+    def row(coefs):
+        entries = [0] * (m * n * dim)
+        for col, coef in coefs.items():
+            entries[col] = coef
+        return QVector(entries)
+
+    cons = [
+        Constraint(row(dict(enumerate(a, (i * n + j) * dim))), GE, F(0))
+        for i in range(m)
+        for j, w in enumerate(inst.wedges)
+        for a in w.halfspaces
+    ]
+    for i, x in enumerate(inst.xs):
+        cons += [Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]) for c in range(dim)]
+    for j, y in enumerate(inst.ys):
+        cons += [Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]) for c in range(dim)]
+    point = Session(m * n * dim, cons).feasible_point()
+    if point is None:
+        return None
+    z = [point[k * dim : (k + 1) * dim] for k in range(m * n)]
+    return [[QVector(v) for v in z[i * n : (i + 1) * n]] for i in range(m)]
+
+
 def annihilator_op_lineality(ws, vs):
     """Operator lineality by the annihilator construction ``op_wedge_lineality`` used before.
 
@@ -790,7 +825,7 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
             continue
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        if rdp_check(inst, _sum_wedge=sw) is None:
+        if rdp_check(inst) is None:
             return inst
     return None
 

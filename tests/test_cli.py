@@ -538,7 +538,7 @@ def test_wedge_ops_match_golden(capsys, op):
     assert out.encode() == (golden / f"wedge-{op}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["rdp-check", "rdp-check-rational"])
+@pytest.mark.parametrize("name", ["rdp-check", "rdp-check-rational", "rdp-check-one-x"])
 def test_rdp_check_golden_z_decomposes_its_input(name):
     # z is a free witness: a change to the LP may pin another one, but each
     # pinned z must be a decomposition of the instance it answers.
@@ -579,6 +579,7 @@ def test_rdp_check_golden_z_decomposes_its_input(name):
                                   "-f", "rdp-search-ex37.input.json"]),
         ("lattice-search-ex37-k3", ["lattice-search", "--k", "3", "--seed", "3", "--budget", "200",
                                    "-f", "rdp-search-ex37.input.json"]),
+        ("rdp-check-one-x", ["rdp", "check"]),
     ],
 )
 def test_lp_commands_match_golden(capsys, name, argv):
@@ -597,7 +598,8 @@ def test_lp_commands_match_golden(capsys, name, argv):
     # search reports its counterexample in the drawn order, not the sorted
     # one in which it checks it. lattice-search-ex37-k3 re-solves many
     # trials from the bases of infeasible ones: the ray twice has no upper
-    # bound at most apexes.
+    # bound at most apexes. rdp-check-one-x has one x, so its z is [ys],
+    # the only decomposition, though one wedge holds a line.
     # A command without its own -f reads <name>.input.json.
     golden = Path(__file__).parent / "golden"
     if "-f" not in argv:

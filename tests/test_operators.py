@@ -50,6 +50,7 @@ from conftest import (
     fraction_random_member,
     operator_family,
     polytope_vertices,
+    primal_rdp_check,
     primal_rk_value,
     rand_acute_cone,
     rand_member,
@@ -342,6 +343,37 @@ def test_rdp_check_with_warm_matches_cold():
                 assert decomposition_ok(inst, got)
             outcomes[got is None] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
+
+
+def test_rdp_check_matches_primal_system():
+    # The transportation form decides as the m * n * dim system of == sum
+    # rows does, on random wedges with lines included, for m, n = 1..3.
+    # With m = 1 or n = 1 it has no variable, and z is fixed: the ys, or
+    # one x per row.
+    rng = random.Random(2112)
+    outcomes = Counter()
+    for run in range(1500):
+        dim = rng.randint(1, 3)
+        wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        m, n = 1 + run % 3, 1 + (run // 3) % 3
+        ws = tuple(rng.choice(wedges) for _ in range(n))
+        sw = wedge_sum(ws)
+        ys = tuple(_random_member(rng, w) for w in ws)
+        xs = [_random_member(rng, sw) for _ in range(m - 1)]
+        last = sum(ys, V.zero(dim)) - sum(xs, V.zero(dim))
+        if not sw.member(last):
+            continue
+        inst = RDPInstance(ws, (*xs, last), ys)
+        z = rdp_check(inst)
+        assert (z is None) == (primal_rdp_check(inst) is None)
+        if z is not None:
+            assert decomposition_ok(inst, z)
+        if m == 1:
+            assert z == [list(ys)]
+        if n == 1:
+            assert z == [[x] for x in inst.xs]
+        outcomes[z is None] += 1
+    assert outcomes[True] >= 50 and sum(outcomes.values()) >= 500, outcomes
 
 
 def test_rdp_search_builds_one_cold_session_per_wedge_multiset(sessions):
@@ -881,6 +913,31 @@ def test_op_msup_runs_no_membership_session(monkeypatch):
     assert len(res.lineality_ops) == 6
     assert built
     assert [size for size in built if size[0] == 6 and size[1]] == []
+
+
+def test_package_lps_have_ge_rows_only(monkeypatch):
+    # Every LP the package poses is made of >= rows over free variables:
+    # the decomposition sums are solved in closed form, and the rk witness
+    # by linalg. The == path of lp.Session is left to lp_solve's callers.
+    from multiwedge import lp
+
+    rels = []
+    init = lp.Session.__init__
+
+    def recorded(self, n, constraints):
+        constraints = list(constraints)
+        rels.extend(c.rel for c in constraints)
+        init(self, n, constraints)
+
+    monkeypatch.setattr(lp.Session, "__init__", recorded)
+    assert rdp_check(known_failure_instance()) is None
+    assert rdp_search([quadrant(), diagonal_ray()], 2, 3, seed=0, budget=50) is not None
+    ws = [quadrant(), diagonal_ray()]
+    ops = [M([[1, 0], [0, 2]]), M([[2, 1], [0, 1]])]
+    rk_value(ops, ws, quadrant(), V([3, 1]))
+    op_msup(ops, [quadrant(), quadrant()], quadrant())
+    msup([TranslatedWedge(V([1, 0]), quadrant()), TranslatedWedge(V([0, 1]), quadrant())])
+    assert rels and set(rels) == {">="}
 
 
 def test_op_wedge_lineality_matches_annihilator_oracle():
