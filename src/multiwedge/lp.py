@@ -1,5 +1,6 @@
 """Exact rational linear programming: Bland-rule dual simplex phase 1, primal phase 2.
 
+A ``Session`` solves one system of ``>=`` rows, rows[i] . x >= rhs[i].
 Variables are unrestricted in sign. Each one has a single tableau column,
 a free column: it enters the basis at most once and never leaves
 (Maros 2003, Computational Techniques of the Simplex Method, ch. 9).
@@ -17,29 +18,29 @@ tableau: Bland's rule reads the same signs and, by cross-multiplication,
 the same ratios, and takes the same pivots. ``Fraction``s are built only
 for the value, and for the duals and Farkas vectors when they are read.
 
-Each ``>=`` row is negated, so every row reads a . x + u = b with its own
-unit column u at coefficient +1: a slack u >= 0 for a ``<=``/``>=`` row,
-a marker fixed at 0 for a ``==`` row. The unit columns hold B^-1. Each
-``==`` row first pivots in its first free column with a nonzero entry,
-which brings the ``==`` rows to reduced echelon form, the presolve of
-Andersen & Andersen 1995 (Presolving in linear programming, Math.
-Programming 71); a ``==`` row left with none reads 0 = u . e and is kept
-aside as a check of the right-hand side. The basis is then dual feasible
-for the zero objective, so phase 1 is a Bland-rule dual simplex
-(Chvatal 1983, Linear Programming, ch. 10; finite by Bland 1977, New
-finite pivoting rules for the simplex method); no artificial column is
-needed. A ``Session`` holds one constraint system after phase 1, so
+Each row is stored negated, -a . x + s = -b, with its own slack s >= 0
+at coefficient +1. The slack columns hold B^-1, and the duals and Farkas
+vectors are their entries as they stand, each >= 0. At the all-slack
+basis the zero objective is dual feasible, so phase 1 is a Bland-rule
+dual simplex (Chvatal 1983, Linear Programming, ch. 10; finite by Bland
+1977, New finite pivoting rules for the simplex method); no artificial
+column is needed. A ``Session`` holds one system after phase 1, so
 callers that optimize several objectives over the same system (or only
-need a feasible point) pay for phase 1 once; ``lp_solve`` is a session
-with one objective. ``Session.resolve`` answers the same rows at new
-right-hand sides, given as one ``QVector``, by the same dual simplex: the
-new right-hand side column is B^-1 b', and with zero costs every basis
-is dual feasible, so it starts from the basis of any session, an
-infeasible one included. An infeasible session keeps its tableau, its
-basis and a Farkas vector, which refutes a later right-hand side with
-one dot product. ``Warm`` keeps the latest states for a caller that
-solves one system at many right-hand sides: a trial passes only its
+need a feasible point) pay for phase 1 once. ``Session.resolve`` answers
+the same rows at new right-hand sides, given as one ``QVector``, by the
+same dual simplex: the new right-hand side column is B^-1 (-b'), and with
+zero costs every basis is dual feasible, so it starts from the basis of
+any session, an infeasible one included. An infeasible session keeps its
+tableau, its basis and a Farkas vector, which refutes a later right-hand
+side with one dot product. ``Warm`` keeps the latest states for a caller
+that solves one system at many right-hand sides: a trial passes only its
 right-hand sides, and the rows are built once, for the one cold session.
+
+``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
+``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
+row as the pair a . x >= b, -a . x >= -b, and solves them in one session
+with one objective. The multiplier of a row as given is the signed sum
+of the multipliers of its ``>=`` rows.
 """
 
 from __future__ import annotations
@@ -49,13 +50,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .errors import InternalInvariantError
 from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
 
 LE, GE, EQ = "<=", ">=", "=="
-_RELATIONS = (LE, GE, EQ)
+# The signs s with which a row a . x (rel) b is written as s a . x >= s b.
+_SIGNS = {GE: (1,), LE: (-1,), EQ: (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class Constraint:
     rhs: Fraction
 
     def __post_init__(self):
-        if self.rel not in _RELATIONS:
+        if self.rel not in _SIGNS:
             raise ValueError(f"unknown relation {self.rel!r}")
 
 
@@ -96,8 +98,15 @@ class Optimal:
 
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
-        """Constraint multipliers y with A^T y = objective and y . rhs = value."""
-        return self._final[0]._dual(self._final[3])
+        """Constraint multipliers y with A^T y = objective and y . rhs = value.
+
+        The slack columns cost 0 and hold B^-1, so their reduced costs
+        are -c_B B^-1, minus the multipliers of the negated rows, which is
+        y. Every free column has reduced cost 0, which is A^T y = c, and
+        slack-column optimality gives y >= 0.
+        """
+        reduced = self._final[3]
+        return tuple([Fraction(e, reduced.den) for e in reduced.num[self.point.dim : -1]])
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class Infeasible:
-    # The session's Farkas vector y, a QVector over the rows as given.
+    # The Farkas vector y, a QVector over the rows as given.
     _proof: QVector | None = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -136,102 +145,100 @@ def lp_solve(p: LinearProgram) -> LPResult:
     free; signs flip for 'max'). Unbounded carries a feasible recession
     direction that strictly improves the objective.
     """
-    session = Session(p.n, p.constraints)
-    if p.sense == "min":
-        return session.minimize(p.objective)
-    res = session.minimize(-p.objective)
-    return session._negated(res) if isinstance(res, Optimal) else res
+    rows, rhs, signs = _ge_rows(p.constraints)
+    sense = 1 if p.sense == "min" else -1
+    res = Session(p.n, rows, rhs).minimize(p.objective if sense > 0 else -p.objective)
+    m = len(p.constraints)
+    if isinstance(res, Infeasible):
+        y = res._proof
+        return Infeasible(QVector._of(_fold(y.num, signs, m), y.den))
+    if isinstance(res, Optimal):
+        # The slack part of the reduced row holds the duals: folded, and negated with the rest for 'max'.
+        *kept, reduced = res._final
+        num = [*reduced.num[: p.n], *_fold(reduced.num[p.n : -1], signs, m), reduced.num[-1]]
+        return Optimal(sense * res.value, res.point, (*kept, _Row([sense * e for e in num], reduced.den)))
+    return res
+
+
+def _ge_rows(constraints: Sequence[Constraint]) -> tuple[list[QVector], QVector, list[tuple[int, int]]]:
+    """The rows as given, written as >= rows: (rows, right-hand sides, (index, sign) per >= row).
+
+    A row a . x (rel) b gives s a . x >= s b for each sign s of its
+    relation: a ``<=`` row its negation, a ``==`` row both.
+    """
+    rows, rhs, signs = [], [], []
+    for i, c in enumerate(constraints):
+        for s in _SIGNS[c.rel]:
+            rows.append(c.row if s > 0 else -c.row)
+            rhs.append(s * c.rhs)
+            signs.append((i, s))
+    return rows, QVector(rhs), signs
+
+
+def _fold(y: Sequence[int], signs: list[tuple[int, int]], m: int) -> list[int]:
+    """The multipliers of the m rows as given: each the signed sum of those of its >= rows."""
+    out = [0] * m
+    for e, (i, s) in zip(y, signs):
+        out[i] += s * e
+    return out
 
 
 class Session:
-    """One constraint system, x free: the tableau is built and phase 1 run once.
+    """One system of >= rows, x free: the tableau is built and phase 1 run once.
 
-    ``rows[i] . x (rel) rhs`` for each ``Constraint``. Every ``minimize``
-    runs phase 2 on a copy of the phase-1 tableau and basis, never from an
-    earlier optimum (unless given one as ``start``), so each result is
-    exactly that of a separate ``lp_solve``: phase 1 does not read the
-    objective, and Bland's rule is deterministic. The session keeps no
-    per-call state: each ``Optimal`` carries its final tableau and basis,
-    where ``price`` reads other minima and ``resolve`` starts.
+    ``rows[i] . x >= rhs[i]``, for ``QVector`` rows of n entries and one
+    ``QVector`` of right-hand sides. Every ``minimize`` runs phase 2 on a
+    copy of the phase-1 tableau and basis, never from an earlier optimum
+    (unless given one as ``start``), so each result is exactly that of a
+    separate solve: phase 1 does not read the objective, and Bland's rule
+    is deterministic. The session keeps no per-call state: each
+    ``Optimal`` carries its final tableau and basis, where ``price`` reads
+    other minima and ``resolve`` starts.
 
-    Columns: x (n free columns), one unit column per row (the row's slack
-    or, for a ``==`` row, its marker), then the right-hand side. Points
-    are read off the rows whose basic variable is free; duals, Farkas
-    vectors and B^-1 off the unit columns. Markers never enter, and rows
-    whose basic variable is free never leave. A ``==`` row that pivots in
-    no free column is kept aside (``_aside``): its unit part u has
-    u^T E = 0, so the system is infeasible by u exactly when u . e != 0.
+    Columns: x (n free columns), the slack of each row (columns n to
+    n + m - 1), then the right-hand side. Points are read off the rows
+    whose basic variable is free; B^-1, duals and Farkas vectors off the
+    slack columns. Rows whose basic variable is free never leave.
 
     An infeasible session keeps its tableau and basis, where ``resolve``
-    starts as from a feasible one, and a Farkas vector of the rows as
-    given. ``dual_pivots`` counts the pivots the dual simplex made to
-    reach its verdict: phase 1's in a cold session, ``resolve``'s in a
-    re-solved one.
+    starts as from a feasible one, and a Farkas vector of its rows.
+    ``dual_pivots`` counts the pivots the dual simplex made to reach its
+    verdict: phase 1's in a cold session, ``resolve``'s in a re-solved one.
     """
 
-    def __init__(self, n: int, constraints: Iterable[Constraint]):
-        constraints = tuple(constraints)
-        if any(c.row.dim != n for c in constraints):
-            raise ValueError("constraint row length must equal the variable count")
-        m = len(constraints)
-        ncols = n + m
-        self.n, self._ncols = n, ncols
-        self._flipped = [c.rel == GE for c in constraints]
-        self._slacks = [n + i for i, c in enumerate(constraints) if c.rel != EQ]
+    def __init__(self, n: int, rows: Sequence[QVector], rhs: QVector):
+        m = len(rows)
+        if rhs.dim != m or any(a.dim != n for a in rows):
+            raise ValueError("a session needs n entries per row and one right-hand side per row")
+        self.n, self._ncols = n, n + m
         tableau = []
-        for i, (con, flip) in enumerate(zip(constraints, self._flipped)):
-            den = lcm(con.row.den, con.rhs.denominator)
-            sign = -1 if flip else 1
-            num = [sign * e * (den // con.row.den) for e in con.row.num]
+        for i, a in enumerate(rows):
+            den = lcm(a.den, rhs.den)
+            num = [-e * (den // a.den) for e in a.num]
             num += [0] * m
-            num.append(sign * con.rhs.numerator * (den // con.rhs.denominator))
+            num.append(-rhs.num[i] * (den // rhs.den))
             num[n + i] = den
             tableau.append(_Row(num, den))
-        basis = list(range(n, ncols))
-        for i, con in enumerate(constraints):
-            if con.rel == EQ:
-                num = tableau[i].num
-                enter = next((j for j in range(n) if num[j]), -1)
-                if enter >= 0:
-                    _pivot(tableau, None, i, enter)
-                basis[i] = enter
-        # A == row with no free column to pivot in (basis -1) is kept aside.
-        kept = [row for row, b in zip(tableau, basis) if b >= 0]
-        aside = [row for row, b in zip(tableau, basis) if b < 0]
-        zero = _Row([0] * (ncols + 1), 1)
-        basis = [b for b in basis if b >= 0]
-        self._settle(kept, basis, zero, aside, lambda: QVector([c.rhs for c in constraints]))
+        self._settle(tableau, list(range(n, n + m)), _Row([0] * (n + m + 1), 1), rhs)
 
-    def _settle(self, tableau, basis, reduced, aside, rhs: Callable[[], QVector]) -> Session:
-        """Check the rows kept ``aside``, run the dual simplex from ``basis`` and keep the outcome.
+    def _settle(self, tableau, basis, reduced, rhs: QVector) -> Session:
+        """Run the dual simplex from ``basis`` and keep the outcome.
 
         ``basis`` is dual feasible for ``reduced``: phase 1 starts with
-        zero costs, ``resolve`` at a kept basis. A row kept aside reads
-        u^T A' x + u^T s = u . b' with u^T A' = 0 and u on the markers:
-        w = u or -u, whichever has w . b' > 0, is a Farkas vector. A row the
-        dual simplex cannot pivot on reads u^T A' x + u^T s = u . b' < 0
-        with no free entry and no negative slack entry: u^T A' = 0, so
-        w = -u is a Farkas vector of the rows A' x (rel) b' as stored. Both
-        are checked here against ``rhs()``, the right-hand sides as given,
-        which is built only for that check. The tableau and basis are kept
-        either way.
+        zero costs, ``resolve`` at a kept basis. A row the dual simplex
+        cannot pivot on reads -u^T A x + u^T s = -u . b < 0 with no free
+        entry and no negative slack entry: u >= 0 and u^T A = 0, so its
+        slack part u is a Farkas vector, checked here against ``rhs``. The
+        tableau and basis are kept either way.
         """
-        self._aside, self.dual_pivots = aside, 0
-        row = next((row for row in aside if row.num[-1]), None)
-        if row is not None:
-            sign = 1 if row.num[-1] > 0 else -1
-        else:
-            leave, self.dual_pivots = _dual_run(tableau, basis, reduced, self.n, self._slacks)
-            row, sign = (tableau[leave] if leave >= 0 else None), -1
-        self.feasible = row is None
+        leave, self.dual_pivots = _dual_run(tableau, basis, reduced, self.n, self._ncols)
+        self.feasible = leave < 0
         self._tableau, self._basis, self._farkas = tableau, basis, None
         if not self.feasible:
-            # y over the rows as given: undoing a row's flip negates its multiplier.
-            u = row.num[self.n : self._ncols]
-            y = [-sign * e if flip else sign * e for e, flip in zip(u, self._flipped)]
-            self._farkas = QVector._of(y, row.den)
-            if not self.refutes(rhs()):
-                raise InternalInvariantError("a Farkas vector w of the rows has w . b <= 0")
+            row = tableau[leave]
+            self._farkas = QVector._of(row.num[self.n : self._ncols], row.den)
+            if not self.refutes(rhs):
+                raise InternalInvariantError("a Farkas vector y of the rows has y . b <= 0")
         return self
 
     def feasible_point(self) -> QVector | None:
@@ -256,7 +263,7 @@ class Session:
         source, basis, _ = self._start(start)
         tableau = [_Row(list(row.num), row.den) for row in source]
         basis = list(basis)
-        status, info = _run(tableau, basis, self._cost(objective), n, self._slacks)
+        status, info = _run(tableau, basis, self._cost(objective), n, ncols)
         if status == "unbounded":
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
             enter, sign = info
@@ -276,20 +283,20 @@ class Session:
             raise ValueError("objective length must equal the variable count")
         reduced = _priced(tableau, basis, self._cost(objective))
         num = reduced.num
-        if any(num[: self.n]) or any(num[j] < 0 for j in self._slacks):
+        if any(num[: self.n]) or any(e < 0 for e in num[self.n : self._ncols]):
             return None
         return Fraction(-num[-1], reduced.den)
 
     def refutes(self, rhs: QVector) -> bool:
         """Whether this session's Farkas vector y proves the rows infeasible at ``rhs`` too.
 
-        ``rhs`` holds one right-hand side per constraint, in the order
-        given. y^T A = 0 and the signs of y do not read the right-hand
-        side, so y . rhs > 0 is enough: one dot product of int numerators
-        (both denominators are positive).
+        ``rhs`` holds one right-hand side per row, in the order given.
+        y^T A = 0 and y >= 0 do not read the right-hand side, so y . rhs > 0
+        is enough: one dot product of int numerators (both denominators are
+        positive).
         """
-        if rhs.dim != len(self._flipped):
-            raise ValueError("refutes needs one right-hand side per constraint")
+        if rhs.dim != self._ncols - self.n:
+            raise ValueError("refutes needs one right-hand side per row")
         if self.feasible:
             return False
         return sum(map(mul, self._farkas.num, rhs.num)) > 0
@@ -297,25 +304,22 @@ class Session:
     def resolve(self, rhs: QVector, start: Optimal | None = None) -> Session:
         """This system's rows at the right-hand sides ``rhs``, from a kept basis.
 
-        ``rhs`` holds one right-hand side per constraint, in the order
-        given. Verdicts and optimal values equal those of a cold
-        ``Session(n, rows with rhs)``; points may differ where they are not
-        unique. The new right-hand side column is B^-1 b', read off the
-        unit columns with this session's flips, in the tableau and in the
-        rows kept aside. Then phase 1's check and dual simplex
-        (``_settle``) run from ``start``'s basis (an optimum of this
-        session, kept optimal for its objective) or from this session's
-        with zero costs, at which every basis is dual feasible: this
-        session may be infeasible.
+        ``rhs`` holds one right-hand side per row, in the order given.
+        Verdicts and optimal values equal those of a cold
+        ``Session(n, rows, rhs)``; points may differ where they are not
+        unique. The new right-hand side column is B^-1 (-b'), read off the
+        slack columns. Then the dual simplex (``_settle``) runs from
+        ``start``'s basis (an optimum of this session, kept optimal for its
+        objective) or from this session's with zero costs, at which every
+        basis is dual feasible: this session may be infeasible.
         """
-        if rhs.dim != len(self._flipped):
-            raise ValueError("resolve needs one right-hand side per constraint")
-        b = [-e if flip else e for e, flip in zip(rhs.num, self._flipped)]
-        den, s0, ncols = rhs.den, self.n, self._ncols
+        if rhs.dim != self._ncols - self.n:
+            raise ValueError("resolve needs one right-hand side per row")
+        b, den, s0, ncols = rhs.num, rhs.den, self.n, self._ncols
 
         def moved(row: _Row) -> _Row:
             num, rden = row.num, row.den
-            v = sum(map(mul, num[s0:ncols], b))
+            v = -sum(map(mul, num[s0:ncols], b))
             num = num[:ncols] if den == 1 else [e * den for e in num[:ncols]]
             num.append(v)
             rden *= den
@@ -325,9 +329,8 @@ class Session:
         source, basis, reduced = self._start(start)
         reduced = _Row([0] * (ncols + 1), 1) if reduced is None else _Row(list(reduced.num), reduced.den)
         new = object.__new__(Session)
-        new.n, new._ncols, new._flipped, new._slacks = self.n, ncols, self._flipped, self._slacks
-        tableau, aside = [moved(row) for row in source], [moved(row) for row in self._aside]
-        return new._settle(tableau, list(basis), reduced, aside, lambda: rhs)
+        new.n, new._ncols = self.n, ncols
+        return new._settle([moved(row) for row in source], list(basis), reduced, rhs)
 
     def _own(self, res: Optimal) -> tuple:
         """The final state of ``res``, which must be an optimum of this session."""
@@ -341,24 +344,6 @@ class Session:
             return self._tableau, self._basis, None
         return self._own(start)[1:]
 
-    def _dual(self, reduced: _Row) -> tuple[Fraction, ...]:
-        """The duals of the optimum with reduced-cost row ``reduced``.
-
-        The unit columns hold B^-1 and cost 0, so -reduced there is
-        c_B B^-1 per stored row. Every free column has reduced cost 0,
-        which is A^T y = c, and slack-column optimality gives the signs.
-        """
-        rnum, s0, den = reduced.num, self.n, reduced.den
-        return tuple(
-            Fraction(rnum[s0 + i] if flip else -rnum[s0 + i], den)
-            for i, flip in enumerate(self._flipped)
-        )
-
-    def _negated(self, res: Optimal) -> Optimal:
-        """``res`` read as the maximum of the negated objective: its value and duals negate."""
-        *kept, reduced = res._final
-        return Optimal(-res.value, res.point, (*kept, _Row([-e for e in reduced.num], reduced.den)))
-
     def _cost(self, objective: QVector) -> _Row:
         """The objective on the free columns, zero elsewhere."""
         return _Row(list(objective.num) + [0] * (self._ncols - self.n + 1), objective.den)
@@ -371,11 +356,11 @@ class Warm:
     exact route: the latest Farkas vector when it refutes them, else
     ``resolve`` from ``start``, else from the latest infeasible session
     (``refuter``, whose basis is as good a start with zero costs), else a
-    cold ``Session`` of the rows that ``constraints()`` builds; a fresh
-    ``Warm`` builds exactly the cold session, and later trials build
-    none. The caller sets ``start``: a feasible session, or an optimum of
-    one (kept dual feasible for its objective), and ``certified`` when
-    that basis is optimal for every objective it reads there.
+    cold ``Session`` of the rows that ``rows()`` builds; a fresh ``Warm``
+    builds exactly the cold session, and later trials build none. The
+    caller sets ``start``: a feasible session, or an optimum of one (kept
+    dual feasible for its objective), and ``certified`` when that basis
+    is optimal for every objective it reads there.
     """
 
     __slots__ = ("start", "certified", "refuter")
@@ -385,14 +370,14 @@ class Warm:
         self.certified = False
         self.refuter: Session | None = None
 
-    def session(self, n: int, rhs: QVector, constraints: Callable[[], Iterable[Constraint]]) -> Session:
-        """The system at ``rhs``; ``constraints()`` gives its rows with ``rhs``, for a cold session."""
+    def session(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session:
+        """The >= rows at ``rhs``; ``rows()`` builds them, for a cold session."""
         refuter = self.refuter
         if refuter is not None and refuter.refutes(rhs):
             return refuter
         start = self.start if self.start is not None else refuter
         if start is None:
-            session = Session(n, constraints())
+            session = Session(n, rows(), rhs)
         elif isinstance(start, Optimal):
             session = start._final[0].resolve(rhs, start)
         else:
@@ -415,12 +400,12 @@ def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
     return QVector._of(x, den)
 
 
-def _run(tableau, basis, cost, n, slacks):
+def _run(tableau, basis, cost, n, ncols):
     """Bland-rule primal simplex iterations from a primal feasible basis.
 
     Entering: the smallest column that improves, a free one (the first n)
-    with a nonzero reduced cost, moving against its sign, or a slack with
-    a negative one; markers never enter. Returns ("optimal",
+    with a nonzero reduced cost, moving against its sign, or a slack
+    (columns n to ncols - 1) with a negative one. Returns ("optimal",
     reduced_cost_row) or ("unbounded", (entering_column, sign)).
     """
     reduced = _priced(tableau, basis, cost)
@@ -432,7 +417,7 @@ def _run(tableau, basis, cost, n, slacks):
                 enter = j
                 break
         else:
-            for j in slacks:
+            for j in range(n, ncols):
                 if num[j] < 0:
                     enter = j
                     break
@@ -461,7 +446,7 @@ def _run(tableau, basis, cost, n, slacks):
         basis[leave] = enter
 
 
-def _dual_run(tableau, basis, reduced, n, slacks) -> tuple[int, int]:
+def _dual_run(tableau, basis, reduced, n, ncols) -> tuple[int, int]:
     """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
 
     Leaving: the negative row with the smallest basic variable, a slack.
@@ -487,7 +472,7 @@ def _dual_run(tableau, basis, reduced, n, slacks) -> tuple[int, int]:
                 break
         else:
             best_r = best_a = 0
-            for j in slacks:
+            for j in range(n, ncols):
                 a = num[j]
                 if a < 0 and (enter < 0 or rnum[j] * best_a < best_r * -a):
                     enter, best_r, best_a = j, rnum[j], -a

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
-from .lp import GE, Constraint, Optimal, Session, Warm
+from .lp import Optimal, Session, Warm
 from .wedges import Wedge, intersect
 
 
@@ -93,14 +93,13 @@ def _family_dim(family: Sequence[TranslatedWedge]) -> int:
     return dim
 
 
-def _upper_bound_constraints(family: Sequence[TranslatedWedge]) -> list[Constraint]:
-    """P's rows a . x >= a . apex, for each halfspace a of each pair's wedge."""
-    rows = [a for tw in family for a in tw.wedge.halfspaces]
-    return [Constraint(a, GE, b) for a, b in zip(rows, _upper_bound_rhs(family))]
+def _upper_bound_rows(family: Sequence[TranslatedWedge]) -> list[QVector]:
+    """P's rows a, read a . x >= a . apex, for each halfspace a of each pair's wedge."""
+    return [a for tw in family for a in tw.wedge.halfspaces]
 
 
 def _upper_bound_rhs(family: Sequence[TranslatedWedge]) -> QVector:
-    """The right-hand sides a . apex of ``_upper_bound_constraints``, in ints."""
+    """The right-hand sides a . apex of ``_upper_bound_rows``, in ints."""
     nums, dens = [], []
     for tw in family:
         apex, den = tw.apex.num, tw.apex.den
@@ -121,7 +120,7 @@ def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
 
 def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
-    return Session(_family_dim(family), _upper_bound_constraints(family)).feasible_point()
+    return Session(_family_dim(family), _upper_bound_rows(family), _upper_bound_rhs(family)).feasible_point()
 
 
 def msup(
@@ -147,7 +146,7 @@ def msup(
     """
     dim = _family_dim(family)
     warm = _warm or Warm()
-    session = warm.session(dim, _upper_bound_rhs(family), lambda: _upper_bound_constraints(family))
+    session = warm.session(dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
     if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     cw = _intersection

@@ -47,7 +47,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
-from .lp import GE, Constraint, Session, Unbounded, Warm
+from .lp import Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _trials, is_multi_upper_bound, multi_bounded_above
 from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -203,6 +203,11 @@ class RDPInstance:
         return self.wedges[0].dim
 
     def validate(self) -> None:
+        self._validate_but_sum_wedge()
+        self._validate_sum_wedge()
+
+    def _validate_but_sum_wedge(self) -> None:
+        """Every check of ``validate`` except the x_i in the sum wedge, in the same order."""
         if not self.wedges or not self.xs:
             raise InvalidInstance("need at least one wedge and one x")
         if len(self.wedges) != len(self.ys):
@@ -217,6 +222,8 @@ class RDPInstance:
                 raise InvalidInstance("some y_j is not a member of its wedge")
         if sum(self.xs, QVector.zero(dim)) != sum(self.ys, QVector.zero(dim)):
             raise InvalidInstance("sum of xs does not equal sum of ys")
+
+    def _validate_sum_wedge(self) -> None:
         if not all(map(wedge_sum(self.wedges).member, self.xs)):
             raise InvalidInstance("some x_i is outside the sum of the wedges")
 
@@ -268,9 +275,12 @@ def rdp_check(inst: RDPInstance, *, _warm: Warm | None = None) -> list[list[QVec
     multiset in a search, to re-solve them at the new right-hand sides
     -a . c_ij (``Warm``): the verdict is the same, but z may differ.
     """
-    inst.validate()
+    # A decomposition puts every x_i in the sum wedge, so that check, a
+    # conversion of the sum, runs only when there is none.
+    inst._validate_but_sum_wedge()
     point = _rdp_session(inst, _warm).feasible_point()
     if point is None:
+        inst._validate_sum_wedge()
         return None
     m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     t = [QVector._of(point.num[k * dim : (k + 1) * dim], point.den) for k in range((m - 1) * (n - 1))]
@@ -307,17 +317,17 @@ def _rdp_session(inst: RDPInstance, warm: Warm | None) -> Session:
     rhs = QVector._of([-sum(map(mul, a.num, c.num)) * (den // (a.den * c.den)) for a, c, _ in cells], den)
 
     # Each row keeps its halfspace's den: the simplex must see the values as given.
-    def constraints() -> list[Constraint]:
-        cons = []
-        for (a, _, ts), b in zip(cells, rhs.entries):
+    def rows() -> list[QVector]:
+        out = []
+        for a, _, ts in cells:
             num = [0] * nt
             for s, k in ts:
                 num[k * dim : (k + 1) * dim] = [s * e for e in a.num]
-            cons.append(Constraint(QVector._of(num, a.den), GE, b))
-        return cons
+            out.append(QVector._of(num, a.den))
+        return out
 
     warm = warm or Warm()
-    session = warm.session(nt, rhs, constraints)
+    session = warm.session(nt, rhs, rows)
     if session.feasible:
         warm.start = session
     return session
@@ -518,7 +528,9 @@ def _dual_session(images: list[tuple[QVector, QVector]], q: int, b: QVector) -> 
 
     At b = 0 it is unbounded at x exactly when x lies outside the sum wedge.
     """
-    return Session(q, [Constraint(g, GE, b.dot(tg)) for g, tg in images])
+    den = lcm(*[tg.den for _, tg in images])
+    rhs = QVector._of([sum(map(mul, b.num, tg.num)) * (den // tg.den) for _, tg in images], b.den * den)
+    return Session(q, [g for g, _ in images], rhs)
 
 
 def _require_in_sum(images: list[tuple[QVector, QVector]], q: int, p: int, x: QVector) -> None:

@@ -16,8 +16,8 @@ multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
 draws replaced, the searches themselves by their loops with a cold
 session per trial, and ``Session.resolve`` by the ``Fraction`` dual
-simplex (``fraction_resolve``). Both simplex oracles hold one free column
-per variable and pivot it in at the == rows, as ``Session`` does.
+simplex (``fraction_resolve``). Both simplex oracles solve >= rows with
+one free column per variable, as ``Session`` does.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from multiwedge import (
     nullspace,
     wedge_sum,
 )
-from multiwedge.lp import Session
 from multiwedge.multiorder import Counterexample, msup, sample_apex
 from multiwedge.operators import RDPInstance, _check_rk_shapes, _random_member, rdp_check
 from multiwedge.wedges import _primitive
@@ -257,69 +256,59 @@ class VertexEnumerator:
         return out
 
 
-# Reference simplex: the Bland simplex on a ``Fraction`` tableau with one
-# free column per variable, phase 1 by the dual simplex from the basis in
-# which the == rows hold their free columns, phase 2 by the primal. The
-# library must reproduce its status, point, duals and ray exactly. The only
-# addition is ``events``, a Counter of the code paths taken, so tests can
-# require that their inputs reach each path.
+# Reference simplex: the Bland simplex on a ``Fraction`` tableau of >= rows
+# with one free column per variable, phase 1 by the dual simplex from the
+# all-slack basis, phase 2 by the primal. ``lp_solve`` hands a <= or ==
+# row to ``Session`` as >= rows (``lp._ge_rows``), and so do the tests that
+# drive these. The library must reproduce its status, point, duals and ray
+# exactly. The only addition is ``events``, a Counter of the code paths
+# taken, so tests can require that their inputs reach each path.
 
-_FGE, _FEQ = ">=", "=="
-
-
-def fraction_simplex(n, c, rows, rels, rhs, events=None):
-    """Minimize c.x subject to rows[i] . x (rels[i]) rhs[i], x free.
+def fraction_simplex(n, c, rows, rhs, events=None):
+    """Minimize c.x subject to rows[i] . x >= rhs[i], x free.
 
     Returns ("optimal", x, duals) | ("unbounded", ray, None) |
-    ("infeasible", None, None) with x/ray in the original n variables.
+    ("infeasible", None, None) with x/ray in the original n variables and
+    one dual per row.
     """
     if events is None:
         events = Counter()
-    tableau, basis, flipped, slacks, _, feasible = _fs_phase_one(n, rows, rels, rhs, events)
+    tableau, basis, feasible = _fs_phase_one(n, rows, rhs, events)
     if not feasible:
         return "infeasible", None, None
 
     # Phase 2: the objective on the free columns, from the phase-1 basis.
     cost = list(c) + [F(0)] * len(rows)
-    status, ray = _fs_run(tableau, basis, cost, n, slacks, events)
+    status, ray = _fs_run(tableau, basis, cost, n, events)
     if status == "unbounded":
         events["unbounded"] += 1
         return "unbounded", ray[:n], None
 
     events["optimal"] += 1
-    reduced = _fs_reduced_costs(tableau, basis, cost)
-    # The unit columns hold B^-1 and cost 0: -reduced there is c_B B^-1.
-    duals = [-reduced[n + i] for i in range(len(rows))]
-    for i, flip in enumerate(flipped):
-        if flip:
-            duals[i] = -duals[i]
-    return "optimal", _fs_point(tableau, basis, n), duals
+    # The slack columns hold B^-1 of the negated rows and cost 0: their reduced costs are the duals.
+    return "optimal", _fs_point(tableau, basis, n), _fs_reduced_costs(tableau, basis, cost)[n:]
 
 
-def fraction_resolve(n, rows, rels, rhs, new_rhs, c=None):
-    """The textbook re-solve at ``new_rhs``, in ``Fraction`` rows.
+def fraction_resolve(n, rows, rhs, new_rhs, c=None):
+    """The textbook re-solve of the >= rows at ``new_rhs``, in ``Fraction`` rows.
 
     Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
     fraction_simplex, from where it stopped, feasible or not; then B^-1
-    of the stored rows, read off the unit columns, gives the new
-    right-hand side column of the tableau and of the == rows kept aside,
-    which must read 0; then the Bland-rule dual simplex of phase 1 runs
-    with c's reduced costs (zero without c), at which every basis is dual
-    feasible. Returns ("infeasible", None) or ("feasible", x) with x the
-    final basic point; None when c is given and the base system is
+    of the stored rows, read off the slack columns, gives the new
+    right-hand side column; then the Bland-rule dual simplex of phase 1
+    runs with c's reduced costs (zero without c), at which every basis is
+    dual feasible. Returns ("infeasible", None) or ("feasible", x) with x
+    the final basic point; None when c is given and the base system is
     infeasible or c unbounded on it.
     """
-    tableau, basis, flipped, slacks, aside, feasible = _fs_phase_one(n, rows, rels, rhs, Counter())
+    tableau, basis, feasible = _fs_phase_one(n, rows, rhs, Counter())
     cost = list(c if c is not None else [F(0)] * n) + [F(0)] * len(rows)
-    if c is not None and (not feasible or _fs_run(tableau, basis, cost, n, slacks, Counter())[0] != "optimal"):
+    if c is not None and (not feasible or _fs_run(tableau, basis, cost, n, Counter())[0] != "optimal"):
         return None
-    b = [-v if flip else v for v, flip in zip(new_rhs, flipped)]
-    for row in tableau + aside:
-        row[-1] = sum((row[n + i] * v for i, v in enumerate(b)), F(0))
-    if any(row[-1] for row in aside):
-        return "infeasible", None
+    for row in tableau:
+        row[-1] = -sum((row[n + i] * v for i, v in enumerate(new_rhs)), F(0))
     reduced = _fs_reduced_costs(tableau, basis, cost)
-    if not _fs_dual_run(tableau, basis, reduced, n, slacks, Counter()):
+    if not _fs_dual_run(tableau, basis, reduced, n, Counter()):
         return "infeasible", None
     return "feasible", _fs_point(tableau, basis, n)
 
@@ -332,49 +321,29 @@ def _fs_point(tableau, basis, n):
     return x
 
 
-def _fs_phase_one(n, rows, rels, rhs, events):
+def _fs_phase_one(n, rows, rhs, events):
     """The tableau where phase 1 stopped, and whether the system is feasible.
 
-    Columns: x (n), one unit column per row, the right-hand side. Each >=
-    row is negated, so every row has its own unit column at +1 (a slack,
-    or a marker for a == row), and these hold B^-1. Each == row pivots in
-    its first free column with a nonzero entry; one with none is set aside
-    and must read 0 = u . e. Then zero costs are dual feasible. Returns
-    (tableau, basis, flipped, slacks, aside, feasible), ``flipped[i]``
-    meaning that row i is a negated >= row and ``slacks`` listing the
-    slack columns. An infeasible system stops at the == rows' basis when
-    a row kept aside reads nonzero, else at the dual simplex's last basis.
+    Columns: x (n), one slack per row, the right-hand side. Each >= row is
+    stored negated, -a . x + s = -b, so the slack columns hold B^-1 and
+    zero costs are dual feasible at the all-slack basis. Returns
+    (tableau, basis, feasible); an infeasible system stops at the dual
+    simplex's last basis.
     """
     m = len(rows)
-    ncols = n + m
-    flipped = [rel == _FGE for rel in rels]
     tableau = []
     for i in range(m):
-        sign = -1 if flipped[i] else 1
-        if flipped[i]:
-            events["row_flip"] += 1
-        row = [sign * F(e) for e in rows[i]] + [F(0)] * m + [sign * F(rhs[i])]
+        row = [-F(e) for e in rows[i]] + [F(0)] * m + [-F(rhs[i])]
         row[n + i] = F(1)
         tableau.append(row)
-    basis = list(range(n, ncols))
-    reduced = [F(0)] * ncols
-    for i, rel in enumerate(rels):
-        if rel == _FEQ:
-            basis[i] = next((j for j in range(n) if tableau[i][j]), -1)
-            if basis[i] >= 0:
-                _fs_pivot(tableau, reduced, i, basis[i])
-    aside = [row for row, b in zip(tableau, basis) if b < 0]
-    events["row_deleted"] += len(aside)
-    tableau = [row for row, b in zip(tableau, basis) if b >= 0]
-    basis = [b for b in basis if b >= 0]
-    slacks = [n + i for i, rel in enumerate(rels) if rel != _FEQ]
-    feasible = not any(row[-1] for row in aside) and _fs_dual_run(tableau, basis, reduced, n, slacks, events)
+    basis = list(range(n, n + m))
+    feasible = _fs_dual_run(tableau, basis, [F(0)] * (n + m), n, events)
     if not feasible:
         events["infeasible"] += 1
-    return tableau, basis, flipped, slacks, aside, feasible
+    return tableau, basis, feasible
 
 
-def _fs_dual_run(tableau, basis, reduced, n, slacks, events):
+def _fs_dual_run(tableau, basis, reduced, n, events):
     """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
 
     Leaving: the negative row of smallest basic index among the rows whose
@@ -389,7 +358,7 @@ def _fs_dual_run(tableau, basis, reduced, n, slacks, events):
             return True
         leave = min(rows_out, key=lambda i: basis[i])
         row = tableau[leave]
-        candidates = [j for j in range(n) if row[j]] + [j for j in slacks if row[j] < 0]
+        candidates = [j for j in range(n) if row[j]] + [j for j in range(n, len(reduced)) if row[j] < 0]
         if not candidates:
             return False
         events["dual_pivot"] += 1
@@ -411,7 +380,7 @@ def _fs_reduced_costs(tableau, basis, cost):
     return reduced
 
 
-def _fs_run(tableau, basis, cost, n, slacks, events):
+def _fs_run(tableau, basis, cost, n, events):
     """Bland-rule primal simplex: ("optimal", None) or ("unbounded", ray over all columns).
 
     Entering: the smallest improving column, a free one with a nonzero
@@ -420,7 +389,7 @@ def _fs_run(tableau, basis, cost, n, slacks, events):
     """
     reduced = _fs_reduced_costs(tableau, basis, cost)
     while True:
-        enter = next((j for j in [*range(n), *slacks] if reduced[j] < 0 or (j < n and reduced[j])), -1)
+        enter = next((j for j in range(len(cost)) if reduced[j] < 0 or (j < n and reduced[j])), -1)
         if enter < 0:
             return "optimal", None
         sign = 1 if reduced[enter] < 0 else -1
@@ -656,11 +625,11 @@ def equality_system_msup(family):
 def primal_rk_value(ops, wedges, v_wedge, x):
     """Riesz-Kantorovich value by the primal decomposition LP ``rk_value`` used before.
 
-    Kept as its oracle: one session on the decomposition polytope of x
-    (``decomposition_rows``; NotInSumWedge when it is empty) maximizes
-    b . sum_i T_i(y_i) for each canonical normal b of V; an unbounded
-    normal raises NotMultiBoundedAbove, and the witness solves b . z = s_b
-    for every b.
+    Kept as its oracle: one ``lp_solve`` per canonical normal b of V
+    maximizes b . sum_i T_i(y_i) over the decomposition polytope of x
+    (``decomposition_rows``, with its == rows; NotInSumWedge when it is
+    empty); an unbounded normal raises NotMultiBoundedAbove, and the
+    witness solves the == rows b . z = s_b for every b.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
@@ -670,31 +639,31 @@ def primal_rk_value(ops, wedges, v_wedge, x):
     eq_rows, ineq_rows = decomposition_rows(wedges)
     cons = [Constraint(QVector(r), EQ, xc) for r, xc in zip(eq_rows, x)]
     cons += [Constraint(QVector(r), GE, F(0)) for r in ineq_rows]
-    session = Session(len(wedges) * q, cons)
-    if not session.feasible:
+    n = len(wedges) * q
+    if isinstance(lp_solve(LinearProgram(n, QVector.zero(n), "min", tuple(cons))), Infeasible):
         raise NotInSumWedge("x is not in the sum of the domain wedges")
 
-    # s_b = max b . sum_i T_i(y_i) = -min sum_i (-T_i^T b) . y_i
+    # s_b = max b . sum_i T_i(y_i) = max sum_i (T_i^T b) . y_i
     sups = []
     for b in normals:
-        objective = (e for t in ops for e in t.transpose().apply(-b).entries)
-        res = session.minimize(QVector(objective))
+        objective = QVector([e for t in ops for e in t.transpose().apply(b).entries])
+        res = lp_solve(LinearProgram(n, objective, "max", tuple(cons)))
         if isinstance(res, Unbounded):
             raise NotMultiBoundedAbove("the value set is unbounded in the V order")
-        sups.append(Constraint(b, EQ, -res.value))
+        sups.append(Constraint(b, EQ, res.value))
 
-    z = Session(p, sups).feasible_point()
-    if z is None:
+    z = lp_solve(LinearProgram(p, QVector.zero(p), "min", tuple(sups)))
+    if isinstance(z, Infeasible):
         raise NoMultiSupremum(
             "the codomain wedge admits no multi-supremum for this value set"
         )
-    return MultiSupSet(z, v_lin)
+    return MultiSupSet(z.point, v_lin)
 
 
 def primal_rdp_check(inst):
     """A decomposition z of ``inst`` by the system ``rdp_check`` solved before, or None.
 
-    Kept as its oracle: one ``Session`` in the m * n * dim stacked
+    Kept as its oracle: one ``lp_solve`` in the m * n * dim stacked
     coordinates of z, coordinate c of z_ij being variable
     (i * n + j) * dim + c, with a >= 0 row per halfspace a of W_j on each
     z_ij and a ``==`` row per coordinate of each row sum x_i and column
@@ -718,10 +687,10 @@ def primal_rdp_check(inst):
         cons += [Constraint(row({(i * n + j) * dim + c: 1 for j in range(n)}), EQ, x[c]) for c in range(dim)]
     for j, y in enumerate(inst.ys):
         cons += [Constraint(row({(i * n + j) * dim + c: 1 for i in range(m)}), EQ, y[c]) for c in range(dim)]
-    point = Session(m * n * dim, cons).feasible_point()
-    if point is None:
+    res = lp_solve(LinearProgram(m * n * dim, QVector.zero(m * n * dim), "min", tuple(cons)))
+    if isinstance(res, Infeasible):
         return None
-    z = [point[k * dim : (k + 1) * dim] for k in range(m * n)]
+    z = [res.point[k * dim : (k + 1) * dim] for k in range(m * n)]
     return [[QVector(v) for v in z[i * n : (i + 1) * n]] for i in range(m)]
 
 

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -750,3 +752,33 @@ def test_repeated_wedge_entry_is_converted_once(capsys, tmp_path, conversions, a
         counts.append(len(conversions))
         conversions.clear()
     assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def _parametrized(tree, argname):
+    """Every value that a ``pytest.mark.parametrize`` in ``tree`` gives ``argname``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "parametrize":
+            names = [n.strip() for n in node.args[0].value.split(",")]
+            if argname in names:
+                k = names.index(argname)
+                out |= {(el.elts[k] if isinstance(el, ast.Tuple) else el).value for el in node.args[1].elts}
+    return out
+
+
+def test_every_golden_is_diffed_by_ci_and_by_the_tests():
+    # A golden output must be a case of CI's loop (.github/workflows/ci.yml),
+    # which diffs it under `mw` and `python -O`, and a parametrized name of
+    # this file. Each wedge-{op} file is named by its op, in both places.
+    root = Path(__file__).parent.parent
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+    ci_names = set(re.search(r"for name in ([\w. ]+); do", ci).group(1).split())
+    for block in re.findall(r"for case in (.*?); do", ci, re.S):
+        ci_names |= {case.split()[0] for case in re.findall(r'"([^"]+)"', block)}
+    ci_names |= {f"wedge-{op}" for op in re.search(r"for op in ([\w ]+); do", ci).group(1).split()}
+    tree = ast.parse(Path(__file__).read_text())
+    test_names = _parametrized(tree, "name") | {f"wedge-{op}" for op in _parametrized(tree, "op")}
+    goldens = {p.name[: -len(".json")] for p in (root / "tests" / "golden").glob("*.json")}
+    outputs = {g for g in goldens if not g.endswith(".input")}
+    assert len(outputs) >= 35
+    assert sorted(outputs - ci_names) == [] and sorted(outputs - test_names) == []

@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session
+from multiwedge.lp import Session, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -35,6 +35,21 @@ from conftest import (
 
 def _lp(n, objective, sense, cons):
     return LinearProgram(n, QVector(objective), sense, tuple(constraint(*c) for c in cons))
+
+
+def _ge(cons):
+    """(row, rel, rhs) triples as lp_solve hands them to a Session: >= rows, right-hand sides, signs."""
+    return _ge_rows([constraint(*c) for c in cons])
+
+
+def _session(n, cons):
+    rows, rhs, _ = _ge(cons)
+    return Session(n, rows, rhs)
+
+
+def _lists(rows, rhs):
+    """>= rows and their right-hand sides as ``Fraction`` lists, for the ``Fraction`` oracles."""
+    return [list(r.entries) for r in rows], list(rhs.entries)
 
 
 def test_min_half():
@@ -56,7 +71,7 @@ def test_duals_are_built_when_read_and_ignored_by_equality():
     top = lp_solve(_lp(2, [-1, -1], "max", cons))
     assert top.value == -3 and top.dual == (-1, -1)
     # Pricing reads an optimum of the session that found it.
-    session = Session(2, [constraint(*c) for c in cons])
+    session = _session(2, cons)
     with pytest.raises(ValueError):
         session.price(res, QVector([1, 0]))
     assert session.price(session.minimize(QVector([1, 1])), QVector([1, 0])) == 1
@@ -231,7 +246,7 @@ def _equality_lp(rng, kind):
 
 def test_duality_certificates_with_equality_rows():
     # Duals, rays and Farkas vectors over the rows as given, checked by
-    # their definitions, for systems whose == rows pivot in free columns.
+    # their definitions, for systems with == rows, each solved as a >= pair.
     rng = random.Random(1995)
     outcomes = Counter()
     for trial in range(400):
@@ -265,16 +280,16 @@ def test_duality_certificates_with_equality_rows():
 
 
 def test_resolve_moves_only_the_equality_rhs():
-    # Transport systems: z >= 0 with fixed row and column sums. Only the
-    # sums move, so each re-solve moves the values of the free columns
-    # that the sum rows pivoted in; one sum moved off breaks the redundant
-    # sum row, which the session keeps aside.
+    # Transport systems: z >= 0 with fixed row and column sums, each sum
+    # row a >= pair. Only the sums move; one sum moved off leaves the sum
+    # rows with no solution.
     rng = random.Random(71)
     outcomes = Counter()
     for _ in range(150):
         n, cons = _transport_system(rng)
         rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
-        base = Session(n, [constraint(*c) for c in cons])
+        ge_rows, ge_rhs, signs = _ge(cons)
+        base = Session(n, ge_rows, ge_rhs)
         if not base.feasible:
             continue
         # The sums of a new block z', which may have negative cells, and
@@ -284,16 +299,18 @@ def test_resolve_moves_only_the_equality_rhs():
         if rng.random() < 0.3:
             i = rng.choice([i for i, rel in enumerate(rels) if rel == EQ])
             new_rhs[i] += rng.choice([-1, 1])
-        got = base.resolve(QVector(new_rhs))
-        cold = Session(n, [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)])
+        ge_new = _ge(zip(rows, rels, new_rhs))[1]
+        got = base.resolve(ge_new)
+        cold = Session(n, ge_rows, ge_new)
         assert got.feasible == cold.feasible
         if got.feasible:
             outcomes["feasible"] += 1
             assert point_feasible(got.feasible_point().entries, rows, rels, new_rhs)
-            assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("feasible", list(got.feasible_point().entries))
+            want = fraction_resolve(n, *_lists(ge_rows, ge_rhs), list(ge_new.entries))
+            assert want == ("feasible", list(got.feasible_point().entries))
         else:
             farkas = got.minimize(QVector.zero(n)).farkas
-            assert _farkas_proves(farkas, rows, rels, new_rhs)
+            assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
             outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "negative"] += 1
     assert outcomes["feasible"] >= 40 and outcomes["inconsistent"] >= 20 and outcomes["negative"] >= 10, outcomes
 
@@ -314,9 +331,10 @@ def _random_exactness_lp(rng):
 
     Coefficients are rationals with denominators up to 3, and about a
     third of the right-hand sides are zero (degenerate vertices, ratio
-    ties) and a third negative (row flips). Some LPs get an equality row that is a
-    combination of two others (redundant rows); some get no box, so they
-    can be unbounded.
+    ties) and a third negative. Every <= row and one row of each == pair
+    is negated on its way to the >= rows (row flips). Some LPs get an
+    equality row that is a combination of two others (redundant rows);
+    some get no box, so they can be unbounded.
     """
     n = rng.randint(1, 4)
     cons = []
@@ -353,10 +371,9 @@ def test_integer_tableau_matches_fraction_simplex():
             non_integer += 1
         res = lp_solve(p)
         c = [-e for e in objective] if sense == "max" else objective
-        status, vec, duals = fraction_simplex(
-            n, c, [list(r) for r, _, _ in cons], [rel for _, rel, _ in cons],
-            [b for _, _, b in cons], events,
-        )
+        ge_rows, ge_rhs, signs = _ge_rows(p.constraints)
+        events["row_flip"] += sum(s < 0 for _, s in signs)
+        status, vec, duals = fraction_simplex(n, c, *_lists(ge_rows, ge_rhs), events)
         if status == "infeasible":
             assert isinstance(res, Infeasible)
             events["farkas"] += 1
@@ -371,12 +388,13 @@ def test_integer_tableau_matches_fraction_simplex():
             assert isinstance(res, Optimal)
             assert res.point.entries == tuple(vec) and _all_fractions(res.point)
             assert res.value == p.objective.dot(QVector(vec)) and type(res.value) is F
+            duals = _fold(duals, signs, len(cons))
             if sense == "max":
                 duals = [-y for y in duals]
             assert res.dual == tuple(duals) and _all_fractions(res.dual)
     assert non_integer >= 300
     for event in (
-        "optimal", "infeasible", "unbounded", "row_flip", "row_deleted", "ratio_tie", "dual_pivot", "farkas",
+        "optimal", "infeasible", "unbounded", "row_flip", "ratio_tie", "dual_pivot", "farkas",
         "free_entry", "free_entry_decreasing", "free_dual_entry",
     ):
         assert events[event] >= 20, (event, events)
@@ -408,7 +426,8 @@ def test_session_matches_lp_solve():
     for _ in range(400):
         n, objective, _, cons = _random_exactness_lp(systems)
         constraints = tuple(constraint(*c) for c in cons)
-        session = Session(n, constraints)
+        ge_rows, ge_rhs, signs = _ge_rows(constraints)
+        session = Session(n, ge_rows, ge_rhs)
         objectives = [QVector(objective), QVector.zero(n)] + [
             QVector([F(pick.randint(-4, 4), pick.randint(1, 3)) for _ in range(n)])
             for _ in range(2)
@@ -422,7 +441,7 @@ def test_session_matches_lp_solve():
             outcomes[type(got).__name__] += 1
             if isinstance(want, Optimal):
                 assert got.point.entries == want.point.entries and got.value == want.value
-                assert got.dual == want.dual
+                assert tuple(_fold(got.dual, signs, len(cons))) == want.dual
             elif isinstance(want, Unbounded):
                 assert got.ray.entries == want.ray.entries
         zero = lp_solve(LinearProgram(n, QVector.zero(n), "min", constraints))
@@ -436,7 +455,7 @@ def test_session_matches_lp_solve():
 
 def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
     # A dual simplex that stops at a row proving nothing must not give a verdict.
-    base = Session(1, [constraint([1], GE, -1)])
+    base = Session(1, [QVector([1])], QVector([-1]))
     # Feasible: row 0 reads -x + s = 1 at the slack basis, so its w . b is -1.
     monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (0, 0))
     with pytest.raises(InternalInvariantError):
@@ -469,10 +488,11 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
             row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
             b = F(rng.randint(0, 4), rng.randint(1, 2))
             cons.append((row, LE, b) if rng.random() < 0.5 else (row, GE, -b))
-        session = Session(n, [constraint(*c) for c in cons])
+        rows, rhs, _ = _ge(cons)
+        session = Session(n, rows, rhs)
         assert session.feasible and session.dual_pivots == 0
         assert session.feasible_point() == QVector.zero(n)
-        again = session.resolve(QVector([b for _, _, b in cons]))
+        again = session.resolve(rhs)
         assert again.feasible and again.dual_pivots == 0
     assert pivots["pivot"] == 0
 
@@ -535,18 +555,20 @@ def test_resolve_matches_cold_session():
         else:
             n, _, _, cons = _random_exactness_lp(systems)
         rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
-        base = Session(n, [constraint(*c) for c in cons])
+        ge_rows, ge_rhs, signs = _ge(cons)
+        fs_rows, fs_rhs = _lists(ge_rows, ge_rhs)
+        base = Session(n, ge_rows, ge_rhs)
         objective = QVector([F(systems.randint(-3, 3)) for _ in range(n)])
         start = base.minimize(objective)
         for _ in range(4):
             new_rhs = _new_rhs(systems, cons)
-            new_cons = [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)]
-            cold = Session(n, new_cons)
-            if not base.feasible and base.refutes(QVector(new_rhs)):
+            ge_new = _ge(zip(rows, rels, new_rhs))[1]
+            cold = Session(n, ge_rows, ge_new)
+            if not base.feasible and base.refutes(ge_new):
                 # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
                 assert not cold.feasible
                 outcomes["farkas_refuted"] += 1
-            got = base.resolve(QVector(new_rhs))
+            got = base.resolve(ge_new)
             assert got.feasible == cold.feasible
             if not base.feasible:
                 outcomes["from_infeasible", got.feasible] += 1
@@ -554,35 +576,33 @@ def test_resolve_matches_cold_session():
                 outcomes["dual_pivots" if got.dual_pivots else "no_pivot"] += 1
                 point = got.feasible_point()
                 assert point_feasible(point.entries, rows, rels, new_rhs)
-                assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("feasible", list(point.entries))
+                assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("feasible", list(point.entries))
                 for c in (objective, QVector.zero(n), -objective):
                     a, b = got.minimize(c), cold.minimize(c)
                     assert type(a) is type(b)
                     if isinstance(a, Optimal):
                         assert a.value == b.value
-            elif _equalities_inconsistent(rows, rels, new_rhs):
-                outcomes["dropped_row"] += 1
             else:
-                outcomes["dual_infeasible"] += 1
-                assert fraction_resolve(n, rows, rels, rhs, new_rhs) == ("infeasible", None)
+                outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "dual_infeasible"] += 1
+                assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("infeasible", None)
             if not cold.feasible:
                 farkas = got.minimize(QVector.zero(n)).farkas
-                assert _farkas_proves(farkas, rows, rels, new_rhs)
-                assert got.refutes(QVector(new_rhs))
-                assert not (base.feasible and got.refutes(QVector(rhs)))
+                assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
+                assert got.refutes(ge_new)
+                assert not (base.feasible and got.refutes(ge_rhs))
             if isinstance(start, Optimal):
-                warm = base.resolve(QVector(new_rhs), start)
+                warm = base.resolve(ge_new, start)
                 assert warm.feasible == cold.feasible
                 if warm.feasible:
                     best = cold.minimize(objective)
                     assert objective.dot(warm.feasible_point()) == best.value
-                    want = fraction_resolve(n, rows, rels, rhs, new_rhs, list(objective.entries))
+                    want = fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries), list(objective.entries))
                     assert want == ("feasible", list(warm.feasible_point().entries))
                     # A chain: the re-solved session re-solves in turn.
-                    back = warm.resolve(QVector(rhs))
+                    back = warm.resolve(ge_rhs)
                     assert back.feasible and point_feasible(back.feasible_point().entries, rows, rels, rhs)
     for outcome in (
-        "no_pivot", "dual_pivots", "dual_infeasible", "dropped_row", "farkas_refuted",
+        "no_pivot", "dual_pivots", "dual_infeasible", "inconsistent", "farkas_refuted",
         ("from_infeasible", True), ("from_infeasible", False),
     ):
         assert outcomes[outcome] >= 20, outcomes
@@ -629,8 +649,8 @@ def _free_column_system(rng):
 
 def test_price_and_warm_minimize_match_cold_minima():
     # price(res, c) is None or minimize(c).value, and minimize(c, start=res)
-    # reaches the cold value, at optima of systems with == rows and of
-    # systems with a free column that no row pivots in.
+    # reaches the cold value, at optima of systems with == rows (as >= pairs)
+    # and of systems with a free column that no row pivots in.
     rng = random.Random(2003)
     outcomes = Counter()
     for trial in range(300):
@@ -641,7 +661,7 @@ def test_price_and_warm_minimize_match_cold_minima():
         else:
             n, cons, objectives = _free_column_system(rng)
             kind = "free"
-        session = Session(n, [constraint(*c) for c in cons])
+        session = _session(n, cons)
         objectives += [QVector.zero(n), QVector([rng.randint(-3, 3) for _ in range(n)])]
         for a in objectives:
             res = session.minimize(a)
@@ -662,8 +682,12 @@ def test_price_and_warm_minimize_match_cold_minima():
 
 
 def test_resolve_checks_its_arguments():
-    session = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
-    other = Session(2, [constraint([1, 0], GE, 1), constraint([0, 1], GE, 1)])
+    units = [QVector([1, 0]), QVector([0, 1])]
+    for rows, rhs in ((units, QVector([1])), (units, QVector([1, 1, 1])), ([QVector([1]), units[1]], QVector([1, 1]))):
+        with pytest.raises(ValueError):
+            Session(2, rows, rhs)
+    session = Session(2, units, QVector([1, 1]))
+    other = Session(2, units, QVector([1, 1]))
     res = other.minimize(QVector([1, 1]))
     with pytest.raises(ValueError):
         session.resolve(QVector([1]))
@@ -671,19 +695,56 @@ def test_resolve_checks_its_arguments():
         session.resolve(QVector([1, 2]), res)
     with pytest.raises(ValueError):
         session.minimize(QVector([1, 1]), res)
-    infeasible = Session(1, [constraint([1], GE, 1), constraint([1], LE, 0)])
-    assert infeasible.refutes(QVector([1, 0])) and not infeasible.refutes(QVector([0, 1]))
+    # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0.
+    infeasible = Session(1, [QVector([1]), QVector([-1])], QVector([1, 0]))
+    assert infeasible.refutes(QVector([1, 0])) and not infeasible.refutes(QVector([0, -1]))
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
             infeasible.refutes(rhs)
         with pytest.raises(ValueError):
             infeasible.resolve(rhs)
     # An infeasible session re-solves from its kept basis, exactly.
-    again = infeasible.resolve(QVector([0, F(1, 2)]))
+    again = infeasible.resolve(QVector([0, F(-1, 2)]))
     assert again.feasible and again.dual_pivots == 0
-    rows, rels = [[1], [1]], [GE, LE]
-    want = fraction_resolve(1, rows, rels, [1, 0], [0, F(1, 2)])
+    want = fraction_resolve(1, [[1], [-1]], [1, 0], [0, F(-1, 2)])
     assert want == ("feasible", list(again.feasible_point().entries))
     assert again.minimize(QVector([1])).value == 0 and again.minimize(QVector([-1])).value == F(-1, 2)
-    assert not infeasible.resolve(QVector([2, 1])).feasible
+    assert not infeasible.resolve(QVector([2, -1])).feasible
     assert other.resolve(QVector([-2, 3]), res).feasible_point() == QVector([-2, 3])
+
+
+def _pair_folded(y, cons):
+    """Multipliers of ``cons`` from those of its pair form: a == row's is its a >= b row's minus its -a >= -b row's."""
+    out, k = [], 0
+    for _, rel, _ in cons:
+        out.append(y[k] - y[k + 1] if rel == EQ else y[k])
+        k += 2 if rel == EQ else 1
+    return out
+
+
+def test_lp_solve_equals_its_ge_pair_form():
+    # lp_solve's contract for == rows: the LP with each == row a . x == b
+    # written as the pair a . x >= b, -a . x >= -b has the same verdict,
+    # value, point and ray, and each == multiplier, dual or Farkas, is the
+    # signed sum over its pair.
+    rng = random.Random(1977)
+    outcomes = Counter()
+    while sum(outcomes.values()) < 400:
+        n, objective, sense, cons = _random_exactness_lp(rng)
+        if all(rel != EQ for _, rel, _ in cons):
+            continue
+        pairs = []
+        for r, rel, b in cons:
+            pairs += [(r, GE, b), ([-a for a in r], GE, -b)] if rel == EQ else [(r, rel, b)]
+        got, want = lp_solve(_lp(n, objective, sense, cons)), lp_solve(_lp(n, objective, sense, pairs))
+        assert type(got) is type(want)
+        outcomes[type(got).__name__] += 1
+        if isinstance(got, Optimal):
+            assert got.value == want.value and got.point.entries == want.point.entries
+            assert list(got.dual) == _pair_folded(want.dual, cons)
+        elif isinstance(got, Unbounded):
+            assert got.ray.entries == want.ray.entries
+        else:
+            assert list(got.farkas) == _pair_folded(want.farkas, cons)
+    for outcome in ("Optimal", "Unbounded", "Infeasible"):
+        assert outcomes[outcome] >= 50, outcomes

@@ -22,7 +22,7 @@ from multiwedge import (
 )
 
 from multiwedge.lp import Session, Warm
-from multiwedge.multiorder import _upper_bound_constraints, sample_apex
+from multiwedge.multiorder import _upper_bound_rhs, _upper_bound_rows, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -323,7 +323,7 @@ def test_priced_normals_equal_their_own_minima():
             else:
                 apex = rand_vector(rng, dim, -3, 3, 2)
             family.append(TranslatedWedge(apex, rng.choice(pool)))
-        session = Session(dim, _upper_bound_constraints(family))
+        session = Session(dim, _upper_bound_rows(family), _upper_bound_rhs(family))
         if not session.feasible:
             continue
         normals = intersect([tw.wedge for tw in family]).canonical_halfspaces

@@ -273,6 +273,31 @@ def test_rdp_check_invalid_instance():
         rdp_check(bad)
 
 
+def test_rdp_check_invalid_instance_outside_the_sum_wedge():
+    # Every other invariant holds: y is in the quadrant and the sums agree.
+    # The check of x_1 = (-1, 0) runs once the system has no solution.
+    bad = RDPInstance((quadrant(),), (V([-1, 0]), V([2, 1])), (V([1, 1]),))
+    for check in (bad.validate, lambda: rdp_check(bad)):
+        with pytest.raises(InvalidInstance, match="^some x_i is outside the sum of the wedges$"):
+            check()
+
+
+def test_rdp_check_converts_no_sum_wedge_when_it_decomposes(monkeypatch):
+    # A decomposition z puts every x_i = sum_j z_ij in the sum wedge.
+    from multiwedge import operators
+
+    calls = []
+    monkeypatch.setattr(operators, "wedge_sum", lambda ws: calls.append(ws) or wedge_sum(ws))
+    inst = RDPInstance(
+        (coordinate_wedge(3, 0), coordinate_wedge(3, 1)),
+        (V([1, 1, 0]), V([1, 1, -1])),
+        (V([2, -1, 1]), V([0, 3, -2])),
+    )
+    z = rdp_check(inst)
+    assert z is not None and decomposition_ok(inst, z)
+    assert calls == []
+
+
 def test_rdp_search_finds_failure():
     found = rdp_search([quadrant(), diagonal_ray()], 2, 2, seed=0, budget=500)
     assert found is not None
@@ -897,10 +922,9 @@ def test_op_msup_runs_no_membership_session(monkeypatch):
     built = []
     init = lp.Session.__init__
 
-    def recorded(self, n, constraints):
-        constraints = list(constraints)
-        built.append((n, len(constraints)))
-        init(self, n, constraints)
+    def recorded(self, n, rows, rhs):
+        built.append((n, len(rows)))
+        init(self, n, rows, rhs)
 
     monkeypatch.setattr(lp.Session, "__init__", recorded)
     ws = [
@@ -913,31 +937,6 @@ def test_op_msup_runs_no_membership_session(monkeypatch):
     assert len(res.lineality_ops) == 6
     assert built
     assert [size for size in built if size[0] == 6 and size[1]] == []
-
-
-def test_package_lps_have_ge_rows_only(monkeypatch):
-    # Every LP the package poses is made of >= rows over free variables:
-    # the decomposition sums are solved in closed form, and the rk witness
-    # by linalg. The == path of lp.Session is left to lp_solve's callers.
-    from multiwedge import lp
-
-    rels = []
-    init = lp.Session.__init__
-
-    def recorded(self, n, constraints):
-        constraints = list(constraints)
-        rels.extend(c.rel for c in constraints)
-        init(self, n, constraints)
-
-    monkeypatch.setattr(lp.Session, "__init__", recorded)
-    assert rdp_check(known_failure_instance()) is None
-    assert rdp_search([quadrant(), diagonal_ray()], 2, 3, seed=0, budget=50) is not None
-    ws = [quadrant(), diagonal_ray()]
-    ops = [M([[1, 0], [0, 2]]), M([[2, 1], [0, 1]])]
-    rk_value(ops, ws, quadrant(), V([3, 1]))
-    op_msup(ops, [quadrant(), quadrant()], quadrant())
-    msup([TranslatedWedge(V([1, 0]), quadrant()), TranslatedWedge(V([0, 1]), quadrant())])
-    assert rels and set(rels) == {">="}
 
 
 def test_op_wedge_lineality_matches_annihilator_oracle():
