@@ -154,6 +154,13 @@ class QVector:
         return cls(_json_array(data, "a vector"))
 
 
+def _dots(pairs: Sequence[tuple[QVector, QVector]]) -> QVector:
+    """The exact dot products a . v of ``pairs``, in ints over one lcm denominator."""
+    dens = [a.den * v.den for a, v in pairs]
+    den = lcm(*dens)
+    return QVector._of([sum(map(mul, a.num, v.num)) * (den // d) for (a, v), d in zip(pairs, dens)], den)
+
+
 class QMatrix:
     """Immutable matrix with rational entries: a tuple of ``QVector`` rows.
 
@@ -228,10 +235,7 @@ class QMatrix:
     def apply(self, v: QVector) -> QVector:
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        den = lcm(*[r.den for r in self._rows])  # a list: see col
-        return QVector._of(
-            [sum(map(mul, r.num, v.num)) * (den // r.den) for r in self._rows], den * v.den
-        )
+        return _dots([(r, v) for r in self._rows])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:

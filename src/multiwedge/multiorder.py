@@ -21,11 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
-from .linalg import QVector, span_contains
+from .linalg import QVector, _dots, span_contains
 from .lp import Optimal, Session, Warm
 from .wedges import Wedge, intersect
 
@@ -100,14 +99,7 @@ def _upper_bound_rows(family: Sequence[TranslatedWedge]) -> list[QVector]:
 
 def _upper_bound_rhs(family: Sequence[TranslatedWedge]) -> QVector:
     """The right-hand sides a . apex of ``_upper_bound_rows``, in ints."""
-    nums, dens = [], []
-    for tw in family:
-        apex, den = tw.apex.num, tw.apex.den
-        for a in tw.wedge.halfspaces:
-            nums.append(sum(map(mul, a.num, apex)))
-            dens.append(a.den * den)
-    den = lcm(*dens)
-    return QVector._of([p * (den // q) for p, q in zip(nums, dens)], den)
+    return _dots([(a, tw.apex) for tw in family for a in tw.wedge.halfspaces])
 
 
 def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:

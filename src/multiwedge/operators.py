@@ -6,8 +6,9 @@ of the module is op_msup: the pointwise supremum values
     sup { sum_i T_i(y_i) : y_i in W_i, sum_i y_i = x }
 
 are computed by exact LP for each canonical generator x of the sum wedge,
-projected along the lineality of the codomain wedge, and assembled into a
-linear representative. When the domain family lacks the decomposition
+each as a point of U, the complement of the codomain wedge's lineality
+that ``projections`` projects onto, and assembled into a linear
+representative. When the domain family lacks the decomposition
 property this assembly is impossible or produces a non-dominating map,
 and the failure is reported instead of silently returning a wrong answer.
 
@@ -15,14 +16,14 @@ The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
 share one q-variable session per normal for every x. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
-layer. The primal decomposition system remains only in rdp_check and
-rdp_search, in transportation form: the sums fix the last row and
-column of z, so it has >= rows only. The rows depend only on m and the
-sorted wedge multiset, and the right-hand sides only on the xs and ys,
-so rdp_search re-solves the rows at each trial's right-hand sides
-(``lp.Warm``): the dual simplex starts from the latest trial's basis,
-the rows are built once per multiset, and a search reads only the
-verdict, never z. The witness of the values, b . z = s_b for every
+layer. The primal decomposition system remains only in rdp_check (which
+also answers fs_decompose, over coordinate wedges) and rdp_search, in
+transportation form: the sums fix the last row and column of z, so it
+has >= rows only. The rows depend only on m and the sorted wedge
+multiset, and the right-hand sides only on the xs and ys, so rdp_search
+re-solves the rows at each trial's right-hand sides (``lp.Warm``): the
+dual simplex starts from the latest trial's basis, the rows are built
+once per multiset, and a search reads only the verdict, never z. The witness of the values, b . z = s_b for every
 normal b of V, is the particular solution of a linear system
 (``linalg.solve_linear``); no simplex runs.
 """
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     InconsistentValues,
+    InternalInvariantError,
     InvalidInstance,
     NoMultiSupremum,
     NotInSumWedge,
@@ -46,12 +46,10 @@ from .errors import (
     RDPViolated,
     ZeroSpace,
 )
-from .linalg import QMatrix, QVector, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
+from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
 from .lp import Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _trials, is_multi_upper_bound, multi_bounded_above
-from .wedges import Wedge, intersect, is_cone, is_generating, lineality, wedge_sum
-
-_ZERO = Fraction(0)
+from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 LinearOperator = QMatrix
 
@@ -261,7 +259,7 @@ def decomposition_ok(inst: RDPInstance, z: Sequence[Sequence[QVector]]) -> bool:
     return True
 
 
-def rdp_check(inst: RDPInstance, *, _warm: Warm | None = None) -> list[list[QVector]] | None:
+def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     """Find z_ij in W_j with row sums x_i and column sums y_j, or None.
 
     The instance is validated, and its sums solved in closed form as a
@@ -270,15 +268,12 @@ def rdp_check(inst: RDPInstance, *, _warm: Warm | None = None) -> list[list[QVec
     halfspace of W_j on each z_ij is then a >= row in t, and exact LP
     feasibility decides; None means no decomposition exists. With m = 1
     or n = 1 there is no variable and z is fixed; else z is a free witness,
-    where the dual simplex stops. ``_warm`` optionally holds the latest
-    states of the rows, which depend only on m and the sorted wedge
-    multiset in a search, to re-solve them at the new right-hand sides
-    -a . c_ij (``Warm``): the verdict is the same, but z may differ.
+    where the dual simplex stops.
     """
     # A decomposition puts every x_i in the sum wedge, so that check, a
     # conversion of the sum, runs only when there is none.
     inst._validate_but_sum_wedge()
-    point = _rdp_session(inst, _warm).feasible_point()
+    point = _rdp_session(inst, Warm()).feasible_point()
     if point is None:
         inst._validate_sum_wedge()
         return None
@@ -309,12 +304,16 @@ def _blocks(inst: RDPInstance) -> Iterator[tuple[int, QVector, list[tuple[int, i
                 yield j, ys[j] - sum(xs[:-1], zero), [(1, k) for k in range((m - 1) * (n - 1))]
 
 
-def _rdp_session(inst: RDPInstance, warm: Warm | None) -> Session:
-    """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm`` (see ``rdp_check``)."""
+def _rdp_session(inst: RDPInstance, warm: Warm) -> Session:
+    """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm``.
+
+    ``warm`` holds the latest states of the rows, which depend only on m
+    and the sorted wedge multiset in a search, to re-solve them at new
+    right-hand sides -a . c_ij; a fresh ``Warm`` gives the cold session.
+    """
     dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
     cells = [(a, c, ts) for j, c, ts in _blocks(inst) for a in inst.wedges[j].halfspaces]
-    den = lcm(*[a.den * c.den for a, c, _ in cells])
-    rhs = QVector._of([-sum(map(mul, a.num, c.num)) * (den // (a.den * c.den)) for a, c, _ in cells], den)
+    rhs = -_dots([(a, c) for a, c, _ in cells])
 
     # Each row keeps its halfspace's den: the simplex must see the values as given.
     def rows() -> list[QVector]:
@@ -326,7 +325,6 @@ def _rdp_session(inst: RDPInstance, warm: Warm | None) -> Session:
             out.append(QVector._of(num, a.den))
         return out
 
-    warm = warm or Warm()
     session = warm.session(nt, rhs, rows)
     if session.feasible:
         warm.start = session
@@ -379,96 +377,24 @@ def fs_decompose(
     xs: Sequence[QVector],
     ys: Sequence[QVector],
 ) -> list[list[QVector]]:
-    """Constructive decomposition over coordinate wedges {f : f(s_j) >= 0}.
+    """``rdp_check``'s z over the coordinate wedges W_j = {f : f(s_j) >= 0}.
 
-    When all the wedges coincide the shared coordinate is split by the
-    scalar decomposition of nonnegative reals (northwest-corner filling)
-    and the free coordinates by an explicit transportation pattern. When
-    two wedges differ, the first n-1 rows are split between columns 1 and
-    j2 by a case formula that vanishes on the constrained coordinate of
-    its column, and the last row absorbs the remainder.
+    The wedges are ``coordinate_wedge(s_size, js[j])``. After the checks of
+    the indices and dimensions here, ``rdp_check`` raises the errors of any
+    instance: y_j outside W_j, unequal sums, then x_i outside the sum
+    wedge. Coordinate wedges always decompose, so a valid instance without
+    a z raises InternalInvariantError.
     """
-    nx, my = len(xs), len(ys)
-    if nx < 1 or my < 1 or len(js) != my:
+    if not xs or not ys or len(js) != len(ys):
         raise InvalidInstance("need xs, ys, and one wedge index per y")
     if any(not (0 <= j < s_size) for j in js):
         raise InvalidInstance("wedge index out of range")
     if any(v.dim != s_size for v in list(xs) + list(ys)):
         raise InvalidInstance("vector dimension must equal the index set size")
-    for j, y in zip(js, ys):
-        if y[j] < 0:
-            raise InvalidInstance("some y_j is not a member of its wedge")
-    if sum(xs, QVector.zero(s_size)) != sum(ys, QVector.zero(s_size)):
-        raise InvalidInstance("sum of xs does not equal sum of ys")
-
-    if all(j == js[0] for j in js):
-        s = js[0]
-        if any(x[s] < 0 for x in xs):
-            raise InvalidInstance("some x_i is outside the sum of the wedges")
-        shared = _northwest(
-            [x[s] for x in xs], [y[s] for y in ys]
-        )
-        z = [[[_ZERO] * s_size for _ in range(my)] for _ in range(nx)]
-        for i in range(nx):
-            for j in range(my):
-                z[i][j][s] = shared[i][j]
-        for t in range(s_size):
-            if t == s:
-                continue
-            for i in range(nx - 1):
-                z[i][0][t] = xs[i][t]
-            acc = xs[nx - 1][t]
-            for j in range(1, my):
-                z[nx - 1][j][t] = ys[j][t]
-                acc -= ys[j][t]
-            z[nx - 1][0][t] = acc
-        return [[QVector(cell) for cell in row] for row in z]
-
-    s0 = js[0]
-    j2 = next(j for j in range(my) if js[j] != s0)
-    z: list[list[QVector]] = []
-    for i in range(nx - 1):
-        row = []
-        for j in range(my):
-            if j == 0:
-                row.append(QVector(_ZERO if t == s0 else xs[i][t] for t in range(s_size)))
-            elif j == j2:
-                row.append(QVector(xs[i][t] if t == s0 else _ZERO for t in range(s_size)))
-            else:
-                row.append(QVector.zero(s_size))
-        z.append(row)
-    last = []
-    for j in range(my):
-        rem = ys[j]
-        for i in range(nx - 1):
-            rem = rem - z[i][j]
-        last.append(rem)
-    z.append(last)
+    z = rdp_check(RDPInstance(tuple(coordinate_wedge(s_size, j) for j in js), tuple(xs), tuple(ys)))
+    if z is None:
+        raise InternalInvariantError("a valid instance over coordinate wedges has no decomposition")
     return z
-
-
-def _northwest(rows: list[Fraction], cols: list[Fraction]) -> list[list[Fraction]]:
-    """Transportation filling of nonnegative row/column sums."""
-    rem_r = list(rows)
-    rem_c = list(cols)
-    out = [[_ZERO] * len(cols) for _ in rows]
-    i = j = 0
-    while i < len(rows) and j < len(cols):
-        t = min(rem_r[i], rem_c[j])
-        out[i][j] = t
-        rem_r[i] -= t
-        rem_c[j] -= t
-        if rem_r[i] == 0 and i < len(rows) - 1:
-            i += 1
-        elif rem_c[j] == 0 and j < len(cols) - 1:
-            j += 1
-        elif rem_r[i] == 0 and rem_c[j] == 0:
-            break
-        elif rem_r[i] == 0:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def _check_rk_shapes(
@@ -528,9 +454,7 @@ def _dual_session(images: list[tuple[QVector, QVector]], q: int, b: QVector) -> 
 
     At b = 0 it is unbounded at x exactly when x lies outside the sum wedge.
     """
-    den = lcm(*[tg.den for _, tg in images])
-    rhs = QVector._of([sum(map(mul, b.num, tg.num)) * (den // tg.den) for _, tg in images], b.den * den)
-    return Session(q, [g for g, _ in images], rhs)
+    return Session(q, [g for g, _ in images], _dots([(b, tg) for _, tg in images]))
 
 
 def _require_in_sum(images: list[tuple[QVector, QVector]], q: int, p: int, x: QVector) -> None:
@@ -546,6 +470,8 @@ def _rk_sups(
     The dual session of each normal b is minimized at every x. The values
     s_b(x) are unique, so z is the particular solution of the equations
     b . z = s_b(x) (``solve_linear``, on their unique reduced echelon form).
+    It is zero off the pivot columns of that form, which are the greedy
+    complement of D(V) that ``projections`` takes, so ``p_u`` fixes it.
     An infeasible dual, which does not depend on x, raises
     NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
     wedge. With no normals no x is read, and every witness is 0.
@@ -596,11 +522,9 @@ def op_msup(
     ]
     if multi_bounded_above(family) is None:
         raise NotMultiBoundedAbove("no operator dominates the whole family")
-    proj = projections(v_wedge)
     sum_gens = wedge_sum(wedges).canonical_generators
     sw = Wedge(q, generators=list(sum_gens))
-    sups = _rk_sups(_images(ops, wedges), q, v_wedge, sum_gens)
-    values = {g: proj.p_u.apply(z) for g, z in zip(sum_gens, sups)}
+    values = dict(zip(sum_gens, _rk_sups(_images(ops, wedges), q, v_wedge, sum_gens)))
     try:
         rep = extend_additive(sw, values, p)
     except InconsistentValues as exc:

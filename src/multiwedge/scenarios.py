@@ -17,7 +17,7 @@ from .operators import (
     rdp_check,
     rdp_search,
 )
-from .wedges import Wedge, dual_wedge, is_generating, wedge_equal
+from .wedges import Wedge, coordinate_wedge, dual_wedge, is_generating, wedge_equal
 
 
 def _halfplane(dim: int, normal: list[int]) -> Wedge:
@@ -39,11 +39,6 @@ def quadrant_and_diagonal_ray() -> list[Wedge]:
         Wedge(2, generators=[QVector([1, 0]), QVector([0, 1])]),
         Wedge(2, generators=[QVector([1, 1])]),
     ]
-
-
-def coordinate_wedge(s_size: int, s: int) -> Wedge:
-    """W_s = {f in Q^S : f(s) >= 0} for a finite index set."""
-    return Wedge(s_size, halfspaces=[QVector.unit(s_size, s)])
 
 
 def coordinate_ray(s_size: int, s: int) -> Wedge:

@@ -272,6 +272,11 @@ class Wedge:
         return w
 
 
+def coordinate_wedge(s_size: int, s: int) -> Wedge:
+    """W_s = {f in Q^S : f(s) >= 0} for a finite index set."""
+    return Wedge(s_size, halfspaces=[QVector.unit(s_size, s)])
+
+
 def member(w: Wedge, x: QVector) -> bool:
     """Whether x belongs to the wedge (a.x >= 0 for every halfspace a)."""
     return w.member(x)

@@ -46,6 +46,7 @@ from multiwedge import (
     wedge_equal,
     wedge_sum,
 )
+from multiwedge.wedges import coordinate_wedge
 
 from conftest import (
     VertexEnumerator,
@@ -79,10 +80,6 @@ def diagonal_ray():
 
 def standard_cone(n):
     return Wedge(n, generators=[QVector.unit(n, i) for i in range(n)])
-
-
-def coordinate_wedge(n, s):
-    return Wedge(n, halfspaces=[QVector.unit(n, s)])
 
 
 def positive_ray():

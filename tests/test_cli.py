@@ -620,6 +620,8 @@ def test_lp_commands_match_golden(capsys, name, argv):
         ("rk-op-msup-refused", ["rk", "op-msup"]),
         ("rk-op-msup-unbounded", ["rk", "op-msup"]),
         ("rk-value-whole-outside", ["rk", "value"]),
+        ("decompose-fs-outside", ["rdp", "decompose-fs"]),
+        ("decompose-fs-not-member", ["rdp", "decompose-fs"]),
     ],
 )
 def test_rk_error_verdicts_match_golden(capsys, name, argv):
@@ -627,7 +629,9 @@ def test_rk_error_verdicts_match_golden(capsys, name, argv):
     # rk-value-outside-unbounded has x outside the sum of a family whose
     # values are unbounded, and not_in_sum_wedge takes precedence.
     # rk-value-whole-outside has x outside the sum and a codomain, Q^2,
-    # with no normals.
+    # with no normals. decompose-fs-outside has equal coordinate wedges
+    # and an x with a negative shared coordinate; decompose-fs-not-member
+    # has a y with a negative coordinate in its own wedge's index.
     golden = Path(__file__).parent / "golden"
     code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
     assert code == 1

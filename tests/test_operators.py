@@ -40,7 +40,8 @@ from multiwedge import (
 )
 from multiwedge.lp import Warm
 from multiwedge.multiorder import TranslatedWedge, minf, msup
-from multiwedge.operators import _random_member
+from multiwedge.operators import _images, _random_member, _rdp_session, _rk_sups
+from multiwedge.wedges import coordinate_wedge
 
 from conftest import (
     VertexEnumerator,
@@ -71,10 +72,6 @@ def diagonal_ray():
 
 def positive_ray():
     return Wedge(1, generators=[V([1])], halfspaces=[V([1])])
-
-
-def coordinate_wedge(n, s):
-    return Wedge(n, halfspaces=[QVector.unit(n, s)])
 
 
 def standard_cone(n):
@@ -228,6 +225,31 @@ def test_projection_identities_sampled():
             assert pp.p_u.apply(a) == pp.p_u.apply(a - d)
 
 
+def test_rk_sups_witnesses_lie_in_the_range_of_p_u():
+    # solve_linear's particular solution is zero off the pivot columns of
+    # V's normals, the greedy complement of D(V): p_u fixes every witness,
+    # so op_msup applies no projection.
+    rng = random.Random(6061)
+    seen = Counter()
+    for _ in range(300):
+        q, p, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        wedges = [rand_wedge(rng, q) for _ in range(k)]
+        v_wedge = rand_wedge(rng, p)
+        ops = [QMatrix(p, q, [rng.randint(-3, 3) for _ in range(p * q)]) for _ in range(k)]
+        sum_gens = wedge_sum(wedges).canonical_generators
+        try:
+            witnesses = _rk_sups(_images(ops, wedges), q, v_wedge, sum_gens)
+        except (NotMultiBoundedAbove, NotInSumWedge, NoMultiSupremum):
+            seen["refused"] += 1
+            continue
+        p_u = projections(v_wedge).p_u
+        for z in witnesses:
+            assert p_u.apply(z) == z
+            seen["line in V" if lineality(v_wedge) else "pointed V"] += 1
+            seen["nonzero"] += not z.is_zero()
+    assert min(seen[c] for c in ("refused", "line in V", "pointed V", "nonzero")) >= 50, seen
+
+
 # --- decomposition checking ------------------------------------------------
 
 
@@ -340,8 +362,7 @@ def test_warm_rdp_search_matches_cold_search():
 
 def test_rdp_check_with_warm_matches_cold():
     # Instances on the same wedges in the same order share one Warm, as the
-    # search's sorted instances do, but every verdict is read; z may be any
-    # decomposition.
+    # search's sorted instances do, and every re-solved verdict is read.
     rng = random.Random(4242)
     outcomes = Counter()
     for run in range(40):
@@ -362,11 +383,9 @@ def test_rdp_check_with_warm_matches_cold():
                 cold = rdp_check(inst)
             except InvalidInstance:
                 continue
-            got = rdp_check(inst, _warm=warm.setdefault(js, Warm()))
-            assert (got is None) == (cold is None)
-            if got is not None:
-                assert decomposition_ok(inst, got)
-            outcomes[got is None] += 1
+            feasible = _rdp_session(inst, warm.setdefault(js, Warm())).feasible
+            assert feasible == (cold is not None)
+            outcomes[not feasible] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
 
 
@@ -458,40 +477,66 @@ def test_fs_single_x():
     assert z == [ys]
 
 
+def _fs_expected_error(s_size, js, xs, ys):
+    """The message ``fs_decompose`` raises, derived from its check order, or None."""
+    if not xs or not ys or len(js) != len(ys):
+        return "need xs, ys, and one wedge index per y"
+    if any(not (0 <= j < s_size) for j in js):
+        return "wedge index out of range"
+    if any(len(v) != s_size for v in [*xs, *ys]):
+        return "vector dimension must equal the index set size"
+    if any(y[j] < 0 for j, y in zip(js, ys)):
+        return "some y_j is not a member of its wedge"
+    if any(sum(x[t] for x in xs) != sum(y[t] for y in ys) for t in range(s_size)):
+        return "sum of xs does not equal sum of ys"
+    if len(set(js)) == 1 and any(x[js[0]] < 0 for x in xs):
+        return "some x_i is outside the sum of the wedges"
+    return None
+
+
 def test_fs_generic_validates():
+    # Valid and invalid instances over coordinate wedges, m, n = 1..3 and
+    # s_size = 1..4: each raises the message its check order gives, or
+    # returns a decomposition, which is fixed when m = 1 or n = 1.
     rng = random.Random(33)
-    for _ in range(60):
-        s_size = 3
-        my = rng.randint(1, 3)
-        nx = rng.randint(1, 3)
-        js = [rng.randrange(s_size) for _ in range(my)]
+    outcomes = Counter()
+    for _ in range(1200):
+        s_size, m, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        same = rng.random() < 0.4
+        js = [rng.randrange(s_size)] * n if same else [rng.randrange(s_size) for _ in range(n)]
         ys = []
         for j in js:
-            y = [F(rng.randint(-2, 2)) for _ in range(s_size)]
-            y[j] = F(rng.randint(0, 3))
+            y = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(s_size)]
+            y[j] = F(rng.randint(-1, 6), rng.randint(1, 2))
             ys.append(V(y))
-        total = QVector.zero(s_size)
-        for y in ys:
-            total = total + y
-        all_same = len(set(js)) == 1
-        xs = []
-        rem = total
-        ok = True
-        for _ in range(nx - 1):
-            x = [F(rng.randint(-2, 2)) for _ in range(s_size)]
-            if all_same:
-                x[js[0]] = F(rng.randint(0, 2))
-            xv = V(x)
-            xs.append(xv)
-            rem = rem - xv
-        if all_same and rem[js[0]] < 0:
+        xs = [V([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(s_size)]) for _ in range(m - 1)]
+        xs.append(sum(ys, V.zero(s_size)) - sum(xs, V.zero(s_size)))
+        # None, one or two faults, so that the test also pins the check order.
+        faults = rng.sample(["index", "count", "sum", "dim"], rng.choice([0, 0, 0, 1, 1, 2]))
+        if "index" in faults:
+            js[rng.randrange(n)] = rng.choice([-1, s_size])
+        if "count" in faults:
+            js = js[1:] if rng.random() < 0.5 else [*js, 0]
+        if "sum" in faults:
+            xs[-1] = xs[-1] + QVector.unit(s_size, rng.randrange(s_size))
+        if "dim" in faults:
+            vs = rng.choice([xs, ys])
+            vs[-1] = V([*vs[-1], 0])
+        expected = _fs_expected_error(s_size, js, xs, ys)
+        if expected is not None:
+            with pytest.raises(InvalidInstance) as err:
+                fs_decompose(s_size, js, xs, ys)
+            assert str(err.value) == expected
+            outcomes[expected] += 1
             continue
-        xs.append(rem)
         z = fs_decompose(s_size, js, xs, ys)
-        inst = RDPInstance(
-            tuple(coordinate_wedge(s_size, j) for j in js), tuple(xs), tuple(ys)
-        )
-        assert decomposition_ok(inst, z)
+        assert decomposition_ok(RDPInstance(tuple(coordinate_wedge(s_size, j) for j in js), tuple(xs), tuple(ys)), z)
+        if m == 1:
+            assert z == [ys]
+        if n == 1:
+            assert z == [[x] for x in xs]
+        outcomes["decomposes, m, n >= 2" if min(m, n) > 1 else "decomposes"] += 1
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 20, outcomes
 
 
 def test_fs_invalid():
