@@ -92,8 +92,9 @@ class LinearProgram:
 class Optimal:
     value: Fraction
     point: QVector
-    # The state of the solve, read by Session.minimize, price, resolve and
-    # the duals: (session, final tableau, final basis, reduced-cost row).
+    # The state of the solve, read by Session.minimize, resolve and the
+    # duals: (session, final tableau, final basis, reduced-cost row). A
+    # solve that took no pivot shares its start's tableau and basis.
     _final: tuple = field(compare=False, repr=False)
 
     @cached_property
@@ -187,13 +188,15 @@ class Session:
     """One system of >= rows, x free: the tableau is built and phase 1 run once.
 
     ``rows[i] . x >= rhs[i]``, for ``QVector`` rows of n entries and one
-    ``QVector`` of right-hand sides. Every ``minimize`` runs phase 2 on a
-    copy of the phase-1 tableau and basis, never from an earlier optimum
-    (unless given one as ``start``), so each result is exactly that of a
-    separate solve: phase 1 does not read the objective, and Bland's rule
-    is deterministic. The session keeps no per-call state: each
-    ``Optimal`` carries its final tableau and basis, where ``price`` reads
-    other minima and ``resolve`` starts.
+    ``QVector`` of right-hand sides. Every ``minimize`` runs phase 2 from
+    the phase-1 tableau and basis, never from an earlier optimum (unless
+    given one as ``start``), so each result is exactly that of a separate
+    solve: phase 1 does not read the objective, and Bland's rule is
+    deterministic. Phase 2 copies its start before its first pivot, so no
+    tableau is ever written once kept. The session keeps no per-call
+    state: each ``Optimal`` carries its final tableau and basis, where
+    ``minimize`` and ``resolve`` may start; a start already optimal for
+    the objective costs one pricing pass.
 
     Columns: x (n free columns), the slack of each row (columns n to
     n + m - 1), then the right-hand side. Points are read off the rows
@@ -260,10 +263,8 @@ class Session:
         if not self.feasible:
             return Infeasible(self._farkas)
         ncols = self._ncols
-        source, basis, _ = self._start(start)
-        tableau = [_Row(list(row.num), row.den) for row in source]
-        basis = list(basis)
-        status, info = _run(tableau, basis, self._cost(objective), n, ncols)
+        tableau, basis, _ = self._start(start)
+        status, info, tableau, basis = _run(tableau, basis, self._cost(objective), n, ncols)
         if status == "unbounded":
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
             enter, sign = info
@@ -271,21 +272,6 @@ class Session:
         x = _vector(tableau, basis, n, ncols, 1)
         # The right-hand-side entry of the reduced row is minus the objective.
         return Optimal(Fraction(-info.num[ncols], info.den), x, (self, tableau, basis, info))
-
-    def price(self, res: Optimal, objective: QVector) -> Fraction | None:
-        """``minimize(objective).value`` when ``res``'s final basis is optimal for it, else None.
-
-        Re-pricing at an optimal basis (Chvatal 1983, Linear Programming, ch. 10):
-        no free column may have a nonzero reduced cost, and no slack a negative one.
-        """
-        _, tableau, basis, _ = self._own(res)
-        if objective.dim != self.n:
-            raise ValueError("objective length must equal the variable count")
-        reduced = _priced(tableau, basis, self._cost(objective))
-        num = reduced.num
-        if any(num[: self.n]) or any(e < 0 for e in num[self.n : self._ncols]):
-            return None
-        return Fraction(-num[-1], reduced.den)
 
     def refutes(self, rhs: QVector) -> bool:
         """Whether this session's Farkas vector y proves the rows infeasible at ``rhs`` too.
@@ -332,17 +318,13 @@ class Session:
         new.n, new._ncols = self.n, ncols
         return new._settle([moved(row) for row in source], list(basis), reduced, rhs)
 
-    def _own(self, res: Optimal) -> tuple:
-        """The final state of ``res``, which must be an optimum of this session."""
-        if res._final[0] is not self:
-            raise ValueError("the start must be an optimum of this session")
-        return res._final
-
     def _start(self, start: Optimal | None) -> tuple:
         """(tableau, basis, reduced row) of ``start``, an optimum of this session, or (this session's, None)."""
         if start is None:
             return self._tableau, self._basis, None
-        return self._own(start)[1:]
+        if start._final[0] is not self:
+            raise ValueError("the start must be an optimum of this session")
+        return start._final[1:]
 
     def _cost(self, objective: QVector) -> _Row:
         """The objective on the free columns, zero elsewhere."""
@@ -360,7 +342,7 @@ class Warm:
     builds exactly the cold session, and later trials build none. The
     caller sets ``start``: a feasible session, or an optimum of one (kept
     dual feasible for its objective), and ``certified`` when that basis
-    is optimal for every objective it reads there.
+    is optimal for every objective it reads there (``keep``).
     """
 
     __slots__ = ("start", "certified", "refuter")
@@ -386,6 +368,14 @@ class Warm:
             self.refuter = session
         return session
 
+    def keep(self, start: Optimal, minima: Sequence[Optimal]) -> None:
+        """Start at ``start``, certified when no minimum in ``minima`` pivoted from it.
+
+        ``_run`` copies a start's tableau only before its first pivot.
+        """
+        self.start = start
+        self.certified = all(m._final[1] is start._final[1] for m in minima)
+
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
     """x: basic free variables at ``sign`` times their rows' ``col``, ``enter`` at -``sign``."""
@@ -405,10 +395,13 @@ def _run(tableau, basis, cost, n, ncols):
 
     Entering: the smallest column that improves, a free one (the first n)
     with a nonzero reduced cost, moving against its sign, or a slack
-    (columns n to ncols - 1) with a negative one. Returns ("optimal",
-    reduced_cost_row) or ("unbounded", (entering_column, sign)).
+    (columns n to ncols - 1) with a negative one. ``tableau`` and ``basis``
+    are copied before the first pivot, so a start that is already optimal
+    is only read, and shared. Returns ("optimal", reduced_cost_row) or
+    ("unbounded", (entering_column, sign)), then the final tableau and basis.
     """
     reduced = _priced(tableau, basis, cost)
+    copied = False
     while True:
         num = reduced.num
         enter = -1
@@ -422,7 +415,7 @@ def _run(tableau, basis, cost, n, ncols):
                     enter = j
                     break
         if enter < 0:
-            return "optimal", reduced
+            return "optimal", reduced, tableau, basis
         sign = 1 if num[enter] < 0 else -1
         # Ratio test on rhs / (sign a) over the rows whose basic variable is
         # a slack, compared by cross-multiplication (sign a > 0, the row
@@ -441,7 +434,9 @@ def _run(tableau, basis, cost, n, ncols):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_r, best_a = i, r, a
         if leave < 0:
-            return "unbounded", (enter, sign)
+            return "unbounded", (enter, sign), tableau, basis
+        if not copied:
+            tableau, basis, copied = [_Row(list(row.num), row.den) for row in tableau], list(basis), True
         _pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
 

@@ -4,16 +4,20 @@ A family is a list of (apex, wedge) pairs. Its multi-upper bounds form
 the polyhedron P = intersection of apex_i + W_i. A point z is a
 multi-supremum exactly when P = z + C with C = intersection of the W_i,
 so the whole multi-supremum set is z + D(C); we find z by minimizing the
-sum of the canonical normals a of C over P, and each a to m_a: z exists
-exactly when that sum attains the sum of the m_a, at z. All of these are
-exact LPs over one constraint system, P, solved in one ``lp.Session``;
-each a is priced at the sum's optimal basis first, and its own LP runs
-from that basis only when it is not optimal for it. P's rows depend
-only on the sorted wedge multiset, and its right-hand sides a . apex
-only on the apexes, so ``multilattice_search`` re-solves the rows at
-each trial's right-hand sides (``lp.Warm``), computed in ints: the dual
-simplex starts from the latest trial's basis, feasible or not, and the
-rows are built once per multiset, for its one cold session.
+sum of C's rows a over P, and each a to m_a: z exists exactly when that
+sum attains the sum of the m_a, at z. C's rows are the family's rows made
+primitive, redundant ones included: a redundant row is a nonnegative
+combination of others, attained wherever they are, so no conversion is
+needed to drop it. All of these are exact LPs over one constraint
+system, P, solved in one ``lp.Session``; each a's phase 2 starts at the
+sum's optimal basis, and only prices there when that basis is optimal
+for a. P's rows depend only on the sorted wedge multiset, and its
+right-hand sides a . apex only on the apexes, so ``multilattice_search``
+re-solves the rows at each trial's right-hand sides (``lp.Warm``),
+computed in ints: the dual simplex starts from the latest trial's basis,
+feasible or not, and the rows are built once per multiset, for its one
+cold session. Its C is converted once per wedge combination, so that no
+trial minimizes a redundant row.
 """
 
 from __future__ import annotations
@@ -115,58 +119,50 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     return Session(_family_dim(family), _upper_bound_rows(family), _upper_bound_rhs(family)).feasible_point()
 
 
-def msup(
-    family: Sequence[TranslatedWedge],
-    *,
-    _intersection: Wedge | None = None,
-    _warm: Warm | None = None,
-) -> MultiSupSet | None:
+def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
     """Multi-suprema of the family, None when the set is empty.
 
     Raises NotMultiBoundedAbove when the family has no multi-upper bound
     at all (the translate intersection P is empty); that case is an error
     by definition, distinct from an empty multi-supremum set.
-
-    ``_intersection`` optionally supplies C, the intersection of the
-    family's wedges, so searches can reuse its cached conversions per
-    wedge combination. ``_warm`` optionally holds the latest states of P's
-    rows, which depend only on the sorted wedge multiset in a search: P is
-    re-solved at the new apexes' right-hand sides a . apex (``Warm``),
-    and its rows are built only for a cold session. When the dual simplex
-    keeps a basis at which every normal was priced optimal, no LP runs at
-    all. The verdict is the same; a witness of a non-proper set may differ.
     """
-    dim = _family_dim(family)
-    warm = _warm or Warm()
-    session = warm.session(dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
+    _family_dim(family)
+    return _msup(family, intersect([tw.wedge for tw in family]), Warm())
+
+
+def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupSet | None:
+    """``msup`` with C = ``cw`` given, and P re-solved from ``warm``'s latest states.
+
+    P's rows depend only on the sorted wedge multiset in a search, so P is
+    re-solved at the new apexes' right-hand sides a . apex (``Warm``), and
+    its rows are built only for a cold session. When the dual simplex
+    keeps a basis that was optimal for every row of C, no LP runs at all.
+    The verdict is the same; a witness of a non-proper set may differ.
+    """
+    session = warm.session(cw.dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
     if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    cw = _intersection
-    if cw is None:
-        cw = intersect([tw.wedge for tw in family])
     if warm.certified and session.dual_pivots == 0:
         # The start basis is still primal feasible and optimal for every
-        # normal (reduced costs do not read the right-hand side), so its
+        # row (reduced costs do not read the right-hand side), so its
         # point attains every m_a.
         return MultiSupSet(session.feasible_point(), cw.lineality_basis)
-    normals = cw.canonical_halfspaces
 
-    # Each normal a of C is bounded below on P (the recession cone of a
+    # Each row a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
-    # attains every m_a exactly when the sum of the normals has its minimum
-    # sum(m_a) there, and any minimizer is then a multi-supremum. A normal
-    # that the sum's optimal basis does not price runs phase 2 from there.
+    # attains every m_a exactly when the sum of the rows has its minimum
+    # sum(m_a) there, and any minimizer is then a multi-supremum. Each row's
+    # phase 2 starts at the sum's optimum.
     def minimum(objective: QVector, *start: Optimal) -> Optimal:
         res = session.minimize(objective, *start)
         if not isinstance(res, Optimal):
             raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
         return res
 
-    res = minimum(sum(normals, QVector.zero(dim)))
-    priced = [session.price(res, a) for a in normals]
-    warm.start, warm.certified = res, None not in priced
-    floor = sum((minimum(a, res).value if m is None else m for a, m in zip(normals, priced)))
-    if res.value != floor:
+    res = minimum(sum(cw.halfspaces, QVector.zero(cw.dim)))
+    minima = [minimum(a, res) for a in cw.halfspaces]
+    warm.keep(res, minima)
+    if res.value != sum(m.value for m in minima):
         return None
     return MultiSupSet(res.point, cw.lineality_basis)
 
@@ -240,11 +236,15 @@ def multilattice_search(
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
-    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, intersect):
+    # C given by its extreme rays has the irredundant rows as its halfspaces.
+    def combine(ws: list[Wedge]) -> Wedge:
+        return Wedge(ws[0].dim, generators=intersect(ws).generators)
+
+    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, combine):
         apexes = tuple(sample_apex(rng, cw.dim, bound) for _ in range(k))
         family = [TranslatedWedge(apexes[p], wedges[indices[p]]) for p in order]
         try:
-            res = msup(family, _intersection=cw, _warm=warm)
+            res = _msup(family, cw, warm)
         except NotMultiBoundedAbove:
             continue
         if res is None:

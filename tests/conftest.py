@@ -752,22 +752,18 @@ def fraction_random_member(rng, w):
 
 
 def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
-    """``multiorder.multilattice_search`` as it was: a cold ``msup`` session per trial.
+    """``multiorder.multilattice_search`` as it was: a cold ``msup`` per trial.
 
-    The same draws, trial for trial; only the intersections are cached.
+    The same draws, trial for trial.
     """
     dim = wedges[0].dim
     rng = random.Random(seed)
-    combo_cache = {}
     for _ in range(budget):
         indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
         apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
-        key = tuple(sorted(set(indices)))
-        if key not in combo_cache:
-            combo_cache[key] = intersect([wedges[i] for i in key])
         family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
         try:
-            res = msup(family, _intersection=combo_cache[key])
+            res = msup(family)
         except NotMultiBoundedAbove:
             continue
         if res is None:

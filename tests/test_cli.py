@@ -1,6 +1,4 @@
-import ast
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +7,9 @@ import multiwedge.lp as lp_module
 from multiwedge import InternalInvariantError, QVector, Unbounded
 from multiwedge.cli import build_parser, main
 from multiwedge.operators import RDPInstance, decomposition_ok
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -375,7 +376,7 @@ def test_lattice_search_none(capsys, tmp_path):
 def test_negative_budget_is_a_usage_error(capsys, argv):
     # A negative budget used to run zero trials and report "found": false.
     if argv[0] != "examples":
-        argv = [*argv, "-f", str(Path(__file__).parent / "golden" / "wedge-sum.input.json")]
+        argv = [*argv, "-f", str(GOLDEN / "wedge-sum.input.json")]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "budget" in err
     zero = [e if e not in ("-5", "-1") else "0" for e in argv]
@@ -519,123 +520,68 @@ def test_examples_list(capsys):
     assert json.loads(out) == {"scenarios": ["ex2.7", "ex3.13", "ex3.7"]}
 
 
-@pytest.mark.parametrize("name", ["ex2.7", "ex3.7", "ex3.13"])
+def _golden_cases():
+    """(name, argv, status) per line of golden/cases.txt, argv ending in its -f <input>.input.json."""
+    cases = []
+    for line in (GOLDEN / "cases.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, source, status, *argv = line.split()
+            if source != "-":
+                argv += ["-f", str(GOLDEN / f"{source}.input.json")]
+            cases.append((name, argv, int(status)))
+    return cases
+
+
+_CASES = _golden_cases()
+_ARGV = {name: argv for name, argv, _ in _CASES}
+_SCENARIO_CASES = [(name, argv) for name, argv, _ in _CASES if argv[0] == "examples"]
+_WEDGE_CASES = [(name, argv) for name, argv, _ in _CASES if argv[0] == "wedge"]
+_LP_CASES = [(name, argv) for name, argv, status in _CASES if argv[0] not in ("examples", "wedge") and status == 0]
+_ERROR_CASES = [(name, argv) for name, argv, status in _CASES if status == 1]
+
+
+def _diff_golden(capsys, name, argv, status):
+    """Run ``argv``: exit ``status`` and the recorded <name>.json byte for byte; returns the output."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == status
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _SCENARIO_CASES])
 def test_examples_run_match(capsys, name):
-    code, out, _ = run_cli(capsys, "examples", "run", name)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["matches_expected"] is True
-    # Byte for byte the recorded output (tests/golden, also diffed by CI
-    # against the installed `mw`).
-    assert out.encode() == (Path(__file__).parent / "golden" / f"{name}.json").read_bytes()
+    # Byte for byte the recorded output (also diffed by CI against the
+    # installed `mw`).
+    out = _diff_golden(capsys, name, _ARGV[name], 0)
+    assert json.loads(out)["matches_expected"] is True
 
 
-@pytest.mark.parametrize("op", ["dual", "sum", "intersect", "lineality"])
+@pytest.mark.parametrize("op", [argv[1] for _, argv in _WEDGE_CASES])
 def test_wedge_ops_match_golden(capsys, op):
-    # wedge-dual.input.json is a cone in dim 6 with 14 generators and 7
-    # facets, each holding at least 8 of them: its rays are degenerate.
-    golden = Path(__file__).parent / "golden"
-    code, out, _ = run_cli(capsys, "wedge", op, "-f", str(golden / f"wedge-{op}.input.json"))
-    assert code == 0
-    assert out.encode() == (golden / f"wedge-{op}.json").read_bytes()
+    _diff_golden(capsys, f"wedge-{op}", _ARGV[f"wedge-{op}"], 0)
 
 
 @pytest.mark.parametrize("name", ["rdp-check", "rdp-check-rational", "rdp-check-one-x"])
 def test_rdp_check_golden_z_decomposes_its_input(name):
     # z is a free witness: a change to the LP may pin another one, but each
     # pinned z must be a decomposition of the instance it answers.
-    golden = Path(__file__).parent / "golden"
-    inst = RDPInstance.from_json(json.loads((golden / f"{name}.input.json").read_text()))
-    payload = json.loads((golden / f"{name}.json").read_text())
+    inst = RDPInstance.from_json(json.loads((GOLDEN / f"{name}.input.json").read_text()))
+    payload = json.loads((GOLDEN / f"{name}.json").read_text())
     z = [[QVector.from_json(v) for v in row] for row in payload["z"]]
     assert payload["result"] == "decomposition" and decomposition_ok(inst, z)
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("msup", ["msup"]),
-        ("msup-lineality", ["msup"]),
-        ("minf", ["minf"]),
-        ("bounded", ["bounded"]),
-        ("rk-value", ["rk", "value"]),
-        ("rk-op-msup", ["rk", "op-msup"]),
-        ("rdp-check", ["rdp", "check"]),
-        ("rk-op-minf", ["rk", "op-minf", "-f", "rk-op-msup.input.json"]),
-        ("rk-op-minf-line", ["rk", "op-minf"]),
-        ("rk-functional-msup", ["rk", "functional-msup"]),
-        ("decompose-fs-one-x", ["rdp", "decompose-fs"]),
-        ("decompose-fs-one-y", ["rdp", "decompose-fs"]),
-        ("lattice-search", ["lattice-search", "--k", "3", "--seed", "1", "--budget", "50",
-                            "-f", "wedge-sum.input.json"]),
-        ("rdp-search", ["rdp", "search", "--seed", "1", "--budget", "50",
-                        "-f", "wedge-sum.input.json"]),
-        ("rk-op-msup-whole", ["rk", "op-msup"]),
-        ("rdp-check-rational", ["rdp", "check"]),
-        ("lattice-search-ex27", ["lattice-search", "--k", "3", "--seed", "1", "--budget", "400"]),
-        ("lattice-search-ex27-late", ["lattice-search", "--k", "3", "--seed", "14", "--budget", "400",
-                                     "-f", "lattice-search-ex27.input.json"]),
-        ("rdp-search-ex37", ["rdp", "search", "--seed", "2", "--budget", "400"]),
-        ("rk-op-msup-rational", ["rk", "op-msup"]),
-        ("rdp-search-ex37-drawn", ["rdp", "search", "--seed", "0", "--budget", "400",
-                                  "-f", "rdp-search-ex37.input.json"]),
-        ("lattice-search-ex37-k3", ["lattice-search", "--k", "3", "--seed", "3", "--budget", "200",
-                                   "-f", "rdp-search-ex37.input.json"]),
-        ("rdp-check-one-x", ["rdp", "check"]),
-    ],
-)
+@pytest.mark.parametrize("name, argv", _LP_CASES)
 def test_lp_commands_match_golden(capsys, name, argv):
-    # The commands that solve LPs, byte for byte; msup-lineality is a
-    # non-proper set, whose witness is any point of witness + lineality.
-    # rdp-check-rational has wedges given by rational halfspaces: its z
-    # changes if the simplex sees those rows scaled to other values.
-    # rk-op-minf-line has a codomain that contains a line, and
-    # rk-op-msup-whole the whole space, Q^2, as codomain.
-    # rk-op-msup-rational has operators whose rows have different
-    # denominators, and prints a representative with entries 5/2 and 8/3.
-    # lattice-search-ex27 finds ex2.7's triple, so it pins the seeded apex
-    # draws. lattice-search-ex27-late and rdp-search-ex37 find theirs only
-    # at trials 27 and 38, after many re-solved trials on the same wedges.
-    # rdp-search-ex37-drawn's instance has the ray before the quadrant: a
-    # search reports its counterexample in the drawn order, not the sorted
-    # one in which it checks it. lattice-search-ex37-k3 re-solves many
-    # trials from the bases of infeasible ones: the ray twice has no upper
-    # bound at most apexes. rdp-check-one-x has one x, so its z is [ys],
-    # the only decomposition, though one wedge holds a line.
-    # A command without its own -f reads <name>.input.json.
-    golden = Path(__file__).parent / "golden"
-    if "-f" not in argv:
-        argv = [*argv, "-f", f"{name}.input.json"]
-    code, out, _ = run_cli(capsys, *argv[:-1], str(golden / argv[-1]))
-    assert code == 0
-    assert out.encode() == (golden / f"{name}.json").read_bytes()
+    # The commands that solve LPs, byte for byte; golden/cases.txt notes
+    # what each case pins.
+    _diff_golden(capsys, name, argv, 0)
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("rk-value-outside", ["rk", "value"]),
-        ("rk-value-unbounded", ["rk", "value"]),
-        ("rk-value-outside-unbounded", ["rk", "value"]),
-        ("rk-op-msup-refused", ["rk", "op-msup"]),
-        ("rk-op-msup-unbounded", ["rk", "op-msup"]),
-        ("rk-value-whole-outside", ["rk", "value"]),
-        ("decompose-fs-outside", ["rdp", "decompose-fs"]),
-        ("decompose-fs-not-member", ["rdp", "decompose-fs"]),
-    ],
-)
+@pytest.mark.parametrize("name, argv", _ERROR_CASES)
 def test_rk_error_verdicts_match_golden(capsys, name, argv):
     # Verdicts that are errors: exit 1 and the recorded JSON byte for byte.
-    # rk-value-outside-unbounded has x outside the sum of a family whose
-    # values are unbounded, and not_in_sum_wedge takes precedence.
-    # rk-value-whole-outside has x outside the sum and a codomain, Q^2,
-    # with no normals. decompose-fs-outside has equal coordinate wedges
-    # and an x with a negative shared coordinate; decompose-fs-not-member
-    # has a y with a negative coordinate in its own wedge's index.
-    golden = Path(__file__).parent / "golden"
-    code, out, _ = run_cli(capsys, *argv, "-f", str(golden / f"{name}.input.json"))
-    assert code == 1
-    assert out.encode() == (golden / f"{name}.json").read_bytes()
+    _diff_golden(capsys, name, argv, 1)
 
 
 _NO_COLS = '{"lineality_ops": [], "proper": true, "representative": {"cols": 0, "entries": [[]], "rows": 1}}'
@@ -758,31 +704,14 @@ def test_repeated_wedge_entry_is_converted_once(capsys, tmp_path, conversions, a
     assert counts[0] > 0 and counts[1] == counts[0]
 
 
-def _parametrized(tree, argname):
-    """Every value that a ``pytest.mark.parametrize`` in ``tree`` gives ``argname``."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "parametrize":
-            names = [n.strip() for n in node.args[0].value.split(",")]
-            if argname in names:
-                k = names.index(argname)
-                out |= {(el.elts[k] if isinstance(el, ast.Tuple) else el).value for el in node.args[1].elts}
-    return out
-
-
 def test_every_golden_is_diffed_by_ci_and_by_the_tests():
-    # A golden output must be a case of CI's loop (.github/workflows/ci.yml),
-    # which diffs it under `mw` and `python -O`, and a parametrized name of
-    # this file. Each wedge-{op} file is named by its op, in both places.
-    root = Path(__file__).parent.parent
-    ci = (root / ".github" / "workflows" / "ci.yml").read_text()
-    ci_names = set(re.search(r"for name in ([\w. ]+); do", ci).group(1).split())
-    for block in re.findall(r"for case in (.*?); do", ci, re.S):
-        ci_names |= {case.split()[0] for case in re.findall(r'"([^"]+)"', block)}
-    ci_names |= {f"wedge-{op}" for op in re.search(r"for op in ([\w ]+); do", ci).group(1).split()}
-    tree = ast.parse(Path(__file__).read_text())
-    test_names = _parametrized(tree, "name") | {f"wedge-{op}" for op in _parametrized(tree, "op")}
-    goldens = {p.name[: -len(".json")] for p in (root / "tests" / "golden").glob("*.json")}
-    outputs = {g for g in goldens if not g.endswith(".input")}
-    assert len(outputs) >= 35
-    assert sorted(outputs - ci_names) == [] and sorted(outputs - test_names) == []
+    # Each golden output has exactly one line in golden/cases.txt, which
+    # CI's loop (.github/workflows/ci.yml) runs under `mw` and `python -O`,
+    # and which the four golden tests above split among them.
+    names = [name for name, _, _ in _CASES]
+    outputs = {p.name[: -len(".json")] for p in GOLDEN.glob("*.json") if not p.name.endswith(".input.json")}
+    assert len(outputs) >= 39 and sorted(names) == sorted(outputs)
+    tested = [name for cases in (_SCENARIO_CASES, _WEDGE_CASES, _LP_CASES, _ERROR_CASES) for name, _ in cases]
+    assert sorted(tested) == sorted(names)
+    ci = (GOLDEN.parent.parent / ".github" / "workflows" / "ci.yml").read_text()
+    assert "done < tests/golden/cases.txt" in ci

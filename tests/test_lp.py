@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session, _fold, _ge_rows
+from multiwedge.lp import Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -70,11 +70,11 @@ def test_duals_are_built_when_read_and_ignored_by_equality():
     assert more == res and len(more.dual) == 3
     top = lp_solve(_lp(2, [-1, -1], "max", cons))
     assert top.value == -3 and top.dual == (-1, -1)
-    # Pricing reads an optimum of the session that found it.
+    # Phase 2 starts only at an optimum of the session that found it.
     session = _session(2, cons)
     with pytest.raises(ValueError):
-        session.price(res, QVector([1, 0]))
-    assert session.price(session.minimize(QVector([1, 1])), QVector([1, 0])) == 1
+        session.minimize(QVector([1, 0]), res)
+    assert session.minimize(QVector([1, 0]), session.minimize(QVector([1, 1]))).value == 1
 
 
 def test_unbounded_with_ray():
@@ -647,12 +647,21 @@ def _free_column_system(rng):
     return dim, cons, [*normals, sum(normals, QVector.zero(dim)), random_objective]
 
 
-def test_price_and_warm_minimize_match_cold_minima():
-    # price(res, c) is None or minimize(c).value, and minimize(c, start=res)
-    # reaches the cold value, at optima of systems with == rows (as >= pairs)
-    # and of systems with a free column that no row pivots in.
-    rng = random.Random(2003)
-    outcomes = Counter()
+def _state(res):
+    """Copies of ``res``'s final tableau rows, basis and reduced row."""
+    _, tableau, basis, reduced = res._final
+    return [(list(row.num), row.den) for row in tableau], list(basis), (list(reduced.num), reduced.den)
+
+
+def _unpivoted(res, got):
+    """Whether ``Warm.keep`` certifies ``res``'s basis for ``got``, an optimum from ``res``."""
+    warm = Warm()
+    warm.keep(res, [got])
+    return warm.certified
+
+
+def _optimum_systems(rng):
+    """(kind, n, cons, objectives): systems with == rows (as >= pairs) or with a free column no row pivots in."""
     for trial in range(300):
         if trial % 2:
             n, cons = _transport_system(rng)
@@ -661,24 +670,69 @@ def test_price_and_warm_minimize_match_cold_minima():
         else:
             n, cons, objectives = _free_column_system(rng)
             kind = "free"
-        session = _session(n, cons)
         objectives += [QVector.zero(n), QVector([rng.randint(-3, 3) for _ in range(n)])]
+        yield kind, n, cons, objectives
+
+
+def test_warm_minimize_matches_cold_minima():
+    # minimize(c, start=res) reaches the cold value, with no pivot where
+    # res's basis is already optimal for c, at optima of systems with ==
+    # rows (as >= pairs) and of systems with a free column that no row
+    # pivots in.
+    outcomes = Counter()
+    for kind, n, cons, objectives in _optimum_systems(random.Random(2003)):
+        session = _session(n, cons)
         for a in objectives:
             res = session.minimize(a)
             if not isinstance(res, Optimal):
                 continue
             for c in objectives:
-                cold, warm, priced = session.minimize(c), session.minimize(c, res), session.price(res, c)
+                cold, warm = session.minimize(c), session.minimize(c, res)
                 assert type(warm) is type(cold)
                 if isinstance(cold, Optimal):
-                    assert warm.value == cold.value and priced in (None, cold.value)
-                    outcomes[kind, "not priced" if priced is None else "priced"] += 1
+                    assert warm.value == cold.value
+                    outcomes[kind, "no pivot" if _unpivoted(res, warm) else "pivoted"] += 1
                 else:
-                    assert priced is None
                     outcomes[kind, "unbounded"] += 1
     # The sums of a transport system bound every cell, so no minimum there is unbounded.
-    for kind, outcome in [*product(("equality", "free"), ("priced", "not priced")), ("free", "unbounded")]:
+    for kind, outcome in [*product(("equality", "free"), ("no pivot", "pivoted")), ("free", "unbounded")]:
         assert outcomes[kind, outcome] >= 20, outcomes
+
+
+def test_minimize_from_a_start_leaves_it_unchanged():
+    # Phase 2 copies its start only before its first pivot: the start's
+    # tableau, basis and reduced row are never written, a result without
+    # a pivot shares them, carries the start's point and is the one that
+    # Warm.keep certifies, and resolve from that result gives a cold
+    # session's verdicts.
+    rng = random.Random(1941)
+    outcomes = Counter()
+    for _, n, cons, objectives in _optimum_systems(rng):
+        rows, rhs, _ = _ge(cons)
+        session = Session(n, rows, rhs)
+        for a in objectives:
+            res = session.minimize(a)
+            if not isinstance(res, Optimal):
+                continue
+            before = _state(res)
+            for c in objectives:
+                got = session.minimize(c, res)
+                assert _state(res) == before
+                if not isinstance(got, Optimal) or got._final[1] is not res._final[1]:
+                    assert not isinstance(got, Optimal) or not _unpivoted(res, got)
+                    outcomes["pivoted"] += 1
+                    continue
+                assert _unpivoted(res, got)
+                outcomes["no pivot"] += 1
+                assert got._final[2] is res._final[2] and got.value == c.dot(res.point)
+                new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
+                cold, warm = Session(n, rows, new_rhs), session.resolve(new_rhs, got)
+                assert _state(res) == before and warm.feasible == cold.feasible
+                if warm.feasible:
+                    assert c.dot(warm.feasible_point()) == cold.minimize(c).value
+                outcomes["resolved", warm.feasible] += 1
+    for outcome in ("no pivot", "pivoted", ("resolved", True), ("resolved", False)):
+        assert outcomes[outcome] >= 20, outcomes
 
 
 def test_resolve_checks_its_arguments():

@@ -22,7 +22,7 @@ from multiwedge import (
 )
 
 from multiwedge.lp import Session, Warm
-from multiwedge.multiorder import _upper_bound_rhs, _upper_bound_rows, sample_apex
+from multiwedge.multiorder import MultiSupSet, _msup, _upper_bound_rhs, _upper_bound_rows, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -124,8 +124,22 @@ def test_msup_not_bounded_raises(conversions):
     fam = [TranslatedWedge(V([1]), ray_pos), TranslatedWedge(V([-1]), ray_neg)]
     with pytest.raises(NotMultiBoundedAbove):
         msup(fam)
-    # P is empty, so the intersection of the wedges is never converted; the
-    # halfspace-given members need no conversion for P's system either.
+    # The halfspace-given members need no conversion for P's system, and
+    # their intersection is cut out by their own rows.
+    assert conversions == []
+
+
+def test_msup_converts_no_halfspace_given_wedge(conversions):
+    # msup decides over C's rows as the family gives them, a redundant
+    # x + y >= 0 included, so a bounded, nonempty family of halfspace-given
+    # wedges is answered without an H->V conversion.
+    quadrant = [V([1, 0]), V([0, 1])]
+    family = [
+        TranslatedWedge(V([1, 0]), Wedge(2, halfspaces=[*quadrant, V([1, 1])])),
+        TranslatedWedge(V([0, 2]), Wedge(2, halfspaces=quadrant)),
+        TranslatedWedge(V([F(1, 2), 1]), Wedge(2, halfspaces=[V([1, 0]), V([1, 1])])),
+    ]
+    assert msup(family) == MultiSupSet(V([1, 2]), ())
     assert conversions == []
 
 
@@ -235,9 +249,10 @@ def test_msup_with_warm_matches_cold():
             indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
             family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
             results = []
-            for kw in ({}, {"_warm": warm.setdefault(indices, Warm())}):
+            cw = intersect([tw.wedge for tw in family])
+            for solve in (msup, lambda f: _msup(f, cw, warm.setdefault(indices, Warm()))):
                 try:
-                    results.append(msup(family, **kw))
+                    results.append(solve(family))
                 except NotMultiBoundedAbove:
                     results.append("not bounded")
             cold, got = results
@@ -303,10 +318,11 @@ def test_integer_apex_draws_match_the_fraction_formula():
 
 
 def test_priced_normals_equal_their_own_minima():
-    # msup prices each normal of C at the optimal basis of the sum of the
-    # normals. The price is either no certificate or exactly the normal's
-    # own minimum. Shared wedges and integer or repeated apexes make
-    # degenerate optima, where the basis may not certify a normal.
+    # msup starts each row's phase 2 at the optimal basis of the sum of C's
+    # rows. Where that basis is optimal for the row, it takes no pivot and
+    # only prices there; either way the value is the row's own minimum.
+    # Shared wedges and integer or repeated apexes make degenerate optima,
+    # where the basis may not be optimal for a row.
     rng = random.Random(1307)
     outcomes = Counter()
     for _ in range(500):
@@ -326,16 +342,15 @@ def test_priced_normals_equal_their_own_minima():
         session = Session(dim, _upper_bound_rows(family), _upper_bound_rhs(family))
         if not session.feasible:
             continue
-        normals = intersect([tw.wedge for tw in family]).canonical_halfspaces
+        normals = intersect([tw.wedge for tw in family]).halfspaces
         res = session.minimize(sum(normals, QVector.zero(dim)))
         for a in normals:
-            priced = session.price(res, a)
-            if priced is None:
-                outcomes["not certified"] += 1
-            else:
-                assert priced == session.minimize(a).value
-                outcomes["certified"] += 1
-    assert min(outcomes["certified"], outcomes["not certified"]) >= 20, outcomes
+            got = session.minimize(a, res)
+            assert got.value == session.minimize(a).value
+            warm = Warm()
+            warm.keep(res, [got])
+            outcomes["no pivot" if warm.certified else "pivoted"] += 1
+    assert min(outcomes["no pivot"], outcomes["pivoted"]) >= 20, outcomes
 
 
 def _same_msup_set(a, b, dim):
@@ -452,9 +467,58 @@ def test_msup_witness_soundness_sampled():
                 assert tw.wedge.member(u - z)
 
 
+def _oracle_verdict(fam):
+    """msup's verdict on ``fam``, checked against the equality-system oracle.
+
+    Same verdict and lineality; the witness of a non-proper set may
+    differ, but it lies in the oracle's set.
+    """
+    try:
+        want = equality_system_msup(fam)
+    except NotMultiBoundedAbove:
+        with pytest.raises(NotMultiBoundedAbove):
+            msup(fam)
+        return "not bounded"
+    got = msup(fam)
+    if want is None:
+        assert got is None
+        return "empty"
+    assert [v.entries for v in got.lineality_basis] == [v.entries for v in want.lineality_basis]
+    assert want.contains(got.witness)
+    return "proper" if want.is_proper else "non-proper"
+
+
+def _redundant_family(rng):
+    """Halfspace-given wedges, some with a positive combination of two of their rows appended.
+
+    In half the families every row is orthogonal to one direction d, so
+    that C holds the line through d.
+    """
+    dim = rng.randint(2, 3)
+    d = [rng.randint(-2, 2) for _ in range(dim)] if rng.random() < 0.5 else [0] * dim
+    dd = sum(e * e for e in d)
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            a = [rng.randint(-3, 3) for _ in range(dim)]
+            ad = sum(x * y for x, y in zip(a, d))
+            a = V([dd * x - ad * y for x, y in zip(a, d)]) if dd else V(a)
+            if not a.is_zero():
+                rows.append(a)
+        if len(rows) >= 2:
+            i, j = rng.sample(range(len(rows)), 2)
+            combo = rng.randint(1, 2) * rows[i] + rng.randint(1, 2) * rows[j]
+            if not combo.is_zero():
+                rows.append(combo)
+        if rows:
+            family.append(TranslatedWedge(rand_vector(rng, dim, -3, 3, 2), Wedge(dim, halfspaces=rows)))
+    return family or _redundant_family(rng)
+
+
 def test_msup_matches_equality_system_oracle():
-    # Same verdict and lineality as the equality-system LP; the witness of
-    # a non-proper set may differ, but it lies in the oracle's set.
+    # The oracle minimizes C's canonical rows; msup its rows as the family
+    # gives them, which may be redundant.
     rng = random.Random(64)
     verdicts = Counter()
     for _ in range(600):
@@ -464,25 +528,18 @@ def test_msup_matches_equality_system_oracle():
             TranslatedWedge(rand_vector(rng, dim, -3, 3, 2), rand_wedge(rng, dim))
             for _ in range(size)
         ]
-        try:
-            want = equality_system_msup(fam)
-        except NotMultiBoundedAbove:
-            with pytest.raises(NotMultiBoundedAbove):
-                msup(fam)
-            verdicts["not bounded"] += 1
-            continue
-        got = msup(fam)
-        if want is None:
-            assert got is None
-            verdicts["empty"] += 1
-            continue
-        assert [v.entries for v in got.lineality_basis] == [
-            v.entries for v in want.lineality_basis
-        ]
-        assert want.contains(got.witness)
-        verdicts["proper" if want.is_proper else "non-proper"] += 1
+        verdicts[_oracle_verdict(fam)] += 1
     for verdict in ("not bounded", "empty", "proper", "non-proper"):
         assert verdicts[verdict] >= 40, verdicts
+    # Families whose C has rows that its canonical rows do not list.
+    redundant = Counter()
+    for _ in range(600):
+        fam = _redundant_family(rng)
+        cw = intersect([tw.wedge for tw in fam])
+        if set(cw.halfspaces) != set(cw.canonical_halfspaces):
+            redundant[_oracle_verdict(fam)] += 1
+    for verdict in ("not bounded", "empty", "proper", "non-proper"):
+        assert redundant[verdict] >= 20, redundant
 
 
 def test_intersection_closed_family_stays_lattice():
