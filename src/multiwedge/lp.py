@@ -24,17 +24,21 @@ vectors are their entries as they stand, each >= 0. At the all-slack
 basis the zero objective is dual feasible, so phase 1 is a Bland-rule
 dual simplex (Chvatal 1983, Linear Programming, ch. 10; finite by Bland
 1977, New finite pivoting rules for the simplex method); no artificial
-column is needed. A ``Session`` holds one system after phase 1, so
-callers that optimize several objectives over the same system (or only
-need a feasible point) pay for phase 1 once. ``Session.resolve`` answers
-the same rows at new right-hand sides, given as one ``QVector``, by the
-same dual simplex: the new right-hand side column is B^-1 (-b'), and with
-zero costs every basis is dual feasible, so it starts from the basis of
-any session, an infeasible one included. An infeasible session keeps its
-tableau, its basis and a Farkas vector, which refutes a later right-hand
-side with one dot product. ``Warm`` keeps the latest states for a caller
-that solves one system at many right-hand sides: a trial passes only its
-right-hand sides, and the rows are built once, for the one cold session.
+column is needed. A ``Session`` is one system and one basis of it:
+phase 1 runs once, at build, and each ``minimize`` moves the basis to its
+objective's optimum, so callers that optimize several objectives over the
+same system (or only need a feasible point) pay for phase 1 once, and an
+objective already optimal at the basis costs no pivot. ``Session.resolve``
+answers the same rows at new right-hand sides, given as one ``QVector``,
+by the same dual simplex: the new right-hand side column is B^-1 (-b'),
+and the basis stays dual feasible for the last objective (with zero
+costs, at build or after an unbounded objective, every basis is), so it
+starts from any session, an infeasible one included. An infeasible
+session keeps its tableau, its basis and a Farkas vector, which refutes a
+later right-hand side with one dot product. ``Warm`` keeps the latest
+sessions for a caller that solves one system at many right-hand sides: a
+trial passes only its right-hand sides, and the rows are built once, for
+the one cold session.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -92,10 +96,8 @@ class LinearProgram:
 class Optimal:
     value: Fraction
     point: QVector
-    # The state of the solve, read by Session.minimize, resolve and the
-    # duals: (session, final tableau, final basis, reduced-cost row). A
-    # solve that took no pivot shares its start's tableau and basis.
-    _final: tuple = field(compare=False, repr=False)
+    # The reduced-cost row at the optimum, which the duals are read from.
+    _reduced: _Row = field(compare=False, repr=False)
 
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
@@ -106,7 +108,7 @@ class Optimal:
         y. Every free column has reduced cost 0, which is A^T y = c, and
         slack-column optimality gives y >= 0.
         """
-        reduced = self._final[3]
+        reduced = self._reduced
         return tuple([Fraction(e, reduced.den) for e in reduced.num[self.point.dim : -1]])
 
 
@@ -155,9 +157,9 @@ def lp_solve(p: LinearProgram) -> LPResult:
         return Infeasible(QVector._of(_fold(y.num, signs, m), y.den))
     if isinstance(res, Optimal):
         # The slack part of the reduced row holds the duals: folded, and negated with the rest for 'max'.
-        *kept, reduced = res._final
+        reduced = res._reduced
         num = [*reduced.num[: p.n], *_fold(reduced.num[p.n : -1], signs, m), reduced.num[-1]]
-        return Optimal(sense * res.value, res.point, (*kept, _Row([sense * e for e in num], reduced.den)))
+        return Optimal(sense * res.value, res.point, _Row([sense * e for e in num], reduced.den))
     return res
 
 
@@ -185,18 +187,18 @@ def _fold(y: Sequence[int], signs: list[tuple[int, int]], m: int) -> list[int]:
 
 
 class Session:
-    """One system of >= rows, x free: the tableau is built and phase 1 run once.
+    """One system of >= rows, x free, and one basis of it, which each solve moves.
 
     ``rows[i] . x >= rhs[i]``, for ``QVector`` rows of n entries and one
-    ``QVector`` of right-hand sides. Every ``minimize`` runs phase 2 from
-    the phase-1 tableau and basis, never from an earlier optimum (unless
-    given one as ``start``), so each result is exactly that of a separate
-    solve: phase 1 does not read the objective, and Bland's rule is
-    deterministic. Phase 2 copies its start before its first pivot, so no
-    tableau is ever written once kept. The session keeps no per-call
-    state: each ``Optimal`` carries its final tableau and basis, where
-    ``minimize`` and ``resolve`` may start; a start already optimal for
-    the objective costs one pricing pass.
+    ``QVector`` of right-hand sides. The session holds one tableau, one
+    basis and the reduced-cost row of the last objective, at which the
+    basis is optimal: all zeros at build and after an unbounded objective,
+    as with zero costs every basis is dual feasible. Phase 1 runs once, at
+    build. Each ``minimize`` runs phase 2 from the current basis, in
+    place, and leaves the session at its objective's optimum; a basis
+    already optimal for the objective costs one pricing pass. Verdicts and
+    values do not depend on the order of the calls; the point and duals
+    of an optimum that is not unique may.
 
     Columns: x (n free columns), the slack of each row (columns n to
     n + m - 1), then the right-hand side. Points are read off the rows
@@ -205,8 +207,8 @@ class Session:
 
     An infeasible session keeps its tableau and basis, where ``resolve``
     starts as from a feasible one, and a Farkas vector of its rows.
-    ``dual_pivots`` counts the pivots the dual simplex made to reach its
-    verdict: phase 1's in a cold session, ``resolve``'s in a re-solved one.
+    ``pivots`` counts the pivots since the session was built or re-solved:
+    the dual simplex's (phase 1's, or ``resolve``'s), then phase 2's.
     """
 
     def __init__(self, n: int, rows: Sequence[QVector], rhs: QVector):
@@ -228,15 +230,15 @@ class Session:
         """Run the dual simplex from ``basis`` and keep the outcome.
 
         ``basis`` is dual feasible for ``reduced``: phase 1 starts with
-        zero costs, ``resolve`` at a kept basis. A row the dual simplex
-        cannot pivot on reads -u^T A x + u^T s = -u . b < 0 with no free
-        entry and no negative slack entry: u >= 0 and u^T A = 0, so its
+        zero costs, ``resolve`` with the last objective's. A row the dual
+        simplex cannot pivot on reads -u^T A x + u^T s = -u . b < 0 with no
+        free entry and no negative slack entry: u >= 0 and u^T A = 0, so its
         slack part u is a Farkas vector, checked here against ``rhs``. The
-        tableau and basis are kept either way.
+        tableau, basis and reduced row are kept either way.
         """
-        leave, self.dual_pivots = _dual_run(tableau, basis, reduced, self.n, self._ncols)
+        leave, self.pivots = _dual_run(tableau, basis, reduced, self.n, self._ncols)
         self.feasible = leave < 0
-        self._tableau, self._basis, self._farkas = tableau, basis, None
+        self._tableau, self._basis, self._reduced, self._farkas = tableau, basis, reduced, None
         if not self.feasible:
             row = tableau[leave]
             self._farkas = QVector._of(row.num[self.n : self._ncols], row.den)
@@ -245,33 +247,40 @@ class Session:
         return self
 
     def feasible_point(self) -> QVector | None:
-        """The point phase 1 (or ``resolve``) left, or None when the system is infeasible."""
+        """The point of the current basis, or None when the system is infeasible.
+
+        It is the point phase 1 (or ``resolve``) left until ``minimize``
+        moves the basis, and stays feasible after.
+        """
         if not self.feasible:
             return None
         return _vector(self._tableau, self._basis, self.n, self._ncols, 1)
 
-    def minimize(self, objective: QVector, start: Optimal | None = None) -> LPResult:
-        """Minimize objective . x by phase 2 from the phase-1 basis, or from ``start``'s.
+    def minimize(self, objective: QVector) -> LPResult:
+        """Minimize objective . x by phase 2 from the current basis, which it moves.
 
-        ``start`` is an optimum of this session; its final basis is primal
-        feasible, so phase 2 may start there. The value is the same from
-        either basis; the point may differ where the minimum is not unique.
+        The session is left at the optimum, or, when the objective is
+        unbounded below, at the basis where the ray was found, with zero
+        costs. The value does not depend on the start; the point may,
+        where the minimum is not unique.
         """
         n = self.n
         if objective.dim != n:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
             return Infeasible(self._farkas)
-        ncols = self._ncols
-        tableau, basis, _ = self._start(start)
-        status, info, tableau, basis = _run(tableau, basis, self._cost(objective), n, ncols)
+        tableau, basis, ncols = self._tableau, self._basis, self._ncols
+        cost = _Row(list(objective.num) + [0] * (ncols - n + 1), objective.den)
+        status, info, pivots = _run(tableau, basis, cost, n, ncols)
+        self.pivots += pivots
         if status == "unbounded":
+            self._reduced = _Row([0] * (ncols + 1), 1)
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
             enter, sign = info
             return Unbounded(_vector(tableau, basis, n, enter, -sign, enter))
-        x = _vector(tableau, basis, n, ncols, 1)
+        self._reduced = info
         # The right-hand-side entry of the reduced row is minus the objective.
-        return Optimal(Fraction(-info.num[ncols], info.den), x, (self, tableau, basis, info))
+        return Optimal(Fraction(-info.num[ncols], info.den), _vector(tableau, basis, n, ncols, 1), info)
 
     def refutes(self, rhs: QVector) -> bool:
         """Whether this session's Farkas vector y proves the rows infeasible at ``rhs`` too.
@@ -287,17 +296,18 @@ class Session:
             return False
         return sum(map(mul, self._farkas.num, rhs.num)) > 0
 
-    def resolve(self, rhs: QVector, start: Optimal | None = None) -> Session:
-        """This system's rows at the right-hand sides ``rhs``, from a kept basis.
+    def resolve(self, rhs: QVector) -> Session:
+        """A new session of this system's rows at the right-hand sides ``rhs``.
 
         ``rhs`` holds one right-hand side per row, in the order given.
         Verdicts and optimal values equal those of a cold
         ``Session(n, rows, rhs)``; points may differ where they are not
         unique. The new right-hand side column is B^-1 (-b'), read off the
-        slack columns. Then the dual simplex (``_settle``) runs from
-        ``start``'s basis (an optimum of this session, kept optimal for its
-        objective) or from this session's with zero costs, at which every
-        basis is dual feasible: this session may be infeasible.
+        slack columns. Then the dual simplex (``_settle``) runs from this
+        session's basis and a copy of its reduced row, for which that
+        basis is dual feasible, so a feasible result is left optimal for
+        the last objective. This session may be infeasible; it is left as
+        it is.
         """
         if rhs.dim != self._ncols - self.n:
             raise ValueError("resolve needs one right-hand side per row")
@@ -312,43 +322,30 @@ class Session:
             g = gcd(rden, *num)
             return _Row(num if g == 1 else [e // g for e in num], rden // g)
 
-        source, basis, reduced = self._start(start)
-        reduced = _Row([0] * (ncols + 1), 1) if reduced is None else _Row(list(reduced.num), reduced.den)
+        reduced = _Row(list(self._reduced.num), self._reduced.den)
         new = object.__new__(Session)
         new.n, new._ncols = self.n, ncols
-        return new._settle([moved(row) for row in source], list(basis), reduced, rhs)
-
-    def _start(self, start: Optimal | None) -> tuple:
-        """(tableau, basis, reduced row) of ``start``, an optimum of this session, or (this session's, None)."""
-        if start is None:
-            return self._tableau, self._basis, None
-        if start._final[0] is not self:
-            raise ValueError("the start must be an optimum of this session")
-        return start._final[1:]
-
-    def _cost(self, objective: QVector) -> _Row:
-        """The objective on the free columns, zero elsewhere."""
-        return _Row(list(objective.num) + [0] * (self._ncols - self.n + 1), objective.den)
+        return new._settle([moved(row) for row in self._tableau], list(self._basis), reduced, rhs)
 
 
 class Warm:
-    """The latest states of one constraint matrix across right-hand sides.
+    """The latest sessions of one constraint matrix across right-hand sides.
 
     ``session`` takes a trial's right-hand sides only, and the cheapest
     exact route: the latest Farkas vector when it refutes them, else
-    ``resolve`` from ``start``, else from the latest infeasible session
-    (``refuter``, whose basis is as good a start with zero costs), else a
+    ``resolve`` from ``start``, the latest feasible session, as the caller
+    left it, else from the latest infeasible session (``refuter``), else a
     cold ``Session`` of the rows that ``rows()`` builds; a fresh ``Warm``
     builds exactly the cold session, and later trials build none. The
-    caller sets ``start``: a feasible session, or an optimum of one (kept
-    dual feasible for its objective), and ``certified`` when that basis
-    is optimal for every objective it reads there (``keep``).
+    caller sets ``certified`` when ``start``'s basis is optimal for every
+    objective it reads there; ``session`` keeps it only while a re-solve
+    takes no pivot, as the basis then has not moved.
     """
 
     __slots__ = ("start", "certified", "refuter")
 
     def __init__(self):
-        self.start: Session | Optimal | None = None
+        self.start: Session | None = None
         self.certified = False
         self.refuter: Session | None = None
 
@@ -358,23 +355,13 @@ class Warm:
         if refuter is not None and refuter.refutes(rhs):
             return refuter
         start = self.start if self.start is not None else refuter
-        if start is None:
-            session = Session(n, rows(), rhs)
-        elif isinstance(start, Optimal):
-            session = start._final[0].resolve(rhs, start)
+        session = Session(n, rows(), rhs) if start is None else start.resolve(rhs)
+        if session.feasible:
+            self.start = session
+            self.certified = self.certified and session.pivots == 0
         else:
-            session = start.resolve(rhs)
-        if not session.feasible:
             self.refuter = session
         return session
-
-    def keep(self, start: Optimal, minima: Sequence[Optimal]) -> None:
-        """Start at ``start``, certified when no minimum in ``minima`` pivoted from it.
-
-        ``_run`` copies a start's tableau only before its first pivot.
-        """
-        self.start = start
-        self.certified = all(m._final[1] is start._final[1] for m in minima)
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
@@ -391,17 +378,17 @@ def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
 
 
 def _run(tableau, basis, cost, n, ncols):
-    """Bland-rule primal simplex iterations from a primal feasible basis.
+    """Bland-rule primal simplex iterations from a primal feasible basis, in place.
 
     Entering: the smallest column that improves, a free one (the first n)
     with a nonzero reduced cost, moving against its sign, or a slack
-    (columns n to ncols - 1) with a negative one. ``tableau`` and ``basis``
-    are copied before the first pivot, so a start that is already optimal
-    is only read, and shared. Returns ("optimal", reduced_cost_row) or
-    ("unbounded", (entering_column, sign)), then the final tableau and basis.
+    (columns n to ncols - 1) with a negative one. ``tableau``, ``basis``
+    and ``cost`` are pivoted as they stand. Returns ("optimal",
+    reduced_cost_row, pivots) or ("unbounded", (entering_column, sign),
+    pivots).
     """
     reduced = _priced(tableau, basis, cost)
-    copied = False
+    pivots = 0
     while True:
         num = reduced.num
         enter = -1
@@ -415,7 +402,7 @@ def _run(tableau, basis, cost, n, ncols):
                     enter = j
                     break
         if enter < 0:
-            return "optimal", reduced, tableau, basis
+            return "optimal", reduced, pivots
         sign = 1 if num[enter] < 0 else -1
         # Ratio test on rhs / (sign a) over the rows whose basic variable is
         # a slack, compared by cross-multiplication (sign a > 0, the row
@@ -434,11 +421,10 @@ def _run(tableau, basis, cost, n, ncols):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_r, best_a = i, r, a
         if leave < 0:
-            return "unbounded", (enter, sign), tableau, basis
-        if not copied:
-            tableau, basis, copied = [_Row(list(row.num), row.den) for row in tableau], list(basis), True
+            return "unbounded", (enter, sign), pivots
         _pivot(tableau, reduced, leave, enter)
         basis[leave] = enter
+        pivots += 1
 
 
 def _dual_run(tableau, basis, reduced, n, ncols) -> tuple[int, int]:
@@ -479,9 +465,8 @@ def _dual_run(tableau, basis, reduced, n, ncols) -> tuple[int, int]:
 
 
 def _priced(tableau, basis, cost) -> _Row:
-    """The reduced-cost row of ``cost``: the basic columns priced out (each holds 1 in its row)."""
-    reduced = _Row(list(cost.num), cost.den)
+    """``cost`` made its reduced-cost row in place: the basic columns priced out (each holds 1 in its row)."""
     for row, b in zip(tableau, basis):
-        if reduced.num[b]:
-            _eliminate(reduced, row, b, _nonzero(row))
-    return reduced
+        if cost.num[b]:
+            _eliminate(cost, row, b, _nonzero(row))
+    return cost

@@ -9,14 +9,15 @@ sum attains the sum of the m_a, at z. C's rows are the family's rows made
 primitive, redundant ones included: a redundant row is a nonnegative
 combination of others, attained wherever they are, so no conversion is
 needed to drop it. All of these are exact LPs over one constraint
-system, P, solved in one ``lp.Session``; each a's phase 2 starts at the
-sum's optimal basis, and only prices there when that basis is optimal
-for a. P's rows depend only on the sorted wedge multiset, and its
+system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
+previous optimum, and only prices there when that basis is optimal for
+a. P's rows depend only on the sorted wedge multiset, and its
 right-hand sides a . apex only on the apexes, so ``multilattice_search``
 re-solves the rows at each trial's right-hand sides (``lp.Warm``),
 computed in ints: the dual simplex starts from the latest trial's basis,
-feasible or not, and the rows are built once per multiset, for its one
-cold session. Its C is converted once per wedge combination, so that no
+feasible or not, a trial whose basis stays where every a was optimal
+runs no LP, and the rows are built once per multiset, for its one cold
+session. Its C is converted once per wedge combination, so that no
 trial minimizes a redundant row.
 """
 
@@ -135,34 +136,36 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
 
     P's rows depend only on the sorted wedge multiset in a search, so P is
     re-solved at the new apexes' right-hand sides a . apex (``Warm``), and
-    its rows are built only for a cold session. When the dual simplex
-    keeps a basis that was optimal for every row of C, no LP runs at all.
-    The verdict is the same; a witness of a non-proper set may differ.
+    its rows are built only for a cold session. When the basis the last
+    trial left optimal for every row of C does not move, no LP runs at
+    all. The verdict is the same; a witness of a non-proper set may differ.
     """
     session = warm.session(cw.dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
     if not session.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    if warm.certified and session.dual_pivots == 0:
-        # The start basis is still primal feasible and optimal for every
-        # row (reduced costs do not read the right-hand side), so its
-        # point attains every m_a.
+    if warm.certified:
+        # The basis is still primal feasible and optimal for every row
+        # (reduced costs do not read the right-hand side), so its point
+        # attains every m_a.
         return MultiSupSet(session.feasible_point(), cw.lineality_basis)
 
     # Each row a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
     # attains every m_a exactly when the sum of the rows has its minimum
     # sum(m_a) there, and any minimizer is then a multi-supremum. Each row's
-    # phase 2 starts at the sum's optimum.
-    def minimum(objective: QVector, *start: Optimal) -> Optimal:
-        res = session.minimize(objective, *start)
+    # phase 2 starts from the previous optimum, the sum's for the first.
+    def minimum(objective: QVector) -> Optimal:
+        res = session.minimize(objective)
         if not isinstance(res, Optimal):
             raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
         return res
 
     res = minimum(sum(cw.halfspaces, QVector.zero(cw.dim)))
-    minima = [minimum(a, res) for a in cw.halfspaces]
-    warm.keep(res, minima)
-    if res.value != sum(m.value for m in minima):
+    pivots = session.pivots
+    total = sum(minimum(a).value for a in cw.halfspaces)
+    # No row pivoted: the sum's basis is optimal for every row.
+    warm.certified = session.pivots == pivots
+    if res.value != total:
         return None
     return MultiSupSet(res.point, cw.lineality_basis)
 
@@ -223,16 +226,16 @@ def _trials(
 
 
 def multilattice_search(
-    wedges: Sequence[Wedge], k: int, seed: int = 0, budget: int = 1000, bound: int = 5
+    wedges: Sequence[Wedge], k: int, seed: int = 0, budget: int = 1000
 ) -> Counterexample | None:
     """Randomized refutation of the k-multi-lattice property.
 
     Samples families of k pairs (wedges drawn with repetition, rational
-    apexes) and returns the first multi-bounded-above family whose
-    multi-supremum set is empty; None when the budget is exhausted.
-    Deterministic for a fixed seed. Trials that are not multi-bounded
-    above count against the budget. msup sees each family in sorted
-    wedge order (see ``_trials``).
+    apexes from ``sample_apex`` with bound 5) and returns the first
+    multi-bounded-above family whose multi-supremum set is empty; None
+    when the budget is exhausted. Deterministic for a fixed seed. Trials
+    that are not multi-bounded above count against the budget. msup sees
+    each family in sorted wedge order (see ``_trials``).
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
@@ -241,7 +244,7 @@ def multilattice_search(
         return Wedge(ws[0].dim, generators=intersect(ws).generators)
 
     for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, combine):
-        apexes = tuple(sample_apex(rng, cw.dim, bound) for _ in range(k))
+        apexes = tuple(sample_apex(rng, cw.dim, 5) for _ in range(k))
         family = [TranslatedWedge(apexes[p], wedges[indices[p]]) for p in order]
         try:
             res = _msup(family, cw, warm)

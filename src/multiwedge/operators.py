@@ -325,10 +325,7 @@ def _rdp_session(inst: RDPInstance, warm: Warm) -> Session:
             out.append(QVector._of(num, a.den))
         return out
 
-    session = warm.session(nt, rhs, rows)
-    if session.feasible:
-        warm.start = session
-    return session
+    return warm.session(nt, rhs, rows)
 
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:

@@ -126,9 +126,10 @@ def run_ex37(seed: int = 0, budget: int = 1000) -> dict:
     return report
 
 
-def run_ex313(s_size: int = 5, seed: int = 0, budget: int = 1000) -> dict:
-    """Coordinate wedges on a finite index set: duals are coordinate rays,
-    decompositions always exist, functional suprema are proper."""
+def run_ex313(seed: int = 0, budget: int = 1000) -> dict:
+    """Coordinate wedges on a five-point index set: duals are coordinate
+    rays, decompositions always exist, functional suprema are proper."""
+    s_size = 5
     wedges = [coordinate_wedge(s_size, s) for s in range(s_size)]
     rays = [coordinate_ray(s_size, s) for s in range(s_size)]
     duals_match = all(
@@ -136,7 +137,7 @@ def run_ex313(s_size: int = 5, seed: int = 0, budget: int = 1000) -> dict:
     )
     generating = all(is_generating(w) for w in wedges)
 
-    js = [0, 1 % s_size]
+    js = [0, 1]
     ys = [
         QVector([3] + [-1] * (s_size - 1)),
         QVector([0, 2] + [1] * (s_size - 2)),
@@ -181,6 +182,4 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, seed: int = 0, budget: int = 1000) -> dict:
-    if name not in SCENARIOS:
-        raise KeyError(name)
     return SCENARIOS[name](seed=seed, budget=budget)

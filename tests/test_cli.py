@@ -644,6 +644,21 @@ def test_error_codes_are_distinct():
     assert len(codes) == len(set(codes))
 
 
+def test_the_package_has_no_assert():
+    # python -O strips assert statements, so internal invariants are
+    # MultiWedgeErrors: every module of the package is parsed, and no
+    # statement may be an assert.
+    import ast
+
+    import multiwedge
+
+    found = []
+    for path in sorted(Path(multiwedge.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_scenario_rerun_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")
     _, out2, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")

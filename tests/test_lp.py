@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session, Warm, _fold, _ge_rows
+from multiwedge.lp import Session, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -70,11 +70,10 @@ def test_duals_are_built_when_read_and_ignored_by_equality():
     assert more == res and len(more.dual) == 3
     top = lp_solve(_lp(2, [-1, -1], "max", cons))
     assert top.value == -3 and top.dual == (-1, -1)
-    # Phase 2 starts only at an optimum of the session that found it.
+    # Phase 2 starts from the session's previous optimum.
     session = _session(2, cons)
-    with pytest.raises(ValueError):
-        session.minimize(QVector([1, 0]), res)
-    assert session.minimize(QVector([1, 0]), session.minimize(QVector([1, 1]))).value == 1
+    session.minimize(QVector([1, 1]))
+    assert session.minimize(QVector([1, 0])).value == 1
 
 
 def test_unbounded_with_ray():
@@ -416,10 +415,32 @@ def test_infeasible_compares_without_its_farkas_vector():
     assert res.farkas == (1, -1)
 
 
+def _proves_minimum(res, c, rows, rhs):
+    """An Optimal of c over the >= rows, by its definitions.
+
+    x is feasible with c . x = value, and y >= 0 with A^T y = c and y . b = value.
+    """
+    x, y = res.point, res.dual
+    return (
+        all(a.dot(x) >= b for a, b in zip(rows, rhs.entries))
+        and c.dot(x) == res.value
+        and all(e >= 0 for e in y)
+        and all(sum(e * a[j] for e, a in zip(y, rows)) == c[j] for j in range(c.dim))
+        and sum(e * b for e, b in zip(y, rhs.entries)) == res.value
+    )
+
+
+def _proves_unbounded(ray, c, rows):
+    """A recession direction of the >= rows along which c . x falls."""
+    return all(a.dot(ray) >= 0 for a in rows) and c.dot(ray) < 0
+
+
 def test_session_matches_lp_solve():
     # Several objectives on one Session, in varied order, with the zero
-    # objective and repeats: each result equals a fresh lp_solve, so no
-    # phase 2 leaves anything behind for the next one.
+    # objective and repeats. The first solve after build equals a fresh
+    # lp_solve exactly. Each later one starts from the previous optimum:
+    # it gives lp_solve's verdict and value, and its point, duals and ray
+    # are checked by their definitions, as they need not be unique.
     systems = random.Random(314)
     pick = random.Random(271)
     outcomes = Counter()
@@ -434,21 +455,28 @@ def test_session_matches_lp_solve():
         ]
         objectives += pick.sample(objectives, 2)
         pick.shuffle(objectives)
-        for c in objectives:
+        for i, c in enumerate(objectives):
             got = session.minimize(c)
             want = lp_solve(LinearProgram(n, c, "min", constraints))
             assert type(got) is type(want)
             outcomes[type(got).__name__] += 1
             if isinstance(want, Optimal):
-                assert got.point.entries == want.point.entries and got.value == want.value
-                assert tuple(_fold(got.dual, signs, len(cons))) == want.dual
+                assert got.value == want.value
+                if i == 0:
+                    assert got.point.entries == want.point.entries
+                    assert tuple(_fold(got.dual, signs, len(cons))) == want.dual
+                else:
+                    assert _proves_minimum(got, c, ge_rows, ge_rhs)
             elif isinstance(want, Unbounded):
-                assert got.ray.entries == want.ray.entries
+                if i == 0:
+                    assert got.ray.entries == want.ray.entries
+                else:
+                    assert _proves_unbounded(got.ray, c, ge_rows)
         zero = lp_solve(LinearProgram(n, QVector.zero(n), "min", constraints))
         point = session.feasible_point()
         assert session.feasible == (point is not None) == isinstance(zero, Optimal)
         if point is not None:
-            assert point.entries == zero.point.entries
+            assert all(a.dot(point) >= b for a, b in zip(ge_rows, ge_rhs.entries))
     for outcome in ("Optimal", "Infeasible", "Unbounded"):
         assert outcomes[outcome] >= 100, outcomes
 
@@ -490,10 +518,10 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
             cons.append((row, LE, b) if rng.random() < 0.5 else (row, GE, -b))
         rows, rhs, _ = _ge(cons)
         session = Session(n, rows, rhs)
-        assert session.feasible and session.dual_pivots == 0
+        assert session.feasible and session.pivots == 0
         assert session.feasible_point() == QVector.zero(n)
         again = session.resolve(rhs)
-        assert again.feasible and again.dual_pivots == 0
+        assert again.feasible and again.pivots == 0
     assert pivots["pivot"] == 0
 
 
@@ -542,8 +570,8 @@ def test_resolve_matches_cold_session():
     # values and Farkas vectors; its phase-1 point against the Fraction
     # dual simplex, which reads the same start and pivots by Bland's rule.
     # An infeasible base re-solves from where its phase 1 stopped, with the
-    # same checks. From an optimum, the re-solved basis stays optimal for
-    # its objective.
+    # same checks. From a session minimized at an objective, the re-solved
+    # basis stays optimal for that objective.
     systems = random.Random(2718)
     outcomes = Counter()
     for trial in range(500):
@@ -557,9 +585,9 @@ def test_resolve_matches_cold_session():
         rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
         ge_rows, ge_rhs, signs = _ge(cons)
         fs_rows, fs_rhs = _lists(ge_rows, ge_rhs)
-        base = Session(n, ge_rows, ge_rhs)
+        base, optimum = Session(n, ge_rows, ge_rhs), Session(n, ge_rows, ge_rhs)
         objective = QVector([F(systems.randint(-3, 3)) for _ in range(n)])
-        start = base.minimize(objective)
+        start = optimum.minimize(objective)
         for _ in range(4):
             new_rhs = _new_rhs(systems, cons)
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
@@ -573,7 +601,7 @@ def test_resolve_matches_cold_session():
             if not base.feasible:
                 outcomes["from_infeasible", got.feasible] += 1
             if got.feasible:
-                outcomes["dual_pivots" if got.dual_pivots else "no_pivot"] += 1
+                outcomes["pivoted" if got.pivots else "no_pivot"] += 1
                 point = got.feasible_point()
                 assert point_feasible(point.entries, rows, rels, new_rhs)
                 assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("feasible", list(point.entries))
@@ -591,7 +619,7 @@ def test_resolve_matches_cold_session():
                 assert got.refutes(ge_new)
                 assert not (base.feasible and got.refutes(ge_rhs))
             if isinstance(start, Optimal):
-                warm = base.resolve(ge_new, start)
+                warm = optimum.resolve(ge_new)
                 assert warm.feasible == cold.feasible
                 if warm.feasible:
                     best = cold.minimize(objective)
@@ -602,7 +630,7 @@ def test_resolve_matches_cold_session():
                     back = warm.resolve(ge_rhs)
                     assert back.feasible and point_feasible(back.feasible_point().entries, rows, rels, rhs)
     for outcome in (
-        "no_pivot", "dual_pivots", "dual_infeasible", "inconsistent", "farkas_refuted",
+        "no_pivot", "pivoted", "dual_infeasible", "inconsistent", "farkas_refuted",
         ("from_infeasible", True), ("from_infeasible", False),
     ):
         assert outcomes[outcome] >= 20, outcomes
@@ -647,19 +675,6 @@ def _free_column_system(rng):
     return dim, cons, [*normals, sum(normals, QVector.zero(dim)), random_objective]
 
 
-def _state(res):
-    """Copies of ``res``'s final tableau rows, basis and reduced row."""
-    _, tableau, basis, reduced = res._final
-    return [(list(row.num), row.den) for row in tableau], list(basis), (list(reduced.num), reduced.den)
-
-
-def _unpivoted(res, got):
-    """Whether ``Warm.keep`` certifies ``res``'s basis for ``got``, an optimum from ``res``."""
-    warm = Warm()
-    warm.keep(res, [got])
-    return warm.certified
-
-
 def _optimum_systems(rng):
     """(kind, n, cons, objectives): systems with == rows (as >= pairs) or with a free column no row pivots in."""
     for trial in range(300):
@@ -675,23 +690,25 @@ def _optimum_systems(rng):
 
 
 def test_warm_minimize_matches_cold_minima():
-    # minimize(c, start=res) reaches the cold value, with no pivot where
-    # res's basis is already optimal for c, at optima of systems with ==
-    # rows (as >= pairs) and of systems with a free column that no row
-    # pivots in.
+    # Minimizing in sequence on one session, each objective from the
+    # previous result, reaches every cold value, with no pivot where the
+    # basis is already optimal for the objective, at optima of systems
+    # with == rows (as >= pairs) and of systems with a free column that no
+    # row pivots in.
     outcomes = Counter()
     for kind, n, cons, objectives in _optimum_systems(random.Random(2003)):
         session = _session(n, cons)
+        colds = [_session(n, cons).minimize(c) for c in objectives]
         for a in objectives:
-            res = session.minimize(a)
-            if not isinstance(res, Optimal):
+            if not isinstance(session.minimize(a), Optimal):
                 continue
-            for c in objectives:
-                cold, warm = session.minimize(c), session.minimize(c, res)
+            for c, cold in zip(objectives, colds):
+                pivots = session.pivots
+                warm = session.minimize(c)
                 assert type(warm) is type(cold)
                 if isinstance(cold, Optimal):
                     assert warm.value == cold.value
-                    outcomes[kind, "no pivot" if _unpivoted(res, warm) else "pivoted"] += 1
+                    outcomes[kind, "no pivot" if session.pivots == pivots else "pivoted"] += 1
                 else:
                     outcomes[kind, "unbounded"] += 1
     # The sums of a transport system bound every cell, so no minimum there is unbounded.
@@ -699,39 +716,64 @@ def test_warm_minimize_matches_cold_minima():
         assert outcomes[kind, outcome] >= 20, outcomes
 
 
-def test_minimize_from_a_start_leaves_it_unchanged():
-    # Phase 2 copies its start only before its first pivot: the start's
-    # tableau, basis and reduced row are never written, a result without
-    # a pivot shares them, carries the start's point and is the one that
-    # Warm.keep certifies, and resolve from that result gives a cold
-    # session's verdicts.
+def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
+    # Each solve moves the session's one basis, and its results are
+    # values: an Optimal's value, point and duals (read at once or first
+    # read once the session has moved on) and an Unbounded's ray do not
+    # change with later minimize and resolve calls, and late duals still
+    # prove the value. A re-solve from c's optimum keeps its basis
+    # optimal for c, with a cold session's verdict and no phase-2 pivot
+    # for c, and minimizing c again at c's optimum takes no pivot and
+    # gives c . point.
     rng = random.Random(1941)
     outcomes = Counter()
     for _, n, cons, objectives in _optimum_systems(rng):
         rows, rhs, _ = _ge(cons)
         session = Session(n, rows, rhs)
-        for a in objectives:
-            res = session.minimize(a)
+        kept = []
+        for c in objectives:
+            pivots = session.pivots
+            res = session.minimize(c)
+            if isinstance(res, Unbounded):
+                kept.append((c, res, res.ray.entries, session.pivots))
+                # With zero costs left, the basis is a start for resolve.
+                new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
+                assert session.resolve(new_rhs).feasible == Session(n, rows, new_rhs).feasible
+                continue
             if not isinstance(res, Optimal):
                 continue
-            before = _state(res)
-            for c in objectives:
-                got = session.minimize(c, res)
-                assert _state(res) == before
-                if not isinstance(got, Optimal) or got._final[1] is not res._final[1]:
-                    assert not isinstance(got, Optimal) or not _unpivoted(res, got)
-                    outcomes["pivoted"] += 1
-                    continue
-                assert _unpivoted(res, got)
-                outcomes["no pivot"] += 1
-                assert got._final[2] is res._final[2] and got.value == c.dot(res.point)
-                new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
-                cold, warm = Session(n, rows, new_rhs), session.resolve(new_rhs, got)
-                assert _state(res) == before and warm.feasible == cold.feasible
-                if warm.feasible:
-                    assert c.dot(warm.feasible_point()) == cold.minimize(c).value
-                outcomes["resolved", warm.feasible] += 1
-    for outcome in ("no pivot", "pivoted", ("resolved", True), ("resolved", False)):
+            outcomes["no pivot" if session.pivots == pivots else "pivoted"] += 1
+            early = res.dual if len(kept) % 2 else None
+            kept.append((c, res, (res.value, res.point.entries, early), session.pivots))
+            new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
+            cold, warm = Session(n, rows, new_rhs), session.resolve(new_rhs)
+            assert warm.feasible == cold.feasible
+            if warm.feasible:
+                pivots = warm.pivots
+                assert c.dot(warm.feasible_point()) == warm.minimize(c).value == cold.minimize(c).value
+                assert warm.pivots == pivots
+            outcomes["resolved", warm.feasible] += 1
+            pivots = session.pivots
+            again = session.minimize(c)
+            assert session.pivots == pivots and again.value == c.dot(res.point) and again.point == res.point
+        for c in reversed(objectives):
+            session.minimize(c)
+        for c, res, before, pivots in kept:
+            moved = session.pivots > pivots
+            if isinstance(res, Unbounded):
+                assert res.ray.entries == before and _proves_unbounded(res.ray, c, rows)
+                outcomes["ray", moved] += 1
+                continue
+            value, point, early = before
+            assert (res.value, res.point.entries) == (value, point)
+            if early is not None:
+                assert res.dual == early
+            else:
+                assert _proves_minimum(res, c, rows, rhs)
+                outcomes["late dual", moved] += 1
+    for outcome in (
+        "no pivot", "pivoted", ("resolved", True), ("resolved", False), ("ray", True), ("late dual", True),
+    ):
         assert outcomes[outcome] >= 20, outcomes
 
 
@@ -741,14 +783,8 @@ def test_resolve_checks_its_arguments():
         with pytest.raises(ValueError):
             Session(2, rows, rhs)
     session = Session(2, units, QVector([1, 1]))
-    other = Session(2, units, QVector([1, 1]))
-    res = other.minimize(QVector([1, 1]))
     with pytest.raises(ValueError):
         session.resolve(QVector([1]))
-    with pytest.raises(ValueError):
-        session.resolve(QVector([1, 2]), res)
-    with pytest.raises(ValueError):
-        session.minimize(QVector([1, 1]), res)
     # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0.
     infeasible = Session(1, [QVector([1]), QVector([-1])], QVector([1, 0]))
     assert infeasible.refutes(QVector([1, 0])) and not infeasible.refutes(QVector([0, -1]))
@@ -759,12 +795,13 @@ def test_resolve_checks_its_arguments():
             infeasible.resolve(rhs)
     # An infeasible session re-solves from its kept basis, exactly.
     again = infeasible.resolve(QVector([0, F(-1, 2)]))
-    assert again.feasible and again.dual_pivots == 0
+    assert again.feasible and again.pivots == 0
     want = fraction_resolve(1, [[1], [-1]], [1, 0], [0, F(-1, 2)])
     assert want == ("feasible", list(again.feasible_point().entries))
     assert again.minimize(QVector([1])).value == 0 and again.minimize(QVector([-1])).value == F(-1, 2)
     assert not infeasible.resolve(QVector([2, -1])).feasible
-    assert other.resolve(QVector([-2, 3]), res).feasible_point() == QVector([-2, 3])
+    session.minimize(QVector([1, 1]))
+    assert session.resolve(QVector([-2, 3])).feasible_point() == QVector([-2, 3])
 
 
 def _pair_folded(y, cons):

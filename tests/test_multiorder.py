@@ -318,11 +318,11 @@ def test_integer_apex_draws_match_the_fraction_formula():
 
 
 def test_priced_normals_equal_their_own_minima():
-    # msup starts each row's phase 2 at the optimal basis of the sum of C's
-    # rows. Where that basis is optimal for the row, it takes no pivot and
-    # only prices there; either way the value is the row's own minimum.
-    # Shared wedges and integer or repeated apexes make degenerate optima,
-    # where the basis may not be optimal for a row.
+    # msup minimizes C's rows in sequence after their sum, each from the
+    # previous optimum. Where that basis is optimal for the row, it takes
+    # no pivot and only prices there; either way the value is the row's
+    # own cold minimum. Shared wedges and integer or repeated apexes make
+    # degenerate optima, where the basis may not be optimal for a row.
     rng = random.Random(1307)
     outcomes = Counter()
     for _ in range(500):
@@ -339,18 +339,52 @@ def test_priced_normals_equal_their_own_minima():
             else:
                 apex = rand_vector(rng, dim, -3, 3, 2)
             family.append(TranslatedWedge(apex, rng.choice(pool)))
-        session = Session(dim, _upper_bound_rows(family), _upper_bound_rhs(family))
+        rows, rhs = _upper_bound_rows(family), _upper_bound_rhs(family)
+        session = Session(dim, rows, rhs)
         if not session.feasible:
             continue
         normals = intersect([tw.wedge for tw in family]).halfspaces
-        res = session.minimize(sum(normals, QVector.zero(dim)))
+        session.minimize(sum(normals, QVector.zero(dim)))
         for a in normals:
-            got = session.minimize(a, res)
-            assert got.value == session.minimize(a).value
-            warm = Warm()
-            warm.keep(res, [got])
-            outcomes["no pivot" if warm.certified else "pivoted"] += 1
+            pivots = session.pivots
+            assert session.minimize(a).value == Session(dim, rows, rhs).minimize(a).value
+            outcomes["no pivot" if session.pivots == pivots else "pivoted"] += 1
     assert min(outcomes["no pivot"], outcomes["pivoted"]) >= 20, outcomes
+
+
+def test_a_certified_warm_basis_attains_every_minimum():
+    # msup's no-LP path: whenever Warm.session leaves ``certified`` set,
+    # the returned session's basis point attains the cold minimum of every
+    # row of C over P. Trials share one Warm per family of halfspaces, as
+    # the search's sorted families do.
+    outcomes = Counter()
+
+    class Watched(Warm):
+        __slots__ = ()
+
+        def session(self, n, rhs, rows):
+            session = super().session(n, rhs, rows)
+            if session.feasible:
+                outcomes["certified" if self.certified else "uncertified"] += 1
+            if session.feasible and self.certified:
+                point = session.feasible_point()
+                for a in cw.halfspaces:
+                    assert a.dot(point) == Session(n, rows(), rhs).minimize(a).value
+            return session
+
+    rng = random.Random(1017)
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        normals = [V([rng.randint(-2, 2) or 1 for _ in range(dim)]) for _ in range(rng.randint(2, 3))]
+        wedges = [Wedge(dim, halfspaces=[a]) for a in normals]
+        cw, warm = intersect(wedges), Watched()
+        for _ in range(20):
+            family = [TranslatedWedge(sample_apex(rng, dim, 2), w) for w in wedges]
+            try:
+                _msup(family, cw, warm)
+            except NotMultiBoundedAbove:
+                pass
+    assert min(outcomes["certified"], outcomes["uncertified"]) >= 20, outcomes
 
 
 def _same_msup_set(a, b, dim):
