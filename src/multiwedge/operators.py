@@ -5,12 +5,13 @@ of the module is op_msup: the pointwise supremum values
 
     sup { sum_i T_i(y_i) : y_i in W_i, sum_i y_i = x }
 
-are computed by exact LP for each canonical generator x of the sum wedge,
-each as a point of U, the complement of the codomain wedge's lineality
-that ``projections`` projects onto, and assembled into a linear
-representative. When the domain family lacks the decomposition
-property this assembly is impossible or produces a non-dominating map,
-and the failure is reported instead of silently returning a wrong answer.
+are computed by exact LP for each generator x of the sum wedge, as
+``wedge_sum`` lists them, each as a point of U, the complement of the
+codomain wedge's lineality that ``projections`` projects onto, and
+assembled into a linear representative. When the domain family lacks
+the decomposition property this assembly is impossible or produces a
+non-dominating map, and the failure is reported instead of silently
+returning a wrong answer.
 
 The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
@@ -507,10 +508,15 @@ def op_msup(
     multiorder layer whether any operator dominates every T_i
     (NotMultiBoundedAbove otherwise). The representative is zero on the
     complement of the span of the sum wedge; the full multi-supremum set
-    is recovered by adding the span of ``lineality_ops``. Raises
-    RDPViolated when the supremum values fail to extend additively or the
-    assembled map is not a multi-upper bound of the family: both certify
-    that the domain family lacks the required decomposition property.
+    is recovered by adding the span of ``lineality_ops``. The values are
+    taken at the generators that ``wedge_sum`` lists, unconverted: a
+    dominating additive extension equals the superadditive values on the
+    whole sum, so any generating set gives the same answer. Raises
+    NoMultiSupremum when the values at some generator have no
+    multi-supremum in V. Raises RDPViolated when the supremum values fail
+    to extend additively or the assembled map is not a multi-upper bound
+    of the family: both certify that the domain family lacks the required
+    decomposition property.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     family = [
@@ -519,9 +525,8 @@ def op_msup(
     ]
     if multi_bounded_above(family) is None:
         raise NotMultiBoundedAbove("no operator dominates the whole family")
-    sum_gens = wedge_sum(wedges).canonical_generators
-    sw = Wedge(q, generators=list(sum_gens))
-    values = dict(zip(sum_gens, _rk_sups(_images(ops, wedges), q, v_wedge, sum_gens)))
+    sw = wedge_sum(wedges)
+    values = dict(zip(sw.generators, _rk_sups(_images(ops, wedges), q, v_wedge, sw.generators)))
     try:
         rep = extend_additive(sw, values, p)
     except InconsistentValues as exc:

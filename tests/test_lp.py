@@ -636,6 +636,64 @@ def test_resolve_matches_cold_session():
         assert outcomes[outcome] >= 20, outcomes
 
 
+def _prices_its_basis(session):
+    """Whether the session's reduced row is dual feasible for its basis.
+
+    That is: zero on every basic column and on the free columns, and
+    nonnegative on the slacks, so that the Bland-rule dual simplex of
+    ``resolve`` starts from a dual feasible basis.
+    """
+    num, n, ncols = session._reduced.num, session.n, session._ncols
+    return (
+        all(num[b] == 0 for b in session._basis)
+        and not any(num[:n])
+        and all(e >= 0 for e in num[n:ncols])
+    )
+
+
+def test_unbounded_objective_resets_the_reduced_row():
+    # After an unbounded objective the session keeps the basis where the
+    # ray was found. The reduced row of the optimum before it does not
+    # price that basis, so minimize resets it to zeros, for which every
+    # basis is dual feasible; resolve then starts from a dual feasible
+    # basis and gives a cold session's verdict and values. The objective
+    # is a nonnegative combination of the rows, so it is bounded below on
+    # a feasible system; its negation often is not. The gate counts the
+    # systems on which the earlier optimum's row is nonzero on a column
+    # that is basic after the unbounded objective.
+    systems = random.Random(1905)
+    seen = Counter()
+    for _ in range(400):
+        n = systems.randint(2, 4)
+        cons = [
+            ([F(systems.randint(-3, 3)) for _ in range(n)], GE, F(systems.randint(-4, 4), systems.randint(1, 2)))
+            for _ in range(systems.randint(n, n + 3))
+        ]
+        rows, rels = ([c[k] for c in cons] for k in range(2))
+        ge_rows, ge_rhs, _ = _ge(cons)
+        session = Session(n, ge_rows, ge_rhs)
+        objective = sum((systems.randint(0, 2) * a for a in ge_rows), QVector.zero(n))
+        ray = -objective
+        first = session.minimize(objective)
+        if not isinstance(first, Optimal) or not isinstance(session.minimize(ray), Unbounded):
+            continue
+        assert not any(session._reduced.num)
+        seen["stale"] += any(first._reduced.num[b] for b in session._basis)
+        for _ in range(3):
+            ge_new = _ge(zip(rows, rels, _new_rhs(systems, cons)))[1]
+            got, cold = session.resolve(ge_new), Session(n, ge_rows, ge_new)
+            assert got.feasible == cold.feasible
+            assert _prices_its_basis(got)
+            seen[got.feasible] += 1
+            if got.feasible:
+                for c in (objective, ray):
+                    a, b = got.minimize(c), cold.minimize(c)
+                    assert type(a) is type(b)
+                    if isinstance(a, Optimal):
+                        assert a.value == b.value
+    assert seen["stale"] >= 20 and seen[True] >= 20 and seen[False] >= 10, seen
+
+
 def _free_column_system(rng):
     """A system with a free column that no row pivots in, and objectives for it.
 

@@ -26,6 +26,7 @@ from multiwedge import (
     is_cone,
     is_generating,
     lineality,
+    multi_bounded_above,
     op_is_positive,
     op_minf,
     op_msup,
@@ -55,6 +56,7 @@ from conftest import (
     primal_rk_value,
     rand_acute_cone,
     rand_member,
+    rand_vector,
     rand_wedge,
 )
 
@@ -930,11 +932,28 @@ def test_zero_dimensional_spaces():
     assert rdp_check(inst) == [[empty, empty], [empty, empty]]
 
 
-def test_op_msup_converts_the_sum_wedge_once(conversions, monkeypatch):
-    # One V->H and one H->V conversion of the sum wedge, and one V->H
-    # conversion for the canonical halfspaces of V. The dual sessions read
-    # the generators of the domain wedges, which are given, so neither
-    # domain wedge is converted.
+def _cliff_family():
+    """The input of golden/rk-op-msup-cliff: four cones in Q^8 into the orthant of Q^4.
+
+    Converting the sum of their 32 generators to its canonical generators
+    runs for minutes; the values at those 32 refuse at once.
+    """
+    rng = random.Random(1)
+    ws = [
+        Wedge(8, generators=[
+            V([rng.randint(8, 10) if i == j else rng.randint(0, 1) for i in range(8)]) for j in range(8)
+        ])
+        for _ in range(4)
+    ]
+    ops = [QMatrix(4, 8, [rng.randint(-3, 3) for _ in range(32)]) for _ in range(4)]
+    return ops, ws, standard_cone(4)
+
+
+def test_op_msup_converts_no_sum_wedge(monkeypatch):
+    # One H->V conversion, for the canonical halfspaces of V. The values
+    # are taken at the generators of the sum wedge as wedge_sum lists
+    # them, so the sum is never converted, and the dual sessions read the
+    # given generators of the domain wedges.
     from multiwedge import wedges
 
     inputs = []
@@ -952,13 +971,20 @@ def test_op_msup_converts_the_sum_wedge_once(conversions, monkeypatch):
     v = Wedge(1, generators=[QVector([1])], halfspaces=[QVector([1])])
     ops = [QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[0, 1]])]
     op_msup(ops, ws, v)
-    assert len(conversions) == 3
-    assert not any(set(w.generators) in inputs for w in ws)
+    assert inputs == [set(v.generators)]
+    assert set(wedge_sum(ws).generators) not in inputs
+
+    inputs.clear()
+    ops, ws, v = _cliff_family()
+    with pytest.raises(RDPViolated, match="not additive"):
+        op_msup(ops, ws, v)
+    assert inputs == [set(v.generators)]
+    assert set(wedge_sum(ws).generators) not in inputs
 
 
 def test_op_msup_runs_no_membership_session(monkeypatch):
-    # The canonical generators of the sum wedge lie in it by construction,
-    # so op_msup tests none of them for membership, also when V = Q^2 has
+    # The generators of the sum wedge lie in it by construction, so
+    # op_msup tests none of them for membership, also when V = Q^2 has
     # no normals. A membership LP on the decomposition system would have
     # k * q = 6 variables and rows; the family of operators also has
     # p * q = 6 entries, but V = Q^2 gives its wedges no rows.
@@ -982,6 +1008,80 @@ def test_op_msup_runs_no_membership_session(monkeypatch):
     assert len(res.lineality_ops) == 6
     assert built
     assert [size for size in built if size[0] == 6 and size[1]] == []
+
+
+def _canonical_route(ops, ws, v):
+    """op_msup's outcome through the canonical generators of the sum wedge.
+
+    The error code, or (representative, lineality): the values at each
+    canonical generator from rk_value, extended additively on them, and
+    the result checked for dominance by op_is_positive.
+    """
+    if multi_bounded_above(operator_family(ops, ws, v)) is None:
+        return NotMultiBoundedAbove.code
+    canonical = wedge_sum(ws).canonical_generators
+    try:
+        values = {g: rk_value(ops, ws, v, g).witness for g in canonical}
+    except NoMultiSupremum as exc:
+        return exc.code
+    try:
+        rep = extend_additive(Wedge(ws[0].dim, generators=canonical), values, v.dim)
+    except InconsistentValues:
+        return RDPViolated.code
+    if not all(op_is_positive(rep - t, w, v) for t, w in zip(ops, ws)):
+        return RDPViolated.code
+    return rep, op_wedge_lineality(ws, [v])
+
+
+def _has_no_msup_value(ops, ws, v):
+    """Whether rk_value has no multi-supremum at some generator of the sum wedge."""
+    for x in wedge_sum(ws).generators:
+        try:
+            rk_value(ops, ws, v, x)
+        except NoMultiSupremum:
+            return True
+    return False
+
+
+def _rand_cone(rng, q):
+    """Cone over 1 to q + 1 integer vectors; it may hold lines, or be {0}."""
+    gens = [rand_vector(rng, q, max_den=1) for _ in range(rng.randint(1, q + 1))]
+    return Wedge(q, generators=[g for g in gens if not g.is_zero()])
+
+
+def test_op_msup_matches_the_canonical_generator_route():
+    # Any generating set of the sum wedge gives op_msup the same answers
+    # as its canonical generators: a dominating additive extension is
+    # pinned on the whole sum by superadditivity, so both refuse the same
+    # families. A refusal's code can move: when V has more normals than
+    # its dimension, the values at a generator that is not extreme in the
+    # sum may have no multi-supremum, and then no_multi_supremum is
+    # raised where the canonical route found rdp_violated.
+    rng = random.Random(26)
+    corners = [V([a, b, 1]) for a in (1, -1) for b in (1, -1)]
+    seen = Counter()
+    for _ in range(600):
+        q, k = rng.choice([2, 3]), rng.choice([2, 3])
+        if rng.random() < 0.75:
+            ws = [rand_acute_cone(rng, q, q + 1) for _ in range(k)]
+        else:
+            ws = [_rand_cone(rng, q) for _ in range(k)]
+        v = quadrant() if rng.random() < 0.5 else Wedge(3, generators=rng.sample(corners, rng.randint(3, 4)))
+        ops = [QMatrix(v.dim, q, [rng.randint(-3, 3) for _ in range(v.dim * q)]) for _ in range(k)]
+        expected = _canonical_route(ops, ws, v)
+        try:
+            res = op_msup(ops, ws, v)
+        except (NotMultiBoundedAbove, RDPViolated, NoMultiSupremum) as exc:
+            assert isinstance(expected, str)
+            assert (exc.code == NotMultiBoundedAbove.code) == (expected == NotMultiBoundedAbove.code)
+            if exc.code != NotMultiBoundedAbove.code:
+                assert (exc.code == NoMultiSupremum.code) == _has_no_msup_value(ops, ws, v)
+            seen[exc.code] += 1
+            seen["moved"] += exc.code != expected
+            continue
+        assert expected == (res.representative, list(res.lineality_ops))
+        seen["answered"] += 1
+    assert seen["answered"] >= 20 and seen[RDPViolated.code] >= 20 and seen["moved"] >= 20, seen
 
 
 def test_op_wedge_lineality_matches_annihilator_oracle():
