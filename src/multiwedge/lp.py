@@ -29,16 +29,16 @@ phase 1 runs once, at build, and each ``minimize`` moves the basis to its
 objective's optimum, so callers that optimize several objectives over the
 same system (or only need a feasible point) pay for phase 1 once, and an
 objective already optimal at the basis costs no pivot. ``Session.resolve``
-answers the same rows at new right-hand sides, given as one ``QVector``,
+moves the same session to new right-hand sides, given as one ``QVector``,
 by the same dual simplex: the new right-hand side column is B^-1 (-b'),
 and the basis stays dual feasible for the last objective (with zero
 costs, at build or after an unbounded objective, every basis is), so it
 starts from any session, an infeasible one included. An infeasible
 session keeps its tableau, its basis and a Farkas vector, which refutes a
-later right-hand side with one dot product. ``Warm`` keeps the latest
-sessions for a caller that solves one system at many right-hand sides: a
+later right-hand side with one dot product. ``Warm`` keeps the one
+session of a caller that solves one system at many right-hand sides: a
 trial passes only its right-hand sides, and the rows are built once, for
-the one cold session.
+the cold session.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -196,9 +196,10 @@ class Session:
     as with zero costs every basis is dual feasible. Phase 1 runs once, at
     build. Each ``minimize`` runs phase 2 from the current basis, in
     place, and leaves the session at its objective's optimum; a basis
-    already optimal for the objective costs one pricing pass. Verdicts and
-    values do not depend on the order of the calls; the point and duals
-    of an optimum that is not unique may.
+    already optimal for the objective costs one pricing pass. Each
+    ``resolve`` moves the session to new right-hand sides, in place, by
+    the dual simplex. Verdicts and values do not depend on the order of
+    the calls; the point and duals of an optimum that is not unique may.
 
     Columns: x (n free columns), the slack of each row (columns n to
     n + m - 1), then the right-hand side. Points are read off the rows
@@ -224,27 +225,27 @@ class Session:
             num.append(-rhs.num[i] * (den // rhs.den))
             num[n + i] = den
             tableau.append(_Row(num, den))
-        self._settle(tableau, list(range(n, n + m)), _Row([0] * (n + m + 1), 1), rhs)
+        self._tableau, self._basis = tableau, list(range(n, n + m))
+        self._reduced = _Row([0] * (n + m + 1), 1)
+        self._settle(rhs)
 
-    def _settle(self, tableau, basis, reduced, rhs: QVector) -> Session:
-        """Run the dual simplex from ``basis`` and keep the outcome.
+    def _settle(self, rhs: QVector) -> None:
+        """Run the dual simplex from the current basis, in place, and keep the outcome.
 
-        ``basis`` is dual feasible for ``reduced``: phase 1 starts with
+        The basis is dual feasible for the reduced row: phase 1 starts with
         zero costs, ``resolve`` with the last objective's. A row the dual
         simplex cannot pivot on reads -u^T A x + u^T s = -u . b < 0 with no
         free entry and no negative slack entry: u >= 0 and u^T A = 0, so its
         slack part u is a Farkas vector, checked here against ``rhs``. The
-        tableau, basis and reduced row are kept either way.
+        session stays at the last basis either way.
         """
-        leave, self.pivots = _dual_run(tableau, basis, reduced, self.n, self._ncols)
-        self.feasible = leave < 0
-        self._tableau, self._basis, self._reduced, self._farkas = tableau, basis, reduced, None
+        leave, self.pivots = _dual_run(self._tableau, self._basis, self._reduced, self.n, self._ncols)
+        self.feasible, self._farkas = leave < 0, None
         if not self.feasible:
-            row = tableau[leave]
+            row = self._tableau[leave]
             self._farkas = QVector._of(row.num[self.n : self._ncols], row.den)
             if not self.refutes(rhs):
                 raise InternalInvariantError("a Farkas vector y of the rows has y . b <= 0")
-        return self
 
     def feasible_point(self) -> QVector | None:
         """The point of the current basis, or None when the system is infeasible.
@@ -296,18 +297,19 @@ class Session:
             return False
         return sum(map(mul, self._farkas.num, rhs.num)) > 0
 
-    def resolve(self, rhs: QVector) -> Session:
-        """A new session of this system's rows at the right-hand sides ``rhs``.
+    def resolve(self, rhs: QVector) -> None:
+        """Re-solve this system's rows at the right-hand sides ``rhs``, in place.
 
         ``rhs`` holds one right-hand side per row, in the order given.
-        Verdicts and optimal values equal those of a cold
+        Verdicts and optimal values then equal those of a cold
         ``Session(n, rows, rhs)``; points may differ where they are not
         unique. The new right-hand side column is B^-1 (-b'), read off the
-        slack columns. Then the dual simplex (``_settle``) runs from this
-        session's basis and a copy of its reduced row, for which that
-        basis is dual feasible, so a feasible result is left optimal for
-        the last objective. This session may be infeasible; it is left as
-        it is.
+        slack columns. Then the dual simplex (``_settle``) moves the basis,
+        which is dual feasible for the reduced row of the last objective,
+        so a feasible result is left optimal for that objective. The
+        session may be infeasible before or after. The reduced row is
+        copied first, so that an ``Optimal`` returned earlier keeps its
+        duals.
         """
         if rhs.dim != self._ncols - self.n:
             raise ValueError("resolve needs one right-hand side per row")
@@ -322,45 +324,38 @@ class Session:
             g = gcd(rden, *num)
             return _Row(num if g == 1 else [e // g for e in num], rden // g)
 
-        reduced = _Row(list(self._reduced.num), self._reduced.den)
-        new = object.__new__(Session)
-        new.n, new._ncols = self.n, ncols
-        return new._settle([moved(row) for row in self._tableau], list(self._basis), reduced, rhs)
+        self._tableau = [moved(row) for row in self._tableau]
+        self._reduced = _Row(list(self._reduced.num), self._reduced.den)
+        self._settle(rhs)
 
 
 class Warm:
-    """The latest sessions of one constraint matrix across right-hand sides.
+    """One session of one constraint matrix, moved across right-hand sides.
 
-    ``session`` takes a trial's right-hand sides only, and the cheapest
-    exact route: the latest Farkas vector when it refutes them, else
-    ``resolve`` from ``start``, the latest feasible session, as the caller
-    left it, else from the latest infeasible session (``refuter``), else a
-    cold ``Session`` of the rows that ``rows()`` builds; a fresh ``Warm``
-    builds exactly the cold session, and later trials build none. The
-    caller sets ``certified`` when ``start``'s basis is optimal for every
-    objective it reads there; ``session`` keeps it only while a re-solve
-    takes no pivot, as the basis then has not moved.
+    ``session`` takes a trial's right-hand sides only. The first trial
+    builds the cold ``Session`` of the rows that ``rows()`` builds; a
+    later one gets the same session, unchanged when its Farkas vector
+    refutes the new right-hand sides, else re-solved there in place
+    (``resolve``), from wherever the last trial left it, feasible or not.
+    The caller sets ``certified`` when the session's basis is optimal for
+    every objective it reads there; ``session`` keeps it only while a
+    re-solve takes no pivot, as the basis then has not moved.
     """
 
-    __slots__ = ("start", "certified", "refuter")
+    __slots__ = ("latest", "certified")
 
     def __init__(self):
-        self.start: Session | None = None
+        self.latest: Session | None = None
         self.certified = False
-        self.refuter: Session | None = None
 
     def session(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session:
-        """The >= rows at ``rhs``; ``rows()`` builds them, for a cold session."""
-        refuter = self.refuter
-        if refuter is not None and refuter.refutes(rhs):
-            return refuter
-        start = self.start if self.start is not None else refuter
-        session = Session(n, rows(), rhs) if start is None else start.resolve(rhs)
-        if session.feasible:
-            self.start = session
-            self.certified = self.certified and session.pivots == 0
-        else:
-            self.refuter = session
+        """The >= rows at ``rhs``; ``rows()`` builds them, for the cold session."""
+        session = self.latest
+        if session is None:
+            session = self.latest = Session(n, rows(), rhs)
+        elif not session.refutes(rhs):
+            session.resolve(rhs)
+        self.certified = self.certified and session.pivots == 0
         return session
 
 

@@ -13,12 +13,12 @@ system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
 previous optimum, and only prices there when that basis is optimal for
 a. P's rows depend only on the sorted wedge multiset, and its
 right-hand sides a . apex only on the apexes, so ``multilattice_search``
-re-solves the rows at each trial's right-hand sides (``lp.Warm``),
-computed in ints: the dual simplex starts from the latest trial's basis,
-feasible or not, a trial whose basis stays where every a was optimal
-runs no LP, and the rows are built once per multiset, for its one cold
-session. Its C is converted once per wedge combination, so that no
-trial minimizes a redundant row.
+keeps one session of the rows per multiset (``lp.Warm``), built once and
+re-solved in place at each trial's right-hand sides, computed in ints:
+the dual simplex starts from the basis the last trial left, feasible or
+not, and a trial whose basis stays where every a was optimal runs no LP.
+Its C is converted once per wedge combination, so that no trial
+minimizes a redundant row.
 """
 
 from __future__ import annotations
@@ -132,13 +132,14 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
 
 
 def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupSet | None:
-    """``msup`` with C = ``cw`` given, and P re-solved from ``warm``'s latest states.
+    """``msup`` with C = ``cw`` given, and P solved in ``warm``'s one session.
 
-    P's rows depend only on the sorted wedge multiset in a search, so P is
-    re-solved at the new apexes' right-hand sides a . apex (``Warm``), and
-    its rows are built only for a cold session. When the basis the last
-    trial left optimal for every row of C does not move, no LP runs at
-    all. The verdict is the same; a witness of a non-proper set may differ.
+    P's rows depend only on the sorted wedge multiset in a search, so the
+    session is re-solved at the new apexes' right-hand sides a . apex
+    (``Warm``), and its rows are built only once, cold. When the basis
+    the last trial left optimal for every row of C does not move, no LP
+    runs at all. The verdict is the same; a witness of a non-proper set
+    may differ.
     """
     session = warm.session(cw.dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
     if not session.feasible:

@@ -9,9 +9,8 @@ are computed by exact LP for each generator x of the sum wedge, as
 ``wedge_sum`` lists them, each as a point of U, the complement of the
 codomain wedge's lineality that ``projections`` projects onto, and
 assembled into a linear representative. When the domain family lacks
-the decomposition property this assembly is impossible or produces a
-non-dominating map, and the failure is reported instead of silently
-returning a wrong answer.
+the decomposition property this assembly can be impossible, and the
+failure is reported instead of silently returning a wrong answer.
 
 The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
@@ -22,11 +21,14 @@ also answers fs_decompose, over coordinate wedges) and rdp_search, in
 transportation form: the sums fix the last row and column of z, so it
 has >= rows only. The rows depend only on m and the sorted wedge
 multiset, and the right-hand sides only on the xs and ys, so rdp_search
-re-solves the rows at each trial's right-hand sides (``lp.Warm``): the
-dual simplex starts from the latest trial's basis, the rows are built
-once per multiset, and a search reads only the verdict, never z. The witness of the values, b . z = s_b for every
-normal b of V, is the particular solution of a linear system
-(``linalg.solve_linear``); no simplex runs.
+keeps one session of the rows per multiset (``lp.Warm``), built once and
+re-solved in place at each trial's right-hand sides: the dual simplex
+starts from the basis the last trial left, and a search reads only the
+verdict, never z.
+
+The witness of the values, b . z = s_b for every normal b of V, is the
+particular solution of a linear system (``linalg.solve_linear``); no
+simplex runs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
 )
 from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
 from .lp import Session, Unbounded, Warm
-from .multiorder import MultiSupSet, TranslatedWedge, _trials, is_multi_upper_bound, multi_bounded_above
+from .multiorder import MultiSupSet, TranslatedWedge, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 LinearOperator = QMatrix
@@ -201,12 +203,8 @@ class RDPInstance:
     def dim(self) -> int:
         return self.wedges[0].dim
 
-    def validate(self) -> None:
-        self._validate_but_sum_wedge()
-        self._validate_sum_wedge()
-
-    def _validate_but_sum_wedge(self) -> None:
-        """Every check of ``validate`` except the x_i in the sum wedge, in the same order."""
+    def _validate(self) -> None:
+        """Every invariant but the x_i in the sum wedge, which ``rdp_check`` tests only without a z."""
         if not self.wedges or not self.xs:
             raise InvalidInstance("need at least one wedge and one x")
         if len(self.wedges) != len(self.ys):
@@ -221,10 +219,6 @@ class RDPInstance:
                 raise InvalidInstance("some y_j is not a member of its wedge")
         if sum(self.xs, QVector.zero(dim)) != sum(self.ys, QVector.zero(dim)):
             raise InvalidInstance("sum of xs does not equal sum of ys")
-
-    def _validate_sum_wedge(self) -> None:
-        if not all(map(wedge_sum(self.wedges).member, self.xs)):
-            raise InvalidInstance("some x_i is outside the sum of the wedges")
 
     def to_json(self) -> dict:
         return {
@@ -273,10 +267,11 @@ def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     """
     # A decomposition puts every x_i in the sum wedge, so that check, a
     # conversion of the sum, runs only when there is none.
-    inst._validate_but_sum_wedge()
+    inst._validate()
     point = _rdp_session(inst, Warm()).feasible_point()
     if point is None:
-        inst._validate_sum_wedge()
+        if not all(map(wedge_sum(inst.wedges).member, inst.xs)):
+            raise InvalidInstance("some x_i is outside the sum of the wedges")
         return None
     m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     t = [QVector._of(point.num[k * dim : (k + 1) * dim], point.den) for k in range((m - 1) * (n - 1))]
@@ -308,8 +303,8 @@ def _blocks(inst: RDPInstance) -> Iterator[tuple[int, QVector, list[tuple[int, i
 def _rdp_session(inst: RDPInstance, warm: Warm) -> Session:
     """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm``.
 
-    ``warm`` holds the latest states of the rows, which depend only on m
-    and the sorted wedge multiset in a search, to re-solve them at new
+    ``warm`` holds the one session of the rows, which depend only on m
+    and the sorted wedge multiset in a search, and re-solves it at new
     right-hand sides -a . c_ij; a fresh ``Warm`` gives the cold session.
     """
     dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
@@ -514,9 +509,11 @@ def op_msup(
     whole sum, so any generating set gives the same answer. Raises
     NoMultiSupremum when the values at some generator have no
     multi-supremum in V. Raises RDPViolated when the supremum values fail
-    to extend additively or the assembled map is not a multi-upper bound
-    of the family: both certify that the domain family lacks the required
-    decomposition property.
+    to extend additively, which certifies that the domain family lacks
+    the required decomposition property. An additive extension rep
+    dominates the family: ``wedge_sum`` keeps every generator g of every
+    W_i, so b . rep(g) = s_b(g) >= b . T_i(g) for each canonical normal b
+    of V, and every normal of V is a nonnegative combination of those.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     family = [
@@ -533,11 +530,6 @@ def op_msup(
         raise RDPViolated(
             "supremum values are not additive on the generators of the sum wedge"
         ) from exc
-    if not is_multi_upper_bound(_vec(rep), family):
-        raise RDPViolated(
-            "assembled representative does not dominate the family; "
-            "the decomposition hypothesis fails for these wedges"
-        )
     return OperatorMSupResult(rep, tuple(op_wedge_lineality(wedges, [v_wedge])))
 
 

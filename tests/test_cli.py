@@ -659,6 +659,28 @@ def test_the_package_has_no_assert():
     assert found == []
 
 
+def test_readme_names_only_real_tests():
+    # Every backticked test_ name in README.md is a test module under
+    # tests/ or a test function defined in one, so that renaming a test
+    # without the README fails here.
+    import ast
+    import re
+
+    here = Path(__file__).parent
+    modules = {p.name for p in here.glob("test_*.py")}
+    defined = {
+        node.name
+        for path in here.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+    readme = (here.parent / "README.md").read_text()
+    names = {name for span in re.findall(r"`([^`\n]+)`", readme) for name in re.findall(r"test_\w+(?:\.py)?", span)}
+    named_modules = {name for name in names if name.endswith(".py")}
+    assert named_modules and names - named_modules
+    assert sorted(named_modules - modules) == [] and sorted(names - named_modules - defined) == []
+
+
 def test_scenario_rerun_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")
     _, out2, _ = run_cli(capsys, "examples", "run", "ex2.7", "--seed", "3")

@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session, _fold, _ge_rows
+from multiwedge.lp import Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -299,16 +299,16 @@ def test_resolve_moves_only_the_equality_rhs():
             i = rng.choice([i for i, rel in enumerate(rels) if rel == EQ])
             new_rhs[i] += rng.choice([-1, 1])
         ge_new = _ge(zip(rows, rels, new_rhs))[1]
-        got = base.resolve(ge_new)
+        assert base.resolve(ge_new) is None
         cold = Session(n, ge_rows, ge_new)
-        assert got.feasible == cold.feasible
-        if got.feasible:
+        assert base.feasible == cold.feasible
+        if base.feasible:
             outcomes["feasible"] += 1
-            assert point_feasible(got.feasible_point().entries, rows, rels, new_rhs)
+            assert point_feasible(base.feasible_point().entries, rows, rels, new_rhs)
             want = fraction_resolve(n, *_lists(ge_rows, ge_rhs), list(ge_new.entries))
-            assert want == ("feasible", list(got.feasible_point().entries))
+            assert want == ("feasible", list(base.feasible_point().entries))
         else:
-            farkas = got.minimize(QVector.zero(n)).farkas
+            farkas = base.minimize(QVector.zero(n)).farkas
             assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
             outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "negative"] += 1
     assert outcomes["feasible"] >= 40 and outcomes["inconsistent"] >= 20 and outcomes["negative"] >= 10, outcomes
@@ -520,8 +520,8 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
         session = Session(n, rows, rhs)
         assert session.feasible and session.pivots == 0
         assert session.feasible_point() == QVector.zero(n)
-        again = session.resolve(rhs)
-        assert again.feasible and again.pivots == 0
+        session.resolve(rhs)
+        assert session.feasible and session.pivots == 0
     assert pivots["pivot"] == 0
 
 
@@ -566,12 +566,15 @@ def _new_rhs(rng, cons):
 
 
 def test_resolve_matches_cold_session():
-    # base.resolve(b') against Session(n, rows with b'): verdicts, minimize
-    # values and Farkas vectors; its phase-1 point against the Fraction
-    # dual simplex, which reads the same start and pivots by Bland's rule.
-    # An infeasible base re-solves from where its phase 1 stopped, with the
-    # same checks. From a session minimized at an objective, the re-solved
-    # basis stays optimal for that objective.
+    # A fresh session re-solved at b' against Session(n, rows with b'):
+    # verdicts, minimize values and Farkas vectors; its phase-1 point
+    # against the Fraction dual simplex, which reads the same start and
+    # pivots by Bland's rule. An infeasible base re-solves from where its
+    # phase 1 stopped, with the same checks. From a session minimized at
+    # an objective, the re-solved basis stays optimal for that objective.
+    # A chain, one session re-solved in place at each b' in turn and
+    # minimized in between, gives the cold verdicts, values and Farkas
+    # proofs at every step.
     systems = random.Random(2718)
     outcomes = Counter()
     for trial in range(500):
@@ -585,28 +588,30 @@ def test_resolve_matches_cold_session():
         rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
         ge_rows, ge_rhs, signs = _ge(cons)
         fs_rows, fs_rhs = _lists(ge_rows, ge_rhs)
-        base, optimum = Session(n, ge_rows, ge_rhs), Session(n, ge_rows, ge_rhs)
         objective = QVector([F(systems.randint(-3, 3)) for _ in range(n)])
-        start = optimum.minimize(objective)
+        chain = Session(n, ge_rows, ge_rhs)
         for _ in range(4):
             new_rhs = _new_rhs(systems, cons)
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
             cold = Session(n, ge_rows, ge_new)
+            base, optimum = Session(n, ge_rows, ge_rhs), Session(n, ge_rows, ge_rhs)
+            start = optimum.minimize(objective)
+            was_feasible = base.feasible
             if not base.feasible and base.refutes(ge_new):
                 # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
                 assert not cold.feasible
                 outcomes["farkas_refuted"] += 1
-            got = base.resolve(ge_new)
-            assert got.feasible == cold.feasible
-            if not base.feasible:
-                outcomes["from_infeasible", got.feasible] += 1
-            if got.feasible:
-                outcomes["pivoted" if got.pivots else "no_pivot"] += 1
-                point = got.feasible_point()
+            base.resolve(ge_new)
+            assert base.feasible == cold.feasible
+            if not was_feasible:
+                outcomes["from_infeasible", base.feasible] += 1
+            if base.feasible:
+                outcomes["pivoted" if base.pivots else "no_pivot"] += 1
+                point = base.feasible_point()
                 assert point_feasible(point.entries, rows, rels, new_rhs)
                 assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("feasible", list(point.entries))
                 for c in (objective, QVector.zero(n), -objective):
-                    a, b = got.minimize(c), cold.minimize(c)
+                    a, b = base.minimize(c), cold.minimize(c)
                     assert type(a) is type(b)
                     if isinstance(a, Optimal):
                         assert a.value == b.value
@@ -614,24 +619,40 @@ def test_resolve_matches_cold_session():
                 outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "dual_infeasible"] += 1
                 assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("infeasible", None)
             if not cold.feasible:
-                farkas = got.minimize(QVector.zero(n)).farkas
+                farkas = base.minimize(QVector.zero(n)).farkas
                 assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-                assert got.refutes(ge_new)
-                assert not (base.feasible and got.refutes(ge_rhs))
+                assert base.refutes(ge_new)
+                assert not (was_feasible and base.refutes(ge_rhs))
             if isinstance(start, Optimal):
-                warm = optimum.resolve(ge_new)
-                assert warm.feasible == cold.feasible
-                if warm.feasible:
+                optimum.resolve(ge_new)
+                assert optimum.feasible == cold.feasible
+                if optimum.feasible:
                     best = cold.minimize(objective)
-                    assert objective.dot(warm.feasible_point()) == best.value
+                    assert objective.dot(optimum.feasible_point()) == best.value
                     want = fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries), list(objective.entries))
-                    assert want == ("feasible", list(warm.feasible_point().entries))
-                    # A chain: the re-solved session re-solves in turn.
-                    back = warm.resolve(ge_rhs)
-                    assert back.feasible and point_feasible(back.feasible_point().entries, rows, rels, rhs)
+                    assert want == ("feasible", list(optimum.feasible_point().entries))
+                    # Back at b, the basis is optimal for the objective again.
+                    optimum.resolve(ge_rhs)
+                    assert optimum.feasible and objective.dot(optimum.feasible_point()) == start.value
+            chain_was_feasible = chain.feasible
+            chain.resolve(ge_new)
+            assert chain.feasible == cold.feasible
+            outcomes["chain", chain_was_feasible, chain.feasible] += 1
+            if chain.feasible:
+                assert point_feasible(chain.feasible_point().entries, rows, rels, new_rhs)
+                for c in (objective, QVector.zero(n), -objective):
+                    a, b = chain.minimize(c), cold.minimize(c)
+                    assert type(a) is type(b)
+                    if isinstance(a, Optimal):
+                        assert a.value == b.value
+            else:
+                farkas = chain.minimize(QVector.zero(n)).farkas
+                assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
+                assert chain.refutes(ge_new)
     for outcome in (
         "no_pivot", "pivoted", "dual_infeasible", "inconsistent", "farkas_refuted",
         ("from_infeasible", True), ("from_infeasible", False),
+        *(("chain", before, after) for before in (True, False) for after in (True, False)),
     ):
         assert outcomes[outcome] >= 20, outcomes
 
@@ -681,13 +702,14 @@ def test_unbounded_objective_resets_the_reduced_row():
         seen["stale"] += any(first._reduced.num[b] for b in session._basis)
         for _ in range(3):
             ge_new = _ge(zip(rows, rels, _new_rhs(systems, cons)))[1]
-            got, cold = session.resolve(ge_new), Session(n, ge_rows, ge_new)
-            assert got.feasible == cold.feasible
-            assert _prices_its_basis(got)
-            seen[got.feasible] += 1
-            if got.feasible:
+            session.resolve(ge_new)
+            cold = Session(n, ge_rows, ge_new)
+            assert session.feasible == cold.feasible
+            assert _prices_its_basis(session)
+            seen[session.feasible] += 1
+            if session.feasible:
                 for c in (objective, ray):
-                    a, b = got.minimize(c), cold.minimize(c)
+                    a, b = session.minimize(c), cold.minimize(c)
                     assert type(a) is type(b)
                     if isinstance(a, Optimal):
                         assert a.value == b.value
@@ -778,11 +800,12 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
     # Each solve moves the session's one basis, and its results are
     # values: an Optimal's value, point and duals (read at once or first
     # read once the session has moved on) and an Unbounded's ray do not
-    # change with later minimize and resolve calls, and late duals still
-    # prove the value. A re-solve from c's optimum keeps its basis
-    # optimal for c, with a cold session's verdict and no phase-2 pivot
-    # for c, and minimizing c again at c's optimum takes no pivot and
-    # gives c . point.
+    # change with later minimize calls and in-place resolve calls, and
+    # late duals still prove the value. Minimizing c again at c's optimum
+    # takes no pivot and gives c . point. A re-solve from c's optimum
+    # keeps its basis optimal for c, with a cold session's verdict and no
+    # phase-2 pivot for c, and so does the re-solve back to the base
+    # right-hand sides, where the next objective is minimized.
     rng = random.Random(1941)
     outcomes = Counter()
     for _, n, cons, objectives in _optimum_systems(rng):
@@ -792,32 +815,41 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
         for c in objectives:
             pivots = session.pivots
             res = session.minimize(c)
+            new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
             if isinstance(res, Unbounded):
-                kept.append((c, res, res.ray.entries, session.pivots))
+                kept.append((c, res, res.ray.entries, list(session._basis)))
                 # With zero costs left, the basis is a start for resolve.
-                new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
-                assert session.resolve(new_rhs).feasible == Session(n, rows, new_rhs).feasible
+                session.resolve(new_rhs)
+                assert session.feasible == Session(n, rows, new_rhs).feasible
+                session.resolve(rhs)
+                assert session.feasible
                 continue
             if not isinstance(res, Optimal):
                 continue
             outcomes["no pivot" if session.pivots == pivots else "pivoted"] += 1
-            early = res.dual if len(kept) % 2 else None
-            kept.append((c, res, (res.value, res.point.entries, early), session.pivots))
-            new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
-            cold, warm = Session(n, rows, new_rhs), session.resolve(new_rhs)
-            assert warm.feasible == cold.feasible
-            if warm.feasible:
-                pivots = warm.pivots
-                assert c.dot(warm.feasible_point()) == warm.minimize(c).value == cold.minimize(c).value
-                assert warm.pivots == pivots
-            outcomes["resolved", warm.feasible] += 1
             pivots = session.pivots
             again = session.minimize(c)
             assert session.pivots == pivots and again.value == c.dot(res.point) and again.point == res.point
+            # ``again`` holds the reduced row that the session re-solves from.
+            for r in (res, again):
+                early = r.dual if len(kept) % 2 else None
+                kept.append((c, r, (r.value, r.point.entries, early), list(session._basis)))
+            cold = Session(n, rows, new_rhs)
+            session.resolve(new_rhs)
+            assert session.feasible == cold.feasible
+            if session.feasible:
+                pivots = session.pivots
+                assert c.dot(session.feasible_point()) == session.minimize(c).value == cold.minimize(c).value
+                assert session.pivots == pivots
+            outcomes["resolved", session.feasible] += 1
+            session.resolve(rhs)
+            pivots = session.pivots
+            assert session.feasible and c.dot(session.feasible_point()) == session.minimize(c).value == res.value
+            assert session.pivots == pivots
         for c in reversed(objectives):
             session.minimize(c)
-        for c, res, before, pivots in kept:
-            moved = session.pivots > pivots
+        for c, res, before, basis in kept:
+            moved = session._basis != basis
             if isinstance(res, Unbounded):
                 assert res.ray.entries == before and _proves_unbounded(res.ray, c, rows)
                 outcomes["ray", moved] += 1
@@ -851,15 +883,74 @@ def test_resolve_checks_its_arguments():
             infeasible.refutes(rhs)
         with pytest.raises(ValueError):
             infeasible.resolve(rhs)
-    # An infeasible session re-solves from its kept basis, exactly.
-    again = infeasible.resolve(QVector([0, F(-1, 2)]))
-    assert again.feasible and again.pivots == 0
+    # An infeasible session re-solves from its kept basis, exactly, in place.
+    assert infeasible.resolve(QVector([0, F(-1, 2)])) is None
+    assert infeasible.feasible and infeasible.pivots == 0
     want = fraction_resolve(1, [[1], [-1]], [1, 0], [0, F(-1, 2)])
-    assert want == ("feasible", list(again.feasible_point().entries))
-    assert again.minimize(QVector([1])).value == 0 and again.minimize(QVector([-1])).value == F(-1, 2)
-    assert not infeasible.resolve(QVector([2, -1])).feasible
+    assert want == ("feasible", list(infeasible.feasible_point().entries))
+    assert infeasible.minimize(QVector([1])).value == 0 and infeasible.minimize(QVector([-1])).value == F(-1, 2)
+    infeasible.resolve(QVector([2, -1]))
+    assert not infeasible.feasible and infeasible.refutes(QVector([2, -1]))
     session.minimize(QVector([1, 1]))
-    assert session.resolve(QVector([-2, 3])).feasible_point() == QVector([-2, 3])
+    session.resolve(QVector([-2, 3]))
+    assert session.feasible_point() == QVector([-2, 3])
+
+
+def test_warm_keeps_one_session(monkeypatch):
+    # One Warm across the trials of one system: the first trial builds the
+    # cold session from rows(), and every later one gets that same session
+    # back without a call to rows(). A trial that the session's Farkas
+    # vector refutes leaves it as it is: no resolve call and no pivot. Any
+    # other trial re-solves it in place, with a cold session's verdict,
+    # and ``certified`` survives exactly the re-solves that take no pivot.
+    calls = Counter()
+    pivot, resolve = lp_module._pivot, Session.resolve
+
+    def counted(*args):
+        calls["pivot"] += 1
+        return pivot(*args)
+
+    def resolved(self, rhs):
+        calls["resolve"] += 1
+        return resolve(self, rhs)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    monkeypatch.setattr(Session, "resolve", resolved)
+
+    def no_rows():
+        pytest.fail("rows() is called only for the cold session")
+
+    rng = random.Random(1153)
+    outcomes = Counter()
+    for _ in range(150):
+        n, _, _, cons = _random_exactness_lp(rng)
+        rows, rels = ([c[k] for c in cons] for k in range(2))
+        ge_rows, ge_rhs, _ = _ge(cons)
+        warm, built = Warm(), []
+        calls.clear()
+        first = warm.session(n, ge_rhs, lambda: built.append(ge_rows) or ge_rows)
+        assert built == [ge_rows] and calls["resolve"] == 0 and not warm.certified
+        for _ in range(6):
+            ge_new = _ge(zip(rows, rels, _new_rhs(rng, cons)))[1]
+            cold = Session(n, ge_rows, ge_new)
+            refuted = first.refutes(ge_new)
+            warm.certified = True
+            before = calls.copy()
+            got = warm.session(n, ge_new, no_rows)
+            pivots = calls["pivot"] - before["pivot"]
+            assert got is first and got.feasible == cold.feasible
+            if refuted:
+                assert calls["resolve"] == before["resolve"] and pivots == 0
+                outcomes["refuted"] += 1
+            else:
+                assert calls["resolve"] == before["resolve"] + 1 and got.pivots == pivots
+                assert warm.certified == (pivots == 0)
+                outcomes["resolved", got.feasible, pivots > 0] += 1
+            if got.feasible:
+                got.minimize(QVector([rng.randint(-2, 2) for _ in range(n)]))
+    assert outcomes["refuted"] >= 20, outcomes
+    for feasible, pivoted in product((True, False), (True, False)):
+        assert outcomes["resolved", feasible, pivoted] >= 20, outcomes
 
 
 def _pair_folded(y, cons):
