@@ -34,11 +34,19 @@ by the same dual simplex: the new right-hand side column is B^-1 (-b'),
 and the basis stays dual feasible for the last objective (with zero
 costs, at build or after an unbounded objective, every basis is), so it
 starts from any session, an infeasible one included. An infeasible
-session keeps its tableau, its basis and a Farkas vector, which refutes a
-later right-hand side with one dot product. ``Warm`` keeps the one
-session of a caller that solves one system at many right-hand sides: a
-trial passes only its right-hand sides, and the rows are built once, for
-the cold session.
+session keeps its tableau, its basis and a ``Farkas`` vector.
+
+``Warm`` serves a caller that solves one system at many right-hand sides
+b, as a search does: a trial passes only b, and the rows are built once,
+for the cold session. Neither a Farkas vector nor a basis's reduced
+costs read b, so the verdict at b depends only on which critical region
+b falls in (multiparametric LP: Gal and Nedoma 1972, Multiparametric
+linear programming, Management Science 18). ``Warm`` keeps every Farkas
+vector its session has produced, and every basis its caller certified as
+a ``Region``, the slack part of B^-1: a trial that a kept vector refutes
+(y . b > 0), or that lies in a kept region (B^-1 b feasible on every
+slack-basic row), is decided by dot products of ints, without touching
+the session. Only the other trials re-solve it.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -243,8 +251,8 @@ class Session:
         self.feasible, self._farkas = leave < 0, None
         if not self.feasible:
             row = self._tableau[leave]
-            self._farkas = QVector._of(row.num[self.n : self._ncols], row.den)
-            if not self.refutes(rhs):
+            self._farkas = Farkas(QVector._of(row.num[self.n : self._ncols], row.den))
+            if not self._farkas.refutes(rhs):
                 raise InternalInvariantError("a Farkas vector y of the rows has y . b <= 0")
 
     def feasible_point(self) -> QVector | None:
@@ -269,7 +277,7 @@ class Session:
         if objective.dim != n:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
-            return Infeasible(self._farkas)
+            return Infeasible(self._farkas.y)
         tableau, basis, ncols = self._tableau, self._basis, self._ncols
         cost = _Row(list(objective.num) + [0] * (ncols - n + 1), objective.den)
         status, info, pivots = _run(tableau, basis, cost, n, ncols)
@@ -282,20 +290,6 @@ class Session:
         self._reduced = info
         # The right-hand-side entry of the reduced row is minus the objective.
         return Optimal(Fraction(-info.num[ncols], info.den), _vector(tableau, basis, n, ncols, 1), info)
-
-    def refutes(self, rhs: QVector) -> bool:
-        """Whether this session's Farkas vector y proves the rows infeasible at ``rhs`` too.
-
-        ``rhs`` holds one right-hand side per row, in the order given.
-        y^T A = 0 and y >= 0 do not read the right-hand side, so y . rhs > 0
-        is enough: one dot product of int numerators (both denominators are
-        positive).
-        """
-        if rhs.dim != self._ncols - self.n:
-            raise ValueError("refutes needs one right-hand side per row")
-        if self.feasible:
-            return False
-        return sum(map(mul, self._farkas.num, rhs.num)) > 0
 
     def resolve(self, rhs: QVector) -> None:
         """Re-solve this system's rows at the right-hand sides ``rhs``, in place.
@@ -329,34 +323,117 @@ class Session:
         self._settle(rhs)
 
 
-class Warm:
-    """One session of one constraint matrix, moved across right-hand sides.
+class Farkas:
+    """A Farkas vector y of a system's >= rows: y >= 0 and y^T A = 0.
 
-    ``session`` takes a trial's right-hand sides only. The first trial
-    builds the cold ``Session`` of the rows that ``rows()`` builds; a
-    later one gets the same session, unchanged when its Farkas vector
-    refutes the new right-hand sides, else re-solved there in place
-    (``resolve``), from wherever the last trial left it, feasible or not.
-    The caller sets ``certified`` when the session's basis is optimal for
-    every objective it reads there; ``session`` keeps it only while a
-    re-solve takes no pivot, as the basis then has not moved.
+    Neither condition reads the right-hand side, so y proves the rows
+    infeasible at every b with y . b > 0: one dot product of int
+    numerators (both denominators are positive). ``feasible`` is False,
+    as for the session it came from, which ``Warm.solve`` returns it for.
     """
 
-    __slots__ = ("latest", "certified")
+    __slots__ = ("y",)
+    feasible = False
+
+    def __init__(self, y: QVector):
+        self.y = y
+
+    def refutes(self, rhs: QVector) -> bool:
+        return sum(map(mul, self.y.num, rhs.num)) > 0
+
+
+class Region:
+    """A session's basis B, kept as the slack part of B^-1: the right-hand sides where B is feasible.
+
+    The slack columns hold B^-1 and the right-hand side column is
+    B^-1 (-b), so B is primal feasible at b exactly when -u . b >= 0 for
+    the slack part u of each row whose basic variable is a slack, and its
+    point puts each basic free variable at -u . b / den of its row. B's
+    reduced costs do not read b either: wherever B is feasible it is
+    optimal for every objective it was optimal for when it was kept.
+    ``feasible`` is True, as for a feasible session.
+    """
+
+    __slots__ = ("n", "_slacks", "_free")
+    feasible = True
+
+    def __init__(self, session: Session):
+        n, ncols = session.n, session._ncols
+        self.n, self._slacks, self._free = n, [], []
+        for row, b in zip(session._tableau, session._basis):
+            if b >= n:
+                self._slacks.append(row.num[n:ncols])
+            else:
+                self._free.append((b, row.num[n:ncols], row.den))
+
+    def contains(self, rhs: QVector) -> bool:
+        b = rhs.num
+        for u in self._slacks:
+            if sum(map(mul, u, b)) > 0:
+                return False
+        return True
+
+    def point(self, rhs: QVector) -> QVector:
+        """B's point at ``rhs``: a session re-solved there without a pivot has it as its ``feasible_point``."""
+        b, x = rhs.num, [0] * self.n
+        den = lcm(*[d for _, _, d in self._free])
+        for j, u, d in self._free:
+            x[j] = -sum(map(mul, u, b)) * (den // d)
+        return QVector._of(x, den * rhs.den)
+
+
+class Warm:
+    """One session of one constraint matrix, moved across right-hand sides, and what it has proved.
+
+    ``solve`` takes a trial's right-hand sides only. ``Warm`` keeps every
+    Farkas vector its session has produced, and every basis its caller
+    certified (``certify``) as a ``Region``. A trial that a kept Farkas
+    vector refutes gets that ``Farkas``, and else one that lies in a kept
+    region gets that ``Region``: neither touches the session. Any other
+    trial gets the session: the first builds the cold ``Session`` of the
+    rows that ``rows()`` builds, and a later one re-solves the same session
+    in place (``resolve``), from wherever the last trial left it, feasible
+    or not. Each of the three has ``feasible``, and every verdict is that
+    of a cold session, as neither a Farkas vector nor a basis's reduced
+    costs read the right-hand side. Entries come only from trials that no
+    kept entry decides, so none is kept twice. A fresh ``Warm`` keeps
+    nothing: its first ``solve`` is the cold session.
+    """
+
+    __slots__ = ("latest", "_proofs", "_regions")
 
     def __init__(self):
         self.latest: Session | None = None
-        self.certified = False
+        self._proofs: list[Farkas] = []
+        self._regions: list[Region] = []
 
-    def session(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session:
-        """The >= rows at ``rhs``; ``rows()`` builds them, for the cold session."""
+    def solve(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session | Farkas | Region:
+        """The >= rows at ``rhs``, decided by a kept entry or by the session; ``rows()`` builds them, for the cold session."""
         session = self.latest
         if session is None:
             session = self.latest = Session(n, rows(), rhs)
-        elif not session.refutes(rhs):
+        else:
+            if rhs.dim != session._ncols - session.n:
+                raise ValueError("solve needs one right-hand side per row")
+            for proof in self._proofs:
+                if proof.refutes(rhs):
+                    return proof
+            for region in self._regions:
+                if region.contains(rhs):
+                    return region
             session.resolve(rhs)
-        self.certified = self.certified and session.pivots == 0
+        if not session.feasible:
+            self._proofs.append(session._farkas)
         return session
+
+    def certify(self) -> None:
+        """Keep the basis of the feasible session that ``solve`` just returned as a ``Region``.
+
+        The caller certifies the basis optimal for every objective it
+        reads: the region then answers for the session at every
+        right-hand side inside it.
+        """
+        self._regions.append(Region(self.latest))
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:

@@ -13,12 +13,14 @@ system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
 previous optimum, and only prices there when that basis is optimal for
 a. P's rows depend only on the sorted wedge multiset, and its
 right-hand sides a . apex only on the apexes, so ``multilattice_search``
-keeps one session of the rows per multiset (``lp.Warm``), built once and
-re-solved in place at each trial's right-hand sides, computed in ints:
-the dual simplex starts from the basis the last trial left, feasible or
-not, and a trial whose basis stays where every a was optimal runs no LP.
-Its C is converted once per wedge combination, so that no trial
-minimizes a redundant row.
+keeps one ``lp.Warm`` per multiset: one session of the rows, built once,
+with every Farkas vector it has produced and every basis at which every
+a was optimal. A trial, given by its right-hand sides, computed in ints,
+runs no LP when a kept Farkas vector refutes them (no upper bound) or
+they lie in a kept basis's region (its point is a multi-supremum);
+else the session is re-solved in place there, by the dual simplex from
+the basis the last trial left, feasible or not. C is converted once per
+wedge combination, so that no trial minimizes a redundant row.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, _dots, span_contains
-from .lp import Optimal, Session, Warm
+from .lp import Optimal, Region, Session, Warm
 from .wedges import Wedge, intersect
 
 
@@ -132,23 +134,24 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
 
 
 def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupSet | None:
-    """``msup`` with C = ``cw`` given, and P solved in ``warm``'s one session.
+    """``msup`` with C = ``cw`` given, and P solved through ``warm``.
 
-    P's rows depend only on the sorted wedge multiset in a search, so the
-    session is re-solved at the new apexes' right-hand sides a . apex
-    (``Warm``), and its rows are built only once, cold. When the basis
-    the last trial left optimal for every row of C does not move, no LP
-    runs at all. The verdict is the same; a witness of a non-proper set
-    may differ.
+    P's rows depend only on the sorted wedge multiset in a search, so
+    ``warm`` decides a trial from its right-hand sides a . apex alone
+    (``Warm.solve``): a kept Farkas vector refutes them, or they lie in
+    the region of a kept basis optimal for every row of C, whose point
+    then attains every m_a, and no LP runs; else its one session is
+    re-solved there, and its rows are built only once, cold. A basis at
+    which no row of C pivots after the sum is kept. The verdict is the
+    same; a witness of a non-proper set may differ.
     """
-    session = warm.session(cw.dim, _upper_bound_rhs(family), lambda: _upper_bound_rows(family))
-    if not session.feasible:
+    rhs = _upper_bound_rhs(family)
+    solved = warm.solve(cw.dim, rhs, lambda: _upper_bound_rows(family))
+    if not solved.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    if warm.certified:
-        # The basis is still primal feasible and optimal for every row
-        # (reduced costs do not read the right-hand side), so its point
-        # attains every m_a.
-        return MultiSupSet(session.feasible_point(), cw.lineality_basis)
+    if isinstance(solved, Region):
+        return MultiSupSet(solved.point(rhs), cw.lineality_basis)
+    session = solved
 
     # Each row a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
@@ -164,8 +167,9 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
     res = minimum(sum(cw.halfspaces, QVector.zero(cw.dim)))
     pivots = session.pivots
     total = sum(minimum(a).value for a in cw.halfspaces)
-    # No row pivoted: the sum's basis is optimal for every row.
-    warm.certified = session.pivots == pivots
+    if session.pivots == pivots:
+        # No row pivoted: the sum's basis is optimal for every row.
+        warm.certify()
     if res.value != total:
         return None
     return MultiSupSet(res.point, cw.lineality_basis)

@@ -21,10 +21,12 @@ also answers fs_decompose, over coordinate wedges) and rdp_search, in
 transportation form: the sums fix the last row and column of z, so it
 has >= rows only. The rows depend only on m and the sorted wedge
 multiset, and the right-hand sides only on the xs and ys, so rdp_search
-keeps one session of the rows per multiset (``lp.Warm``), built once and
-re-solved in place at each trial's right-hand sides: the dual simplex
-starts from the basis the last trial left, and a search reads only the
-verdict, never z.
+keeps one ``lp.Warm`` per multiset: one session of the rows, built once,
+with every Farkas vector it has produced and every feasible basis it
+has reached. A search reads only the verdict, never z, so a trial whose
+right-hand sides a kept Farkas vector refutes, or a kept basis keeps
+feasible, runs no LP; any other re-solves the session in place, by the
+dual simplex from the basis the last trial left.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -50,7 +52,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
-from .lp import Session, Unbounded, Warm
+from .lp import Farkas, Region, Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -300,12 +302,14 @@ def _blocks(inst: RDPInstance) -> Iterator[tuple[int, QVector, list[tuple[int, i
                 yield j, ys[j] - sum(xs[:-1], zero), [(1, k) for k in range((m - 1) * (n - 1))]
 
 
-def _rdp_session(inst: RDPInstance, warm: Warm) -> Session:
+def _rdp_session(inst: RDPInstance, warm: Warm) -> Session | Farkas | Region:
     """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm``.
 
-    ``warm`` holds the one session of the rows, which depend only on m
-    and the sorted wedge multiset in a search, and re-solves it at new
-    right-hand sides -a . c_ij; a fresh ``Warm`` gives the cold session.
+    The rows depend only on m and the sorted wedge multiset in a search,
+    so ``warm`` decides from the right-hand sides -a . c_ij alone
+    (``Warm.solve``): by a kept Farkas vector or a kept feasible basis,
+    else by its one session re-solved there. A fresh ``Warm`` gives the
+    cold session.
     """
     dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
     cells = [(a, c, ts) for j, c, ts in _blocks(inst) for a in inst.wedges[j].halfspaces]
@@ -321,7 +325,7 @@ def _rdp_session(inst: RDPInstance, warm: Warm) -> Session:
             out.append(QVector._of(num, a.den))
         return out
 
-    return warm.session(nt, rhs, rows)
+    return warm.solve(nt, rhs, rows)
 
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:
@@ -342,8 +346,10 @@ def rdp_search(
     Samples y_j from n wedges (drawn with repetition), splits their sum
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
-    Only the verdict is read: no trial assembles a z. Deterministic for a
-    fixed seed. Each instance is checked in sorted wedge order (see
+    Only the verdict is read: no trial assembles a z, and every feasible
+    basis the session reaches is certified, so that a later trial it
+    keeps feasible runs no LP (``lp.Warm``). Deterministic for a fixed
+    seed. Each instance is checked in sorted wedge order (see
     ``multiorder._trials``).
     """
     if m < 1 or n < 1:
@@ -359,8 +365,12 @@ def rdp_search(
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
         posed = RDPInstance(tuple(inst.wedges[p] for p in order), inst.xs, tuple(ys[p] for p in order))
-        if not _rdp_session(posed, warm).feasible:
+        solved = _rdp_session(posed, warm)
+        if not solved.feasible:
             return inst
+        if isinstance(solved, Session):
+            # Only feasibility is read, so every feasible basis is certified.
+            warm.certify()
     return None
 
 

@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session, Warm, _fold, _ge_rows
+from multiwedge.lp import Farkas, Region, Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -597,7 +597,7 @@ def test_resolve_matches_cold_session():
             base, optimum = Session(n, ge_rows, ge_rhs), Session(n, ge_rows, ge_rhs)
             start = optimum.minimize(objective)
             was_feasible = base.feasible
-            if not base.feasible and base.refutes(ge_new):
+            if not base.feasible and base._farkas.refutes(ge_new):
                 # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
                 assert not cold.feasible
                 outcomes["farkas_refuted"] += 1
@@ -621,8 +621,8 @@ def test_resolve_matches_cold_session():
             if not cold.feasible:
                 farkas = base.minimize(QVector.zero(n)).farkas
                 assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-                assert base.refutes(ge_new)
-                assert not (was_feasible and base.refutes(ge_rhs))
+                assert base._farkas.refutes(ge_new)
+                assert not (was_feasible and base._farkas.refutes(ge_rhs))
             if isinstance(start, Optimal):
                 optimum.resolve(ge_new)
                 assert optimum.feasible == cold.feasible
@@ -648,7 +648,7 @@ def test_resolve_matches_cold_session():
             else:
                 farkas = chain.minimize(QVector.zero(n)).farkas
                 assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-                assert chain.refutes(ge_new)
+                assert chain._farkas.refutes(ge_new)
     for outcome in (
         "no_pivot", "pivoted", "dual_infeasible", "inconsistent", "farkas_refuted",
         ("from_infeasible", True), ("from_infeasible", False),
@@ -875,12 +875,17 @@ def test_resolve_checks_its_arguments():
     session = Session(2, units, QVector([1, 1]))
     with pytest.raises(ValueError):
         session.resolve(QVector([1]))
-    # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0.
-    infeasible = Session(1, [QVector([1]), QVector([-1])], QVector([1, 0]))
-    assert infeasible.refutes(QVector([1, 0])) and not infeasible.refutes(QVector([0, -1]))
+    # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0. A Warm
+    # keeps the Farkas vector of its infeasible session, and checks the
+    # length of a later trial's right-hand sides before any kept entry.
+    warm = Warm()
+    infeasible = warm.solve(1, QVector([1, 0]), lambda: [QVector([1]), QVector([-1])])
+    proof = infeasible._farkas
+    assert proof.refutes(QVector([1, 0])) and not proof.refutes(QVector([0, -1]))
+    assert warm.solve(1, QVector([3, -2]), list) is proof
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
-            infeasible.refutes(rhs)
+            warm.solve(1, rhs, list)
         with pytest.raises(ValueError):
             infeasible.resolve(rhs)
     # An infeasible session re-solves from its kept basis, exactly, in place.
@@ -890,7 +895,7 @@ def test_resolve_checks_its_arguments():
     assert want == ("feasible", list(infeasible.feasible_point().entries))
     assert infeasible.minimize(QVector([1])).value == 0 and infeasible.minimize(QVector([-1])).value == F(-1, 2)
     infeasible.resolve(QVector([2, -1]))
-    assert not infeasible.feasible and infeasible.refutes(QVector([2, -1]))
+    assert not infeasible.feasible and infeasible._farkas.refutes(QVector([2, -1]))
     session.minimize(QVector([1, 1]))
     session.resolve(QVector([-2, 3]))
     assert session.feasible_point() == QVector([-2, 3])
@@ -898,11 +903,14 @@ def test_resolve_checks_its_arguments():
 
 def test_warm_keeps_one_session(monkeypatch):
     # One Warm across the trials of one system: the first trial builds the
-    # cold session from rows(), and every later one gets that same session
-    # back without a call to rows(). A trial that the session's Farkas
-    # vector refutes leaves it as it is: no resolve call and no pivot. Any
-    # other trial re-solves it in place, with a cold session's verdict,
-    # and ``certified`` survives exactly the re-solves that take no pivot.
+    # cold session from rows(), and every later one is decided without a
+    # call to rows(). A trial that a kept Farkas vector refutes gets that
+    # Farkas, and one inside a kept region gets that Region: no resolve
+    # call and no pivot. Any other trial gets the same session, re-solved
+    # in place, and its Farkas vector is kept when it is infeasible. Every
+    # verdict is a cold session's. Feasible sessions are minimized at the
+    # system's objective and certified half the time, so a kept region's
+    # point attains the cold minimum.
     calls = Counter()
     pivot, resolve = lp_module._pivot, Session.resolve
 
@@ -926,29 +934,41 @@ def test_warm_keeps_one_session(monkeypatch):
         n, _, _, cons = _random_exactness_lp(rng)
         rows, rels = ([c[k] for c in cons] for k in range(2))
         ge_rows, ge_rhs, _ = _ge(cons)
+        objective = QVector([rng.randint(-2, 2) for _ in range(n)])
         warm, built = Warm(), []
         calls.clear()
-        first = warm.session(n, ge_rhs, lambda: built.append(ge_rows) or ge_rows)
-        assert built == [ge_rows] and calls["resolve"] == 0 and not warm.certified
+        first = warm.solve(n, ge_rhs, lambda: built.append(ge_rows) or ge_rows)
+        assert built == [ge_rows] and calls["resolve"] == 0 and warm.latest is first
+        got = first
         for _ in range(6):
-            ge_new = _ge(zip(rows, rels, _new_rhs(rng, cons)))[1]
+            if got is first and first.feasible and isinstance(first.minimize(objective), Optimal) and rng.random() < 0.5:
+                warm.certify()
+            new_rhs = _new_rhs(rng, cons)
+            ge_new = _ge(zip(rows, rels, new_rhs))[1]
             cold = Session(n, ge_rows, ge_new)
-            refuted = first.refutes(ge_new)
-            warm.certified = True
+            proofs, regions = list(warm._proofs), list(warm._regions)
             before = calls.copy()
-            got = warm.session(n, ge_new, no_rows)
+            got = warm.solve(n, ge_new, no_rows)
             pivots = calls["pivot"] - before["pivot"]
-            assert got is first and got.feasible == cold.feasible
-            if refuted:
+            assert got.feasible == cold.feasible
+            if isinstance(got, Farkas):
+                assert got in proofs and got.refutes(ge_new)
                 assert calls["resolve"] == before["resolve"] and pivots == 0
                 outcomes["refuted"] += 1
+            elif isinstance(got, Region):
+                assert got in regions and not any(p.refutes(ge_new) for p in proofs)
+                assert calls["resolve"] == before["resolve"] and pivots == 0
+                point = got.point(ge_new)
+                assert point_feasible(point.entries, rows, rels, new_rhs)
+                assert objective.dot(point) == cold.minimize(objective).value
+                outcomes["region"] += 1
             else:
+                assert got is first and not any(p.refutes(ge_new) for p in proofs)
+                assert not any(r.contains(ge_new) for r in regions)
                 assert calls["resolve"] == before["resolve"] + 1 and got.pivots == pivots
-                assert warm.certified == (pivots == 0)
+                assert warm._proofs == proofs + ([] if got.feasible else [got._farkas])
                 outcomes["resolved", got.feasible, pivots > 0] += 1
-            if got.feasible:
-                got.minimize(QVector([rng.randint(-2, 2) for _ in range(n)]))
-    assert outcomes["refuted"] >= 20, outcomes
+    assert min(outcomes["refuted"], outcomes["region"]) >= 20, outcomes
     for feasible, pivoted in product((True, False), (True, False)):
         assert outcomes["resolved", feasible, pivoted] >= 20, outcomes
 

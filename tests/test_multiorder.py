@@ -21,11 +21,14 @@ from multiwedge import (
     span_contains,
 )
 
-from multiwedge.lp import Session, Warm
+from multiwedge import multiorder
+from multiwedge.lp import Farkas, Region, Session, Warm
+from multiwedge.operators import RDPInstance, rdp_check, rdp_search
 from multiwedge.multiorder import MultiSupSet, _msup, _upper_bound_rhs, _upper_bound_rows, sample_apex
 
 from conftest import (
     cold_multilattice_search,
+    cold_rdp_search,
     equality_system_msup,
     fraction_sample_apex,
     rand_vector,
@@ -286,9 +289,9 @@ def test_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
 def test_search_without_upper_bounds_builds_one_cold_session_per_wedge_multiset(sessions, k, most):
     # ex3.7's quadrant and ray: a trial with the ray twice has no upper
     # bound unless its apexes differ by a multiple of (1, 1), so those
-    # multisets see infeasible trials only. A trial that the latest Farkas
-    # vector does not refute re-solves from the latest basis, feasible or
-    # not: one cold session for each of the k + 1 sorted multisets.
+    # multisets see infeasible trials only. A trial that no kept Farkas
+    # vector refutes re-solves from the latest basis, feasible or not:
+    # one cold session for each of the k + 1 sorted multisets.
     quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
     ray = Wedge(2, generators=[V([1, 1])])
     assert multilattice_search([quadrant, ray], k, seed=3, budget=200) is None
@@ -353,24 +356,26 @@ def test_priced_normals_equal_their_own_minima():
 
 
 def test_a_certified_warm_basis_attains_every_minimum():
-    # msup's no-LP path: whenever Warm.session leaves ``certified`` set,
-    # the returned session's basis point attains the cold minimum of every
-    # row of C over P. Trials share one Warm per family of halfspaces, as
-    # the search's sorted families do.
+    # msup's no-LP path: whenever Warm.solve returns a kept Region, whose
+    # basis no row of C pivoted at, its point at the trial's right-hand
+    # sides attains the cold minimum of every row of C over P, and _msup
+    # returns that point. Trials share one Warm per family of halfspaces,
+    # as the search's sorted families do.
     outcomes = Counter()
 
     class Watched(Warm):
         __slots__ = ()
 
-        def session(self, n, rhs, rows):
-            session = super().session(n, rhs, rows)
-            if session.feasible:
-                outcomes["certified" if self.certified else "uncertified"] += 1
-            if session.feasible and self.certified:
-                point = session.feasible_point()
+        def solve(self, n, rhs, rows):
+            solved = super().solve(n, rhs, rows)
+            if solved.feasible:
+                outcomes["region" if isinstance(solved, Region) else "session"] += 1
+            if isinstance(solved, Region):
+                point = solved.point(rhs)
                 for a in cw.halfspaces:
                     assert a.dot(point) == Session(n, rows(), rhs).minimize(a).value
-            return session
+                witness.append(point)
+            return solved
 
     rng = random.Random(1017)
     for _ in range(60):
@@ -380,11 +385,110 @@ def test_a_certified_warm_basis_attains_every_minimum():
         cw, warm = intersect(wedges), Watched()
         for _ in range(20):
             family = [TranslatedWedge(sample_apex(rng, dim, 2), w) for w in wedges]
+            witness = []
             try:
-                _msup(family, cw, warm)
+                res = _msup(family, cw, warm)
             except NotMultiBoundedAbove:
-                pass
-    assert min(outcomes["certified"], outcomes["uncertified"]) >= 20, outcomes
+                continue
+            if witness:
+                assert res.witness == witness[0]
+    assert min(outcomes["region"], outcomes["session"]) >= 20, outcomes
+
+
+def test_the_memo_decides_as_cold_sessions(monkeypatch):
+    # Every trial of both searches that a Warm decides from a kept entry
+    # gets a cold session's verdict, and in a lattice search a kept
+    # region's point attains the cold minimum of every row of P: each is
+    # a nonnegative combination of C's rows, so the point is a
+    # multi-supremum. Gated on the three ways a trial goes: refuted by a
+    # kept Farkas vector that is not the latest session's, inside a kept
+    # region where the current basis is infeasible, and passed on to the
+    # session.
+    outcomes = Counter()
+    lattice = [True]
+
+    class Watched(Warm):
+        __slots__ = ()
+
+        def solve(self, n, rhs, rows):
+            latest = self.latest
+            solved = super().solve(n, rhs, rows)
+            cold = Session(n, rows(), rhs)
+            assert solved.feasible == cold.feasible
+            if isinstance(solved, Farkas):
+                outcomes["farkas", latest.feasible or solved is not latest._farkas] += 1
+            elif isinstance(solved, Region):
+                outcomes["region", not Region(latest).contains(rhs)] += 1
+                if lattice[0]:
+                    point = solved.point(rhs)
+                    for a in rows():
+                        assert a.dot(point) == cold.minimize(a).value
+            else:
+                outcomes["session"] += 1
+            return solved
+
+    monkeypatch.setattr(multiorder, "Warm", Watched)
+    rng = random.Random(6007)
+    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
+    coord = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
+    for run in range(48):
+        lattice[0] = run % 2 == 0
+        if run % 6 < 2:
+            wedges = list(w123())
+        elif run % 6 < 4:
+            wedges = [quadrant, ray]
+        else:
+            dim = rng.randint(1, 3)
+            wedges = coord if run % 12 == 5 else [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        seed = rng.randrange(1 << 20)
+        if lattice[0]:
+            k = 2 + run % 4 // 2
+            assert multilattice_search(wedges, k, seed=seed, budget=60) == cold_multilattice_search(
+                wedges, k, seed=seed, budget=60
+            )
+        else:
+            assert rdp_search(wedges, 2, 2, seed=seed, budget=40) == cold_rdp_search(wedges, 2, 2, seed=seed, budget=40)
+    for outcome in (("farkas", True), ("region", True), "session"):
+        assert outcomes[outcome] >= 20, outcomes
+
+
+def test_most_search_trials_are_decided_without_a_resolve(monkeypatch):
+    # On ex2.7 at k = 2 fewer than a quarter of the trials re-solve the
+    # session: the rest are decided by the kept regions. A fresh Warm,
+    # as msup and rdp_check build, keeps nothing, so every call gets the
+    # cold session and no public witness depends on an earlier call.
+    calls = Counter()
+    resolve, solve = Session.resolve, Warm.solve
+
+    def resolved(self, rhs):
+        calls["resolve"] += 1
+        return resolve(self, rhs)
+
+    def solved(self, n, rhs, rows):
+        calls["trial"] += 1
+        got = solve(self, n, rhs, rows)
+        calls["session" if isinstance(got, Session) else "kept"] += 1
+        return got
+
+    monkeypatch.setattr(Session, "resolve", resolved)
+    monkeypatch.setattr(Warm, "solve", solved)
+    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
+    assert calls["trial"] == 200 and calls["resolve"] * 4 < calls["trial"], calls
+
+    calls.clear()
+    rng = random.Random(29)
+    wedges = [rand_wedge(rng, 2) for _ in range(3)]
+    for _ in range(30):
+        family = [TranslatedWedge(rand_vector(rng, 2, -3, 3, 2), rng.choice(wedges)) for _ in range(3)]
+        try:
+            msup(family)
+        except NotMultiBoundedAbove:
+            pass
+    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
+    ys = (V([1, 0]), V([1, 1]))
+    for xs in ((V([2, 0]), V([0, 1])), (V([1, 1]), V([1, 0])), (V([2, 1]),)):
+        rdp_check(RDPInstance((quadrant, ray), xs, ys))
+    assert calls["trial"] == 33 and calls["kept"] == 0 and calls["resolve"] == 0, calls
 
 
 def _same_msup_set(a, b, dim):
