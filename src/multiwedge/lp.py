@@ -28,25 +28,20 @@ column is needed. A ``Session`` is one system and one basis of it:
 phase 1 runs once, at build, and each ``minimize`` moves the basis to its
 objective's optimum, so callers that optimize several objectives over the
 same system (or only need a feasible point) pay for phase 1 once, and an
-objective already optimal at the basis costs no pivot. ``Session.resolve``
-moves the same session to new right-hand sides, given as one ``QVector``,
-by the same dual simplex: the new right-hand side column is B^-1 (-b'),
-and the basis stays dual feasible for the last objective (with zero
-costs, at build or after an unbounded objective, every basis is), so it
-starts from any session, an infeasible one included. An infeasible
-session keeps its tableau, its basis and a ``Farkas`` vector.
+objective already optimal at the basis costs no pivot. An infeasible
+session keeps a ``Farkas`` vector of its rows.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
-b, as a search does: a trial passes only b, and the rows are built once,
-for the cold session. Neither a Farkas vector nor a basis's reduced
-costs read b, so the verdict at b depends only on which critical region
-b falls in (multiparametric LP: Gal and Nedoma 1972, Multiparametric
-linear programming, Management Science 18). ``Warm`` keeps every Farkas
-vector its session has produced, and every basis its caller certified as
-a ``Region``, the slack part of B^-1: a trial that a kept vector refutes
+b, as a search does: a trial passes only b, and the rows are built once.
+Neither a Farkas vector nor a basis's reduced costs read b, so the
+verdict at b depends only on which critical region b falls in
+(multiparametric LP: Gal and Nedoma 1972, Multiparametric linear
+programming, Management Science 18). ``Warm`` keeps every Farkas vector
+its sessions have produced, and every basis its caller certified as a
+``Region``, the slack part of B^-1: a trial that a kept vector refutes
 (y . b > 0), or that lies in a kept region (B^-1 b feasible on every
-slack-basic row), is decided by dot products of ints, without touching
-the session. Only the other trials re-solve it.
+slack-basic row), is decided by dot products of ints. Only the other
+trials build a session, cold.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -60,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -195,18 +190,14 @@ def _fold(y: Sequence[int], signs: list[tuple[int, int]], m: int) -> list[int]:
 
 
 class Session:
-    """One system of >= rows, x free, and one basis of it, which each solve moves.
+    """One system of >= rows, x free, and one basis of it, which each ``minimize`` moves.
 
     ``rows[i] . x >= rhs[i]``, for ``QVector`` rows of n entries and one
-    ``QVector`` of right-hand sides. The session holds one tableau, one
-    basis and the reduced-cost row of the last objective, at which the
-    basis is optimal: all zeros at build and after an unbounded objective,
-    as with zero costs every basis is dual feasible. Phase 1 runs once, at
-    build. Each ``minimize`` runs phase 2 from the current basis, in
-    place, and leaves the session at its objective's optimum; a basis
-    already optimal for the objective costs one pricing pass. Each
-    ``resolve`` moves the session to new right-hand sides, in place, by
-    the dual simplex. Verdicts and values do not depend on the order of
+    ``QVector`` of right-hand sides. The session holds one tableau and one
+    basis. Phase 1 runs once, at build. Each ``minimize`` runs phase 2
+    from the current basis, in place, and leaves the session at its
+    objective's optimum; a basis already optimal for the objective costs
+    one pricing pass. Verdicts and values do not depend on the order of
     the calls; the point and duals of an optimum that is not unique may.
 
     Columns: x (n free columns), the slack of each row (columns n to
@@ -214,10 +205,9 @@ class Session:
     whose basic variable is free; B^-1, duals and Farkas vectors off the
     slack columns. Rows whose basic variable is free never leave.
 
-    An infeasible session keeps its tableau and basis, where ``resolve``
-    starts as from a feasible one, and a Farkas vector of its rows.
-    ``pivots`` counts the pivots since the session was built or re-solved:
-    the dual simplex's (phase 1's, or ``resolve``'s), then phase 2's.
+    An infeasible session keeps a Farkas vector of its rows, checked
+    against ``rhs``. ``pivots`` counts the pivots since the session was
+    built: phase 1's, then phase 2's.
     """
 
     def __init__(self, n: int, rows: Sequence[QVector], rhs: QVector):
@@ -234,32 +224,22 @@ class Session:
             num[n + i] = den
             tableau.append(_Row(num, den))
         self._tableau, self._basis = tableau, list(range(n, n + m))
-        self._reduced = _Row([0] * (n + m + 1), 1)
-        self._settle(rhs)
-
-    def _settle(self, rhs: QVector) -> None:
-        """Run the dual simplex from the current basis, in place, and keep the outcome.
-
-        The basis is dual feasible for the reduced row: phase 1 starts with
-        zero costs, ``resolve`` with the last objective's. A row the dual
-        simplex cannot pivot on reads -u^T A x + u^T s = -u . b < 0 with no
-        free entry and no negative slack entry: u >= 0 and u^T A = 0, so its
-        slack part u is a Farkas vector, checked here against ``rhs``. The
-        session stays at the last basis either way.
-        """
-        leave, self.pivots = _dual_run(self._tableau, self._basis, self._reduced, self.n, self._ncols)
+        # Phase 1. A row the dual simplex cannot pivot on reads -u^T A x +
+        # u^T s = -u . b < 0 with no free entry and no negative slack entry:
+        # u >= 0 and u^T A = 0, so its slack part u is a Farkas vector.
+        leave, self.pivots = _dual_run(tableau, self._basis, n, n + m)
         self.feasible, self._farkas = leave < 0, None
         if not self.feasible:
-            row = self._tableau[leave]
-            self._farkas = Farkas(QVector._of(row.num[self.n : self._ncols], row.den))
+            row = tableau[leave]
+            self._farkas = Farkas(QVector._of(row.num[n : n + m], row.den))
             if not self._farkas.refutes(rhs):
                 raise InternalInvariantError("a Farkas vector y of the rows has y . b <= 0")
 
     def feasible_point(self) -> QVector | None:
         """The point of the current basis, or None when the system is infeasible.
 
-        It is the point phase 1 (or ``resolve``) left until ``minimize``
-        moves the basis, and stays feasible after.
+        It is the point phase 1 left until ``minimize`` moves the basis,
+        and stays feasible after.
         """
         if not self.feasible:
             return None
@@ -269,9 +249,9 @@ class Session:
         """Minimize objective . x by phase 2 from the current basis, which it moves.
 
         The session is left at the optimum, or, when the objective is
-        unbounded below, at the basis where the ray was found, with zero
-        costs. The value does not depend on the start; the point may,
-        where the minimum is not unique.
+        unbounded below, at the basis where the ray was found. The value
+        does not depend on the start; the point may, where the minimum is
+        not unique.
         """
         n = self.n
         if objective.dim != n:
@@ -283,44 +263,11 @@ class Session:
         status, info, pivots = _run(tableau, basis, cost, n, ncols)
         self.pivots += pivots
         if status == "unbounded":
-            self._reduced = _Row([0] * (ncols + 1), 1)
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
             enter, sign = info
             return Unbounded(_vector(tableau, basis, n, enter, -sign, enter))
-        self._reduced = info
         # The right-hand-side entry of the reduced row is minus the objective.
         return Optimal(Fraction(-info.num[ncols], info.den), _vector(tableau, basis, n, ncols, 1), info)
-
-    def resolve(self, rhs: QVector) -> None:
-        """Re-solve this system's rows at the right-hand sides ``rhs``, in place.
-
-        ``rhs`` holds one right-hand side per row, in the order given.
-        Verdicts and optimal values then equal those of a cold
-        ``Session(n, rows, rhs)``; points may differ where they are not
-        unique. The new right-hand side column is B^-1 (-b'), read off the
-        slack columns. Then the dual simplex (``_settle``) moves the basis,
-        which is dual feasible for the reduced row of the last objective,
-        so a feasible result is left optimal for that objective. The
-        session may be infeasible before or after. The reduced row is
-        copied first, so that an ``Optimal`` returned earlier keeps its
-        duals.
-        """
-        if rhs.dim != self._ncols - self.n:
-            raise ValueError("resolve needs one right-hand side per row")
-        b, den, s0, ncols = rhs.num, rhs.den, self.n, self._ncols
-
-        def moved(row: _Row) -> _Row:
-            num, rden = row.num, row.den
-            v = -sum(map(mul, num[s0:ncols], b))
-            num = num[:ncols] if den == 1 else [e * den for e in num[:ncols]]
-            num.append(v)
-            rden *= den
-            g = gcd(rden, *num)
-            return _Row(num if g == 1 else [e // g for e in num], rden // g)
-
-        self._tableau = [moved(row) for row in self._tableau]
-        self._reduced = _Row(list(self._reduced.num), self._reduced.den)
-        self._settle(rhs)
 
 
 class Farkas:
@@ -374,7 +321,7 @@ class Region:
         return True
 
     def point(self, rhs: QVector) -> QVector:
-        """B's point at ``rhs``: a session re-solved there without a pivot has it as its ``feasible_point``."""
+        """B's point at ``rhs``, in the region: a session at basis B there has it as its ``feasible_point``."""
         b, x = rhs.num, [0] * self.n
         den = lcm(*[d for _, _, d in self._free])
         for j, u, d in self._free:
@@ -383,57 +330,54 @@ class Region:
 
 
 class Warm:
-    """One session of one constraint matrix, moved across right-hand sides, and what it has proved.
+    """One system's rows, built once, and what its sessions have proved, across right-hand sides.
 
-    ``solve`` takes a trial's right-hand sides only. ``Warm`` keeps every
-    Farkas vector its session has produced, and every basis its caller
+    ``solve`` takes a trial's right-hand sides only. ``Warm`` keeps the
+    rows, which ``rows()`` builds on the first ``solve``, every Farkas
+    vector its sessions have produced, and every basis its caller
     certified (``certify``) as a ``Region``. A trial that a kept Farkas
     vector refutes gets that ``Farkas``, and else one that lies in a kept
-    region gets that ``Region``: neither touches the session. Any other
-    trial gets the session: the first builds the cold ``Session`` of the
-    rows that ``rows()`` builds, and a later one re-solves the same session
-    in place (``resolve``), from wherever the last trial left it, feasible
-    or not. Each of the three has ``feasible``, and every verdict is that
-    of a cold session, as neither a Farkas vector nor a basis's reduced
-    costs read the right-hand side. Entries come only from trials that no
-    kept entry decides, so none is kept twice. A fresh ``Warm`` keeps
-    nothing: its first ``solve`` is the cold session.
+    region gets that ``Region``. Any other trial gets a cold ``Session``
+    of the rows at its right-hand sides, and an infeasible one's Farkas
+    vector is kept. Each of the three has ``feasible``, and every verdict
+    is that of a cold session, as neither a Farkas vector nor a basis's
+    reduced costs read the right-hand side. Entries come only from trials
+    that no kept entry decides, so none is kept twice. A fresh ``Warm``
+    keeps nothing: its first ``solve`` is the cold session.
     """
 
-    __slots__ = ("latest", "_proofs", "_regions")
+    __slots__ = ("_rows", "_proofs", "_regions")
 
     def __init__(self):
-        self.latest: Session | None = None
+        self._rows: Sequence[QVector] | None = None
         self._proofs: list[Farkas] = []
         self._regions: list[Region] = []
 
     def solve(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session | Farkas | Region:
-        """The >= rows at ``rhs``, decided by a kept entry or by the session; ``rows()`` builds them, for the cold session."""
-        session = self.latest
-        if session is None:
-            session = self.latest = Session(n, rows(), rhs)
-        else:
-            if rhs.dim != session._ncols - session.n:
-                raise ValueError("solve needs one right-hand side per row")
-            for proof in self._proofs:
-                if proof.refutes(rhs):
-                    return proof
-            for region in self._regions:
-                if region.contains(rhs):
-                    return region
-            session.resolve(rhs)
+        """The >= rows at ``rhs``, decided by a kept entry or by a cold session; ``rows()`` builds them once."""
+        if self._rows is None:
+            self._rows = rows()
+        elif rhs.dim != len(self._rows):
+            raise ValueError("solve needs one right-hand side per row")
+        for proof in self._proofs:
+            if proof.refutes(rhs):
+                return proof
+        for region in self._regions:
+            if region.contains(rhs):
+                return region
+        session = Session(n, self._rows, rhs)
         if not session.feasible:
             self._proofs.append(session._farkas)
         return session
 
-    def certify(self) -> None:
-        """Keep the basis of the feasible session that ``solve`` just returned as a ``Region``.
+    def certify(self, session: Session) -> None:
+        """Keep the basis of a feasible session that ``solve`` returned as a ``Region``.
 
         The caller certifies the basis optimal for every objective it
         reads: the region then answers for the session at every
         right-hand side inside it.
         """
-        self._regions.append(Region(self.latest))
+        self._regions.append(Region(session))
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
@@ -499,15 +443,15 @@ def _run(tableau, basis, cost, n, ncols):
         pivots += 1
 
 
-def _dual_run(tableau, basis, reduced, n, ncols) -> tuple[int, int]:
-    """Bland-rule dual simplex from a basis dual feasible for ``reduced``.
+def _dual_run(tableau, basis, n, ncols) -> tuple[int, int]:
+    """Bland-rule dual simplex at zero costs, in place.
 
+    With zero costs every basis is dual feasible and every ratio is 0.
     Leaving: the negative row with the smallest basic variable, a slack.
     Entering: the first free column (the first n) with a nonzero entry
-    there, at ratio 0, as every free column has reduced cost 0; else the
-    least reduced / -entry over the slacks' negative entries, ties to the
-    smallest column. Returns (-1, pivots) once primal feasible, or (row,
-    pivots) for a negative row with neither, which proves infeasibility.
+    there, else the first slack column with a negative one. Returns (-1,
+    pivots) once primal feasible, or (row, pivots) for a negative row with
+    neither, which proves infeasibility.
     """
     pivots = 0
     while True:
@@ -517,21 +461,20 @@ def _dual_run(tableau, basis, reduced, n, ncols) -> tuple[int, int]:
                 leave = i
         if leave < 0:
             return -1, pivots
-        num, rnum = tableau[leave].num, reduced.num
+        num = tableau[leave].num
         enter = -1
         for j in range(n):
             if num[j]:
                 enter = j
                 break
         else:
-            best_r = best_a = 0
             for j in range(n, ncols):
-                a = num[j]
-                if a < 0 and (enter < 0 or rnum[j] * best_a < best_r * -a):
-                    enter, best_r, best_a = j, rnum[j], -a
+                if num[j] < 0:
+                    enter = j
+                    break
         if enter < 0:
             return leave, pivots
-        _pivot(tableau, reduced, leave, enter)
+        _pivot(tableau, None, leave, enter)
         basis[leave] = enter
         pivots += 1
 

@@ -13,14 +13,13 @@ system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
 previous optimum, and only prices there when that basis is optimal for
 a. P's rows depend only on the sorted wedge multiset, and its
 right-hand sides a . apex only on the apexes, so ``multilattice_search``
-keeps one ``lp.Warm`` per multiset: one session of the rows, built once,
-with every Farkas vector it has produced and every basis at which every
+keeps one ``lp.Warm`` per multiset: the rows, built once, with every
+Farkas vector its sessions have produced and every basis at which every
 a was optimal. A trial, given by its right-hand sides, computed in ints,
 runs no LP when a kept Farkas vector refutes them (no upper bound) or
 they lie in a kept basis's region (its point is a multi-supremum);
-else the session is re-solved in place there, by the dual simplex from
-the basis the last trial left, feasible or not. C is converted once per
-wedge combination, so that no trial minimizes a redundant row.
+else it builds a cold session of the kept rows there. C is converted
+once per wedge combination, so that no trial minimizes a redundant row.
 """
 
 from __future__ import annotations
@@ -140,10 +139,10 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
     ``warm`` decides a trial from its right-hand sides a . apex alone
     (``Warm.solve``): a kept Farkas vector refutes them, or they lie in
     the region of a kept basis optimal for every row of C, whose point
-    then attains every m_a, and no LP runs; else its one session is
-    re-solved there, and its rows are built only once, cold. A basis at
-    which no row of C pivots after the sum is kept. The verdict is the
-    same; a witness of a non-proper set may differ.
+    then attains every m_a, and no LP runs; else a cold session of its
+    rows, built only once, solves there. A basis at which no row of C
+    pivots after the sum is kept. The verdict is the same; a witness of a
+    non-proper set may differ.
     """
     rhs = _upper_bound_rhs(family)
     solved = warm.solve(cw.dim, rhs, lambda: _upper_bound_rows(family))
@@ -169,7 +168,7 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
     total = sum(minimum(a).value for a in cw.halfspaces)
     if session.pivots == pivots:
         # No row pivoted: the sum's basis is optimal for every row.
-        warm.certify()
+        warm.certify(session)
     if res.value != total:
         return None
     return MultiSupSet(res.point, cw.lineality_basis)
@@ -227,7 +226,10 @@ def _trials(
         key = tuple(sorted(set(drawn)))
         if key not in combined:
             combined[key] = combine([wedges[i] for i in key])
-        yield rng, drawn, order, combined[key], warm.setdefault(tuple(drawn[p] for p in order), Warm())
+        multiset = tuple(drawn[p] for p in order)
+        if multiset not in warm:
+            warm[multiset] = Warm()
+        yield rng, drawn, order, combined[key], warm[multiset]
 
 
 def multilattice_search(

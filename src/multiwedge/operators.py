@@ -21,12 +21,12 @@ also answers fs_decompose, over coordinate wedges) and rdp_search, in
 transportation form: the sums fix the last row and column of z, so it
 has >= rows only. The rows depend only on m and the sorted wedge
 multiset, and the right-hand sides only on the xs and ys, so rdp_search
-keeps one ``lp.Warm`` per multiset: one session of the rows, built once,
-with every Farkas vector it has produced and every feasible basis it
-has reached. A search reads only the verdict, never z, so a trial whose
-right-hand sides a kept Farkas vector refutes, or a kept basis keeps
-feasible, runs no LP; any other re-solves the session in place, by the
-dual simplex from the basis the last trial left.
+keeps one ``lp.Warm`` per multiset: the rows, built once, with every
+Farkas vector its sessions have produced and every feasible basis they
+have reached. A search reads only the verdict, never z, so a trial
+whose right-hand sides a kept Farkas vector refutes, or a kept basis
+keeps feasible, runs no LP; any other builds a cold session of the kept
+rows there.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -308,8 +308,8 @@ def _rdp_session(inst: RDPInstance, warm: Warm) -> Session | Farkas | Region:
     The rows depend only on m and the sorted wedge multiset in a search,
     so ``warm`` decides from the right-hand sides -a . c_ij alone
     (``Warm.solve``): by a kept Farkas vector or a kept feasible basis,
-    else by its one session re-solved there. A fresh ``Warm`` gives the
-    cold session.
+    else by a cold session of the rows, which ``rows()`` builds once per
+    ``Warm``. A fresh ``Warm`` gives the cold session.
     """
     dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
     cells = [(a, c, ts) for j, c, ts in _blocks(inst) for a in inst.wedges[j].halfspaces]
@@ -347,9 +347,9 @@ def rdp_search(
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
     Only the verdict is read: no trial assembles a z, and every feasible
-    basis the session reaches is certified, so that a later trial it
-    keeps feasible runs no LP (``lp.Warm``). Deterministic for a fixed
-    seed. Each instance is checked in sorted wedge order (see
+    basis a trial's cold session reaches is certified, so that a later
+    trial it keeps feasible runs no LP (``lp.Warm``). Deterministic for a
+    fixed seed. Each instance is checked in sorted wedge order (see
     ``multiorder._trials``).
     """
     if m < 1 or n < 1:
@@ -370,7 +370,7 @@ def rdp_search(
             return inst
         if isinstance(solved, Session):
             # Only feasibility is read, so every feasible basis is certified.
-            warm.certify()
+            warm.certify(solved)
     return None
 
 

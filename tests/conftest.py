@@ -14,10 +14,9 @@ replaced, decompositions by the system of ``==`` sum rows that
 the annihilator construction that ``op_wedge_lineality`` replaced, operator multi-suprema by the
 multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
-draws replaced, the searches themselves by their loops with a cold
-session per trial, and ``Session.resolve`` by the ``Fraction`` dual
-simplex (``fraction_resolve``). Both simplex oracles solve >= rows with
-one free column per variable, as ``Session`` does.
+draws replaced, and the searches themselves by their loops with a cold
+session per trial. The simplex oracle solves >= rows with one free
+column per variable, as ``Session`` does.
 """
 
 from __future__ import annotations
@@ -287,30 +286,6 @@ def fraction_simplex(n, c, rows, rhs, events=None):
     events["optimal"] += 1
     # The slack columns hold B^-1 of the negated rows and cost 0: their reduced costs are the duals.
     return "optimal", _fs_point(tableau, basis, n), _fs_reduced_costs(tableau, basis, cost)[n:]
-
-
-def fraction_resolve(n, rows, rhs, new_rhs, c=None):
-    """The textbook re-solve of the >= rows at ``new_rhs``, in ``Fraction`` rows.
-
-    Phase 1 on ``rhs`` (and phase 2 for ``c``, when given) as in
-    fraction_simplex, from where it stopped, feasible or not; then B^-1
-    of the stored rows, read off the slack columns, gives the new
-    right-hand side column; then the Bland-rule dual simplex of phase 1
-    runs with c's reduced costs (zero without c), at which every basis is
-    dual feasible. Returns ("infeasible", None) or ("feasible", x) with x
-    the final basic point; None when c is given and the base system is
-    infeasible or c unbounded on it.
-    """
-    tableau, basis, feasible = _fs_phase_one(n, rows, rhs, Counter())
-    cost = list(c if c is not None else [F(0)] * n) + [F(0)] * len(rows)
-    if c is not None and (not feasible or _fs_run(tableau, basis, cost, n, Counter())[0] != "optimal"):
-        return None
-    for row in tableau:
-        row[-1] = -sum((row[n + i] * v for i, v in enumerate(new_rhs)), F(0))
-    reduced = _fs_reduced_costs(tableau, basis, cost)
-    if not _fs_dual_run(tableau, basis, reduced, n, Counter()):
-        return "infeasible", None
-    return "feasible", _fs_point(tableau, basis, n)
 
 
 def _fs_point(tableau, basis, n):
@@ -796,13 +771,17 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
 
 
 @pytest.fixture
-def sessions(monkeypatch):
-    """List that gets one entry per cold ``lp.Session`` built."""
+def row_builds(monkeypatch):
+    """List that gets one entry per call of the ``rows()`` that ``lp.Warm.solve`` is given."""
     from multiwedge import lp
 
     built = []
-    init = lp.Session.__init__
-    monkeypatch.setattr(lp.Session, "__init__", lambda self, *a: built.append(init(self, *a)))
+    solve = lp.Warm.solve
+
+    def counted(self, n, rhs, rows):
+        return solve(self, n, rhs, lambda: built.append(None) or rows())
+
+    monkeypatch.setattr(lp.Warm, "solve", counted)
     return built
 
 

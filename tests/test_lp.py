@@ -26,7 +26,6 @@ from multiwedge.lp import Farkas, Region, Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
-    fraction_resolve,
     fraction_rref,
     fraction_simplex,
     point_feasible,
@@ -278,42 +277,6 @@ def test_duality_certificates_with_equality_rows():
     assert outcomes["full", "Infeasible"] >= 10 and outcomes["only", "Unbounded"] >= 10, outcomes
 
 
-def test_resolve_moves_only_the_equality_rhs():
-    # Transport systems: z >= 0 with fixed row and column sums, each sum
-    # row a >= pair. Only the sums move; one sum moved off leaves the sum
-    # rows with no solution.
-    rng = random.Random(71)
-    outcomes = Counter()
-    for _ in range(150):
-        n, cons = _transport_system(rng)
-        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
-        ge_rows, ge_rhs, signs = _ge(cons)
-        base = Session(n, ge_rows, ge_rhs)
-        if not base.feasible:
-            continue
-        # The sums of a new block z', which may have negative cells, and
-        # sometimes one sum moved off.
-        z = [F(rng.randint(-1, 3)) for _ in range(n)]
-        new_rhs = [b if rel != EQ else sum(a * e for a, e in zip(r, z)) for r, rel, b in cons]
-        if rng.random() < 0.3:
-            i = rng.choice([i for i, rel in enumerate(rels) if rel == EQ])
-            new_rhs[i] += rng.choice([-1, 1])
-        ge_new = _ge(zip(rows, rels, new_rhs))[1]
-        assert base.resolve(ge_new) is None
-        cold = Session(n, ge_rows, ge_new)
-        assert base.feasible == cold.feasible
-        if base.feasible:
-            outcomes["feasible"] += 1
-            assert point_feasible(base.feasible_point().entries, rows, rels, new_rhs)
-            want = fraction_resolve(n, *_lists(ge_rows, ge_rhs), list(ge_new.entries))
-            assert want == ("feasible", list(base.feasible_point().entries))
-        else:
-            farkas = base.minimize(QVector.zero(n)).farkas
-            assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-            outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "negative"] += 1
-    assert outcomes["feasible"] >= 40 and outcomes["inconsistent"] >= 20 and outcomes["negative"] >= 10, outcomes
-
-
 def test_deterministic():
     rng = random.Random(1)
     for _ in range(20):
@@ -440,7 +403,8 @@ def test_session_matches_lp_solve():
     # objective and repeats. The first solve after build equals a fresh
     # lp_solve exactly. Each later one starts from the previous optimum:
     # it gives lp_solve's verdict and value, and its point, duals and ray
-    # are checked by their definitions, as they need not be unique.
+    # are checked by their definitions, as they need not be unique. Rows
+    # and right-hand sides of the wrong length are refused.
     systems = random.Random(314)
     pick = random.Random(271)
     outcomes = Counter()
@@ -479,17 +443,22 @@ def test_session_matches_lp_solve():
             assert all(a.dot(point) >= b for a, b in zip(ge_rows, ge_rhs.entries))
     for outcome in ("Optimal", "Infeasible", "Unbounded"):
         assert outcomes[outcome] >= 100, outcomes
+    # A session needs n entries per row and one right-hand side per row.
+    units = [QVector([1, 0]), QVector([0, 1])]
+    for rows, rhs in ((units, QVector([1])), (units, QVector([1, 1, 1])), ([QVector([1]), units[1]], QVector([1, 1]))):
+        with pytest.raises(ValueError):
+            Session(2, rows, rhs)
 
 
 def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
-    # A dual simplex that stops at a row proving nothing must not give a verdict.
-    base = Session(1, [QVector([1])], QVector([-1]))
+    # A dual simplex that stops at a row proving nothing must not give a
+    # verdict, in lp_solve or in the cold session of a Warm's trial.
     # Feasible: row 0 reads -x + s = 1 at the slack basis, so its w . b is -1.
     monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (0, 0))
     with pytest.raises(InternalInvariantError):
         lp_solve(_lp(1, [1], "min", [([1], GE, -1)]))
     with pytest.raises(InternalInvariantError):
-        base.resolve(QVector([-1]))
+        Warm().solve(1, QVector([-1]), lambda: [QVector([1])])
     # Infeasible, but row 1 reads x + s = 0 at the slack basis: its w . b is 0.
     monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (1, 0))
     with pytest.raises(InternalInvariantError):
@@ -498,8 +467,7 @@ def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
 
 def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
     # <= rows with b >= 0 and >= rows with b <= 0 are feasible at the slack
-    # basis (x = 0), so phase 1 pivots nowhere and a re-solve at the same
-    # right-hand side pivots nowhere either.
+    # basis (x = 0), so phase 1 pivots nowhere.
     pivots = Counter()
     pivot = lp_module._pivot
 
@@ -520,16 +488,7 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
         session = Session(n, rows, rhs)
         assert session.feasible and session.pivots == 0
         assert session.feasible_point() == QVector.zero(n)
-        session.resolve(rhs)
-        assert session.feasible and session.pivots == 0
     assert pivots["pivot"] == 0
-
-
-def _equalities_inconsistent(rows, rels, rhs):
-    """Whether the == rows alone have no solution: b is outside the span of their rows."""
-    n = len(rows[0]) if rows else 0
-    augmented = [list(r) + [b] for r, rel, b in zip(rows, rels, rhs) if rel == EQ]
-    return n in fraction_rref(augmented)
 
 
 def _transport_system(rng):
@@ -543,10 +502,6 @@ def _transport_system(rng):
     cons += [([sum(cell(i, j)[k] for j in range(q)) for k in range(p * q)], EQ, r) for i, r in enumerate(rs)]
     cons += [([sum(cell(i, j)[k] for i in range(p)) for k in range(p * q)], EQ, c) for j, c in enumerate(cs)]
     return p * q, cons
-
-
-def _zero_variable_system(rng):
-    return 0, [([], rng.choice([LE, GE, EQ]), F(rng.randint(-2, 2))) for _ in range(rng.randint(1, 4))]
 
 
 def _new_rhs(rng, cons):
@@ -563,157 +518,6 @@ def _new_rhs(rng, cons):
         else:
             out.append(F(rng.randint(-4, 4), rng.randint(1, 2)))
     return out
-
-
-def test_resolve_matches_cold_session():
-    # A fresh session re-solved at b' against Session(n, rows with b'):
-    # verdicts, minimize values and Farkas vectors; its phase-1 point
-    # against the Fraction dual simplex, which reads the same start and
-    # pivots by Bland's rule. An infeasible base re-solves from where its
-    # phase 1 stopped, with the same checks. From a session minimized at
-    # an objective, the re-solved basis stays optimal for that objective.
-    # A chain, one session re-solved in place at each b' in turn and
-    # minimized in between, gives the cold verdicts, values and Farkas
-    # proofs at every step.
-    systems = random.Random(2718)
-    outcomes = Counter()
-    for trial in range(500):
-        kind = trial % 5
-        if kind == 3:
-            n, cons = _transport_system(systems)
-        elif kind == 4 and trial % 10 == 4:
-            n, cons = _zero_variable_system(systems)
-        else:
-            n, _, _, cons = _random_exactness_lp(systems)
-        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
-        ge_rows, ge_rhs, signs = _ge(cons)
-        fs_rows, fs_rhs = _lists(ge_rows, ge_rhs)
-        objective = QVector([F(systems.randint(-3, 3)) for _ in range(n)])
-        chain = Session(n, ge_rows, ge_rhs)
-        for _ in range(4):
-            new_rhs = _new_rhs(systems, cons)
-            ge_new = _ge(zip(rows, rels, new_rhs))[1]
-            cold = Session(n, ge_rows, ge_new)
-            base, optimum = Session(n, ge_rows, ge_rhs), Session(n, ge_rows, ge_rhs)
-            start = optimum.minimize(objective)
-            was_feasible = base.feasible
-            if not base.feasible and base._farkas.refutes(ge_new):
-                # A phase-1 Farkas vector refutes only right-hand sides that are infeasible.
-                assert not cold.feasible
-                outcomes["farkas_refuted"] += 1
-            base.resolve(ge_new)
-            assert base.feasible == cold.feasible
-            if not was_feasible:
-                outcomes["from_infeasible", base.feasible] += 1
-            if base.feasible:
-                outcomes["pivoted" if base.pivots else "no_pivot"] += 1
-                point = base.feasible_point()
-                assert point_feasible(point.entries, rows, rels, new_rhs)
-                assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("feasible", list(point.entries))
-                for c in (objective, QVector.zero(n), -objective):
-                    a, b = base.minimize(c), cold.minimize(c)
-                    assert type(a) is type(b)
-                    if isinstance(a, Optimal):
-                        assert a.value == b.value
-            else:
-                outcomes["inconsistent" if _equalities_inconsistent(rows, rels, new_rhs) else "dual_infeasible"] += 1
-                assert fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries)) == ("infeasible", None)
-            if not cold.feasible:
-                farkas = base.minimize(QVector.zero(n)).farkas
-                assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-                assert base._farkas.refutes(ge_new)
-                assert not (was_feasible and base._farkas.refutes(ge_rhs))
-            if isinstance(start, Optimal):
-                optimum.resolve(ge_new)
-                assert optimum.feasible == cold.feasible
-                if optimum.feasible:
-                    best = cold.minimize(objective)
-                    assert objective.dot(optimum.feasible_point()) == best.value
-                    want = fraction_resolve(n, fs_rows, fs_rhs, list(ge_new.entries), list(objective.entries))
-                    assert want == ("feasible", list(optimum.feasible_point().entries))
-                    # Back at b, the basis is optimal for the objective again.
-                    optimum.resolve(ge_rhs)
-                    assert optimum.feasible and objective.dot(optimum.feasible_point()) == start.value
-            chain_was_feasible = chain.feasible
-            chain.resolve(ge_new)
-            assert chain.feasible == cold.feasible
-            outcomes["chain", chain_was_feasible, chain.feasible] += 1
-            if chain.feasible:
-                assert point_feasible(chain.feasible_point().entries, rows, rels, new_rhs)
-                for c in (objective, QVector.zero(n), -objective):
-                    a, b = chain.minimize(c), cold.minimize(c)
-                    assert type(a) is type(b)
-                    if isinstance(a, Optimal):
-                        assert a.value == b.value
-            else:
-                farkas = chain.minimize(QVector.zero(n)).farkas
-                assert _farkas_proves(_fold(farkas, signs, len(cons)), rows, rels, new_rhs)
-                assert chain._farkas.refutes(ge_new)
-    for outcome in (
-        "no_pivot", "pivoted", "dual_infeasible", "inconsistent", "farkas_refuted",
-        ("from_infeasible", True), ("from_infeasible", False),
-        *(("chain", before, after) for before in (True, False) for after in (True, False)),
-    ):
-        assert outcomes[outcome] >= 20, outcomes
-
-
-def _prices_its_basis(session):
-    """Whether the session's reduced row is dual feasible for its basis.
-
-    That is: zero on every basic column and on the free columns, and
-    nonnegative on the slacks, so that the Bland-rule dual simplex of
-    ``resolve`` starts from a dual feasible basis.
-    """
-    num, n, ncols = session._reduced.num, session.n, session._ncols
-    return (
-        all(num[b] == 0 for b in session._basis)
-        and not any(num[:n])
-        and all(e >= 0 for e in num[n:ncols])
-    )
-
-
-def test_unbounded_objective_resets_the_reduced_row():
-    # After an unbounded objective the session keeps the basis where the
-    # ray was found. The reduced row of the optimum before it does not
-    # price that basis, so minimize resets it to zeros, for which every
-    # basis is dual feasible; resolve then starts from a dual feasible
-    # basis and gives a cold session's verdict and values. The objective
-    # is a nonnegative combination of the rows, so it is bounded below on
-    # a feasible system; its negation often is not. The gate counts the
-    # systems on which the earlier optimum's row is nonzero on a column
-    # that is basic after the unbounded objective.
-    systems = random.Random(1905)
-    seen = Counter()
-    for _ in range(400):
-        n = systems.randint(2, 4)
-        cons = [
-            ([F(systems.randint(-3, 3)) for _ in range(n)], GE, F(systems.randint(-4, 4), systems.randint(1, 2)))
-            for _ in range(systems.randint(n, n + 3))
-        ]
-        rows, rels = ([c[k] for c in cons] for k in range(2))
-        ge_rows, ge_rhs, _ = _ge(cons)
-        session = Session(n, ge_rows, ge_rhs)
-        objective = sum((systems.randint(0, 2) * a for a in ge_rows), QVector.zero(n))
-        ray = -objective
-        first = session.minimize(objective)
-        if not isinstance(first, Optimal) or not isinstance(session.minimize(ray), Unbounded):
-            continue
-        assert not any(session._reduced.num)
-        seen["stale"] += any(first._reduced.num[b] for b in session._basis)
-        for _ in range(3):
-            ge_new = _ge(zip(rows, rels, _new_rhs(systems, cons)))[1]
-            session.resolve(ge_new)
-            cold = Session(n, ge_rows, ge_new)
-            assert session.feasible == cold.feasible
-            assert _prices_its_basis(session)
-            seen[session.feasible] += 1
-            if session.feasible:
-                for c in (objective, ray):
-                    a, b = session.minimize(c), cold.minimize(c)
-                    assert type(a) is type(b)
-                    if isinstance(a, Optimal):
-                        assert a.value == b.value
-    assert seen["stale"] >= 20 and seen[True] >= 20 and seen[False] >= 10, seen
 
 
 def _free_column_system(rng):
@@ -800,52 +604,36 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
     # Each solve moves the session's one basis, and its results are
     # values: an Optimal's value, point and duals (read at once or first
     # read once the session has moved on) and an Unbounded's ray do not
-    # change with later minimize calls and in-place resolve calls, and
-    # late duals still prove the value. Minimizing c again at c's optimum
-    # takes no pivot and gives c . point. A re-solve from c's optimum
-    # keeps its basis optimal for c, with a cold session's verdict and no
-    # phase-2 pivot for c, and so does the re-solve back to the base
-    # right-hand sides, where the next objective is minimized.
+    # change with later minimize calls, and late duals still prove the
+    # value. Minimizing c again at c's optimum takes no pivot and gives
+    # c . point. Every minimum, the ones after an unbounded objective
+    # included, has a cold session's verdict and value.
     rng = random.Random(1941)
     outcomes = Counter()
     for _, n, cons, objectives in _optimum_systems(rng):
         rows, rhs, _ = _ge(cons)
         session = Session(n, rows, rhs)
-        kept = []
+        kept, after_ray = [], False
         for c in objectives:
             pivots = session.pivots
-            res = session.minimize(c)
-            new_rhs = _ge([(row, rel, b) for (row, rel, _), b in zip(cons, _new_rhs(rng, cons))])[1]
-            if isinstance(res, Unbounded):
+            res, cold = session.minimize(c), Session(n, rows, rhs).minimize(c)
+            assert type(res) is type(cold)
+            if after_ray:
+                outcomes["after ray", type(res).__name__] += 1
+            after_ray = isinstance(res, Unbounded)
+            if after_ray:
                 kept.append((c, res, res.ray.entries, list(session._basis)))
-                # With zero costs left, the basis is a start for resolve.
-                session.resolve(new_rhs)
-                assert session.feasible == Session(n, rows, new_rhs).feasible
-                session.resolve(rhs)
-                assert session.feasible
                 continue
             if not isinstance(res, Optimal):
                 continue
+            assert res.value == cold.value
             outcomes["no pivot" if session.pivots == pivots else "pivoted"] += 1
             pivots = session.pivots
             again = session.minimize(c)
             assert session.pivots == pivots and again.value == c.dot(res.point) and again.point == res.point
-            # ``again`` holds the reduced row that the session re-solves from.
             for r in (res, again):
                 early = r.dual if len(kept) % 2 else None
                 kept.append((c, r, (r.value, r.point.entries, early), list(session._basis)))
-            cold = Session(n, rows, new_rhs)
-            session.resolve(new_rhs)
-            assert session.feasible == cold.feasible
-            if session.feasible:
-                pivots = session.pivots
-                assert c.dot(session.feasible_point()) == session.minimize(c).value == cold.minimize(c).value
-                assert session.pivots == pivots
-            outcomes["resolved", session.feasible] += 1
-            session.resolve(rhs)
-            pivots = session.pivots
-            assert session.feasible and c.dot(session.feasible_point()) == session.minimize(c).value == res.value
-            assert session.pivots == pivots
         for c in reversed(objectives):
             session.minimize(c)
         for c, res, before, basis in kept:
@@ -861,20 +649,37 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
             else:
                 assert _proves_minimum(res, c, rows, rhs)
                 outcomes["late dual", moved] += 1
-    for outcome in (
-        "no pivot", "pivoted", ("resolved", True), ("resolved", False), ("ray", True), ("late dual", True),
-    ):
+    for outcome in ("no pivot", "pivoted", ("after ray", "Optimal"), ("ray", True), ("late dual", True)):
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_resolve_checks_its_arguments():
-    units = [QVector([1, 0]), QVector([0, 1])]
-    for rows, rhs in ((units, QVector([1])), (units, QVector([1, 1, 1])), ([QVector([1]), units[1]], QVector([1, 1]))):
-        with pytest.raises(ValueError):
-            Session(2, rows, rhs)
-    session = Session(2, units, QVector([1, 1]))
-    with pytest.raises(ValueError):
-        session.resolve(QVector([1]))
+def test_warm_keeps_one_session(monkeypatch):
+    # One Warm across the trials of one system: the first trial builds the
+    # rows with rows(), and no later one calls it. A trial that a kept
+    # Farkas vector refutes gets that Farkas, and one inside a kept region
+    # gets that Region: no session and no pivot. Any other trial gets a
+    # cold session of the kept rows, with the point and pivots of a
+    # Session built from scratch, and its Farkas vector is kept when it is
+    # infeasible. Feasible sessions are minimized at the system's
+    # objective and certified half the time, so a kept region's point
+    # attains the cold minimum.
+    calls = Counter()
+    pivot, init = lp_module._pivot, Session.__init__
+
+    def counted(*args):
+        calls["pivot"] += 1
+        return pivot(*args)
+
+    def built(self, *args):
+        calls["session"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    monkeypatch.setattr(Session, "__init__", built)
+
+    def no_rows():
+        pytest.fail("rows() is called only on the first trial")
+
     # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0. A Warm
     # keeps the Farkas vector of its infeasible session, and checks the
     # length of a later trial's right-hand sides before any kept entry.
@@ -882,51 +687,12 @@ def test_resolve_checks_its_arguments():
     infeasible = warm.solve(1, QVector([1, 0]), lambda: [QVector([1]), QVector([-1])])
     proof = infeasible._farkas
     assert proof.refutes(QVector([1, 0])) and not proof.refutes(QVector([0, -1]))
-    assert warm.solve(1, QVector([3, -2]), list) is proof
+    assert warm.solve(1, QVector([3, -2]), no_rows) is proof
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
-            warm.solve(1, rhs, list)
-        with pytest.raises(ValueError):
-            infeasible.resolve(rhs)
-    # An infeasible session re-solves from its kept basis, exactly, in place.
-    assert infeasible.resolve(QVector([0, F(-1, 2)])) is None
-    assert infeasible.feasible and infeasible.pivots == 0
-    want = fraction_resolve(1, [[1], [-1]], [1, 0], [0, F(-1, 2)])
-    assert want == ("feasible", list(infeasible.feasible_point().entries))
-    assert infeasible.minimize(QVector([1])).value == 0 and infeasible.minimize(QVector([-1])).value == F(-1, 2)
-    infeasible.resolve(QVector([2, -1]))
-    assert not infeasible.feasible and infeasible._farkas.refutes(QVector([2, -1]))
-    session.minimize(QVector([1, 1]))
-    session.resolve(QVector([-2, 3]))
-    assert session.feasible_point() == QVector([-2, 3])
-
-
-def test_warm_keeps_one_session(monkeypatch):
-    # One Warm across the trials of one system: the first trial builds the
-    # cold session from rows(), and every later one is decided without a
-    # call to rows(). A trial that a kept Farkas vector refutes gets that
-    # Farkas, and one inside a kept region gets that Region: no resolve
-    # call and no pivot. Any other trial gets the same session, re-solved
-    # in place, and its Farkas vector is kept when it is infeasible. Every
-    # verdict is a cold session's. Feasible sessions are minimized at the
-    # system's objective and certified half the time, so a kept region's
-    # point attains the cold minimum.
-    calls = Counter()
-    pivot, resolve = lp_module._pivot, Session.resolve
-
-    def counted(*args):
-        calls["pivot"] += 1
-        return pivot(*args)
-
-    def resolved(self, rhs):
-        calls["resolve"] += 1
-        return resolve(self, rhs)
-
-    monkeypatch.setattr(lp_module, "_pivot", counted)
-    monkeypatch.setattr(Session, "resolve", resolved)
-
-    def no_rows():
-        pytest.fail("rows() is called only for the cold session")
+            warm.solve(1, rhs, no_rows)
+    session = warm.solve(1, QVector([0, F(-1, 2)]), no_rows)
+    assert session.feasible and session.feasible_point() == QVector([0])
 
     rng = random.Random(1153)
     outcomes = Counter()
@@ -935,14 +701,13 @@ def test_warm_keeps_one_session(monkeypatch):
         rows, rels = ([c[k] for c in cons] for k in range(2))
         ge_rows, ge_rhs, _ = _ge(cons)
         objective = QVector([rng.randint(-2, 2) for _ in range(n)])
-        warm, built = Warm(), []
-        calls.clear()
-        first = warm.solve(n, ge_rhs, lambda: built.append(ge_rows) or ge_rows)
-        assert built == [ge_rows] and calls["resolve"] == 0 and warm.latest is first
-        got = first
+        warm, built_rows = Warm(), []
+        got = warm.solve(n, ge_rhs, lambda: built_rows.append(ge_rows) or ge_rows)
+        assert built_rows == [ge_rows] and isinstance(got, Session)
         for _ in range(6):
-            if got is first and first.feasible and isinstance(first.minimize(objective), Optimal) and rng.random() < 0.5:
-                warm.certify()
+            if isinstance(got, Session) and got.feasible and isinstance(got.minimize(objective), Optimal):
+                if rng.random() < 0.5:
+                    warm.certify(got)
             new_rhs = _new_rhs(rng, cons)
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
             cold = Session(n, ge_rows, ge_new)
@@ -953,24 +718,24 @@ def test_warm_keeps_one_session(monkeypatch):
             assert got.feasible == cold.feasible
             if isinstance(got, Farkas):
                 assert got in proofs and got.refutes(ge_new)
-                assert calls["resolve"] == before["resolve"] and pivots == 0
+                assert calls["session"] == before["session"] and pivots == 0
                 outcomes["refuted"] += 1
             elif isinstance(got, Region):
                 assert got in regions and not any(p.refutes(ge_new) for p in proofs)
-                assert calls["resolve"] == before["resolve"] and pivots == 0
+                assert calls["session"] == before["session"] and pivots == 0
                 point = got.point(ge_new)
                 assert point_feasible(point.entries, rows, rels, new_rhs)
                 assert objective.dot(point) == cold.minimize(objective).value
                 outcomes["region"] += 1
             else:
-                assert got is first and not any(p.refutes(ge_new) for p in proofs)
+                assert not any(p.refutes(ge_new) for p in proofs)
                 assert not any(r.contains(ge_new) for r in regions)
-                assert calls["resolve"] == before["resolve"] + 1 and got.pivots == pivots
+                assert calls["session"] == before["session"] + 1
+                assert got.pivots == pivots == cold.pivots and got.feasible_point() == cold.feasible_point()
                 assert warm._proofs == proofs + ([] if got.feasible else [got._farkas])
-                outcomes["resolved", got.feasible, pivots > 0] += 1
-    assert min(outcomes["refuted"], outcomes["region"]) >= 20, outcomes
-    for feasible, pivoted in product((True, False), (True, False)):
-        assert outcomes["resolved", feasible, pivoted] >= 20, outcomes
+                outcomes["session", got.feasible] += 1
+    for outcome in ("refuted", "region", ("session", True), ("session", False)):
+        assert outcomes[outcome] >= 20, outcomes
 
 
 def _pair_folded(y, cons):

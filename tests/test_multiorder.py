@@ -233,8 +233,17 @@ def test_warm_search_matches_cold_search():
 def test_msup_with_warm_matches_cold():
     # Families on the same wedges in the same order share one Warm, as the
     # search's sorted families do, but every verdict is read: empty sets,
-    # no upper bound, and nonempty sets, whose witness may be any point of
-    # the cold set.
+    # no upper bound, and nonempty sets. A trial that no kept entry decides
+    # gets a cold session, so its witness is cold msup's; one that a kept
+    # region decides may give any point of the cold set.
+    class Watched(Warm):
+        __slots__ = ()
+
+        def solve(self, n, rhs, rows):
+            solved = super().solve(n, rhs, rows)
+            routes.append(isinstance(solved, Session))
+            return solved
+
     rng = random.Random(4242)
     quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
     diag = Wedge(2, generators=[V([1, 1])])
@@ -251,9 +260,11 @@ def test_msup_with_warm_matches_cold():
         for _ in range(30):
             indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
             family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
-            results = []
+            results, routes = [], []
             cw = intersect([tw.wedge for tw in family])
-            for solve in (msup, lambda f: _msup(f, cw, warm.setdefault(indices, Warm()))):
+            if indices not in warm:
+                warm[indices] = Watched()
+            for solve in (msup, lambda f: _msup(f, cw, warm[indices])):
                 try:
                     results.append(solve(family))
                 except NotMultiBoundedAbove:
@@ -265,37 +276,49 @@ def test_msup_with_warm_matches_cold():
             else:
                 assert got.lineality_basis == cold.lineality_basis and cold.contains(got.witness)
                 outcomes["proper" if cold.is_proper else "lines"] += 1
-    for outcome in ("None", "not bounded", "proper", "lines"):
+                if routes == [True]:
+                    assert got.witness == cold.witness
+                    outcomes["session", cold.is_proper] += 1
+    for outcome in ("None", "not bounded", "proper", "lines", ("session", True), ("session", False)):
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_search_builds_one_cold_session_per_wedge_multiset(sessions):
-    # ex2.7's pairs always have an upper bound, so after the first trial on
-    # each of the 6 sorted pairs every trial is re-solved.
+def test_search_builds_its_rows_once_per_wedge_multiset(row_builds):
+    # ex2.7's pairs always have an upper bound. The rows of each of the 6
+    # sorted pairs are built on its first trial and kept for every later one.
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
-    assert len(sessions) <= 6
+    assert len(row_builds) <= 6
 
 
-def test_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
+def test_search_builds_one_warm_per_wedge_multiset(monkeypatch):
+    # A Warm is built only for a multiset no earlier trial drew: 6 for the
+    # 6 sorted pairs of ex2.7's 3 wedges, not one per trial.
+    built = []
+    init = Warm.__init__
+    monkeypatch.setattr(Warm, "__init__", lambda self: built.append(init(self)))
+    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
+    assert len(built) == 6
+
+
+def test_search_at_arity_3_builds_its_rows_once_per_wedge_multiset(row_builds):
     # Coordinate wedges of Q^3 meet in the orthant, so every triple has an
-    # upper bound and a multi-supremum: one cold session for each of the
-    # C(5, 3) = 10 multisets of 3 out of 3 wedges, not one per ordered triple.
+    # upper bound and a multi-supremum: the rows are built once for each of
+    # the C(5, 3) = 10 multisets of 3 out of 3 wedges, not per ordered triple.
     coord = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
     assert multilattice_search(coord, 3, seed=3, budget=200) is None
-    assert len(sessions) <= 10
+    assert len(row_builds) <= 10
 
 
 @pytest.mark.parametrize("k, most", [(2, 3), (3, 4)])
-def test_search_without_upper_bounds_builds_one_cold_session_per_wedge_multiset(sessions, k, most):
+def test_search_without_upper_bounds_builds_its_rows_once_per_wedge_multiset(row_builds, k, most):
     # ex3.7's quadrant and ray: a trial with the ray twice has no upper
     # bound unless its apexes differ by a multiple of (1, 1), so those
-    # multisets see infeasible trials only. A trial that no kept Farkas
-    # vector refutes re-solves from the latest basis, feasible or not:
-    # one cold session for each of the k + 1 sorted multisets.
+    # multisets see infeasible trials only. Feasible or not, the rows of
+    # each of the k + 1 sorted multisets are built once.
     quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
     ray = Wedge(2, generators=[V([1, 1])])
     assert multilattice_search([quadrant, ray], k, seed=3, budget=200) is None
-    assert len(sessions) <= most
+    assert len(row_builds) <= most
 
 
 def test_search_budget_must_be_nonnegative():
@@ -400,10 +423,10 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
     # gets a cold session's verdict, and in a lattice search a kept
     # region's point attains the cold minimum of every row of P: each is
     # a nonnegative combination of C's rows, so the point is a
-    # multi-supremum. Gated on the three ways a trial goes: refuted by a
-    # kept Farkas vector that is not the latest session's, inside a kept
-    # region where the current basis is infeasible, and passed on to the
-    # session.
+    # multi-supremum. Any other trial gets a session with a cold one's
+    # basis, point and pivots. Gated on the three ways a trial goes:
+    # refuted by a kept Farkas vector, inside a kept region, and passed on
+    # to a session.
     outcomes = Counter()
     lattice = [True]
 
@@ -411,19 +434,20 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
         __slots__ = ()
 
         def solve(self, n, rhs, rows):
-            latest = self.latest
             solved = super().solve(n, rhs, rows)
             cold = Session(n, rows(), rhs)
             assert solved.feasible == cold.feasible
             if isinstance(solved, Farkas):
-                outcomes["farkas", latest.feasible or solved is not latest._farkas] += 1
+                outcomes["farkas"] += 1
             elif isinstance(solved, Region):
-                outcomes["region", not Region(latest).contains(rhs)] += 1
+                outcomes["region"] += 1
                 if lattice[0]:
                     point = solved.point(rhs)
                     for a in rows():
                         assert a.dot(point) == cold.minimize(a).value
             else:
+                assert solved._basis == cold._basis and solved.pivots == cold.pivots
+                assert solved.feasible_point() == cold.feasible_point()
                 outcomes["session"] += 1
             return solved
 
@@ -448,21 +472,17 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
             )
         else:
             assert rdp_search(wedges, 2, 2, seed=seed, budget=40) == cold_rdp_search(wedges, 2, 2, seed=seed, budget=40)
-    for outcome in (("farkas", True), ("region", True), "session"):
+    for outcome in ("farkas", "region", "session"):
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_most_search_trials_are_decided_without_a_resolve(monkeypatch):
-    # On ex2.7 at k = 2 fewer than a quarter of the trials re-solve the
+def test_most_search_trials_are_decided_without_a_session(monkeypatch):
+    # On ex2.7 at k = 2 fewer than a quarter of the trials build a
     # session: the rest are decided by the kept regions. A fresh Warm,
     # as msup and rdp_check build, keeps nothing, so every call gets the
     # cold session and no public witness depends on an earlier call.
     calls = Counter()
-    resolve, solve = Session.resolve, Warm.solve
-
-    def resolved(self, rhs):
-        calls["resolve"] += 1
-        return resolve(self, rhs)
+    solve = Warm.solve
 
     def solved(self, n, rhs, rows):
         calls["trial"] += 1
@@ -470,10 +490,9 @@ def test_most_search_trials_are_decided_without_a_resolve(monkeypatch):
         calls["session" if isinstance(got, Session) else "kept"] += 1
         return got
 
-    monkeypatch.setattr(Session, "resolve", resolved)
     monkeypatch.setattr(Warm, "solve", solved)
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
-    assert calls["trial"] == 200 and calls["resolve"] * 4 < calls["trial"], calls
+    assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
 
     calls.clear()
     rng = random.Random(29)
@@ -488,7 +507,7 @@ def test_most_search_trials_are_decided_without_a_resolve(monkeypatch):
     ys = (V([1, 0]), V([1, 1]))
     for xs in ((V([2, 0]), V([0, 1])), (V([1, 1]), V([1, 0])), (V([2, 1]),)):
         rdp_check(RDPInstance((quadrant, ray), xs, ys))
-    assert calls["trial"] == 33 and calls["kept"] == 0 and calls["resolve"] == 0, calls
+    assert calls["trial"] == calls["session"] == 33 and calls["kept"] == 0, calls
 
 
 def _same_msup_set(a, b, dim):

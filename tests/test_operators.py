@@ -363,7 +363,7 @@ def test_warm_rdp_search_matches_cold_search():
 
 def test_rdp_check_with_warm_matches_cold():
     # Instances on the same wedges in the same order share one Warm, as the
-    # search's sorted instances do, and every re-solved verdict is read.
+    # search's sorted instances do, and every verdict is read.
     rng = random.Random(4242)
     outcomes = Counter()
     for run in range(40):
@@ -421,17 +421,17 @@ def test_rdp_check_matches_primal_system():
     assert outcomes[True] >= 50 and sum(outcomes.values()) >= 500, outcomes
 
 
-def test_rdp_search_builds_one_cold_session_per_wedge_multiset(sessions):
-    # Coordinate wedges always decompose, so after the first check on each
-    # of the 6 sorted pairs every check is re-solved.
+def test_rdp_search_builds_its_rows_once_per_wedge_multiset(row_builds):
+    # Coordinate wedges always decompose. The rows of each of the 6 sorted
+    # pairs are built on its first check and kept for every later one.
     assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 2, seed=3, budget=100) is None
-    assert len(sessions) <= 6
+    assert len(row_builds) <= 6
 
 
-def test_rdp_search_at_arity_3_builds_one_cold_session_per_wedge_multiset(sessions):
+def test_rdp_search_at_arity_3_builds_its_rows_once_per_wedge_multiset(row_builds):
     # At n = 3 the 27 ordered triples of 3 wedges are C(5, 3) = 10 multisets.
     assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 3, seed=3, budget=100) is None
-    assert len(sessions) <= 10
+    assert len(row_builds) <= 10
 
 
 def test_rdp_search_budget_must_be_nonnegative():
