@@ -33,15 +33,18 @@ session keeps a ``Farkas`` vector of its rows.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
 b, as a search does: a trial passes only b, and the rows are built once.
-Neither a Farkas vector nor a basis's reduced costs read b, so the
-verdict at b depends only on which critical region b falls in
+Neither a Farkas vector nor a basis's reduced costs and duals read b, so
+the verdict at b depends only on which critical regions b falls in
 (multiparametric LP: Gal and Nedoma 1972, Multiparametric linear
 programming, Management Science 18). ``Warm`` keeps every Farkas vector
-its sessions have produced, and every basis its caller certified as a
-``Region``, the slack part of B^-1: a trial that a kept vector refutes
-(y . b > 0), or that lies in a kept region (B^-1 b feasible on every
-slack-basic row), is decided by dot products of ints. Only the other
-trials build a session, cold.
+its sessions have produced, and every basis its caller kept as a
+``Region``, the slack part of B^-1, with the duals of the objectives it
+is optimal for. A trial that a kept vector refutes (y . b > 0), that
+lies in the region of a basis optimal for every objective (B^-1 b
+feasible on every slack-basic row), or that lies, for each objective o,
+in the region of some basis optimal for o, where the minimum is y_o . b,
+is decided by dot products of ints. Only the other trials build a
+session, cold.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -57,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InternalInvariantError
 from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
@@ -296,9 +299,10 @@ class Region:
     B^-1 (-b), so B is primal feasible at b exactly when -u . b >= 0 for
     the slack part u of each row whose basic variable is a slack, and its
     point puts each basic free variable at -u . b / den of its row. B's
-    reduced costs do not read b either: wherever B is feasible it is
-    optimal for every objective it was optimal for when it was kept.
-    ``feasible`` is True, as for a feasible session.
+    reduced costs and duals do not read b either: wherever B is feasible
+    it is optimal for every objective it was optimal for when it was
+    kept, with the same duals. ``feasible`` is True, as for a feasible
+    session.
     """
 
     __slots__ = ("n", "_slacks", "_free")
@@ -329,32 +333,57 @@ class Region:
         return QVector._of(x, den * rhs.den)
 
 
+class Optima:
+    """A trial decided by kept optima: each objective's minimum at b, and a basis optimal for objective 0.
+
+    For each objective o, a kept basis optimal for o whose region holds b
+    is feasible there and still optimal for o, so the minimum is
+    m_o(b) = y_o . b, with the duals y_o the basis had when it was kept.
+    ``values`` lists them in objective order, and ``region`` is objective
+    0's basis, whose point at b attains m_0. ``feasible`` is True.
+    """
+
+    __slots__ = ("values", "region")
+    feasible = True
+
+    def __init__(self, rhs: QVector, picked: list[tuple[Region, QVector]]):
+        self.values = [y.dot(rhs) for _, y in picked]
+        self.region = picked[0][0]
+
+
 class Warm:
     """One system's rows, built once, and what its sessions have proved, across right-hand sides.
 
     ``solve`` takes a trial's right-hand sides only. ``Warm`` keeps the
     rows, which ``rows()`` builds on the first ``solve``, every Farkas
-    vector its sessions have produced, and every basis its caller
-    certified (``certify``) as a ``Region``. A trial that a kept Farkas
-    vector refutes gets that ``Farkas``, and else one that lies in a kept
-    region gets that ``Region``. Any other trial gets a cold ``Session``
-    of the rows at its right-hand sides, and an infeasible one's Farkas
-    vector is kept. Each of the three has ``feasible``, and every verdict
-    is that of a cold session, as neither a Farkas vector nor a basis's
-    reduced costs read the right-hand side. Entries come only from trials
-    that no kept entry decides, so none is kept twice. A fresh ``Warm``
-    keeps nothing: its first ``solve`` is the cold session.
+    vector its sessions have produced, and every basis its caller kept
+    (``keep``) as a ``Region``. A trial that a kept Farkas vector refutes
+    gets that ``Farkas``; else one in the region of a basis optimal for
+    every objective gets that ``Region``; else one that, for every
+    objective, lies in the region of some kept basis optimal for it gets
+    the ``Optima`` they give. Any other trial gets a cold ``Session`` of
+    the rows at its right-hand sides, and an infeasible one's Farkas
+    vector is kept. Each of the four has ``feasible``, and every verdict
+    and minimum is that of a cold session, as neither a Farkas vector nor
+    a basis's reduced costs and duals read the right-hand side. Entries
+    come only from trials that no kept entry decides, so none is kept
+    twice. A fresh ``Warm`` keeps nothing: its first ``solve`` is the
+    cold session.
     """
 
-    __slots__ = ("_rows", "_proofs", "_regions")
+    __slots__ = ("_rows", "_proofs", "_regions", "_optima")
 
     def __init__(self):
         self._rows: Sequence[QVector] | None = None
         self._proofs: list[Farkas] = []
         self._regions: list[Region] = []
+        # Per objective, each kept basis optimal for it with its duals there.
+        self._optima: list[list[tuple[Region, QVector]]] = []
 
-    def solve(self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]) -> Session | Farkas | Region:
-        """The >= rows at ``rhs``, decided by a kept entry or by a cold session; ``rows()`` builds them once."""
+    def solve(
+        self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]
+    ) -> Session | Farkas | Region | Optima:
+        """The >= rows at ``rhs``, decided by kept entries or by a cold session; ``rows()`` builds them once."""
         if self._rows is None:
             self._rows = rows()
         elif rhs.dim != len(self._rows):
@@ -365,19 +394,42 @@ class Warm:
         for region in self._regions:
             if region.contains(rhs):
                 return region
+        if self._optima:
+            picked = []
+            for kept in self._optima:
+                for region, y in kept:
+                    if region.contains(rhs):
+                        picked.append((region, y))
+                        break
+                else:
+                    break
+            else:
+                return Optima(rhs, picked)
         session = Session(n, self._rows, rhs)
         if not session.feasible:
             self._proofs.append(session._farkas)
         return session
 
-    def certify(self, session: Session) -> None:
-        """Keep the basis of a feasible session that ``solve`` returned as a ``Region``.
+    def keep(self, bases: Sequence[tuple[Region, Mapping[int, Optimal]]]) -> None:
+        """Keep the bases that a feasible session from ``solve`` reached, each with its optima.
 
-        The caller certifies the basis optimal for every objective it
-        reads: the region then answers for the session at every
-        right-hand side inside it.
+        Each base is a ``Region`` taken while the session was at it, and
+        the ``Optimal`` of each objective o (0, 1, ...) whose ``minimize``
+        ended there; every objective the caller reads ends at one of them.
+        A single base is then optimal for every objective, and a later
+        trial in its region gets it; a caller that reads only feasibility
+        keeps every feasible basis so, with no objective. Else each base
+        is kept for its objectives, with their duals.
         """
-        self._regions.append(Region(session))
+        if len(bases) == 1:
+            self._regions.append(bases[0][0])
+            return
+        if not self._optima:
+            self._optima = [[] for _ in range(sum(len(optima) for _, optima in bases))]
+        for region, optima in bases:
+            for o, res in optima.items():
+                reduced = res._reduced
+                self._optima[o].append((region, QVector._of(reduced.num[region.n : -1], reduced.den)))
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:

@@ -14,24 +14,30 @@ previous optimum, and only prices there when that basis is optimal for
 a. P's rows depend only on the sorted wedge multiset, and its
 right-hand sides a . apex only on the apexes, so ``multilattice_search``
 keeps one ``lp.Warm`` per multiset: the rows, built once, with every
-Farkas vector its sessions have produced and every basis at which every
-a was optimal. A trial, given by its right-hand sides, computed in ints,
-runs no LP when a kept Farkas vector refutes them (no upper bound) or
-they lie in a kept basis's region (its point is a multi-supremum);
+Farkas vector its sessions have produced and every basis its sessions
+reached, with the objectives it is optimal for and their duals. A trial,
+given by its right-hand sides, computed in ints, runs no LP when a kept
+Farkas vector refutes them (no upper bound), when they lie in the region
+of a basis at which every objective was optimal (its point is a
+multi-supremum), or when, for each objective, they lie in the region of
+a basis optimal for it (each minimum is a dot product with its duals);
 else it builds a cold session of the kept rows there. C is converted
 once per wedge combination, so that no trial minimizes a redundant row.
+The seeded draws take ``getrandbits`` directly (``_below``), as
+``randrange`` and ``randint`` do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, _dots, span_contains
-from .lp import Optimal, Region, Session, Warm
+from .lp import Optima, Optimal, Region, Session, Warm
 from .wedges import Wedge, intersect
 
 
@@ -137,12 +143,16 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
 
     P's rows depend only on the sorted wedge multiset in a search, so
     ``warm`` decides a trial from its right-hand sides a . apex alone
-    (``Warm.solve``): a kept Farkas vector refutes them, or they lie in
-    the region of a kept basis optimal for every row of C, whose point
-    then attains every m_a, and no LP runs; else a cold session of its
-    rows, built only once, solves there. A basis at which no row of C
-    pivots after the sum is kept. The verdict is the same; a witness of a
-    non-proper set may differ.
+    (``Warm.solve``), and no LP runs when a kept Farkas vector refutes
+    them, when they lie in the region of a kept basis at which the sum s
+    of C's rows and every row were optimal (its point attains every m_a),
+    or when each of s and the rows has a kept basis optimal for it whose
+    region holds them (then m_o = y_o . b, and the set is empty exactly
+    when m_s differs from the sum of the m_a; else the sum's basis gives
+    the witness). Else a cold session of its rows, built only once,
+    solves there, and each basis it reaches is kept with the objectives
+    it is optimal for. The verdict is the same; a witness of a non-proper
+    set may differ.
     """
     rhs = _upper_bound_rhs(family)
     solved = warm.solve(cw.dim, rhs, lambda: _upper_bound_rows(family))
@@ -150,28 +160,39 @@ def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupS
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     if isinstance(solved, Region):
         return MultiSupSet(solved.point(rhs), cw.lineality_basis)
-    session = solved
-
+    if isinstance(solved, Optima):
+        values, witness = solved.values, solved.region.point(rhs)
+    else:
+        values, witness = _minima(solved, cw, warm)
     # Each row a of C is bounded below on P (the recession cone of a
     # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
     # attains every m_a exactly when the sum of the rows has its minimum
-    # sum(m_a) there, and any minimizer is then a multi-supremum. Each row's
-    # phase 2 starts from the previous optimum, the sum's for the first.
-    def minimum(objective: QVector) -> Optimal:
+    # sum(m_a) there, and any minimizer is then a multi-supremum.
+    if values[0] != sum(values[1:]):
+        return None
+    return MultiSupSet(witness, cw.lineality_basis)
+
+
+def _minima(session: Session, cw: Wedge, warm: Warm) -> tuple[list[Fraction], QVector]:
+    """The minima over P of the sum of C's rows, then of each row, and the sum's minimizer.
+
+    Each row's phase 2 starts from the previous optimum, the sum's for the
+    first. Each basis the session reaches is kept in ``warm`` with the
+    objectives whose minimum ended there.
+    """
+    bases: list[tuple[Region, dict[int, Optimal]]] = []
+    optima = []
+    for o, objective in enumerate([sum(cw.halfspaces, QVector.zero(cw.dim)), *cw.halfspaces]):
+        pivots = session.pivots
         res = session.minimize(objective)
         if not isinstance(res, Optimal):
             raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
-        return res
-
-    res = minimum(sum(cw.halfspaces, QVector.zero(cw.dim)))
-    pivots = session.pivots
-    total = sum(minimum(a).value for a in cw.halfspaces)
-    if session.pivots == pivots:
-        # No row pivoted: the sum's basis is optimal for every row.
-        warm.certify(session)
-    if res.value != total:
-        return None
-    return MultiSupSet(res.point, cw.lineality_basis)
+        if not bases or session.pivots != pivots:
+            bases.append((Region(session), {}))
+        bases[-1][1][o] = res
+        optima.append(res)
+    warm.keep(bases)
+    return [res.value for res in optima], optima[0].point
 
 
 def minf(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -191,10 +212,31 @@ def is_proper(result: MultiSupSet) -> bool:
     return result.is_proper
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``: the same value from the same ``getrandbits`` calls.
+
+    It is CPython's ``Random._randbelow_with_getrandbits``, which
+    ``randrange`` and ``randint`` call for every width n > 0: k = n's bit
+    length, and k fresh bits again while they are >= n. An empty range
+    raises ``ValueError``, as ``randrange`` does, before any draw.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
-    """Integer point in [-bound, bound]^dim plus a perturbation p/q, q <= 4, drawn in that order."""
-    r = rng.randint
-    draws = [(r(-bound, bound), r(-2, 2), r(1, 4)) for _ in range(dim)]
+    """Integer point in [-bound, bound]^dim plus a perturbation p/q, q <= 4, drawn in that order.
+
+    The draws are those of ``rng.randint(-bound, bound)``, ``randint(-2, 2)``
+    and ``randint(1, 4)`` per coordinate.
+    """
+    width = 2 * bound + 1
+    draws = [(_below(rng, width) - bound, _below(rng, 5) - 2, _below(rng, 4) + 1) for _ in range(dim)]
     den = lcm(*(q for _, _, q in draws))
     return QVector._of([base * den + p * (den // q) for base, p, q in draws], den)
 
@@ -217,11 +259,11 @@ def _trials(
         raise ValueError("wedges have mismatched dimensions")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    rng = random.Random(seed)
+    rng, count = random.Random(seed), len(wedges)
     combined: dict[tuple[int, ...], Wedge] = {}
     warm: dict[tuple[int, ...], Warm] = {}
     for _ in range(budget):
-        drawn = tuple(rng.randrange(len(wedges)) for _ in range(arity))
+        drawn = tuple([_below(rng, count) for _ in range(arity)])
         order = sorted(range(arity), key=drawn.__getitem__)
         key = tuple(sorted(set(drawn)))
         if key not in combined:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
 from .lp import Farkas, Region, Session, Unbounded, Warm
-from .multiorder import MultiSupSet, TranslatedWedge, _trials, multi_bounded_above
+from .multiorder import MultiSupSet, TranslatedWedge, _below, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 LinearOperator = QMatrix
@@ -330,11 +331,14 @@ def _rdp_session(inst: RDPInstance, warm: Warm) -> Session | Farkas | Region:
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:
     """Random nonnegative combination p/q (p in 0..3, then q in 1..2) of the
-    canonical generators; they have ``den == 1``, so it is built in halves."""
-    halves = [0] * w.dim
-    for g in w.canonical_generators:
-        c = rng.randint(0, 3) * (2 // rng.randint(1, 2))
-        halves = [h + c * e for h, e in zip(halves, g.num)]
+    canonical generators; they have ``den == 1``, so it is built in halves.
+
+    The draws are those of ``rng.randint(0, 3)`` and ``randint(1, 2)`` per
+    generator, in generator order.
+    """
+    gens = [g.num for g in w.canonical_generators]
+    coefficients = [_below(rng, 4) * (2 // (_below(rng, 2) + 1)) for _ in gens]
+    halves = [sum(map(mul, coefficients, column)) for column in zip(*gens)] if gens else [0] * w.dim
     return QVector._of(halves, 2)
 
 
@@ -347,8 +351,8 @@ def rdp_search(
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
     Only the verdict is read: no trial assembles a z, and every feasible
-    basis a trial's cold session reaches is certified, so that a later
-    trial it keeps feasible runs no LP (``lp.Warm``). Deterministic for a
+    basis a trial's cold session reaches is kept, so that a later trial
+    it keeps feasible runs no LP (``lp.Warm``). Deterministic for a
     fixed seed. Each instance is checked in sorted wedge order (see
     ``multiorder._trials``).
     """
@@ -369,8 +373,8 @@ def rdp_search(
         if not solved.feasible:
             return inst
         if isinstance(solved, Session):
-            # Only feasibility is read, so every feasible basis is certified.
-            warm.certify(solved)
+            # Only feasibility is read, so every feasible basis is kept, for no objective.
+            warm.keep([(Region(solved), {})])
     return None
 
 

@@ -661,8 +661,8 @@ def test_warm_keeps_one_session(monkeypatch):
     # cold session of the kept rows, with the point and pivots of a
     # Session built from scratch, and its Farkas vector is kept when it is
     # infeasible. Feasible sessions are minimized at the system's
-    # objective and certified half the time, so a kept region's point
-    # attains the cold minimum.
+    # objective and their one basis kept half the time, so a kept region's
+    # point attains the cold minimum.
     calls = Counter()
     pivot, init = lp_module._pivot, Session.__init__
 
@@ -705,9 +705,10 @@ def test_warm_keeps_one_session(monkeypatch):
         got = warm.solve(n, ge_rhs, lambda: built_rows.append(ge_rows) or ge_rows)
         assert built_rows == [ge_rows] and isinstance(got, Session)
         for _ in range(6):
-            if isinstance(got, Session) and got.feasible and isinstance(got.minimize(objective), Optimal):
-                if rng.random() < 0.5:
-                    warm.certify(got)
+            if isinstance(got, Session) and got.feasible:
+                res = got.minimize(objective)
+                if isinstance(res, Optimal) and rng.random() < 0.5:
+                    warm.keep([(Region(got), {0: res})])
             new_rhs = _new_rhs(rng, cons)
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
             cold = Session(n, ge_rows, ge_new)

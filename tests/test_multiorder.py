@@ -22,9 +22,9 @@ from multiwedge import (
 )
 
 from multiwedge import multiorder
-from multiwedge.lp import Farkas, Region, Session, Warm
+from multiwedge.lp import Farkas, Optima, Region, Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
-from multiwedge.multiorder import MultiSupSet, _msup, _upper_bound_rhs, _upper_bound_rows, sample_apex
+from multiwedge.multiorder import MultiSupSet, _below, _msup, _upper_bound_rhs, _upper_bound_rows, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -231,17 +231,24 @@ def test_warm_search_matches_cold_search():
 
 
 def test_msup_with_warm_matches_cold():
-    # Families on the same wedges in the same order share one Warm, as the
-    # search's sorted families do, but every verdict is read: empty sets,
-    # no upper bound, and nonempty sets. A trial that no kept entry decides
-    # gets a cold session, so its witness is cold msup's; one that a kept
-    # region decides may give any point of the cold set.
+    # Families on one sorted wedge multiset share one Warm, as the search's
+    # families do, but every verdict is read: empty sets, no upper bound,
+    # and nonempty sets. A trial that no kept entry decides gets a cold
+    # session, so its witness is cold msup's; one that kept bases decide
+    # may give any point of the cold set. A trial decided by kept optima
+    # has, for the sum of C's rows and for each row, the value y . b of a
+    # kept basis optimal for it, which is the cold minimum, and cold msup's
+    # verdict, on empty and on nonempty sets.
     class Watched(Warm):
         __slots__ = ()
 
         def solve(self, n, rhs, rows):
             solved = super().solve(n, rhs, rows)
-            routes.append(isinstance(solved, Session))
+            routes.append(type(solved))
+            if isinstance(solved, Optima):
+                objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
+                for value, c in zip(solved.values, objectives, strict=True):
+                    assert value == Session(n, rows(), rhs).minimize(c).value
             return solved
 
     rng = random.Random(4242)
@@ -256,9 +263,10 @@ def test_msup_with_warm_matches_cold():
         else:
             dim = rng.randint(1, 3)
             wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
-        k, warm = 1 + run % 3 + (run % 3 == 0), {}
+        # ex2.7's halfplanes at k = 3 give empty sets, at k = 2 none.
+        k, warm = 2 + (run % 3 == 2 or run % 6 == 0), {}
         for _ in range(30):
-            indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
+            indices = tuple(sorted(rng.randrange(len(wedges)) for _ in range(k)))
             family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
             results, routes = [], []
             cw = intersect([tw.wedge for tw in family])
@@ -276,11 +284,14 @@ def test_msup_with_warm_matches_cold():
             else:
                 assert got.lineality_basis == cold.lineality_basis and cold.contains(got.witness)
                 outcomes["proper" if cold.is_proper else "lines"] += 1
-                if routes == [True]:
+                if routes == [Session]:
                     assert got.witness == cold.witness
                     outcomes["session", cold.is_proper] += 1
+            if routes == [Optima]:
+                outcomes["optima", cold is None] += 1
     for outcome in ("None", "not bounded", "proper", "lines", ("session", True), ("session", False)):
         assert outcomes[outcome] >= 20, outcomes
+    assert min(outcomes["optima", True], outcomes["optima", False]) >= 20, outcomes
 
 
 def test_search_builds_its_rows_once_per_wedge_multiset(row_builds):
@@ -343,6 +354,31 @@ def test_integer_apex_draws_match_the_fraction_formula():
     assert min(shapes[k] for k in ("dim 0", "bound 0", "other")) >= 100, shapes
 
 
+def test_draws_below_n_match_randrange():
+    # _below(rng, n) is rng.randrange(n): the same values and the same
+    # generator states, for every width from 1 to 70 (1, the powers of two
+    # and their neighbours among them) over many seeds.
+    for seed in range(60):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            for _ in range(5):
+                assert _below(new, n) == old.randrange(n)
+            assert new.getstate() == old.getstate()
+
+
+def test_empty_draw_ranges_raise_before_drawing():
+    # randint(1, -1) raises, and so does the draw that replaces it, before
+    # any bits are drawn: a bare getrandbits loop below -1 would never end.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        sample_apex(rng, 2, -1)
+    for n in (0, -1, -8):
+        with pytest.raises(ValueError):
+            _below(rng, n)
+    assert rng.getstate() == state
+
+
 def test_priced_normals_equal_their_own_minima():
     # msup minimizes C's rows in sequence after their sum, each from the
     # previous optimum. Where that basis is optimal for the row, it takes
@@ -379,11 +415,15 @@ def test_priced_normals_equal_their_own_minima():
 
 
 def test_a_certified_warm_basis_attains_every_minimum():
-    # msup's no-LP path: whenever Warm.solve returns a kept Region, whose
+    # msup's no-LP paths. Whenever Warm.solve returns a kept Region, whose
     # basis no row of C pivoted at, its point at the trial's right-hand
     # sides attains the cold minimum of every row of C over P, and _msup
-    # returns that point. Trials share one Warm per family of halfspaces,
-    # as the search's sorted families do.
+    # returns that point. Whenever it returns kept Optima, each value is
+    # the cold minimum of its objective (the sum of C's rows, then each
+    # row), the sum's kept basis has its point at the sum's minimum, and
+    # _msup returns that point exactly when the set is nonempty. Trials
+    # share one Warm per family of halfspaces, as the search's sorted
+    # families do.
     outcomes = Counter()
 
     class Watched(Warm):
@@ -392,12 +432,20 @@ def test_a_certified_warm_basis_attains_every_minimum():
         def solve(self, n, rhs, rows):
             solved = super().solve(n, rhs, rows)
             if solved.feasible:
-                outcomes["region" if isinstance(solved, Region) else "session"] += 1
+                outcomes[type(solved).__name__] += 1
+            objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
             if isinstance(solved, Region):
                 point = solved.point(rhs)
-                for a in cw.halfspaces:
+                for a in objectives:
                     assert a.dot(point) == Session(n, rows(), rhs).minimize(a).value
                 witness.append(point)
+            elif isinstance(solved, Optima):
+                for value, c in zip(solved.values, objectives, strict=True):
+                    assert value == Session(n, rows(), rhs).minimize(c).value
+                point = solved.region.point(rhs)
+                assert objectives[0].dot(point) == solved.values[0]
+                witness.append(point)
+                empty.append(solved.values[0] != sum(solved.values[1:]))
             return solved
 
     rng = random.Random(1017)
@@ -408,27 +456,32 @@ def test_a_certified_warm_basis_attains_every_minimum():
         cw, warm = intersect(wedges), Watched()
         for _ in range(20):
             family = [TranslatedWedge(sample_apex(rng, dim, 2), w) for w in wedges]
-            witness = []
+            witness, empty = [], []
             try:
                 res = _msup(family, cw, warm)
             except NotMultiBoundedAbove:
                 continue
             if witness:
-                assert res.witness == witness[0]
-    assert min(outcomes["region"], outcomes["session"]) >= 20, outcomes
+                assert (res is None) == (empty == [True])
+                assert res is None or res.witness == witness[0]
+    for outcome in ("Region", "Optima", "Session"):
+        assert outcomes[outcome] >= 20, outcomes
 
 
 def test_the_memo_decides_as_cold_sessions(monkeypatch):
-    # Every trial of both searches that a Warm decides from a kept entry
-    # gets a cold session's verdict, and in a lattice search a kept
-    # region's point attains the cold minimum of every row of P: each is
-    # a nonnegative combination of C's rows, so the point is a
-    # multi-supremum. Any other trial gets a session with a cold one's
-    # basis, point and pivots. Gated on the three ways a trial goes:
-    # refuted by a kept Farkas vector, inside a kept region, and passed on
-    # to a session.
+    # Every trial of both searches that a Warm decides from kept entries
+    # gets a cold session's verdict. In a lattice search a kept region's
+    # point attains the cold minimum of every row of P: each is a
+    # nonnegative combination of C's rows, so the point is a
+    # multi-supremum. Kept optima, which only a lattice search keeps, give
+    # each objective's cold minimum (the sum of C's rows, then each row)
+    # and cold msup's verdict. Any other trial gets a session with a cold
+    # one's basis, point and pivots. Gated on the ways a trial goes:
+    # refuted by a kept Farkas vector, inside a kept region, decided by
+    # kept optima, and passed on to a session.
     outcomes = Counter()
     lattice = [True]
+    trial = {}
 
     class Watched(Warm):
         __slots__ = ()
@@ -445,12 +498,30 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
                     point = solved.point(rhs)
                     for a in rows():
                         assert a.dot(point) == cold.minimize(a).value
+            elif isinstance(solved, Optima):
+                assert lattice[0]
+                cw = trial["cw"]
+                objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
+                for value, c in zip(solved.values, objectives, strict=True):
+                    assert value == cold.minimize(c).value
+                trial["optima"] = True
             else:
                 assert solved._basis == cold._basis and solved.pivots == cold.pivots
                 assert solved.feasible_point() == cold.feasible_point()
                 outcomes["session"] += 1
             return solved
 
+    def watched_msup(family, cw, warm, msup_=multiorder._msup):
+        trial["cw"] = cw
+        got = msup_(family, cw, warm)
+        if trial.pop("optima", False):
+            cold = msup(family)
+            assert (got is None) == (cold is None)
+            assert got is None or cold.contains(got.witness)
+            outcomes["optima", got is None] += 1
+        return got
+
+    monkeypatch.setattr(multiorder, "_msup", watched_msup)
     monkeypatch.setattr(multiorder, "Warm", Watched)
     rng = random.Random(6007)
     quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
@@ -472,15 +543,18 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
             )
         else:
             assert rdp_search(wedges, 2, 2, seed=seed, budget=40) == cold_rdp_search(wedges, 2, 2, seed=seed, budget=40)
-    for outcome in ("farkas", "region", "session"):
+    for outcome in ("farkas", "region", "session", ("optima", False)):
         assert outcomes[outcome] >= 20, outcomes
 
 
 def test_most_search_trials_are_decided_without_a_session(monkeypatch):
     # On ex2.7 at k = 2 fewer than a quarter of the trials build a
-    # session: the rest are decided by the kept regions. A fresh Warm,
-    # as msup and rdp_check build, keeps nothing, so every call gets the
-    # cold session and no public witness depends on an earlier call.
+    # session: the rest are decided by the kept regions. On ex3.7 at
+    # k = 3 a basis is seldom optimal for every row of C, so most trials
+    # are decided by the kept optima of each row, and again fewer than a
+    # quarter build a session. A fresh Warm, as msup and rdp_check build,
+    # keeps nothing, so every call gets the cold session and no public
+    # witness depends on an earlier call.
     calls = Counter()
     solve = Warm.solve
 
@@ -495,6 +569,11 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
     assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
 
     calls.clear()
+    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
+    assert multilattice_search([quadrant, ray], 3, seed=3, budget=200) is None
+    assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
+
+    calls.clear()
     rng = random.Random(29)
     wedges = [rand_wedge(rng, 2) for _ in range(3)]
     for _ in range(30):
@@ -503,7 +582,6 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
             msup(family)
         except NotMultiBoundedAbove:
             pass
-    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
     ys = (V([1, 0]), V([1, 1]))
     for xs in ((V([2, 0]), V([0, 1])), (V([1, 1]), V([1, 0])), (V([2, 1]),)):
         rdp_check(RDPInstance((quadrant, ray), xs, ys))
