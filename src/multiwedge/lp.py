@@ -32,19 +32,20 @@ objective already optimal at the basis costs no pivot. An infeasible
 session keeps a ``Farkas`` vector of its rows.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
-b, as a search does: a trial passes only b, and the rows are built once.
-Neither a Farkas vector nor a basis's reduced costs and duals read b, so
-the verdict at b depends only on which critical regions b falls in
-(multiparametric LP: Gal and Nedoma 1972, Multiparametric linear
-programming, Management Science 18). ``Warm`` keeps every Farkas vector
-its sessions have produced, and every basis its caller kept as a
-``Region``, the slack part of B^-1, with the duals of the objectives it
-is optimal for. A trial that a kept vector refutes (y . b > 0), that
-lies in the region of a basis optimal for every objective (B^-1 b
-feasible on every slack-basic row), or that lies, for each objective o,
-in the region of some basis optimal for o, where the minimum is y_o . b,
-is decided by dot products of ints. Only the other trials build a
-session, cold.
+b, as a search does. It is built once with the rows and, per row, b as a
+linear map of parameters theta (the apexes, or the xs and ys), which
+``Warm.rhs`` evaluates; a trial passes only b. Neither a Farkas vector
+nor a basis's reduced costs and duals read b, so the verdict at b
+depends only on which critical regions b falls in (multiparametric LP:
+Gal and Nedoma 1972, Multiparametric linear programming, Management
+Science 18). ``Warm`` keeps every Farkas vector its sessions have
+produced, and every basis its caller kept as a ``Region``, the slack
+part of B^-1, with the duals of the objectives it is optimal for. A
+trial that a kept vector refutes (y . b > 0), that lies in the region of
+a basis optimal for every objective (B^-1 b feasible on every
+slack-basic row), or that lies, for each objective o, in the region of
+some basis optimal for o, where the minimum is y_o . b, is decided by
+dot products of ints. Only the other trials build a session, cold.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -60,10 +61,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError
-from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
+from .linalg import QVector, _dots, _eliminate, _nonzero, _pivot, _Row, qparse
 
 LE, GE, EQ = "<=", ">=", "=="
 # The signs s with which a row a . x (rel) b is written as s a . x >= s b.
@@ -352,41 +353,45 @@ class Optima:
 
 
 class Warm:
-    """One system's rows, built once, and what its sessions have proved, across right-hand sides.
+    """One parametric system: its rows, their right-hand sides as linear maps, and what its sessions proved.
 
-    ``solve`` takes a trial's right-hand sides only. ``Warm`` keeps the
-    rows, which ``rows()`` builds on the first ``solve``, every Farkas
-    vector its sessions have produced, and every basis its caller kept
-    (``keep``) as a ``Region``. A trial that a kept Farkas vector refutes
-    gets that ``Farkas``; else one in the region of a basis optimal for
-    every objective gets that ``Region``; else one that, for every
-    objective, lies in the region of some kept basis optimal for it gets
-    the ``Optima`` they give. Any other trial gets a cold ``Session`` of
-    the rows at its right-hand sides, and an infeasible one's Farkas
-    vector is kept. Each of the four has ``feasible``, and every verdict
-    and minimum is that of a cold session, as neither a Farkas vector nor
-    a basis's reduced costs and duals read the right-hand side. Entries
-    come only from trials that no kept entry decides, so none is kept
-    twice. A fresh ``Warm`` keeps nothing: its first ``solve`` is the
-    cold session.
+    ``Warm(n, rows, terms)`` is the >= rows in n variables with, per row,
+    its right-hand side as terms (a, [(s, p), ...]): at the parameters
+    theta, a sequence of vectors, row r's right-hand side is the sum of
+    s * (a . theta[p]) over its terms (``rhs``). ``solve`` takes a
+    trial's right-hand sides only. ``Warm`` keeps every Farkas vector its
+    sessions have produced, and every basis its caller kept (``keep``) as
+    a ``Region``. A trial that a kept Farkas vector refutes gets that
+    ``Farkas``; else one in the region of a basis optimal for every
+    objective gets that ``Region``; else one that, for every objective,
+    lies in the region of some kept basis optimal for it gets the
+    ``Optima`` they give. Any other trial gets a cold ``Session`` of the
+    rows at its right-hand sides, and an infeasible one's Farkas vector is
+    kept. Each of the four has ``feasible``, and every verdict and minimum
+    is that of a cold session, as neither a Farkas vector nor a basis's
+    reduced costs and duals read the right-hand side. Entries come only
+    from trials that no kept entry decides, so none is kept twice. A
+    fresh ``Warm`` keeps nothing: its first ``solve`` is the cold session.
     """
 
-    __slots__ = ("_rows", "_proofs", "_regions", "_optima")
+    __slots__ = ("n", "rows", "terms", "_proofs", "_regions", "_optima")
 
-    def __init__(self):
-        self._rows: Sequence[QVector] | None = None
+    def __init__(self, n: int, rows: Sequence[QVector], terms: Sequence[tuple[QVector, list[tuple[int, int]]]]):
+        self.n, self.rows, self.terms = n, rows, terms
         self._proofs: list[Farkas] = []
         self._regions: list[Region] = []
         # Per objective, each kept basis optimal for it with its duals there.
         self._optima: list[list[tuple[Region, QVector]]] = []
 
-    def solve(
-        self, n: int, rhs: QVector, rows: Callable[[], Sequence[QVector]]
-    ) -> Session | Farkas | Region | Optima:
-        """The >= rows at ``rhs``, decided by kept entries or by a cold session; ``rows()`` builds them once."""
-        if self._rows is None:
-            self._rows = rows()
-        elif rhs.dim != len(self._rows):
+    def rhs(self, theta: Sequence[QVector]) -> QVector:
+        """The right-hand sides at the parameters ``theta``, in ints over one denominator."""
+        dots = _dots([(a, theta[p]) for a, ps in self.terms for _, p in ps])
+        num = iter(dots.num)
+        return QVector._of([sum([s * next(num) for s, _ in ps]) for _, ps in self.terms], dots.den)
+
+    def solve(self, rhs: QVector) -> Session | Farkas | Region | Optima:
+        """The rows at ``rhs``, decided by kept entries or by a cold session."""
+        if rhs.dim != len(self.rows):
             raise ValueError("solve needs one right-hand side per row")
         for proof in self._proofs:
             if proof.refutes(rhs):
@@ -405,7 +410,7 @@ class Warm:
                     break
             else:
                 return Optima(rhs, picked)
-        session = Session(n, self._rows, rhs)
+        session = Session(self.n, self.rows, rhs)
         if not session.feasible:
             self._proofs.append(session._farkas)
         return session

@@ -11,12 +11,13 @@ combination of others, attained wherever they are, so no conversion is
 needed to drop it. All of these are exact LPs over one constraint
 system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
 previous optimum, and only prices there when that basis is optimal for
-a. P's rows depend only on the sorted wedge multiset, and its
-right-hand sides a . apex only on the apexes, so ``multilattice_search``
-keeps one ``lp.Warm`` per multiset: the rows, built once, with every
-Farkas vector its sessions have produced and every basis its sessions
-reached, with the objectives it is optimal for and their duals. A trial,
-given by its right-hand sides, computed in ints, runs no LP when a kept
+a. P is one parametric system (``_upper_bound_system``, its only
+builder): rows that depend only on the sorted wedge multiset, and
+right-hand sides a . apex_p linear in the apexes. ``multilattice_search``
+keeps one ``lp.Warm`` of it per multiset, with every Farkas vector its
+sessions have produced and every basis they reached, with the
+objectives it is optimal for and their duals. A trial, given by its
+right-hand sides at its apexes, in ints, runs no LP when a kept
 Farkas vector refutes them (no upper bound), when they lie in the region
 of a basis at which every objective was optimal (its point is a
 multi-supremum), or when, for each objective, they lie in the region of
@@ -36,7 +37,7 @@ from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
-from .linalg import QVector, _dots, span_contains
+from .linalg import QVector, span_contains
 from .lp import Optima, Optimal, Region, Session, Warm
 from .wedges import Wedge, intersect
 
@@ -104,14 +105,11 @@ def _family_dim(family: Sequence[TranslatedWedge]) -> int:
     return dim
 
 
-def _upper_bound_rows(family: Sequence[TranslatedWedge]) -> list[QVector]:
-    """P's rows a, read a . x >= a . apex, for each halfspace a of each pair's wedge."""
-    return [a for tw in family for a in tw.wedge.halfspaces]
-
-
-def _upper_bound_rhs(family: Sequence[TranslatedWedge]) -> QVector:
-    """The right-hand sides a . apex of ``_upper_bound_rows``, in ints."""
-    return _dots([(a, tw.apex) for tw in family for a in tw.wedge.halfspaces])
+def _upper_bound_system(wedges: Sequence[Wedge]) -> Warm:
+    """P's rows a . x >= a . apex_p, for each halfspace a of each wedge W_p, as a system in the apexes."""
+    rows = [a for w in wedges for a in w.halfspaces]
+    terms = [(a, [(1, p)]) for p, w in enumerate(wedges) for a in w.halfspaces]
+    return Warm(wedges[0].dim, rows, terms)
 
 
 def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
@@ -124,7 +122,9 @@ def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
 
 def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
-    return Session(_family_dim(family), _upper_bound_rows(family), _upper_bound_rhs(family)).feasible_point()
+    _family_dim(family)
+    warm = _upper_bound_system([tw.wedge for tw in family])
+    return warm.solve(warm.rhs([tw.apex for tw in family])).feasible_point()
 
 
 def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -135,27 +135,27 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
     by definition, distinct from an empty multi-supremum set.
     """
     _family_dim(family)
-    return _msup(family, intersect([tw.wedge for tw in family]), Warm())
+    wedges = [tw.wedge for tw in family]
+    return _msup([tw.apex for tw in family], intersect(wedges), _upper_bound_system(wedges))
 
 
-def _msup(family: Sequence[TranslatedWedge], cw: Wedge, warm: Warm) -> MultiSupSet | None:
-    """``msup`` with C = ``cw`` given, and P solved through ``warm``.
+def _msup(apexes: Sequence[QVector], cw: Wedge, warm: Warm) -> MultiSupSet | None:
+    """``msup`` at the apexes, with C = ``cw`` given, and P the system ``warm`` of the family's wedges.
 
     P's rows depend only on the sorted wedge multiset in a search, so
-    ``warm`` decides a trial from its right-hand sides a . apex alone
-    (``Warm.solve``), and no LP runs when a kept Farkas vector refutes
+    ``warm`` decides a trial from its right-hand sides a . apex_p alone
+    (``Warm.rhs``, ``Warm.solve``), and no LP runs when a kept Farkas vector refutes
     them, when they lie in the region of a kept basis at which the sum s
     of C's rows and every row were optimal (its point attains every m_a),
     or when each of s and the rows has a kept basis optimal for it whose
     region holds them (then m_o = y_o . b, and the set is empty exactly
     when m_s differs from the sum of the m_a; else the sum's basis gives
-    the witness). Else a cold session of its rows, built only once,
-    solves there, and each basis it reaches is kept with the objectives
-    it is optimal for. The verdict is the same; a witness of a non-proper
-    set may differ.
+    the witness). Else a cold session of its rows solves there, and
+    each basis it reaches is kept with the objectives it is optimal for.
+    The verdict is the same; a witness of a non-proper set may differ.
     """
-    rhs = _upper_bound_rhs(family)
-    solved = warm.solve(cw.dim, rhs, lambda: _upper_bound_rows(family))
+    rhs = warm.rhs(apexes)
+    solved = warm.solve(rhs)
     if not solved.feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     if isinstance(solved, Region):
@@ -242,16 +242,18 @@ def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
 
 
 def _trials(
-    wedges: Sequence[Wedge], arity: int, seed: int, budget: int, combine: Callable[[list[Wedge]], Wedge]
+    wedges: Sequence[Wedge], arity: int, seed: int, budget: int,
+    combine: Callable[[list[Wedge]], Wedge], system: Callable[[list[Wedge]], Warm],
 ) -> Iterator[tuple[random.Random, tuple[int, ...], list[int], Wedge, Warm]]:
     """The seeded trials of both searches: ``budget`` draws of ``arity`` wedge indices.
 
     Yields the rng, for the trial's own draws; the indices as drawn; their
     positions in sorted order; ``combine`` of the distinct wedges, cached
-    per index set; and one ``Warm`` per sorted wedge multiset, for this
-    call only. Posed in sorted order, a trial is the drawn one with its
-    rows permuted, and every verdict is exact: the first counterexample is
-    that of cold sessions, reported in the drawn order.
+    per index set; and the property's ``system`` of the sorted wedges,
+    one ``Warm`` per sorted wedge multiset, for this call only. Posed in
+    sorted order, a trial is the drawn one with its rows permuted, and
+    every verdict is exact: the first counterexample is that of cold
+    sessions, reported in the drawn order.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -270,7 +272,7 @@ def _trials(
             combined[key] = combine([wedges[i] for i in key])
         multiset = tuple(drawn[p] for p in order)
         if multiset not in warm:
-            warm[multiset] = Warm()
+            warm[multiset] = system([wedges[i] for i in multiset])
         yield rng, drawn, order, combined[key], warm[multiset]
 
 
@@ -292,11 +294,10 @@ def multilattice_search(
     def combine(ws: list[Wedge]) -> Wedge:
         return Wedge(ws[0].dim, generators=intersect(ws).generators)
 
-    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, combine):
+    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, combine, _upper_bound_system):
         apexes = tuple(sample_apex(rng, cw.dim, 5) for _ in range(k))
-        family = [TranslatedWedge(apexes[p], wedges[indices[p]]) for p in order]
         try:
-            res = _msup(family, cw, warm)
+            res = _msup([apexes[p] for p in order], cw, warm)
         except NotMultiBoundedAbove:
             continue
         if res is None:

@@ -19,14 +19,14 @@ operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
 layer. The primal decomposition system remains only in rdp_check (which
 also answers fs_decompose, over coordinate wedges) and rdp_search, in
 transportation form: the sums fix the last row and column of z, so it
-has >= rows only. The rows depend only on m and the sorted wedge
-multiset, and the right-hand sides only on the xs and ys, so rdp_search
-keeps one ``lp.Warm`` per multiset: the rows, built once, with every
-Farkas vector its sessions have produced and every feasible basis they
-have reached. A search reads only the verdict, never z, so a trial
+has >= rows only. It is one parametric system (``_rdp_system``, its
+only builder): rows that depend only on m and the sorted wedge
+multiset, and right-hand sides -a . c_ij linear in theta = (xs, ys)
+(``_blocks``). rdp_search keeps one ``lp.Warm`` of it per multiset, with
+every Farkas vector its sessions have produced and every feasible basis
+they have reached. A search reads only the verdict, never z, so a trial
 whose right-hand sides a kept Farkas vector refutes, or a kept basis
-keeps feasible, runs no LP; any other builds a cold session of the kept
-rows there.
+keeps feasible, runs no LP; any other builds a cold session there.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -53,7 +53,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
-from .lp import Farkas, Region, Session, Unbounded, Warm
+from .lp import Region, Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _below, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -138,13 +138,7 @@ def op_wedge_is_cone(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> bool:
     return is_generating(wedge_sum(ws)) and is_cone(intersect(vs))
 
 
-def extend_additive(
-    domain_wedge: Wedge,
-    values: Mapping[QVector, QVector],
-    codomain_dim: int,
-    *,
-    complement_order: str = "forward",
-) -> QMatrix:
+def extend_additive(domain_wedge: Wedge, values: Mapping[QVector, QVector], codomain_dim: int) -> QMatrix:
     """Extend generator values to a linear map, zero on a standard complement.
 
     Picks a maximal independent subset of the wedge's generators (in
@@ -153,8 +147,6 @@ def extend_additive(
     the wedge is generating the complement is empty, so the extension is
     the unique one.
     """
-    if complement_order not in ("forward", "backward"):
-        raise ValueError("complement_order must be 'forward' or 'backward'")
     dim = domain_wedge.dim
     gens = domain_wedge.generators
     for g in gens:
@@ -162,8 +154,7 @@ def extend_additive(
             raise ValueError("a value is required for every generator of the wedge")
         if values[g].dim != codomain_dim:
             raise ValueError("every value must have codomain_dim entries")
-    order = range(dim - 1, -1, -1) if complement_order == "backward" else range(dim)
-    candidates = [*gens, *(QVector.unit(dim, k) for k in order)]
+    candidates = [*gens, *(QVector.unit(dim, k) for k in range(dim))]
     pivots = _pivot_columns(candidates, dim)
     m = QMatrix._of([candidates[p] for p in pivots], dim).transpose()
     zero = QVector.zero(codomain_dim)
@@ -271,62 +262,60 @@ def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     # A decomposition puts every x_i in the sum wedge, so that check, a
     # conversion of the sum, runs only when there is none.
     inst._validate()
-    point = _rdp_session(inst, Warm()).feasible_point()
+    m, n, dim = len(inst.xs), len(inst.ys), inst.dim
+    theta, warm = (*inst.xs, *inst.ys), _rdp_system(inst.wedges, m)
+    point = warm.solve(warm.rhs(theta)).feasible_point()
     if point is None:
         if not all(map(wedge_sum(inst.wedges).member, inst.xs)):
             raise InvalidInstance("some x_i is outside the sum of the wedges")
         return None
-    m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     t = [QVector._of(point.num[k * dim : (k + 1) * dim], point.den) for k in range((m - 1) * (n - 1))]
-    z = [sum((t[k] if s > 0 else -t[k] for s, k in ts), c) for _, c, ts in _blocks(inst)]
+    z = []
+    for _, cs, ts in _blocks(m, n):
+        parts = [(s, theta[p]) for s, p in cs] + [(s, t[k]) for s, k in ts]
+        z.append(sum([v if s > 0 else -v for s, v in parts], QVector.zero(dim)))
     return [z[i : i + n] for i in range(0, len(z), n)]
 
 
-def _blocks(inst: RDPInstance) -> Iterator[tuple[int, QVector, list[tuple[int, int]]]]:
-    """(j, c_ij, [(sign, k)]) per block, row-major: z_ij = c_ij + sum of sign * t_k.
+def _blocks(m: int, n: int) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]:
+    """(j, [(sign, p)], [(sign, k)]) per block, row-major: z_ij = c_ij + sum of sign * t_k.
 
-    t_k = z_ij, k = i * (n - 1) + j, for i < m - 1 and j < n - 1; the sums fix
-    z_in = x_i - sum_j t_ij, z_mj = y_j - sum_i t_ij, z_mn = y_n - sum_{i<m} x_i + sum t.
+    c_ij is the sum of sign * theta_p over theta = (x_1, ..., x_m, y_1,
+    ..., y_n). t_k = z_ij, k = i * (n - 1) + j, for i < m - 1 and j < n - 1;
+    the sums fix z_in = x_i - sum_j t_ij, z_mj = y_j - sum_i t_ij,
+    z_mn = y_n - sum_{i<m} x_i + sum t.
     """
-    xs, ys = inst.xs, inst.ys
-    m, n = len(xs), len(ys)
-    zero = QVector.zero(inst.dim)
     for i in range(m):
         for j in range(n):
             if i < m - 1 and j < n - 1:
-                yield j, zero, [(1, i * (n - 1) + j)]
+                yield j, [], [(1, i * (n - 1) + j)]
             elif i < m - 1:
-                yield j, xs[i], [(-1, i * (n - 1) + k) for k in range(n - 1)]
+                yield j, [(1, i)], [(-1, i * (n - 1) + k) for k in range(n - 1)]
             elif j < n - 1:
-                yield j, ys[j], [(-1, k * (n - 1) + j) for k in range(m - 1)]
+                yield j, [(1, m + j)], [(-1, k * (n - 1) + j) for k in range(m - 1)]
             else:
-                yield j, ys[j] - sum(xs[:-1], zero), [(1, k) for k in range((m - 1) * (n - 1))]
+                yield j, [(1, m + j), *[(-1, k) for k in range(m - 1)]], [(1, k) for k in range((m - 1) * (n - 1))]
 
 
-def _rdp_session(inst: RDPInstance, warm: Warm) -> Session | Farkas | Region:
-    """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, solved through ``warm``.
+def _rdp_system(wedges: Sequence[Wedge], m: int) -> Warm:
+    """The rows a . (c_ij + sum of sign * t_k) >= 0 in t, for each halfspace a of W_j, as a system in theta.
 
-    The rows depend only on m and the sorted wedge multiset in a search,
-    so ``warm`` decides from the right-hand sides -a . c_ij alone
-    (``Warm.solve``): by a kept Farkas vector or a kept feasible basis,
-    else by a cold session of the rows, which ``rows()`` builds once per
-    ``Warm``. A fresh ``Warm`` gives the cold session.
+    Row (i, j, a) reads a . sum of sign * t_k >= -a . c_ij, whose
+    right-hand side is linear in theta = (x_1, ..., x_m, y_1, ..., y_n)
+    (``_blocks``). The rows depend only on m and the wedges.
     """
-    dim, nt = inst.dim, (len(inst.xs) - 1) * (len(inst.ys) - 1) * inst.dim
-    cells = [(a, c, ts) for j, c, ts in _blocks(inst) for a in inst.wedges[j].halfspaces]
-    rhs = -_dots([(a, c) for a, c, _ in cells])
-
-    # Each row keeps its halfspace's den: the simplex must see the values as given.
-    def rows() -> list[QVector]:
-        out = []
-        for a, _, ts in cells:
+    n, dim = len(wedges), wedges[0].dim
+    nt = (m - 1) * (n - 1) * dim
+    rows, terms = [], []
+    for j, cs, ts in _blocks(m, n):
+        for a in wedges[j].halfspaces:
             num = [0] * nt
             for s, k in ts:
                 num[k * dim : (k + 1) * dim] = [s * e for e in a.num]
-            out.append(QVector._of(num, a.den))
-        return out
-
-    return warm.solve(nt, rhs, rows)
+            # Each row keeps its halfspace's den: the simplex must see the values as given.
+            rows.append(QVector._of(num, a.den))
+            terms.append((a, [(-s, p) for s, p in cs]))
+    return Warm(nt, rows, terms)
 
 
 def _random_member(rng: random.Random, w: Wedge) -> QVector:
@@ -353,12 +342,12 @@ def rdp_search(
     Only the verdict is read: no trial assembles a z, and every feasible
     basis a trial's cold session reaches is kept, so that a later trial
     it keeps feasible runs no LP (``lp.Warm``). Deterministic for a
-    fixed seed. Each instance is checked in sorted wedge order (see
-    ``multiorder._trials``).
+    fixed seed. Each instance is checked in sorted wedge order, its ys
+    with them (see ``multiorder._trials``).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum):
+    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum, lambda ws: _rdp_system(ws, m)):
         ys = [_random_member(rng, wedges[j]) for j in js]
         xs = [_random_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, QVector.zero(sw.dim))
@@ -367,11 +356,9 @@ def rdp_search(
         if not sw.member(last):
             continue
         xs.append(last)
-        inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        posed = RDPInstance(tuple(inst.wedges[p] for p in order), inst.xs, tuple(ys[p] for p in order))
-        solved = _rdp_session(posed, warm)
+        solved = warm.solve(warm.rhs([*xs, *(ys[p] for p in order)]))
         if not solved.feasible:
-            return inst
+            return RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
         if isinstance(solved, Session):
             # Only feasibility is read, so every feasible basis is kept, for no objective.
             warm.keep([(Region(solved), {})])

@@ -771,17 +771,18 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
 
 
 @pytest.fixture
-def row_builds(monkeypatch):
-    """List that gets one entry per call of the ``rows()`` that ``lp.Warm.solve`` is given."""
+def warm_builds(monkeypatch):
+    """List that gets the row count of each ``lp.Warm`` built: one entry per parametric system."""
     from multiwedge import lp
 
     built = []
-    solve = lp.Warm.solve
+    init = lp.Warm.__init__
 
-    def counted(self, n, rhs, rows):
-        return solve(self, n, rhs, lambda: built.append(None) or rows())
+    def counted(self, n, rows, terms):
+        built.append(len(rows))
+        init(self, n, rows, terms)
 
-    monkeypatch.setattr(lp.Warm, "solve", counted)
+    monkeypatch.setattr(lp.Warm, "__init__", counted)
     return built
 
 

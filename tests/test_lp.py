@@ -458,7 +458,7 @@ def test_farkas_without_positive_rhs_is_internal_invariant(monkeypatch):
     with pytest.raises(InternalInvariantError):
         lp_solve(_lp(1, [1], "min", [([1], GE, -1)]))
     with pytest.raises(InternalInvariantError):
-        Warm().solve(1, QVector([-1]), lambda: [QVector([1])])
+        Warm(1, [QVector([1])], [(QVector([1]), [(1, 0)])]).solve(QVector([-1]))
     # Infeasible, but row 1 reads x + s = 0 at the slack basis: its w . b is 0.
     monkeypatch.setattr(lp_module, "_dual_run", lambda *args: (1, 0))
     with pytest.raises(InternalInvariantError):
@@ -654,8 +654,9 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
 
 
 def test_warm_keeps_one_session(monkeypatch):
-    # One Warm across the trials of one system: the first trial builds the
-    # rows with rows(), and no later one calls it. A trial that a kept
+    # One Warm across the trials of one system, built with its rows and
+    # right-hand-side map; a trial passes only its right-hand sides. A
+    # trial that a kept
     # Farkas vector refutes gets that Farkas, and one inside a kept region
     # gets that Region: no session and no pivot. Any other trial gets a
     # cold session of the kept rows, with the point and pivots of a
@@ -677,21 +678,20 @@ def test_warm_keeps_one_session(monkeypatch):
     monkeypatch.setattr(lp_module, "_pivot", counted)
     monkeypatch.setattr(Session, "__init__", built)
 
-    def no_rows():
-        pytest.fail("rows() is called only on the first trial")
-
-    # x >= b1 and -x >= b2: infeasible exactly when b1 + b2 > 0. A Warm
-    # keeps the Farkas vector of its infeasible session, and checks the
-    # length of a later trial's right-hand sides before any kept entry.
-    warm = Warm()
-    infeasible = warm.solve(1, QVector([1, 0]), lambda: [QVector([1]), QVector([-1])])
+    # x >= b1 and -x >= b2, with b_r = theta_r: infeasible exactly when
+    # b1 + b2 > 0. A Warm keeps the Farkas vector of its infeasible
+    # session, and checks the length of a trial's right-hand sides before
+    # any kept entry.
+    one = QVector([1])
+    warm = Warm(1, [one, -one], [(one, [(1, 0)]), (one, [(1, 1)])])
+    infeasible = warm.solve(warm.rhs([one, QVector([0])]))
     proof = infeasible._farkas
     assert proof.refutes(QVector([1, 0])) and not proof.refutes(QVector([0, -1]))
-    assert warm.solve(1, QVector([3, -2]), no_rows) is proof
+    assert warm.solve(QVector([3, -2])) is proof
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
-            warm.solve(1, rhs, no_rows)
-    session = warm.solve(1, QVector([0, F(-1, 2)]), no_rows)
+            warm.solve(rhs)
+    session = warm.solve(warm.rhs([QVector([0]), QVector([F(-1, 2)])]))
     assert session.feasible and session.feasible_point() == QVector([0])
 
     rng = random.Random(1153)
@@ -701,9 +701,9 @@ def test_warm_keeps_one_session(monkeypatch):
         rows, rels = ([c[k] for c in cons] for k in range(2))
         ge_rows, ge_rhs, _ = _ge(cons)
         objective = QVector([rng.randint(-2, 2) for _ in range(n)])
-        warm, built_rows = Warm(), []
-        got = warm.solve(n, ge_rhs, lambda: built_rows.append(ge_rows) or ge_rows)
-        assert built_rows == [ge_rows] and isinstance(got, Session)
+        warm = Warm(n, ge_rows, [(one, [(1, r)]) for r in range(len(ge_rows))])
+        got = warm.solve(ge_rhs)
+        assert isinstance(got, Session)
         for _ in range(6):
             if isinstance(got, Session) and got.feasible:
                 res = got.minimize(objective)
@@ -714,7 +714,8 @@ def test_warm_keeps_one_session(monkeypatch):
             cold = Session(n, ge_rows, ge_new)
             proofs, regions = list(warm._proofs), list(warm._regions)
             before = calls.copy()
-            got = warm.solve(n, ge_new, no_rows)
+            assert warm.rhs([QVector([b]) for b in ge_new.entries]) == ge_new
+            got = warm.solve(ge_new)
             pivots = calls["pivot"] - before["pivot"]
             assert got.feasible == cold.feasible
             if isinstance(got, Farkas):

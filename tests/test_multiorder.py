@@ -21,10 +21,10 @@ from multiwedge import (
     span_contains,
 )
 
-from multiwedge import multiorder
+from multiwedge import multiorder, operators
 from multiwedge.lp import Farkas, Optima, Region, Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
-from multiwedge.multiorder import MultiSupSet, _below, _msup, _upper_bound_rhs, _upper_bound_rows, sample_apex
+from multiwedge.multiorder import MultiSupSet, _below, _msup, _upper_bound_system, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -242,13 +242,13 @@ def test_msup_with_warm_matches_cold():
     class Watched(Warm):
         __slots__ = ()
 
-        def solve(self, n, rhs, rows):
-            solved = super().solve(n, rhs, rows)
+        def solve(self, rhs):
+            solved = super().solve(rhs)
             routes.append(type(solved))
             if isinstance(solved, Optima):
-                objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
+                objectives = [sum(cw.halfspaces, QVector.zero(self.n)), *cw.halfspaces]
                 for value, c in zip(solved.values, objectives, strict=True):
-                    assert value == Session(n, rows(), rhs).minimize(c).value
+                    assert value == Session(self.n, self.rows, rhs).minimize(c).value
             return solved
 
     rng = random.Random(4242)
@@ -271,8 +271,9 @@ def test_msup_with_warm_matches_cold():
             results, routes = [], []
             cw = intersect([tw.wedge for tw in family])
             if indices not in warm:
-                warm[indices] = Watched()
-            for solve in (msup, lambda f: _msup(f, cw, warm[indices])):
+                system = _upper_bound_system([tw.wedge for tw in family])
+                warm[indices] = Watched(system.n, system.rows, system.terms)
+            for solve in (msup, lambda f: _msup([tw.apex for tw in f], cw, warm[indices])):
                 try:
                     results.append(solve(family))
                 except NotMultiBoundedAbove:
@@ -294,42 +295,85 @@ def test_msup_with_warm_matches_cold():
     assert min(outcomes["optima", True], outcomes["optima", False]) >= 20, outcomes
 
 
-def test_search_builds_its_rows_once_per_wedge_multiset(row_builds):
+def _coordinate_wedges():
+    return [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
+
+
+def _quadrant_and_ray():
+    return [Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])]
+
+
+def test_search_builds_its_rows_once_per_wedge_multiset(monkeypatch):
     # ex2.7's pairs always have an upper bound. The rows of each of the 6
-    # sorted pairs are built on its first trial and kept for every later one.
-    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
-    assert len(row_builds) <= 6
-
-
-def test_search_builds_one_warm_per_wedge_multiset(monkeypatch):
-    # A Warm is built only for a multiset no earlier trial drew: 6 for the
-    # 6 sorted pairs of ex2.7's 3 wedges, not one per trial.
+    # sorted pairs are built with its system on its first trial and kept for
+    # every later one: 6 builds, each for a multiset no earlier one had.
     built = []
-    init = Warm.__init__
-    monkeypatch.setattr(Warm, "__init__", lambda self: built.append(init(self)))
+    build = multiorder._upper_bound_system
+
+    def counted(ws):
+        built.append(tuple(id(w) for w in ws))
+        return build(ws)
+
+    monkeypatch.setattr(multiorder, "_upper_bound_system", counted)
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
     assert len(built) == 6
+    assert len({tuple(sorted(ids)) for ids in built}) == 6
 
 
-def test_search_at_arity_3_builds_its_rows_once_per_wedge_multiset(row_builds):
-    # Coordinate wedges of Q^3 meet in the orthant, so every triple has an
-    # upper bound and a multi-supremum: the rows are built once for each of
-    # the C(5, 3) = 10 multisets of 3 out of 3 wedges, not per ordered triple.
-    coord = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
-    assert multilattice_search(coord, 3, seed=3, budget=200) is None
-    assert len(row_builds) <= 10
+def test_search_builds_one_warm_per_wedge_multiset(warm_builds):
+    # A Warm is built only for a multiset no earlier trial drew: 6 for the
+    # 6 sorted pairs of ex2.7's 3 wedges, not one per trial.
+    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
+    assert len(warm_builds) == 6
 
 
-@pytest.mark.parametrize("k, most", [(2, 3), (3, 4)])
-def test_search_without_upper_bounds_builds_its_rows_once_per_wedge_multiset(row_builds, k, most):
-    # ex3.7's quadrant and ray: a trial with the ray twice has no upper
-    # bound unless its apexes differ by a multiple of (1, 1), so those
-    # multisets see infeasible trials only. Feasible or not, the rows of
-    # each of the k + 1 sorted multisets are built once.
-    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
-    ray = Wedge(2, generators=[V([1, 1])])
-    assert multilattice_search([quadrant, ray], k, seed=3, budget=200) is None
-    assert len(row_builds) <= most
+@pytest.mark.parametrize(
+    "wedges, k, multisets",
+    [
+        # Coordinate wedges of Q^3 meet in the orthant, so every triple has
+        # an upper bound and a multi-supremum: one system for each of the
+        # C(5, 3) = 10 multisets of 3 out of 3 wedges, not per ordered triple.
+        pytest.param(_coordinate_wedges, 3, 10, id="coordinate-k3"),
+        # ex3.7's quadrant and ray: a trial with the ray twice has no upper
+        # bound unless its apexes differ by a multiple of (1, 1), so those
+        # multisets see infeasible trials only. Feasible or not, each of the
+        # k + 1 sorted multisets gets one system.
+        pytest.param(_quadrant_and_ray, 2, 3, id="ex3.7-k2"),
+        pytest.param(_quadrant_and_ray, 3, 4, id="ex3.7-k3"),
+    ],
+)
+def test_search_builds_one_system_per_wedge_multiset(warm_builds, wedges, k, multisets):
+    # A Warm, the rows and right-hand-side map of one system, is built only
+    # for a multiset that no earlier trial drew; in 200 trials every one is.
+    assert multilattice_search(list(wedges()), k, seed=3, budget=200) is None
+    assert len(warm_builds) == multisets
+
+
+def test_upper_bound_rhs_is_each_halfspace_at_its_apex():
+    # P's system has a row a for each halfspace a of each wedge W_p, in
+    # order, and its right-hand side at the apexes is a . apex_p, here
+    # computed in Fractions. The halfspaces are given with denominators up
+    # to 4 and the apexes' coordinates have mixed denominators up to 6.
+    rng = random.Random(2917)
+    seen = Counter()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        wedges = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                wedges.append(rand_wedge(rng, dim))
+                continue
+            rows = [V([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]) for _ in range(3)]
+            wedges.append(Wedge(dim, halfspaces=[a for a in rows if not a.is_zero()] or [V.unit(dim, 0)]))
+        apexes = [V([F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]) for _ in wedges]
+        system = _upper_bound_system(wedges)
+        pairs = [(a, apex) for w, apex in zip(wedges, apexes) for a in w.halfspaces]
+        assert (system.n, system.rows) == (dim, [a for a, _ in pairs])
+        expected = tuple(sum(x * y for x, y in zip(a.entries, apex.entries)) for a, apex in pairs)
+        assert system.rhs(apexes).entries == expected
+        seen["den > 1"] += any(a.den > 1 for a, _ in pairs)
+        seen["mixed"] += len({apex.den for apex in apexes}) > 1
+    assert seen["den > 1"] >= 100 and seen["mixed"] >= 100, seen
 
 
 def test_search_budget_must_be_nonnegative():
@@ -401,7 +445,8 @@ def test_priced_normals_equal_their_own_minima():
             else:
                 apex = rand_vector(rng, dim, -3, 3, 2)
             family.append(TranslatedWedge(apex, rng.choice(pool)))
-        rows, rhs = _upper_bound_rows(family), _upper_bound_rhs(family)
+        system = _upper_bound_system([tw.wedge for tw in family])
+        rows, rhs = system.rows, system.rhs([tw.apex for tw in family])
         session = Session(dim, rows, rhs)
         if not session.feasible:
             continue
@@ -429,19 +474,19 @@ def test_a_certified_warm_basis_attains_every_minimum():
     class Watched(Warm):
         __slots__ = ()
 
-        def solve(self, n, rhs, rows):
-            solved = super().solve(n, rhs, rows)
+        def solve(self, rhs):
+            solved = super().solve(rhs)
             if solved.feasible:
                 outcomes[type(solved).__name__] += 1
-            objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
+            objectives = [sum(cw.halfspaces, QVector.zero(self.n)), *cw.halfspaces]
             if isinstance(solved, Region):
                 point = solved.point(rhs)
                 for a in objectives:
-                    assert a.dot(point) == Session(n, rows(), rhs).minimize(a).value
+                    assert a.dot(point) == Session(self.n, self.rows, rhs).minimize(a).value
                 witness.append(point)
             elif isinstance(solved, Optima):
                 for value, c in zip(solved.values, objectives, strict=True):
-                    assert value == Session(n, rows(), rhs).minimize(c).value
+                    assert value == Session(self.n, self.rows, rhs).minimize(c).value
                 point = solved.region.point(rhs)
                 assert objectives[0].dot(point) == solved.values[0]
                 witness.append(point)
@@ -453,12 +498,13 @@ def test_a_certified_warm_basis_attains_every_minimum():
         dim = rng.randint(1, 3)
         normals = [V([rng.randint(-2, 2) or 1 for _ in range(dim)]) for _ in range(rng.randint(2, 3))]
         wedges = [Wedge(dim, halfspaces=[a]) for a in normals]
-        cw, warm = intersect(wedges), Watched()
+        system = _upper_bound_system(wedges)
+        cw, warm = intersect(wedges), Watched(system.n, system.rows, system.terms)
         for _ in range(20):
-            family = [TranslatedWedge(sample_apex(rng, dim, 2), w) for w in wedges]
+            apexes = [sample_apex(rng, dim, 2) for _ in wedges]
             witness, empty = [], []
             try:
-                res = _msup(family, cw, warm)
+                res = _msup(apexes, cw, warm)
             except NotMultiBoundedAbove:
                 continue
             if witness:
@@ -486,9 +532,10 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
     class Watched(Warm):
         __slots__ = ()
 
-        def solve(self, n, rhs, rows):
-            solved = super().solve(n, rhs, rows)
-            cold = Session(n, rows(), rhs)
+        def solve(self, rhs):
+            solved = super().solve(rhs)
+            n, rows = self.n, self.rows
+            cold = Session(n, rows, rhs)
             assert solved.feasible == cold.feasible
             if isinstance(solved, Farkas):
                 outcomes["farkas"] += 1
@@ -496,7 +543,7 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
                 outcomes["region"] += 1
                 if lattice[0]:
                     point = solved.point(rhs)
-                    for a in rows():
+                    for a in rows:
                         assert a.dot(point) == cold.minimize(a).value
             elif isinstance(solved, Optima):
                 assert lattice[0]
@@ -511,21 +558,29 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
                 outcomes["session"] += 1
             return solved
 
-    def watched_msup(family, cw, warm, msup_=multiorder._msup):
+    def watched_system(ws, build=multiorder._upper_bound_system):
+        warm = build(ws)
+        wedges_of[warm] = ws
+        return warm
+
+    def watched_msup(apexes, cw, warm, msup_=multiorder._msup):
         trial["cw"] = cw
-        got = msup_(family, cw, warm)
+        got = msup_(apexes, cw, warm)
         if trial.pop("optima", False):
-            cold = msup(family)
+            cold = msup([TranslatedWedge(a, w) for a, w in zip(apexes, wedges_of[warm], strict=True)])
             assert (got is None) == (cold is None)
             assert got is None or cold.contains(got.witness)
             outcomes["optima", got is None] += 1
         return got
 
+    wedges_of = {}
     monkeypatch.setattr(multiorder, "_msup", watched_msup)
+    monkeypatch.setattr(multiorder, "_upper_bound_system", watched_system)
     monkeypatch.setattr(multiorder, "Warm", Watched)
+    monkeypatch.setattr(operators, "Warm", Watched)
     rng = random.Random(6007)
-    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
-    coord = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
+    quadrant, ray = _quadrant_and_ray()
+    coord = _coordinate_wedges()
     for run in range(48):
         lattice[0] = run % 2 == 0
         if run % 6 < 2:
@@ -558,9 +613,9 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
     calls = Counter()
     solve = Warm.solve
 
-    def solved(self, n, rhs, rows):
+    def solved(self, rhs):
         calls["trial"] += 1
-        got = solve(self, n, rhs, rows)
+        got = solve(self, rhs)
         calls["session" if isinstance(got, Session) else "kept"] += 1
         return got
 
@@ -569,7 +624,7 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
     assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
 
     calls.clear()
-    quadrant, ray = Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])
+    quadrant, ray = _quadrant_and_ray()
     assert multilattice_search([quadrant, ray], 3, seed=3, budget=200) is None
     assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
 

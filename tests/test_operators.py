@@ -39,9 +39,8 @@ from multiwedge import (
     span_contains,
     wedge_sum,
 )
-from multiwedge.lp import Warm
 from multiwedge.multiorder import TranslatedWedge, minf, msup
-from multiwedge.operators import _images, _random_member, _rdp_session, _rk_sups
+from multiwedge.operators import _images, _random_member, _rdp_system, _rk_sups
 from multiwedge.wedges import coordinate_wedge
 
 from conftest import (
@@ -179,9 +178,7 @@ def test_extend_complement_independent_when_generating():
             2, n, [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2 * n)]
         )
         values = {g: target.apply(g) for g in w.generators}
-        fwd = extend_additive(w, values, 2, complement_order="forward")
-        bwd = extend_additive(w, values, 2, complement_order="backward")
-        assert fwd == bwd == target
+        assert extend_additive(w, values, 2) == target
 
 
 # --- projections -----------------------------------------------------------
@@ -384,7 +381,9 @@ def test_rdp_check_with_warm_matches_cold():
                 cold = rdp_check(inst)
             except InvalidInstance:
                 continue
-            feasible = _rdp_session(inst, warm.setdefault(js, Warm())).feasible
+            if js not in warm:
+                warm[js] = _rdp_system(ws, m)
+            feasible = warm[js].solve(warm[js].rhs((*xs, *ys))).feasible
             assert feasible == (cold is not None)
             outcomes[not feasible] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
@@ -421,17 +420,59 @@ def test_rdp_check_matches_primal_system():
     assert outcomes[True] >= 50 and sum(outcomes.values()) >= 500, outcomes
 
 
-def test_rdp_search_builds_its_rows_once_per_wedge_multiset(row_builds):
-    # Coordinate wedges always decompose. The rows of each of the 6 sorted
-    # pairs are built on its first check and kept for every later one.
+def test_rdp_search_builds_its_rows_once_per_wedge_multiset(warm_builds):
+    # Coordinate wedges always decompose. The system of each of the 6
+    # sorted pairs, its rows and right-hand-side map, is built on its
+    # first check and kept for every later one.
     assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 2, seed=3, budget=100) is None
-    assert len(row_builds) <= 6
+    assert len(warm_builds) <= 6
 
 
-def test_rdp_search_at_arity_3_builds_its_rows_once_per_wedge_multiset(row_builds):
+def test_rdp_search_at_arity_3_builds_its_rows_once_per_wedge_multiset(warm_builds):
     # At n = 3 the 27 ordered triples of 3 wedges are C(5, 3) = 10 multisets.
     assert rdp_search([coordinate_wedge(3, s) for s in range(3)], 2, 3, seed=3, budget=100) is None
-    assert len(row_builds) <= 10
+    assert len(warm_builds) <= 10
+
+
+def test_rdp_rhs_is_minus_each_halfspace_at_its_block_constant():
+    # The system has a row a for each halfspace a of W_j on each block
+    # (i, j), row-major, and its right-hand side at theta = (xs, ys) is
+    # -a . c_ij, with c_ij the block's constant part: 0 for i < m and
+    # j < n, x_i in the last column, y_j in the last row, and
+    # y_n - (x_1 + ... + x_{m-1}) in the corner, here summed as vectors.
+    # The halfspaces are given with denominators up to 4 and theta's
+    # coordinates have mixed denominators up to 6; theta need not be an
+    # instance, as the map is linear in it.
+    rng = random.Random(3137)
+    seen = Counter()
+    for m, n, _ in product(range(1, 4), range(1, 4), range(30)):
+        dim = rng.randint(1, 3)
+        pool = []
+        for _ in range(2):
+            rows = [V([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]) for _ in range(3)]
+            pool.append(Wedge(dim, halfspaces=[a for a in rows if not a.is_zero()] or [V.unit(dim, 0)]))
+        ws = [rng.choice(pool + [rand_wedge(rng, dim)]) for _ in range(n)]
+        theta = [V([F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]) for _ in range(m + n)]
+        xs, ys = theta[:m], theta[m:]
+        zero = V.zero(dim)
+        expected = []
+        for i in range(m):
+            for j in range(n):
+                if i < m - 1 and j < n - 1:
+                    c = zero
+                elif i < m - 1:
+                    c = xs[i]
+                elif j < n - 1:
+                    c = ys[j]
+                else:
+                    c = ys[j] - sum(xs[:-1], zero)
+                expected += [-sum(x * y for x, y in zip(a.entries, c.entries)) for a in ws[j].halfspaces]
+        system = _rdp_system(ws, m)
+        assert system.n == (m - 1) * (n - 1) * dim and len(system.rows) == len(expected)
+        assert system.rhs(theta).entries == tuple(expected)
+        seen["den > 1"] += any(a.den > 1 for w in ws for a in w.halfspaces)
+        seen["mixed"] += len({v.den for v in xs + ys}) > 1
+    assert seen["den > 1"] >= 100 and seen["mixed"] >= 100, seen
 
 
 def test_rdp_search_budget_must_be_nonnegative():
