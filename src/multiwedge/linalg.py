@@ -452,17 +452,14 @@ def span_contains(vectors: Sequence[QVector], x: QVector, dim: int) -> bool:
     return len(vectors) not in _pivot_columns([*vectors, x], dim)
 
 
-def complement_basis(
-    subspace_basis: Sequence[QVector], ambient_dim: int, *, reverse: bool = False
-) -> list[QVector]:
+def complement_basis(subspace_basis: Sequence[QVector], ambient_dim: int) -> list[QVector]:
     """Greedy standard-basis extension of ``subspace_basis`` to all of Q^n.
 
-    Scans e_1, e_2, ... in index order (reversed when ``reverse``) and keeps
-    each standard vector that is independent of everything kept so far. The
-    fixed scan order makes every projection built on top reproducible.
+    Scans e_1, e_2, ... in index order and keeps each standard vector that
+    is independent of everything kept so far. The fixed scan order makes
+    every projection built on top reproducible.
     """
-    order = range(ambient_dim - 1, -1, -1) if reverse else range(ambient_dim)
-    cols = [*subspace_basis, *(QVector.unit(ambient_dim, k) for k in order)]
+    cols = [*subspace_basis, *(QVector.unit(ambient_dim, k) for k in range(ambient_dim))]
     return [cols[p] for p in _pivot_columns(cols, ambient_dim) if p >= len(subspace_basis)]
 
 

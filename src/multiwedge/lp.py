@@ -32,20 +32,16 @@ objective already optimal at the basis costs no pivot. An infeasible
 session keeps a ``Farkas`` vector of its rows.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
-b, as a search does. It is built once with the rows and, per row, b as a
+b, as a search does. It is built once with the rows, per row b as a
 linear map of parameters theta (the apexes, or the xs and ys), which
-``Warm.rhs`` evaluates; a trial passes only b. Neither a Farkas vector
-nor a basis's reduced costs and duals read b, so the verdict at b
-depends only on which critical regions b falls in (multiparametric LP:
-Gal and Nedoma 1972, Multiparametric linear programming, Management
-Science 18). ``Warm`` keeps every Farkas vector its sessions have
-produced, and every basis its caller kept as a ``Region``, the slack
-part of B^-1, with the duals of the objectives it is optimal for. A
-trial that a kept vector refutes (y . b > 0), that lies in the region of
-a basis optimal for every objective (B^-1 b feasible on every
-slack-basic row), or that lies, for each objective o, in the region of
-some basis optimal for o, where the minimum is y_o . b, is decided by
-dot products of ints. Only the other trials build a session, cold.
+``Warm.rhs`` evaluates, and the objectives; a trial passes only b and
+gets whether the rows hold and a point minimizing every objective, if
+one exists. Neither a Farkas vector nor a basis's reduced costs and
+duals read b, so the answer at b depends only on which critical regions
+b falls in (multiparametric LP: Gal and Nedoma 1972, Multiparametric
+linear programming, Management Science 18). ``Warm`` keeps what its
+sessions proved, and decides most trials by dot products of ints; only
+the others build a session, cold.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -61,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantError
 from .linalg import QVector, _dots, _eliminate, _nonzero, _pivot, _Row, qparse
@@ -279,12 +275,10 @@ class Farkas:
 
     Neither condition reads the right-hand side, so y proves the rows
     infeasible at every b with y . b > 0: one dot product of int
-    numerators (both denominators are positive). ``feasible`` is False,
-    as for the session it came from, which ``Warm.solve`` returns it for.
+    numerators (both denominators are positive).
     """
 
     __slots__ = ("y",)
-    feasible = False
 
     def __init__(self, y: QVector):
         self.y = y
@@ -302,12 +296,10 @@ class Region:
     point puts each basic free variable at -u . b / den of its row. B's
     reduced costs and duals do not read b either: wherever B is feasible
     it is optimal for every objective it was optimal for when it was
-    kept, with the same duals. ``feasible`` is True, as for a feasible
-    session.
+    kept, with the same duals.
     """
 
     __slots__ = ("n", "_slacks", "_free")
-    feasible = True
 
     def __init__(self, session: Session):
         n, ncols = session.n, session._ncols
@@ -334,50 +326,46 @@ class Region:
         return QVector._of(x, den * rhs.den)
 
 
-class Optima:
-    """A trial decided by kept optima: each objective's minimum at b, and a basis optimal for objective 0.
-
-    For each objective o, a kept basis optimal for o whose region holds b
-    is feasible there and still optimal for o, so the minimum is
-    m_o(b) = y_o . b, with the duals y_o the basis had when it was kept.
-    ``values`` lists them in objective order, and ``region`` is objective
-    0's basis, whose point at b attains m_0. ``feasible`` is True.
-    """
-
-    __slots__ = ("values", "region")
-    feasible = True
-
-    def __init__(self, rhs: QVector, picked: list[tuple[Region, QVector]]):
-        self.values = [y.dot(rhs) for _, y in picked]
-        self.region = picked[0][0]
-
-
 class Warm:
-    """One parametric system: its rows, their right-hand sides as linear maps, and what its sessions proved.
+    """One parametric system and its objectives, with what its sessions proved.
 
-    ``Warm(n, rows, terms)`` is the >= rows in n variables with, per row,
-    its right-hand side as terms (a, [(s, p), ...]): at the parameters
-    theta, a sequence of vectors, row r's right-hand side is the sum of
-    s * (a . theta[p]) over its terms (``rhs``). ``solve`` takes a
-    trial's right-hand sides only. ``Warm`` keeps every Farkas vector its
-    sessions have produced, and every basis its caller kept (``keep``) as
-    a ``Region``. A trial that a kept Farkas vector refutes gets that
-    ``Farkas``; else one in the region of a basis optimal for every
-    objective gets that ``Region``; else one that, for every objective,
-    lies in the region of some kept basis optimal for it gets the
-    ``Optima`` they give. Any other trial gets a cold ``Session`` of the
-    rows at its right-hand sides, and an infeasible one's Farkas vector is
-    kept. Each of the four has ``feasible``, and every verdict and minimum
-    is that of a cold session, as neither a Farkas vector nor a basis's
-    reduced costs and duals read the right-hand side. Entries come only
-    from trials that no kept entry decides, so none is kept twice. A
-    fresh ``Warm`` keeps nothing: its first ``solve`` is the cold session.
+    ``Warm(n, rows, terms, objectives)`` is the >= rows in n variables
+    with, per row, its right-hand side as terms (a, [(s, p), ...]): at the
+    parameters theta, a sequence of vectors, row r's right-hand side is
+    the sum of s * (a . theta[p]) over its terms (``rhs``). ``objectives``
+    keeps the sum s of the objectives given, then each of them; each must
+    be bounded below wherever the rows hold. ``solve`` takes a trial's
+    right-hand sides only and returns whether the rows hold there and a
+    point that minimizes every objective at once, None when there is no
+    such point: exactly when m_s differs from the sum of the objectives'
+    minima m_o, since c . x >= m_c for each c on the rows and s is their
+    sum. With no objective the point is any feasible one.
+
+    ``Warm`` keeps every Farkas vector its sessions produced, and every
+    basis a cold session reached as a ``Region``: in ``_regions`` when the
+    session reached one basis, optimal for every objective (or, with no
+    objective, feasible), else in ``_optima``, per objective o, each basis
+    where o's minimum ended, with o's duals y_o there. A trial that a kept
+    Farkas vector refutes is infeasible; one in a kept region has that
+    basis's point; one that, for every objective, lies in the region of a
+    kept basis optimal for it has m_o = y_o . b, and the point of s's
+    basis when m_s is their sum. Any other trial builds a cold ``Session``
+    of the rows there, which minimizes s and then each objective, each
+    from the previous optimum. Every verdict and minimum is that of a cold
+    session, as neither a Farkas vector nor a basis's reduced costs and
+    duals read the right-hand side; a point may differ where the minimizer
+    is not unique. Entries come only from trials that no kept entry
+    decides, so none is kept twice, and a fresh ``Warm`` keeps nothing.
     """
 
-    __slots__ = ("n", "rows", "terms", "_proofs", "_regions", "_optima")
+    __slots__ = ("n", "rows", "terms", "objectives", "_proofs", "_regions", "_optima")
 
-    def __init__(self, n: int, rows: Sequence[QVector], terms: Sequence[tuple[QVector, list[tuple[int, int]]]]):
+    def __init__(
+        self, n: int, rows: Sequence[QVector], terms: Sequence[tuple[QVector, list[tuple[int, int]]]],
+        objectives: Sequence[QVector] = (),
+    ):
         self.n, self.rows, self.terms = n, rows, terms
+        self.objectives = [sum(objectives, QVector.zero(n)), *objectives] if objectives else []
         self._proofs: list[Farkas] = []
         self._regions: list[Region] = []
         # Per objective, each kept basis optimal for it with its duals there.
@@ -389,16 +377,16 @@ class Warm:
         num = iter(dots.num)
         return QVector._of([sum([s * next(num) for s, _ in ps]) for _, ps in self.terms], dots.den)
 
-    def solve(self, rhs: QVector) -> Session | Farkas | Region | Optima:
-        """The rows at ``rhs``, decided by kept entries or by a cold session."""
+    def solve(self, rhs: QVector) -> tuple[bool, QVector | None]:
+        """Whether the rows hold at ``rhs``, and a point there that minimizes every objective, or None."""
         if rhs.dim != len(self.rows):
             raise ValueError("solve needs one right-hand side per row")
         for proof in self._proofs:
             if proof.refutes(rhs):
-                return proof
+                return False, None
         for region in self._regions:
             if region.contains(rhs):
-                return region
+                return True, region.point(rhs)
         if self._optima:
             picked = []
             for kept in self._optima:
@@ -409,32 +397,40 @@ class Warm:
                 else:
                     break
             else:
-                return Optima(rhs, picked)
+                values = [y.dot(rhs) for _, y in picked]
+                return True, picked[0][0].point(rhs) if values[0] == sum(values[1:]) else None
+        return self._cold(rhs)
+
+    def _cold(self, rhs: QVector) -> tuple[bool, QVector | None]:
+        """``solve`` by a session of the rows at ``rhs``, keeping what it proves."""
         session = Session(self.n, self.rows, rhs)
         if not session.feasible:
             self._proofs.append(session._farkas)
-        return session
-
-    def keep(self, bases: Sequence[tuple[Region, Mapping[int, Optimal]]]) -> None:
-        """Keep the bases that a feasible session from ``solve`` reached, each with its optima.
-
-        Each base is a ``Region`` taken while the session was at it, and
-        the ``Optimal`` of each objective o (0, 1, ...) whose ``minimize``
-        ended there; every objective the caller reads ends at one of them.
-        A single base is then optimal for every objective, and a later
-        trial in its region gets it; a caller that reads only feasibility
-        keeps every feasible basis so, with no objective. Else each base
-        is kept for its objectives, with their duals.
-        """
+            return False, None
+        if not self.objectives:
+            self._regions.append(Region(session))
+            return True, session.feasible_point()
+        bases: list[tuple[Region, list[tuple[int, Optimal]]]] = []
+        optima = []
+        for o, objective in enumerate(self.objectives):
+            pivots = session.pivots
+            res = session.minimize(objective)
+            if not isinstance(res, Optimal):
+                raise InternalInvariantError("an objective of a parametric system is unbounded below")
+            if not bases or session.pivots != pivots:
+                bases.append((Region(session), []))
+            bases[-1][1].append((o, res))
+            optima.append(res)
         if len(bases) == 1:
             self._regions.append(bases[0][0])
-            return
-        if not self._optima:
-            self._optima = [[] for _ in range(sum(len(optima) for _, optima in bases))]
-        for region, optima in bases:
-            for o, res in optima.items():
-                reduced = res._reduced
-                self._optima[o].append((region, QVector._of(reduced.num[region.n : -1], reduced.den)))
+        else:
+            self._optima = self._optima or [[] for _ in optima]
+            for region, ended in bases:
+                for o, res in ended:
+                    reduced = res._reduced
+                    self._optima[o].append((region, QVector._of(reduced.num[self.n : -1], reduced.den)))
+        values = [res.value for res in optima]
+        return True, optima[0].point if values[0] == sum(values[1:]) else None
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:

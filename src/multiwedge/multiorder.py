@@ -3,42 +3,31 @@
 A family is a list of (apex, wedge) pairs. Its multi-upper bounds form
 the polyhedron P = intersection of apex_i + W_i. A point z is a
 multi-supremum exactly when P = z + C with C = intersection of the W_i,
-so the whole multi-supremum set is z + D(C); we find z by minimizing the
-sum of C's rows a over P, and each a to m_a: z exists exactly when that
-sum attains the sum of the m_a, at z. C's rows are the family's rows made
+so the whole multi-supremum set is z + D(C): z is a point of P that
+minimizes every row a of C at once. C's rows are the family's rows made
 primitive, redundant ones included: a redundant row is a nonnegative
 combination of others, attained wherever they are, so no conversion is
-needed to drop it. All of these are exact LPs over one constraint
-system, P, solved in one ``lp.Session``; each a's phase 2 starts from the
-previous optimum, and only prices there when that basis is optimal for
-a. P is one parametric system (``_upper_bound_system``, its only
-builder): rows that depend only on the sorted wedge multiset, and
-right-hand sides a . apex_p linear in the apexes. ``multilattice_search``
-keeps one ``lp.Warm`` of it per multiset, with every Farkas vector its
-sessions have produced and every basis they reached, with the
-objectives it is optimal for and their duals. A trial, given by its
-right-hand sides at its apexes, in ints, runs no LP when a kept
-Farkas vector refutes them (no upper bound), when they lie in the region
-of a basis at which every objective was optimal (its point is a
-multi-supremum), or when, for each objective, they lie in the region of
-a basis optimal for it (each minimum is a dot product with its duals);
-else it builds a cold session of the kept rows there. C is converted
-once per wedge combination, so that no trial minimizes a redundant row.
-The seeded draws take ``getrandbits`` directly (``_below``), as
-``randrange`` and ``randint`` do.
+needed to drop it. P is one parametric system (``_upper_bound_system``,
+its only builder), an ``lp.Warm`` with C's rows as its objectives: rows
+that depend only on the sorted wedge multiset, and right-hand sides
+a . apex_p linear in the apexes. ``Warm.solve`` answers whether P is
+nonempty and gives such a z, if there is one. ``multilattice_search``
+keeps one ``Warm`` per multiset, so that most trials run no LP, and
+converts C once per wedge combination, so that no trial minimizes a
+redundant row. The seeded draws take ``getrandbits`` directly
+(``_below``), as ``randrange`` and ``randint`` do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
-from .errors import InternalInvariantError, NotMultiBoundedAbove, NotMultiBoundedBelow
+from .errors import NotMultiBoundedAbove, NotMultiBoundedBelow
 from .linalg import QVector, span_contains
-from .lp import Optima, Optimal, Region, Session, Warm
+from .lp import Warm
 from .wedges import Wedge, intersect
 
 
@@ -105,11 +94,14 @@ def _family_dim(family: Sequence[TranslatedWedge]) -> int:
     return dim
 
 
-def _upper_bound_system(wedges: Sequence[Wedge]) -> Warm:
-    """P's rows a . x >= a . apex_p, for each halfspace a of each wedge W_p, as a system in the apexes."""
+def _upper_bound_system(wedges: Sequence[Wedge], cw: Wedge | None) -> Warm:
+    """P's rows a . x >= a . apex_p, for each halfspace a of each wedge W_p, as a system in the apexes.
+
+    Its objectives are the rows of C = ``cw``, or none when ``cw`` is None.
+    """
     rows = [a for w in wedges for a in w.halfspaces]
     terms = [(a, [(1, p)]) for p, w in enumerate(wedges) for a in w.halfspaces]
-    return Warm(wedges[0].dim, rows, terms)
+    return Warm(wedges[0].dim, rows, terms, () if cw is None else cw.halfspaces)
 
 
 def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
@@ -123,8 +115,8 @@ def is_multi_upper_bound(u: QVector, family: Sequence[TranslatedWedge]) -> bool:
 def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
     _family_dim(family)
-    warm = _upper_bound_system([tw.wedge for tw in family])
-    return warm.solve(warm.rhs([tw.apex for tw in family])).feasible_point()
+    warm = _upper_bound_system([tw.wedge for tw in family], None)
+    return warm.solve(warm.rhs([tw.apex for tw in family]))[1]
 
 
 def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -136,63 +128,22 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
     """
     _family_dim(family)
     wedges = [tw.wedge for tw in family]
-    return _msup([tw.apex for tw in family], intersect(wedges), _upper_bound_system(wedges))
+    cw = intersect(wedges)
+    return _msup([tw.apex for tw in family], cw, _upper_bound_system(wedges, cw))
 
 
 def _msup(apexes: Sequence[QVector], cw: Wedge, warm: Warm) -> MultiSupSet | None:
-    """``msup`` at the apexes, with C = ``cw`` given, and P the system ``warm`` of the family's wedges.
+    """``msup`` at the apexes, with C = ``cw`` given, and P the system ``warm`` of the family's wedges and C's rows.
 
-    P's rows depend only on the sorted wedge multiset in a search, so
-    ``warm`` decides a trial from its right-hand sides a . apex_p alone
-    (``Warm.rhs``, ``Warm.solve``), and no LP runs when a kept Farkas vector refutes
-    them, when they lie in the region of a kept basis at which the sum s
-    of C's rows and every row were optimal (its point attains every m_a),
-    or when each of s and the rows has a kept basis optimal for it whose
-    region holds them (then m_o = y_o . b, and the set is empty exactly
-    when m_s differs from the sum of the m_a; else the sum's basis gives
-    the witness). Else a cold session of its rows solves there, and
-    each basis it reaches is kept with the objectives it is optimal for.
-    The verdict is the same; a witness of a non-proper set may differ.
+    Each row a of C is bounded below on P (the recession cone of a
+    nonempty P is exactly C), by m_a, so ``warm`` gives a point minimizing
+    every a exactly when the set is nonempty, and any such point is a
+    multi-supremum.
     """
-    rhs = warm.rhs(apexes)
-    solved = warm.solve(rhs)
-    if not solved.feasible:
+    feasible, point = warm.solve(warm.rhs(apexes))
+    if not feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    if isinstance(solved, Region):
-        return MultiSupSet(solved.point(rhs), cw.lineality_basis)
-    if isinstance(solved, Optima):
-        values, witness = solved.values, solved.region.point(rhs)
-    else:
-        values, witness = _minima(solved, cw, warm)
-    # Each row a of C is bounded below on P (the recession cone of a
-    # nonempty P is exactly C), by m_a. As a.x >= m_a on P, some point of P
-    # attains every m_a exactly when the sum of the rows has its minimum
-    # sum(m_a) there, and any minimizer is then a multi-supremum.
-    if values[0] != sum(values[1:]):
-        return None
-    return MultiSupSet(witness, cw.lineality_basis)
-
-
-def _minima(session: Session, cw: Wedge, warm: Warm) -> tuple[list[Fraction], QVector]:
-    """The minima over P of the sum of C's rows, then of each row, and the sum's minimizer.
-
-    Each row's phase 2 starts from the previous optimum, the sum's for the
-    first. Each basis the session reaches is kept in ``warm`` with the
-    objectives whose minimum ended there.
-    """
-    bases: list[tuple[Region, dict[int, Optimal]]] = []
-    optima = []
-    for o, objective in enumerate([sum(cw.halfspaces, QVector.zero(cw.dim)), *cw.halfspaces]):
-        pivots = session.pivots
-        res = session.minimize(objective)
-        if not isinstance(res, Optimal):
-            raise InternalInvariantError("normal of the recession cone cannot be unbounded below")
-        if not bases or session.pivots != pivots:
-            bases.append((Region(session), {}))
-        bases[-1][1][o] = res
-        optima.append(res)
-    warm.keep(bases)
-    return [res.value for res in optima], optima[0].point
+    return None if point is None else MultiSupSet(point, cw.lineality_basis)
 
 
 def minf(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -243,17 +194,17 @@ def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
 
 def _trials(
     wedges: Sequence[Wedge], arity: int, seed: int, budget: int,
-    combine: Callable[[list[Wedge]], Wedge], system: Callable[[list[Wedge]], Warm],
+    combine: Callable[[list[Wedge]], Wedge], system: Callable[[list[Wedge], Wedge], Warm],
 ) -> Iterator[tuple[random.Random, tuple[int, ...], list[int], Wedge, Warm]]:
     """The seeded trials of both searches: ``budget`` draws of ``arity`` wedge indices.
 
     Yields the rng, for the trial's own draws; the indices as drawn; their
     positions in sorted order; ``combine`` of the distinct wedges, cached
-    per index set; and the property's ``system`` of the sorted wedges,
-    one ``Warm`` per sorted wedge multiset, for this call only. Posed in
-    sorted order, a trial is the drawn one with its rows permuted, and
-    every verdict is exact: the first counterexample is that of cold
-    sessions, reported in the drawn order.
+    per index set; and the property's ``system`` of the sorted wedges and
+    that combined wedge, one ``Warm`` per sorted wedge multiset, for this
+    call only. Posed in sorted order, a trial is the drawn one with its
+    rows permuted, and every verdict is exact: the first counterexample
+    is that of cold sessions, reported in the drawn order.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -272,7 +223,7 @@ def _trials(
             combined[key] = combine([wedges[i] for i in key])
         multiset = tuple(drawn[p] for p in order)
         if multiset not in warm:
-            warm[multiset] = system([wedges[i] for i in multiset])
+            warm[multiset] = system([wedges[i] for i in multiset], combined[key])
         yield rng, drawn, order, combined[key], warm[multiset]
 
 

@@ -20,13 +20,11 @@ layer. The primal decomposition system remains only in rdp_check (which
 also answers fs_decompose, over coordinate wedges) and rdp_search, in
 transportation form: the sums fix the last row and column of z, so it
 has >= rows only. It is one parametric system (``_rdp_system``, its
-only builder): rows that depend only on m and the sorted wedge
-multiset, and right-hand sides -a . c_ij linear in theta = (xs, ys)
-(``_blocks``). rdp_search keeps one ``lp.Warm`` of it per multiset, with
-every Farkas vector its sessions have produced and every feasible basis
-they have reached. A search reads only the verdict, never z, so a trial
-whose right-hand sides a kept Farkas vector refutes, or a kept basis
-keeps feasible, runs no LP; any other builds a cold session there.
+only builder), an ``lp.Warm`` with no objective: rows that depend only
+on m and the sorted wedge multiset, and right-hand sides -a . c_ij
+linear in theta = (xs, ys) (``_blocks``). rdp_search keeps one ``Warm``
+of it per multiset and reads only its verdicts, so that most trials run
+no LP.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -53,7 +51,7 @@ from .errors import (
     ZeroSpace,
 )
 from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
-from .lp import Region, Session, Unbounded, Warm
+from .lp import Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _below, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
@@ -264,7 +262,7 @@ def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     inst._validate()
     m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     theta, warm = (*inst.xs, *inst.ys), _rdp_system(inst.wedges, m)
-    point = warm.solve(warm.rhs(theta)).feasible_point()
+    point = warm.solve(warm.rhs(theta))[1]
     if point is None:
         if not all(map(wedge_sum(inst.wedges).member, inst.xs)):
             raise InvalidInstance("some x_i is outside the sum of the wedges")
@@ -339,15 +337,13 @@ def rdp_search(
     Samples y_j from n wedges (drawn with repetition), splits their sum
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
-    Only the verdict is read: no trial assembles a z, and every feasible
-    basis a trial's cold session reaches is kept, so that a later trial
-    it keeps feasible runs no LP (``lp.Warm``). Deterministic for a
-    fixed seed. Each instance is checked in sorted wedge order, its ys
+    Only the verdict of ``lp.Warm`` is read: no trial assembles a z.
+    Deterministic for a fixed seed. Each instance is checked in sorted wedge order, its ys
     with them (see ``multiorder._trials``).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum, lambda ws: _rdp_system(ws, m)):
+    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum, lambda ws, _: _rdp_system(ws, m)):
         ys = [_random_member(rng, wedges[j]) for j in js]
         xs = [_random_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, QVector.zero(sw.dim))
@@ -356,12 +352,8 @@ def rdp_search(
         if not sw.member(last):
             continue
         xs.append(last)
-        solved = warm.solve(warm.rhs([*xs, *(ys[p] for p in order)]))
-        if not solved.feasible:
+        if not warm.solve(warm.rhs([*xs, *(ys[p] for p in order)]))[0]:
             return RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        if isinstance(solved, Session):
-            # Only feasibility is read, so every feasible basis is kept, for no objective.
-            warm.keep([(Region(solved), {})])
     return None
 
 

@@ -489,14 +489,13 @@ class GreedyEchelon:
         return all(e == 0 for e in self.residual(v))
 
 
-def greedy_complement(basis, dim, reverse=False):
-    """Unit vectors e_k, scanned in index order (reversed when ``reverse``),
-    kept when independent of ``basis`` and of the units kept before."""
+def greedy_complement(basis, dim):
+    """Unit vectors e_k, scanned in index order, kept when independent of
+    ``basis`` and of the units kept before."""
     ech = GreedyEchelon()
     for v in basis:
         ech.add(v)
-    order = range(dim - 1, -1, -1) if reverse else range(dim)
-    units = ([F(int(i == k)) for i in range(dim)] for k in order)
+    units = ([F(int(i == k)) for i in range(dim)] for k in range(dim))
     return [u for u in units if ech.add(u)]
 
 
@@ -778,12 +777,45 @@ def warm_builds(monkeypatch):
     built = []
     init = lp.Warm.__init__
 
-    def counted(self, n, rows, terms):
+    def counted(self, n, rows, *args):
         built.append(len(rows))
-        init(self, n, rows, terms)
+        init(self, n, rows, *args)
 
     monkeypatch.setattr(lp.Warm, "__init__", counted)
     return built
+
+
+@pytest.fixture
+def session_builds(monkeypatch):
+    """List that gets each ``lp.Session`` built, once its phase 1 has run: one entry per cold solve."""
+    from multiwedge import lp
+
+    built = []
+    init = lp.Session.__init__
+
+    def counted(self, n, rows, rhs):
+        init(self, n, rows, rhs)
+        built.append(self)
+
+    monkeypatch.setattr(lp.Session, "__init__", counted)
+    return built
+
+
+def memo_route(warm, rhs):
+    """Which part of ``warm`` will decide ``warm.solve(rhs)``, read before the solve.
+
+    "farkas" when a kept Farkas vector refutes ``rhs``; else "region" when
+    a kept region, a basis optimal for every objective, holds it; else
+    "optima" when, for every objective, some basis kept as optimal for it
+    holds it; else "session", a cold one. The order is ``Warm.solve``'s.
+    """
+    if any(proof.refutes(rhs) for proof in warm._proofs):
+        return "farkas"
+    if any(region.contains(rhs) for region in warm._regions):
+        return "region"
+    if warm._optima and all(any(region.contains(rhs) for region, _ in kept) for kept in warm._optima):
+        return "optima"
+    return "session"
 
 
 @pytest.fixture
@@ -800,6 +832,22 @@ def conversions(monkeypatch):
 
     monkeypatch.setattr(wedges, "hrep_to_vrep", counted)
     return calls
+
+
+def quadrant():
+    return Wedge(2, generators=[QVector([1, 0]), QVector([0, 1])])
+
+
+def diagonal_ray():
+    return Wedge(2, generators=[QVector([1, 1])])
+
+
+def positive_ray():
+    return Wedge(1, generators=[QVector([1])], halfspaces=[QVector([1])])
+
+
+def standard_cone(n):
+    return Wedge(n, generators=[QVector.unit(n, i) for i in range(n)])
 
 
 def rand_fraction(rng, lo=-4, hi=4, max_den=3):

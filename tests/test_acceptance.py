@@ -51,12 +51,16 @@ from multiwedge.wedges import coordinate_wedge
 from conftest import (
     VertexEnumerator,
     decomposition_rows,
+    diagonal_ray,
     enumerate_lp_minimum,
     point_feasible,
+    positive_ray,
+    quadrant,
     rand_acute_cone,
     rand_member,
     rand_vector,
     rand_wedge,
+    standard_cone,
 )
 
 V = QVector
@@ -68,22 +72,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"{name}: {status}{suffix}")
     assert ok, f"{name} failed{suffix}"
-
-
-def quadrant():
-    return Wedge(2, generators=[V([1, 0]), V([0, 1])])
-
-
-def diagonal_ray():
-    return Wedge(2, generators=[V([1, 1])])
-
-
-def standard_cone(n):
-    return Wedge(n, generators=[QVector.unit(n, i) for i in range(n)])
-
-
-def positive_ray():
-    return Wedge(1, generators=[V([1])], halfspaces=[V([1])])
 
 
 def test_ac1_triple_halfplane_reproduction():

@@ -743,7 +743,7 @@ def test_repeated_wedge_entry_is_converted_once(capsys, tmp_path, conversions, a
 
 def test_every_golden_is_diffed_by_ci_and_by_the_tests():
     # Each golden output has exactly one line in golden/cases.txt, which
-    # CI's loop (.github/workflows/ci.yml) runs under `mw` and `python -O`,
+    # CI's loop (.github/workflows/ci.yml) runs under `mw` and `python -W error -O`,
     # and which the four golden tests above split among them.
     names = [name for name, _, _ in _CASES]
     outputs = {p.name[: -len(".json")] for p in GOLDEN.glob("*.json") if not p.name.endswith(".input.json")}

@@ -22,12 +22,13 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Farkas, Region, Session, Warm, _fold, _ge_rows
+from multiwedge.lp import Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
     fraction_rref,
     fraction_simplex,
+    memo_route,
     point_feasible,
 )
 
@@ -654,16 +655,15 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
 
 
 def test_warm_keeps_one_session(monkeypatch):
-    # One Warm across the trials of one system, built with its rows and
-    # right-hand-side map; a trial passes only its right-hand sides. A
-    # trial that a kept
-    # Farkas vector refutes gets that Farkas, and one inside a kept region
-    # gets that Region: no session and no pivot. Any other trial gets a
-    # cold session of the kept rows, with the point and pivots of a
-    # Session built from scratch, and its Farkas vector is kept when it is
-    # infeasible. Feasible sessions are minimized at the system's
-    # objective and their one basis kept half the time, so a kept region's
-    # point attains the cold minimum.
+    # One Warm across the trials of one system, built with its rows,
+    # right-hand-side map and an objective bounded below (a nonnegative
+    # combination of the rows); a trial passes only its right-hand sides.
+    # A trial that a kept Farkas vector refutes, or that lies inside a
+    # kept region, builds no session and takes no pivot, and a region's
+    # point is feasible and attains the cold minimum. Any other trial
+    # builds a cold session of the kept rows: its point is a cold
+    # session's minimizer, with the same pivots, and the session's Farkas
+    # vector or basis is kept.
     calls = Counter()
     pivot, init = lp_module._pivot, Session.__init__
 
@@ -684,15 +684,15 @@ def test_warm_keeps_one_session(monkeypatch):
     # any kept entry.
     one = QVector([1])
     warm = Warm(1, [one, -one], [(one, [(1, 0)]), (one, [(1, 1)])])
-    infeasible = warm.solve(warm.rhs([one, QVector([0])]))
-    proof = infeasible._farkas
+    assert warm.solve(warm.rhs([one, QVector([0])])) == (False, None)
+    [proof] = warm._proofs
     assert proof.refutes(QVector([1, 0])) and not proof.refutes(QVector([0, -1]))
-    assert warm.solve(QVector([3, -2])) is proof
+    assert memo_route(warm, QVector([3, -2])) == "farkas"
+    assert warm.solve(QVector([3, -2])) == (False, None) and calls["session"] == 1
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
             warm.solve(rhs)
-    session = warm.solve(warm.rhs([QVector([0]), QVector([F(-1, 2)])]))
-    assert session.feasible and session.feasible_point() == QVector([0])
+    assert warm.solve(warm.rhs([QVector([0]), QVector([F(-1, 2)])])) == (True, QVector([0]))
 
     rng = random.Random(1153)
     outcomes = Counter()
@@ -700,43 +700,94 @@ def test_warm_keeps_one_session(monkeypatch):
         n, _, _, cons = _random_exactness_lp(rng)
         rows, rels = ([c[k] for c in cons] for k in range(2))
         ge_rows, ge_rhs, _ = _ge(cons)
-        objective = QVector([rng.randint(-2, 2) for _ in range(n)])
-        warm = Warm(n, ge_rows, [(one, [(1, r)]) for r in range(len(ge_rows))])
-        got = warm.solve(ge_rhs)
-        assert isinstance(got, Session)
+        objective = sum((rng.randint(0, 2) * a for a in ge_rows), QVector.zero(n))
+        warm = Warm(n, ge_rows, [(one, [(1, r)]) for r in range(len(ge_rows))], [objective])
+        assert warm.objectives == [objective, objective]
+        assert memo_route(warm, ge_rhs) == "session"
+        warm.solve(ge_rhs)
         for _ in range(6):
-            if isinstance(got, Session) and got.feasible:
-                res = got.minimize(objective)
-                if isinstance(res, Optimal) and rng.random() < 0.5:
-                    warm.keep([(Region(got), {0: res})])
             new_rhs = _new_rhs(rng, cons)
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
             cold = Session(n, ge_rows, ge_new)
             proofs, regions = list(warm._proofs), list(warm._regions)
-            before = calls.copy()
+            route, before = memo_route(warm, ge_new), calls.copy()
             assert warm.rhs([QVector([b]) for b in ge_new.entries]) == ge_new
-            got = warm.solve(ge_new)
+            feasible, point = warm.solve(ge_new)
             pivots = calls["pivot"] - before["pivot"]
-            assert got.feasible == cold.feasible
-            if isinstance(got, Farkas):
-                assert got in proofs and got.refutes(ge_new)
-                assert calls["session"] == before["session"] and pivots == 0
+            assert feasible == cold.feasible
+            if route == "session":
+                assert calls["session"] == before["session"] + 1
+                if feasible:
+                    minimum = cold.minimize(objective)
+                    assert point == minimum.point and pivots == cold.pivots
+                    assert warm._proofs == proofs and warm._regions[:-1] == regions
+                else:
+                    assert point is None and pivots == cold.pivots
+                    assert warm._proofs[:-1] == proofs and warm._regions == regions
+                outcomes["session", feasible] += 1
+                continue
+            assert route in ("farkas", "region") and (warm._proofs, warm._regions) == (proofs, regions)
+            assert calls["session"] == before["session"] and pivots == 0
+            if route == "farkas":
+                assert point is None and not feasible
                 outcomes["refuted"] += 1
-            elif isinstance(got, Region):
-                assert got in regions and not any(p.refutes(ge_new) for p in proofs)
-                assert calls["session"] == before["session"] and pivots == 0
-                point = got.point(ge_new)
+            else:
                 assert point_feasible(point.entries, rows, rels, new_rhs)
                 assert objective.dot(point) == cold.minimize(objective).value
                 outcomes["region"] += 1
-            else:
-                assert not any(p.refutes(ge_new) for p in proofs)
-                assert not any(r.contains(ge_new) for r in regions)
-                assert calls["session"] == before["session"] + 1
-                assert got.pivots == pivots == cold.pivots and got.feasible_point() == cold.feasible_point()
-                assert warm._proofs == proofs + ([] if got.feasible else [got._farkas])
-                outcomes["session", got.feasible] += 1
     for outcome in ("refuted", "region", ("session", True), ("session", False)):
+        assert outcomes[outcome] >= 20, outcomes
+
+
+def test_warm_solve_gives_a_common_minimizer_exactly_when_one_exists():
+    # Warm.solve's contract, on objectives that are nonnegative integer
+    # combinations of the rows (so bounded below wherever the rows hold),
+    # one of them repeated, or on none, with one Warm reused across
+    # right-hand sides: its verdict is lp_solve's; it returns a point
+    # exactly when the rows with every c . x == m_c added, m_c the cold
+    # minimum of c, are feasible; and that point is feasible and attains
+    # every m_c. With no objective a cold session's point is its phase-1
+    # point. Gated on every route Warm.solve takes, with objectives and
+    # without.
+    one = QVector([1])
+    rng = random.Random(3301)
+    outcomes = Counter()
+    for system in range(160):
+        n, _, _, cons = _random_exactness_lp(rng)
+        rows, rels = ([c[k] for c in cons] for k in range(2))
+        ge_rows, ge_rhs, _ = _ge(cons)
+        objectives = []
+        if system % 5:
+            for _ in range(rng.randint(1, 3)):
+                objectives.append(sum((rng.randint(0, 2) * a for a in ge_rows), QVector.zero(n)))
+            objectives.append(rng.choice(objectives))
+        warm = Warm(n, ge_rows, [(one, [(1, r)]) for r in range(len(ge_rows))], objectives)
+        for trial in range(10):
+            new_rhs = [b for _, _, b in cons] if trial == 0 else _new_rhs(rng, cons)
+            new = [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)]
+            ge_new = _ge(zip(rows, rels, new_rhs))[1]
+            route = memo_route(warm, ge_new)
+            feasible, point = warm.solve(ge_new)
+            verdict = lp_solve(LinearProgram(n, QVector.zero(n), "min", tuple(new)))
+            assert feasible == (not isinstance(verdict, Infeasible))
+            outcomes[route, bool(objectives)] += 1
+            if not feasible:
+                assert point is None
+                continue
+            minima = [lp_solve(LinearProgram(n, c, "min", tuple(new))) for c in objectives]
+            attained = [constraint(c.entries, EQ, res.value) for c, res in zip(objectives, minima)]
+            common = lp_solve(LinearProgram(n, QVector.zero(n), "min", tuple(new + attained)))
+            assert (point is not None) == isinstance(common, Optimal)
+            outcomes["common" if point is not None else "none", bool(objectives)] += 1
+            if point is None:
+                continue
+            assert point_feasible(point.entries, rows, rels, new_rhs)
+            assert [c.dot(point) for c in objectives] == [res.value for res in minima]
+            if not objectives and route == "session":
+                assert point == Session(n, ge_rows, ge_new).feasible_point()
+    routes = [(route, True) for route in ("farkas", "region", "optima", "session")]
+    routes += [(route, False) for route in ("farkas", "region", "session")]
+    for outcome in (*routes, ("common", True), ("none", True), ("common", False)):
         assert outcomes[outcome] >= 20, outcomes
 
 

@@ -22,15 +22,18 @@ from multiwedge import (
 )
 
 from multiwedge import multiorder, operators
-from multiwedge.lp import Farkas, Optima, Region, Session, Warm
+from multiwedge.lp import Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
 from multiwedge.multiorder import MultiSupSet, _below, _msup, _upper_bound_system, sample_apex
 
 from conftest import (
     cold_multilattice_search,
     cold_rdp_search,
+    diagonal_ray,
     equality_system_msup,
     fraction_sample_apex,
+    memo_route,
+    quadrant,
     rand_vector,
     rand_wedge,
 )
@@ -187,10 +190,8 @@ def test_search_pairs_find_nothing():
 
 
 def test_search_complete_pair_finds_nothing_up_to_five():
-    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
-    diag = Wedge(2, generators=[V([1, 1])])
     for k in (2, 3, 4, 5):
-        assert multilattice_search([quadrant, diag], k, seed=0, budget=1000) is None
+        assert multilattice_search([quadrant(), diagonal_ray()], k, seed=0, budget=1000) is None
 
 
 def test_search_deterministic():
@@ -208,8 +209,6 @@ def test_warm_search_matches_cold_search():
     # halfplanes, ex3.7's quadrant and ray, coordinate wedges and random
     # wedges with lines, for k = 1..3.
     rng = random.Random(1729)
-    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
-    diag = Wedge(2, generators=[V([1, 1])])
     coordinate = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
     found = Counter()
     for run in range(400):
@@ -217,7 +216,7 @@ def test_warm_search_matches_cold_search():
         if kind == 0:
             wedges = list(w123())
         elif kind == 1:
-            wedges = [quadrant, diag]
+            wedges = [quadrant(), diagonal_ray()]
         elif kind == 2:
             wedges = coordinate
         else:
@@ -235,31 +234,28 @@ def test_msup_with_warm_matches_cold():
     # families do, but every verdict is read: empty sets, no upper bound,
     # and nonempty sets. A trial that no kept entry decides gets a cold
     # session, so its witness is cold msup's; one that kept bases decide
-    # may give any point of the cold set. A trial decided by kept optima
-    # has, for the sum of C's rows and for each row, the value y . b of a
-    # kept basis optimal for it, which is the cold minimum, and cold msup's
-    # verdict, on empty and on nonempty sets.
+    # may give any point of the cold set. Every point Warm.solve returns
+    # attains the cold minimum of the sum of C's rows and of each row, and
+    # a trial decided by kept optima has cold msup's verdict, on empty and
+    # on nonempty sets.
     class Watched(Warm):
         __slots__ = ()
 
         def solve(self, rhs):
-            solved = super().solve(rhs)
-            routes.append(type(solved))
-            if isinstance(solved, Optima):
-                objectives = [sum(cw.halfspaces, QVector.zero(self.n)), *cw.halfspaces]
-                for value, c in zip(solved.values, objectives, strict=True):
-                    assert value == Session(self.n, self.rows, rhs).minimize(c).value
-            return solved
+            routes.append(memo_route(self, rhs))
+            feasible, point = super().solve(rhs)
+            if point is not None:
+                for c in self.objectives:
+                    assert c.dot(point) == Session(self.n, self.rows, rhs).minimize(c).value
+            return feasible, point
 
     rng = random.Random(4242)
-    quadrant = Wedge(2, generators=[V([1, 0]), V([0, 1])])
-    diag = Wedge(2, generators=[V([1, 1])])
     outcomes = Counter()
     for run in range(60):
         if run % 3 == 0:
             wedges = list(w123())
         elif run % 3 == 1:
-            wedges = [quadrant, diag]
+            wedges = [quadrant(), diagonal_ray()]
         else:
             dim = rng.randint(1, 3)
             wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
@@ -271,8 +267,8 @@ def test_msup_with_warm_matches_cold():
             results, routes = [], []
             cw = intersect([tw.wedge for tw in family])
             if indices not in warm:
-                system = _upper_bound_system([tw.wedge for tw in family])
-                warm[indices] = Watched(system.n, system.rows, system.terms)
+                system = _upper_bound_system([tw.wedge for tw in family], cw)
+                warm[indices] = Watched(system.n, system.rows, system.terms, cw.halfspaces)
             for solve in (msup, lambda f: _msup([tw.apex for tw in f], cw, warm[indices])):
                 try:
                     results.append(solve(family))
@@ -285,10 +281,10 @@ def test_msup_with_warm_matches_cold():
             else:
                 assert got.lineality_basis == cold.lineality_basis and cold.contains(got.witness)
                 outcomes["proper" if cold.is_proper else "lines"] += 1
-                if routes == [Session]:
+                if routes == ["session"]:
                     assert got.witness == cold.witness
                     outcomes["session", cold.is_proper] += 1
-            if routes == [Optima]:
+            if routes == ["optima"]:
                 outcomes["optima", cold is None] += 1
     for outcome in ("None", "not bounded", "proper", "lines", ("session", True), ("session", False)):
         assert outcomes[outcome] >= 20, outcomes
@@ -299,10 +295,6 @@ def _coordinate_wedges():
     return [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
 
 
-def _quadrant_and_ray():
-    return [Wedge(2, generators=[V([1, 0]), V([0, 1])]), Wedge(2, generators=[V([1, 1])])]
-
-
 def test_search_builds_its_rows_once_per_wedge_multiset(monkeypatch):
     # ex2.7's pairs always have an upper bound. The rows of each of the 6
     # sorted pairs are built with its system on its first trial and kept for
@@ -310,9 +302,9 @@ def test_search_builds_its_rows_once_per_wedge_multiset(monkeypatch):
     built = []
     build = multiorder._upper_bound_system
 
-    def counted(ws):
+    def counted(ws, cw):
         built.append(tuple(id(w) for w in ws))
-        return build(ws)
+        return build(ws, cw)
 
     monkeypatch.setattr(multiorder, "_upper_bound_system", counted)
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
@@ -338,8 +330,8 @@ def test_search_builds_one_warm_per_wedge_multiset(warm_builds):
         # bound unless its apexes differ by a multiple of (1, 1), so those
         # multisets see infeasible trials only. Feasible or not, each of the
         # k + 1 sorted multisets gets one system.
-        pytest.param(_quadrant_and_ray, 2, 3, id="ex3.7-k2"),
-        pytest.param(_quadrant_and_ray, 3, 4, id="ex3.7-k3"),
+        pytest.param(lambda: [quadrant(), diagonal_ray()], 2, 3, id="ex3.7-k2"),
+        pytest.param(lambda: [quadrant(), diagonal_ray()], 3, 4, id="ex3.7-k3"),
     ],
 )
 def test_search_builds_one_system_per_wedge_multiset(warm_builds, wedges, k, multisets):
@@ -366,9 +358,9 @@ def test_upper_bound_rhs_is_each_halfspace_at_its_apex():
             rows = [V([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]) for _ in range(3)]
             wedges.append(Wedge(dim, halfspaces=[a for a in rows if not a.is_zero()] or [V.unit(dim, 0)]))
         apexes = [V([F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]) for _ in wedges]
-        system = _upper_bound_system(wedges)
+        system = _upper_bound_system(wedges, None)
         pairs = [(a, apex) for w, apex in zip(wedges, apexes) for a in w.halfspaces]
-        assert (system.n, system.rows) == (dim, [a for a, _ in pairs])
+        assert (system.n, system.rows, system.objectives) == (dim, [a for a, _ in pairs], [])
         expected = tuple(sum(x * y for x, y in zip(a.entries, apex.entries)) for a, apex in pairs)
         assert system.rhs(apexes).entries == expected
         seen["den > 1"] += any(a.den > 1 for a, _ in pairs)
@@ -445,7 +437,7 @@ def test_priced_normals_equal_their_own_minima():
             else:
                 apex = rand_vector(rng, dim, -3, 3, 2)
             family.append(TranslatedWedge(apex, rng.choice(pool)))
-        system = _upper_bound_system([tw.wedge for tw in family])
+        system = _upper_bound_system([tw.wedge for tw in family], None)
         rows, rhs = system.rows, system.rhs([tw.apex for tw in family])
         session = Session(dim, rows, rhs)
         if not session.feasible:
@@ -459,14 +451,15 @@ def test_priced_normals_equal_their_own_minima():
     assert min(outcomes["no pivot"], outcomes["pivoted"]) >= 20, outcomes
 
 
-def test_a_certified_warm_basis_attains_every_minimum():
-    # msup's no-LP paths. Whenever Warm.solve returns a kept Region, whose
-    # basis no row of C pivoted at, its point at the trial's right-hand
-    # sides attains the cold minimum of every row of C over P, and _msup
-    # returns that point. Whenever it returns kept Optima, each value is
-    # the cold minimum of its objective (the sum of C's rows, then each
-    # row), the sum's kept basis has its point at the sum's minimum, and
-    # _msup returns that point exactly when the set is nonempty. Trials
+def test_a_certified_warm_basis_attains_every_minimum(session_builds):
+    # msup's no-LP paths. A trial inside a kept region, a basis no row of C
+    # pivoted at, gets that basis's point at its right-hand sides, which
+    # attains the cold minimum of the sum of C's rows and of every row. A
+    # trial decided by kept optima gets a point attaining every cold
+    # minimum exactly when the cold minimum of the sum is the sum of the
+    # rows' (a nonempty set), else none. A trial that builds a session
+    # gets the cold sum's minimizer. No kept route builds a session, and
+    # _msup returns the point as its witness, or None without one. Trials
     # share one Warm per family of halfspaces, as the search's sorted
     # families do.
     outcomes = Counter()
@@ -475,56 +468,57 @@ def test_a_certified_warm_basis_attains_every_minimum():
         __slots__ = ()
 
         def solve(self, rhs):
-            solved = super().solve(rhs)
-            if solved.feasible:
-                outcomes[type(solved).__name__] += 1
-            objectives = [sum(cw.halfspaces, QVector.zero(self.n)), *cw.halfspaces]
-            if isinstance(solved, Region):
-                point = solved.point(rhs)
-                for a in objectives:
-                    assert a.dot(point) == Session(self.n, self.rows, rhs).minimize(a).value
-                witness.append(point)
-            elif isinstance(solved, Optima):
-                for value, c in zip(solved.values, objectives, strict=True):
-                    assert value == Session(self.n, self.rows, rhs).minimize(c).value
-                point = solved.region.point(rhs)
-                assert objectives[0].dot(point) == solved.values[0]
-                witness.append(point)
-                empty.append(solved.values[0] != sum(solved.values[1:]))
-            return solved
+            route, built = memo_route(self, rhs), len(session_builds)
+            feasible, point = super().solve(rhs)
+            assert len(session_builds) == built + (route == "session")
+            if not feasible:
+                return feasible, point
+            outcomes[route] += 1
+            colds = [Session(self.n, self.rows, rhs).minimize(a) for a in self.objectives]
+            common = colds[0].value == sum(cold.value for cold in colds[1:])
+            assert (point is not None) == common and (common or route != "region")
+            if point is not None:
+                for a, cold in zip(self.objectives, colds, strict=True):
+                    assert a.dot(point) == cold.value
+            if route == "session":
+                assert point is None or point == colds[0].point
+            witness.append(point)
+            return feasible, point
 
     rng = random.Random(1017)
     for _ in range(60):
         dim = rng.randint(1, 3)
         normals = [V([rng.randint(-2, 2) or 1 for _ in range(dim)]) for _ in range(rng.randint(2, 3))]
         wedges = [Wedge(dim, halfspaces=[a]) for a in normals]
-        system = _upper_bound_system(wedges)
-        cw, warm = intersect(wedges), Watched(system.n, system.rows, system.terms)
+        cw = intersect(wedges)
+        system = _upper_bound_system(wedges, cw)
+        warm = Watched(system.n, system.rows, system.terms, cw.halfspaces)
         for _ in range(20):
             apexes = [sample_apex(rng, dim, 2) for _ in wedges]
-            witness, empty = [], []
+            witness = []
             try:
                 res = _msup(apexes, cw, warm)
             except NotMultiBoundedAbove:
                 continue
-            if witness:
-                assert (res is None) == (empty == [True])
-                assert res is None or res.witness == witness[0]
-    for outcome in ("Region", "Optima", "Session"):
+            assert witness == [None if res is None else res.witness]
+    for outcome in ("region", "optima", "session"):
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_the_memo_decides_as_cold_sessions(monkeypatch):
+def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
     # Every trial of both searches that a Warm decides from kept entries
-    # gets a cold session's verdict. In a lattice search a kept region's
-    # point attains the cold minimum of every row of P: each is a
-    # nonnegative combination of C's rows, so the point is a
-    # multi-supremum. Kept optima, which only a lattice search keeps, give
-    # each objective's cold minimum (the sum of C's rows, then each row)
-    # and cold msup's verdict. Any other trial gets a session with a cold
-    # one's basis, point and pivots. Gated on the ways a trial goes:
-    # refuted by a kept Farkas vector, inside a kept region, decided by
-    # kept optima, and passed on to a session.
+    # gets a cold session's verdict, and builds no session. In a lattice
+    # search a kept region's point attains the cold minimum of every row
+    # of P: each is a nonnegative combination of C's rows, so the point is
+    # a multi-supremum. Kept optima, which only a lattice search keeps,
+    # give a point attaining each objective's cold minimum (the sum of C's
+    # rows, then each row), or none, and cold msup's verdict. Any other
+    # trial builds one session, which ends at a cold one's basis after as
+    # many pivots, and gets a cold one's point: the sum's minimizer, or
+    # the phase-1 point where there is no objective, as in a decomposition
+    # search. Gated on the ways a trial goes: refuted by a kept Farkas
+    # vector, inside a kept region, decided by kept optima, and passed on
+    # to a session.
     outcomes = Counter()
     lattice = [True]
     trial = {}
@@ -533,38 +527,39 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
         __slots__ = ()
 
         def solve(self, rhs):
-            solved = super().solve(rhs)
+            route, built = memo_route(self, rhs), len(session_builds)
+            feasible, point = super().solve(rhs)
+            assert len(session_builds) == built + (route == "session")
             n, rows = self.n, self.rows
+            session = session_builds[-1] if route == "session" else None
             cold = Session(n, rows, rhs)
-            assert solved.feasible == cold.feasible
-            if isinstance(solved, Farkas):
-                outcomes["farkas"] += 1
-            elif isinstance(solved, Region):
-                outcomes["region"] += 1
-                if lattice[0]:
-                    point = solved.point(rhs)
-                    for a in rows:
-                        assert a.dot(point) == cold.minimize(a).value
-            elif isinstance(solved, Optima):
+            assert feasible == cold.feasible and (feasible or point is None)
+            outcomes[route] += 1
+            if route == "region" and lattice[0]:
+                for a in rows:
+                    assert a.dot(point) == cold.minimize(a).value
+            elif route == "optima":
                 assert lattice[0]
-                cw = trial["cw"]
-                objectives = [sum(cw.halfspaces, QVector.zero(n)), *cw.halfspaces]
-                for value, c in zip(solved.values, objectives, strict=True):
-                    assert value == cold.minimize(c).value
+                if point is not None:
+                    for c in self.objectives:
+                        assert c.dot(point) == Session(n, rows, rhs).minimize(c).value
                 trial["optima"] = True
-            else:
-                assert solved._basis == cold._basis and solved.pivots == cold.pivots
-                assert solved.feasible_point() == cold.feasible_point()
-                outcomes["session"] += 1
-            return solved
+            elif route == "session":
+                if feasible and self.objectives:
+                    minima = [cold.minimize(c) for c in self.objectives]
+                    common = minima[0].value == sum(res.value for res in minima[1:])
+                    assert point == (minima[0].point if common else None)
+                elif feasible:
+                    assert point == cold.feasible_point()
+                assert session._basis == cold._basis and session.pivots == cold.pivots
+            return feasible, point
 
-    def watched_system(ws, build=multiorder._upper_bound_system):
-        warm = build(ws)
+    def watched_system(ws, cw, build=multiorder._upper_bound_system):
+        warm = build(ws, cw)
         wedges_of[warm] = ws
         return warm
 
     def watched_msup(apexes, cw, warm, msup_=multiorder._msup):
-        trial["cw"] = cw
         got = msup_(apexes, cw, warm)
         if trial.pop("optima", False):
             cold = msup([TranslatedWedge(a, w) for a, w in zip(apexes, wedges_of[warm], strict=True)])
@@ -579,14 +574,13 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
     monkeypatch.setattr(multiorder, "Warm", Watched)
     monkeypatch.setattr(operators, "Warm", Watched)
     rng = random.Random(6007)
-    quadrant, ray = _quadrant_and_ray()
     coord = _coordinate_wedges()
     for run in range(48):
         lattice[0] = run % 2 == 0
         if run % 6 < 2:
             wedges = list(w123())
         elif run % 6 < 4:
-            wedges = [quadrant, ray]
+            wedges = [quadrant(), diagonal_ray()]
         else:
             dim = rng.randint(1, 3)
             wedges = coord if run % 12 == 5 else [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
@@ -602,7 +596,7 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch):
         assert outcomes[outcome] >= 20, outcomes
 
 
-def test_most_search_trials_are_decided_without_a_session(monkeypatch):
+def test_most_search_trials_are_decided_without_a_session(monkeypatch, session_builds):
     # On ex2.7 at k = 2 fewer than a quarter of the trials build a
     # session: the rest are decided by the kept regions. On ex3.7 at
     # k = 3 a basis is seldom optimal for every row of C, so most trials
@@ -615,20 +609,22 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
 
     def solved(self, rhs):
         calls["trial"] += 1
-        got = solve(self, rhs)
-        calls["session" if isinstance(got, Session) else "kept"] += 1
-        return got
+        calls[memo_route(self, rhs)] += 1
+        return solve(self, rhs)
 
     monkeypatch.setattr(Warm, "solve", solved)
     assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
-    assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
+    assert calls["trial"] == 200 and len(session_builds) == calls["session"], calls
+    assert calls["session"] * 4 < calls["trial"], calls
 
     calls.clear()
-    quadrant, ray = _quadrant_and_ray()
-    assert multilattice_search([quadrant, ray], 3, seed=3, budget=200) is None
-    assert calls["trial"] == 200 and calls["session"] * 4 < calls["trial"], calls
+    session_builds.clear()
+    assert multilattice_search([quadrant(), diagonal_ray()], 3, seed=3, budget=200) is None
+    assert calls["trial"] == 200 and len(session_builds) == calls["session"], calls
+    assert calls["session"] * 4 < calls["trial"] and calls["optima"] > calls["region"], calls
 
     calls.clear()
+    session_builds.clear()
     rng = random.Random(29)
     wedges = [rand_wedge(rng, 2) for _ in range(3)]
     for _ in range(30):
@@ -639,8 +635,8 @@ def test_most_search_trials_are_decided_without_a_session(monkeypatch):
             pass
     ys = (V([1, 0]), V([1, 1]))
     for xs in ((V([2, 0]), V([0, 1])), (V([1, 1]), V([1, 0])), (V([2, 1]),)):
-        rdp_check(RDPInstance((quadrant, ray), xs, ys))
-    assert calls["trial"] == calls["session"] == 33 and calls["kept"] == 0, calls
+        rdp_check(RDPInstance((quadrant(), diagonal_ray()), xs, ys))
+    assert calls["trial"] == calls["session"] == len(session_builds) == 33, calls
 
 
 def _same_msup_set(a, b, dim):

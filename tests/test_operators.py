@@ -48,35 +48,23 @@ from conftest import (
     annihilator_op_lineality,
     cold_rdp_search,
     decomposition_rows,
+    diagonal_ray,
     fraction_random_member,
     operator_family,
     polytope_vertices,
+    positive_ray,
     primal_rdp_check,
     primal_rk_value,
+    quadrant,
     rand_acute_cone,
     rand_member,
     rand_vector,
     rand_wedge,
+    standard_cone,
 )
 
 V = QVector
 M = QMatrix.from_rows
-
-
-def quadrant():
-    return Wedge(2, generators=[V([1, 0]), V([0, 1])])
-
-
-def diagonal_ray():
-    return Wedge(2, generators=[V([1, 1])])
-
-
-def positive_ray():
-    return Wedge(1, generators=[V([1])], halfspaces=[V([1])])
-
-
-def standard_cone(n):
-    return Wedge(n, generators=[QVector.unit(n, i) for i in range(n)])
 
 
 # --- positivity -----------------------------------------------------------
@@ -383,7 +371,7 @@ def test_rdp_check_with_warm_matches_cold():
                 continue
             if js not in warm:
                 warm[js] = _rdp_system(ws, m)
-            feasible = warm[js].solve(warm[js].rhs((*xs, *ys))).feasible
+            feasible, _ = warm[js].solve(warm[js].rhs((*xs, *ys)))
             assert feasible == (cold is not None)
             outcomes[not feasible] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes

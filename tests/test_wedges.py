@@ -20,17 +20,9 @@ from multiwedge import (
 )
 from multiwedge.wedges import _primitive
 
-from conftest import rand_vector, rand_wedge, subset_scan_rays
+from conftest import diagonal_ray, quadrant, rand_vector, rand_wedge, subset_scan_rays
 
 V = QVector
-
-
-def quadrant():
-    return Wedge(2, generators=[V([1, 0]), V([0, 1])])
-
-
-def diagonal_ray():
-    return Wedge(2, generators=[V([1, 1])])
 
 
 def test_conversion_first_quadrant():
