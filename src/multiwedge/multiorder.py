@@ -12,10 +12,12 @@ its only builder), an ``lp.Warm`` with C's rows as its objectives: rows
 that depend only on the sorted wedge multiset, and right-hand sides
 a . apex_p linear in the apexes. ``Warm.solve`` answers whether P is
 nonempty and gives such a z, if there is one. ``multilattice_search``
-keeps one ``Warm`` per multiset, so that most trials run no LP, and
-converts C once per wedge combination, so that no trial minimizes a
-redundant row. The seeded draws take ``getrandbits`` directly
-(``_below``), as ``randrange`` and ``randint`` do.
+poses the same system, keeps one ``Warm`` per multiset, so that most
+trials run no LP, and reads only its verdict: a trial is a
+counterexample when P is nonempty and holds no such z. It converts
+only the input wedges that are given by generators, each once. The
+seeded draws take ``getrandbits`` directly (``_below``), as
+``randrange`` and ``randint`` do.
 """
 
 from __future__ import annotations
@@ -124,23 +126,16 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
 
     Raises NotMultiBoundedAbove when the family has no multi-upper bound
     at all (the translate intersection P is empty); that case is an error
-    by definition, distinct from an empty multi-supremum set.
+    by definition, distinct from an empty multi-supremum set. Each row a
+    of C is bounded below on a nonempty P (its recession cone is exactly
+    C), so the system gives a point minimizing every a exactly when the
+    set is nonempty, and any such point is a multi-supremum.
     """
     _family_dim(family)
     wedges = [tw.wedge for tw in family]
     cw = intersect(wedges)
-    return _msup([tw.apex for tw in family], cw, _upper_bound_system(wedges, cw))
-
-
-def _msup(apexes: Sequence[QVector], cw: Wedge, warm: Warm) -> MultiSupSet | None:
-    """``msup`` at the apexes, with C = ``cw`` given, and P the system ``warm`` of the family's wedges and C's rows.
-
-    Each row a of C is bounded below on P (the recession cone of a
-    nonempty P is exactly C), by m_a, so ``warm`` gives a point minimizing
-    every a exactly when the set is nonempty, and any such point is a
-    multi-supremum.
-    """
-    feasible, point = warm.solve(warm.rhs(apexes))
+    warm = _upper_bound_system(wedges, cw)
+    feasible, point = warm.solve(warm.rhs([tw.apex for tw in family]))
     if not feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     return None if point is None else MultiSupSet(point, cw.lineality_basis)
@@ -193,18 +188,16 @@ def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
 
 
 def _trials(
-    wedges: Sequence[Wedge], arity: int, seed: int, budget: int,
-    combine: Callable[[list[Wedge]], Wedge], system: Callable[[list[Wedge], Wedge], Warm],
-) -> Iterator[tuple[random.Random, tuple[int, ...], list[int], Wedge, Warm]]:
+    wedges: Sequence[Wedge], arity: int, seed: int, budget: int, system: Callable[[list[Wedge]], Warm]
+) -> Iterator[tuple[random.Random, tuple[int, ...], list[int], Warm]]:
     """The seeded trials of both searches: ``budget`` draws of ``arity`` wedge indices.
 
     Yields the rng, for the trial's own draws; the indices as drawn; their
-    positions in sorted order; ``combine`` of the distinct wedges, cached
-    per index set; and the property's ``system`` of the sorted wedges and
-    that combined wedge, one ``Warm`` per sorted wedge multiset, for this
-    call only. Posed in sorted order, a trial is the drawn one with its
-    rows permuted, and every verdict is exact: the first counterexample
-    is that of cold sessions, reported in the drawn order.
+    positions in sorted order; and the property's ``system`` of the sorted
+    wedges, one ``Warm`` per sorted wedge multiset, for this call only.
+    Posed in sorted order, a trial is the drawn one with its rows
+    permuted, and every verdict is exact: the first counterexample is
+    that of cold sessions, reported in the drawn order.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -213,18 +206,14 @@ def _trials(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     rng, count = random.Random(seed), len(wedges)
-    combined: dict[tuple[int, ...], Wedge] = {}
     warm: dict[tuple[int, ...], Warm] = {}
     for _ in range(budget):
         drawn = tuple([_below(rng, count) for _ in range(arity)])
         order = sorted(range(arity), key=drawn.__getitem__)
-        key = tuple(sorted(set(drawn)))
-        if key not in combined:
-            combined[key] = combine([wedges[i] for i in key])
         multiset = tuple(drawn[p] for p in order)
         if multiset not in warm:
-            warm[multiset] = system([wedges[i] for i in multiset], combined[key])
-        yield rng, drawn, order, combined[key], warm[multiset]
+            warm[multiset] = system([wedges[i] for i in multiset])
+        yield rng, drawn, order, warm[multiset]
 
 
 def multilattice_search(
@@ -236,21 +225,17 @@ def multilattice_search(
     apexes from ``sample_apex`` with bound 5) and returns the first
     multi-bounded-above family whose multi-supremum set is empty; None
     when the budget is exhausted. Deterministic for a fixed seed. Trials
-    that are not multi-bounded above count against the budget. msup sees
-    each family in sorted wedge order (see ``_trials``).
+    that are not multi-bounded above count against the budget. Each
+    family is posed as ``msup`` poses it, in sorted wedge order (see
+    ``_trials``), and only the verdict is read: P nonempty, with no point
+    minimizing every row of C.
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
-    # C given by its extreme rays has the irredundant rows as its halfspaces.
-    def combine(ws: list[Wedge]) -> Wedge:
-        return Wedge(ws[0].dim, generators=intersect(ws).generators)
-
-    for rng, indices, order, cw, warm in _trials(wedges, k, seed, budget, combine, _upper_bound_system):
-        apexes = tuple(sample_apex(rng, cw.dim, 5) for _ in range(k))
-        try:
-            res = _msup([apexes[p] for p in order], cw, warm)
-        except NotMultiBoundedAbove:
-            continue
-        if res is None:
+    trials = _trials(wedges, k, seed, budget, lambda ws: _upper_bound_system(ws, intersect(ws)))
+    for rng, indices, order, warm in trials:
+        apexes = tuple(sample_apex(rng, warm.n, 5) for _ in range(k))
+        feasible, point = warm.solve(warm.rhs([apexes[p] for p in order]))
+        if feasible and point is None:
             return Counterexample(apexes, indices)
     return None

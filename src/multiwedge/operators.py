@@ -338,12 +338,18 @@ def rdp_search(
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
     Only the verdict of ``lp.Warm`` is read: no trial assembles a z.
-    Deterministic for a fixed seed. Each instance is checked in sorted wedge order, its ys
-    with them (see ``multiorder._trials``).
+    The sum wedge is built once per set of distinct wedges drawn.
+    Deterministic for a fixed seed. Each instance is checked in sorted
+    wedge order, its ys with them (see ``multiorder._trials``).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    for rng, js, order, sw, warm in _trials(wedges, n, seed, budget, wedge_sum, lambda ws, _: _rdp_system(ws, m)):
+    sums: dict[tuple[int, ...], Wedge] = {}
+    for rng, js, order, warm in _trials(wedges, n, seed, budget, lambda ws: _rdp_system(ws, m)):
+        key = tuple(sorted(set(js)))
+        if key not in sums:
+            sums[key] = wedge_sum([wedges[j] for j in key])
+        sw = sums[key]
         ys = [_random_member(rng, wedges[j]) for j in js]
         xs = [_random_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, QVector.zero(sw.dim))

@@ -659,6 +659,50 @@ def test_the_package_has_no_assert():
     assert found == []
 
 
+def test_the_package_has_no_unused_import_or_private_helper():
+    # No dead helpers: every module but __init__, which re-exports, uses
+    # each name it imports, and each module-level private function or
+    # class is referenced by some module of the package, so that a helper
+    # kept only for the tests fails here.
+    import ast
+
+    import multiwedge
+
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(multiwedge.__file__).parent.glob("*.py"))
+    }
+    referenced = set()
+    unused = []
+    for name, tree in trees.items():
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+        referenced |= used
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    private = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unused == []
+    assert private == []
+
+
 def test_readme_names_only_real_tests():
     # Every backticked test_ name in README.md is a test module under
     # tests/ or a test function defined in one, so that renaming a test
@@ -747,7 +791,7 @@ def test_every_golden_is_diffed_by_ci_and_by_the_tests():
     # and which the four golden tests above split among them.
     names = [name for name, _, _ in _CASES]
     outputs = {p.name[: -len(".json")] for p in GOLDEN.glob("*.json") if not p.name.endswith(".input.json")}
-    assert len(outputs) >= 40 and sorted(names) == sorted(outputs)
+    assert len(outputs) >= 41 and sorted(names) == sorted(outputs)
     tested = [name for cases in (_SCENARIO_CASES, _WEDGE_CASES, _LP_CASES, _ERROR_CASES) for name, _ in cases]
     assert sorted(tested) == sorted(names)
     ci = (GOLDEN.parent.parent / ".github" / "workflows" / "ci.yml").read_text()

@@ -24,7 +24,7 @@ from multiwedge import (
 from multiwedge import multiorder, operators
 from multiwedge.lp import Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
-from multiwedge.multiorder import MultiSupSet, _below, _msup, _upper_bound_system, sample_apex
+from multiwedge.multiorder import MultiSupSet, _below, _upper_bound_system, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -149,6 +149,18 @@ def test_msup_converts_no_halfspace_given_wedge(conversions):
     assert conversions == []
 
 
+def test_lattice_search_converts_only_its_input_wedges(conversions):
+    # The search minimizes C's rows as the wedges give them, as msup does,
+    # so it converts no intersection: ex2.7's halfplanes are never
+    # converted, and ex3.7's generator-given quadrant and ray once each,
+    # for their rows.
+    assert multilattice_search(list(w123()), 2, seed=3, budget=200) is None
+    assert multilattice_search(list(w123()), 3, seed=3, budget=200) is not None
+    assert conversions == []
+    assert multilattice_search([quadrant(), diagonal_ray()], 3, seed=3, budget=200) is None
+    assert len(conversions) == 2
+
+
 def test_minf_mirrors_msup():
     fam = triple_family()
     neg = [TranslatedWedge(-tw.apex, tw.wedge) for tw in fam]
@@ -231,12 +243,13 @@ def test_warm_search_matches_cold_search():
 
 def test_msup_with_warm_matches_cold():
     # Families on one sorted wedge multiset share one Warm, as the search's
-    # families do, but every verdict is read: empty sets, no upper bound,
-    # and nonempty sets. A trial that no kept entry decides gets a cold
-    # session, so its witness is cold msup's; one that kept bases decide
-    # may give any point of the cold set. Every point Warm.solve returns
-    # attains the cold minimum of the sum of C's rows and of each row, and
-    # a trial decided by kept optima has cold msup's verdict, on empty and
+    # families do, but every verdict is read and compared with cold msup's:
+    # empty sets, no upper bound, and nonempty sets, whose witness is the
+    # point Warm.solve returns. A trial that no kept entry decides gets a cold
+    # session, so its witness is cold msup's; one that kept bases decide may
+    # give any point of the cold set. Every point Warm.solve returns attains
+    # the cold minimum of the sum of C's rows and of each row, and a trial
+    # decided by kept optima has cold msup's verdict, on empty and
     # on nonempty sets.
     class Watched(Warm):
         __slots__ = ()
@@ -264,17 +277,20 @@ def test_msup_with_warm_matches_cold():
         for _ in range(30):
             indices = tuple(sorted(rng.randrange(len(wedges)) for _ in range(k)))
             family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
-            results, routes = [], []
+            routes = []
             cw = intersect([tw.wedge for tw in family])
             if indices not in warm:
                 system = _upper_bound_system([tw.wedge for tw in family], cw)
                 warm[indices] = Watched(system.n, system.rows, system.terms, cw.halfspaces)
-            for solve in (msup, lambda f: _msup([tw.apex for tw in f], cw, warm[indices])):
-                try:
-                    results.append(solve(family))
-                except NotMultiBoundedAbove:
-                    results.append("not bounded")
-            cold, got = results
+            try:
+                cold = msup(family)
+            except NotMultiBoundedAbove:
+                cold = "not bounded"
+            feasible, point = warm[indices].solve(warm[indices].rhs([tw.apex for tw in family]))
+            if not feasible:
+                got = "not bounded"
+            else:
+                got = None if point is None else MultiSupSet(point, cw.lineality_basis)
             if cold is None or cold == "not bounded":
                 assert got == cold
                 outcomes[str(cold)] += 1
@@ -452,16 +468,14 @@ def test_priced_normals_equal_their_own_minima():
 
 
 def test_a_certified_warm_basis_attains_every_minimum(session_builds):
-    # msup's no-LP paths. A trial inside a kept region, a basis no row of C
-    # pivoted at, gets that basis's point at its right-hand sides, which
+    # Warm.solve's no-LP paths. A trial inside a kept region, a basis no row
+    # of C pivoted at, gets that basis's point at its right-hand sides, which
     # attains the cold minimum of the sum of C's rows and of every row. A
-    # trial decided by kept optima gets a point attaining every cold
-    # minimum exactly when the cold minimum of the sum is the sum of the
-    # rows' (a nonempty set), else none. A trial that builds a session
-    # gets the cold sum's minimizer. No kept route builds a session, and
-    # _msup returns the point as its witness, or None without one. Trials
-    # share one Warm per family of halfspaces, as the search's sorted
-    # families do.
+    # trial decided by kept optima gets a point attaining every cold minimum
+    # exactly when the cold minimum of the sum is the sum of the rows' (a
+    # nonempty set), else none. A trial that builds a session gets the cold
+    # sum's minimizer. No kept route builds a session. Trials share one Warm
+    # per family of halfspaces, as the search's sorted families do.
     outcomes = Counter()
 
     class Watched(Warm):
@@ -482,7 +496,6 @@ def test_a_certified_warm_basis_attains_every_minimum(session_builds):
                     assert a.dot(point) == cold.value
             if route == "session":
                 assert point is None or point == colds[0].point
-            witness.append(point)
             return feasible, point
 
     rng = random.Random(1017)
@@ -494,34 +507,27 @@ def test_a_certified_warm_basis_attains_every_minimum(session_builds):
         system = _upper_bound_system(wedges, cw)
         warm = Watched(system.n, system.rows, system.terms, cw.halfspaces)
         for _ in range(20):
-            apexes = [sample_apex(rng, dim, 2) for _ in wedges]
-            witness = []
-            try:
-                res = _msup(apexes, cw, warm)
-            except NotMultiBoundedAbove:
-                continue
-            assert witness == [None if res is None else res.witness]
+            warm.solve(warm.rhs([sample_apex(rng, dim, 2) for _ in wedges]))
     for outcome in ("region", "optima", "session"):
         assert outcomes[outcome] >= 20, outcomes
 
 
 def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
-    # Every trial of both searches that a Warm decides from kept entries
-    # gets a cold session's verdict, and builds no session. In a lattice
-    # search a kept region's point attains the cold minimum of every row
-    # of P: each is a nonnegative combination of C's rows, so the point is
-    # a multi-supremum. Kept optima, which only a lattice search keeps,
-    # give a point attaining each objective's cold minimum (the sum of C's
-    # rows, then each row), or none, and cold msup's verdict. Any other
-    # trial builds one session, which ends at a cold one's basis after as
-    # many pivots, and gets a cold one's point: the sum's minimizer, or
-    # the phase-1 point where there is no objective, as in a decomposition
-    # search. Gated on the ways a trial goes: refuted by a kept Farkas
-    # vector, inside a kept region, decided by kept optima, and passed on
-    # to a session.
+    # Every trial of both searches that a Warm decides from kept entries gets
+    # a cold session's verdict, and builds no session. In a lattice search a
+    # kept region's point attains the cold minimum of every row of P: each is
+    # a nonnegative combination of C's rows, so the point is a multi-supremum.
+    # Kept optima, which only a lattice search keeps, give a point attaining
+    # each objective's cold minimum (the sum of C's rows, then each row), or
+    # none exactly when the cold minimum of the sum is not the sum of the
+    # rows': cold msup's verdict, as the objectives are msup's. Any other
+    # trial builds one session, which ends at a cold one's basis after as many
+    # pivots, and gets a cold one's point: the sum's minimizer, or the phase-1
+    # point where there is no objective, as in a decomposition search. Gated
+    # on the ways a trial goes: refuted by a kept Farkas vector, inside a kept
+    # region, decided by kept optima, and passed on to a session.
     outcomes = Counter()
     lattice = [True]
-    trial = {}
 
     class Watched(Warm):
         __slots__ = ()
@@ -540,10 +546,12 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
                     assert a.dot(point) == cold.minimize(a).value
             elif route == "optima":
                 assert lattice[0]
+                minima = [Session(n, rows, rhs).minimize(c) for c in self.objectives]
+                assert (point is None) == (minima[0].value != sum(res.value for res in minima[1:]))
                 if point is not None:
-                    for c in self.objectives:
-                        assert c.dot(point) == Session(n, rows, rhs).minimize(c).value
-                trial["optima"] = True
+                    for c, res in zip(self.objectives, minima, strict=True):
+                        assert c.dot(point) == res.value
+                outcomes["optima", point is None] += 1
             elif route == "session":
                 if feasible and self.objectives:
                     minima = [cold.minimize(c) for c in self.objectives]
@@ -554,23 +562,6 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
                 assert session._basis == cold._basis and session.pivots == cold.pivots
             return feasible, point
 
-    def watched_system(ws, cw, build=multiorder._upper_bound_system):
-        warm = build(ws, cw)
-        wedges_of[warm] = ws
-        return warm
-
-    def watched_msup(apexes, cw, warm, msup_=multiorder._msup):
-        got = msup_(apexes, cw, warm)
-        if trial.pop("optima", False):
-            cold = msup([TranslatedWedge(a, w) for a, w in zip(apexes, wedges_of[warm], strict=True)])
-            assert (got is None) == (cold is None)
-            assert got is None or cold.contains(got.witness)
-            outcomes["optima", got is None] += 1
-        return got
-
-    wedges_of = {}
-    monkeypatch.setattr(multiorder, "_msup", watched_msup)
-    monkeypatch.setattr(multiorder, "_upper_bound_system", watched_system)
     monkeypatch.setattr(multiorder, "Warm", Watched)
     monkeypatch.setattr(operators, "Warm", Watched)
     rng = random.Random(6007)

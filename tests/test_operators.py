@@ -711,6 +711,46 @@ def test_rk_value_matches_primal_oracle():
         assert seen[outcome] >= 10, seen
 
 
+def test_rk_value_is_the_dual_order_multi_supremum():
+    # The paper's dual-order identity. For a normal b of V, s_b(x) is the
+    # minimum of u . x over the u with u . g >= b . T_i(g) on W_i, every i:
+    # over the multi-upper bounds of the family (T_i^T b, W_i') in the dual
+    # order. When msup gives that family a set u_b + D, those bounds are
+    # u_b + C with C = (sum of the W_i)', so s_b(x) = u_b . x on the sum
+    # wedge: b . z = u_b . x for rk_value's witness z. A b whose family
+    # has no multi-upper bound has an infeasible dual, which is exactly
+    # when rk_value raises NotMultiBoundedAbove. Gated on the identity, on
+    # unbounded families and on empty dual multi-supremum sets.
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(400):
+        q, p, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        wedges = [rand_wedge(rng, q) for _ in range(k)]
+        v_wedge = rand_wedge(rng, p)
+        ops = [QMatrix(p, q, [rng.randint(-3, 3) for _ in range(p * q)]) for _ in range(k)]
+        dual_msups, unbounded = {}, False
+        for b in v_wedge.canonical_halfspaces:
+            family = [TranslatedWedge(t.transpose().apply(b), dual_wedge(w)) for t, w in zip(ops, wedges)]
+            try:
+                dual_msups[b] = msup(family)
+            except NotMultiBoundedAbove:
+                unbounded = True
+        seen["empty"] += sum(res is None for res in dual_msups.values())
+        sw = wedge_sum(wedges)
+        for x in [rand_member(rng, sw) for _ in range(3)]:
+            outcome = _rk_outcome(rk_value, ops, wedges, v_wedge, x)
+            assert (outcome is NotMultiBoundedAbove) == unbounded
+            if unbounded:
+                seen["unbounded"] += 1
+                continue
+            for b, res in dual_msups.items():
+                if res is not None and outcome is not NoMultiSupremum:
+                    assert b.dot(outcome.witness) == res.witness.dot(x)
+                    seen["identity"] += 1
+    for outcome in ("identity", "unbounded", "empty"):
+        assert seen[outcome] >= 20, seen
+
+
 def test_vertex_enumerator_matches_polytope_vertices():
     # the integer active-set enumerator behind AC4 against the independent
     # Fraction enumerator, on decomposition polytopes with k, q <= 3
