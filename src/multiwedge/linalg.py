@@ -161,6 +161,12 @@ def _dots(pairs: Sequence[tuple[QVector, QVector]]) -> QVector:
     return QVector._of([sum(map(mul, a.num, v.num)) * (den // d) for (a, v), d in zip(pairs, dens)], den)
 
 
+def _common(vectors: Sequence[QVector]) -> tuple[list[tuple[int, ...]], int]:
+    """The numerators of ``vectors`` over one denominator, their lcm, and that denominator."""
+    den = lcm(*[v.den for v in vectors])
+    return [v.num if v.den == den else tuple([e * (den // v.den) for e in v.num]) for v in vectors], den
+
+
 class QMatrix:
     """Immutable matrix with rational entries: a tuple of ``QVector`` rows.
 

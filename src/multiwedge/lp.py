@@ -33,13 +33,15 @@ session keeps a ``Farkas`` vector of its rows.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
 b, as a search does. It is built once with the rows, per row b as a
-linear map of parameters theta (the apexes, or the xs and ys), which
-``Warm.rhs`` evaluates, and the objectives; a trial passes only b and
-gets whether the rows hold and a point minimizing every objective, if
-one exists. Neither a Farkas vector nor a basis's reduced costs and
-duals read b, so the answer at b depends only on which critical regions
-b falls in (multiparametric LP: Gal and Nedoma 1972, Multiparametric
-linear programming, Management Science 18). ``Warm`` keeps what its
+linear map of parameters theta (the apexes, or the xs and ys), and the
+objectives. ``Warm.rhs`` evaluates the map in ints, on theta given as
+int numerators over one denominator, so a search's trial stays in ints
+from its draws to b. A trial passes only b and gets whether the rows
+hold and a point minimizing every objective, if one exists. Neither a
+Farkas vector nor a basis's reduced costs and duals read b, so the
+answer at b depends only on which critical regions b falls in
+(multiparametric LP: Gal and Nedoma 1972, Multiparametric linear
+programming, Management Science 18). ``Warm`` keeps what its
 sessions proved, and decides most trials by dot products of ints; only
 the others build a session, cold.
 
@@ -60,7 +62,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .linalg import QVector, _dots, _eliminate, _nonzero, _pivot, _Row, qparse
+from .linalg import QVector, _eliminate, _nonzero, _pivot, _Row, qparse
 
 LE, GE, EQ = "<=", ">=", "=="
 # The signs s with which a row a . x (rel) b is written as s a . x >= s b.
@@ -332,7 +334,10 @@ class Warm:
     ``Warm(n, rows, terms, objectives)`` is the >= rows in n variables
     with, per row, its right-hand side as terms (a, [(s, p), ...]): at the
     parameters theta, a sequence of vectors, row r's right-hand side is
-    the sum of s * (a . theta[p]) over its terms (``rhs``). ``objectives``
+    the sum of s * (a . theta[p]) over its terms. The terms are compiled
+    once, at build, to int numerators over D, the lcm of their a's
+    denominators, so ``rhs`` takes theta as int numerators over one den
+    and returns b over D * den from int dot products. ``objectives``
     keeps the sum s of the objectives given, then each of them; each must
     be bounded below wherever the rows hold. ``solve`` takes a trial's
     right-hand sides only and returns whether the rows hold there and a
@@ -358,24 +363,27 @@ class Warm:
     decides, so none is kept twice, and a fresh ``Warm`` keeps nothing.
     """
 
-    __slots__ = ("n", "rows", "terms", "objectives", "_proofs", "_regions", "_optima")
+    __slots__ = ("n", "rows", "terms", "objectives", "_den", "_compiled", "_proofs", "_regions", "_optima")
 
     def __init__(
         self, n: int, rows: Sequence[QVector], terms: Sequence[tuple[QVector, list[tuple[int, int]]]],
         objectives: Sequence[QVector] = (),
     ):
         self.n, self.rows, self.terms = n, rows, terms
+        # Row r's terms as (s * a.num * (D // a.den), p): over D their dots with theta's numerators are ints.
+        self._den = den = lcm(*[a.den for a, _ in terms])
+        self._compiled = [[([s * e * (den // a.den) for e in a.num], p) for s, p in ps] for a, ps in terms]
         self.objectives = [sum(objectives, QVector.zero(n)), *objectives] if objectives else []
         self._proofs: list[Farkas] = []
         self._regions: list[Region] = []
         # Per objective, each kept basis optimal for it with its duals there.
         self._optima: list[list[tuple[Region, QVector]]] = []
 
-    def rhs(self, theta: Sequence[QVector]) -> QVector:
-        """The right-hand sides at the parameters ``theta``, in ints over one denominator."""
-        dots = _dots([(a, theta[p]) for a, ps in self.terms for _, p in ps])
-        num = iter(dots.num)
-        return QVector._of([sum([s * next(num) for s, _ in ps]) for _, ps in self.terms], dots.den)
+    def rhs(self, nums: Sequence[Sequence[int]], den: int) -> QVector:
+        """The right-hand sides at the parameters theta[p] = nums[p] / ``den``, over D * ``den``."""
+        return QVector._of(
+            [sum([sum(map(mul, c, nums[p])) for c, p in row]) for row in self._compiled], self._den * den
+        )
 
     def solve(self, rhs: QVector) -> tuple[bool, QVector | None]:
         """Whether the rows hold at ``rhs``, and a point there that minimizes every objective, or None."""

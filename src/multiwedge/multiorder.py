@@ -15,7 +15,10 @@ nonempty and gives such a z, if there is one. ``multilattice_search``
 poses the same system, keeps one ``Warm`` per multiset, so that most
 trials run no LP, and reads only its verdict: a trial is a
 counterexample when P is nonempty and holds no such z. It converts
-only the input wedges that are given by generators, each once. The
+only the input wedges that are given by generators, each once. A
+trial stays in ints: its apexes are drawn as int numerators over
+``APEX_DEN`` (``sample_apex``), ``Warm.rhs`` takes them so, and
+``QVector``s are built only for the counterexample reported. The
 seeded draws take ``getrandbits`` directly (``_below``), as
 ``randrange`` and ``randint`` do.
 """
@@ -24,13 +27,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .errors import NotMultiBoundedAbove, NotMultiBoundedBelow
-from .linalg import QVector, span_contains
+from .linalg import QVector, _common, span_contains
 from .lp import Warm
 from .wedges import Wedge, intersect
+
+# The denominator of every drawn apex: lcm(1, 2, 3, 4), so that each
+# coordinate base + p/q, q <= 4, is an int over it.
+APEX_DEN = 12
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
     _family_dim(family)
     warm = _upper_bound_system([tw.wedge for tw in family], None)
-    return warm.solve(warm.rhs([tw.apex for tw in family]))[1]
+    return warm.solve(warm.rhs(*_common([tw.apex for tw in family])))[1]
 
 
 def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -135,7 +141,7 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
     wedges = [tw.wedge for tw in family]
     cw = intersect(wedges)
     warm = _upper_bound_system(wedges, cw)
-    feasible, point = warm.solve(warm.rhs([tw.apex for tw in family]))
+    feasible, point = warm.solve(warm.rhs(*_common([tw.apex for tw in family])))
     if not feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
     return None if point is None else MultiSupSet(point, cw.lineality_basis)
@@ -175,16 +181,21 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def sample_apex(rng: random.Random, dim: int, bound: int) -> QVector:
+def sample_apex(rng: random.Random, dim: int, bound: int) -> list[int]:
     """Integer point in [-bound, bound]^dim plus a perturbation p/q, q <= 4, drawn in that order.
 
     The draws are those of ``rng.randint(-bound, bound)``, ``randint(-2, 2)``
-    and ``randint(1, 4)`` per coordinate.
+    and ``randint(1, 4)`` per coordinate. The point is returned as int
+    numerators over ``APEX_DEN``, 12, the lcm of every q: every apex has
+    the same denominator whatever its q, so a trial's apexes go to
+    ``Warm.rhs`` as they are drawn, and ``QVector._of(apex, APEX_DEN)``
+    is the point.
     """
     width = 2 * bound + 1
-    draws = [(_below(rng, width) - bound, _below(rng, 5) - 2, _below(rng, 4) + 1) for _ in range(dim)]
-    den = lcm(*(q for _, _, q in draws))
-    return QVector._of([base * den + p * (den // q) for base, p, q in draws], den)
+    return [
+        APEX_DEN * (_below(rng, width) - bound) + (_below(rng, 5) - 2) * (APEX_DEN // (_below(rng, 4) + 1))
+        for _ in range(dim)
+    ]
 
 
 def _trials(
@@ -234,8 +245,8 @@ def multilattice_search(
         raise ValueError("arity must be at least 1")
     trials = _trials(wedges, k, seed, budget, lambda ws: _upper_bound_system(ws, intersect(ws)))
     for rng, indices, order, warm in trials:
-        apexes = tuple(sample_apex(rng, warm.n, 5) for _ in range(k))
-        feasible, point = warm.solve(warm.rhs([apexes[p] for p in order]))
+        apexes = [sample_apex(rng, warm.n, 5) for _ in range(k)]
+        feasible, point = warm.solve(warm.rhs([apexes[p] for p in order], APEX_DEN))
         if feasible and point is None:
-            return Counterexample(apexes, indices)
+            return Counterexample(tuple([QVector._of(a, APEX_DEN) for a in apexes]), indices)
     return None

@@ -24,7 +24,11 @@ only builder), an ``lp.Warm`` with no objective: rows that depend only
 on m and the sorted wedge multiset, and right-hand sides -a . c_ij
 linear in theta = (xs, ys) (``_blocks``). rdp_search keeps one ``Warm``
 of it per multiset and reads only its verdicts, so that most trials run
-no LP.
+no LP. Its trials stay in ints: members are drawn as int numerators
+over 2, from generator numerators read once per wedge and once per sum
+wedge, the last x and its membership in the sum wedge are int dot
+products, ``Warm.rhs`` takes theta so, and ``QVector``s are built only
+for the instance reported.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -35,8 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -50,7 +53,9 @@ from .errors import (
     RDPViolated,
     ZeroSpace,
 )
-from .linalg import QMatrix, QVector, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear
+from .linalg import (
+    QMatrix, QVector, _common, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear,
+)
 from .lp import Session, Unbounded, Warm
 from .multiorder import MultiSupSet, TranslatedWedge, _below, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
@@ -122,9 +127,8 @@ def op_wedge_lineality(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> list[QMatrix
 
 def _vec(t: QMatrix) -> QVector:
     """The row-major entries of ``t`` as one vector, the coordinates of L(W, V)."""
-    rows = [t.row(i) for i in range(t.rows)]
-    den = lcm(*(r.den for r in rows))
-    return QVector._of([e * (den // r.den) for r in rows for e in r.num], den)
+    nums, den = _common([t.row(i) for i in range(t.rows)])
+    return QVector._of([e for num in nums for e in num], den)
 
 
 def op_wedge_is_cone(ws: Sequence[Wedge], vs: Sequence[Wedge]) -> bool:
@@ -262,7 +266,7 @@ def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     inst._validate()
     m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     theta, warm = (*inst.xs, *inst.ys), _rdp_system(inst.wedges, m)
-    point = warm.solve(warm.rhs(theta))[1]
+    point = warm.solve(warm.rhs(*_common(theta)))[1]
     if point is None:
         if not all(map(wedge_sum(inst.wedges).member, inst.xs)):
             raise InvalidInstance("some x_i is outside the sum of the wedges")
@@ -316,17 +320,16 @@ def _rdp_system(wedges: Sequence[Wedge], m: int) -> Warm:
     return Warm(nt, rows, terms)
 
 
-def _random_member(rng: random.Random, w: Wedge) -> QVector:
-    """Random nonnegative combination p/q (p in 0..3, then q in 1..2) of the
-    canonical generators; they have ``den == 1``, so it is built in halves.
+def _random_member(rng: random.Random, gens: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """Random nonnegative combination p/q (p in 0..3, then q in 1..2) of a
+    wedge's canonical generators ``gens``, their int numerators (each has
+    ``den == 1``), as int numerators over 2; ``dim`` entries.
 
     The draws are those of ``rng.randint(0, 3)`` and ``randint(1, 2)`` per
     generator, in generator order.
     """
-    gens = [g.num for g in w.canonical_generators]
     coefficients = [_below(rng, 4) * (2 // (_below(rng, 2) + 1)) for _ in gens]
-    halves = [sum(map(mul, coefficients, column)) for column in zip(*gens)] if gens else [0] * w.dim
-    return QVector._of(halves, 2)
+    return [sum(map(mul, coefficients, column)) for column in zip(*gens)] if gens else [0] * dim
 
 
 def rdp_search(
@@ -338,28 +341,42 @@ def rdp_search(
     into m pieces inside the sum wedge, and returns the first instance
     whose rdp_check system is infeasible; None when the budget runs out.
     Only the verdict of ``lp.Warm`` is read: no trial assembles a z.
-    The sum wedge is built once per set of distinct wedges drawn.
-    Deterministic for a fixed seed. Each instance is checked in sorted
-    wedge order, its ys with them (see ``multiorder._trials``).
+    The sum wedge is built once per set of distinct wedges drawn, and
+    each wedge's generators and the sum's generators and normals are
+    read once, as ints. Deterministic for a fixed seed. Each instance is
+    checked in sorted wedge order, its ys with them (see
+    ``multiorder._trials``).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    sums: dict[tuple[int, ...], Wedge] = {}
+    dim = wedges[0].dim if wedges else 0
+    # Numerators of each wedge's canonical generators; per set of distinct
+    # wedges, those of the sum's (read only when xs are drawn) and of its normals.
+    gens: dict[int, list[tuple[int, ...]]] = {}
+    sums: dict[tuple[int, ...], tuple[list, list]] = {}
     for rng, js, order, warm in _trials(wedges, n, seed, budget, lambda ws: _rdp_system(ws, m)):
         key = tuple(sorted(set(js)))
         if key not in sums:
-            sums[key] = wedge_sum([wedges[j] for j in key])
-        sw = sums[key]
-        ys = [_random_member(rng, wedges[j]) for j in js]
-        xs = [_random_member(rng, sw) for _ in range(m - 1)]
-        last = sum(ys, QVector.zero(sw.dim))
+            sw = wedge_sum([wedges[j] for j in key])
+            for j in key:
+                if j not in gens:
+                    gens[j] = [g.num for g in wedges[j].canonical_generators]
+            sums[key] = ([g.num for g in sw.canonical_generators] if m > 1 else [], [a.num for a in sw.halfspaces])
+        sum_gens, normals = sums[key]
+        ys = [_random_member(rng, gens[j], dim) for j in js]
+        xs = [_random_member(rng, sum_gens, dim) for _ in range(m - 1)]
+        last = [sum(column) for column in zip(*ys)]
         for x in xs:
-            last = last - x
-        if not sw.member(last):
+            last = list(map(sub, last, x))
+        if any(sum(map(mul, a, last)) < 0 for a in normals):
             continue
         xs.append(last)
-        if not warm.solve(warm.rhs([*xs, *(ys[p] for p in order)]))[0]:
-            return RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
+        if not warm.solve(warm.rhs([*xs, *(ys[p] for p in order)], 2))[0]:
+            return RDPInstance(
+                tuple(wedges[j] for j in js),
+                tuple([QVector._of(x, 2) for x in xs]),
+                tuple([QVector._of(y, 2) for y in ys]),
+            )
     return None
 
 

@@ -51,7 +51,7 @@ from multiwedge import (
     nullspace,
     wedge_sum,
 )
-from multiwedge.multiorder import Counterexample, msup, sample_apex
+from multiwedge.multiorder import APEX_DEN, Counterexample, msup, sample_apex
 from multiwedge.operators import RDPInstance, _check_rk_shapes, _random_member, rdp_check
 from multiwedge.wedges import _primitive
 
@@ -706,6 +706,16 @@ def operator_family(ops, wedges, v_wedge):
     return family
 
 
+def drawn_apex(rng, dim, bound):
+    """``multiorder.sample_apex``'s draw as the point it stands for."""
+    return QVector._of(sample_apex(rng, dim, bound), APEX_DEN)
+
+
+def drawn_member(rng, w):
+    """``operators._random_member``'s draw from the canonical generators of ``w``, as the point it stands for."""
+    return QVector._of(_random_member(rng, [g.num for g in w.canonical_generators], w.dim), 2)
+
+
 def fraction_sample_apex(rng, dim, bound):
     """``multiorder.sample_apex`` as it was: ``Fraction`` sums, then the parsing constructor."""
     entries = []
@@ -734,7 +744,7 @@ def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
     rng = random.Random(seed)
     for _ in range(budget):
         indices = tuple(rng.randrange(len(wedges)) for _ in range(k))
-        apexes = tuple(sample_apex(rng, dim, bound) for _ in range(k))
+        apexes = tuple(drawn_apex(rng, dim, bound) for _ in range(k))
         family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
         try:
             res = msup(family)
@@ -755,8 +765,8 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
         if key not in sum_cache:
             sum_cache[key] = wedge_sum([wedges[i] for i in key])
         sw = sum_cache[key]
-        ys = [_random_member(rng, wedges[j]) for j in js]
-        xs = [_random_member(rng, sw) for _ in range(m - 1)]
+        ys = [drawn_member(rng, wedges[j]) for j in js]
+        xs = [drawn_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, QVector.zero(sw.dim))
         for x in xs:
             last = last - x
@@ -858,12 +868,19 @@ def rand_vector(rng, dim, lo=-4, hi=4, max_den=3):
     return QVector([rand_fraction(rng, lo, hi, max_den) for _ in range(dim)])
 
 
-def rand_wedge(rng, dim, max_vectors=None):
-    """Random wedge from either generators or halfspaces (possibly trivial)."""
+def rand_wedge(rng, dim, max_vectors=None, max_den=1):
+    """Random wedge from either generators or halfspaces (possibly trivial).
+
+    Entries are ints in -3..3 or, for ``max_den`` > 1, p/q with p in
+    -3..3 and q in 1..``max_den``; only then is q drawn.
+    """
     count = rng.randint(1, max_vectors or dim + 1)
     vecs = []
     for _ in range(count):
-        v = QVector([rng.randint(-3, 3) for _ in range(dim)])
+        if max_den == 1:
+            v = QVector([rng.randint(-3, 3) for _ in range(dim)])
+        else:
+            v = QVector([F(rng.randint(-3, 3), rng.randint(1, max_den)) for _ in range(dim)])
         if not v.is_zero():
             vecs.append(v)
     if not vecs:

@@ -791,7 +791,7 @@ def test_every_golden_is_diffed_by_ci_and_by_the_tests():
     # and which the four golden tests above split among them.
     names = [name for name, _, _ in _CASES]
     outputs = {p.name[: -len(".json")] for p in GOLDEN.glob("*.json") if not p.name.endswith(".input.json")}
-    assert len(outputs) >= 41 and sorted(names) == sorted(outputs)
+    assert len(outputs) >= 43 and sorted(names) == sorted(outputs)
     tested = [name for cases in (_SCENARIO_CASES, _WEDGE_CASES, _LP_CASES, _ERROR_CASES) for name, _ in cases]
     assert sorted(tested) == sorted(names)
     ci = (GOLDEN.parent.parent / ".github" / "workflows" / "ci.yml").read_text()

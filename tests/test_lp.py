@@ -684,7 +684,7 @@ def test_warm_keeps_one_session(monkeypatch):
     # any kept entry.
     one = QVector([1])
     warm = Warm(1, [one, -one], [(one, [(1, 0)]), (one, [(1, 1)])])
-    assert warm.solve(warm.rhs([one, QVector([0])])) == (False, None)
+    assert warm.solve(warm.rhs([[1], [0]], 1)) == (False, None)
     [proof] = warm._proofs
     assert proof.refutes(QVector([1, 0])) and not proof.refutes(QVector([0, -1]))
     assert memo_route(warm, QVector([3, -2])) == "farkas"
@@ -692,7 +692,7 @@ def test_warm_keeps_one_session(monkeypatch):
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
             warm.solve(rhs)
-    assert warm.solve(warm.rhs([QVector([0]), QVector([F(-1, 2)])])) == (True, QVector([0]))
+    assert warm.solve(warm.rhs([[0], [-1]], 2)) == (True, QVector([0]))
 
     rng = random.Random(1153)
     outcomes = Counter()
@@ -711,7 +711,7 @@ def test_warm_keeps_one_session(monkeypatch):
             cold = Session(n, ge_rows, ge_new)
             proofs, regions = list(warm._proofs), list(warm._regions)
             route, before = memo_route(warm, ge_new), calls.copy()
-            assert warm.rhs([QVector([b]) for b in ge_new.entries]) == ge_new
+            assert warm.rhs([[b] for b in ge_new.num], ge_new.den) == ge_new
             feasible, point = warm.solve(ge_new)
             pivots = calls["pivot"] - before["pivot"]
             assert feasible == cold.feasible

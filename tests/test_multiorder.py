@@ -24,12 +24,14 @@ from multiwedge import (
 from multiwedge import multiorder, operators
 from multiwedge.lp import Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
-from multiwedge.multiorder import MultiSupSet, _below, _upper_bound_system, sample_apex
+from multiwedge.linalg import _common
+from multiwedge.multiorder import APEX_DEN, MultiSupSet, _below, _upper_bound_system, sample_apex
 
 from conftest import (
     cold_multilattice_search,
     cold_rdp_search,
     diagonal_ray,
+    drawn_apex,
     equality_system_msup,
     fraction_sample_apex,
     memo_route,
@@ -219,12 +221,15 @@ def test_warm_search_matches_cold_search():
     # Re-solved trials give each verdict exactly, so the first counterexample
     # (or none) is that of a cold session per trial, on every seed: ex2.7's
     # halfplanes, ex3.7's quadrant and ray, coordinate wedges and random
-    # wedges with lines, for k = 1..3.
+    # wedges with lines, for k = 1..3. The last 300 runs draw wedges with
+    # entries p/q, q <= 4, so that a system's rows, given halfspaces, have
+    # a common denominator D > 1 over which the apexes' right-hand sides
+    # are taken.
     rng = random.Random(1729)
     coordinate = [Wedge(3, halfspaces=[V.unit(3, s)]) for s in range(3)]
     found = Counter()
-    for run in range(400):
-        kind = run % 4
+    for run in range(700):
+        kind = run % 4 if run < 400 else 4
         if kind == 0:
             wedges = list(w123())
         elif kind == 1:
@@ -233,12 +238,17 @@ def test_warm_search_matches_cold_search():
             wedges = coordinate
         else:
             dim = rng.randint(1, 3)
-            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+            max_den = 4 if kind == 4 else 1
+            wedges = [rand_wedge(rng, dim, max_den=max_den) for _ in range(rng.randint(1, 3))]
         k, seed, budget = 1 + run % 3, rng.randrange(1 << 20), rng.randint(10, 40)
         got = multilattice_search(wedges, k, seed=seed, budget=budget)
         assert got == cold_multilattice_search(wedges, k, seed=seed, budget=budget)
-        found[got is not None] += 1
+        if kind < 4:
+            found[got is not None] += 1
+        elif any(a.den > 1 for w in wedges for a in w.halfspaces):
+            found["D > 1", got is not None] += 1
     assert found[True] >= 40 and found[False] >= 100, found
+    assert found["D > 1", True] >= 40 and found["D > 1", False] >= 80, found
 
 
 def test_msup_with_warm_matches_cold():
@@ -276,7 +286,7 @@ def test_msup_with_warm_matches_cold():
         k, warm = 2 + (run % 3 == 2 or run % 6 == 0), {}
         for _ in range(30):
             indices = tuple(sorted(rng.randrange(len(wedges)) for _ in range(k)))
-            family = [TranslatedWedge(sample_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
+            family = [TranslatedWedge(drawn_apex(rng, wedges[0].dim, 4), wedges[i]) for i in indices]
             routes = []
             cw = intersect([tw.wedge for tw in family])
             if indices not in warm:
@@ -286,7 +296,7 @@ def test_msup_with_warm_matches_cold():
                 cold = msup(family)
             except NotMultiBoundedAbove:
                 cold = "not bounded"
-            feasible, point = warm[indices].solve(warm[indices].rhs([tw.apex for tw in family]))
+            feasible, point = warm[indices].solve(warm[indices].rhs(*_common([tw.apex for tw in family])))
             if not feasible:
                 got = "not bounded"
             else:
@@ -378,7 +388,7 @@ def test_upper_bound_rhs_is_each_halfspace_at_its_apex():
         pairs = [(a, apex) for w, apex in zip(wedges, apexes) for a in w.halfspaces]
         assert (system.n, system.rows, system.objectives) == (dim, [a for a, _ in pairs], [])
         expected = tuple(sum(x * y for x, y in zip(a.entries, apex.entries)) for a, apex in pairs)
-        assert system.rhs(apexes).entries == expected
+        assert system.rhs(*_common(apexes)).entries == expected
         seen["den > 1"] += any(a.den > 1 for a, _ in pairs)
         seen["mixed"] += len({apex.den for apex in apexes}) > 1
     assert seen["den > 1"] >= 100 and seen["mixed"] >= 100, seen
@@ -400,7 +410,7 @@ def test_integer_apex_draws_match_the_fraction_formula():
         seed = pick.randrange(1 << 30)
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(pick.randint(1, 3)):
-            assert sample_apex(new, dim, bound) == fraction_sample_apex(old, dim, bound)
+            assert drawn_apex(new, dim, bound) == fraction_sample_apex(old, dim, bound)
         assert new.getstate() == old.getstate()
         shapes["dim 0" if dim == 0 else "bound 0" if bound == 0 else "other"] += 1
     assert min(shapes[k] for k in ("dim 0", "bound 0", "other")) >= 100, shapes
@@ -454,7 +464,7 @@ def test_priced_normals_equal_their_own_minima():
                 apex = rand_vector(rng, dim, -3, 3, 2)
             family.append(TranslatedWedge(apex, rng.choice(pool)))
         system = _upper_bound_system([tw.wedge for tw in family], None)
-        rows, rhs = system.rows, system.rhs([tw.apex for tw in family])
+        rows, rhs = system.rows, system.rhs(*_common([tw.apex for tw in family]))
         session = Session(dim, rows, rhs)
         if not session.feasible:
             continue
@@ -507,7 +517,7 @@ def test_a_certified_warm_basis_attains_every_minimum(session_builds):
         system = _upper_bound_system(wedges, cw)
         warm = Watched(system.n, system.rows, system.terms, cw.halfspaces)
         for _ in range(20):
-            warm.solve(warm.rhs([sample_apex(rng, dim, 2) for _ in wedges]))
+            warm.solve(warm.rhs([sample_apex(rng, dim, 2) for _ in wedges], APEX_DEN))
     for outcome in ("region", "optima", "session"):
         assert outcomes[outcome] >= 20, outcomes
 

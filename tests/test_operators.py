@@ -40,7 +40,8 @@ from multiwedge import (
     wedge_sum,
 )
 from multiwedge.multiorder import TranslatedWedge, minf, msup
-from multiwedge.operators import _images, _random_member, _rdp_system, _rk_sups
+from multiwedge.linalg import _common
+from multiwedge.operators import _images, _rdp_system, _rk_sups
 from multiwedge.wedges import coordinate_wedge
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     cold_rdp_search,
     decomposition_rows,
     diagonal_ray,
+    drawn_member,
     fraction_random_member,
     operator_family,
     polytope_vertices,
@@ -325,25 +327,33 @@ def test_warm_rdp_search_matches_cold_search():
     # Re-solved checks give each verdict exactly, so the first failing
     # instance (or none) is that of a cold session per check, on every seed:
     # ex3.7's quadrant and ray, coordinate wedges and random wedges with
-    # lines, for m, n = 1..3.
+    # lines, for m, n = 1..3. The last 300 runs draw wedges with entries
+    # p/q, q <= 4, so that a system's rows, given halfspaces, have a
+    # common denominator D > 1 over which the halves' right-hand sides
+    # are taken.
     rng = random.Random(1729)
     coordinate = [coordinate_wedge(3, s) for s in range(3)]
     found = Counter()
-    for run in range(400):
-        kind = run % 3
+    for run in range(700):
+        kind = run % 3 if run < 400 else 3
         if kind == 0:
             wedges = [quadrant(), diagonal_ray()]
         elif kind == 1:
             wedges = coordinate
         else:
             dim = rng.randint(1, 3)
-            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+            max_den = 4 if kind == 3 else 1
+            wedges = [rand_wedge(rng, dim, max_den=max_den) for _ in range(rng.randint(1, 3))]
         m, n = 1 + run % 3, 1 + (run // 3) % 3
         seed, budget = rng.randrange(1 << 20), rng.randint(4, 16)
         got = rdp_search(wedges, m, n, seed=seed, budget=budget)
         assert got == cold_rdp_search(wedges, m, n, seed=seed, budget=budget)
-        found[got is not None] += 1
+        if kind < 3:
+            found[got is not None] += 1
+        elif any(a.den > 1 for w in wedges for a in w.halfspaces):
+            found["D > 1", got is not None] += 1
     assert found[True] >= 25 and found[False] >= 100, found
+    assert found["D > 1", True] >= 20 and found["D > 1", False] >= 100, found
 
 
 def test_rdp_check_with_warm_matches_cold():
@@ -361,8 +371,8 @@ def test_rdp_check_with_warm_matches_cold():
         for _ in range(20):
             js = tuple(rng.randrange(len(wedges)) for _ in range(n))
             ws = tuple(wedges[j] for j in js)
-            ys = [_random_member(rng, w) for w in ws]
-            xs = [_random_member(rng, wedge_sum(ws)) for _ in range(m - 1)]
+            ys = [drawn_member(rng, w) for w in ws]
+            xs = [drawn_member(rng, wedge_sum(ws)) for _ in range(m - 1)]
             xs.append(sum(ys, V.zero(ws[0].dim)) - sum(xs, V.zero(ws[0].dim)))
             inst = RDPInstance(ws, tuple(xs), tuple(ys))
             try:
@@ -371,7 +381,7 @@ def test_rdp_check_with_warm_matches_cold():
                 continue
             if js not in warm:
                 warm[js] = _rdp_system(ws, m)
-            feasible, _ = warm[js].solve(warm[js].rhs((*xs, *ys)))
+            feasible, _ = warm[js].solve(warm[js].rhs(*_common((*xs, *ys))))
             assert feasible == (cold is not None)
             outcomes[not feasible] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 100, outcomes
@@ -390,8 +400,8 @@ def test_rdp_check_matches_primal_system():
         m, n = 1 + run % 3, 1 + (run // 3) % 3
         ws = tuple(rng.choice(wedges) for _ in range(n))
         sw = wedge_sum(ws)
-        ys = tuple(_random_member(rng, w) for w in ws)
-        xs = [_random_member(rng, sw) for _ in range(m - 1)]
+        ys = tuple(drawn_member(rng, w) for w in ws)
+        xs = [drawn_member(rng, sw) for _ in range(m - 1)]
         last = sum(ys, V.zero(dim)) - sum(xs, V.zero(dim))
         if not sw.member(last):
             continue
@@ -457,7 +467,7 @@ def test_rdp_rhs_is_minus_each_halfspace_at_its_block_constant():
                 expected += [-sum(x * y for x, y in zip(a.entries, c.entries)) for a in ws[j].halfspaces]
         system = _rdp_system(ws, m)
         assert system.n == (m - 1) * (n - 1) * dim and len(system.rows) == len(expected)
-        assert system.rhs(theta).entries == tuple(expected)
+        assert system.rhs(*_common(theta)).entries == tuple(expected)
         seen["den > 1"] += any(a.den > 1 for w in ws for a in w.halfspaces)
         seen["mixed"] += len({v.den for v in xs + ys}) > 1
     assert seen["den > 1"] >= 100 and seen["mixed"] >= 100, seen
@@ -487,7 +497,7 @@ def test_integer_member_draws_match_the_fraction_formula():
         seed = pick.randrange(1 << 30)
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            assert _random_member(new, w) == fraction_random_member(old, w)
+            assert drawn_member(new, w) == fraction_random_member(old, w)
         assert new.getstate() == old.getstate()
         kinds["zero" if not w.canonical_generators else "pointed" if is_cone(w) else "lines"] += 1
     assert min(kinds[k] for k in ("zero", "lines", "pointed")) >= 100, kinds
