@@ -66,10 +66,25 @@ class QVector:
     __slots__ = ("num", "den", "_entries")
 
     def __init__(self, entries: Iterable[object]):
-        # Reduced fractions over their least common denominator share no factor with it.
-        fs = [qparse(e) for e in entries]
-        self.den = den = lcm(*[e.denominator for e in fs])
-        self.num, self._entries = tuple([e.numerator * (den // e.denominator) for e in fs]), None
+        # Ints and "p" / "p/q" strings are read without a Fraction; anything
+        # else, and every string that does not match, goes through qparse.
+        nums, dens = [], []
+        for e in entries:
+            if type(e) is int:
+                p, q = e, 1
+            elif type(e) is str and (match := _RATIONAL.fullmatch(e)):
+                p, q = match.groups()
+                p, q = int(p), int(q or 1)
+            else:
+                f = qparse(e)
+                p, q = f.numerator, f.denominator
+            nums.append(p)
+            dens.append(q)
+        den = lcm(*dens)
+        nums = [p * (den // q) for p, q in zip(nums, dens)]
+        g = gcd(den, *nums)
+        self.num = tuple(nums) if g == 1 else tuple([p // g for p in nums])
+        self.den, self._entries = den // g, None
 
     @classmethod
     def _of(cls, num: Sequence[int], den: int = 1) -> "QVector":
@@ -147,7 +162,11 @@ class QVector:
         return f"QVector([{', '.join(str(e) for e in self.entries)}])"
 
     def to_json(self) -> list[str]:
-        return [str(e) for e in self.entries]
+        """Each entry as ``"p"`` or ``"p/q"`` in lowest terms, as ``str`` prints a ``Fraction``."""
+        den = self.den
+        if den == 1:
+            return [str(e) for e in self.num]
+        return [str(e // g) if (g := gcd(e, den)) == den else f"{e // g}/{den // g}" for e in self.num]
 
     @classmethod
     def from_json(cls, data: list) -> "QVector":

@@ -6,7 +6,9 @@ lines appear as two opposite rays) or an H-representation (intersection
 of homogeneous halfspaces {x : a.x >= 0}), or both. Whichever side is
 missing reads as the canonical form of that side, computed lazily and
 exactly from the other; each canonical side and the lineality basis are
-computed at most once per wedge.
+computed at most once per wedge. A wedge given by one side makes one
+conversion: the canonical form of the given side is read off that pass
+(``_round_trip``), not converted back.
 
 Conventions: an empty generator list denotes {0}; an empty halfspace list
 denotes all of Q^n. Canonical representations scale every ray/normal to
@@ -19,7 +21,7 @@ their int dot products (denominators are positive); neither builds a
 from __future__ import annotations
 
 import threading
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -39,11 +41,11 @@ def _primitive(v: QVector) -> QVector:
     return QVector._of(_coprime(v.num))
 
 
-def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[int], list[QVector]]:
-    """Pivot columns of the RREF of integer ``rows`` and a primitive basis of their kernel."""
+def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[_Row], list[int], list[QVector]]:
+    """The RREF of integer ``rows``, its pivot columns and a primitive basis of their kernel."""
     reduced = [_Row(list(a), 1) for a in rows]
     pivots = _rref_ints(reduced)
-    return pivots, [_primitive(v) for v in _nullspace_from_rref(reduced, pivots, dim)]
+    return reduced, pivots, [_primitive(v) for v in _nullspace_from_rref(reduced, pivots, dim)]
 
 
 def _dd_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
@@ -106,7 +108,7 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
     pivot coordinates.
     """
     rows = [_coprime(a.num) for a in normals]
-    pivots, lin = _kernel(rows, dim)
+    _, pivots, lin = _kernel(rows, dim)
     unique = dict.fromkeys(tuple([a[p] for p in pivots]) for a in rows)
     rays = [dict(zip(pivots, y)) for y in _dd_rays([a for a in unique if any(a)], len(pivots))]
     return lin, [QVector._of([ray.get(c, 0) for c in range(dim)]) for ray in rays]
@@ -114,15 +116,54 @@ def _solve_rays(normals: Sequence[QVector], dim: int) -> tuple[list[QVector], li
 
 def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
     """Primitive basis of {x : a.x = 0 for a in normals}."""
-    return _kernel([a.num for a in normals], dim)[1]
+    return _kernel([a.num for a in normals], dim)[2]
+
+
+def _sorted_generators(lin: Sequence[QVector], rays: Sequence[QVector]) -> list[QVector]:
+    """Canonical generators from a primitive lineality basis and primitive extreme rays."""
+    # Both are primitive (den == 1), so the canonical form only sorts them.
+    gens = [v for b in lin for v in (b, -b)] + list(rays)
+    return sorted(set(gens), key=lambda v: v.num)
 
 
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
     """Canonical generators of the wedge cut out by ``halfspaces``."""
-    lin, rays = _solve_rays(list(halfspaces), dim)
-    # Both come back primitive (den == 1), so the canonical form only sorts them.
-    gens = [v for b in lin for v in (b, -b)] + rays
-    return sorted(set(gens), key=lambda v: v.num)
+    return _sorted_generators(*_solve_rays(list(halfspaces), dim))
+
+
+def _round_trip(source: Sequence[QVector], out: Sequence[QVector], dim: int) -> list[QVector]:
+    """``hrep_to_vrep(out, dim)`` for ``out = hrep_to_vrep(source, dim)``, with no second conversion.
+
+    That is the canonical V-representation of cone(source). Its lineality
+    space is the kernel of ``out``, and its extreme rays are the facet
+    normals of W = {x : a.x >= 0 for a in source}: the nonzero rows whose
+    tight set on ``out``, a bitmask, is proper and maximal among the proper
+    ones (the faces of W are generated by the vectors of ``out`` they hold).
+    Each is written in the pivot coordinates Q of the RREF of ``out``, as
+    the conversion of ``out`` writes its rays: coordinate Q_i is a.r_i for
+    the i-th reduced row r_i, since a differs from that representative by
+    a vector of the kernel. When no such row vanishes on all of ``out``, W
+    is full-dimensional: the kernel is {0} and Q is every coordinate, so no
+    RREF is needed.
+    """
+    rows = [_coprime(a.num) for a in source if any(a.num)]
+    gens = [g.num for g in out]
+    full = (1 << len(gens)) - 1
+    tight = [sum([1 << j for j, g in enumerate(gens) if not sum(map(mul, a, g))]) for a in rows]
+    proper = set(tight) - {full}
+    facets = [a for a, t in zip(rows, tight) if t in proper and not any(t != u and t & u == t for u in proper)]
+    if full not in tight:
+        return _sorted_generators([], [QVector._of(a) for a in facets])
+    reduced, pivots, lin = _kernel(gens, dim)
+    reduced = reduced[: len(pivots)]
+    den = lcm(*[r.den for r in reduced])  # a list: see QMatrix.col
+    rays = []
+    for a in facets:
+        ray = [0] * dim
+        for r, p in zip(reduced, pivots):
+            ray[p] = sum(map(mul, a, r.num)) * (den // r.den)
+        rays.append(QVector._of(_coprime(ray)))
+    return _sorted_generators(lin, rays)
 
 
 def vrep_to_hrep(generators: Sequence[QVector], dim: int) -> list[QVector]:
@@ -140,7 +181,9 @@ class Wedge:
 
     The cache holds the canonical generators, the canonical halfspaces and
     a lineality basis, each computed at most once, on first use. A side
-    that was not given reads as its canonical form.
+    that was not given reads as its canonical form. The canonical form of
+    a given side is converted from the other side when both are given, and
+    read off the conversion of the given side otherwise.
     """
 
     __slots__ = (
@@ -181,19 +224,19 @@ class Wedge:
         self._canon_halfspaces = None
         self._lineality = None
 
-    def _derived(self, slot: str, source: str, derive) -> tuple[QVector, ...]:
-        """The cached ``derive(self.<source>, dim)``, computed at most once.
+    def _derived(self, slot: str, derive, *sources: str) -> tuple[QVector, ...]:
+        """The cached ``derive(*<sources>, dim)``, computed at most once.
 
-        ``source`` is read before the lock is taken: reading it may fill
+        The sources are read before the lock is taken: reading one may fill
         another slot, and the lock is not reentrant.
         """
         value = getattr(self, slot)
         if value is None:
-            side = getattr(self, source)
+            args = [getattr(self, source) for source in sources]
             with self._lock:
                 value = getattr(self, slot)
                 if value is None:
-                    value = tuple(derive(side, self.dim))
+                    value = tuple(derive(*args, self.dim))
                     setattr(self, slot, value)
         return value
 
@@ -214,17 +257,21 @@ class Wedge:
     @property
     def canonical_halfspaces(self) -> tuple[QVector, ...]:
         """Irredundant canonical H-representation."""
-        return self._derived("_canon_halfspaces", "generators", vrep_to_hrep)
+        if self._generators is None:
+            return self._derived("_canon_halfspaces", _round_trip, "_halfspaces", "canonical_generators")
+        return self._derived("_canon_halfspaces", vrep_to_hrep, "_generators")
 
     @property
     def canonical_generators(self) -> tuple[QVector, ...]:
         """Irredundant canonical V-representation (lineality pairs + extreme rays)."""
-        return self._derived("_canon_generators", "halfspaces", hrep_to_vrep)
+        if self._halfspaces is None:
+            return self._derived("_canon_generators", _round_trip, "_generators", "canonical_halfspaces")
+        return self._derived("_canon_generators", hrep_to_vrep, "_halfspaces")
 
     @property
     def lineality_basis(self) -> tuple[QVector, ...]:
         """Primitive basis of D(W) = W n (-W), the common kernel of the normals."""
-        return self._derived("_lineality", "halfspaces", _kernel_basis)
+        return self._derived("_lineality", _kernel_basis, "halfspaces")
 
     def member(self, x: QVector) -> bool:
         if x.dim != self.dim:

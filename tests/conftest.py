@@ -14,8 +14,9 @@ replaced, decompositions by the system of ``==`` sum rows that
 the annihilator construction that ``op_wedge_lineality`` replaced, operator multi-suprema by the
 multi-supremum of the translated-wedge family that defines them, the
 seeded searches' draws by the ``Fraction`` formulas that their integer
-draws replaced, and the searches themselves by their loops with a cold
-session per trial. The simplex oracle solves >= rows with one free
+draws replaced, and the searches themselves by their loops with the
+multi-supremum and decomposition oracles above per trial, whose
+right-hand sides never pass through ``lp.Warm``. The simplex oracle solves >= rows with one free
 column per variable, as ``Session`` does.
 """
 
@@ -51,8 +52,8 @@ from multiwedge import (
     nullspace,
     wedge_sum,
 )
-from multiwedge.multiorder import APEX_DEN, Counterexample, msup, sample_apex
-from multiwedge.operators import RDPInstance, _check_rk_shapes, _random_member, rdp_check
+from multiwedge.multiorder import APEX_DEN, Counterexample, sample_apex
+from multiwedge.operators import RDPInstance, _check_rk_shapes, _random_member
 from multiwedge.wedges import _primitive
 
 F = Fraction
@@ -736,9 +737,11 @@ def fraction_random_member(rng, w):
 
 
 def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
-    """``multiorder.multilattice_search`` as it was: a cold ``msup`` per trial.
+    """``multiorder.multilattice_search`` as it was, with a cold ``equality_system_msup`` per trial.
 
-    The same draws, trial for trial.
+    The same draws, trial for trial. Each trial's right-hand sides are
+    ``Constraint``s solved by ``lp_solve``, not ``lp.Warm.rhs``'s compiled
+    terms, so a fault there does not reach the oracle.
     """
     dim = wedges[0].dim
     rng = random.Random(seed)
@@ -747,7 +750,7 @@ def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
         apexes = tuple(drawn_apex(rng, dim, bound) for _ in range(k))
         family = [TranslatedWedge(a, wedges[i]) for a, i in zip(apexes, indices)]
         try:
-            res = msup(family)
+            res = equality_system_msup(family)
         except NotMultiBoundedAbove:
             continue
         if res is None:
@@ -756,7 +759,11 @@ def cold_multilattice_search(wedges, k, seed=0, budget=1000, bound=5):
 
 
 def cold_rdp_search(wedges, m, n, seed=0, budget=500):
-    """``operators.rdp_search`` as it was: a cold ``rdp_check`` session per trial."""
+    """``operators.rdp_search`` as it was, with ``primal_rdp_check`` per trial.
+
+    Its ``==`` sum rows go to ``lp_solve`` as ``Constraint``s, not through
+    ``lp.Warm.rhs``.
+    """
     rng = random.Random(seed)
     sum_cache = {}
     for _ in range(budget):
@@ -774,7 +781,7 @@ def cold_rdp_search(wedges, m, n, seed=0, budget=500):
             continue
         xs.append(last)
         inst = RDPInstance(tuple(wedges[j] for j in js), tuple(xs), tuple(ys))
-        if rdp_check(inst) is None:
+        if primal_rdp_check(inst) is None:
             return inst
     return None
 

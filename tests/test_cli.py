@@ -556,9 +556,9 @@ def test_examples_run_match(capsys, name):
     assert json.loads(out)["matches_expected"] is True
 
 
-@pytest.mark.parametrize("op", [argv[1] for _, argv in _WEDGE_CASES])
-def test_wedge_ops_match_golden(capsys, op):
-    _diff_golden(capsys, f"wedge-{op}", _ARGV[f"wedge-{op}"], 0)
+@pytest.mark.parametrize("name", [name for name, _ in _WEDGE_CASES], ids=lambda name: name[len("wedge-") :])
+def test_wedge_ops_match_golden(capsys, name):
+    _diff_golden(capsys, name, _ARGV[name], 0)
 
 
 @pytest.mark.parametrize("name", ["rdp-check", "rdp-check-rational", "rdp-check-one-x"])
@@ -791,7 +791,7 @@ def test_every_golden_is_diffed_by_ci_and_by_the_tests():
     # and which the four golden tests above split among them.
     names = [name for name, _, _ in _CASES]
     outputs = {p.name[: -len(".json")] for p in GOLDEN.glob("*.json") if not p.name.endswith(".input.json")}
-    assert len(outputs) >= 43 and sorted(names) == sorted(outputs)
+    assert len(outputs) >= 44 and sorted(names) == sorted(outputs)
     tested = [name for cases in (_SCENARIO_CASES, _WEDGE_CASES, _LP_CASES, _ERROR_CASES) for name, _ in cases]
     assert sorted(tested) == sorted(names)
     ci = (GOLDEN.parent.parent / ".github" / "workflows" / "ci.yml").read_text()

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +143,40 @@ def test_vector_invariant_and_arithmetic_match_fractions():
                 assert hash(v) == hash(w)
     for case in ("negative", "large_den", "dim_0", "zero_vector", "equal_pair"):
         assert seen[case] > 0, case
+
+
+def test_vector_json_matches_the_fraction_route():
+    # QVector reads ints and "p" / "p/q" strings without a Fraction, and
+    # to_json prints from num / den: both must give what parsing each entry
+    # with qparse and printing each Fraction entry gave.
+    rng = random.Random(4444)
+    spellings = [
+        lambda e: e.numerator if e.denominator == 1 else e,
+        str,
+        lambda e: f"{e.numerator * 3}/{e.denominator * 3}",
+        lambda e: f"+{e}" if e >= 0 else str(e),
+        lambda e: f"00{e.numerator}/0{e.denominator}" if e >= 0 else str(e),
+        lambda e: e,
+    ]
+    fixed = [[5, "12", "+5", "-0/3", "007/010", "-6/4", 10**40 + 1, f"{-(10**30)}/{10**29 * 7}", F(-3, 8)]]
+    cases = fixed + [
+        [rng.choice(spellings)(F(rng.randint(-10**rng.randint(1, 25), 10**12), rng.randint(1, 40))) for _ in range(rng.randint(0, 6))]
+        for _ in range(500)
+    ]
+    for entries in cases:
+        fs = [qparse(e) for e in entries]
+        den = lcm(*[f.denominator for f in fs])
+        v = QVector(entries)
+        assert (v.num, v.den) == (tuple([f.numerator * (den // f.denominator) for f in fs]), den)
+        assert v.to_json() == [str(f) for f in fs]
+        assert QVector.from_json(v.to_json()) == v
+    for bad in (True, False, "1/0", "1.5", "1e3", " 1", "1_000", "3/-4", 0.5):
+        with pytest.raises(ValueError) as parsed:
+            qparse(bad)
+        for entries in ([bad], [1, "2/3", bad]):
+            with pytest.raises(ValueError) as read:
+                QVector(entries)
+            assert str(read.value) == str(parsed.value)
 
 
 def _fraction_rows(m):

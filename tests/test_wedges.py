@@ -99,6 +99,60 @@ def test_double_description_matches_subset_scan():
         assert seen[key] >= 20, (key, seen)
 
 
+def _oracle_vrep(rows, dim):
+    """The lineality basis and canonical generators that ``subset_scan_rays`` gives for ``rows``."""
+    lin, rays = subset_scan_rays(rows, dim)
+    gens = {_primitive(v) for b in lin for v in (b, -b)} | {_primitive(v) for v in rays}
+    return lin, tuple(sorted(gens, key=lambda v: v.num))
+
+
+def test_one_pass_matches_the_subset_scan_twice():
+    # A wedge given by one side converts it once and reads the second
+    # canonical side off that pass; both sides must be the subset scan's,
+    # the second one the scan applied to the first one's output.
+    rng = random.Random(62)
+    seen = Counter()
+    for trial in range(400):
+        dim = rng.randint(1, 5)
+        kind = trial % 4
+        zero = QVector.zero(dim)
+        if kind == 0:  # vectors of a random subspace: not full-dimensional
+            span = [rand_vector(rng, dim, -2, 2, 1) for _ in range(rng.randint(1, dim))]
+            coefs = [[rng.randint(-2, 2) for _ in span] for _ in range(rng.randint(1, 5))]
+            rows = [sum((c * b for c, b in zip(cs, span)), zero) for cs in coefs]
+        elif kind == 1:  # a line and its negation among p/q vectors
+            rows = [rand_vector(rng, dim, -3, 3, 3) for _ in range(rng.randint(1, 4))]
+            rows.append(-rows[0])
+        else:
+            rows = [rand_vector(rng, dim, -2, 2, 2) for _ in range(rng.randint(0, 6))]
+        if rows and trial % 3 == 0:  # repeated, parallel and zero vectors
+            rows.append(F(rng.choice([1, 2, 3]), rng.randint(1, 3)) * rng.choice(rows))
+            rows.append(zero)
+        rng.shuffle(rows)
+
+        side = rng.choice(["generators", "halfspaces"])
+        first_lin, first = _oracle_vrep(rows, dim)
+        second_lin, second = _oracle_vrep(first, dim)
+        w = Wedge(dim, **{side: rows})
+        # Either side may be read first.
+        got = {"generators": None, "halfspaces": None}
+        for name in rng.sample(sorted(got), 2):
+            got[name] = getattr(w, f"canonical_{name}")
+        other = "halfspaces" if side == "generators" else "generators"
+        assert got[other] == first and got[side] == second, (trial, side, rows)
+
+        # The shortcut runs when the kernel of the first pass is {0}.
+        seen["rref" if second_lin else "full-dimensional"] += 1
+        seen["lines"] += bool(first_lin if side == "halfspaces" else second_lin)
+        seen["zero or parallel"] += len({_primitive(a) for a in rows if not a.is_zero()}) < len(rows)
+        seen["p/q"] += any(a.den > 1 for a in rows)
+        seen[side] += 1
+        seen[f"dim {dim}"] += 1
+    for key in ("full-dimensional", "rref", "lines", "zero or parallel", "p/q", "generators", "halfspaces"):
+        assert seen[key] >= 120, (key, seen)
+    assert all(seen[f"dim {dim}"] >= 50 for dim in range(1, 6)), seen
+
+
 def test_member_examples():
     assert member(quadrant(), V([1, 2]))
     assert not member(diagonal_ray(), V([1, 0]))
@@ -268,50 +322,65 @@ def test_lineality_members_both_ways():
             assert w.member(v) and w.member(-v)
 
 
-def test_each_side_is_converted_once(conversions):
-    # H-given: one H->V scan for the generators, one V->H scan back.
+def test_each_wedge_is_converted_once(conversions):
+    # A wedge given by one side makes one conversion, for both canonical
+    # sides and the lineality, whichever side is given and read first: the
+    # second side is read off the first pass.
     given = (V([1, 0, 0]), V([0, 1, 0]), V([1, 1, 1]))
-    w = Wedge(3, halfspaces=given)
-    gens = w.canonical_generators
-    assert w.generators == gens
-    assert w.canonical_halfspaces == tuple(sorted(given, key=lambda v: v.entries))
-    assert w.halfspaces == given
-    assert lineality(w) == []
+    lines = (V([0, 0, -1]), V([0, 0, 1]), V([0, 1, 0]), V([1, 0, 0]))
+    for first in ("canonical_generators", "canonical_halfspaces"):
+        conversions.clear()
+        w = Wedge(3, halfspaces=given)
+        getattr(w, first)
+        assert w.canonical_halfspaces == tuple(sorted(given, key=lambda v: v.num))
+        assert w.generators == w.canonical_generators and w.halfspaces == given
+        assert lineality(w) == []
+        assert len(conversions) == 1
+
+        conversions.clear()
+        w = Wedge(3, generators=lines)
+        getattr(w, first)
+        assert w.canonical_generators == lines
+        assert w.halfspaces == w.canonical_halfspaces and w.generators == lines
+        assert lineality(w) == [V([0, 0, 1])]
+        assert len(conversions) == 1
+
+    # Both sides given: each canonical side is converted from the other.
+    gens = Wedge(3, halfspaces=given).canonical_generators
+    conversions.clear()
+    w = Wedge(3, generators=gens, halfspaces=given)
+    assert w.canonical_generators == gens and w.canonical_halfspaces == tuple(sorted(given, key=lambda v: v.num))
     assert len(conversions) == 2
 
-    # V-given: one V->H scan serves the halfspaces and the lineality.
-    conversions.clear()
-    w = Wedge(3, generators=[V([1, 0, 0]), V([0, 1, 0]), V([0, 0, 1]), V([0, 0, -1])])
-    hs = w.canonical_halfspaces
-    assert w.halfspaces == hs
-    assert lineality(w) == [V([0, 0, 1])]
-    assert len(conversions) == 1
 
-
-def test_each_side_is_converted_once_across_threads(conversions):
+def test_each_wedge_is_converted_once_across_threads(conversions):
     import sys
     import threading
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            conversions.clear()
-            w = Wedge(4, halfspaces=[V([1, 0, 0, 0]), V([0, 1, 0, 0]), V([1, 1, 1, 0])])
-            results = []
+        vectors = [V([1, 0, 0, 0]), V([0, 1, 0, 0]), V([1, 1, 1, 0])]
+        names = ["canonical_generators", "canonical_halfspaces"]
+        for side in ("halfspaces", "generators"):
+            for _ in range(5):
+                conversions.clear()
+                w = Wedge(4, **{side: vectors})
+                results = []
 
-            def worker():
-                gens = w.canonical_generators
-                results.append((gens, w.generators, w.canonical_halfspaces, lineality(w)))
+                def worker(k):
+                    # Half the readers ask for the generators first, half for the halfspaces.
+                    got = {name: getattr(w, name) for name in (names if k % 2 else names[::-1])}
+                    results.append((got[names[0]], got[names[1]], lineality(w)))
 
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            assert len(results) == 8 and all(r == results[0] for r in results)
-            assert len(conversions) == 2
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert len(results) == 8 and all(r == results[0] for r in results)
+                assert len(conversions) == 1
     finally:
         sys.setswitchinterval(interval)
 
