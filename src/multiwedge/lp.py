@@ -37,13 +37,15 @@ linear map of parameters theta (the apexes, or the xs and ys), and the
 objectives. ``Warm.rhs`` evaluates the map in ints, on theta given as
 int numerators over one denominator, so a search's trial stays in ints
 from its draws to b. A trial passes only b and gets whether the rows
-hold and a point minimizing every objective, if one exists. Neither a
+hold and the kept basis whose point minimizes every objective, if one
+exists; the point is built only by a caller that reads it. Neither a
 Farkas vector nor a basis's reduced costs and duals read b, so the
 answer at b depends only on which critical regions b falls in
 (multiparametric LP: Gal and Nedoma 1972, Multiparametric linear
 programming, Management Science 18). ``Warm`` keeps what its
 sessions proved, and decides most trials by dot products of ints; only
-the others build a session, cold.
+the others build a session, cold, whose minima are read as ints off
+the phase-2 step that ``Session.minimize`` wraps.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -260,16 +262,22 @@ class Session:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
             return Infeasible(self._farkas.y)
+        status, info = self._phase2(objective)
         tableau, basis, ncols = self._tableau, self._basis, self._ncols
-        cost = _Row(list(objective.num) + [0] * (ncols - n + 1), objective.den)
-        status, info, pivots = _run(tableau, basis, cost, n, ncols)
-        self.pivots += pivots
         if status == "unbounded":
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
             enter, sign = info
             return Unbounded(_vector(tableau, basis, n, enter, -sign, enter))
         # The right-hand-side entry of the reduced row is minus the objective.
         return Optimal(Fraction(-info.num[ncols], info.den), _vector(tableau, basis, n, ncols, 1), info)
+
+    def _phase2(self, objective: QVector) -> tuple[str, object]:
+        """Phase 2 of a feasible session: ``_run``'s ("optimal", reduced-cost row) or ("unbounded", (column, sign))."""
+        n, ncols = self.n, self._ncols
+        cost = _Row(list(objective.num) + [0] * (ncols - n + 1), objective.den)
+        status, info, pivots = _run(self._tableau, self._basis, cost, n, ncols)
+        self.pivots += pivots
+        return status, info
 
 
 class Farkas:
@@ -340,11 +348,13 @@ class Warm:
     and returns b over D * den from int dot products. ``objectives``
     keeps the sum s of the objectives given, then each of them; each must
     be bounded below wherever the rows hold. ``solve`` takes a trial's
-    right-hand sides only and returns whether the rows hold there and a
-    point that minimizes every objective at once, None when there is no
-    such point: exactly when m_s differs from the sum of the objectives'
-    minima m_o, since c . x >= m_c for each c on the rows and s is their
-    sum. With no objective the point is any feasible one.
+    right-hand sides b only and returns whether the rows hold there and a
+    kept ``Region`` whose point at b minimizes every objective at once,
+    None when there is no such point: exactly when m_s differs from the
+    sum of the objectives' minima m_o, since c . x >= m_c for each c on
+    the rows and s is their sum. With no objective the basis is any
+    feasible one. ``solve`` builds no point; a caller that reads one
+    calls ``point(b)`` on the basis.
 
     ``Warm`` keeps every Farkas vector its sessions produced, and every
     basis a cold session reached as a ``Region``: in ``_regions`` when the
@@ -352,11 +362,13 @@ class Warm:
     objective, feasible), else in ``_optima``, per objective o, each basis
     where o's minimum ended, with o's duals y_o there. A trial that a kept
     Farkas vector refutes is infeasible; one in a kept region has that
-    basis's point; one that, for every objective, lies in the region of a
-    kept basis optimal for it has m_o = y_o . b, and the point of s's
-    basis when m_s is their sum. Any other trial builds a cold ``Session``
-    of the rows there, which minimizes s and then each objective, each
-    from the previous optimum. Every verdict and minimum is that of a cold
+    basis; one that, for every objective, lies in the region of a kept
+    basis optimal for it has m_o = y_o . b, compared in ints over the lcm
+    of the duals' denominators, and s's basis when m_s is their sum. Any
+    other trial builds a cold ``Session`` of the rows there, which
+    minimizes s and then each objective, each from the previous optimum,
+    and returns the basis s's minimum ended at, whose point is the cold
+    session's minimizer of s. Every verdict and minimum is that of a cold
     session, as neither a Farkas vector nor a basis's reduced costs and
     duals read the right-hand side; a point may differ where the minimizer
     is not unique. Entries come only from trials that no kept entry
@@ -385,8 +397,8 @@ class Warm:
             [sum([sum(map(mul, c, nums[p])) for c, p in row]) for row in self._compiled], self._den * den
         )
 
-    def solve(self, rhs: QVector) -> tuple[bool, QVector | None]:
-        """Whether the rows hold at ``rhs``, and a point there that minimizes every objective, or None."""
+    def solve(self, rhs: QVector) -> tuple[bool, Region | None]:
+        """Whether the rows hold at ``rhs``, and a kept basis whose point there minimizes every objective, or None."""
         if rhs.dim != len(self.rows):
             raise ValueError("solve needs one right-hand side per row")
         for proof in self._proofs:
@@ -394,7 +406,7 @@ class Warm:
                 return False, None
         for region in self._regions:
             if region.contains(rhs):
-                return True, region.point(rhs)
+                return True, region
         if self._optima:
             picked = []
             for kept in self._optima:
@@ -405,40 +417,46 @@ class Warm:
                 else:
                     break
             else:
-                values = [y.dot(rhs) for _, y in picked]
-                return True, picked[0][0].point(rhs) if values[0] == sum(values[1:]) else None
+                # m_o = y_o . b, each over the lcm of the duals' denominators (b's is common to all).
+                den, b = lcm(*[y.den for _, y in picked]), rhs.num
+                values = [sum(map(mul, y.num, b)) * (den // y.den) for _, y in picked]
+                return True, picked[0][0] if values[0] == sum(values[1:]) else None
         return self._cold(rhs)
 
-    def _cold(self, rhs: QVector) -> tuple[bool, QVector | None]:
-        """``solve`` by a session of the rows at ``rhs``, keeping what it proves."""
+    def _cold(self, rhs: QVector) -> tuple[bool, Region | None]:
+        """``solve`` by a session of the rows at ``rhs``, keeping what it proves.
+
+        Each objective's minimum is read as the int pair (-r[ncols], r.den)
+        of its reduced-cost row r; the basis returned is the sum's.
+        """
         session = Session(self.n, self.rows, rhs)
         if not session.feasible:
             self._proofs.append(session._farkas)
             return False, None
         if not self.objectives:
             self._regions.append(Region(session))
-            return True, session.feasible_point()
-        bases: list[tuple[Region, list[tuple[int, Optimal]]]] = []
-        optima = []
+            return True, self._regions[-1]
+        bases: list[tuple[Region, list[tuple[int, _Row]]]] = []
+        minima = []
         for o, objective in enumerate(self.objectives):
             pivots = session.pivots
-            res = session.minimize(objective)
-            if not isinstance(res, Optimal):
+            status, reduced = session._phase2(objective)
+            if status != "optimal":
                 raise InternalInvariantError("an objective of a parametric system is unbounded below")
             if not bases or session.pivots != pivots:
                 bases.append((Region(session), []))
-            bases[-1][1].append((o, res))
-            optima.append(res)
+            bases[-1][1].append((o, reduced))
+            minima.append((-reduced.num[-1], reduced.den))
         if len(bases) == 1:
             self._regions.append(bases[0][0])
         else:
-            self._optima = self._optima or [[] for _ in optima]
+            self._optima = self._optima or [[] for _ in minima]
             for region, ended in bases:
-                for o, res in ended:
-                    reduced = res._reduced
+                for o, reduced in ended:
                     self._optima[o].append((region, QVector._of(reduced.num[self.n : -1], reduced.den)))
-        values = [res.value for res in optima]
-        return True, optima[0].point if values[0] == sum(values[1:]) else None
+        den = lcm(*[d for _, d in minima])
+        values = [m * (den // d) for m, d in minima]
+        return True, bases[0][0] if values[0] == sum(values[1:]) else None
 
 
 def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:

@@ -11,16 +11,18 @@ needed to drop it. P is one parametric system (``_upper_bound_system``,
 its only builder), an ``lp.Warm`` with C's rows as its objectives: rows
 that depend only on the sorted wedge multiset, and right-hand sides
 a . apex_p linear in the apexes. ``Warm.solve`` answers whether P is
-nonempty and gives such a z, if there is one. ``multilattice_search``
-poses the same system, keeps one ``Warm`` per multiset, so that most
-trials run no LP, and reads only its verdict: a trial is a
-counterexample when P is nonempty and holds no such z. It converts
-only the input wedges that are given by generators, each once. A
-trial stays in ints: its apexes are drawn as int numerators over
-``APEX_DEN`` (``sample_apex``), ``Warm.rhs`` takes them so, and
-``QVector``s are built only for the counterexample reported. The
-seeded draws take ``getrandbits`` directly (``_below``), as
-``randrange`` and ``randint`` do.
+nonempty and gives a basis whose point is such a z, if there is one;
+``msup`` and ``multi_bounded_above`` read that point.
+``multilattice_search`` poses the same system, keeps one ``Warm`` per
+multiset, so that most trials run no LP, and reads only its verdict: a
+trial is a counterexample when P is nonempty and no basis is given, so
+no trial builds a point. It converts only the input wedges that are
+given by generators, each once. A trial stays in ints: its apexes are
+drawn as int numerators over ``APEX_DEN`` (``sample_apex``),
+``Warm.rhs`` takes them so, and ``QVector``s are built only for the
+counterexample reported. The seeded draws read ``getrandbits`` in
+place, in local loops, as ``randrange`` and ``randint`` read it (see
+``_trials``).
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def multi_bounded_above(family: Sequence[TranslatedWedge]) -> QVector | None:
     """A multi-upper bound of the family, or None when none exists."""
     _family_dim(family)
     warm = _upper_bound_system([tw.wedge for tw in family], None)
-    return warm.solve(warm.rhs(*_common([tw.apex for tw in family])))[1]
+    rhs = warm.rhs(*_common([tw.apex for tw in family]))
+    basis = warm.solve(rhs)[1]
+    return None if basis is None else basis.point(rhs)
 
 
 def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -141,10 +145,11 @@ def msup(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
     wedges = [tw.wedge for tw in family]
     cw = intersect(wedges)
     warm = _upper_bound_system(wedges, cw)
-    feasible, point = warm.solve(warm.rhs(*_common([tw.apex for tw in family])))
+    rhs = warm.rhs(*_common([tw.apex for tw in family]))
+    feasible, basis = warm.solve(rhs)
     if not feasible:
         raise NotMultiBoundedAbove("the family has no multi-upper bound")
-    return None if point is None else MultiSupSet(point, cw.lineality_basis)
+    return None if basis is None else MultiSupSet(basis.point(rhs), cw.lineality_basis)
 
 
 def minf(family: Sequence[TranslatedWedge]) -> MultiSupSet | None:
@@ -164,38 +169,34 @@ def is_proper(result: MultiSupSet) -> bool:
     return result.is_proper
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)``: the same value from the same ``getrandbits`` calls.
-
-    It is CPython's ``Random._randbelow_with_getrandbits``, which
-    ``randrange`` and ``randint`` call for every width n > 0: k = n's bit
-    length, and k fresh bits again while they are >= n. An empty range
-    raises ``ValueError``, as ``randrange`` does, before any draw.
-    """
-    if n <= 0:
-        raise ValueError(f"empty range for a draw below {n}")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def sample_apex(rng: random.Random, dim: int, bound: int) -> list[int]:
     """Integer point in [-bound, bound]^dim plus a perturbation p/q, q <= 4, drawn in that order.
 
     The draws are those of ``rng.randint(-bound, bound)``, ``randint(-2, 2)``
-    and ``randint(1, 4)`` per coordinate. The point is returned as int
+    and ``randint(1, 4)`` per coordinate, each read from ``getrandbits`` as
+    they read it (see ``_trials``). The point is returned as int
     numerators over ``APEX_DEN``, 12, the lcm of every q: every apex has
     the same denominator whatever its q, so a trial's apexes go to
     ``Warm.rhs`` as they are drawn, and ``QVector._of(apex, APEX_DEN)``
     is the point.
     """
     width = 2 * bound + 1
-    return [
-        APEX_DEN * (_below(rng, width) - bound) + (_below(rng, 5) - 2) * (APEX_DEN // (_below(rng, 4) + 1))
-        for _ in range(dim)
-    ]
+    if width <= 0:
+        raise ValueError(f"empty range for an apex bound {bound}")
+    draw, k = rng.getrandbits, width.bit_length()
+    apex = []
+    for _ in range(dim):
+        x = draw(k)
+        while x >= width:
+            x = draw(k)
+        p = draw(3)
+        while p >= 5:
+            p = draw(3)
+        q = draw(3)
+        while q >= 4:
+            q = draw(3)
+        apex.append(APEX_DEN * (x - bound) + (p - 2) * (APEX_DEN // (q + 1)))
+    return apex
 
 
 def _trials(
@@ -209,6 +210,13 @@ def _trials(
     Posed in sorted order, a trial is the drawn one with its rows
     permuted, and every verdict is exact: the first counterexample is
     that of cold sessions, reported in the drawn order.
+
+    Every seeded draw below n, here and in the trials' own draws, is the
+    one ``rng.randrange(n)`` and ``randint`` make (CPython's
+    ``Random._randbelow_with_getrandbits``): k = n's bit length, and k
+    fresh bits again while they are >= n. Each site reads ``getrandbits``
+    so in a local loop, with no call per draw, after checking that its
+    range is not empty.
     """
     if not wedges:
         raise ValueError("need at least one wedge")
@@ -217,9 +225,16 @@ def _trials(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     rng, count = random.Random(seed), len(wedges)
+    draw, k = rng.getrandbits, count.bit_length()
     warm: dict[tuple[int, ...], Warm] = {}
     for _ in range(budget):
-        drawn = tuple([_below(rng, count) for _ in range(arity)])
+        picks = []
+        for _ in range(arity):
+            r = draw(k)
+            while r >= count:
+                r = draw(k)
+            picks.append(r)
+        drawn = tuple(picks)
         order = sorted(range(arity), key=drawn.__getitem__)
         multiset = tuple(drawn[p] for p in order)
         if multiset not in warm:
@@ -246,7 +261,7 @@ def multilattice_search(
     trials = _trials(wedges, k, seed, budget, lambda ws: _upper_bound_system(ws, intersect(ws)))
     for rng, indices, order, warm in trials:
         apexes = [sample_apex(rng, warm.n, 5) for _ in range(k)]
-        feasible, point = warm.solve(warm.rhs([apexes[p] for p in order], APEX_DEN))
-        if feasible and point is None:
+        feasible, basis = warm.solve(warm.rhs([apexes[p] for p in order], APEX_DEN))
+        if feasible and basis is None:
             return Counterexample(tuple([QVector._of(a, APEX_DEN) for a in apexes]), indices)
     return None

@@ -22,13 +22,15 @@ transportation form: the sums fix the last row and column of z, so it
 has >= rows only. It is one parametric system (``_rdp_system``, its
 only builder), an ``lp.Warm`` with no objective: rows that depend only
 on m and the sorted wedge multiset, and right-hand sides -a . c_ij
-linear in theta = (xs, ys) (``_blocks``). rdp_search keeps one ``Warm``
-of it per multiset and reads only its verdicts, so that most trials run
-no LP. Its trials stay in ints: members are drawn as int numerators
-over 2, from generator numerators read once per wedge and once per sum
-wedge, the last x and its membership in the sum wedge are int dot
-products, ``Warm.rhs`` takes theta so, and ``QVector``s are built only
-for the instance reported.
+linear in theta = (xs, ys) (``_blocks``). rdp_check reads its z off
+the point of the basis ``Warm.solve`` gives. rdp_search keeps one
+``Warm`` of it per multiset and reads only its feasibility verdicts, so
+that most trials run no LP and none builds a point. Its trials stay in
+ints: members are drawn as int numerators over 2, reading
+``getrandbits`` in place, from generator numerators read once per wedge
+and once per sum wedge, the last x and its membership in the sum wedge
+are int dot products, ``Warm.rhs`` takes theta so, and ``QVector``s are
+built only for the instance reported.
 
 The witness of the values, b . z = s_b for every normal b of V, is the
 particular solution of a linear system (``linalg.solve_linear``); no
@@ -57,7 +59,7 @@ from .linalg import (
     QMatrix, QVector, _common, _dots, _pivot_columns, complement_basis, matrix_inverse, nullspace, solve_linear,
 )
 from .lp import Session, Unbounded, Warm
-from .multiorder import MultiSupSet, TranslatedWedge, _below, _trials, multi_bounded_above
+from .multiorder import MultiSupSet, TranslatedWedge, _trials, multi_bounded_above
 from .wedges import Wedge, coordinate_wedge, intersect, is_cone, is_generating, lineality, wedge_sum
 
 LinearOperator = QMatrix
@@ -266,11 +268,13 @@ def rdp_check(inst: RDPInstance) -> list[list[QVector]] | None:
     inst._validate()
     m, n, dim = len(inst.xs), len(inst.ys), inst.dim
     theta, warm = (*inst.xs, *inst.ys), _rdp_system(inst.wedges, m)
-    point = warm.solve(warm.rhs(*_common(theta)))[1]
-    if point is None:
+    rhs = warm.rhs(*_common(theta))
+    basis = warm.solve(rhs)[1]
+    if basis is None:
         if not all(map(wedge_sum(inst.wedges).member, inst.xs)):
             raise InvalidInstance("some x_i is outside the sum of the wedges")
         return None
+    point = basis.point(rhs)
     t = [QVector._of(point.num[k * dim : (k + 1) * dim], point.den) for k in range((m - 1) * (n - 1))]
     z = []
     for _, cs, ts in _blocks(m, n):
@@ -326,9 +330,18 @@ def _random_member(rng: random.Random, gens: Sequence[Sequence[int]], dim: int) 
     ``den == 1``), as int numerators over 2; ``dim`` entries.
 
     The draws are those of ``rng.randint(0, 3)`` and ``randint(1, 2)`` per
-    generator, in generator order.
+    generator, in generator order, read from ``getrandbits`` as they read
+    it (see ``multiorder._trials``).
     """
-    coefficients = [_below(rng, 4) * (2 // (_below(rng, 2) + 1)) for _ in gens]
+    draw, coefficients = rng.getrandbits, []
+    for _ in gens:
+        p = draw(3)
+        while p >= 4:
+            p = draw(3)
+        q = draw(2)
+        while q >= 2:
+            q = draw(2)
+        coefficients.append(p * (2 // (q + 1)))
     return [sum(map(mul, coefficients, column)) for column in zip(*gens)] if gens else [0] * dim
 
 

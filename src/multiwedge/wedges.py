@@ -119,19 +119,27 @@ def _kernel_basis(normals: Sequence[QVector], dim: int) -> list[QVector]:
     return _kernel([a.num for a in normals], dim)[2]
 
 
-def _sorted_generators(lin: Sequence[QVector], rays: Sequence[QVector]) -> list[QVector]:
+class _Generators(list):
+    """Canonical generators, with the lineality basis that their pass found as ``lineality``."""
+
+    __slots__ = ("lineality",)
+
+
+def _sorted_generators(lin: Sequence[QVector], rays: Sequence[QVector]) -> _Generators:
     """Canonical generators from a primitive lineality basis and primitive extreme rays."""
     # Both are primitive (den == 1), so the canonical form only sorts them.
     gens = [v for b in lin for v in (b, -b)] + list(rays)
-    return sorted(set(gens), key=lambda v: v.num)
+    out = _Generators(sorted(set(gens), key=lambda v: v.num))
+    out.lineality = lin
+    return out
 
 
 def hrep_to_vrep(halfspaces: Sequence[QVector], dim: int) -> list[QVector]:
-    """Canonical generators of the wedge cut out by ``halfspaces``."""
+    """Canonical generators of the wedge cut out by ``halfspaces``, with its lineality basis as ``lineality``."""
     return _sorted_generators(*_solve_rays(list(halfspaces), dim))
 
 
-def _round_trip(source: Sequence[QVector], out: Sequence[QVector], dim: int) -> list[QVector]:
+def _round_trip(source: Sequence[QVector], out: Sequence[QVector], dim: int) -> _Generators:
     """``hrep_to_vrep(out, dim)`` for ``out = hrep_to_vrep(source, dim)``, with no second conversion.
 
     That is the canonical V-representation of cone(source). Its lineality
@@ -144,7 +152,7 @@ def _round_trip(source: Sequence[QVector], out: Sequence[QVector], dim: int) -> 
     the i-th reduced row r_i, since a differs from that representative by
     a vector of the kernel. When no such row vanishes on all of ``out``, W
     is full-dimensional: the kernel is {0} and Q is every coordinate, so no
-    RREF is needed.
+    RREF is needed. The kernel is returned as ``lineality``.
     """
     rows = [_coprime(a.num) for a in source if any(a.num)]
     gens = [g.num for g in out]
@@ -183,7 +191,10 @@ class Wedge:
     a lineality basis, each computed at most once, on first use. A side
     that was not given reads as its canonical form. The canonical form of
     a given side is converted from the other side when both are given, and
-    read off the conversion of the given side otherwise.
+    read off the conversion of the given side otherwise. The pass that
+    finds the canonical generators reads the kernel of the halfspaces,
+    given or canonical, and keeps it as the lineality basis; only a
+    lineality read before that pass reduces the halfspaces itself.
     """
 
     __slots__ = (
@@ -224,11 +235,12 @@ class Wedge:
         self._canon_halfspaces = None
         self._lineality = None
 
-    def _derived(self, slot: str, derive, *sources: str) -> tuple[QVector, ...]:
+    def _derived(self, slot: str, derive, *sources: str, lineality: bool = False) -> tuple[QVector, ...]:
         """The cached ``derive(*<sources>, dim)``, computed at most once.
 
         The sources are read before the lock is taken: reading one may fill
-        another slot, and the lock is not reentrant.
+        another slot, and the lock is not reentrant. With ``lineality`` the
+        result's ``lineality`` fills that slot too, if it is empty.
         """
         value = getattr(self, slot)
         if value is None:
@@ -236,8 +248,11 @@ class Wedge:
             with self._lock:
                 value = getattr(self, slot)
                 if value is None:
-                    value = tuple(derive(*args, self.dim))
+                    out = derive(*args, self.dim)
+                    value = tuple(out)
                     setattr(self, slot, value)
+                    if lineality and self._lineality is None:
+                        self._lineality = tuple(out.lineality)
         return value
 
     @property
@@ -265,12 +280,17 @@ class Wedge:
     def canonical_generators(self) -> tuple[QVector, ...]:
         """Irredundant canonical V-representation (lineality pairs + extreme rays)."""
         if self._halfspaces is None:
-            return self._derived("_canon_generators", _round_trip, "_generators", "canonical_halfspaces")
-        return self._derived("_canon_generators", hrep_to_vrep, "_halfspaces")
+            return self._derived(
+                "_canon_generators", _round_trip, "_generators", "canonical_halfspaces", lineality=True
+            )
+        return self._derived("_canon_generators", hrep_to_vrep, "_halfspaces", lineality=True)
 
     @property
     def lineality_basis(self) -> tuple[QVector, ...]:
-        """Primitive basis of D(W) = W n (-W), the common kernel of the normals."""
+        """Primitive basis of D(W) = W n (-W), the common kernel of the normals.
+
+        Read off the pass that found the canonical generators, if one ran.
+        """
         return self._derived("_lineality", _kernel_basis, "halfspaces")
 
     def member(self, x: QVector) -> bool:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import multiwedge.lp as lp_module
-from multiwedge import InternalInvariantError, QVector, Unbounded
+from multiwedge import InternalInvariantError, QVector
 from multiwedge.cli import build_parser, main
 from multiwedge.operators import RDPInstance, decomposition_ok
 
@@ -741,14 +741,17 @@ _HALFPLANES = {
 
 def test_impossible_lp_status_is_internal_invariant_exit_1(capsys, tmp_path, monkeypatch):
     # An LP whose objective is bounded by construction (a normal of C over
-    # P in msup) reported Unbounded: the caller raises the named error (not
-    # an assert, which -O strips) and mw maps it to exit 1 like every
-    # domain error.
-    monkeypatch.setattr(lp_module.Session, "minimize", lambda self, c: Unbounded(c))
-    path = write_json(tmp_path, "input.json", _HALFPLANES)
-    code, out, _ = run_cli(capsys, "msup", "-f", path)
-    assert code == 1
-    assert json.loads(out)["error"] == InternalInvariantError.code == "internal_invariant"
+    # P, in msup and in a lattice search's trial) reported unbounded by the
+    # phase-2 step that Session.minimize and Warm's cold sessions share:
+    # the caller raises the named error (not an assert, which -O strips)
+    # and mw maps it to exit 1 like every domain error.
+    monkeypatch.setattr(lp_module.Session, "_phase2", lambda self, c: ("unbounded", (0, 1)))
+    wedges = {"wedges": [tw["wedge"] for tw in _HALFPLANES["family"]]}
+    for argv, payload in ((["msup"], _HALFPLANES), (["lattice-search", "--k", "2"], wedges)):
+        path = write_json(tmp_path, "input.json", payload)
+        code, out, _ = run_cli(capsys, *argv, "-f", path)
+        assert code == 1
+        assert json.loads(out)["error"] == InternalInvariantError.code == "internal_invariant"
 
 
 _G = {"dim": 2, "generators": [["1", "0"], ["1", "1"]]}

@@ -692,7 +692,9 @@ def test_warm_keeps_one_session(monkeypatch):
     for rhs in (QVector([5]), QVector([1, 0, 7])):
         with pytest.raises(ValueError):
             warm.solve(rhs)
-    assert warm.solve(warm.rhs([[0], [-1]], 2)) == (True, QVector([0]))
+    rhs = warm.rhs([[0], [-1]], 2)
+    feasible, basis = warm.solve(rhs)
+    assert feasible and basis.point(rhs) == QVector([0])
 
     rng = random.Random(1153)
     outcomes = Counter()
@@ -712,7 +714,8 @@ def test_warm_keeps_one_session(monkeypatch):
             proofs, regions = list(warm._proofs), list(warm._regions)
             route, before = memo_route(warm, ge_new), calls.copy()
             assert warm.rhs([[b] for b in ge_new.num], ge_new.den) == ge_new
-            feasible, point = warm.solve(ge_new)
+            feasible, basis = warm.solve(ge_new)
+            point = None if basis is None else basis.point(ge_new)
             pivots = calls["pivot"] - before["pivot"]
             assert feasible == cold.feasible
             if route == "session":
@@ -767,7 +770,8 @@ def test_warm_solve_gives_a_common_minimizer_exactly_when_one_exists():
             new = [constraint(r, rel, b) for r, rel, b in zip(rows, rels, new_rhs)]
             ge_new = _ge(zip(rows, rels, new_rhs))[1]
             route = memo_route(warm, ge_new)
-            feasible, point = warm.solve(ge_new)
+            feasible, basis = warm.solve(ge_new)
+            point = None if basis is None else basis.point(ge_new)
             verdict = lp_solve(LinearProgram(n, QVector.zero(n), "min", tuple(new)))
             assert feasible == (not isinstance(verdict, Infeasible))
             outcomes[route, bool(objectives)] += 1

@@ -22,10 +22,10 @@ from multiwedge import (
 )
 
 from multiwedge import multiorder, operators
-from multiwedge.lp import Session, Warm
+from multiwedge.lp import Region, Session, Warm
 from multiwedge.operators import RDPInstance, rdp_check, rdp_search
 from multiwedge.linalg import _common
-from multiwedge.multiorder import APEX_DEN, MultiSupSet, _below, _upper_bound_system, sample_apex
+from multiwedge.multiorder import APEX_DEN, MultiSupSet, _trials, _upper_bound_system, sample_apex
 
 from conftest import (
     cold_multilattice_search,
@@ -266,11 +266,12 @@ def test_msup_with_warm_matches_cold():
 
         def solve(self, rhs):
             routes.append(memo_route(self, rhs))
-            feasible, point = super().solve(rhs)
-            if point is not None:
+            feasible, basis = super().solve(rhs)
+            if basis is not None:
+                point = basis.point(rhs)
                 for c in self.objectives:
                     assert c.dot(point) == Session(self.n, self.rows, rhs).minimize(c).value
-            return feasible, point
+            return feasible, basis
 
     rng = random.Random(4242)
     outcomes = Counter()
@@ -296,11 +297,12 @@ def test_msup_with_warm_matches_cold():
                 cold = msup(family)
             except NotMultiBoundedAbove:
                 cold = "not bounded"
-            feasible, point = warm[indices].solve(warm[indices].rhs(*_common([tw.apex for tw in family])))
+            rhs = warm[indices].rhs(*_common([tw.apex for tw in family]))
+            feasible, basis = warm[indices].solve(rhs)
             if not feasible:
                 got = "not bounded"
             else:
-                got = None if point is None else MultiSupSet(point, cw.lineality_basis)
+                got = None if basis is None else MultiSupSet(basis.point(rhs), cw.lineality_basis)
             if cold is None or cold == "not bounded":
                 assert got == cold
                 outcomes[str(cold)] += 1
@@ -416,16 +418,41 @@ def test_integer_apex_draws_match_the_fraction_formula():
     assert min(shapes[k] for k in ("dim 0", "bound 0", "other")) >= 100, shapes
 
 
-def test_draws_below_n_match_randrange():
-    # _below(rng, n) is rng.randrange(n): the same values and the same
-    # generator states, for every width from 1 to 70 (1, the powers of two
-    # and their neighbours among them) over many seeds.
-    for seed in range(60):
+def test_draw_streams_match_randint_and_randrange():
+    # The draws read getrandbits in place, as randrange and randint read it:
+    # sample_apex is randint(-bound, bound), randint(-2, 2), randint(1, 4)
+    # per coordinate, as numerators over APEX_DEN; _random_member is
+    # randint(0, 3), randint(1, 2) per generator, as numerators over 2;
+    # _trials' indices are randrange(count). The same values, and each
+    # generator ends in the state the formulas leave, for bounds 0-5, dims
+    # 1-4, 0-4 generators and 1-17 wedges (1, the powers of two and their
+    # neighbours among them), on 240 seeds.
+    shapes = Counter()
+    for seed in range(240):
         new, old = random.Random(seed), random.Random(seed)
-        for n in range(1, 71):
-            for _ in range(5):
-                assert _below(new, n) == old.randrange(n)
-            assert new.getstate() == old.getstate()
+        bound, dim, count = seed % 6, 1 + seed // 6 % 4, 1 + seed % 17
+        for _ in range(3):
+            expected = []
+            for _ in range(dim):
+                x, p, q = old.randint(-bound, bound), old.randint(-2, 2), old.randint(1, 4)
+                expected.append(APEX_DEN * x + p * (APEX_DEN // q))
+            assert sample_apex(new, dim, bound) == expected
+        gens = [[old.randint(-3, 3) for _ in range(dim)] for _ in range(seed % 5)]
+        assert [[new.randint(-3, 3) for _ in range(dim)] for _ in gens] == gens
+        coefficients = [F(old.randint(0, 3), old.randint(1, 2)) for _ in gens]
+        expected = [2 * sum(c * g[i] for c, g in zip(coefficients, gens)) for i in range(dim)]
+        assert operators._random_member(new, gens, dim) == expected
+        assert new.getstate() == old.getstate()
+        shapes["no generator" if not gens else "generators"] += 1
+
+        arity, wedges = 1 + seed % 3, [Wedge(1, halfspaces=[])] * count
+        old = random.Random(seed)
+        for rng, drawn, order, _ in _trials(wedges, arity, seed, 4, lambda ws: None):
+            assert drawn == tuple(old.randrange(count) for _ in range(arity))
+            assert [drawn[p] for p in order] == sorted(drawn)
+        assert rng.getstate() == old.getstate()
+        shapes["bound 0" if bound == 0 else "bound > 0"] += 1
+    assert min(shapes.values()) >= 40 and len(shapes) == 4, shapes
 
 
 def test_empty_draw_ranges_raise_before_drawing():
@@ -435,9 +462,9 @@ def test_empty_draw_ranges_raise_before_drawing():
     state = rng.getstate()
     with pytest.raises(ValueError):
         sample_apex(rng, 2, -1)
-    for n in (0, -1, -8):
+    for dim, bound in ((0, -1), (3, -8)):
         with pytest.raises(ValueError):
-            _below(rng, n)
+            sample_apex(rng, dim, bound)
     assert rng.getstate() == state
 
 
@@ -493,11 +520,13 @@ def test_a_certified_warm_basis_attains_every_minimum(session_builds):
 
         def solve(self, rhs):
             route, built = memo_route(self, rhs), len(session_builds)
-            feasible, point = super().solve(rhs)
+            feasible, basis = super().solve(rhs)
             assert len(session_builds) == built + (route == "session")
             if not feasible:
-                return feasible, point
+                assert basis is None
+                return feasible, basis
             outcomes[route] += 1
+            point = None if basis is None else basis.point(rhs)
             colds = [Session(self.n, self.rows, rhs).minimize(a) for a in self.objectives]
             common = colds[0].value == sum(cold.value for cold in colds[1:])
             assert (point is not None) == common and (common or route != "region")
@@ -506,7 +535,7 @@ def test_a_certified_warm_basis_attains_every_minimum(session_builds):
                     assert a.dot(point) == cold.value
             if route == "session":
                 assert point is None or point == colds[0].point
-            return feasible, point
+            return feasible, basis
 
     rng = random.Random(1017)
     for _ in range(60):
@@ -544,8 +573,9 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
 
         def solve(self, rhs):
             route, built = memo_route(self, rhs), len(session_builds)
-            feasible, point = super().solve(rhs)
+            feasible, basis = super().solve(rhs)
             assert len(session_builds) == built + (route == "session")
+            point = None if basis is None else basis.point(rhs)
             n, rows = self.n, self.rows
             session = session_builds[-1] if route == "session" else None
             cold = Session(n, rows, rhs)
@@ -570,7 +600,7 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
                 elif feasible:
                     assert point == cold.feasible_point()
                 assert session._basis == cold._basis and session.pivots == cold.pivots
-            return feasible, point
+            return feasible, basis
 
     monkeypatch.setattr(multiorder, "Warm", Watched)
     monkeypatch.setattr(operators, "Warm", Watched)
@@ -595,6 +625,49 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
             assert rdp_search(wedges, 2, 2, seed=seed, budget=40) == cold_rdp_search(wedges, 2, 2, seed=seed, budget=40)
     for outcome in ("farkas", "region", "session", ("optima", False)):
         assert outcomes[outcome] >= 20, outcomes
+
+
+def test_searches_build_no_point(monkeypatch):
+    # Both searches read only Warm.solve's verdict: the lattice search
+    # whether P is nonempty with no basis minimizing every row of C, the
+    # decomposition search feasibility. No trial builds a point, on any of
+    # the four routes a trial takes, and the outcomes are the cold oracles'.
+    routes = Counter()
+    solve = Warm.solve
+
+    def counted(self, rhs):
+        routes[memo_route(self, rhs)] += 1
+        return solve(self, rhs)
+
+    def refused(self, rhs):
+        raise AssertionError("a search trial built a point")
+
+    monkeypatch.setattr(Warm, "solve", counted)
+    monkeypatch.setattr(Region, "point", refused)
+    rng = random.Random(9157)
+    runs = []
+    for run in range(24):
+        if run % 4 == 0:
+            wedges = list(w123())
+        elif run % 4 == 1:
+            wedges = [quadrant(), diagonal_ray()]
+        else:
+            dim = rng.randint(1, 3)
+            wedges = [rand_wedge(rng, dim) for _ in range(rng.randint(1, 3))]
+        seed, lattice = rng.randrange(1 << 20), run % 8 < 5
+        if lattice:
+            k = 2 + run % 2
+            runs.append((wedges, k, seed, multilattice_search(wedges, k, seed=seed, budget=60)))
+        else:
+            runs.append((wedges, None, seed, rdp_search(wedges, 2, 2, seed=seed, budget=40)))
+    monkeypatch.undo()
+    for wedges, k, seed, got in runs:
+        if k is None:
+            assert got == cold_rdp_search(wedges, 2, 2, seed=seed, budget=40)
+        else:
+            assert got == cold_multilattice_search(wedges, k, seed=seed, budget=60)
+    for route in ("farkas", "region", "optima", "session"):
+        assert routes[route] >= 20, routes
 
 
 def test_most_search_trials_are_decided_without_a_session(monkeypatch, session_builds):

@@ -353,6 +353,56 @@ def test_each_wedge_is_converted_once(conversions):
     assert len(conversions) == 2
 
 
+def test_the_lineality_is_read_off_the_conversion(monkeypatch, conversions):
+    # The pass that finds the canonical generators reduces the halfspaces,
+    # given or canonical, and keeps their kernel as the lineality basis. So
+    # reading both sides, in either order, and then the lineality makes one
+    # kernel RREF for a halfspace-given halfplane (the conversion's) and two
+    # for a generator-given wedge with a line (the conversion's, and the
+    # round trip's of its canonical halfspaces). A lineality read first
+    # reduces the given halfspaces itself and converts nothing. On random
+    # wedges, rational and with redundant rows, the basis is the one that
+    # a lineality read first gives.
+    from multiwedge import wedges as wedges_module
+
+    calls = []
+    kernel = wedges_module._kernel
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return kernel(rows, dim)
+
+    monkeypatch.setattr(wedges_module, "_kernel", counted)
+    lines = (V([0, 0, -1]), V([0, 0, 1]), V([0, 1, 0]), V([1, 0, 0]))
+    for names in (("canonical_generators", "canonical_halfspaces"), ("canonical_halfspaces", "canonical_generators")):
+        counts = []
+        for w in (Wedge(2, halfspaces=[V([1, 0])]), Wedge(3, generators=lines)):
+            calls.clear()
+            for name in names:
+                getattr(w, name)
+            assert lineality(w) == ([V([0, 1])] if w.dim == 2 else [V([0, 0, 1])])
+            counts.append(len(calls))
+        assert counts == [1, 2]
+
+    calls.clear()
+    conversions.clear()
+    assert lineality(Wedge(2, halfspaces=[V([1, -1]), V([-2, 2])])) == [V([1, 1])]
+    assert (len(calls), len(conversions)) == (1, 0)
+
+    rng = random.Random(4417)
+    shapes = Counter()
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        w = rand_wedge(rng, dim, max_vectors=2 * dim + 1, max_den=rng.choice((1, 3)))
+        sides = {"generators": w._generators, "halfspaces": w._halfspaces}
+        fresh = Wedge(dim, **{k: v for k, v in sides.items() if v is not None})
+        first = lineality(fresh)
+        w.canonical_generators
+        assert w._lineality is not None and lineality(w) == first
+        shapes["given halfspaces" if w._halfspaces is not None else "given generators", bool(first)] += 1
+    assert min(shapes.values()) >= 15 and len(shapes) == 4, shapes
+
+
 def test_each_wedge_is_converted_once_across_threads(conversions):
     import sys
     import threading
