@@ -29,7 +29,8 @@ phase 1 runs once, at build, and each ``minimize`` moves the basis to its
 objective's optimum, so callers that optimize several objectives over the
 same system (or only need a feasible point) pay for phase 1 once, and an
 objective already optimal at the basis costs no pivot. An infeasible
-session keeps a ``Farkas`` vector of its rows.
+session keeps its ``Infeasible``, whose Farkas vector y of its rows
+refutes every b with y . b > 0.
 
 ``Warm`` serves a caller that solves one system at many right-hand sides
 b, as a search does. It is built once with the rows, per row b as a
@@ -45,7 +46,7 @@ answer at b depends only on which critical regions b falls in
 programming, Management Science 18). ``Warm`` keeps what its
 sessions proved, and decides most trials by dot products of ints; only
 the others build a session, cold, whose minima are read as ints off
-the phase-2 step that ``Session.minimize`` wraps.
+the reduced-cost rows of its phase 2, with no ``Optimal``.
 
 ``lp_solve`` takes the public ``LinearProgram``, whose rows may also be
 ``<=`` or ``==``. It writes a ``<=`` row as -a . x >= -b and a ``==``
@@ -103,8 +104,8 @@ class LinearProgram:
 class Optimal:
     value: Fraction
     point: QVector
-    # The reduced-cost row at the optimum, which the duals are read from.
-    _reduced: _Row = field(compare=False, repr=False)
+    # The duals y, a QVector: the slack part of the reduced-cost row at the optimum.
+    _dual: QVector = field(compare=False, repr=False)
 
     @cached_property
     def dual(self) -> tuple[Fraction, ...]:
@@ -115,8 +116,7 @@ class Optimal:
         y. Every free column has reduced cost 0, which is A^T y = c, and
         slack-column optimality gives y >= 0.
         """
-        reduced = self._reduced
-        return tuple([Fraction(e, reduced.den) for e in reduced.num[self.point.dim : -1]])
+        return self._dual.entries
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class Infeasible:
-    # The Farkas vector y, a QVector over the rows as given.
+    # The Farkas vector y, a QVector over the rows it refutes.
     _proof: QVector | None = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -137,6 +137,15 @@ class Infeasible:
         y . rhs > 0: any x would give 0 = y^T A x >= y . rhs > 0.
         """
         return self._proof.entries
+
+    def refutes(self, rhs: QVector) -> bool:
+        """Whether y . rhs > 0, which proves the rows infeasible at ``rhs``.
+
+        Neither y^T A = 0 nor y's signs read the right-hand side, so one
+        y refutes every rhs with y . rhs > 0: one dot product of int
+        numerators (both denominators are positive).
+        """
+        return sum(map(mul, self._proof.num, rhs.num)) > 0
 
 
 LPResult = Optimal | Unbounded | Infeasible
@@ -163,10 +172,9 @@ def lp_solve(p: LinearProgram) -> LPResult:
         y = res._proof
         return Infeasible(QVector._of(_fold(y.num, signs, m), y.den))
     if isinstance(res, Optimal):
-        # The slack part of the reduced row holds the duals: folded, and negated with the rest for 'max'.
-        reduced = res._reduced
-        num = [*reduced.num[: p.n], *_fold(reduced.num[p.n : -1], signs, m), reduced.num[-1]]
-        return Optimal(sense * res.value, res.point, _Row([sense * e for e in num], reduced.den))
+        # The duals folded, and negated with the value for 'max'.
+        y = res._dual
+        return Optimal(sense * res.value, res.point, QVector._of([sense * e for e in _fold(y.num, signs, m)], y.den))
     return res
 
 
@@ -209,9 +217,10 @@ class Session:
     whose basic variable is free; B^-1, duals and Farkas vectors off the
     slack columns. Rows whose basic variable is free never leave.
 
-    An infeasible session keeps a Farkas vector of its rows, checked
-    against ``rhs``. ``pivots`` counts the pivots since the session was
-    built: phase 1's, then phase 2's.
+    An infeasible session keeps its ``Infeasible``, whose Farkas vector of
+    its rows is checked against ``rhs``, and every ``minimize`` returns it.
+    ``pivots`` counts the pivots since the session was built: phase 1's,
+    then phase 2's.
     """
 
     def __init__(self, n: int, rows: Sequence[QVector], rhs: QVector):
@@ -232,22 +241,12 @@ class Session:
         # u^T s = -u . b < 0 with no free entry and no negative slack entry:
         # u >= 0 and u^T A = 0, so its slack part u is a Farkas vector.
         leave, self.pivots = _dual_run(tableau, self._basis, n, n + m)
-        self.feasible, self._farkas = leave < 0, None
+        self.feasible, self._infeasible = leave < 0, None
         if not self.feasible:
             row = tableau[leave]
-            self._farkas = Farkas(QVector._of(row.num[n : n + m], row.den))
-            if not self._farkas.refutes(rhs):
+            self._infeasible = Infeasible(QVector._of(row.num[n : n + m], row.den))
+            if not self._infeasible.refutes(rhs):
                 raise InternalInvariantError("a Farkas vector y of the rows has y . b <= 0")
-
-    def feasible_point(self) -> QVector | None:
-        """The point of the current basis, or None when the system is infeasible.
-
-        It is the point phase 1 left until ``minimize`` moves the basis,
-        and stays feasible after.
-        """
-        if not self.feasible:
-            return None
-        return _vector(self._tableau, self._basis, self.n, self._ncols, 1)
 
     def minimize(self, objective: QVector) -> LPResult:
         """Minimize objective . x by phase 2 from the current basis, which it moves.
@@ -261,40 +260,25 @@ class Session:
         if objective.dim != n:
             raise ValueError("objective length must equal the variable count")
         if not self.feasible:
-            return Infeasible(self._farkas.y)
-        status, info = self._phase2(objective)
+            return self._infeasible
+        reduced, enter, sign = self._phase2(objective)
         tableau, basis, ncols = self._tableau, self._basis, self._ncols
-        if status == "unbounded":
+        if enter >= 0:
             # The entering variable moves by ``sign``, each basic one by minus sign times its entry.
-            enter, sign = info
             return Unbounded(_vector(tableau, basis, n, enter, -sign, enter))
         # The right-hand-side entry of the reduced row is minus the objective.
-        return Optimal(Fraction(-info.num[ncols], info.den), _vector(tableau, basis, n, ncols, 1), info)
+        return Optimal(
+            Fraction(-reduced.num[ncols], reduced.den), _vector(tableau, basis, n, ncols, 1),
+            QVector._of(reduced.num[n:ncols], reduced.den),
+        )
 
-    def _phase2(self, objective: QVector) -> tuple[str, object]:
-        """Phase 2 of a feasible session: ``_run``'s ("optimal", reduced-cost row) or ("unbounded", (column, sign))."""
+    def _phase2(self, objective: QVector) -> tuple[_Row, int, int]:
+        """Phase 2 of a feasible session: the reduced-cost row, and ``_run``'s column and sign."""
         n, ncols = self.n, self._ncols
         cost = _Row(list(objective.num) + [0] * (ncols - n + 1), objective.den)
-        status, info, pivots = _run(self._tableau, self._basis, cost, n, ncols)
+        enter, sign, pivots = _run(self._tableau, self._basis, cost, n, ncols)
         self.pivots += pivots
-        return status, info
-
-
-class Farkas:
-    """A Farkas vector y of a system's >= rows: y >= 0 and y^T A = 0.
-
-    Neither condition reads the right-hand side, so y proves the rows
-    infeasible at every b with y . b > 0: one dot product of int
-    numerators (both denominators are positive).
-    """
-
-    __slots__ = ("y",)
-
-    def __init__(self, y: QVector):
-        self.y = y
-
-    def refutes(self, rhs: QVector) -> bool:
-        return sum(map(mul, self.y.num, rhs.num)) > 0
+        return cost, enter, sign
 
 
 class Region:
@@ -328,7 +312,7 @@ class Region:
         return True
 
     def point(self, rhs: QVector) -> QVector:
-        """B's point at ``rhs``, in the region: a session at basis B there has it as its ``feasible_point``."""
+        """B's point at ``rhs``, in the region: that of a session of the rows at ``rhs`` whose basis is B."""
         b, x = rhs.num, [0] * self.n
         den = lcm(*[d for _, _, d in self._free])
         for j, u, d in self._free:
@@ -356,7 +340,7 @@ class Warm:
     feasible one. ``solve`` builds no point; a caller that reads one
     calls ``point(b)`` on the basis.
 
-    ``Warm`` keeps every Farkas vector its sessions produced, and every
+    ``Warm`` keeps every ``Infeasible`` its sessions kept, and every
     basis a cold session reached as a ``Region``: in ``_regions`` when the
     session reached one basis, optimal for every objective (or, with no
     objective, feasible), else in ``_optima``, per objective o, each basis
@@ -386,7 +370,7 @@ class Warm:
         self._den = den = lcm(*[a.den for a, _ in terms])
         self._compiled = [[([s * e * (den // a.den) for e in a.num], p) for s, p in ps] for a, ps in terms]
         self.objectives = [sum(objectives, QVector.zero(n)), *objectives] if objectives else []
-        self._proofs: list[Farkas] = []
+        self._proofs: list[Infeasible] = []
         self._regions: list[Region] = []
         # Per objective, each kept basis optimal for it with its duals there.
         self._optima: list[list[tuple[Region, QVector]]] = []
@@ -431,7 +415,7 @@ class Warm:
         """
         session = Session(self.n, self.rows, rhs)
         if not session.feasible:
-            self._proofs.append(session._farkas)
+            self._proofs.append(session._infeasible)
             return False, None
         if not self.objectives:
             self._regions.append(Region(session))
@@ -440,8 +424,8 @@ class Warm:
         minima = []
         for o, objective in enumerate(self.objectives):
             pivots = session.pivots
-            status, reduced = session._phase2(objective)
-            if status != "optimal":
+            reduced, column, _ = session._phase2(objective)
+            if column >= 0:
                 raise InternalInvariantError("an objective of a parametric system is unbounded below")
             if not bases or session.pivots != pivots:
                 bases.append((Region(session), []))
@@ -472,32 +456,41 @@ def _vector(tableau, basis, n, col, sign, enter=-1) -> QVector:
     return QVector._of(x, den)
 
 
-def _run(tableau, basis, cost, n, ncols):
+def _entering(num, n, ncols) -> int:
+    """Bland's entering column for the row ``num``, or -1 when there is none.
+
+    The first free column (the first n) with a nonzero entry, else the
+    first slack column (n to ncols - 1) with a negative one.
+    """
+    for j in range(n):
+        if num[j]:
+            return j
+    for j in range(n, ncols):
+        if num[j] < 0:
+            return j
+    return -1
+
+
+def _run(tableau, basis, cost, n, ncols) -> tuple[int, int, int]:
     """Bland-rule primal simplex iterations from a primal feasible basis, in place.
 
-    Entering: the smallest column that improves, a free one (the first n)
-    with a nonzero reduced cost, moving against its sign, or a slack
-    (columns n to ncols - 1) with a negative one. ``tableau``, ``basis``
-    and ``cost`` are pivoted as they stand. Returns ("optimal",
-    reduced_cost_row, pivots) or ("unbounded", (entering_column, sign),
-    pivots).
+    ``cost`` is priced to the reduced-cost row, and pivoted with
+    ``tableau`` and ``basis`` as they stand. Entering: ``_entering`` on
+    the reduced row, a free column moving against the sign of its reduced
+    cost or a slack with a negative one. Returns (column, sign, pivots):
+    column -1 at the optimum, else the entering column that no row bounds,
+    moving by ``sign``, a ray.
     """
-    reduced = _priced(tableau, basis, cost)
+    # Price out the basic columns (each holds 1 in its row).
+    for row, b in zip(tableau, basis):
+        if cost.num[b]:
+            _eliminate(cost, row, b, _nonzero(row))
     pivots = 0
     while True:
-        num = reduced.num
-        enter = -1
-        for j in range(n):
-            if num[j]:
-                enter = j
-                break
-        else:
-            for j in range(n, ncols):
-                if num[j] < 0:
-                    enter = j
-                    break
+        num = cost.num
+        enter = _entering(num, n, ncols)
         if enter < 0:
-            return "optimal", reduced, pivots
+            return -1, 0, pivots
         sign = 1 if num[enter] < 0 else -1
         # Ratio test on rhs / (sign a) over the rows whose basic variable is
         # a slack, compared by cross-multiplication (sign a > 0, the row
@@ -516,8 +509,8 @@ def _run(tableau, basis, cost, n, ncols):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_r, best_a = i, r, a
         if leave < 0:
-            return "unbounded", (enter, sign), pivots
-        _pivot(tableau, reduced, leave, enter)
+            return enter, sign, pivots
+        _pivot(tableau, cost, leave, enter)
         basis[leave] = enter
         pivots += 1
 
@@ -527,10 +520,9 @@ def _dual_run(tableau, basis, n, ncols) -> tuple[int, int]:
 
     With zero costs every basis is dual feasible and every ratio is 0.
     Leaving: the negative row with the smallest basic variable, a slack.
-    Entering: the first free column (the first n) with a nonzero entry
-    there, else the first slack column with a negative one. Returns (-1,
-    pivots) once primal feasible, or (row, pivots) for a negative row with
-    neither, which proves infeasibility.
+    Entering: ``_entering`` on that row. Returns (-1, pivots) once primal
+    feasible, or (row, pivots) for a negative row with no entering
+    column, which proves infeasibility.
     """
     pivots = 0
     while True:
@@ -540,27 +532,10 @@ def _dual_run(tableau, basis, n, ncols) -> tuple[int, int]:
                 leave = i
         if leave < 0:
             return -1, pivots
-        num = tableau[leave].num
-        enter = -1
-        for j in range(n):
-            if num[j]:
-                enter = j
-                break
-        else:
-            for j in range(n, ncols):
-                if num[j] < 0:
-                    enter = j
-                    break
+        enter = _entering(tableau[leave].num, n, ncols)
         if enter < 0:
             return leave, pivots
         _pivot(tableau, None, leave, enter)
         basis[leave] = enter
         pivots += 1
 
-
-def _priced(tableau, basis, cost) -> _Row:
-    """``cost`` made its reduced-cost row in place: the basic columns priced out (each holds 1 in its row)."""
-    for row, b in zip(tableau, basis):
-        if cost.num[b]:
-            _eliminate(cost, row, b, _nonzero(row))
-    return cost

@@ -663,7 +663,9 @@ def test_the_package_has_no_unused_import_or_private_helper():
     # No dead helpers: every module but __init__, which re-exports, uses
     # each name it imports, and each module-level private function or
     # class is referenced by some module of the package, so that a helper
-    # kept only for the tests fails here.
+    # kept only for the tests fails here. So is each private method of a
+    # class, and each method of a class that __init__ does not export; for
+    # these a string constant counts as a reference, as slots are read by name.
     import ast
 
     import multiwedge
@@ -672,7 +674,7 @@ def test_the_package_has_no_unused_import_or_private_helper():
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(Path(multiwedge.__file__).parent.glob("*.py"))
     }
-    referenced = set()
+    referenced, strings = set(), set()
     unused = []
     for name, tree in trees.items():
         used = set()
@@ -683,6 +685,8 @@ def test_the_package_has_no_unused_import_or_private_helper():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
         referenced |= used
         if name == "__init__.py":
             continue
@@ -699,8 +703,22 @@ def test_the_package_has_no_unused_import_or_private_helper():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
         and node.name not in referenced
     ]
+    exported = {
+        alias.name for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    named = referenced | strings
+    methods = [
+        f"{name}: {cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+        and (node.name.startswith("_") or cls.name not in exported) and node.name not in named
+    ]
     assert unused == []
     assert private == []
+    assert methods == []
 
 
 def test_readme_names_only_real_tests():
@@ -742,10 +760,11 @@ _HALFPLANES = {
 def test_impossible_lp_status_is_internal_invariant_exit_1(capsys, tmp_path, monkeypatch):
     # An LP whose objective is bounded by construction (a normal of C over
     # P, in msup and in a lattice search's trial) reported unbounded by the
-    # phase-2 step that Session.minimize and Warm's cold sessions share:
-    # the caller raises the named error (not an assert, which -O strips)
-    # and mw maps it to exit 1 like every domain error.
-    monkeypatch.setattr(lp_module.Session, "_phase2", lambda self, c: ("unbounded", (0, 1)))
+    # phase-2 step that Session.minimize and Warm's cold sessions share,
+    # as a ray column >= 0: the caller raises the named error (not an
+    # assert, which -O strips) and mw maps it to exit 1 like every domain
+    # error.
+    monkeypatch.setattr(lp_module.Session, "_phase2", lambda self, c: (None, 0, 1))
     wedges = {"wedges": [tw["wedge"] for tw in _HALFPLANES["family"]]}
     for argv, payload in ((["msup"], _HALFPLANES), (["lattice-search", "--k", "2"], wedges)):
         path = write_json(tmp_path, "input.json", payload)

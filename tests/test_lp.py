@@ -22,7 +22,7 @@ from multiwedge import (
     intersect,
     lp_solve,
 )
-from multiwedge.lp import Session, Warm, _fold, _ge_rows
+from multiwedge.lp import Region, Session, Warm, _fold, _ge_rows
 
 from conftest import (
     enumerate_lp_minimum,
@@ -60,7 +60,7 @@ def test_min_half():
 
 
 def test_duals_are_built_when_read_and_ignored_by_equality():
-    # An Optimal keeps its final reduced row and builds the duals from it on
+    # An Optimal keeps its duals as ints and builds their Fractions on
     # first read; equality compares only the value and the point.
     cons = [([1, 0], GE, 1), ([0, 1], GE, 2)]
     res = lp_solve(_lp(2, [1, 1], "min", cons))
@@ -379,6 +379,45 @@ def test_infeasible_compares_without_its_farkas_vector():
     assert res.farkas == (1, -1)
 
 
+def test_an_infeasible_refutes_every_rhs_its_farkas_vector_does(session_builds):
+    # Infeasible.refutes(b) is y . b > 0 for its Farkas vector y, which
+    # does not read b. On seeded infeasible LPs with >=, <= and == rows,
+    # lp_solve's Infeasible refutes its right-hand sides over the rows as
+    # given, as _farkas_proves says, and Infeasible(-y) does not; any other
+    # b it refutes makes the rows infeasible. A session's minimize returns
+    # the very Infeasible it kept at build, and a Warm keeps that object.
+    rng = random.Random(5)
+    one = QVector([1])
+    found = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            row = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            cons.append((row, rng.choice([LE, GE, EQ]), F(rng.randint(-4, 4))))
+        rows, rels, rhs = ([c[k] for c in cons] for k in range(3))
+        res = lp_solve(_lp(n, [0] * n, "min", cons))
+        if not isinstance(res, Infeasible):
+            continue
+        found["infeasible"] += 1
+        y, b = res._proof, QVector(rhs)
+        assert res.refutes(b) and _farkas_proves(res.farkas, rows, rels, rhs)
+        assert not Infeasible(-y).refutes(b) and not _farkas_proves((-y).entries, rows, rels, rhs)
+        other = [F(rng.randint(-4, 4)) for _ in cons]
+        if res.refutes(QVector(other)):
+            found["other"] += 1
+            assert isinstance(lp_solve(_lp(n, [0] * n, "min", zip(rows, rels, other))), Infeasible)
+        ge_rows, ge_rhs, _ = _ge(cons)
+        session = Session(n, ge_rows, ge_rhs)
+        kept = session.minimize(QVector.zero(n))
+        assert kept.refutes(ge_rhs) and session.minimize(QVector.unit(n, 0)) is kept
+        warm = Warm(n, ge_rows, [(one, [(1, r)]) for r in range(len(ge_rows))])
+        assert warm.solve(ge_rhs) == (False, None)
+        [proof] = warm._proofs
+        assert proof is session_builds[-1].minimize(QVector.zero(n))
+    assert found["infeasible"] >= 400 and found["other"] >= 200, found
+
+
 def _proves_minimum(res, c, rows, rhs):
     """An Optimal of c over the >= rows, by its definitions.
 
@@ -438,9 +477,9 @@ def test_session_matches_lp_solve():
                 else:
                     assert _proves_unbounded(got.ray, c, ge_rows)
         zero = lp_solve(LinearProgram(n, QVector.zero(n), "min", constraints))
-        point = session.feasible_point()
-        assert session.feasible == (point is not None) == isinstance(zero, Optimal)
-        if point is not None:
+        assert session.feasible == isinstance(zero, Optimal)
+        if session.feasible:
+            point = Region(session).point(ge_rhs)
             assert all(a.dot(point) >= b for a, b in zip(ge_rows, ge_rhs.entries))
     for outcome in ("Optimal", "Infeasible", "Unbounded"):
         assert outcomes[outcome] >= 100, outcomes
@@ -488,7 +527,7 @@ def test_no_pivot_at_a_feasible_slack_basis(monkeypatch):
         rows, rhs, _ = _ge(cons)
         session = Session(n, rows, rhs)
         assert session.feasible and session.pivots == 0
-        assert session.feasible_point() == QVector.zero(n)
+        assert Region(session).point(rhs) == QVector.zero(n)
     assert pivots["pivot"] == 0
 
 
@@ -654,6 +693,11 @@ def test_results_are_values_and_a_kept_optimum_costs_no_pivot():
         assert outcomes[outcome] >= 20, outcomes
 
 
+def _same(kept, before):
+    """The same objects in the same order: ``Infeasible``s compare equal whatever their Farkas vectors."""
+    return len(kept) == len(before) and all(a is b for a, b in zip(kept, before))
+
+
 def test_warm_keeps_one_session(monkeypatch):
     # One Warm across the trials of one system, built with its rows,
     # right-hand-side map and an objective bounded below (a nonnegative
@@ -723,13 +767,13 @@ def test_warm_keeps_one_session(monkeypatch):
                 if feasible:
                     minimum = cold.minimize(objective)
                     assert point == minimum.point and pivots == cold.pivots
-                    assert warm._proofs == proofs and warm._regions[:-1] == regions
+                    assert _same(warm._proofs, proofs) and warm._regions[:-1] == regions
                 else:
                     assert point is None and pivots == cold.pivots
-                    assert warm._proofs[:-1] == proofs and warm._regions == regions
+                    assert _same(warm._proofs[:-1], proofs) and warm._regions == regions
                 outcomes["session", feasible] += 1
                 continue
-            assert route in ("farkas", "region") and (warm._proofs, warm._regions) == (proofs, regions)
+            assert route in ("farkas", "region") and _same(warm._proofs, proofs) and warm._regions == regions
             assert calls["session"] == before["session"] and pivots == 0
             if route == "farkas":
                 assert point is None and not feasible
@@ -788,7 +832,7 @@ def test_warm_solve_gives_a_common_minimizer_exactly_when_one_exists():
             assert point_feasible(point.entries, rows, rels, new_rhs)
             assert [c.dot(point) for c in objectives] == [res.value for res in minima]
             if not objectives and route == "session":
-                assert point == Session(n, ge_rows, ge_new).feasible_point()
+                assert point == Region(Session(n, ge_rows, ge_new)).point(ge_new)
     routes = [(route, True) for route in ("farkas", "region", "optima", "session")]
     routes += [(route, False) for route in ("farkas", "region", "session")]
     for outcome in (*routes, ("common", True), ("none", True), ("common", False)):

@@ -598,7 +598,7 @@ def test_the_memo_decides_as_cold_sessions(monkeypatch, session_builds):
                     common = minima[0].value == sum(res.value for res in minima[1:])
                     assert point == (minima[0].point if common else None)
                 elif feasible:
-                    assert point == cold.feasible_point()
+                    assert point == Region(cold).point(rhs)
                 assert session._basis == cold._basis and session.pivots == cold.pivots
             return feasible, basis
 
