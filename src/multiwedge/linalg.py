@@ -1,8 +1,11 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 A vector is int numerators over one positive int denominator, reduced by
-their gcd: the invariant of the integer rows (``_Row``) that every
-elimination here runs on. A matrix is a tuple of such vectors, its rows.
+their gcd. Every elimination here runs on integer rows (``_Row``) of the
+same form, which hold exact values but are reduced only once their
+denominator passes ``_REDUCE_BITS`` bits, so a row's numerators and
+denominator may carry a common factor that its values do not; a vector
+built from a row reduces it. A matrix is a tuple of vectors, its rows.
 Every computation in this package is exact: equality means equality, no
 tolerances anywhere. Scalars serialize as ``"p/q"`` (or ``"p"`` when the
 denominator is 1) with the sign carried by the numerator.
@@ -316,8 +319,21 @@ class QMatrix:
         return cls(rows, cols, [e for r in entries for e in r])
 
 
+# A row is divided by the gcd of its entries only once its denominator
+# passes this many bits: below it no update pays a gcd and a division,
+# and past it the gcd keeps a long elimination's ints from growing
+# without bound.
+_REDUCE_BITS = 62
+
+
 class _Row:
-    """Tableau row: the value of column j is ``num[j] / den``, ``den > 0``."""
+    """Tableau row: the value of column j is ``num[j] / den``, ``den > 0``.
+
+    The value is exact, but the pair is in lowest terms only where a
+    reduction left it: ``_eliminate`` divides by the gcd only once ``den``
+    passes ``_REDUCE_BITS`` bits. Readers take the value num/den, and a
+    ``QVector`` built from a row reduces it.
+    """
 
     __slots__ = ("num", "den")
 
@@ -334,7 +350,8 @@ def _eliminate(row, prow, col, nz):
     """row -= row[col] * prow, for a pivot row with prow[col] == 1.
 
     ``nz`` lists the nonzero columns of prow; only those change beyond the
-    common rescaling of the numerators.
+    common rescaling of the numerators. The row is reduced only when its
+    denominator passes ``_REDUCE_BITS`` bits.
     """
     pnum, pden = prow.num, prow.den
     # (R/D) - (R[col]/D) (P/pd) = (R (pd/g) - (R[col]/g) P) / (D pd/g)
@@ -346,10 +363,11 @@ def _eliminate(row, prow, col, nz):
     for j in nz:
         num[j] -= f * pnum[j]
     den = row.den * scale
-    g = gcd(den, *num)
-    if g > 1:
-        num = [e // g for e in num]
-        den //= g
+    if den.bit_length() > _REDUCE_BITS:
+        g = gcd(den, *num)
+        if g > 1:
+            num = [e // g for e in num]
+            den //= g
     row.num = num
     row.den = den
 

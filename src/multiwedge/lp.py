@@ -11,12 +11,15 @@ Unbounded, Infeasible) are returned as values, never raised.
 The tableau is held in the integer rows of ``linalg`` (``_Row``, pivoted
 by ``_pivot``, the package's one elimination): each row, and the
 reduced-cost row, is a list of int numerators over one positive int
-denominator, divided by the gcd of all of them after every update; rows
-and costs are read from the vectors' ``num``/``den``. Rows are never
-rescaled, so the stored values are exactly those of a ``Fraction``
-tableau: Bland's rule reads the same signs and, by cross-multiplication,
-the same ratios, and takes the same pivots. ``Fraction``s are built only
-for the value, and for the duals and Farkas vectors when they are read.
+denominator, divided by the gcd of all of them only once that
+denominator passes ``linalg._REDUCE_BITS`` bits; rows and costs are read
+from the vectors' ``num``/``den``. A row's numerators and denominator
+may so differ from a ``Fraction`` tableau's by a common factor, but its
+values never do: Bland's rule reads the same signs and, by
+cross-multiplication within a row, the same ratios, and takes the same
+pivots. Points, duals and Farkas vectors leave as ``QVector``s, which
+are reduced, and ``Fraction``s are built only for the value, and for the
+duals and Farkas vectors when they are read.
 
 Each row is stored negated, -a . x + s = -b, with its own slack s >= 0
 at coefficient +1. The slack columns hold B^-1, and the duals and Farkas
@@ -127,7 +130,7 @@ class Unbounded:
 @dataclass(frozen=True)
 class Infeasible:
     # The Farkas vector y, a QVector over the rows it refutes.
-    _proof: QVector | None = field(default=None, compare=False, repr=False)
+    _proof: QVector = field(compare=False, repr=False)
 
     @cached_property
     def farkas(self) -> tuple[Fraction, ...]:

@@ -14,7 +14,8 @@ failure is reported instead of silently returning a wrong answer.
 
 The values go through the dual LP of each normal of the codomain wedge,
 whose constraints do not depend on x (see rk_value): rk_value and op_msup
-share one q-variable session per normal for every x. Multi-bounds of the
+share one q-variable session per normal for every x, with one row per
+distinct generator, and read each minimum as ints. Multi-bounds of the
 operators are those of the family (vec T_i, L(W_i, V)) in the multiorder
 layer. The primal decomposition system remains only in rdp_check (which
 also answers fs_decompose, over coordinate wedges) and rdp_search, in
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from operator import mul, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -446,11 +448,13 @@ def rk_value(
 
         s_b(x) = min { u . x : u . g >= b . T_i(g) for g in gens(W_i), every i },
 
-    one q-variable session per normal whose constraints do not depend on x.
-    A point z with b . z = s_b for every b, together with the lineality of
-    V, describes the full multi-supremum set. When a dual is infeasible or
-    V has no normals, x is tested on the dual of b = 0, so NotInSumWedge
-    takes precedence over NotMultiBoundedAbove.
+    one q-variable session per normal whose constraints do not depend on x,
+    with one row per distinct generator g (the largest b . T_i(g) over
+    the wedges that share g), and each minimum read as ints off phase 2's
+    reduced-cost row. A point z with b . z = s_b for every b, together
+    with the lineality of V, describes the full multi-supremum set. When a
+    dual is infeasible or V has no normals, x is tested on the dual of
+    b = 0, so NotInSumWedge takes precedence over NotMultiBoundedAbove.
     """
     p, q = _check_rk_shapes(ops, wedges, v_wedge)
     if x.dim != q:
@@ -474,9 +478,17 @@ def _images(ops: Sequence[QMatrix], wedges: Sequence[Wedge]) -> list[tuple[QVect
 def _dual_session(images: list[tuple[QVector, QVector]], q: int, b: QVector) -> Session:
     """Rows u . g >= b . T_i(g) = (T_i^T b) . g over ``images``: min u . x is s_b(x).
 
-    At b = 0 it is unbounded at x exactly when x lies outside the sum wedge.
+    One row per distinct generator g, in the order of its first image,
+    with the largest b . T_i(g) over the images of g: the same feasible
+    set, so the same verdicts and values, from fewer rows when wedges
+    share a generator. At b = 0 it is unbounded at x exactly when x lies
+    outside the sum wedge.
     """
-    return Session(q, [g for g, _ in images], _dots([(b, tg) for _, tg in images]))
+    rhs = _dots([(b, tg) for _, tg in images])
+    largest: dict[QVector, int] = {}
+    for (g, _), e in zip(images, rhs.num):
+        largest[g] = max(e, largest.get(g, e))
+    return Session(q, list(largest), QVector._of(list(largest.values()), rhs.den))
 
 
 def _require_in_sum(images: list[tuple[QVector, QVector]], q: int, p: int, x: QVector) -> None:
@@ -496,7 +508,9 @@ def _rk_sups(
     complement of D(V) that ``projections`` takes, so ``p_u`` fixes it.
     An infeasible dual, which does not depend on x, raises
     NotMultiBoundedAbove; a dual unbounded at x means x is outside the sum
-    wedge. With no normals no x is read, and every witness is 0.
+    wedge. With no normals no x is read, and every witness is 0. Each
+    minimum is read as the int pair (-r[-1], r.den) of the reduced-cost
+    row r that phase 2 leaves, with no ``Optimal`` and no point.
     """
     normals = v_wedge.canonical_halfspaces
     sessions = []
@@ -508,13 +522,15 @@ def _rk_sups(
 
     witnesses = []
     for x in xs:
-        sups = []
+        minima = []
         for session in sessions:
-            res = session.minimize(x)
-            if isinstance(res, Unbounded):
+            reduced, column, _ = session._phase2(x)
+            if column >= 0:
                 raise NotInSumWedge("x is not in the sum of the domain wedges")
-            sups.append(res.value)
-        solution = solve_linear(QMatrix._of(normals, v_wedge.dim), QVector(sups))
+            minima.append((-reduced.num[-1], reduced.den))
+        den = lcm(*[d for _, d in minima])
+        sups = QVector._of([e * (den // d) for e, d in minima], den)
+        solution = solve_linear(QMatrix._of(normals, v_wedge.dim), sups)
         if solution is None:
             raise NoMultiSupremum(
                 "the codomain wedge admits no multi-supremum for this value set"

@@ -18,7 +18,8 @@ from multiwedge import (
     solve_linear,
     span_contains,
 )
-from multiwedge.linalg import independent_indices, span_rank
+from multiwedge import linalg
+from multiwedge.linalg import _Row, _rref_ints, independent_indices, span_rank
 
 from conftest import GreedyEchelon, fraction_rref, gauss_solve, greedy_complement
 
@@ -394,6 +395,40 @@ def test_rref_matches_fraction_rref():
         seen["fractional_pivot"] += pivot is not None and pivot.denominator > 1
     for case in ("empty_row", "zero_row", "wide", "tall", "negative_pivot", "fractional_pivot"):
         assert seen[case] > 0, case
+
+
+def test_rows_are_reduced_only_past_the_bound(monkeypatch):
+    # _eliminate divides a row by its gcd only once its denominator passes
+    # _REDUCE_BITS bits. Dense 10 x 20 integer matrices with entries in
+    # -99..99 run long enough for that: every update keeps the row's exact
+    # value, a row past the bound is in lowest terms, so no denominator
+    # passes it by more than one update's growth unless its value needs
+    # it, the reducing branch runs, and each RREF is fraction_rref's.
+    bound, eliminate, seen = linalg._REDUCE_BITS, linalg._eliminate, Counter()
+
+    def checked(row, prow, col, nz):
+        f = F(row.num[col], row.den)
+        want = [F(e, row.den) - f * F(p, prow.den) for e, p in zip(row.num, prow.num)]
+        grown = row.den * (prow.den // gcd(row.num[col], prow.den))
+        eliminate(row, prow, col, nz)
+        assert [F(e, row.den) for e in row.num] == want and row.den > 0
+        seen["reduced"] += row.den < grown
+        if row.den.bit_length() > bound:
+            assert gcd(row.den, *row.num) == 1
+            seen["past"] += 1
+        else:
+            seen["unreduced"] += gcd(row.den, *row.num) > 1
+
+    monkeypatch.setattr(linalg, "_eliminate", checked)
+    rng = random.Random(3)
+    for _ in range(8):
+        ints = [[rng.randint(-99, 99) for _ in range(20)] for _ in range(10)]
+        rows = [_Row(list(r), 1) for r in ints]
+        pivots = _rref_ints(rows)
+        want = [[F(e) for e in r] for r in ints]
+        assert pivots == fraction_rref(want)
+        assert [[F(e, r.den) for e in r.num] for r in rows] == want
+    assert seen["reduced"] >= 200 and seen["past"] >= 20 and seen["unreduced"] >= 100, seen
 
 
 def test_solve_single_equation():

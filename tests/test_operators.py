@@ -678,6 +678,7 @@ def test_rk_value_matches_primal_oracle():
     # their sum while opposite operators leave the values unbounded. V may
     # contain a line, be all of Q^p (no normals), or be {0}, whose opposite
     # normals leave no multi-supremum unless the value set is one point.
+    # Wedges that share a generator give the dual sessions one row for it.
     rng = random.Random(1010)
     seen = Counter()
     for _ in range(480):
@@ -711,13 +712,15 @@ def test_rk_value_matches_primal_oracle():
         assert _rk_outcome(rk_value, ops, wedges, v_wedge, x) == expected
         seen[expected if isinstance(expected, type) else "ok"] += 1
         seen[kind] += 1
+        gens = [g for g, _ in _images(ops, wedges)]
+        seen["shared generator"] += len(set(gens)) < len(gens)
         if expected is NotInSumWedge:
             # 0 is in every sum wedge, so the family's boundedness reads there.
             at_zero = _rk_outcome(primal_rk_value, ops, wedges, v_wedge, QVector.zero(q))
             if at_zero is NotMultiBoundedAbove:
                 seen["outside and unbounded"] += 1
     for outcome in ("ok", NotInSumWedge, NotMultiBoundedAbove, NoMultiSupremum,
-                    "outside and unbounded", "whole", "line", "zero"):
+                    "outside and unbounded", "whole", "line", "zero", "shared generator"):
         assert seen[outcome] >= 10, seen
 
 
